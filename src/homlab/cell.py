@@ -21,12 +21,10 @@ from .numerics import (
     TORUS,
     PEnergyProblem,
     SolverConfig,
-    SparseSystem,
     build_grid,
-    cg_solve,
     element_ops,
-    krylov_solve_nonsymmetric,
     minimize_p_energy,
+    solve_corrector,
 )
 
 _CROSS_CHECK_TOL = 1e-8
@@ -129,24 +127,14 @@ def homogenize_matrix(field: ScalarField | MatrixField, resolution: int,
     else:
         coeff = eval_scalar(field, centers)
         symmetric = True
-    K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=symmetric)
 
     volume = period ** dim
     matrix = np.empty((dim, dim))
     iters = []
     residuals = []
-    for i in range(dim):
-        e_i = np.zeros(dim)
-        e_i[i] = 1.0
-        if coeff.ndim == 1:
-            flux0 = coeff[:, None] * e_i[None, :]
-        else:
-            flux0 = coeff[:, :, i]
-        rhs = -ops.load_from_element_vectors(flux0)
-        if symmetric:
-            w, stats = cg_solve(K, rhs, config, mean_zero=True)
-        else:
-            w, stats = krylov_solve_nonsymmetric(K, rhs, config, mean_zero=True)
+    basis = np.eye(dim)
+    solves = solve_corrector(grid, coeff, basis, symmetric=symmetric, config=config)
+    for i, (e_i, (w, stats)) in enumerate(zip(basis, solves)):
         iters.append(stats.iterations)
         residuals.append(stats.residual)
         column = ops.flux_average(w, coeff, e_i)
@@ -198,15 +186,12 @@ def _p_energy_solve(coeff: ScalarField, p: float, xi, resolution: int,
         raise ValueError(f"xi must have shape ({dim},)")
     cells = int(round(period * resolution))
     grid = build_grid(dim, cells, (0.0,) * dim, period, TORUS)
-    ops = element_ops(grid)
     a_e = eval_scalar(coeff, grid.element_centers())
     problem = PEnergyProblem(grid, a_e, p, xi)
     x0 = None
     if p != 2.0:
         # continuation from the quadratic corrector with the same coefficient
-        K = SparseSystem(ops.assemble_stiffness(a_e), symmetric=True)
-        rhs = -ops.load_from_element_vectors(a_e[:, None] * xi[None, :])
-        x0, _ = cg_solve(K, rhs, config, mean_zero=True)
+        [(x0, _)] = solve_corrector(grid, a_e, [xi], config=config)
     u, stats = minimize_p_energy(problem, config, x0=x0)
     value = problem.value(u) / period ** dim
     b = coeff.bounds

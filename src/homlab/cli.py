@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,14 +55,6 @@ class _StageLog:
         self.path.write_text("\n".join(self.lines) + "\n", encoding="utf-8")
 
 
-def _map_jobs(fn, items, threads: int):
-    items = list(items)
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _write_json(path: Path, obj):
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -73,9 +64,9 @@ def _matrix_header(dim: int):
 
 
 # ---------------------------------------------------------------------------
-# runners (spec, out dir, threads, plots, log) -> list of artifact paths
+# runners (spec, out dir, plots, log) -> list of artifact paths
 
-def _run_cell(spec: ExperimentSpec, out: Path, threads, plots, log):
+def _run_cell(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
     density = build_density(prm.field, prm.p)
     dim = density.dim
@@ -91,9 +82,8 @@ def _run_cell(spec: ExperimentSpec, out: Path, threads, plots, log):
                                  field_id=f"resolution {resolution}")
         return [result.energy_samples[0][1]], result
 
-    log.stage("solve", f"{len(prm.resolutions)} resolution(s), "
-                       f"threads={threads}")
-    solved = _map_jobs(solve, prm.resolutions, threads)
+    log.stage("solve", f"{len(prm.resolutions)} resolution(s)")
+    solved = [solve(r) for r in prm.resolutions]
     for resolution, (_, result) in zip(prm.resolutions, solved):
         log.stage("cell", f"resolution {resolution}: "
                           f"iterations {max(result.solver_iterations)}, "
@@ -122,7 +112,7 @@ def _run_cell(spec: ExperimentSpec, out: Path, threads, plots, log):
     return artifacts
 
 
-def _run_rve(spec: ExperimentSpec, out: Path, threads, plots, log):
+def _run_rve(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
     density = build_density(prm.field, prm.p)
     log.stage("windows", f"R in {list(prm.windows)} at "
@@ -156,7 +146,7 @@ def _run_rve(spec: ExperimentSpec, out: Path, threads, plots, log):
     return artifacts
 
 
-def _run_stability(spec: ExperimentSpec, out: Path, threads, plots, log):
+def _run_stability(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
     f = build_density(prm.field, prm.p)
     g = build_density(prm.field_g, prm.p)
@@ -183,8 +173,7 @@ def _run_stability(spec: ExperimentSpec, out: Path, threads, plots, log):
     return artifacts
 
 
-def _run_counterexamples(spec: ExperimentSpec, out: Path, threads, plots,
-                         log):
+def _run_counterexamples(spec: ExperimentSpec, out: Path, plots, log):
     log.stage("suite", "running the counterexample catalog")
     suite = counterexample_suite()
     artifacts = []
@@ -209,18 +198,15 @@ def _run_counterexamples(spec: ExperimentSpec, out: Path, threads, plots,
     return artifacts
 
 
-def _run_perforation(spec: ExperimentSpec, out: Path, threads, plots, log):
+def _run_perforation(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
     E = build_perforation(prm)
     log.stage("masked", f"shape {prm.shape}, radius {prm.radius:g}, "
                         f"resolution {prm.resolution}")
     masked = masked_cell_value(E, prm.xi, prm.resolution)
-
-    def penalize(n):
-        return penalized_cell_value(E, n, prm.xi, prm.resolution)
-
-    log.stage("penalized", f"n in {list(prm.n_list)}, threads={threads}")
-    penalized = _map_jobs(penalize, prm.n_list, threads)
+    log.stage("penalized", f"n in {list(prm.n_list)}")
+    penalized = [penalized_cell_value(E, n, prm.xi, prm.resolution)
+                 for n in prm.n_list]
     for n, v in zip(prm.n_list, penalized):
         log.stage("penalized", f"n {n:g}: {v:.12g} (masked {masked:.12g})")
     csv_path = out / "perforation.csv"
@@ -266,7 +252,7 @@ def _run_perforation(spec: ExperimentSpec, out: Path, threads, plots, log):
     return artifacts
 
 
-def _run_stochastic(spec: ExperimentSpec, out: Path, threads, plots, log):
+def _run_stochastic(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
     family_f = build_family(prm.family)
     family_g = build_family(prm.family_g)
@@ -303,7 +289,7 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec, out_dir=None, threads: int = 1,
+def run_experiment(spec: ExperimentSpec, out_dir=None,
                    plots: bool = True) -> int:
     """Run one validated spec; returns the process exit code."""
     out = Path(out_dir if out_dir is not None else spec.out)
@@ -311,8 +297,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None, threads: int = 1,
     log = _StageLog(out / "run.log")
     log.stage("spec", f"kind {spec.kind}, seed {spec.seed}")
     try:
-        artifacts = _RUNNERS[spec.kind](spec, out, max(1, threads), plots,
-                                        log)
+        artifacts = _RUNNERS[spec.kind](spec, out, plots, log)
     except SolverError as e:
         log.stage("solver-failure", str(e))
         print(f"solver failure: {e}", file=sys.stderr)
@@ -348,8 +333,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: the spec's 'out')")
         p.add_argument("--seed", type=int, default=None,
                        help="override the spec's top-level seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent sub-experiments")
         p.add_argument("--no-plots", action="store_true",
                        help="write tables only, skip SVG plots")
     return parser
@@ -387,11 +370,7 @@ def main(argv=None) -> int:
             print("seed must be nonnegative", file=sys.stderr)
             return EXIT_INVALID
         spec = replace(spec, seed=args.seed)
-    if args.threads < 1:
-        print("threads must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
-    return run_experiment(spec, out_dir=args.out, threads=args.threads,
-                          plots=not args.no_plots)
+    return run_experiment(spec, out_dir=args.out, plots=not args.no_plots)
 
 
 if __name__ == "__main__":

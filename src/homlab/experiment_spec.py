@@ -20,7 +20,7 @@ from .fields import (BallSupport, CheckerboardFamily, Constant, FieldBounds,
                      PowerOfTwoCells, PPower, QuadraticIsotropic,
                      QuadraticMatrix, RandomCheckerboard,
                      TrigPolynomialClamped, constant_matrix)
-from .perforation import PerforationSet, SparseRemoval
+from .perforation import MIN_CELLS_ACROSS_HOLE, PerforationSet, SparseRemoval
 
 __all__ = [
     "SpecError", "SpecValidationError", "ExperimentSpec",
@@ -793,10 +793,11 @@ def _parse_perforation(r: _Reader) -> PerforationParams | None:
                     f"radius must lie in [0, 0.5), got {radius:g}")
         radius = None
     if radius is not None and resolution is not None:
-        if radius > 0 and 2.0 * radius * resolution < 4:
+        if radius > 0 and 2.0 * radius * resolution < MIN_CELLS_ACROSS_HOLE:
             r.col.error(_join(r.path, "resolution"),
-                        f"resolution {resolution} puts fewer than 4 elements "
-                        f"across a hole of diameter {2 * radius:g}")
+                        f"resolution {resolution} puts fewer than "
+                        f"{MIN_CELLS_ACROSS_HOLE} elements across a hole of "
+                        f"diameter {2 * radius:g}")
             resolution = None
     if (radius is not None and eps_list is not None
             and lambda_resolution is not None and radius > 0):
@@ -806,12 +807,21 @@ def _parse_perforation(r: _Reader) -> PerforationParams | None:
                             "epsilon must lie in (0, 1]")
                 eps_list = None
                 break
-            if 2.0 * radius * eps * lambda_resolution < 4:
+            if 2.0 * radius * eps * lambda_resolution < MIN_CELLS_ACROSS_HOLE:
                 r.col.error(_join(r.path, f"eps_list[{i}]"),
                             f"lambda_resolution {lambda_resolution} puts fewer "
-                            f"than 4 elements across a hole at eps {eps:g}")
+                            f"than {MIN_CELLS_ACROSS_HOLE} elements across a "
+                            f"hole at eps {eps:g}")
                 eps_list = None
                 break
+    # the lambda problem homogenizes on a cell at cell_resolution
+    if (radius is not None and radius > 0 and eps_list and cell_resolution is not None
+            and 2.0 * radius * cell_resolution < MIN_CELLS_ACROSS_HOLE):
+        r.col.error(_join(r.path, "cell_resolution"),
+                    f"cell_resolution {cell_resolution} puts fewer than "
+                    f"{MIN_CELLS_ACROSS_HOLE} elements across a hole of "
+                    f"diameter {2 * radius:g}")
+        cell_resolution = None
     if None in (shape, radius, removal, xi, resolution, n_list, eps_list,
                 lam, box_size, lambda_resolution, cell_resolution):
         return None

@@ -286,6 +286,13 @@ class HalfSpaceStep(ScalarField):
         return np.where(pts[:, 0] >= 0.0, self.gamma + self.c, self.gamma - self.c)
 
 
+def power_of_two_cells(k: np.ndarray) -> np.ndarray:
+    """Componentwise test for positive integer powers of two (1, 2, 4, ...)."""
+    positive = k >= 1
+    kp = np.where(positive, k, 1).astype(np.int64)
+    return positive & ((kp & (kp - 1)) == 0)
+
+
 @dataclass(frozen=True)
 class PowerOfTwoCells:
     """Cells z with every coordinate a positive integer power of two.
@@ -306,9 +313,7 @@ class PowerOfTwoCells:
         offs = pts - cells
         ok = np.ones(len(pts), dtype=bool)
         for j in range(pts.shape[1]):
-            k = cells[:, j]
-            is_pow2 = (k >= 1) & ((k & (k - 1)) == 0)
-            ok &= is_pow2 & (offs[:, j] < self.width)
+            ok &= power_of_two_cells(cells[:, j]) & (offs[:, j] < self.width)
         return ok.astype(float)
 
     def qualifying_cells(self, R: float, dim: int) -> list[tuple[int, ...]]:
@@ -438,8 +443,7 @@ class RandomCheckerboard(ScalarField):
         if self.flip_cells is not None:
             flip = np.ones(len(cells), dtype=bool)
             for j in range(self.dim):
-                k = cells[:, j]
-                flip &= (k >= 1) & ((k & (k - 1)) == 0)
+                flip &= power_of_two_cells(cells[:, j])
             swapped = self.cell_values[0] + self.cell_values[1] - vals
             vals = np.where(flip, swapped, vals)
         return vals

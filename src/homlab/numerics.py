@@ -9,6 +9,13 @@ bilinear forms themselves are integrated with a 2x2 Gauss rule per element,
 which is exact for bilinear elements and keeps the assembled stiffness free of
 spurious zero-energy modes.
 
+Every linear solve in the package goes through one kernel,
+``solve_corrector``: it assembles the stiffness, restricts it to the unknowns
+(mean-zero on the torus, interior nodes on a box, nodes of active elements
+when a mask is given), builds the right-hand side and prolongs the solution
+back to a full nodal vector. Its single solver policy: Jacobi-preconditioned
+CG for symmetric (SPD) systems, BiCGStab otherwise.
+
 Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
 mean-zero subspace handled explicitly, and because reruns must be
@@ -22,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 TORUS = "torus"
 BOX = "box"
@@ -330,18 +338,6 @@ class SparseSystem:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def col_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -365,7 +361,6 @@ DEFAULT_CONFIG = SolverConfig()
 class SolveStats:
     iterations: int
     residual: float
-    converged: bool
 
 
 def _iter_cap(config: SolverConfig, n: int) -> int:
@@ -373,13 +368,14 @@ def _iter_cap(config: SolverConfig, n: int) -> int:
 
 
 def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAULT_CONFIG,
-             mean_zero: bool = False, jacobi: bool = False,
-             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
-    """Conjugate gradients on an SPD (or mean-zero-deflated SPSD) system.
+             mean_zero: bool = False) -> tuple[np.ndarray, SolveStats]:
+    """Jacobi-preconditioned conjugate gradients on an SPD (or mean-zero-
+    deflated SPSD) system.
 
     With ``mean_zero`` the right-hand side is projected onto mean-zero and the
     solution is returned mean-zero; this is how the periodic cell problems
-    remove the constant kernel.
+    remove the constant kernel. The stopping rule is on the unpreconditioned
+    residual norm.
     """
     if not system.symmetric:
         raise ValueError("cg_solve requires a symmetric system")
@@ -391,18 +387,15 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
         b -= b.mean()
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return np.zeros_like(b), SolveStats(0, 0.0, True)
+        return np.zeros_like(b), SolveStats(0, 0.0)
 
-    if jacobi:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise SolverError("jacobi preconditioner needs positive diagonal")
-        inv_diag = 1.0 / diag
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if mean_zero and x0 is not None:
-        x -= x.mean()
-    r = b - A @ x
-    z = inv_diag * r if jacobi else r
+    diag = A.diagonal()
+    if np.any(diag <= 0):
+        raise SolverError("cg_solve: the Jacobi preconditioner needs a positive diagonal")
+    inv_diag = 1.0 / diag
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     tol = config.rel_tolerance * b_norm
@@ -417,7 +410,7 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        z = inv_diag * r if jacobi else r
+        z = inv_diag * r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -428,7 +421,7 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
     if res > tol:
         raise SolverError(f"cg_solve: no convergence in {it} iterations "
                           f"(residual {res:.3e}, target {tol:.3e})")
-    return x, SolveStats(it, res, True)
+    return x, SolveStats(it, res)
 
 
 def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
@@ -443,7 +436,7 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
         b -= b.mean()
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return np.zeros_like(b), SolveStats(0, 0.0, True)
+        return np.zeros_like(b), SolveStats(0, 0.0)
     tol = config.rel_tolerance * b_norm
     cap = _iter_cap(config, system.n)
 
@@ -494,7 +487,94 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
                           f"(residual {true_res:.3e}, target {tol:.3e})")
     if mean_zero:
         x -= x.mean()
-    return x, SolveStats(it, true_res, True)
+    return x, SolveStats(it, true_res)
+
+
+def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
+    """Nodes adjacent to active elements; errors if empty or disconnected."""
+    if not np.any(active_el):
+        raise RuntimeError("perforation removed every element")
+    elem_nodes = element_ops(grid).elem_nodes[active_el]
+    active_nodes = np.unique(elem_nodes)
+    # consecutive local nodes chain each element's nodes into one clique
+    a, b = elem_nodes[:, :-1].ravel(), elem_nodes[:, 1:].ravel()
+    n = grid.n_nodes
+    adj = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, labels = connected_components(adj.tocsr(), directed=False)
+    # nodes not touching any active element form singleton components
+    n_active_comp = len(np.unique(labels[active_nodes]))
+    if n_active_comp != 1:
+        raise RuntimeError(f"perforation complement is disconnected at this "
+                           f"resolution ({n_active_comp} components)")
+    return active_nodes
+
+
+def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool = True,
+                    center=None, active: np.ndarray | None = None,
+                    shift: sp.spmatrix | None = None, load: np.ndarray | None = None,
+                    config: SolverConfig = DEFAULT_CONFIG) -> list[tuple[np.ndarray, SolveStats]]:
+    """The package's one linear-solve kernel: one solve per direction in ``xis``
+    for the stiffness K of the per-element ``coeff`` on ``grid``.
+
+    Torus grids give the mean-zero periodic corrector, loaded by
+    -div(coeff xi). Box grids give u = g + w with the Dirichlet lift
+    g = <xi, x - center> and w = 0 on the boundary solving
+    (K + shift) w = -(K + shift) g on the interior nodes; with ``load`` in
+    place of ``xis``, one solve of (K + shift) w = load with zero boundary
+    values. ``shift`` (e.g. lambda * mass) and ``load`` apply to boxes
+    only. With an element mask ``active`` the unknowns are the nodes touching
+    an active element, which must form one connected component. Symmetric
+    systems are solved by Jacobi-PCG, nonsymmetric ones by BiCGStab.
+    Assembly, restriction and the connectivity check run once for all
+    directions. Returns the full nodal vector and the solver stats of each
+    solve.
+    """
+    torus = grid.topology == TORUS
+    if (xis is None) == (load is None):
+        raise ValueError("give either directions xis or a load, not both")
+    if torus and (load is not None or shift is not None or center is not None):
+        raise ValueError("load, shift and center apply to box grids only")
+    coeff = np.asarray(coeff, dtype=float)
+    ops = element_ops(grid)
+    K = ops.assemble_stiffness(coeff)
+    if shift is not None:
+        K = (K + shift).tocsr()
+    unknowns = None if active is None else _active_nodes_checked(grid, active)
+    if not torus:
+        boundary = grid.boundary_node_mask()
+        unknowns = (np.flatnonzero(~boundary) if unknowns is None
+                    else unknowns[~boundary[unknowns]])
+    system = SparseSystem(K if unknowns is None else K[unknowns][:, unknowns],
+                          symmetric=symmetric)
+    out = []
+    for xi in ([None] if xis is None else xis):
+        g = None
+        if torus:
+            xi = np.asarray(xi, dtype=float)
+            flux = (coeff[:, None] * xi[None, :] if coeff.ndim == 1
+                    else np.einsum("ekl,l->ek", coeff, xi))
+            rhs = -ops.load_from_element_vectors(flux)
+        elif xi is None:
+            rhs = load
+        else:
+            g = interpolate_affine(grid, xi, center)
+            rhs = -(K @ g)
+        if unknowns is not None:
+            rhs = rhs[unknowns]
+        if symmetric:
+            w, stats = cg_solve(system, rhs, config, mean_zero=torus)
+        else:
+            w, stats = krylov_solve_nonsymmetric(system, rhs, config, mean_zero=torus)
+        if unknowns is None:
+            u = w
+        elif g is None:
+            u = np.zeros(grid.n_nodes)
+            u[unknowns] = w
+        else:
+            u = g.copy()
+            u[unknowns] += w
+        out.append((u, stats))
+    return out
 
 
 @dataclass
@@ -635,7 +715,7 @@ def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CO
     if g_norm > tol and not floor_hit:
         raise SolverError(f"minimize_p_energy: no convergence in {it} iterations "
                           f"(grad norm {g_norm:.3e}, target {tol:.3e})")
-    return problem.full_vector(u), SolveStats(it, g_norm, True)
+    return problem.full_vector(u), SolveStats(it, g_norm)
 
 
 def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:

@@ -14,24 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .cell import HomogenizedResult
+from .fields import power_of_two_cells
 from .numerics import (
     BOX,
     DEFAULT_CONFIG,
     TORUS,
-    Grid,
     SolverConfig,
-    SparseSystem,
     build_grid,
-    cg_solve,
     element_ops,
-    interpolate_affine,
+    solve_corrector,
 )
 
-_MIN_CELLS_ACROSS_HOLE = 8
+MIN_CELLS_ACROSS_HOLE = 8
 
 
 @dataclass(frozen=True)
@@ -48,13 +44,6 @@ class DecayingShift:
 @dataclass(frozen=True)
 class SparseRemoval:
     """Remove the holes in cells whose coordinates are all powers of two."""
-
-
-def _power_of_two_cells(k: np.ndarray) -> np.ndarray:
-    """Componentwise test for positive integer powers of two (1, 2, 4, ...)."""
-    positive = k >= 1
-    kp = np.where(positive, k, 1).astype(np.int64)
-    return positive & ((kp & (kp - 1)) == 0)
 
 
 @dataclass(frozen=True)
@@ -104,8 +93,8 @@ class PerforationSet:
             inside = np.maximum(np.abs(local[:, 0]),
                                 np.abs(local[:, 1])) <= self.radius
         if isinstance(self.perturbation, SparseRemoval):
-            removed = (_power_of_two_cells(cells[:, 0])
-                       & _power_of_two_cells(cells[:, 1]))
+            removed = (power_of_two_cells(cells[:, 0])
+                       & power_of_two_cells(cells[:, 1]))
             inside &= ~removed
         return inside
 
@@ -157,9 +146,9 @@ def symmetric_difference_density(E: PerforationSet, E2: PerforationSet,
 
 
 def _check_hole_resolution(E: PerforationSet, resolution: int):
-    if E.radius > 0 and 2.0 * E.radius * resolution < _MIN_CELLS_ACROSS_HOLE:
+    if E.radius > 0 and 2.0 * E.radius * resolution < MIN_CELLS_ACROSS_HOLE:
         raise ValueError(
-            f"resolution {resolution} puts fewer than {_MIN_CELLS_ACROSS_HOLE} "
+            f"resolution {resolution} puts fewer than {MIN_CELLS_ACROSS_HOLE} "
             f"elements across a hole of diameter {2 * E.radius}")
 
 
@@ -173,55 +162,10 @@ def penalized_cell_value(E: PerforationSet, n: float, xi, resolution: int,
     _check_hole_resolution(E, resolution)
     xi = np.asarray(xi, dtype=float)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
-    ops = element_ops(grid)
     inside = E.membership(grid.element_centers())
     coeff = np.where(inside, 1.0 / n, 1.0)
-    K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=True)
-    rhs = -ops.load_from_element_vectors(coeff[:, None] * xi[None, :])
-    u, _ = cg_solve(K, rhs, config, mean_zero=True, jacobi=True)
-    return ops.energy_quadratic(u, coeff, xi)
-
-
-def _element_node_edges(elem_nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Enough node-node edges to make each element's nodes one clique chain."""
-    a = np.concatenate([elem_nodes[:, 0], elem_nodes[:, 1], elem_nodes[:, 2]])
-    b = np.concatenate([elem_nodes[:, 1], elem_nodes[:, 2], elem_nodes[:, 3]])
-    return a, b
-
-
-def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
-    """Nodes adjacent to active elements; errors if empty or disconnected."""
-    ops = element_ops(grid)
-    if not np.any(active_el):
-        raise RuntimeError("perforation removed every element")
-    elem_nodes = ops.elem_nodes[active_el]
-    active_nodes = np.unique(elem_nodes)
-    a, b = _element_node_edges(elem_nodes)
-    n = grid.n_nodes
-    adj = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-    n_comp, labels = connected_components(adj.tocsr(), directed=False)
-    # nodes not touching any active element form singleton components
-    n_active_comp = len(np.unique(labels[active_nodes]))
-    if n_active_comp != 1:
-        raise RuntimeError(f"perforation complement is disconnected at this "
-                           f"resolution ({n_active_comp} components)")
-    return active_nodes
-
-
-def _masked_cell_solve(grid: Grid, active_el: np.ndarray, xi: np.ndarray,
-                       config: SolverConfig):
-    """Periodic corrector on the masked cell; returns (u_full, coeff)."""
-    ops = element_ops(grid)
-    coeff = active_el.astype(float)
-    active_nodes = _active_nodes_checked(grid, active_el)
-    K = ops.assemble_stiffness(coeff)
-    K_aa = K[active_nodes][:, active_nodes]
-    rhs = -ops.load_from_element_vectors(coeff[:, None] * xi[None, :])[active_nodes]
-    system = SparseSystem(K_aa, symmetric=True)
-    w, _ = cg_solve(system, rhs, config, mean_zero=True, jacobi=True)
-    u = np.zeros(grid.n_nodes)
-    u[active_nodes] = w
-    return u, coeff
+    [(u, _)] = solve_corrector(grid, coeff, [xi], config=config)
+    return element_ops(grid).energy_quadratic(u, coeff, xi)
 
 
 def masked_cell_value(E: PerforationSet, xi, resolution: int,
@@ -231,7 +175,8 @@ def masked_cell_value(E: PerforationSet, xi, resolution: int,
     xi = np.asarray(xi, dtype=float)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     active_el = ~E.membership(grid.element_centers())
-    u, coeff = _masked_cell_solve(grid, active_el, xi, config)
+    coeff = active_el.astype(float)
+    [(u, _)] = solve_corrector(grid, coeff, [xi], active=active_el, config=config)
     return element_ops(grid).energy_quadratic(u, coeff, xi)
 
 
@@ -245,11 +190,11 @@ def masked_cell_matrix(E: PerforationSet, resolution: int,
     ops = element_ops(grid)
     active_el = ~E.membership(grid.element_centers())
     theta = float(np.mean(active_el))
+    coeff = active_el.astype(float)
     matrix = np.empty((2, 2))
-    for i in range(2):
-        e_i = np.zeros(2)
-        e_i[i] = 1.0
-        u, coeff = _masked_cell_solve(grid, active_el, e_i, config)
+    basis = np.eye(2)
+    solves = solve_corrector(grid, coeff, basis, active=active_el, config=config)
+    for i, (e_i, (u, _)) in enumerate(zip(basis, solves)):
         column = ops.flux_average(u, coeff, e_i)
         energy = ops.energy_quadratic(u, coeff, e_i)
         if abs(energy - column[i]) > 1e-8 * max(abs(energy), 1.0):
@@ -268,26 +213,16 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi, resolution: int,
     xi = np.asarray(xi, dtype=float)
     n_f = R * resolution
     n = int(round(n_f))
-    if abs(n_f - n) > 1e-9 or n < _MIN_CELLS_ACROSS_HOLE:
+    if abs(n_f - n) > 1e-9 or n < MIN_CELLS_ACROSS_HOLE:
         raise ValueError(f"window {R} times resolution {resolution} must be an "
-                         f"integer of at least {_MIN_CELLS_ACROSS_HOLE}")
+                         f"integer of at least {MIN_CELLS_ACROSS_HOLE}")
     center = np.broadcast_to(np.asarray(x0, dtype=float), (2,)).astype(float)
     grid = build_grid(2, n, tuple(center - R / 2.0), R, BOX)
-    ops = element_ops(grid)
     active_el = ~E.membership(grid.element_centers())
     coeff = active_el.astype(float)
-    active_nodes = _active_nodes_checked(grid, active_el)
-    g = interpolate_affine(grid, xi, center)
-    boundary = grid.boundary_node_mask()
-    free = active_nodes[~boundary[active_nodes]]
-    K = ops.assemble_stiffness(coeff)
-    K_ff = K[free][:, free]
-    rhs = -(K @ g)[free]
-    system = SparseSystem(K_ff, symmetric=True)
-    w, _ = cg_solve(system, rhs, config, jacobi=True)
-    u = g.copy()
-    u[free] += w
-    return ops.energy_quadratic(u, coeff, np.zeros(2)) / R ** 2
+    [(u, _)] = solve_corrector(grid, coeff, [xi], center=center, active=active_el,
+                               config=config)
+    return element_ops(grid).energy_quadratic(u, coeff, np.zeros(2)) / R ** 2
 
 
 # --- extension operator -----------------------------------------------------
@@ -421,18 +356,6 @@ class LambdaReport:
     resolution: int
 
 
-def _solve_lambda_system(K, mass, load, lam: float, boundary: np.ndarray,
-                         config: SolverConfig) -> np.ndarray:
-    n = K.shape[0]
-    free = np.flatnonzero(~boundary)
-    A = (K + lam * mass).tocsr()
-    system = SparseSystem(A[free][:, free], symmetric=True)
-    w, _ = cg_solve(system, load[free], config, jacobi=True)
-    u = np.zeros(n)
-    u[free] = w
-    return u
-
-
 def lambda_problem_experiment(E: PerforationSet, lam: float, source,
                               epsilons, box_size: float = 2.0,
                               n_penal: float = 256.0, resolution: int = 256,
@@ -451,36 +374,34 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-        if E.radius > 0 and 2.0 * E.radius * eps * resolution < _MIN_CELLS_ACROSS_HOLE:
+        if E.radius > 0 and 2.0 * E.radius * eps * resolution < MIN_CELLS_ACROSS_HOLE:
             raise ValueError(
                 f"resolution {resolution} puts fewer than "
-                f"{_MIN_CELLS_ACROSS_HOLE} elements across a hole at eps {eps}")
+                f"{MIN_CELLS_ACROSS_HOLE} elements across a hole at eps {eps}")
     n = int(round(box_size * resolution))
     half = box_size / 2.0
     grid = build_grid(2, n, (-half, -half), box_size, BOX)
     ops = element_ops(grid)
     centers = grid.element_centers()
-    boundary = grid.boundary_node_mask()
     f_el = np.asarray(source(centers), dtype=float)
 
     hom, theta = masked_cell_matrix(E, cell_resolution, config)
     coeff_hom = np.broadcast_to(hom.matrix, (grid.n_elements, 2, 2))
-    K_hom = ops.assemble_stiffness(np.ascontiguousarray(coeff_hom))
     mass_full = ops.assemble_mass(np.ones(grid.n_elements, dtype=bool))
     load_hom = theta * ops.load_from_element_scalars(f_el)
-    u_hom = _solve_lambda_system(K_hom, theta * mass_full, load_hom, lam,
-                                 boundary, config)
+    [(u_hom, _)] = solve_corrector(grid, np.ascontiguousarray(coeff_hom),
+                                   shift=lam * (theta * mass_full), load=load_hom,
+                                   config=config)
 
     distances = []
     for eps in epsilons:
         inside = E.membership(centers / eps)
         coeff = np.where(inside, 1.0 / n_penal, 1.0)
-        K_eps = ops.assemble_stiffness(coeff)
         mask = ~inside
         mass_eps = ops.assemble_mass(mask)
         load_eps = ops.load_from_element_scalars(np.where(mask, f_el, 0.0))
-        u_eps = _solve_lambda_system(K_eps, mass_eps, load_eps, lam,
-                                     boundary, config)
+        [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mass_eps,
+                                       load=load_eps, config=config)
         diff = u_eps - u_hom
         distances.append(float(np.sqrt(diff @ (mass_full @ diff))))
     return LambdaReport(epsilons, tuple(distances), hom.matrix, theta,

@@ -26,13 +26,11 @@ from .numerics import (
     DEFAULT_CONFIG,
     PEnergyProblem,
     SolverConfig,
-    SparseSystem,
     build_grid,
-    cg_solve,
     element_ops,
     interpolate_affine,
-    krylov_solve_nonsymmetric,
     minimize_p_energy,
+    solve_corrector,
 )
 
 _MIN_CELLS = 8
@@ -60,14 +58,8 @@ class WindowEstimate:
         sizes = np.asarray(self.window_sizes)
         if len(sizes) >= 2 and not np.all(np.diff(sizes) > 0):
             raise ValueError("window sizes must be strictly increasing")
-        xi_norm = float(np.linalg.norm(self.xi))
-        lo = self.bounds_alpha * xi_norm ** self.p
-        hi = self.bounds_beta * (1.0 + xi_norm ** self.p)
         for v in self.values:
-            if v < lo - 1e-9 * max(1.0, lo) or v > hi + 1e-9 * max(1.0, hi):
-                raise RuntimeError(
-                    f"window value {v:.12g} escapes the growth bounds "
-                    f"[{lo:.6g}, {hi:.6g}]")
+            _check_growth(v, self.bounds_alpha, self.bounds_beta, self.p, self.xi)
 
 
 def _window_grid(dim: int, x0, R: float, resolution_per_unit: int):
@@ -89,29 +81,10 @@ def _window_grid(dim: int, x0, R: float, resolution_per_unit: int):
     return build_grid(dim, n, origin, R, BOX), x0v
 
 
-def _dirichlet_quadratic(grid, center, coeff, xi, symmetric: bool,
-                         config: SolverConfig):
-    """Solve the affine-Dirichlet problem; returns the full nodal vector."""
-    ops = element_ops(grid)
-    K = ops.assemble_stiffness(coeff)
-    g = interpolate_affine(grid, xi, center)
-    free = np.flatnonzero(~grid.boundary_node_mask())
-    K_ff = K[free][:, free]
-    rhs = -(K @ g)[free]
-    system = SparseSystem(K_ff, symmetric=symmetric)
-    if symmetric:
-        w, stats = cg_solve(system, rhs, config)
-    else:
-        w, stats = krylov_solve_nonsymmetric(system, rhs, config)
-    u = g.copy()
-    u[free] += w
-    return u, stats
-
-
-def _check_growth(value: float, bounds, p: float, xi: np.ndarray):
+def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
     xi_norm = float(np.linalg.norm(xi))
-    lo = bounds.alpha * xi_norm ** p
-    hi = bounds.beta * (1.0 + xi_norm ** p)
+    lo = alpha * xi_norm ** p
+    hi = beta * (1.0 + xi_norm ** p)
     if value < lo - 1e-9 * max(1.0, lo) or value > hi + 1e-9 * max(1.0, hi):
         raise RuntimeError(f"window value {value:.12g} escapes the growth "
                            f"bounds [{lo:.6g}, {hi:.6g}]")
@@ -133,15 +106,16 @@ def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int,
                                  free=free, fixed_values=g)
         # continuation: the quadratic minimizer is a cheap, qualitatively
         # right starting point
-        u_quad, _ = _dirichlet_quadratic(grid, center, coeff, xi, True, config)
+        [(u_quad, _)] = solve_corrector(grid, coeff, [xi], center=center, config=config)
         u, _ = minimize_p_energy(problem, config, x0=u_quad[free])
         raw = problem.value(u[free])
     else:
         symmetric = not (isinstance(f, QuadraticMatrix) and not f.matrix.symmetric)
-        u, _ = _dirichlet_quadratic(grid, center, coeff, xi, symmetric, config)
+        [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=symmetric,
+                                   center=center, config=config)
         raw = element_ops(grid).energy_quadratic(u, coeff, np.zeros(dim))
     value = raw / R ** dim
-    _check_growth(value, f.bounds, f.p, xi)
+    _check_growth(value, f.bounds.alpha, f.bounds.beta, f.p, xi)
     return value
 
 
@@ -195,7 +169,8 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
         raise ValueError(f"xi must have shape ({dim},)")
     grid, center = _window_grid(dim, x0, R, resolution_per_unit)
     coeff = eval_matrix(A, grid.element_centers())
-    u, _ = _dirichlet_quadratic(grid, center, coeff, xi, A.symmetric, config)
+    [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=A.symmetric,
+                               center=center, config=config)
     ops = element_ops(grid)
     flux = ops.flux_average(u, coeff, np.zeros(dim))
     if A.symmetric:

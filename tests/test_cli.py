@@ -64,18 +64,6 @@ class TestRunCommand:
         assert (out / "cell.csv").exists()
         assert not (out / "cell.svg").exists()
 
-    def test_threads_do_not_change_artifacts(self, tmp_path):
-        tree = {"kind": "cell", "field": STEP_1D, "resolutions": [8, 16]}
-        path = spec_file(tmp_path, tree)
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["cell", "--spec", path, "--out", str(out1)]) == 0
-        assert main(["cell", "--spec", path, "--out", str(out2),
-                     "--threads", "4"]) == 0
-        assert ((out1 / "cell.csv").read_bytes()
-                == (out2 / "cell.csv").read_bytes())
-        assert ((out1 / "cell.svg").read_bytes()
-                == (out2 / "cell.svg").read_bytes())
-
     def test_stability_self_pair_psi_all_zero(self, tmp_path):
         tree = {"kind": "stability", "field": STEP_1D, "field_g": STEP_1D,
                 "hom_resolution": 16, "label": "self"}
@@ -161,8 +149,7 @@ class TestRunCommand:
                 "n_list": [4, 16]}
         path = spec_file(tmp_path, tree)
         out = tmp_path / "perf"
-        assert main(["perforation", "--spec", path, "--out", str(out),
-                     "--threads", "2"]) == 0
+        assert main(["perforation", "--spec", path, "--out", str(out)]) == 0
         lines = (out / "perforation.csv").read_text().splitlines()
         assert lines[0] == "n,penalized,masked"
         rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]

@@ -128,9 +128,23 @@ class TestParsing:
         assert any(v.path == "family_g.bounds" for v in violations)
 
     def test_perforation_hole_resolution_guard(self):
-        tree = {"kind": "perforation", "radius": 0.01, "resolution": 64}
-        violations = validate_document(doc(tree))
-        assert any(v.path == "resolution" for v in violations)
+        # every grid that resolves a hole needs MIN_CELLS_ACROSS_HOLE (8)
+        # elements across it, as the library demands at run time; radius
+        # 0.05 at resolution 64 (6.4 elements) passed validation before
+        lam = {"eps_list": [1.0], "lambda_resolution": 64}
+        for extra, path in [
+                ({"radius": 0.01, "resolution": 64}, "resolution"),
+                ({"radius": 0.05, "resolution": 64, "n_list": [4, 16]},
+                 "resolution"),
+                ({"radius": 0.1, "resolution": 64, "cell_resolution": 32, **lam},
+                 "cell_resolution")]:
+            violations = validate_document(doc({"kind": "perforation", **extra}))
+            assert any(v.path == path for v in violations), extra
+        # the cell grid matters only when the lambda problem runs
+        tree = {"kind": "perforation", "radius": 0.1, "resolution": 64,
+                "cell_resolution": 32}
+        assert validate_document(doc(tree)) == []
+        assert validate_document(doc({**tree, **lam, "cell_resolution": 40})) == []
 
     def test_parse_spec_raises_with_every_violation(self):
         tree = {"kind": "cell", "bogus": 1,

@@ -4,15 +4,14 @@ windows, the extension operator, and the lambda-problem experiment."""
 import numpy as np
 import pytest
 
-from homlab.numerics import TORUS, build_grid
+from homlab.fields import power_of_two_cells
+from homlab.numerics import TORUS, _active_nodes_checked, build_grid
 from homlab.perforation import (
     DecayingShift,
     GaussianSource,
     PerforationSet,
     SparseRemoval,
     VolumeFraction,
-    _active_nodes_checked,
-    _power_of_two_cells,
     empirical_extension_constant,
     extend_over_ball,
     lambda_problem_experiment,
@@ -53,7 +52,7 @@ def test_pattern_validation():
 def test_power_of_two_cells():
     k = np.array([1, 2, 3, 4, 8, 0, -2, 16, 12])
     expected = np.array([True, True, False, True, True, False, False, True, False])
-    assert np.array_equal(_power_of_two_cells(k), expected)
+    assert np.array_equal(power_of_two_cells(k), expected)
 
 
 def test_volume_fraction_no_holes():
