@@ -597,11 +597,15 @@ EnergyDensity = QuadraticIsotropic | QuadraticMatrix | PPower
 
 
 def eval_scalar(field: ScalarField, pts) -> np.ndarray:
-    """Evaluate and enforce the bounds contract."""
+    """Evaluate and enforce the bounds contract.
+
+    A value outside the bounds is a broken field, not bad input: it raises
+    RuntimeError, which the CLI reports as a soundness-guard failure.
+    """
     v = field.values(pts)
     b = field.bounds
     if np.any(v < b.alpha - 1e-12) or np.any(v > b.beta + 1e-12):
-        raise AssertionError(f"field values escaped bounds [{b.alpha}, {b.beta}]: "
+        raise RuntimeError(f"field values escaped bounds [{b.alpha}, {b.beta}]: "
                              f"range [{v.min():.6g}, {v.max():.6g}]")
     return v
 

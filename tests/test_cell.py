@@ -92,6 +92,16 @@ def test_resolution_convergence_gaps_decrease(checker_series):
     assert gap_fine < gap_coarse
 
 
+def test_checkerboard_cg_iterations_bounded_in_resolution():
+    # the spectral preconditioner bounds the condition number by the 1:4
+    # contrast; only the stopping rule on the unpreconditioned residual adds
+    # about one iteration per halving of h (Jacobi-PCG doubles instead)
+    field = checkerboard_step(1.0, 4.0, B14)
+    counts = [max(homogenize_matrix(field, n).solver_iterations) for n in (16, 32, 64)]
+    assert max(counts) <= 40
+    assert counts[2] <= counts[0] + 2
+
+
 def test_layered_duality_rotated():
     primal = homogenize_matrix(layered_two_phase(2), 32).matrix
     dual = homogenize_matrix(Layered1D((0.0, 0.5), (4.0, 1.0), B14, dim=2), 32).matrix

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from homlab.cli import main
@@ -115,6 +116,17 @@ class TestRunCommand:
                      str(out)]) == 3
         assert "soundness guard" in capsys.readouterr().err
         assert "soundness-guard" in (out / "run.log").read_text()
+
+    def test_field_escaping_bounds_exits_3(self, tmp_path, capsys, monkeypatch):
+        def escaping(self, pts):
+            return np.full(len(pts), 9.0)
+
+        monkeypatch.setattr("homlab.fields.PeriodicStep.values_impl", escaping)
+        tree = {"kind": "cell", "field": STEP_1D, "resolutions": [8]}
+        path = spec_file(tmp_path, tree)
+        out = tmp_path / "bounds"
+        assert main(["cell", "--spec", path, "--out", str(out)]) == 3
+        assert "escaped bounds" in capsys.readouterr().err
 
     def test_solver_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def stalled(*args, **kwargs):

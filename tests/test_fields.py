@@ -1,5 +1,7 @@
 """Field evaluation, bounds, stationarity, and the closeness-in-mean statistic."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from homlab.fields import (
     QuadraticIsotropic,
     QuadraticMatrix,
     RandomCheckerboard,
+    ScalarField,
     TrigPolynomialClamped,
     checkerboard_step,
     constant_matrix,
@@ -57,6 +60,18 @@ class TestEvaluation:
         f = HalfSpaceStep(2.0, 0.5, FieldBounds(1.0, 3.0), dim=2)
         v = eval_scalar(f, np.array([[-1.0, 0.0], [0.0, 0.0], [2.0, -5.0]]))
         assert v.tolist() == [1.5, 2.5, 2.5]
+
+    def test_out_of_bounds_values_raise_runtime_error(self):
+        @dataclass(frozen=True)
+        class Escaping(ScalarField):
+            bounds: FieldBounds
+            dim: int = 1
+
+            def values_impl(self, pts):
+                return np.full(len(pts), 5.0)
+
+        with pytest.raises(RuntimeError, match="escaped bounds"):
+            eval_scalar(Escaping(B14), np.array([0.25, 0.75]))
 
     def test_half_space_step_bounds_guard(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from homlab.numerics import (
     krylov_solve_nonsymmetric,
     minimize_p_energy,
     solve_corrector,
+    spectral_preconditioner,
 )
 
 
@@ -151,6 +152,16 @@ class TestCG:
         assert abs(x.mean()) <= 1e-12
         assert np.linalg.norm(b - K @ x) <= 1e-9 * np.linalg.norm(b)
 
+    def test_reports_and_checks_true_residual(self):
+        A = SparseSystem(sp.diags(np.arange(1.0, 9.0)).tocsr(), symmetric=True)
+        b = np.random.default_rng(8).standard_normal(8)
+        x, stats = cg_solve(A, b)
+        assert stats.residual == float(np.linalg.norm(b - A.matrix @ x))
+        # constants are not in this kernel, so returning the mean-zero part
+        # of the converged iterate breaks the solution; the final check sees it
+        with pytest.raises(SolverError, match="true residual"):
+            cg_solve(A, b, mean_zero=True)
+
     def test_requires_symmetric_flag(self):
         mat = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
         with pytest.raises(ValueError):
@@ -235,6 +246,49 @@ def test_solve_corrector_matches_direct_solve(variant):
     assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_spectral_preconditioner_inverts_reference_torus(dim):
+    """Constant coefficient on the torus: CG with the FFT inverse of the
+    reference operator converges in one iteration (mean-zero)."""
+    g = build_grid(dim, 16, (0.0,) * dim, 1.0, TORUS)
+    K = element_ops(g).assemble_stiffness(np.full(g.n_elements, 2.5))
+    b = np.random.default_rng(2).standard_normal(g.n_nodes)
+    x, stats = cg_solve(SparseSystem(K, symmetric=True), b, mean_zero=True,
+                        preconditioner=spectral_preconditioner(g, 2.5))
+    assert stats.iterations == 1
+    assert np.linalg.norm((b - b.mean()) - K @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dim,lam", [(1, 0.0), (2, 0.0), (2, 7.0)])
+def test_solve_corrector_exact_on_reference_box(dim, lam):
+    """Constant coefficient (plus a lambda * M shift) on the box: the DST-I
+    inverse with mean-matched a_ref, c_ref makes the kernel's CG exact in
+    one iteration."""
+    g = build_grid(dim, 16, (0.0,) * dim, 1.0, BOX)
+    ops = element_ops(g)
+    load = ops.load_from_element_scalars(
+        np.random.default_rng(4).standard_normal(g.n_elements))
+    shift = lam * ops.assemble_mass() if lam else None
+    [(u, stats)] = solve_corrector(g, np.full(g.n_elements, 2.5), shift=shift,
+                                   load=load)
+    assert stats.iterations == 1
+    assert stats.residual <= 1e-10 * np.linalg.norm(load)
+
+
+@pytest.mark.parametrize("topology", [TORUS, BOX])
+def test_masked_spectral_preconditioner_is_spd(topology):
+    """Zero-extend, apply, restrict keeps the preconditioner symmetric
+    positive definite on a masked node subset."""
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, topology)
+    lattice = (np.arange(g.n_nodes) if topology == TORUS
+               else np.flatnonzero(~g.boundary_node_mask()))
+    unknowns = lattice[np.random.default_rng(6).random(len(lattice)) < 0.7]
+    apply = spectral_preconditioner(g, 1.5, 0.0, unknowns)
+    P = np.column_stack([apply(e) for e in np.eye(len(unknowns))])
+    assert np.max(np.abs(P - P.T)) <= 1e-12 * np.max(np.abs(P))
+    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0
+
+
 class TestNonsymmetricKrylov:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(11)
@@ -289,6 +343,30 @@ class TestPEnergy:
         # K u = -load with load from the constant flux term
         u_cg, _ = cg_solve(K, rhs / 2.0, mean_zero=True)
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
+
+    def test_float_floor_stops_backtracking(self):
+        # warm-started from the quadratic corrector, this descent reaches the
+        # float64 energy floor above the gradient target; the line search
+        # must stop halving there instead of spending tens of evaluations per
+        # stalled iteration on noise-level Armijo tests
+        g = build_grid(2, 32, (0.0, 0.0), 1.0, TORUS)
+        c = g.element_centers()
+        coeff = np.where((np.floor(2 * c[:, 0]) + np.floor(2 * c[:, 1])) % 2 == 0, 1.0, 4.0)
+        xi = np.array([0.3, 0.7])
+        [(x0, _)] = solve_corrector(g, coeff, [xi])
+        calls = []
+
+        class Counted(PEnergyProblem):
+            def value(self, u_free):
+                calls.append(1)
+                return super().value(u_free)
+
+        prob = Counted(g, coeff, 1.5, xi)
+        u, stats = minimize_p_energy(prob, x0=x0)
+        assert len(calls) <= 1.25 * stats.iterations + 10
+        assert stats.residual <= 1e3 * SolverConfig().nonlinear_grad_tolerance
+        cold, _ = minimize_p_energy(PEnergyProblem(g, coeff, 1.5, xi))
+        assert abs(prob.value(u) - prob.value(cold)) <= 1e-12 * prob.value(cold)
 
     def test_1d_p3_against_brute_force(self):
         g = build_grid(1, 16, (0.0,), 1.0, TORUS)
