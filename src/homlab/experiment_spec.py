@@ -19,7 +19,9 @@ from .fields import (BallSupport, CheckerboardFamily, Constant, FieldBounds,
                      HalfSpaceStep, LpDecay, PeriodicStep, Perturbed,
                      PowerOfTwoCells, PPower, QuadraticIsotropic,
                      QuadraticMatrix, RandomCheckerboard,
-                     TrigPolynomialClamped, constant_matrix)
+                     STATISTIC_RESOLUTION, TrigPolynomialClamped,
+                     constant_matrix)
+from .numerics import cells_across
 from .perforation import MIN_CELLS_ACROSS_HOLE, PerforationSet, SparseRemoval
 
 __all__ = [
@@ -697,6 +699,24 @@ def _parse_cell(r: _Reader) -> CellParams | None:
     return CellParams(field, p, xi, resolutions)
 
 
+def _check_aligned(r: _Reader, key: str, sizes, resolution,
+                   resolution_key: str):
+    """``sizes`` if every entry times ``resolution`` is a whole number of
+    grid cells (the rule of ``numerics.cells_across``); else reports the
+    first offending entry and returns None."""
+    if sizes is None or resolution is None:
+        return sizes
+    for i, side in enumerate(sizes):
+        try:
+            cells_across(side, resolution)
+        except ValueError:
+            r.col.error(_join(r.path, f"{key}[{i}]"),
+                        f"{side:g} times {resolution_key} {resolution} "
+                        "must be an integer")
+            return None
+    return sizes
+
+
 def _parse_rve(r: _Reader) -> RveParams | None:
     field_node, field_path = r.object("field")
     field = _parse_field(r.col, field_node, field_path) if field_node else None
@@ -717,14 +737,7 @@ def _parse_rve(r: _Reader) -> RveParams | None:
     if field is not None and isinstance(field, MatrixConstantField) and p != 2.0:
         r.col.error(_join(r.path, "p"), "matrix coefficients require p = 2")
         return None
-    if windows is not None and rpu is not None:
-        for i, R in enumerate(windows):
-            if abs(R * rpu - round(R * rpu)) > 1e-9:
-                r.col.error(_join(r.path, f"windows[{i}]"),
-                            f"window {R:g} times resolution_per_unit {rpu} "
-                            "must be an integer")
-                windows = None
-                break
+    windows = _check_aligned(r, "windows", windows, rpu, "resolution_per_unit")
     if None in (field, p, xi, center, windows, rpu):
         return None
     return RveParams(field, p, xi, center, windows, rpu)
@@ -750,8 +763,15 @@ def _parse_stability(r: _Reader) -> StabilityParams | None:
         window_sizes = R_list
     hom_resolution = r.integer("hom_resolution", 64, minimum=2)
     rpu = r.integer("resolution_per_unit", 8, minimum=2)
-    statistic_resolution = r.integer("statistic_resolution", 16, minimum=2)
+    statistic_resolution = r.integer("statistic_resolution",
+                                     STATISTIC_RESOLUTION, minimum=2)
     label = r.string("label", "")
+    R_list = _check_aligned(r, "R_list", R_list, statistic_resolution,
+                            "statistic_resolution")
+    if windows_present or R_list is not None:
+        window_sizes = _check_aligned(
+            r, "window_sizes" if windows_present else "R_list", window_sizes,
+            rpu, "resolution_per_unit")
     if hom_resolution is not None and hom_resolution % 2:
         r.col.error(_join(r.path, "hom_resolution"),
                     "must be even (the convergence gap needs a "
@@ -841,6 +861,8 @@ def _parse_stochastic(r: _Reader) -> StochasticParams | None:
     sizes = r.number_list("statistic_sizes", (8.0, 16.0, 32.0, 64.0),
                           minimum=0.0, exclusive_min=True, min_len=3,
                           increasing=True)
+    sizes = _check_aligned(r, "statistic_sizes", sizes, STATISTIC_RESOLUTION,
+                           "the statistic resolution")
     if family is not None and family_g is not None:
         if (family.dim, family.alpha, family.beta) != (
                 family_g.dim, family_g.alpha, family_g.beta):

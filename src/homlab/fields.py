@@ -11,6 +11,12 @@ experiments: the cube-window average of the analytic supremum over |xi| <= t
 of the energy-density difference (t^2 |a - b| for quadratic scalar pairs,
 t^2 times the spectral radius of the symmetrized difference for matrix pairs,
 t^p |a - b| for p-power pairs).
+
+Fields that are constant on the cubes z + [0, s)^d of a lattice report the
+side s as ``cell_side``. When both coefficients of a scalar pair report the
+same side, the statistic evaluates one midpoint per lattice cell and weights
+it by the number of window midpoints in that cell: the same midpoint
+quadrature, grouped by cell, at a fraction of the field evaluations.
 """
 
 from __future__ import annotations
@@ -22,13 +28,17 @@ from math import gcd
 
 import numpy as np
 
-from .numerics import Grid
+from .numerics import Grid, cells_across
 
 _MASK64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 _GOLD = 0x9E3779B97F4A7C15
 _AXIS_SALT = (0xA0761D6478BD642F, 0xE7037ED1A0B428DB)
+
+# Default midpoints per unit length of the closeness-in-mean statistic; the
+# spec schema checks the stochastic statistic windows against it.
+STATISTIC_RESOLUTION = 16
 
 
 def _scramble_scalar(z: int) -> int:
@@ -110,6 +120,12 @@ class ScalarField:
     def alignment_divisor(self) -> int:
         """Cells per unit must be a multiple of this for exact phase alignment."""
         return 1
+
+    @property
+    def cell_side(self) -> float | None:
+        """Side s if the field is constant on every cube z + [0, s)^d of the
+        lattice s Z^d, else None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -448,6 +464,10 @@ class RandomCheckerboard(ScalarField):
             vals = np.where(flip, swapped, vals)
         return vals
 
+    @property
+    def cell_side(self):
+        return 1.0
+
     def shifted(self, z: tuple[int, ...]) -> "RandomCheckerboard":
         offset = tuple(o + int(dz) for o, dz in zip(self.index_offset, z))
         return dataclasses.replace(self, index_offset=offset)
@@ -622,20 +642,54 @@ def element_coefficients(density: EnergyDensity, grid: Grid) -> np.ndarray:
     return eval_scalar(density.coeff, centers)
 
 
-def _window_points(R: float, resolution_per_unit: int, dim: int,
-                   center) -> tuple[np.ndarray, float]:
-    n_f = R * resolution_per_unit
-    n = int(round(n_f))
-    if abs(n_f - n) > 1e-9 or n < 1:
-        raise ValueError(f"window side {R} times resolution {resolution_per_unit} "
-                         "must be a positive integer")
+def _window_points(R: float, resolution_per_unit: int, dim: int, center,
+                   cell_side: float | None = None
+                   ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Midpoint quadrature nodes of the cube window Q_R(center), as (m, dim)
+    points and integer weights.
+
+    Without ``cell_side`` every midpoint of the R * resolution_per_unit cells
+    per axis is a point and the weights are None (all equal). With it, each
+    axis keeps the first midpoint inside each lattice cell [k s, (k + 1) s)
+    and counts the midpoints that cell holds; the weight of a point is the
+    product of its axis counts, so a field constant on the cells has the same
+    weighted mean as the full midpoint rule.
+    """
+    n = cells_across(R, resolution_per_unit)
     h = R / n
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
-    axes = [center[k] - R / 2.0 + h * (np.arange(n) + 0.5) for k in range(dim)]
+    axes = []
+    counts = []
+    for k in range(dim):
+        axis = center[k] - R / 2.0 + h * (np.arange(n) + 0.5)
+        if cell_side is not None:
+            cell = np.floor(axis / cell_side)
+            first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+            counts.append(np.diff(np.r_[first, n]))
+            axis = axis[first]
+        axes.append(axis)
+    weights = None
+    if cell_side is not None:
+        weights = counts[0] if dim == 1 else np.outer(counts[1], counts[0]).ravel()
     if dim == 1:
-        return axes[0][:, None], h
+        return axes[0][:, None], weights
     xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-    return np.column_stack([xg.ravel(), yg.ravel()]), h
+    return np.column_stack([xg.ravel(), yg.ravel()]), weights
+
+
+def _common_cell_side(f: EnergyDensity, g: EnergyDensity) -> float | None:
+    """Lattice cell side on which both scalar coefficients are constant."""
+    scalar_kinds = (QuadraticIsotropic, PPower)
+    if not (isinstance(f, scalar_kinds) and isinstance(g, scalar_kinds)):
+        return None
+    side = f.coeff.cell_side
+    return side if side == g.coeff.cell_side else None
+
+
+def _quadrature_mean(values: np.ndarray, weights: np.ndarray | None) -> float:
+    if weights is None:
+        return values.mean()
+    return (weights * values).sum() / weights.sum()
 
 
 def _sym_spectral_radius_2x2(D: np.ndarray) -> np.ndarray:
@@ -647,27 +701,31 @@ def _sym_spectral_radius_2x2(D: np.ndarray) -> np.ndarray:
 
 
 def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
-                       resolution_per_unit: int = 16, center=None) -> float:
+                       resolution_per_unit: int = STATISTIC_RESOLUTION,
+                       center=None) -> float:
     """Cube-window average of sup_{|xi| <= t} |f(y, xi) - g(y, xi)|.
 
     The sup is analytic per density pair; midpoint quadrature over Q_R(center)
-    with the given resolution.
+    with the given resolution. When both coefficients of a scalar pair report
+    the same ``cell_side``, the midpoints are summed once per lattice cell,
+    weighted by how many of them the cell holds: t^p * sum(w sup) / sum(w).
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if f.dim != g.dim:
         raise ValueError("densities have different dimensions")
-    pts, _ = _window_points(R, resolution_per_unit, f.dim, center)
+    pts, weights = _window_points(R, resolution_per_unit, f.dim, center,
+                                  _common_cell_side(f, g))
     quad_kinds = (QuadraticIsotropic, QuadraticMatrix)
     if isinstance(f, PPower) or isinstance(g, PPower):
         if not (isinstance(f, PPower) and isinstance(g, PPower) and f.p == g.p):
             raise ValueError("p-power densities can only be compared at equal p")
         diff = np.abs(eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts))
-        return float(t ** f.p * diff.mean())
+        return float(t ** f.p * _quadrature_mean(diff, weights))
     if isinstance(f, quad_kinds) and isinstance(g, quad_kinds):
         if isinstance(f, QuadraticIsotropic) and isinstance(g, QuadraticIsotropic):
             diff = np.abs(eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts))
-            return float(t ** 2 * diff.mean())
+            return float(t ** 2 * _quadrature_mean(diff, weights))
         fm = f.matrix.values(pts) if isinstance(f, QuadraticMatrix) else \
             eval_scalar(f.coeff, pts)[:, None, None] * np.eye(f.dim)[None]
         gm = g.matrix.values(pts) if isinstance(g, QuadraticMatrix) else \
@@ -682,7 +740,7 @@ def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
 
 
 def expectation_statistic(family_f, family_g, t: float, R: float, trials: int,
-                          seed: int, resolution_per_unit: int = 16,
+                          seed: int, resolution_per_unit: int = STATISTIC_RESOLUTION,
                           p: float = 2.0) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of the paired-seed statistic.
 

@@ -148,6 +148,20 @@ class Grid:
         return mask2.ravel()
 
 
+def cells_across(side: float, resolution: int) -> int:
+    """Cells across a side of length ``side`` at ``resolution`` cells per unit.
+
+    The product must be a positive integer (to 1e-9), so the cells tile the
+    side exactly; otherwise ValueError.
+    """
+    n_f = side * resolution
+    n = int(round(n_f)) if np.isfinite(n_f) else 0
+    if abs(n_f - n) > 1e-9 or n < 1:
+        raise ValueError(f"side {side:g} times resolution {resolution} "
+                         "must be a positive integer")
+    return n
+
+
 def build_grid(dim: int, cells_per_axis: int, origin, side_length: float,
                topology: str) -> Grid:
     return Grid(dim, cells_per_axis, tuple(float(o) for o in origin),

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import HomogenizedResult
-from .fields import power_of_two_cells
+from .fields import _window_points, power_of_two_cells
 from .numerics import (
     BOX,
     DEFAULT_CONFIG,
     TORUS,
     SolverConfig,
     build_grid,
+    cells_across,
     element_ops,
     solve_corrector,
 )
@@ -117,23 +118,11 @@ class VolumeFraction:
                                "the perforation admits no nontrivial limit")
 
 
-def _window_centers(R: float, resolution: int) -> np.ndarray:
-    n_f = R * resolution
-    n = int(round(n_f))
-    if abs(n_f - n) > 1e-9 or n < 1:
-        raise ValueError(f"window {R} times resolution {resolution} must be "
-                         "a positive integer")
-    h = R / n
-    axis = -R / 2.0 + h * (np.arange(n) + 0.5)
-    xg, yg = np.meshgrid(axis, axis, indexing="xy")
-    return np.column_stack([xg.ravel(), yg.ravel()])
-
-
 def volume_fraction(E: PerforationSet, R: float, resolution: int) -> VolumeFraction:
     """Element-center estimate of |Q_R \\ E| / R^2."""
     if R < 4:
         raise ValueError(f"window must be at least 4, got {R}")
-    pts = _window_centers(R, resolution)
+    pts, _ = _window_points(R, resolution, 2, None)
     theta = 1.0 - float(np.mean(E.membership(pts)))
     return VolumeFraction(theta, float(R), "element-centers")
 
@@ -141,7 +130,7 @@ def volume_fraction(E: PerforationSet, R: float, resolution: int) -> VolumeFract
 def symmetric_difference_density(E: PerforationSet, E2: PerforationSet,
                                  R: float, resolution: int) -> float:
     """Element-center estimate of |(E xor E2) ∩ Q_R| / R^2."""
-    pts = _window_centers(R, resolution)
+    pts, _ = _window_points(R, resolution, 2, None)
     return float(np.mean(E.membership(pts) != E2.membership(pts)))
 
 
@@ -211,11 +200,10 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi, resolution: int,
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
     _check_hole_resolution(E, resolution)
     xi = np.asarray(xi, dtype=float)
-    n_f = R * resolution
-    n = int(round(n_f))
-    if abs(n_f - n) > 1e-9 or n < MIN_CELLS_ACROSS_HOLE:
-        raise ValueError(f"window {R} times resolution {resolution} must be an "
-                         f"integer of at least {MIN_CELLS_ACROSS_HOLE}")
+    n = cells_across(R, resolution)
+    if n < MIN_CELLS_ACROSS_HOLE:
+        raise ValueError(f"window {R:g} at resolution {resolution} has fewer "
+                         f"than {MIN_CELLS_ACROSS_HOLE} cells across")
     center = np.broadcast_to(np.asarray(x0, dtype=float), (2,)).astype(float)
     grid = build_grid(2, n, tuple(center - R / 2.0), R, BOX)
     active_el = ~E.membership(grid.element_centers())

@@ -27,6 +27,7 @@ from .numerics import (
     PEnergyProblem,
     SolverConfig,
     build_grid,
+    cells_across,
     element_ops,
     interpolate_affine,
     minimize_p_energy,
@@ -63,13 +64,7 @@ class WindowEstimate:
 
 
 def _window_grid(dim: int, x0, R: float, resolution_per_unit: int):
-    if R <= 0:
-        raise ValueError(f"window size must be positive, got {R}")
-    n_f = R * resolution_per_unit
-    n = int(round(n_f))
-    if abs(n_f - n) > 1e-9 or n < 1:
-        raise ValueError(f"window size {R} times resolution {resolution_per_unit} "
-                         "must be a positive integer")
+    n = cells_across(R, resolution_per_unit)
     if n < _MIN_CELLS:
         raise ValueError(f"window needs at least {_MIN_CELLS} cells per axis, "
                          f"got {n}")

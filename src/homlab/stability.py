@@ -22,7 +22,8 @@ from .cell import (HomogenizedResult, _field_period_and_alignment,
                    p_energy_result)
 from .fields import (Constant, FieldBounds, HalfSpaceStep, PeriodicStep,
                      PPower, QuadraticIsotropic, QuadraticMatrix, ScalarField,
-                     TrigPolynomialClamped, _window_points, eval_scalar,
+                     STATISTIC_RESOLUTION, TrigPolynomialClamped,
+                     _window_points, eval_scalar,
                      expectation_statistic, mean_abs_statistic, mix_seed)
 from .numerics import DEFAULT_CONFIG, SolverConfig, SolverError
 from .rve import WindowEstimate, window_sequence
@@ -151,7 +152,8 @@ class StabilityReport:
 
 
 def signed_mean_statistic(f, g, t: float, R: float,
-                          resolution_per_unit: int = 16, center=None) -> float:
+                          resolution_per_unit: int = STATISTIC_RESOLUTION,
+                          center=None) -> float:
     """Window mean of the signed coefficient difference (no absolute value).
 
     This is the weak, one-sided cousin of mean_abs_statistic; it can vanish
@@ -254,7 +256,8 @@ def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0),
                        config: SolverConfig = DEFAULT_CONFIG, *,
                        x0=None, xi=None, hom_resolution: int = 64,
                        window_sizes=None, resolution_per_unit: int = 8,
-                       statistic_resolution: int = 16, sample_xis=None,
+                       statistic_resolution: int = STATISTIC_RESOLUTION,
+                       sample_xis=None,
                        tolerance_floor: float = 1e-8,
                        label: str = "") -> StabilityReport:
     """Trace the pair statistic over windows, homogenize both densities, and
@@ -659,7 +662,7 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
                                     torus_size: int = 32,
                                     resolution_per_unit: int = 8,
                                     statistic_sizes=(8.0, 16.0, 32.0, 64.0),
-                                    statistic_resolution: int = 16,
+                                    statistic_resolution: int = STATISTIC_RESOLUTION,
                                     t: float = 1.0) -> StochasticStabilityReport:
     """Per-seed cell solves on the periodized torus window for both families,
     aggregated into matrix confidence intervals plus the expectation trace of

@@ -120,6 +120,23 @@ class TestParsing:
         violations = validate_document(doc(tree))
         assert any("must be an integer" in v.message for v in violations)
 
+    STEP_1D = {"type": "periodic_step", "subdivisions": 2,
+               "values": [1.0, 4.0], "dim": 1}
+    FAMILY = {"type": "checkerboard_family", "values": [1.0, 4.0]}
+
+    @pytest.mark.parametrize("tree, path", [
+        ({"kind": "stochastic", "family": FAMILY, "family_g": FAMILY,
+          "statistic_sizes": [8, 16.03, 32]}, "statistic_sizes[1]"),
+        ({"kind": "stability", "field": STEP_1D, "field_g": STEP_1D,
+          "R_list": [4, 8.03, 16]}, "R_list[1]"),
+        ({"kind": "stability", "field": STEP_1D, "field_g": STEP_1D,
+          "window_sizes": [4, 8.1, 16]}, "window_sizes[1]"),
+    ])
+    def test_statistic_and_window_sizes_must_be_integral(self, tree, path):
+        violations = validate_document(doc(tree))
+        assert [v.path for v in violations] == [path]
+        assert "must be an integer" in violations[0].message
+
     def test_stochastic_family_bounds_must_match(self):
         fam = {"type": "checkerboard_family", "values": [1.0, 4.0]}
         other = dict(fam, beta=5.0)

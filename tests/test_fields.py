@@ -257,6 +257,74 @@ class TestMeanAbsStatistic:
             mean_abs_statistic(f, f, 1.0, 0.3, resolution_per_unit=2)
 
 
+def _brute_force_statistic(a, b, t, p, R, res, center):
+    """t^p times the plain midpoint mean of |a - b| over Q_R(center)."""
+    n = int(round(R * res))
+    axes = [c - R / 2.0 + (R / n) * (np.arange(n) + 0.5) for c in center]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(center))
+    return t ** p * np.mean(np.abs(a.values(pts) - b.values(pts)))
+
+
+def _count_checkerboard_points(monkeypatch):
+    counted = []
+    original = RandomCheckerboard.values_impl
+
+    def counting(self, pts):
+        counted.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(RandomCheckerboard, "values_impl", counting)
+    return counted
+
+
+class TestCellConstantStatistic:
+    # (R, resolution, center): centered and off-lattice windows, sides that
+    # are and are not whole cells
+    WINDOWS = [(8.0, 4, 0.0), (5.5, 4, 0.37), (3.25, 8, -1.21), (6.0, 3, 2.5)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("values", [(1.3, 3.7), (1.0, 4.0)])
+    @pytest.mark.parametrize("R, res, c", WINDOWS)
+    def test_matches_brute_force_midpoints(self, dim, p, values, R, res, c):
+        a = RandomCheckerboard(values, 0.5, 3, B14, dim=dim)
+        b = RandomCheckerboard(values, 0.5, 4, B14, dim=dim,
+                               flip_cells=PowerOfTwoCells())
+        wrap = QuadraticIsotropic if p == 2.0 else (lambda x: PPower(x, p))
+        center = (c, -0.5 * c)[:dim]
+        got = mean_abs_statistic(wrap(a), wrap(b), 1.7, R, res, center=center)
+        want = _brute_force_statistic(a, b, 1.7, p, R, res, center)
+        assert want > 0
+        if values == (1.0, 4.0):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-13)
+
+    def test_evaluates_one_point_per_cell(self, monkeypatch):
+        counted = _count_checkerboard_points(monkeypatch)
+        a = QuadraticIsotropic(RandomCheckerboard((1.0, 4.0), 0.5, 1, B14))
+        b = QuadraticIsotropic(RandomCheckerboard((1.0, 4.0), 0.5, 2, B14))
+        mean_abs_statistic(a, b, 1.0, 8.0, 16)
+        assert counted == [64, 64]
+        counted.clear()
+        # [-3.5, 4.5) x [-3.75, 4.25) meets 9 cells per axis
+        mean_abs_statistic(a, b, 1.0, 8.0, 16, center=(0.5, 0.25))
+        assert counted == [81, 81]
+
+    def test_other_pairs_stay_pointwise(self, monkeypatch):
+        counted = _count_checkerboard_points(monkeypatch)
+        board = RandomCheckerboard((1.0, 4.0), 0.5, 1, B14)
+        # (other field, checkerboard evaluations it triggers)
+        others = [(Constant(2.0, B14, dim=2), 1),
+                  (Perturbed(RandomCheckerboard((1.0, 4.0), 0.5, 2, B14),
+                             BallSupport(1.0), 1.0), 2)]
+        for other, calls in others:
+            counted.clear()
+            mean_abs_statistic(QuadraticIsotropic(board),
+                               QuadraticIsotropic(other), 1.0, 4.0, 4)
+            assert counted == [256] * calls
+
+
 class TestExpectationStatistic:
     def test_needs_two_trials(self):
         fam = CheckerboardFamily((1.0, 4.0), 0.5, B14)
