@@ -198,6 +198,27 @@ ROUND_TRIP_DOCS = [
      "family_g": {"type": "checkerboard_family", "values": [1.0, 4.0],
                   "flip": {"type": "power_of_two", "width": 0.5}}},
     {"kind": "counterexamples"},
+    {"kind": "stability",
+     "field": {"type": "random_checkerboard", "values": [1.0, 4.0],
+               "seed": 3},
+     "field_g": {"type": "random_checkerboard", "values": [1.0, 4.0],
+                 "probability": 0.25, "seed": 3,
+                 "flip": {"type": "power_of_two", "width": 0.5}}},
+    {"kind": "rve",
+     "field": {"type": "half_space", "gamma": 2.0, "c": 0.5}},
+    {"kind": "cell", "resolution": 32,
+     "field": {"type": "matrix", "entries": [[2, 1], [-1, 2]]}},
+    {"kind": "rve", "resolution_per_unit": 8,
+     "field": {"type": "perturbed",
+               "base": {"type": "constant", "value": 2.0, "dim": 2},
+               "rule": {"type": "power_of_two", "width": 0.25},
+               "amplitude": 1.0}},
+    {"kind": "stability", "p": 3.0,
+     "field": {"type": "perturbed",
+               "base": {"type": "half_space", "gamma": 2.0, "c": 0.5},
+               "rule": {"type": "lp_decay", "exponent": 1.5},
+               "amplitude": 0.5},
+     "field_g": {"type": "half_space", "gamma": 2.0, "c": 0.5}},
 ]
 
 
