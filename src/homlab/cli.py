@@ -21,7 +21,7 @@ from pathlib import Path
 from .cell import homogenize_matrix, p_energy_result
 from .experiment_spec import (KINDS, ExperimentSpec, SpecValidationError,
                               build_density, build_family, build_perforation,
-                              parse_spec, validate_document)
+                              parse_spec)
 from .fields import QuadraticMatrix
 from .numerics import SolverError
 from .perforation import (GaussianSource, lambda_problem_experiment,
@@ -68,42 +68,43 @@ def _matrix_header(dim: int):
 
 def _run_cell(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
-    density = build_density(prm.field, prm.p)
+    density = build_density(prm["field"], prm["p"])
     dim = density.dim
 
     def solve(resolution):
-        if prm.p == 2.0:
+        if prm["p"] == 2.0:
             target = (density.matrix if isinstance(density, QuadraticMatrix)
                       else density.coeff)
             result = homogenize_matrix(target, resolution,
                                        field_id=f"resolution {resolution}")
             return [float(v) for v in result.matrix.ravel()], result
-        result = p_energy_result(density.coeff, prm.p, (prm.xi,), resolution,
+        result = p_energy_result(density.coeff, prm["p"], (prm["xi"],),
+                                 resolution,
                                  field_id=f"resolution {resolution}")
         return [result.energy_samples[0][1]], result
 
-    log.stage("solve", f"{len(prm.resolutions)} resolution(s)")
-    solved = [solve(r) for r in prm.resolutions]
-    for resolution, (_, result) in zip(prm.resolutions, solved):
+    log.stage("solve", f"{len(prm['resolutions'])} resolution(s)")
+    solved = [solve(r) for r in prm["resolutions"]]
+    for resolution, (_, result) in zip(prm["resolutions"], solved):
         log.stage("cell", f"resolution {resolution}: "
                           f"iterations {max(result.solver_iterations)}, "
                           f"residual {max(result.residuals):.3e}")
 
-    value_header = (_matrix_header(dim) if prm.p == 2.0 else ["value"])
-    rows = [[r] + vals for r, (vals, _) in zip(prm.resolutions, solved)]
+    value_header = (_matrix_header(dim) if prm["p"] == 2.0 else ["value"])
+    rows = [[r] + vals for r, (vals, _) in zip(prm["resolutions"], solved)]
     csv_path = out / "cell.csv"
     write_csv(csv_path, ["resolution"] + value_header, rows)
     artifacts = [csv_path]
 
-    if plots and len(prm.resolutions) >= 2:
-        if prm.p == 2.0:
+    if plots and len(prm["resolutions"]) >= 2:
+        if prm["p"] == 2.0:
             series = {f"a_{i + 1}{i + 1}":
                       [(float(r), vals[i * dim + i])
-                       for r, (vals, _) in zip(prm.resolutions, solved)]
+                       for r, (vals, _) in zip(prm["resolutions"], solved)]
                       for i in range(dim)}
         else:
             series = {"value": [(float(r), vals[0])
-                                for r, (vals, _) in zip(prm.resolutions,
+                                for r, (vals, _) in zip(prm["resolutions"],
                                                         solved)]}
         svg_path = out / "cell.svg"
         write_text_atomic(svg_path, plot_series(series, x_label="n",
@@ -114,11 +115,11 @@ def _run_cell(spec: ExperimentSpec, out: Path, plots, log):
 
 def _run_rve(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
-    density = build_density(prm.field, prm.p)
-    log.stage("windows", f"R in {list(prm.windows)} at "
-                         f"{prm.resolution_per_unit}/unit")
-    est = window_sequence(density, prm.center, prm.xi, prm.windows,
-                          prm.resolution_per_unit)
+    density = build_density(prm["field"], prm["p"])
+    log.stage("windows", f"R in {list(prm['windows'])} at "
+                         f"{prm['resolution_per_unit']}/unit")
+    est = window_sequence(density, prm["center"], prm["xi"], prm["windows"],
+                          prm["resolution_per_unit"])
     log.stage("verdict", f"limit {est.limit_estimate:.12g}, gap "
                          f"{est.cauchy_gap:.3e}, homogenizable "
                          f"{est.homogenizable_at_center}")
@@ -148,14 +149,14 @@ def _run_rve(spec: ExperimentSpec, out: Path, plots, log):
 
 def _run_stability(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
-    f = build_density(prm.field, prm.p)
-    g = build_density(prm.field_g, prm.p)
-    log.stage("pair", f"label {prm.label!r}, R in {list(prm.R_list)}")
+    f = build_density(prm["field"], prm["p"])
+    g = build_density(prm["field_g"], prm["p"])
+    log.stage("pair", f"label {prm['label']!r}, R in {list(prm['R_list'])}")
     rep = run_stability_pair(
-        f, g, t_list=prm.t_list, R_list=prm.R_list,
-        hom_resolution=prm.hom_resolution, window_sizes=prm.window_sizes,
-        resolution_per_unit=prm.resolution_per_unit,
-        statistic_resolution=prm.statistic_resolution, label=prm.label)
+        f, g, t_list=prm["t_list"], R_list=prm["R_list"],
+        hom_resolution=prm["hom_resolution"], window_sizes=prm["window_sizes"],
+        resolution_per_unit=prm["resolution_per_unit"],
+        statistic_resolution=prm["statistic_resolution"], label=prm["label"])
     log.stage("conclusion", f"{rep.conclusion.value}, discrepancy "
                             f"{rep.discrepancy:.3e} vs tolerance "
                             f"{rep.tolerance:.3e}")
@@ -201,34 +202,35 @@ def _run_counterexamples(spec: ExperimentSpec, out: Path, plots, log):
 def _run_perforation(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
     E = build_perforation(prm)
-    log.stage("masked", f"shape {prm.shape}, radius {prm.radius:g}, "
-                        f"resolution {prm.resolution}")
-    masked = masked_cell_value(E, prm.xi, prm.resolution)
-    log.stage("penalized", f"n in {list(prm.n_list)}")
-    penalized = [penalized_cell_value(E, n, prm.xi, prm.resolution)
-                 for n in prm.n_list]
-    for n, v in zip(prm.n_list, penalized):
+    log.stage("masked", f"shape {prm['shape']}, radius {prm['radius']:g}, "
+                        f"resolution {prm['resolution']}")
+    masked = masked_cell_value(E, prm["xi"], prm["resolution"])
+    log.stage("penalized", f"n in {list(prm['n_list'])}")
+    penalized = [penalized_cell_value(E, n, prm["xi"], prm["resolution"])
+                 for n in prm["n_list"]]
+    for n, v in zip(prm["n_list"], penalized):
         log.stage("penalized", f"n {n:g}: {v:.12g} (masked {masked:.12g})")
     csv_path = out / "perforation.csv"
     write_csv(csv_path, ["n", "penalized", "masked"],
-              [[n, v, masked] for n, v in zip(prm.n_list, penalized)])
+              [[n, v, masked] for n, v in zip(prm["n_list"], penalized)])
     artifacts = [csv_path]
     if plots:
         svg_path = out / "perforation.svg"
-        series = {"penalized": list(zip(prm.n_list, penalized)),
-                  "masked": [(prm.n_list[0], masked),
-                             (prm.n_list[-1], masked)]}
+        series = {"penalized": list(zip(prm["n_list"], penalized)),
+                  "masked": [(prm["n_list"][0], masked),
+                             (prm["n_list"][-1], masked)]}
         write_text_atomic(svg_path, plot_series(series, x_label="n",
                                                 log_x=True))
         artifacts.append(svg_path)
 
-    if prm.eps_list:
-        log.stage("lambda", f"eps in {list(prm.eps_list)}, lambda {prm.lam:g}")
+    if prm["eps_list"]:
+        log.stage("lambda", f"eps in {list(prm['eps_list'])}, "
+                            f"lambda {prm['lam']:g}")
         report = lambda_problem_experiment(
-            E, prm.lam, GaussianSource(), prm.eps_list,
-            box_size=prm.box_size, n_penal=prm.n_list[-1],
-            resolution=prm.lambda_resolution,
-            cell_resolution=prm.cell_resolution)
+            E, prm["lam"], GaussianSource(), prm["eps_list"],
+            box_size=prm["box_size"], n_penal=prm["n_list"][-1],
+            resolution=prm["lambda_resolution"],
+            cell_resolution=prm["cell_resolution"])
         lambda_csv = out / "lambda.csv"
         write_csv(lambda_csv, ["epsilon", "l2_distance"],
                   [[e, d] for e, d in zip(report.epsilons, report.distances)])
@@ -254,15 +256,15 @@ def _run_perforation(spec: ExperimentSpec, out: Path, plots, log):
 
 def _run_stochastic(spec: ExperimentSpec, out: Path, plots, log):
     prm = spec.params
-    family_f = build_family(prm.family)
-    family_g = build_family(prm.family_g)
-    log.stage("trials", f"{prm.trials} paired trials, torus "
-                        f"{prm.torus_size}, seed {spec.seed}")
+    family_f = build_family(prm["family"])
+    family_g = build_family(prm["family_g"])
+    log.stage("trials", f"{prm['trials']} paired trials, torus "
+                        f"{prm['torus_size']}, seed {spec.seed}")
     rep = stochastic_stability_experiment(
-        family_f, family_g, prm.trials, spec.seed,
-        torus_size=prm.torus_size,
-        resolution_per_unit=prm.resolution_per_unit,
-        statistic_sizes=prm.statistic_sizes)
+        family_f, family_g, prm["trials"], spec.seed,
+        torus_size=prm["torus_size"],
+        resolution_per_unit=prm["resolution_per_unit"],
+        statistic_sizes=prm["statistic_sizes"])
     log.stage("verdict", f"intervals_overlap {rep.intervals_overlap}")
     csv_path = out / "stochastic.csv"
     write_csv(csv_path, ["R", "mean", "stderr"],
@@ -346,21 +348,17 @@ def main(argv=None) -> int:
         print(f"cannot read spec: {e}", file=sys.stderr)
         return EXIT_INVALID
 
-    if args.command == "validate":
-        violations = validate_document(text)
-        if violations:
-            for v in violations:
-                print(v)
-            return EXIT_INVALID
-        spec = parse_spec(text)
-        print(f"valid {spec.kind} spec")
-        return EXIT_OK
-
     try:
         spec = parse_spec(text)
     except SpecValidationError as e:
-        print(e, file=sys.stderr)
+        if args.command == "validate":
+            print("\n".join(map(str, e.violations)))
+        else:
+            print(e, file=sys.stderr)
         return EXIT_INVALID
+    if args.command == "validate":
+        print(f"valid {spec.kind} spec")
+        return EXIT_OK
     if spec.kind != args.command:
         print(f"spec kind {spec.kind!r} does not match the "
               f"{args.command!r} subcommand", file=sys.stderr)

@@ -1,46 +1,58 @@
 """Experiment descriptions as a validated JSON document.
 
 A spec file holds one JSON object.  ``kind`` selects the experiment; the
-remaining keys are field descriptors and numeric parameters.  Parsing fills
-every default explicitly and reports *all* schema problems at once, each
-tagged with the path of the offending key, so a spec that parses round-trips
-losslessly through :func:`serialize_spec` and never fails inside a solver
-for reasons the schema could have caught.
+remaining keys are field descriptors and numeric parameters.  One schema
+table, ``_ROWS``, drives parsing, validation, serialization and building.
+It has one row per kind, field type, rule and family.  A row maps each of
+its keys to a reader and a default, lists the row's cross-key checks, and
+(for fields, rules and families) names the ``fields.py`` constructor.
+
+One walker reads a node against its row: it fills every default, flags
+unknown keys and reports *all* problems at once, each tagged with the path
+of the offending key.  The parsed spec holds that normalized tree (nested
+dicts, list keys as tuples), so :func:`serialize_spec` dumps it as is and
+round-trips losslessly, and the builders look up the constructor in the
+same row.
+
+Checks and constructors name the keys they read as parameters.  One runs
+only when those keys are valid.  A ``ValueError`` it raises (often the
+library's own rule, such as a constructor's bounds check) becomes a
+violation at its first key, or at the path a ``_Bad`` names, and marks the
+keys it read invalid so that checks depending on them stay quiet.
+Validation builds the fields and applies the solver preconditions
+(periodicity, grid alignment, window and hole resolution), so a spec that
+parses does not fail inside a solver for a reason the schema could catch.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
+import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-import numpy as np
-
+from .cell import _check_alignment, _field_period_and_alignment
 from .fields import (BallSupport, CheckerboardFamily, Constant, FieldBounds,
-                     HalfSpaceStep, LpDecay, PeriodicStep, Perturbed,
-                     PowerOfTwoCells, PPower, QuadraticIsotropic,
+                     HalfSpaceStep, LpDecay, MatrixField, PeriodicStep,
+                     Perturbed, PowerOfTwoCells, PPower, QuadraticIsotropic,
                      QuadraticMatrix, RandomCheckerboard,
                      STATISTIC_RESOLUTION, TrigPolynomialClamped,
                      constant_matrix)
 from .numerics import cells_across
-from .perforation import MIN_CELLS_ACROSS_HOLE, PerforationSet, SparseRemoval
+from .perforation import PerforationSet, SparseRemoval, check_hole_resolution
+from .rve import MIN_WINDOW_CELLS
+from .stability import _density_field, _is_periodic
 
 __all__ = [
     "SpecError", "SpecValidationError", "ExperimentSpec",
-    "ConstantField", "PeriodicStepField", "RandomCheckerboardField",
-    "HalfSpaceField", "TrigField", "PerturbedField", "MatrixConstantField",
-    "RuleSpec", "CheckerboardFamilySpec",
-    "CellParams", "RveParams", "StabilityParams", "PerforationParams",
-    "StochasticParams", "CounterexamplesParams",
     "parse_spec", "validate_document", "serialize_spec",
-    "build_scalar_field", "build_density", "build_family",
-    "build_perforation", "build_rule", "field_signature",
+    "build_density", "build_family", "build_perforation",
 ]
 
 KINDS = ("cell", "rve", "stability", "perforation", "stochastic",
          "counterexamples")
-
-_RULE_PARAM = {"power_of_two": "width", "ball": "radius",
-               "lp_decay": "exponent"}
 
 
 @dataclass(frozen=True)
@@ -61,862 +73,489 @@ class SpecValidationError(ValueError):
         super().__init__(f"invalid experiment spec:\n{lines}")
 
 
-# ---------------------------------------------------------------------------
-# descriptor dataclasses (what a parsed document becomes)
-
-@dataclass(frozen=True)
-class RuleSpec:
-    type: str
-    parameter: float
-
-
-@dataclass(frozen=True)
-class ConstantField:
-    value: float
-    alpha: float
-    beta: float
-    dim: int
-
-
-@dataclass(frozen=True)
-class PeriodicStepField:
-    subdivisions: int
-    values: tuple[float, ...]
-    alpha: float
-    beta: float
-    dim: int
-
-
-@dataclass(frozen=True)
-class RandomCheckerboardField:
-    values: tuple[float, float]
-    probability: float
-    seed: int
-    alpha: float
-    beta: float
-    dim: int
-    flip: RuleSpec | None
-
-
-@dataclass(frozen=True)
-class HalfSpaceField:
-    gamma: float
-    c: float
-    alpha: float
-    beta: float
-    dim: int
-
-
-@dataclass(frozen=True)
-class TrigField:
-    offset: float
-    terms: tuple[tuple[float, tuple[float, ...], float], ...]
-    alpha: float
-    beta: float
-    dim: int
-
-
-@dataclass(frozen=True)
-class MatrixConstantField:
-    entries: tuple[tuple[float, ...], ...]
-    alpha: float
-    beta: float
-    dim: int
-
-
-@dataclass(frozen=True)
-class PerturbedField:
-    base: "FieldSpec"
-    rule: RuleSpec
-    amplitude: float
-
-
-FieldSpec = (ConstantField | PeriodicStepField | RandomCheckerboardField
-             | HalfSpaceField | TrigField | MatrixConstantField
-             | PerturbedField)
-
-
-@dataclass(frozen=True)
-class CheckerboardFamilySpec:
-    values: tuple[float, float]
-    probability: float
-    alpha: float
-    beta: float
-    dim: int
-    flip: RuleSpec | None
-
-
-@dataclass(frozen=True)
-class CellParams:
-    field: FieldSpec
-    p: float
-    xi: tuple[float, ...]
-    resolutions: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class RveParams:
-    field: FieldSpec
-    p: float
-    xi: tuple[float, ...]
-    center: tuple[float, ...]
-    windows: tuple[float, ...]
-    resolution_per_unit: int
-
-
-@dataclass(frozen=True)
-class StabilityParams:
-    field: FieldSpec
-    field_g: FieldSpec
-    p: float
-    t_list: tuple[float, ...]
-    R_list: tuple[float, ...]
-    window_sizes: tuple[float, ...]
-    hom_resolution: int
-    resolution_per_unit: int
-    statistic_resolution: int
-    label: str
-
-
-@dataclass(frozen=True)
-class PerforationParams:
-    shape: str
-    radius: float
-    removal: bool
-    xi: tuple[float, ...]
-    resolution: int
-    n_list: tuple[float, ...]
-    eps_list: tuple[float, ...]
-    lam: float
-    box_size: float
-    lambda_resolution: int
-    cell_resolution: int
-
-
-@dataclass(frozen=True)
-class StochasticParams:
-    family: CheckerboardFamilySpec
-    family_g: CheckerboardFamilySpec
-    trials: int
-    torus_size: int
-    resolution_per_unit: int
-    statistic_sizes: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CounterexamplesParams:
-    pass
-
-
-Params = (CellParams | RveParams | StabilityParams | PerforationParams
-          | StochasticParams | CounterexamplesParams)
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A validated document.  ``params`` is the normalized tree of the
+    kind's keys: every default filled, lists as tuples, fields as dicts."""
+
     kind: str
     out: str
     seed: int
-    params: Params
+    params: dict
 
 
 # ---------------------------------------------------------------------------
-# validation plumbing
+# the walker
 
-_MISSING = object()
+_REQUIRED = object()
 
 
-class _Collector:
-    def __init__(self):
-        self.violations: list[SpecError] = []
-
+class _Collector(list):
     def error(self, path: str, message: str):
-        self.violations.append(SpecError(path, message))
+        """Records a violation; returns None, the value of a bad key."""
+        self.append(SpecError(path, message))
 
-    @property
-    def ok(self):
-        return not self.violations
+
+class _Bad(ValueError):
+    """A check's violation at an explicit path below the node."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(message)
+        self.where = where
+
+
+class _Row(NamedTuple):
+    keys: dict                      # name -> (reader, default)
+    checks: tuple = ()              # cross-key rules, run in order
+    build: Callable | None = None   # fields.py constructor over the keys
+    aliases: tuple = ()             # (short, key): short: x is key: [x]
 
 
 def _join(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
+def _call(fn, n: dict):
+    """``fn`` applied to the keys of ``n`` it names; None if one is invalid."""
+    args = {k: n[k] for k in inspect.signature(fn).parameters if k in n}
+    if any(v is None for v in args.values()):
+        return None
+    return fn(**args)
+
+
+def _walk(raw: dict, path: str, col: _Collector, types, type_key="type",
+          type_default=_REQUIRED) -> dict | None:
+    """Read one node against the row its type selects; the normalized
+    node, or None when anything in it is invalid."""
+    data = {k: v for k, v in raw.items() if v is not None}  # null = absent
+    kind = data.pop(type_key, type_default)
+    if kind is _REQUIRED:
+        return col.error(_join(path, type_key), "required key is missing")
+    if kind not in types:
+        return col.error(_join(path, type_key), f"expected one of "
+                         f"{', '.join(types)}; got {kind!r}")
+    row = _ROWS[kind]
+    for short, key in row.aliases:
+        if short in data and key in data:
+            col.error(_join(path, key), f"give either {short} or {key}, "
+                                        "not both")
+        if short in data:
+            data[key] = [data.pop(short)]
+    n = {type_key: kind}
+    for name, (read, default) in row.keys.items():
+        if name in data:
+            n[name] = read(data.pop(name), _join(path, name), col)
+        elif default is _REQUIRED:
+            n[name] = col.error(_join(path, name), "required key is missing")
+        elif default is not None:  # a None default leaves the key out
+            n[name] = _call(default, n) if callable(default) else default
+    for key in sorted(data):
+        col.error(_join(path, key), "unknown key")
+    for check in row.checks + ((row.build,) if row.build else ()):
+        try:
+            _call(check, n)
+        except ValueError as e:
+            names = list(inspect.signature(check).parameters)
+            col.error(_join(path, getattr(e, "where", names[0])), str(e))
+            n.update(dict.fromkeys(k for k in names if k in n))
+    return None if None in n.values() else n
+
+
+# ---------------------------------------------------------------------------
+# readers: (raw JSON value, path, collector) -> normalized value or None
+
+_LIMITS = {"gt": (">", operator.gt), "ge": (">=", operator.ge),
+           "lt": ("<", operator.lt), "le": ("<=", operator.le)}
+
+
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    try:
+        return not isinstance(v, bool) and math.isfinite(v)
+    except (TypeError, OverflowError):  # not a number, or beyond a float
+        return False
 
 
-class _Reader:
-    """Pops typed values out of one JSON object, recording violations.
+def _within(v, path: str, col: _Collector, limits: dict):
+    for name, bound in limits.items():
+        symbol, holds = _LIMITS[name]
+        if not holds(v, bound):
+            return col.error(path, f"value must be {symbol} {bound}, got {v}")
+    return v
 
-    Every key read is removed; whatever remains at :meth:`finish` is an
-    unknown key.  Readers never raise: a bad value records a violation and
-    yields the default (or None), so the walk always reaches the end of the
-    document and the caller sees every problem in one pass.
-    """
 
-    def __init__(self, data: dict, path: str, col: _Collector):
-        self.data = dict(data)
-        self.path = path
-        self.col = col
-
-    def has(self, key) -> bool:
-        return key in self.data
-
-    def take(self, key, default=_MISSING):
-        if key in self.data:
-            return self.data.pop(key)
-        if default is _MISSING:
-            self.col.error(_join(self.path, key), "required key is missing")
-            return None
-        return default
-
-    def number(self, key, default=_MISSING, minimum=None, maximum=None,
-               exclusive_min=False) -> float | None:
-        raw = self.take(key, default)
-        if raw is None:
-            return None
+def _number(default=_REQUIRED, **limits):
+    def read(raw, path, col):
         if not _is_number(raw):
-            self.col.error(_join(self.path, key),
-                           f"expected a number, got {raw!r}")
-            return None
-        v = float(raw)
-        if not np.isfinite(v):
-            self.col.error(_join(self.path, key), "value must be finite")
-            return None
-        if minimum is not None:
-            bad = v <= minimum if exclusive_min else v < minimum
-            if bad:
-                op = ">" if exclusive_min else ">="
-                self.col.error(_join(self.path, key),
-                               f"value must be {op} {minimum}, got {v}")
-                return None
-        if maximum is not None and v > maximum:
-            self.col.error(_join(self.path, key),
-                           f"value must be <= {maximum}, got {v}")
-            return None
-        return v
+            return col.error(path, f"expected a finite number, got {raw!r}")
+        return _within(float(raw), path, col, limits)
+    return read, default
 
-    def integer(self, key, default=_MISSING, minimum=None) -> int | None:
-        raw = self.take(key, default)
-        if raw is None:
-            return None
-        if not _is_number(raw) or float(raw) != int(raw):
-            self.col.error(_join(self.path, key),
-                           f"expected an integer, got {raw!r}")
-            return None
-        v = int(raw)
-        if minimum is not None and v < minimum:
-            self.col.error(_join(self.path, key),
-                           f"value must be >= {minimum}, got {v}")
-            return None
-        return v
 
-    def string(self, key, default=_MISSING, choices=None) -> str | None:
-        raw = self.take(key, default)
-        if raw is None:
-            return None
+def _integer(default=_REQUIRED, **limits):
+    def read(raw, path, col):
+        if not _is_number(raw) or not float(raw).is_integer():
+            return col.error(path, f"expected an integer, got {raw!r}")
+        return _within(int(raw), path, col, limits)
+    return read, default
+
+
+def _string(default=_REQUIRED, choices=None):
+    def read(raw, path, col):
         if not isinstance(raw, str):
-            self.col.error(_join(self.path, key),
-                           f"expected a string, got {raw!r}")
-            return None
+            return col.error(path, f"expected a string, got {raw!r}")
         if choices is not None and raw not in choices:
-            self.col.error(_join(self.path, key),
-                           f"expected one of {', '.join(choices)}; got {raw!r}")
-            return None
+            return col.error(path, f"expected one of {', '.join(choices)}; "
+                                   f"got {raw!r}")
         return raw
+    return read, default
 
-    def boolean(self, key, default=_MISSING) -> bool | None:
-        raw = self.take(key, default)
-        if raw is None:
-            return None
+
+def _boolean(default=_REQUIRED):
+    def read(raw, path, col):
         if not isinstance(raw, bool):
-            self.col.error(_join(self.path, key),
-                           f"expected true/false, got {raw!r}")
-            return None
+            return col.error(path, f"expected true/false, got {raw!r}")
         return raw
+    return read, default
 
-    def number_list(self, key, default=_MISSING, minimum=None,
-                    exclusive_min=False, min_len=1,
-                    increasing=False) -> tuple[float, ...] | None:
-        raw = self.take(key, default)
-        if raw is None:
-            return None
-        if isinstance(raw, tuple):
-            return raw
-        p = _join(self.path, key)
+
+def _number_list(default=_REQUIRED, min_len=1, increasing=False,
+                 integer=False, **limits):
+    entry, _ = (_integer if integer else _number)(**limits)
+
+    def read(raw, path, col):
         if not isinstance(raw, list):
-            self.col.error(p, f"expected a list of numbers, got {raw!r}")
-            return None
+            return col.error(path, f"expected a list of numbers, got {raw!r}")
         if len(raw) < min_len:
-            self.col.error(p, f"need at least {min_len} entries, got {len(raw)}")
+            return col.error(path, f"need at least {min_len} entries, "
+                                   f"got {len(raw)}")
+        out = [entry(v, f"{path}[{i}]", col) for i, v in enumerate(raw)]
+        if None in out:
             return None
-        out = []
-        for i, v in enumerate(raw):
-            if not _is_number(v) or not np.isfinite(float(v)):
-                self.col.error(f"{p}[{i}]", f"expected a finite number, got {v!r}")
-                return None
-            v = float(v)
-            if minimum is not None:
-                bad = v <= minimum if exclusive_min else v < minimum
-                if bad:
-                    op = ">" if exclusive_min else ">="
-                    self.col.error(f"{p}[{i}]", f"value must be {op} {minimum}")
-                    return None
-            out.append(v)
         if increasing and any(b <= a for a, b in zip(out, out[1:])):
-            self.col.error(p, "entries must be strictly increasing")
-            return None
+            return col.error(path, "entries must be strictly increasing")
         return tuple(out)
+    return read, default
 
-    def object(self, key, default=_MISSING) -> tuple[dict | None, str]:
-        raw = self.take(key, default)
-        p = _join(self.path, key)
-        if raw is None or raw is default:
-            return (raw if isinstance(raw, dict) else None), p
+
+def _node(types, default=_REQUIRED, type_default=_REQUIRED):
+    """A nested field, rule or family: an object whose type is in ``types``."""
+    def read(raw, path, col):
         if not isinstance(raw, dict):
-            self.col.error(p, f"expected an object, got {raw!r}")
-            return None, p
-        return raw, p
-
-    def finish(self):
-        for key in sorted(self.data):
-            self.col.error(_join(self.path, key), "unknown key")
+            return col.error(path, f"expected an object, got {raw!r}")
+        return _walk(raw, path, col, types, "type", type_default)
+    return read, default
 
 
-def _read_bounds(r: _Reader, default_alpha=1.0, default_beta=4.0):
-    alpha = r.number("alpha", default_alpha, minimum=0.0, exclusive_min=True)
-    beta = r.number("beta", default_beta, minimum=0.0, exclusive_min=True)
-    if alpha is not None and beta is not None and alpha > beta:
-        r.col.error(_join(r.path, "bounds"),
-                    f"alpha {alpha:g} must not exceed beta {beta:g}")
-        return None, None
-    return alpha, beta
+def _trig_terms(raw, path, col):
+    if not isinstance(raw, list) or not raw:
+        return col.error(path, "expected a non-empty list of [amplitude, "
+                               "frequencies, phase] triples")
+    for i, t in enumerate(raw):
+        if not (isinstance(t, list) and len(t) == 3 and isinstance(t[1], list)
+                and all(map(_is_number, [t[0], *t[1], t[2]]))):
+            return col.error(f"{path}[{i}]",
+                             "expected [amplitude, [frequencies...], phase]")
+    return tuple((float(a), tuple(map(float, f)), float(ph))
+                 for a, f, ph in raw)
 
 
-def _read_rule(col: _Collector, node, path: str) -> RuleSpec | None:
-    if not isinstance(node, dict):
-        col.error(path, f"expected a rule object, got {node!r}")
-        return None
-    r = _Reader(node, path, col)
-    kind = r.string("type", choices=tuple(_RULE_PARAM))
-    if kind is None:
-        r.finish()
-        return None
-    maximum = 1.0 if kind == "power_of_two" else None
-    parameter = r.number(_RULE_PARAM[kind], 1.0, minimum=0.0,
-                         exclusive_min=True, maximum=maximum)
-    r.finish()
-    if parameter is None:
-        return None
-    return RuleSpec(kind, parameter)
+def _matrix_entries(raw, path, col):
+    if not (isinstance(raw, list) and raw
+            and all(isinstance(row, list) and len(row) == len(raw)
+                    and all(map(_is_number, row)) for row in raw)):
+        return col.error(path, "expected a square array of finite numbers")
+    return tuple(tuple(map(float, row)) for row in raw)
 
 
 # ---------------------------------------------------------------------------
-# field descriptors
+# cross-key checks (parameters name the keys they read)
 
-def _parse_constant(r: _Reader) -> ConstantField | None:
-    value = r.number("value")
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 1, minimum=1)
-    if None in (value, alpha, beta, dim):
-        return None
-    if not alpha <= value <= beta:
-        r.col.error(_join(r.path, "value"),
-                    f"constant {value:g} lies outside [{alpha:g}, {beta:g}]")
-        return None
-    return ConstantField(value, alpha, beta, dim)
+def _bounds(alpha, beta):
+    try:
+        FieldBounds(alpha, beta)
+    except ValueError as e:
+        raise _Bad("bounds", str(e)) from None
 
 
-def _parse_periodic_step(r: _Reader) -> PeriodicStepField | None:
-    subdivisions = r.integer("subdivisions", minimum=1)
-    values = r.number_list("values")
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 2, minimum=1)
-    if None in (subdivisions, values, alpha, beta, dim):
-        return None
-    if dim > 2:
-        r.col.error(_join(r.path, "dim"), "periodic steps support dim 1 or 2")
-        return None
-    if len(values) != subdivisions ** dim:
-        r.col.error(_join(r.path, "values"),
-                    f"need {subdivisions ** dim} cell values for "
-                    f"{subdivisions}^{dim} subdivisions, got {len(values)}")
-        return None
-    if any(not alpha <= v <= beta for v in values):
-        r.col.error(_join(r.path, "values"),
-                    f"cell values must lie in [{alpha:g}, {beta:g}]")
-        return None
-    return PeriodicStepField(subdivisions, values, alpha, beta, dim)
-
-
-def _parse_random_checkerboard(r: _Reader) -> RandomCheckerboardField | None:
-    values = r.number_list("values", min_len=2)
-    probability = r.number("probability", 0.5, minimum=0.0, maximum=1.0)
-    seed = r.integer("seed", 0, minimum=0)
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 2, minimum=1)
-    flip_node, flip_path = r.object("flip", None)
-    flip = None
-    if flip_node is not None:
-        flip = _read_rule(r.col, flip_node, flip_path)
-        if flip is not None and flip.type != "power_of_two":
-            r.col.error(flip_path, "flips support only the power_of_two rule")
-            flip = None
-    if None in (values, probability, seed, alpha, beta, dim):
-        return None
+def _cell_values(values, alpha, beta):
     if len(values) != 2:
-        r.col.error(_join(r.path, "values"), "exactly two cell values required")
-        return None
+        raise ValueError("exactly two cell values required")
     if any(not alpha <= v <= beta for v in values):
-        r.col.error(_join(r.path, "values"),
-                    f"cell values must lie in [{alpha:g}, {beta:g}]")
-        return None
-    return RandomCheckerboardField((values[0], values[1]), probability, seed,
-                                   alpha, beta, dim, flip)
+        raise ValueError(f"cell values must lie in [{alpha:g}, {beta:g}]")
 
 
-def _parse_half_space(r: _Reader) -> HalfSpaceField | None:
-    gamma = r.number("gamma")
-    c = r.number("c")
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 1, minimum=1)
-    if None in (gamma, c, alpha, beta, dim):
-        return None
-    if not (alpha <= gamma - abs(c) and gamma + abs(c) <= beta):
-        r.col.error(_join(r.path, "gamma"),
-                    f"gamma +/- c must stay within [{alpha:g}, {beta:g}]")
-        return None
-    return HalfSpaceField(gamma, c, alpha, beta, dim)
+def _trig_shape(terms, dim):
+    for i, (_, freq, _) in enumerate(terms):
+        if len(freq) != dim:
+            raise _Bad(f"terms[{i}]", f"need {dim} frequencies for dim {dim}, "
+                                      f"got {len(freq)}")
 
 
-def _parse_trig(r: _Reader) -> TrigField | None:
-    offset = r.number("offset")
-    raw_terms = r.take("terms")
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 1, minimum=1)
-    if None in (offset, raw_terms, alpha, beta, dim):
-        return None
-    p = _join(r.path, "terms")
-    if not isinstance(raw_terms, list) or not raw_terms:
-        r.col.error(p, "expected a non-empty list of [amplitude, "
-                       "frequencies, phase] triples")
-        return None
-    terms = []
-    for i, t in enumerate(raw_terms):
-        bad = (not isinstance(t, list) or len(t) != 3
-               or not _is_number(t[0]) or not isinstance(t[1], list)
-               or not _is_number(t[2])
-               or any(not _is_number(f) for f in t[1]))
-        if bad:
-            r.col.error(f"{p}[{i}]",
-                        "expected [amplitude, [frequencies...], phase]")
-            return None
-        if len(t[1]) != dim:
-            r.col.error(f"{p}[{i}]",
-                        f"need {dim} frequencies for dim {dim}, got {len(t[1])}")
-            return None
-        terms.append((float(t[0]), tuple(float(f) for f in t[1]), float(t[2])))
-    return TrigField(offset, tuple(terms), alpha, beta, dim)
+def _axes(values, dim: int, what: str):
+    if len(values) != dim:
+        raise ValueError(f"need {dim} {what} for dim {dim}, got {len(values)}")
 
 
-def _parse_matrix(r: _Reader) -> MatrixConstantField | None:
-    raw = r.take("entries")
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 2, minimum=1)
-    if None in (raw, alpha, beta, dim):
-        return None
-    p = _join(r.path, "entries")
-    ok = (isinstance(raw, list) and len(raw) == dim
-          and all(isinstance(row, list) and len(row) == dim
-                  and all(_is_number(v) for v in row) for row in raw))
-    if not ok:
-        r.col.error(p, f"expected a {dim} x {dim} array of numbers")
-        return None
-    mat = np.asarray(raw, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        r.col.error(p, "entries must be finite")
-        return None
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if eigs.min() < alpha - 1e-12 or np.linalg.norm(mat, 2) > beta + 1e-12:
-        r.col.error(p, f"matrix must be elliptic within [{alpha:g}, {beta:g}] "
-                       f"(symmetric eigenvalues {eigs.min():.6g}.."
-                       f"{eigs.max():.6g})")
-        return None
-    return MatrixConstantField(tuple(tuple(float(v) for v in row)
-                                     for row in raw), alpha, beta, dim)
+def _direction(xi, dim: int):
+    _axes(xi, dim, "components")
+    if not any(xi):
+        raise ValueError("direction must be nonzero")
 
 
-def _parse_perturbed(col: _Collector, node: dict, path: str):
-    r = _Reader(node, path, col)
-    base_node, base_path = r.object("base")
-    rule_node, rule_path = r.object("rule")
-    amplitude = r.number("amplitude")
-    r.finish()
-    base = _parse_field(col, base_node, base_path) if base_node else None
-    rule = _read_rule(col, rule_node, rule_path) if rule_node else None
-    if None in (base, rule, amplitude):
-        return None
-    if isinstance(base, MatrixConstantField):
-        col.error(base_path, "perturbations apply to scalar fields only")
-        return None
-    if amplitude == 0.0:
-        col.error(_join(path, "amplitude"),
-                  "amplitude must be nonzero (drop the perturbation instead)")
-        return None
-    return PerturbedField(base, rule, amplitude)
+def _xi(xi, field):
+    _direction(xi, _build(field).dim)
 
 
-_FIELD_PARSERS = {
-    "constant": _parse_constant,
-    "periodic_step": _parse_periodic_step,
-    "random_checkerboard": _parse_random_checkerboard,
-    "half_space": _parse_half_space,
-    "trig": _parse_trig,
-    "matrix": _parse_matrix,
-}
+def _center(center, field):
+    _axes(center, _build(field).dim, "coordinates")
 
 
-def _parse_field(col: _Collector, node, path: str) -> FieldSpec | None:
-    if not isinstance(node, dict):
-        col.error(path, f"expected a field descriptor object, got {node!r}")
-        return None
-    kind = node.get("type")
-    if kind == "perturbed":
-        rest = {k: v for k, v in node.items() if k != "type"}
-        return _parse_perturbed(col, rest, path)
-    if kind not in _FIELD_PARSERS:
-        col.error(_join(path, "type"),
-                  f"unknown field type {kind!r}; expected one of "
-                  f"{', '.join(sorted(_FIELD_PARSERS))}, perturbed")
-        return None
-    r = _Reader({k: v for k, v in node.items() if k != "type"}, path, col)
-    out = _FIELD_PARSERS[kind](r)
-    r.finish()
-    return out
+def _density(p, field):
+    build_density(field, p)
 
 
-def _parse_family(col: _Collector, node, path: str) -> CheckerboardFamilySpec | None:
-    if not isinstance(node, dict):
-        col.error(path, f"expected a family descriptor object, got {node!r}")
-        return None
-    r = _Reader(node, path, col)
-    kind = r.string("type", "checkerboard_family",
-                    choices=("checkerboard_family",))
-    values = r.number_list("values", min_len=2)
-    probability = r.number("probability", 0.5, minimum=0.0, maximum=1.0)
-    alpha, beta = _read_bounds(r)
-    dim = r.integer("dim", 2, minimum=1)
-    flip_node, flip_path = r.object("flip", None)
-    r.finish()
-    flip = None
-    if flip_node is not None:
-        flip = _read_rule(col, flip_node, flip_path)
-        if flip is not None and flip.type != "power_of_two":
-            col.error(flip_path, "flips support only the power_of_two rule")
-            flip = None
-    if None in (kind, values, probability, alpha, beta, dim):
-        return None
-    if len(values) != 2:
-        col.error(_join(path, "values"), "exactly two cell values required")
-        return None
-    if any(not alpha <= v <= beta for v in values):
-        col.error(_join(path, "values"),
-                  f"cell values must lie in [{alpha:g}, {beta:g}]")
-        return None
-    return CheckerboardFamilySpec((values[0], values[1]), probability,
-                                  alpha, beta, dim, flip)
-
-
-def field_signature(fs: FieldSpec) -> tuple[int, float, float]:
-    """(dim, alpha, beta) of the field a descriptor builds."""
-    if isinstance(fs, PerturbedField):
-        return field_signature(fs.base)
-    return fs.dim, fs.alpha, fs.beta
-
-
-_CELL_SOLVABLE = (ConstantField, PeriodicStepField, TrigField,
-                  MatrixConstantField)
-
-
-def _default_xi(dim: int) -> tuple[float, ...]:
-    return (1.0,) + (0.0,) * (dim - 1)
-
-
-def _read_xi(r: _Reader, dim: int | None, key="xi"):
-    if dim is None:
-        r.take(key, None)
-        return None
-    present = r.has(key)
-    xi = r.number_list(key, None, min_len=1)
-    if xi is None:
-        return None if present else _default_xi(dim)
-    if len(xi) != dim:
-        r.col.error(_join(r.path, key),
-                    f"need {dim} components for dim {dim}, got {len(xi)}")
-        return None
-    if all(v == 0.0 for v in xi):
-        r.col.error(_join(r.path, key), "direction must be nonzero")
-        return None
-    return xi
-
-
-# ---------------------------------------------------------------------------
-# kind parsers
-
-def _parse_cell(r: _Reader) -> CellParams | None:
-    field_node, field_path = r.object("field")
-    field = _parse_field(r.col, field_node, field_path) if field_node else None
-    p = r.number("p", 2.0, minimum=1.0, exclusive_min=True)
-    if r.has("resolution") and r.has("resolutions"):
-        r.col.error(_join(r.path, "resolutions"),
-                    "give either resolution or resolutions, not both")
-        r.take("resolution")
-        r.take("resolutions")
-        resolutions = None
-    elif r.has("resolution"):
-        single = r.integer("resolution", minimum=2)
-        resolutions = (single,) if single is not None else None
-    else:
-        raw = r.number_list("resolutions", (64.0,), minimum=2.0)
-        resolutions = (tuple(int(v) for v in raw)
-                       if raw is not None
-                       and all(float(v).is_integer() for v in raw) else None)
-        if raw is not None and resolutions is None:
-            r.col.error(_join(r.path, "resolutions"), "entries must be integers")
-    dim = field_signature(field)[0] if field is not None else None
-    xi = _read_xi(r, dim)
-    if field is not None and not isinstance(field, _CELL_SOLVABLE):
-        r.col.error(_join(field_path, "type"),
-                    "cell solves need a periodic field (constant, "
-                    "periodic_step, trig, or matrix)")
-        field = None
-    if field is not None and isinstance(field, MatrixConstantField) and p != 2.0:
-        r.col.error(_join(r.path, "p"), "matrix coefficients require p = 2")
-        return None
-    if None in (field, p, xi, resolutions):
-        return None
-    return CellParams(field, p, xi, resolutions)
-
-
-def _check_aligned(r: _Reader, key: str, sizes, resolution,
-                   resolution_key: str):
-    """``sizes`` if every entry times ``resolution`` is a whole number of
-    grid cells (the rule of ``numerics.cells_across``); else reports the
-    first offending entry and returns None."""
-    if sizes is None or resolution is None:
-        return sizes
+def _cells(key: str, sizes, resolution: int, name: str, minimum: int = 1):
+    """Every side in ``sizes`` spans a whole number of grid cells at
+    ``resolution`` (``numerics.cells_across``), and at least ``minimum``."""
     for i, side in enumerate(sizes):
         try:
-            cells_across(side, resolution)
+            n = cells_across(side, resolution)
         except ValueError:
-            r.col.error(_join(r.path, f"{key}[{i}]"),
-                        f"{side:g} times {resolution_key} {resolution} "
-                        "must be an integer")
-            return None
-    return sizes
+            raise _Bad(f"{key}[{i}]", f"{side:g} times {name} {resolution} "
+                                      "must be an integer") from None
+        if n < minimum:
+            raise _Bad(f"{key}[{i}]", f"window {side:g} needs at least "
+                                      f"{minimum} cells per axis at {name} "
+                                      f"{resolution}, got {n}")
 
 
-def _parse_rve(r: _Reader) -> RveParams | None:
-    field_node, field_path = r.object("field")
-    field = _parse_field(r.col, field_node, field_path) if field_node else None
-    p = r.number("p", 2.0, minimum=1.0, exclusive_min=True)
-    dim = field_signature(field)[0] if field is not None else None
-    xi = _read_xi(r, dim)
-    center_present = r.has("center")
-    center = r.number_list("center", None, min_len=1)
-    if center is None and not center_present and dim is not None:
-        center = (0.0,) * dim
-    elif center is not None and dim is not None and len(center) != dim:
-        r.col.error(_join(r.path, "center"),
-                    f"need {dim} coordinates for dim {dim}, got {len(center)}")
-        center = None
-    windows = r.number_list("windows", (4.0, 8.0, 16.0), minimum=0.0,
-                            exclusive_min=True, min_len=3, increasing=True)
-    rpu = r.integer("resolution_per_unit", 16, minimum=2)
-    if field is not None and isinstance(field, MatrixConstantField) and p != 2.0:
-        r.col.error(_join(r.path, "p"), "matrix coefficients require p = 2")
-        return None
-    windows = _check_aligned(r, "windows", windows, rpu, "resolution_per_unit")
-    if None in (field, p, xi, center, windows, rpu):
-        return None
-    return RveParams(field, p, xi, center, windows, rpu)
+def _cell_solvable(resolutions, field, p):
+    """``cell``'s own preconditions: a periodic field, and every resolution
+    a multiple of the field's alignment divisor."""
+    target = _density_field(build_density(field, p))
+    try:
+        _, divisor = _field_period_and_alignment(target)
+    except ValueError as e:
+        raise _Bad("field.type", f"cell solves need a periodic field: {e}"
+                   ) from None
+    for resolution in resolutions:
+        _check_alignment(resolution, divisor)
 
 
-def _parse_stability(r: _Reader) -> StabilityParams | None:
-    f_node, f_path = r.object("field")
-    g_node, g_path = r.object("field_g")
-    field = _parse_field(r.col, f_node, f_path) if f_node else None
-    field_g = _parse_field(r.col, g_node, g_path) if g_node else None
-    p = r.number("p", 2.0, minimum=1.0, exclusive_min=True)
-    t_present = r.has("t_list")
-    t_list = r.number_list("t_list", None, minimum=0.0, exclusive_min=True)
-    if t_list is None and not t_present and p is not None:
-        t_list = (1.0,) if p == 2.0 else (1.0, 2.0)
-    R_list = r.number_list("R_list", (8.0, 16.0, 32.0, 64.0), minimum=0.0,
-                           exclusive_min=True, min_len=3, increasing=True)
-    windows_present = r.has("window_sizes")
-    window_sizes = r.number_list("window_sizes", None, minimum=0.0,
-                                 exclusive_min=True, min_len=3,
-                                 increasing=True)
-    if window_sizes is None and not windows_present and R_list is not None:
-        window_sizes = R_list
-    hom_resolution = r.integer("hom_resolution", 64, minimum=2)
-    rpu = r.integer("resolution_per_unit", 8, minimum=2)
-    statistic_resolution = r.integer("statistic_resolution",
-                                     STATISTIC_RESOLUTION, minimum=2)
-    label = r.string("label", "")
-    R_list = _check_aligned(r, "R_list", R_list, statistic_resolution,
-                            "statistic_resolution")
-    if windows_present or R_list is not None:
-        window_sizes = _check_aligned(
-            r, "window_sizes" if windows_present else "R_list", window_sizes,
-            rpu, "resolution_per_unit")
-    if hom_resolution is not None and hom_resolution % 2:
-        r.col.error(_join(r.path, "hom_resolution"),
-                    "must be even (the convergence gap needs a "
-                    "half-resolution solve)")
-        hom_resolution = None
-    if field is not None and field_g is not None:
-        sig_f, sig_g = field_signature(field), field_signature(field_g)
-        if sig_f[0] != sig_g[0]:
-            r.col.error(_join(g_path, "dim"),
-                        f"field_g has dim {sig_g[0]}, field has dim {sig_f[0]}")
-            return None
-        if sig_f[1:] != sig_g[1:]:
-            r.col.error(_join(g_path, "bounds"),
-                        "field and field_g must share alpha/beta")
-            return None
-    if None in (field, field_g, p, t_list, R_list, window_sizes,
-                hom_resolution, rpu, statistic_resolution, label):
-        return None
-    return StabilityParams(field, field_g, p, t_list, R_list, window_sizes,
-                           hom_resolution, rpu, statistic_resolution, label)
+def _pair(p, field, field_g):
+    f, g = build_density(field, p), build_density(field_g, p)
+    if f.dim != g.dim:
+        raise _Bad("field_g.dim", f"field_g has dim {g.dim}, field has dim "
+                                  f"{f.dim}")
+    if f.bounds != g.bounds:
+        raise _Bad("field_g.bounds", "field and field_g must share alpha/beta")
+    if type(f) is not type(g):
+        raise _Bad("field_g.type", "field and field_g must both be matrix "
+                                   "or both be scalar fields")
 
 
-def _parse_perforation(r: _Reader) -> PerforationParams | None:
-    shape = r.string("shape", "ball", choices=("ball", "square"))
-    radius = r.number("radius", 0.25, minimum=0.0)
-    removal = r.boolean("removal", False)
-    xi = _read_xi(r, 2)
-    resolution = r.integer("resolution", 128, minimum=64)
-    n_list = r.number_list("n_list", (4.0, 16.0, 64.0, 256.0), minimum=1.0,
-                           increasing=True)
-    eps_list = r.number_list("eps_list", (), minimum=0.0, exclusive_min=True,
-                             min_len=0)
-    lam = r.number("lam", 1.0, minimum=0.0, exclusive_min=True)
-    box_size = r.number("box_size", 2.0, minimum=0.0, exclusive_min=True)
-    lambda_resolution = r.integer("lambda_resolution", 256, minimum=64)
-    cell_resolution = r.integer("cell_resolution", 64, minimum=32)
-    if radius is not None and radius >= 0.5:
-        r.col.error(_join(r.path, "radius"),
-                    f"radius must lie in [0, 0.5), got {radius:g}")
-        radius = None
-    if radius is not None and resolution is not None:
-        if radius > 0 and 2.0 * radius * resolution < MIN_CELLS_ACROSS_HOLE:
-            r.col.error(_join(r.path, "resolution"),
-                        f"resolution {resolution} puts fewer than "
-                        f"{MIN_CELLS_ACROSS_HOLE} elements across a hole of "
-                        f"diameter {2 * radius:g}")
-            resolution = None
-    if (radius is not None and eps_list is not None
-            and lambda_resolution is not None and radius > 0):
-        for i, eps in enumerate(eps_list):
-            if eps > 1.0:
-                r.col.error(_join(r.path, f"eps_list[{i}]"),
-                            "epsilon must lie in (0, 1]")
-                eps_list = None
-                break
-            if 2.0 * radius * eps * lambda_resolution < MIN_CELLS_ACROSS_HOLE:
-                r.col.error(_join(r.path, f"eps_list[{i}]"),
-                            f"lambda_resolution {lambda_resolution} puts fewer "
-                            f"than {MIN_CELLS_ACROSS_HOLE} elements across a "
-                            f"hole at eps {eps:g}")
-                eps_list = None
-                break
+def _even(hom_resolution):
+    if hom_resolution % 2:
+        raise ValueError("must be even (the convergence gap needs a "
+                         "half-resolution solve)")
+
+
+def _hom_aligned(hom_resolution, field, field_g, p):
+    """Periodic pairs are cell-solved at hom_resolution and half of it."""
+    for node in (field, field_g):
+        density = build_density(node, p)
+        if _is_periodic(density):
+            _, divisor = _field_period_and_alignment(_density_field(density))
+            for resolution in (hom_resolution, hom_resolution // 2):
+                _check_alignment(resolution, divisor)
+
+
+def _lambda_holes(eps_list, radius, lambda_resolution):
+    for i, eps in enumerate(eps_list):
+        try:
+            check_hole_resolution(radius * eps, lambda_resolution,
+                                  "lambda_resolution")
+        except ValueError as e:
+            raise _Bad(f"eps_list[{i}]", f"{e} at eps {eps:g}") from None
+
+
+def _cell_holes(cell_resolution, radius, eps_list):
     # the lambda problem homogenizes on a cell at cell_resolution
-    if (radius is not None and radius > 0 and eps_list and cell_resolution is not None
-            and 2.0 * radius * cell_resolution < MIN_CELLS_ACROSS_HOLE):
-        r.col.error(_join(r.path, "cell_resolution"),
-                    f"cell_resolution {cell_resolution} puts fewer than "
-                    f"{MIN_CELLS_ACROSS_HOLE} elements across a hole of "
-                    f"diameter {2 * radius:g}")
-        cell_resolution = None
-    if None in (shape, radius, removal, xi, resolution, n_list, eps_list,
-                lam, box_size, lambda_resolution, cell_resolution):
-        return None
-    return PerforationParams(shape, radius, removal, xi, resolution, n_list,
-                             eps_list, lam, box_size, lambda_resolution,
-                             cell_resolution)
+    if eps_list:
+        check_hole_resolution(radius, cell_resolution, "cell_resolution")
 
 
-def _parse_stochastic(r: _Reader) -> StochasticParams | None:
-    f_node, f_path = r.object("family")
-    g_node, g_path = r.object("family_g")
-    family = _parse_family(r.col, f_node, f_path) if f_node else None
-    family_g = _parse_family(r.col, g_node, g_path) if g_node else None
-    trials = r.integer("trials", 16, minimum=8)
-    torus_size = r.integer("torus_size", 32, minimum=2)
-    rpu = r.integer("resolution_per_unit", 8, minimum=2)
-    sizes = r.number_list("statistic_sizes", (8.0, 16.0, 32.0, 64.0),
-                          minimum=0.0, exclusive_min=True, min_len=3,
-                          increasing=True)
-    sizes = _check_aligned(r, "statistic_sizes", sizes, STATISTIC_RESOLUTION,
-                           "the statistic resolution")
-    if family is not None and family_g is not None:
-        if (family.dim, family.alpha, family.beta) != (
-                family_g.dim, family_g.alpha, family_g.beta):
-            r.col.error(_join(g_path, "bounds"),
-                        "family and family_g must share dim and alpha/beta")
-            return None
-    if None in (family, family_g, trials, torus_size, rpu, sizes):
-        return None
-    return StochasticParams(family, family_g, trials, torus_size, rpu, sizes)
+def _same_families(family_g, family):
+    if any(family[k] != family_g[k] for k in ("dim", "alpha", "beta")):
+        raise _Bad("family_g.bounds",
+                   "family and family_g must share dim and alpha/beta")
 
 
-def _parse_counterexamples(r: _Reader) -> CounterexamplesParams:
-    return CounterexamplesParams()
+# ---------------------------------------------------------------------------
+# the schema table
+
+_SCALAR = ("constant", "periodic_step", "random_checkerboard", "half_space",
+           "trig", "perturbed")
+_FIELD = _SCALAR + ("matrix",)
+_RULES = ("power_of_two", "ball", "lp_decay")
+
+_BOUNDS = {"alpha": _number(1.0, gt=0.0), "beta": _number(4.0, gt=0.0)}
+_CHECKERBOARD = {"values": _number_list(min_len=2),
+                 "probability": _number(0.5, ge=0.0, le=1.0), **_BOUNDS,
+                 "dim": _integer(2, ge=1),
+                 "flip": _node(("power_of_two",), default=None)}
+_COMMON = {"out": _string("out"), "seed": _integer(0, ge=0)}
+_FIELD_KEYS = {"field": _node(_FIELD), "p": _number(2.0, gt=1.0),
+               "xi": _number_list(lambda field: (1.0,) + (0.0,) * (
+                   _build(field).dim - 1))}
+_FAMILY = _node(("checkerboard_family",), type_default="checkerboard_family")
 
 
-_KIND_PARSERS = {
-    "cell": _parse_cell,
-    "rve": _parse_rve,
-    "stability": _parse_stability,
-    "perforation": _parse_perforation,
-    "stochastic": _parse_stochastic,
-    "counterexamples": _parse_counterexamples,
+_ROWS = {
+    # fields: a ValueError from the constructor lands at its first key
+    "constant": _Row(
+        {"value": _number(), **_BOUNDS, "dim": _integer(1, ge=1)},
+        (_bounds,),
+        lambda value, alpha, beta, dim: Constant(
+            value, FieldBounds(alpha, beta), dim)),
+    "periodic_step": _Row(
+        {"subdivisions": _integer(ge=1), "values": _number_list(), **_BOUNDS,
+         "dim": _integer(2, ge=1, le=2)},
+        (_bounds,),
+        lambda values, subdivisions, alpha, beta, dim: PeriodicStep(
+            subdivisions, values, FieldBounds(alpha, beta), dim=dim)),
+    "random_checkerboard": _Row(
+        {**_CHECKERBOARD, "seed": _integer(0, ge=0)},
+        (_bounds, _cell_values),
+        lambda values, probability, seed, alpha, beta, dim, flip=None:
+            RandomCheckerboard(values, probability, seed,
+                               FieldBounds(alpha, beta), dim=dim,
+                               flip_cells=_build(flip))),
+    "half_space": _Row(
+        {"gamma": _number(), "c": _number(), **_BOUNDS,
+         "dim": _integer(1, ge=1)},
+        (_bounds,),
+        lambda gamma, c, alpha, beta, dim: HalfSpaceStep(
+            gamma, c, FieldBounds(alpha, beta), dim)),
+    "trig": _Row(
+        {"offset": _number(), "terms": (_trig_terms, _REQUIRED), **_BOUNDS,
+         "dim": _integer(1, ge=1)},
+        (_bounds, _trig_shape),
+        lambda terms, offset, alpha, beta, dim: TrigPolynomialClamped(
+            offset, terms, FieldBounds(alpha, beta), dim)),
+    "matrix": _Row(
+        {"entries": (_matrix_entries, _REQUIRED), **_BOUNDS,
+         "dim": _integer(2, ge=1)},
+        (_bounds,),
+        lambda entries, alpha, beta, dim: constant_matrix(
+            entries, FieldBounds(alpha, beta), dim)),
+    "perturbed": _Row(
+        {"base": _node(_SCALAR), "rule": _node(_RULES),
+         "amplitude": _number()},
+        build=lambda amplitude, base, rule: Perturbed(
+            _build(base), _build(rule), amplitude)),
+    # rules
+    "power_of_two": _Row({"width": _number(1.0, gt=0.0, le=1.0)},
+                         build=PowerOfTwoCells),
+    "ball": _Row({"radius": _number(1.0, gt=0.0)}, build=BallSupport),
+    "lp_decay": _Row({"exponent": _number(1.0, gt=0.0)}, build=LpDecay),
+    # the stochastic family: a random_checkerboard without a seed
+    "checkerboard_family": _Row(
+        _CHECKERBOARD, (_bounds, _cell_values),
+        lambda values, probability, alpha, beta, dim, flip=None:
+            CheckerboardFamily(values, probability, FieldBounds(alpha, beta),
+                               dim=dim, flip_cells=_build(flip))),
+    # kinds
+    "cell": _Row(
+        {**_COMMON, **_FIELD_KEYS,
+         "resolutions": _number_list((64,), ge=2, integer=True)},
+        (_xi, _density, _cell_solvable),
+        aliases=(("resolution", "resolutions"),)),
+    "rve": _Row(
+        {**_COMMON, **_FIELD_KEYS,
+         "center": _number_list(lambda field: (0.0,) * _build(field).dim),
+         "windows": _number_list((4.0, 8.0, 16.0), min_len=3,
+                                 increasing=True, gt=0.0),
+         "resolution_per_unit": _integer(16, ge=2)},
+        (_xi, _center, _density,
+         lambda windows, resolution_per_unit: _cells(
+             "windows", windows, resolution_per_unit, "resolution_per_unit",
+             MIN_WINDOW_CELLS))),
+    "stability": _Row(
+        {**_COMMON, "field": _node(_FIELD), "field_g": _node(_FIELD),
+         "p": _number(2.0, gt=1.0),
+         "t_list": _number_list(lambda p: (1.0,) if p == 2.0 else (1.0, 2.0),
+                                gt=0.0),
+         "R_list": _number_list((8.0, 16.0, 32.0, 64.0), min_len=3,
+                                increasing=True, gt=0.0),
+         "window_sizes": _number_list(lambda R_list: R_list, min_len=3,
+                                      increasing=True, gt=0.0),
+         "hom_resolution": _integer(64, ge=2),
+         "resolution_per_unit": _integer(8, ge=2),
+         "statistic_resolution": _integer(STATISTIC_RESOLUTION, ge=2),
+         "label": _string("")},
+        (_pair,
+         lambda R_list, statistic_resolution: _cells(
+             "R_list", R_list, statistic_resolution, "statistic_resolution"),
+         # R_list too: a defaulted window_sizes is R_list, checked above
+         lambda window_sizes, resolution_per_unit, R_list: _cells(
+             "window_sizes", window_sizes, resolution_per_unit,
+             "resolution_per_unit", MIN_WINDOW_CELLS),
+         _even, _hom_aligned)),
+    "perforation": _Row(
+        {**_COMMON, "shape": _string("ball", ("ball", "square")),
+         "radius": _number(0.25, ge=0.0, lt=0.5),
+         "removal": _boolean(False),
+         "xi": _number_list((1.0, 0.0)),
+         "resolution": _integer(128, ge=64),
+         "n_list": _number_list((4.0, 16.0, 64.0, 256.0), increasing=True,
+                                ge=1.0),
+         "eps_list": _number_list((), min_len=0, gt=0.0, le=1.0),
+         "lam": _number(1.0, gt=0.0),
+         "box_size": _number(2.0, gt=0.0),
+         "lambda_resolution": _integer(256, ge=64),
+         "cell_resolution": _integer(64, ge=32)},
+        (lambda xi: _direction(xi, 2),
+         lambda resolution, radius: check_hole_resolution(radius, resolution),
+         _lambda_holes, _cell_holes)),
+    "stochastic": _Row(
+        {**_COMMON, "family": _FAMILY, "family_g": _FAMILY,
+         "trials": _integer(16, ge=8),
+         "torus_size": _integer(32, ge=2),
+         "resolution_per_unit": _integer(8, ge=2),
+         "statistic_sizes": _number_list((8.0, 16.0, 32.0, 64.0), min_len=3,
+                                         increasing=True, gt=0.0)},
+        (lambda statistic_sizes: _cells(
+            "statistic_sizes", statistic_sizes, STATISTIC_RESOLUTION,
+            "the statistic resolution"),
+         _same_families)),
+    "counterexamples": _Row(_COMMON),
 }
 
+
+# ---------------------------------------------------------------------------
+# entry points
 
 def _parse_document(text: str, col: _Collector) -> ExperimentSpec | None:
     try:
         tree = json.loads(text)
-    except json.JSONDecodeError as e:
-        col.error("$", f"not valid JSON: {e}")
-        return None
+    except ValueError as e:
+        return col.error("$", f"not valid JSON: {e}")
     if not isinstance(tree, dict):
-        col.error("$", "the document must be a JSON object")
+        return col.error("$", "the document must be a JSON object")
+    params = _walk(tree, "", col, KINDS, "kind")
+    if params is None or col:
         return None
-    r = _Reader(tree, "", col)
-    kind = r.string("kind", choices=KINDS)
-    out = r.string("out", "out")
-    seed = r.integer("seed", 0, minimum=0)
-    if kind is None:
-        return None
-    params = _KIND_PARSERS[kind](r)
-    r.finish()
-    if not col.ok or params is None or out is None or seed is None:
-        return None
-    return ExperimentSpec(kind, out, seed, params)
+    return ExperimentSpec(params.pop("kind"), params.pop("out"),
+                          params.pop("seed"), params)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse and validate one spec document; raises with every violation."""
     col = _Collector()
     spec = _parse_document(text, col)
-    if col.violations or spec is None:
-        raise SpecValidationError(col.violations
-                                  or [SpecError("$", "no spec produced")])
+    if spec is None:
+        raise SpecValidationError(col or [SpecError("$", "no spec produced")])
     return spec
 
 
@@ -924,154 +563,35 @@ def validate_document(text: str) -> list[SpecError]:
     """All schema violations in the document (empty when it is valid)."""
     col = _Collector()
     _parse_document(text, col)
-    return list(col.violations)
-
-
-# ---------------------------------------------------------------------------
-# serialization (inverse of parsing; defaults stay explicit)
-
-def _rule_to_tree(rs: RuleSpec) -> dict:
-    return {"type": rs.type, _RULE_PARAM[rs.type]: rs.parameter}
-
-
-def _field_to_tree(fs: FieldSpec) -> dict:
-    if isinstance(fs, ConstantField):
-        return {"type": "constant", "value": fs.value, "alpha": fs.alpha,
-                "beta": fs.beta, "dim": fs.dim}
-    if isinstance(fs, PeriodicStepField):
-        return {"type": "periodic_step", "subdivisions": fs.subdivisions,
-                "values": list(fs.values), "alpha": fs.alpha,
-                "beta": fs.beta, "dim": fs.dim}
-    if isinstance(fs, RandomCheckerboardField):
-        tree = {"type": "random_checkerboard", "values": list(fs.values),
-                "probability": fs.probability, "seed": fs.seed,
-                "alpha": fs.alpha, "beta": fs.beta, "dim": fs.dim}
-        if fs.flip is not None:
-            tree["flip"] = _rule_to_tree(fs.flip)
-        return tree
-    if isinstance(fs, HalfSpaceField):
-        return {"type": "half_space", "gamma": fs.gamma, "c": fs.c,
-                "alpha": fs.alpha, "beta": fs.beta, "dim": fs.dim}
-    if isinstance(fs, TrigField):
-        return {"type": "trig", "offset": fs.offset,
-                "terms": [[a, list(f), ph] for a, f, ph in fs.terms],
-                "alpha": fs.alpha, "beta": fs.beta, "dim": fs.dim}
-    if isinstance(fs, MatrixConstantField):
-        return {"type": "matrix", "entries": [list(row) for row in fs.entries],
-                "alpha": fs.alpha, "beta": fs.beta, "dim": fs.dim}
-    if isinstance(fs, PerturbedField):
-        return {"type": "perturbed", "base": _field_to_tree(fs.base),
-                "rule": _rule_to_tree(fs.rule), "amplitude": fs.amplitude}
-    raise TypeError(f"unknown field spec {type(fs).__name__}")
-
-
-def _family_to_tree(fam: CheckerboardFamilySpec) -> dict:
-    tree = {"type": "checkerboard_family", "values": list(fam.values),
-            "probability": fam.probability, "alpha": fam.alpha,
-            "beta": fam.beta, "dim": fam.dim}
-    if fam.flip is not None:
-        tree["flip"] = _rule_to_tree(fam.flip)
-    return tree
-
-
-def _params_to_tree(params: Params) -> dict:
-    if isinstance(params, CellParams):
-        return {"field": _field_to_tree(params.field), "p": params.p,
-                "xi": list(params.xi),
-                "resolutions": list(params.resolutions)}
-    if isinstance(params, RveParams):
-        return {"field": _field_to_tree(params.field), "p": params.p,
-                "xi": list(params.xi), "center": list(params.center),
-                "windows": list(params.windows),
-                "resolution_per_unit": params.resolution_per_unit}
-    if isinstance(params, StabilityParams):
-        return {"field": _field_to_tree(params.field),
-                "field_g": _field_to_tree(params.field_g), "p": params.p,
-                "t_list": list(params.t_list), "R_list": list(params.R_list),
-                "window_sizes": list(params.window_sizes),
-                "hom_resolution": params.hom_resolution,
-                "resolution_per_unit": params.resolution_per_unit,
-                "statistic_resolution": params.statistic_resolution,
-                "label": params.label}
-    if isinstance(params, PerforationParams):
-        return {"shape": params.shape, "radius": params.radius,
-                "removal": params.removal, "xi": list(params.xi),
-                "resolution": params.resolution,
-                "n_list": list(params.n_list),
-                "eps_list": list(params.eps_list), "lam": params.lam,
-                "box_size": params.box_size,
-                "lambda_resolution": params.lambda_resolution,
-                "cell_resolution": params.cell_resolution}
-    if isinstance(params, StochasticParams):
-        return {"family": _family_to_tree(params.family),
-                "family_g": _family_to_tree(params.family_g),
-                "trials": params.trials, "torus_size": params.torus_size,
-                "resolution_per_unit": params.resolution_per_unit,
-                "statistic_sizes": list(params.statistic_sizes)}
-    if isinstance(params, CounterexamplesParams):
-        return {}
-    raise TypeError(f"unknown params {type(params).__name__}")
+    return list(col)
 
 
 def serialize_spec(spec: ExperimentSpec) -> str:
-    tree = {"kind": spec.kind, "out": spec.out, "seed": spec.seed}
-    tree.update(_params_to_tree(spec.params))
+    """The normalized document, defaults explicit; parses back to ``spec``."""
+    tree = {"kind": spec.kind, "out": spec.out, "seed": spec.seed,
+            **spec.params}
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# builders (validated descriptors -> field objects)
-
-def build_rule(rs: RuleSpec):
-    if rs.type == "power_of_two":
-        return PowerOfTwoCells(rs.parameter)
-    if rs.type == "ball":
-        return BallSupport(rs.parameter)
-    return LpDecay(rs.parameter)
+def _build(node: dict | None):
+    """The ``fields.py`` object a validated field, rule or family node
+    describes, from the constructor in its row (None for no node)."""
+    return None if node is None else _call(_ROWS[node["type"]].build, node)
 
 
-def build_scalar_field(fs: FieldSpec):
-    if isinstance(fs, PerturbedField):
-        return Perturbed(build_scalar_field(fs.base), build_rule(fs.rule),
-                         fs.amplitude)
-    if isinstance(fs, MatrixConstantField):
-        raise TypeError("a matrix descriptor does not build a scalar field")
-    bounds = FieldBounds(fs.alpha, fs.beta)
-    if isinstance(fs, ConstantField):
-        return Constant(fs.value, bounds, fs.dim)
-    if isinstance(fs, PeriodicStepField):
-        return PeriodicStep(fs.subdivisions, fs.values, bounds, dim=fs.dim)
-    if isinstance(fs, RandomCheckerboardField):
-        flip = build_rule(fs.flip) if fs.flip is not None else None
-        return RandomCheckerboard(fs.values, fs.probability, fs.seed, bounds,
-                                  dim=fs.dim, flip_cells=flip)
-    if isinstance(fs, HalfSpaceField):
-        return HalfSpaceStep(fs.gamma, fs.c, bounds, fs.dim)
-    if isinstance(fs, TrigField):
-        return TrigPolynomialClamped(fs.offset, fs.terms, bounds, fs.dim)
-    raise TypeError(f"unknown field spec {type(fs).__name__}")
-
-
-def build_density(fs: FieldSpec, p: float):
-    if isinstance(fs, MatrixConstantField):
+def build_density(field: dict, p: float):
+    coeff = _build(field)
+    if isinstance(coeff, MatrixField):
         if p != 2.0:
             raise ValueError("matrix coefficients require p = 2")
-        mat = constant_matrix(np.asarray(fs.entries),
-                              FieldBounds(fs.alpha, fs.beta), fs.dim)
-        return QuadraticMatrix(mat)
-    coeff = build_scalar_field(fs)
-    if p == 2.0:
-        return QuadraticIsotropic(coeff)
-    return PPower(coeff, p)
+        return QuadraticMatrix(coeff)
+    return QuadraticIsotropic(coeff) if p == 2.0 else PPower(coeff, p)
 
 
-def build_family(fam: CheckerboardFamilySpec) -> CheckerboardFamily:
-    flip = build_rule(fam.flip) if fam.flip is not None else None
-    return CheckerboardFamily(fam.values, fam.probability,
-                              FieldBounds(fam.alpha, fam.beta), dim=fam.dim,
-                              flip_cells=flip)
+def build_family(family: dict) -> CheckerboardFamily:
+    return _build(family)
 
 
-def build_perforation(params: PerforationParams) -> PerforationSet:
-    perturbation = SparseRemoval() if params.removal else None
-    return PerforationSet(params.shape, params.radius, perturbation)
+def build_perforation(params: dict) -> PerforationSet:
+    perturbation = SparseRemoval() if params["removal"] else None
+    return PerforationSet(params["shape"], params["radius"], perturbation)

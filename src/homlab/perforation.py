@@ -134,11 +134,15 @@ def symmetric_difference_density(E: PerforationSet, E2: PerforationSet,
     return float(np.mean(E.membership(pts) != E2.membership(pts)))
 
 
-def _check_hole_resolution(E: PerforationSet, resolution: int):
-    if E.radius > 0 and 2.0 * E.radius * resolution < MIN_CELLS_ACROSS_HOLE:
+def check_hole_resolution(radius: float, resolution: int,
+                          name: str = "resolution"):
+    """Raise ValueError unless a hole of this radius spans at least
+    MIN_CELLS_ACROSS_HOLE elements at ``resolution`` elements per unit
+    (a radius of 0 means no hole). ``name`` labels the resolution."""
+    if radius > 0 and 2.0 * radius * resolution < MIN_CELLS_ACROSS_HOLE:
         raise ValueError(
-            f"resolution {resolution} puts fewer than {MIN_CELLS_ACROSS_HOLE} "
-            f"elements across a hole of diameter {2 * E.radius}")
+            f"{name} {resolution} puts fewer than {MIN_CELLS_ACROSS_HOLE} "
+            f"elements across a hole of diameter {2 * radius:g}")
 
 
 def penalized_cell_value(E: PerforationSet, n: float, xi, resolution: int,
@@ -148,7 +152,7 @@ def penalized_cell_value(E: PerforationSet, n: float, xi, resolution: int,
         raise ValueError(f"penalization index must be >= 1, got {n}")
     if resolution < 64:
         raise ValueError(f"resolution must be at least 64, got {resolution}")
-    _check_hole_resolution(E, resolution)
+    check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     inside = E.membership(grid.element_centers())
@@ -160,7 +164,7 @@ def penalized_cell_value(E: PerforationSet, n: float, xi, resolution: int,
 def masked_cell_value(E: PerforationSet, xi, resolution: int,
                       config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Perforated cell quadratic form <A_hom^E xi, xi> (Neumann holes)."""
-    _check_hole_resolution(E, resolution)
+    check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     active_el = ~E.membership(grid.element_centers())
@@ -174,7 +178,7 @@ def masked_cell_matrix(E: PerforationSet, resolution: int,
                        extension_constant: float = 3.0,
                        field_id: str = "") -> tuple[HomogenizedResult, float]:
     """Perforated homogenized matrix and the cell volume fraction theta."""
-    _check_hole_resolution(E, resolution)
+    check_hole_resolution(E.radius, resolution)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     ops = element_ops(grid)
     active_el = ~E.membership(grid.element_centers())
@@ -198,7 +202,7 @@ def masked_cell_matrix(E: PerforationSet, resolution: int,
 def masked_window_value(E: PerforationSet, x0, R: float, xi, resolution: int,
                         config: SolverConfig = DEFAULT_CONFIG) -> float:
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
-    _check_hole_resolution(E, resolution)
+    check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
     n = cells_across(R, resolution)
     if n < MIN_CELLS_ACROSS_HOLE:
@@ -362,10 +366,7 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
-        if E.radius > 0 and 2.0 * E.radius * eps * resolution < MIN_CELLS_ACROSS_HOLE:
-            raise ValueError(
-                f"resolution {resolution} puts fewer than "
-                f"{MIN_CELLS_ACROSS_HOLE} elements across a hole at eps {eps}")
+        check_hole_resolution(E.radius * eps, resolution)
     n = int(round(box_size * resolution))
     half = box_size / 2.0
     grid = build_grid(2, n, (-half, -half), box_size, BOX)

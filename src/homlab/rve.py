@@ -34,7 +34,7 @@ from .numerics import (
     solve_corrector,
 )
 
-_MIN_CELLS = 8
+MIN_WINDOW_CELLS = 8
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,9 @@ class WindowEstimate:
 
 def _window_grid(dim: int, x0, R: float, resolution_per_unit: int):
     n = cells_across(R, resolution_per_unit)
-    if n < _MIN_CELLS:
-        raise ValueError(f"window needs at least {_MIN_CELLS} cells per axis, "
-                         f"got {n}")
+    if n < MIN_WINDOW_CELLS:
+        raise ValueError(f"window needs at least {MIN_WINDOW_CELLS} cells "
+                         f"per axis, got {n}")
     if x0 is None:
         x0v = np.zeros(dim)
     else:

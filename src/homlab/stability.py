@@ -369,6 +369,17 @@ class ApproximationStep:
     statistic: float
 
 
+def _approximates(steps, window_reference: WindowEstimate,
+                  agreement_rtol: float) -> bool:
+    """The approximation verdict: the step statistics never increase and the
+    last homogenized value matches the window limit to ``agreement_rtol``."""
+    stats = [s.statistic for s in steps]
+    if not all(b <= a for a, b in zip(stats, stats[1:])):
+        return False
+    ref = window_reference.limit_estimate
+    return abs(steps[-1].hom_value - ref) <= agreement_rtol * abs(ref)
+
+
 @dataclass(frozen=True)
 class ApproximationTrace:
     """Periodic-truncation trace: homogenized values of the rationalized
@@ -385,16 +396,10 @@ class ApproximationTrace:
             raise ValueError("trace must contain at least one step")
         if not all(b > a for a, b in zip(orders, orders[1:])):
             raise ValueError("steps must be ordered by strictly increasing order")
-        want = self._verdict()
+        want = _approximates(self.steps, self.window_reference,
+                             self.agreement_rtol)
         if self.approximates != want:
             raise RuntimeError("approximation verdict inconsistent with the trace")
-
-    def _verdict(self) -> bool:
-        stats = [s.statistic for s in self.steps]
-        if not all(b <= a for a, b in zip(stats, stats[1:])):
-            return False
-        ref = self.window_reference.limit_estimate
-        return abs(self.steps[-1].hom_value - ref) <= self.agreement_rtol * abs(ref)
 
     def summary(self) -> dict:
         return {
@@ -500,12 +505,9 @@ def run_approximation_scheme(f: TrigPolynomialClamped, j_max: int,
         steps.append(ApproximationStep(j, "freqs " + " ".join(described),
                                        float(hom_value), float(statistic)))
 
-    stats = [s.statistic for s in steps]
-    non_increasing = all(b <= a for a, b in zip(stats, stats[1:]))
-    ref = reference.limit_estimate
-    agree = abs(steps[-1].hom_value - ref) <= agreement_rtol * abs(ref)
     return ApproximationTrace(tuple(steps), reference,
-                              bool(non_increasing and agree), agreement_rtol)
+                              _approximates(steps, reference, agreement_rtol),
+                              agreement_rtol)
 
 
 def counterexample_suite(config: SolverConfig = DEFAULT_CONFIG

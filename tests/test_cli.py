@@ -94,13 +94,23 @@ class TestRunCommand:
         conclusions = {name: s["conclusion"] for name, s in summary.items()}
         assert conclusions["swapped-1d"] == "ConditionFailsLimitsAgree"
 
-    def test_runtime_value_error_exits_2(self, tmp_path, capsys):
+    def test_runtime_value_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # an irrational frequency is not cell-solvable: refused before the run
         tree = {"kind": "cell", "resolution": 16,
                 "field": {"type": "trig", "offset": 2.0, "beta": 3.5,
                           "terms": [[0.5, [1.4142135623730951], 0.0]],
                           "dim": 1}}
         path = spec_file(tmp_path, tree)
         out = tmp_path / "bad"
+        assert main(["cell", "--spec", path, "--out", str(out)]) == 2
+        assert "field.type" in capsys.readouterr().err
+        assert not (out / "run.log").exists()
+
+        def refused(*args, **kwargs):
+            raise ValueError("refused at run time")
+
+        monkeypatch.setattr("homlab.cli.homogenize_matrix", refused)
+        path = spec_file(tmp_path, dict(tree, field=STEP_1D))
         assert main(["cell", "--spec", path, "--out", str(out)]) == 2
         assert "invalid parameters" in capsys.readouterr().err
         assert "invalid-parameters" in (out / "run.log").read_text()
