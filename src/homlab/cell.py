@@ -10,17 +10,15 @@ flux representation is meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .fields import MatrixField, ScalarField, eval_matrix, eval_scalar
 from .numerics import (
-    DEFAULT_CONFIG,
     TORUS,
     PEnergyProblem,
-    SolverConfig,
     build_grid,
     element_ops,
     minimize_p_energy,
@@ -34,10 +32,12 @@ _CROSS_CHECK_TOL = 1e-8
 class HomogenizedResult:
     """Homogenized matrix (or sampled p-energy values) plus solve metadata.
 
-    Exactly one of ``matrix`` / ``energy_samples`` is set. ``residuals``
-    records the final solver residual per corrector direction (or per
-    sample). ``extension_constant`` widens the admissible eigenvalue window
-    to [alpha / C^2, beta] for perforated problems; plain fields use C = 1.
+    Exactly one of ``matrix`` / ``energy_samples`` is set.
+    ``solver_iterations`` and ``residuals`` record the iteration count and
+    final solver residual per corrector direction (or per sample).
+    ``extension_constant`` widens the admissible eigenvalue window to
+    [alpha / C^2, beta] for perforated problems; plain fields use C = 1.
+    Construction checks symmetry and the eigenvalue window of a matrix.
     """
 
     matrix: np.ndarray | None
@@ -47,7 +47,6 @@ class HomogenizedResult:
     residuals: tuple[float, ...]
     bounds_alpha: float
     bounds_beta: float
-    field_id: str = ""
     energy_samples: tuple[tuple[tuple[float, ...], float], ...] | None = None
     extension_constant: float = 1.0
 
@@ -88,8 +87,7 @@ def _field_period_and_alignment(field) -> tuple[float, int]:
         parts = [field.entries[i][j] for i in range(field.dim) for j in range(field.dim)]
     else:
         parts = [field]
-    period = 1
-    div = 1
+    periods = []
     for part in parts:
         p = part.period
         if p is None:
@@ -97,10 +95,9 @@ def _field_period_and_alignment(field) -> tuple[float, int]:
         q = int(round(p))
         if abs(p - q) > 1e-12 or q < 1:
             raise ValueError(f"unsupported non-integer period {p}")
-        period = period * q // gcd(period, q)
-        d = part.alignment_divisor
-        div = div * d // gcd(div, d)
-    return float(period), div
+        periods.append(q)
+    return (float(math.lcm(*periods)),
+            math.lcm(*(part.alignment_divisor for part in parts)))
 
 
 def _check_alignment(resolution: int, divisor: int):
@@ -109,9 +106,8 @@ def _check_alignment(resolution: int, divisor: int):
                          "so phase boundaries land on element boundaries")
 
 
-def homogenize_matrix(field: ScalarField | MatrixField, resolution: int,
-                      config: SolverConfig = DEFAULT_CONFIG,
-                      field_id: str = "") -> HomogenizedResult:
+def homogenize_matrix(field: ScalarField | MatrixField,
+                      resolution: int) -> HomogenizedResult:
     """Homogenized matrix of a periodic quadratic energy at the given
     cells-per-unit resolution."""
     period, divisor = _field_period_and_alignment(field)
@@ -133,7 +129,7 @@ def homogenize_matrix(field: ScalarField | MatrixField, resolution: int,
     iters = []
     residuals = []
     basis = np.eye(dim)
-    solves = solve_corrector(grid, coeff, basis, symmetric=symmetric, config=config)
+    solves = solve_corrector(grid, coeff, basis, symmetric=symmetric)
     for i, (e_i, (w, stats)) in enumerate(zip(basis, solves)):
         iters.append(stats.iterations)
         residuals.append(stats.residual)
@@ -148,36 +144,34 @@ def homogenize_matrix(field: ScalarField | MatrixField, resolution: int,
         matrix[:, i] = column
     b = field.bounds
     return HomogenizedResult(matrix, resolution, symmetric, tuple(iters),
-                             tuple(residuals), b.alpha, b.beta, field_id)
+                             tuple(residuals), b.alpha, b.beta)
 
 
-def homogenize_p_energy(coeff: ScalarField, p: float, xi, resolution: int,
-                        config: SolverConfig = DEFAULT_CONFIG) -> float:
+def homogenize_p_energy(coeff: ScalarField, p: float, xi,
+                        resolution: int) -> float:
     """Homogenized p-power energy density at direction xi (periodic fields)."""
-    value, _, _ = _p_energy_solve(coeff, p, xi, resolution, config)
+    value, _, _ = _p_energy_solve(coeff, p, xi, resolution)
     return value
 
 
-def p_energy_result(coeff: ScalarField, p: float, xis, resolution: int,
-                    config: SolverConfig = DEFAULT_CONFIG,
-                    field_id: str = "") -> HomogenizedResult:
+def p_energy_result(coeff: ScalarField, p: float, xis,
+                    resolution: int) -> HomogenizedResult:
     """Sampled homogenized p-energies at several directions, as one result."""
     samples = []
     iters = []
     residuals = []
     for xi in xis:
-        value, its, res = _p_energy_solve(coeff, p, xi, resolution, config)
+        value, its, res = _p_energy_solve(coeff, p, xi, resolution)
         samples.append((tuple(float(c) for c in np.asarray(xi, dtype=float)), value))
         iters.append(its)
         residuals.append(res)
     return HomogenizedResult(None, resolution, True, tuple(iters),
                              tuple(residuals), coeff.bounds.alpha,
-                             coeff.bounds.beta, field_id,
-                             energy_samples=tuple(samples))
+                             coeff.bounds.beta, energy_samples=tuple(samples))
 
 
-def _p_energy_solve(coeff: ScalarField, p: float, xi, resolution: int,
-                    config: SolverConfig) -> tuple[float, int, float]:
+def _p_energy_solve(coeff: ScalarField, p: float, xi,
+                    resolution: int) -> tuple[float, int, float]:
     period, divisor = _field_period_and_alignment(coeff)
     _check_alignment(resolution, divisor)
     dim = coeff.dim
@@ -191,8 +185,8 @@ def _p_energy_solve(coeff: ScalarField, p: float, xi, resolution: int,
     x0 = None
     if p != 2.0:
         # continuation from the quadratic corrector with the same coefficient
-        [(x0, _)] = solve_corrector(grid, a_e, [xi], config=config)
-    u, stats = minimize_p_energy(problem, config, x0=x0)
+        [(x0, _)] = solve_corrector(grid, a_e, [xi])
+    u, stats = minimize_p_energy(problem, x0=x0)
     value = problem.value(u) / period ** dim
     b = coeff.bounds
     xi_norm = float(np.linalg.norm(xi))

@@ -75,12 +75,10 @@ def _run_cell(spec: ExperimentSpec, out: Path, plots, log):
         if prm["p"] == 2.0:
             target = (density.matrix if isinstance(density, QuadraticMatrix)
                       else density.coeff)
-            result = homogenize_matrix(target, resolution,
-                                       field_id=f"resolution {resolution}")
+            result = homogenize_matrix(target, resolution)
             return [float(v) for v in result.matrix.ravel()], result
         result = p_energy_result(density.coeff, prm["p"], (prm["xi"],),
-                                 resolution,
-                                 field_id=f"resolution {resolution}")
+                                 resolution)
         return [result.energy_samples[0][1]], result
 
     log.stage("solve", f"{len(prm['resolutions'])} resolution(s)")

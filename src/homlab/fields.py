@@ -22,9 +22,9 @@ quadrature, grouped by cell, at a fraction of the field evaluations.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -186,10 +186,7 @@ class Layered1D(ScalarField):
             if abs(b - round(b * d) / d) > 1e-12:
                 raise ValueError(f"breakpoint {b} is not a small rational; "
                                  "no exact grid alignment exists")
-        out = 1
-        for d in denoms:
-            out = out * d // gcd(out, d)
-        return out
+        return math.lcm(*denoms)
 
 
 @dataclass(frozen=True)
@@ -276,12 +273,7 @@ class TrigPolynomialClamped(ScalarField):
                 if abs(f - float(frac)) > 1e-9:
                     return None
                 denoms.append(frac.denominator)
-        if not denoms:
-            return 1.0
-        out = 1
-        for d in denoms:
-            out = out * d // gcd(out, d)
-        return float(out)
+        return float(math.lcm(*denoms))
 
 
 @dataclass(frozen=True)
@@ -740,9 +732,10 @@ def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
 
 
 def expectation_statistic(family_f, family_g, t: float, R: float, trials: int,
-                          seed: int, resolution_per_unit: int = STATISTIC_RESOLUTION,
-                          p: float = 2.0) -> tuple[float, float]:
-    """Monte-Carlo mean and standard error of the paired-seed statistic.
+                          seed: int, resolution_per_unit: int = STATISTIC_RESOLUTION
+                          ) -> tuple[float, float]:
+    """Monte-Carlo mean and standard error of the paired-seed statistic of
+    the quadratic densities of two families.
 
     Families expose realize(seed) -> ScalarField; realizations are paired by
     per-trial seeds derived from (seed, trial index).
@@ -752,10 +745,8 @@ def expectation_statistic(family_f, family_g, t: float, R: float, trials: int,
     vals = np.empty(trials)
     for i in range(trials):
         s = mix_seed(seed, i)
-        a = family_f.realize(s)
-        b = family_g.realize(s)
-        fa = PPower(a, p) if p != 2.0 else QuadraticIsotropic(a)
-        fb = PPower(b, p) if p != 2.0 else QuadraticIsotropic(b)
+        fa = QuadraticIsotropic(family_f.realize(s))
+        fb = QuadraticIsotropic(family_g.realize(s))
         vals[i] = mean_abs_statistic(fa, fb, t, R, resolution_per_unit)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(trials))

@@ -312,7 +312,7 @@ class ElementOps:
 
 
 @lru_cache(maxsize=8)
-def _element_ops_cached(grid: Grid) -> ElementOps:
+def element_ops(grid: Grid) -> ElementOps:
     pts, wts = _reference_quadrature(grid.dim)
     grad_ref = _reference_gradients(grid.dim, pts)
     # stiff_blocks[k, l, a, b] = int_e d_k phi_a d_l phi_b dx; h-independent in
@@ -329,10 +329,6 @@ def _element_ops_cached(grid: Grid) -> ElementOps:
                                pts_m[:, 0] * pts_m[:, 1]])
         mass = np.einsum("q,qa,qb->ab", wts_m, phi, phi)
     return ElementOps(grid, grid.element_nodes(), wts, grad_ref, blocks, mass)
-
-
-def element_ops(grid: Grid) -> ElementOps:
-    return _element_ops_cached(grid)
 
 
 @dataclass

@@ -17,16 +17,8 @@ import numpy as np
 
 from .cell import HomogenizedResult
 from .fields import _window_points, power_of_two_cells
-from .numerics import (
-    BOX,
-    DEFAULT_CONFIG,
-    TORUS,
-    SolverConfig,
-    build_grid,
-    cells_across,
-    element_ops,
-    solve_corrector,
-)
+from .numerics import BOX, TORUS, build_grid, element_ops, solve_corrector
+from .rve import _window_grid
 
 MIN_CELLS_ACROSS_HOLE = 8
 
@@ -99,12 +91,6 @@ class PerforationSet:
             inside &= ~removed
         return inside
 
-    def hole_volume_unit_cell(self) -> float:
-        """Exact hole volume of one unperturbed cell."""
-        if self.shape == "ball":
-            return float(np.pi * self.radius ** 2)
-        return float((2.0 * self.radius) ** 2)
-
 
 @dataclass(frozen=True)
 class VolumeFraction:
@@ -145,8 +131,8 @@ def check_hole_resolution(radius: float, resolution: int,
             f"elements across a hole of diameter {2 * radius:g}")
 
 
-def penalized_cell_value(E: PerforationSet, n: float, xi, resolution: int,
-                         config: SolverConfig = DEFAULT_CONFIG) -> float:
+def penalized_cell_value(E: PerforationSet, n: float, xi,
+                         resolution: int) -> float:
     """Periodic cell minimum with coefficient 1 outside E, 1/n inside."""
     if n < 1:
         raise ValueError(f"penalization index must be >= 1, got {n}")
@@ -157,27 +143,28 @@ def penalized_cell_value(E: PerforationSet, n: float, xi, resolution: int,
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     inside = E.membership(grid.element_centers())
     coeff = np.where(inside, 1.0 / n, 1.0)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], config=config)
+    [(u, _)] = solve_corrector(grid, coeff, [xi])
     return element_ops(grid).energy_quadratic(u, coeff, xi)
 
 
-def masked_cell_value(E: PerforationSet, xi, resolution: int,
-                      config: SolverConfig = DEFAULT_CONFIG) -> float:
+def masked_cell_value(E: PerforationSet, xi, resolution: int) -> float:
     """Perforated cell quadratic form <A_hom^E xi, xi> (Neumann holes)."""
     check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     active_el = ~E.membership(grid.element_centers())
     coeff = active_el.astype(float)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], active=active_el, config=config)
+    [(u, _)] = solve_corrector(grid, coeff, [xi], active=active_el)
     return element_ops(grid).energy_quadratic(u, coeff, xi)
 
 
-def masked_cell_matrix(E: PerforationSet, resolution: int,
-                       config: SolverConfig = DEFAULT_CONFIG,
-                       extension_constant: float = 3.0,
-                       field_id: str = "") -> tuple[HomogenizedResult, float]:
-    """Perforated homogenized matrix and the cell volume fraction theta."""
+def masked_cell_matrix(E: PerforationSet,
+                       resolution: int) -> tuple[HomogenizedResult, float]:
+    """Perforated homogenized matrix and the cell volume fraction theta.
+
+    The eigenvalue window is widened by an extension constant of 3, an upper
+    bound on ``empirical_extension_constant``.
+    """
     check_hole_resolution(E.radius, resolution)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     ops = element_ops(grid)
@@ -186,7 +173,7 @@ def masked_cell_matrix(E: PerforationSet, resolution: int,
     coeff = active_el.astype(float)
     matrix = np.empty((2, 2))
     basis = np.eye(2)
-    solves = solve_corrector(grid, coeff, basis, active=active_el, config=config)
+    solves = solve_corrector(grid, coeff, basis, active=active_el)
     for i, (e_i, (u, _)) in enumerate(zip(basis, solves)):
         column = ops.flux_average(u, coeff, e_i)
         energy = ops.energy_quadratic(u, coeff, e_i)
@@ -195,25 +182,19 @@ def masked_cell_matrix(E: PerforationSet, resolution: int,
                                f"{energy:.12g} vs {column[i]:.12g}")
         matrix[:, i] = column
     result = HomogenizedResult(matrix, resolution, True, (), (), 1.0, 1.0,
-                               field_id, extension_constant=extension_constant)
+                               extension_constant=3.0)
     return result, theta
 
 
-def masked_window_value(E: PerforationSet, x0, R: float, xi, resolution: int,
-                        config: SolverConfig = DEFAULT_CONFIG) -> float:
+def masked_window_value(E: PerforationSet, x0, R: float, xi,
+                        resolution: int) -> float:
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
     check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
-    n = cells_across(R, resolution)
-    if n < MIN_CELLS_ACROSS_HOLE:
-        raise ValueError(f"window {R:g} at resolution {resolution} has fewer "
-                         f"than {MIN_CELLS_ACROSS_HOLE} cells across")
-    center = np.broadcast_to(np.asarray(x0, dtype=float), (2,)).astype(float)
-    grid = build_grid(2, n, tuple(center - R / 2.0), R, BOX)
+    grid, center = _window_grid(2, x0, R, resolution)
     active_el = ~E.membership(grid.element_centers())
     coeff = active_el.astype(float)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], center=center, active=active_el,
-                               config=config)
+    [(u, _)] = solve_corrector(grid, coeff, [xi], center=center, active=active_el)
     return element_ops(grid).energy_quadratic(u, coeff, np.zeros(2)) / R ** 2
 
 
@@ -296,12 +277,12 @@ def extend_over_ball(u, resolution: int, scale: float = 1.0) -> ExtensionResult:
                            annulus_values, mean, ratio)
 
 
-def empirical_extension_constant(resolution: int = 24, trials: int = 20,
-                                 seed: int = 0) -> float:
-    """Max gradient ratio of the extension over random smooth functions."""
-    rng = np.random.default_rng(seed)
+def empirical_extension_constant() -> float:
+    """Max gradient ratio of the extension over 20 seeded random smooth
+    functions, at resolution 24."""
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(20):
         n_terms = 3
         lin = rng.normal(size=2)
         amps = rng.normal(size=n_terms) / np.arange(1, n_terms + 1)
@@ -314,7 +295,7 @@ def empirical_extension_constant(resolution: int = 24, trials: int = 20,
                 out = out + a * np.sin(fx * x + fy * y + ph)
             return out
 
-        ratio = extend_over_ball(u, resolution).gradient_ratio
+        ratio = extend_over_ball(u, 24).gradient_ratio
         if not np.isfinite(ratio):
             raise RuntimeError("extension ratio must be finite")
         worst = max(worst, ratio)
@@ -351,8 +332,7 @@ class LambdaReport:
 def lambda_problem_experiment(E: PerforationSet, lam: float, source,
                               epsilons, box_size: float = 2.0,
                               n_penal: float = 256.0, resolution: int = 256,
-                              cell_resolution: int = 64,
-                              config: SolverConfig = DEFAULT_CONFIG) -> LambdaReport:
+                              cell_resolution: int = 64) -> LambdaReport:
     """Compare scaled-perforation solves against the homogenized solve.
 
     Each epsilon problem minimizes the penalized gradient term plus masked
@@ -374,13 +354,12 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     centers = grid.element_centers()
     f_el = np.asarray(source(centers), dtype=float)
 
-    hom, theta = masked_cell_matrix(E, cell_resolution, config)
+    hom, theta = masked_cell_matrix(E, cell_resolution)
     coeff_hom = np.broadcast_to(hom.matrix, (grid.n_elements, 2, 2))
     mass_full = ops.assemble_mass(np.ones(grid.n_elements, dtype=bool))
     load_hom = theta * ops.load_from_element_scalars(f_el)
     [(u_hom, _)] = solve_corrector(grid, np.ascontiguousarray(coeff_hom),
-                                   shift=lam * (theta * mass_full), load=load_hom,
-                                   config=config)
+                                   shift=lam * (theta * mass_full), load=load_hom)
 
     distances = []
     for eps in epsilons:
@@ -390,7 +369,7 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
         mass_eps = ops.assemble_mass(mask)
         load_eps = ops.load_from_element_scalars(np.where(mask, f_el, 0.0))
         [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mass_eps,
-                                       load=load_eps, config=config)
+                                       load=load_eps)
         diff = u_eps - u_hom
         distances.append(float(np.sqrt(diff @ (mass_full @ diff))))
     return LambdaReport(epsilons, tuple(distances), hom.matrix, theta,

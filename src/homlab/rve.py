@@ -23,9 +23,7 @@ from .fields import (
 )
 from .numerics import (
     BOX,
-    DEFAULT_CONFIG,
     PEnergyProblem,
-    SolverConfig,
     build_grid,
     cells_across,
     element_ops,
@@ -85,8 +83,7 @@ def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
                            f"bounds [{lo:.6g}, {hi:.6g}]")
 
 
-def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int,
-                     config: SolverConfig = DEFAULT_CONFIG) -> float:
+def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int) -> float:
     """Normalized minimum energy on the cube window Q_R(x0)."""
     dim = f.dim
     xi = np.asarray(xi, dtype=float)
@@ -101,21 +98,21 @@ def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int,
                                  free=free, fixed_values=g)
         # continuation: the quadratic minimizer is a cheap, qualitatively
         # right starting point
-        [(u_quad, _)] = solve_corrector(grid, coeff, [xi], center=center, config=config)
-        u, _ = minimize_p_energy(problem, config, x0=u_quad[free])
+        [(u_quad, _)] = solve_corrector(grid, coeff, [xi], center=center)
+        u, _ = minimize_p_energy(problem, x0=u_quad[free])
         raw = problem.value(u[free])
     else:
         symmetric = not (isinstance(f, QuadraticMatrix) and not f.matrix.symmetric)
         [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=symmetric,
-                                   center=center, config=config)
+                                   center=center)
         raw = element_ops(grid).energy_quadratic(u, coeff, np.zeros(dim))
     value = raw / R ** dim
     _check_growth(value, f.bounds.alpha, f.bounds.beta, f.p, xi)
     return value
 
 
-def window_sequence(f, x0, xi, R_list, resolution_per_unit: int,
-                    config: SolverConfig = DEFAULT_CONFIG) -> WindowEstimate:
+def window_sequence(f, x0, xi, R_list,
+                    resolution_per_unit: int) -> WindowEstimate:
     """Window estimates over increasing sizes, with gap-based verdict.
 
     The field is flagged homogenizable-at-center when the Cauchy gaps do not
@@ -127,7 +124,7 @@ def window_sequence(f, x0, xi, R_list, resolution_per_unit: int,
         raise ValueError("need at least 3 window sizes")
     if not all(b > a for a, b in zip(R_list, R_list[1:])):
         raise ValueError("window sizes must be strictly increasing")
-    values = [local_min_energy(f, x0, R, xi, resolution_per_unit, config)
+    values = [local_min_energy(f, x0, R, xi, resolution_per_unit)
               for R in R_list]
     gaps = [abs(b - a) for a, b in zip(values, values[1:])]
     cauchy_gap = max(gaps[-2:])
@@ -155,8 +152,7 @@ def window_sequence(f, x0, xi, R_list, resolution_per_unit: int,
 
 
 def flux_average_window(A: MatrixField, x0, R: float, xi,
-                        resolution_per_unit: int,
-                        config: SolverConfig = DEFAULT_CONFIG) -> np.ndarray:
+                        resolution_per_unit: int) -> np.ndarray:
     """Window mean of A grad u for the affine-Dirichlet boundary problem."""
     dim = A.dim
     xi = np.asarray(xi, dtype=float)
@@ -165,7 +161,7 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
     grid, center = _window_grid(dim, x0, R, resolution_per_unit)
     coeff = eval_matrix(A, grid.element_centers())
     [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=A.symmetric,
-                               center=center, config=config)
+                               center=center)
     ops = element_ops(grid)
     flux = ops.flux_average(u, coeff, np.zeros(dim))
     if A.symmetric:

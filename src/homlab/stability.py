@@ -25,7 +25,7 @@ from .fields import (Constant, FieldBounds, HalfSpaceStep, PeriodicStep,
                      STATISTIC_RESOLUTION, TrigPolynomialClamped,
                      _window_points, eval_scalar,
                      expectation_statistic, mean_abs_statistic, mix_seed)
-from .numerics import DEFAULT_CONFIG, SolverConfig, SolverError
+from .numerics import SolverError
 from .rve import WindowEstimate, window_sequence
 
 __all__ = [
@@ -38,6 +38,11 @@ __all__ = [
 # statistic values at or below this are treated as identically zero
 # (identical fields produce exact zeros; nothing physical lives down here)
 _ZERO_TRACE = 1e-14
+
+# cells per unit of both the window reference and the cell solves of the
+# approximation scheme, and the relative agreement its verdict demands
+_APPROXIMATION_RESOLUTION = 16
+_AGREEMENT_RTOL = 0.02
 
 
 class Conclusion(Enum):
@@ -151,10 +156,9 @@ class StabilityReport:
         return out
 
 
-def signed_mean_statistic(f, g, t: float, R: float,
-                          resolution_per_unit: int = STATISTIC_RESOLUTION,
-                          center=None) -> float:
-    """Window mean of the signed coefficient difference (no absolute value).
+def signed_mean_statistic(f, g, t: float, R: float) -> float:
+    """Window mean of the signed coefficient difference (no absolute value)
+    over the origin-centered window Q_R.
 
     This is the weak, one-sided cousin of mean_abs_statistic; it can vanish
     by cancellation for pairs whose limits differ, which is exactly what the
@@ -169,7 +173,7 @@ def signed_mean_statistic(f, g, t: float, R: float,
         raise ValueError("densities have different dimensions")
     if isinstance(f, PPower) and f.p != g.p:
         raise ValueError("p-power densities can only be compared at equal p")
-    pts, _ = _window_points(R, resolution_per_unit, f.dim, center)
+    pts, _ = _window_points(R, STATISTIC_RESOLUTION, f.dim, None)
     diff = eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts)
     return float(t ** f.p * diff.mean())
 
@@ -230,43 +234,39 @@ def _pair_discrepancy(res_f, res_g, p: float) -> float:
     raise ValueError("cannot compare a matrix result with energy samples")
 
 
-def _cell_solve(density, resolution, sample_xis, config, field_id):
+def _cell_solve(density, resolution):
     if isinstance(density, QuadraticMatrix):
-        return homogenize_matrix(density.matrix, resolution, config,
-                                 field_id=field_id)
+        return homogenize_matrix(density.matrix, resolution)
     if isinstance(density, QuadraticIsotropic):
-        return homogenize_matrix(density.coeff, resolution, config,
-                                 field_id=field_id)
-    return p_energy_result(density.coeff, density.p, sample_xis, resolution,
-                           config, field_id=field_id)
+        return homogenize_matrix(density.coeff, resolution)
+    return p_energy_result(density.coeff, density.p,
+                           _default_sample_xis(density.dim), resolution)
 
 
-def _cell_estimate(density, resolution, sample_xis, config, field_id):
+def _cell_estimate(density, resolution):
     """Cell solve plus the half-resolution convergence gap that calibrates
     the comparison tolerance."""
     if resolution < 2 or resolution % 2:
         raise ValueError(f"cell resolution {resolution} must be even so the "
                          "half-resolution convergence gap can be observed")
-    fine = _cell_solve(density, resolution, sample_xis, config, field_id)
-    coarse = _cell_solve(density, resolution // 2, sample_xis, config, field_id)
+    fine = _cell_solve(density, resolution)
+    coarse = _cell_solve(density, resolution // 2)
     return fine, _pair_discrepancy(fine, coarse, density.p)
 
 
-def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0),
-                       config: SolverConfig = DEFAULT_CONFIG, *,
-                       x0=None, xi=None, hom_resolution: int = 64,
+def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0), *,
+                       x0=None, hom_resolution: int = 64,
                        window_sizes=None, resolution_per_unit: int = 8,
                        statistic_resolution: int = STATISTIC_RESOLUTION,
-                       sample_xis=None,
-                       tolerance_floor: float = 1e-8,
                        label: str = "") -> StabilityReport:
     """Trace the pair statistic over windows, homogenize both densities, and
     classify the outcome.
 
     Periodic densities are cell-solved at ``hom_resolution`` (with a
     half-resolution rerun to observe the convergence gap); everything else is
-    window-estimated at ``window_sizes`` (default: the statistic windows).
-    The comparison tolerance is 3x the worst observed gap, floored.
+    window-estimated at ``window_sizes`` (default: the statistic windows)
+    along the first coordinate direction. The comparison tolerance is 3x the
+    worst observed gap, floored at 1e-8.
     """
     if type(f) is not type(g):
         raise ValueError("f and g must share one energy form")
@@ -304,25 +304,15 @@ def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0),
                 f"expected {want:.15g}")
     verdict = "vanishing" if _trace_is_vanishing(psis) else "non-vanishing"
 
-    if xi is None:
-        xi_probe = np.zeros(dim)
-        xi_probe[0] = 1.0
-    else:
-        xi_probe = np.asarray(xi, dtype=float)
-        if xi_probe.shape != (dim,):
-            raise ValueError(f"xi must have shape ({dim},)")
-    if sample_xis is None:
-        sample_xis = _default_sample_xis(dim)
     windows = tuple(float(R) for R in (window_sizes if window_sizes is not None
                                        else R_list))
 
     def estimate(density, which):
         try:
             if _is_periodic(density):
-                return _cell_estimate(density, hom_resolution, sample_xis,
-                                      config, field_id=f"{label}:{which}")
-            est = window_sequence(density, x0, xi_probe, windows,
-                                  resolution_per_unit, config)
+                return _cell_estimate(density, hom_resolution)
+            est = window_sequence(density, x0, np.eye(dim)[0], windows,
+                                  resolution_per_unit)
             return est, est.cauchy_gap
         except SolverError as e:
             raise SolverError(f"homogenizing {which} ({label or 'pair'}): {e}") from e
@@ -330,7 +320,7 @@ def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0),
     res_f, gap_f = estimate(f, "f")
     res_g, gap_g = estimate(g, "g")
     discrepancy = _pair_discrepancy(res_f, res_g, p)
-    tolerance = max(3.0 * gap_f, 3.0 * gap_g, tolerance_floor)
+    tolerance = max(3.0 * gap_f, 3.0 * gap_g, 1e-8)
 
     vanishing = verdict == "vanishing"
     agree = discrepancy <= tolerance
@@ -412,9 +402,9 @@ class ApproximationTrace:
         }
 
 
-def _convergents(x: float, count: int, max_denominator: int) -> list[Fraction]:
+def _convergents(x: float, count: int) -> list[Fraction]:
     """First ``count`` continued-fraction convergents of x, repeating the last
-    one once x is resolved exactly or the denominator cap is reached."""
+    one once x is resolved exactly or the denominator would exceed 1000."""
     a = math.floor(x)
     h_prev, k_prev, h, k = 1, 0, a, 1
     rem = x - a
@@ -424,7 +414,7 @@ def _convergents(x: float, count: int, max_denominator: int) -> list[Fraction]:
         a = math.floor(inv)
         rem = inv - a
         h_prev, k_prev, h, k = h, k, a * h + h_prev, a * k + k_prev
-        if k > max_denominator:
+        if k > 1000:
             break
         out.append(Fraction(h, k))
     while len(out) < count:
@@ -432,20 +422,17 @@ def _convergents(x: float, count: int, max_denominator: int) -> list[Fraction]:
     return out
 
 
-def run_approximation_scheme(f: TrigPolynomialClamped, j_max: int,
-                             config: SolverConfig = DEFAULT_CONFIG, *,
-                             window_sizes=(8.0, 16.0, 32.0),
-                             resolution_per_unit: int = 16,
-                             statistic_window: float = 32.0,
-                             statistic_resolution: int = 16,
-                             xi=None, agreement_rtol: float = 0.02,
-                             max_denominator: int = 1000) -> ApproximationTrace:
+def run_approximation_scheme(f: TrigPolynomialClamped,
+                             j_max: int) -> ApproximationTrace:
     """Homogenize rationalized truncations g^j of a clamped trig field.
 
     Each frequency component is replaced by its j-th continued-fraction
-    convergent, making g^j exactly periodic and cell-solvable on its integer
-    period; the original field is window-estimated with the same per-unit
-    resolution so the two discretizations are comparable.  Rational
+    convergent (denominators capped at 1000), making g^j exactly periodic and
+    cell-solvable on its integer period; the original field is
+    window-estimated on windows 8, 16 and 32 with the same per-unit
+    resolution so the two discretizations are comparable.  Both are probed
+    along the first coordinate direction, and each step's statistic is taken
+    on the window of size 32.  Rational
     frequencies are reproduced exactly from their convergent order on, so a
     periodic input yields a constant trace.
 
@@ -459,13 +446,7 @@ def run_approximation_scheme(f: TrigPolynomialClamped, j_max: int,
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
     dim = f.dim
-    if xi is None:
-        xi_probe = np.zeros(dim)
-        xi_probe[0] = 1.0
-    else:
-        xi_probe = np.asarray(xi, dtype=float)
-        if xi_probe.shape != (dim,):
-            raise ValueError(f"xi must have shape ({dim},)")
+    xi_probe = np.eye(dim)[0]
 
     # amplitude-0 terms contribute nothing anywhere; dropping them up front
     # keeps the trace independent of silent entries
@@ -476,11 +457,11 @@ def run_approximation_scheme(f: TrigPolynomialClamped, j_max: int,
     convergent_table = []
     for _, freq, _ in terms:
         convergent_table.append(tuple(
-            _convergents(c, j_max + 1, max_denominator) if c != 0.0 else None
+            _convergents(c, j_max + 1) if c != 0.0 else None
             for c in freq))
 
-    reference = window_sequence(f_density, None, xi_probe, window_sizes,
-                                resolution_per_unit, config)
+    reference = window_sequence(f_density, None, xi_probe, (8.0, 16.0, 32.0),
+                                _APPROXIMATION_RESOLUTION)
 
     steps = []
     for j in range(1, j_max + 1):
@@ -494,24 +475,21 @@ def run_approximation_scheme(f: TrigPolynomialClamped, j_max: int,
         g_j = TrigPolynomialClamped(f.offset, tuple(approx_terms), f.bounds,
                                     dim=dim)
         try:
-            result = homogenize_matrix(g_j, resolution_per_unit, config,
-                                       field_id=f"truncation j={j}")
+            result = homogenize_matrix(g_j, _APPROXIMATION_RESOLUTION)
         except SolverError as e:
             raise SolverError(f"homogenizing truncation j={j}: {e}") from e
         hom_value = homogenized_quadratic_form(result, xi_probe)
         statistic = mean_abs_statistic(f_density, QuadraticIsotropic(g_j),
-                                       1.0, statistic_window,
-                                       statistic_resolution)
+                                       1.0, 32.0)
         steps.append(ApproximationStep(j, "freqs " + " ".join(described),
                                        float(hom_value), float(statistic)))
 
     return ApproximationTrace(tuple(steps), reference,
-                              _approximates(steps, reference, agreement_rtol),
-                              agreement_rtol)
+                              _approximates(steps, reference, _AGREEMENT_RTOL),
+                              _AGREEMENT_RTOL)
 
 
-def counterexample_suite(config: SolverConfig = DEFAULT_CONFIG
-                         ) -> dict[str, StabilityReport]:
+def counterexample_suite() -> dict[str, StabilityReport]:
     """The four canonical pairs showing what the vanishing condition does not
     decide: it is sufficient but not necessary, and its weak (signed) variant
     decides nothing.
@@ -527,15 +505,14 @@ def counterexample_suite(config: SolverConfig = DEFAULT_CONFIG
     a1 = QuadraticIsotropic(PeriodicStep(2, (1.0, 4.0), bounds, dim=1))
     b1 = QuadraticIsotropic(PeriodicStep(2, (4.0, 1.0), bounds, dim=1))
     reports["swapped-1d"] = run_stability_pair(
-        a1, b1, t_list=(1.0, 2.0), config=config, hom_resolution=64,
-        label="swapped-1d")
+        a1, b1, t_list=(1.0, 2.0), hom_resolution=64, label="swapped-1d")
 
     # the layered analogue in 2D: swapping the layers preserves both the
     # harmonic and arithmetic directional means
     a2 = QuadraticIsotropic(PeriodicStep(2, (1.0, 4.0, 1.0, 4.0), bounds, dim=2))
     b2 = QuadraticIsotropic(PeriodicStep(2, (4.0, 1.0, 4.0, 1.0), bounds, dim=2))
     reports["swapped-layered"] = run_stability_pair(
-        a2, b2, config=config, hom_resolution=32, label="swapped-layered")
+        a2, b2, hom_resolution=32, label="swapped-layered")
 
     # a single interface is invisible to any fixed one-phase window but makes
     # the field non-homogenizable: off-center windows settle on the low phase
@@ -543,14 +520,14 @@ def counterexample_suite(config: SolverConfig = DEFAULT_CONFIG
     step = QuadraticIsotropic(HalfSpaceStep(gamma, c, bounds, dim=1))
     flat = QuadraticIsotropic(Constant(gamma, bounds, dim=1))
     reports["half-space"] = run_stability_pair(
-        step, flat, config=config, x0=-4.0, window_sizes=(2.0, 4.0, 8.0),
+        step, flat, x0=-4.0, window_sizes=(2.0, 4.0, 8.0),
         resolution_per_unit=8, label="half-space")
 
     # centered windows instead: the signed difference cancels exactly by
     # antisymmetry while the limits still disagree, so the weak form of the
     # condition certifies nothing
     centered = run_stability_pair(
-        step, flat, config=config, x0=0.0, window_sizes=(4.0, 8.0, 16.0),
+        step, flat, x0=0.0, window_sizes=(4.0, 8.0, 16.0),
         resolution_per_unit=8, label="weak-mean-only")
     signed = tuple((R, signed_mean_statistic(step, flat, 1.0, R))
                    for R, _ in centered.statistic_trace)
@@ -660,15 +637,13 @@ def _nested(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
 
 
 def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
-                                    config: SolverConfig = DEFAULT_CONFIG, *,
-                                    torus_size: int = 32,
+                                    *, torus_size: int = 32,
                                     resolution_per_unit: int = 8,
-                                    statistic_sizes=(8.0, 16.0, 32.0, 64.0),
-                                    statistic_resolution: int = STATISTIC_RESOLUTION,
-                                    t: float = 1.0) -> StochasticStabilityReport:
+                                    statistic_sizes=(8.0, 16.0, 32.0, 64.0)
+                                    ) -> StochasticStabilityReport:
     """Per-seed cell solves on the periodized torus window for both families,
     aggregated into matrix confidence intervals plus the expectation trace of
-    the pair statistic.
+    the pair statistic at t = 1.
 
     Trials are paired by derived per-trial seeds, so swapping the family
     order negates the paired difference exactly.
@@ -685,8 +660,7 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
                                     ("g", g_family, mats_g)):
             field = _Periodized(family.realize(s), torus_size)
             try:
-                result = homogenize_matrix(field, resolution_per_unit, config,
-                                           field_id=f"trial {i}:{which}")
+                result = homogenize_matrix(field, resolution_per_unit)
             except SolverError as e:
                 raise SolverError(f"trial {i}, family {which}: {e}") from e
             sink.append(result.matrix)
@@ -701,8 +675,8 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
 
     trace = []
     for R in statistic_sizes:
-        m, se = expectation_statistic(f_family, g_family, t, float(R), trials,
-                                      seed, statistic_resolution)
+        m, se = expectation_statistic(f_family, g_family, 1.0, float(R),
+                                      trials, seed)
         trace.append((float(R), m, se))
 
     lo = np.maximum(mean_f - 2.0 * se_f, mean_g - 2.0 * se_g)

@@ -6,6 +6,7 @@ import pytest
 
 from homlab.cell import (
     HomogenizedResult,
+    _field_period_and_alignment,
     homogenize_matrix,
     homogenize_p_energy,
     homogenized_quadratic_form,
@@ -15,6 +16,7 @@ from homlab.fields import (
     Constant,
     FieldBounds,
     Layered1D,
+    MatrixField,
     PeriodicStep,
     TrigPolynomialClamped,
     checkerboard_step,
@@ -154,7 +156,7 @@ def test_p3_two_phase_closed_form():
 
 def test_p_energy_samples_result():
     field = layered_two_phase(1)
-    result = p_energy_result(field, 3.0, [[1.0], [2.0]], 32, field_id="layered")
+    result = p_energy_result(field, 3.0, [[1.0], [2.0]], 32)
     assert result.matrix is None
     assert len(result.energy_samples) == 2
     (xi0, v0), (xi1, v1) = result.energy_samples
@@ -201,6 +203,23 @@ def test_rejects_misaligned_resolution():
     field = Layered1D((0.0, 1.0 / 3.0), (1.0, 4.0), B14, dim=1)
     with pytest.raises(ValueError, match="multiple"):
         homogenize_matrix(field, 16)
+
+
+def test_periods_and_divisors_combine_by_lcm():
+    trig = TrigPolynomialClamped(2.0, ((0.3, (0.5,), 0.0), (0.3, (1.0 / 3.0,), 1.0)),
+                                 B14, dim=1)
+    assert trig.period == 6.0
+    layers = Layered1D((0.0, 0.25, 1.0 / 3.0), (1.0, 2.0, 4.0), B14, dim=1)
+    assert layers.alignment_divisor == 12
+    # entry periods 2, 1, 1, 3; divisors 1, 4, 4, 1, then 1, 4, 3, 1
+    half = TrigPolynomialClamped(2.0, ((0.5, (0.5, 0.0), 0.0),), B14, dim=2)
+    third = TrigPolynomialClamped(2.0, ((0.5, (0.0, 1.0 / 3.0), 0.0),), B14, dim=2)
+    quarter = Layered1D((0.0, 0.25), (1.0, 2.0), B14, dim=2)
+    thirds = PeriodicStep(3, (1.0,) * 9, B14, dim=2)
+    field = MatrixField(((half, quarter), (quarter, third)), symmetric=True, dim=2)
+    assert _field_period_and_alignment(field) == (6.0, 4)
+    field = MatrixField(((half, quarter), (thirds, third)), symmetric=False, dim=2)
+    assert _field_period_and_alignment(field) == (6.0, 12)
 
 
 def test_integer_period_harmonic_identity():

@@ -172,6 +172,13 @@ def test_masked_window_sandwiches_cell():
     assert gaps[2] <= 1e-3 * cell
 
 
+def test_masked_window_rejects_small_window():
+    # the hole is resolved (8 cells across its diameter) but the 0.25 window
+    # spans only 4 cells per axis
+    with pytest.raises(ValueError, match="at least 8 cells"):
+        masked_window_value(BALLS, (0.0, 0.0), 0.25, E1, 16)
+
+
 def test_masked_window_sparse_perturbation():
     sparse = PerforationSet("ball", 0.25, SparseRemoval())
     diffs = []

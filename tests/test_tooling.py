@@ -1,0 +1,50 @@
+"""Checks on the structure the tooling relies on: every function the benchmark
+tracer wraps still exists, and the experiment layer leaves the solver policy
+to ``numerics``."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # the tracer defines dataclasses, which look their module up by name
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_tracer_targets_resolve(tracer):
+    assert tracer.TARGETS
+    for module_name, attr, _, _ in tracer.TARGETS:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert callable(vars(getattr(module, cls_name)).get(meth)), attr
+        else:
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+@pytest.mark.parametrize("module_name", ["homlab.cell", "homlab.rve",
+                                         "homlab.perforation",
+                                         "homlab.stability"])
+def test_experiment_layer_takes_no_solver_config(module_name):
+    module = importlib.import_module(module_name)
+    functions = [(name, fn) for name, fn in inspect.getmembers(module,
+                                                               inspect.isfunction)
+                 if fn.__module__ == module_name and not name.startswith("_")]
+    assert functions
+    for name, fn in functions:
+        assert "config" not in inspect.signature(fn).parameters, name
