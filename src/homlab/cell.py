@@ -1,11 +1,15 @@
 """Periodic cell problems: homogenized matrices and p-power cell energies.
 
-The homogenized matrix is computed column by column: per basis direction a
-periodic corrector solve on the torus, then the field average of
-coefficient * (basis + corrector gradient). Symmetric problems go through CG
-on the mean-zero subspace and are cross-checked against the variational
-energy; nonsymmetric coefficients use the BiCGStab weak form, where only the
-flux representation is meaningful.
+Every homogenized matrix in the package comes from one torus core,
+``homogenize_coefficients``: per basis direction a periodic corrector solve,
+then the field average of coefficient * (basis + corrector gradient).
+Symmetric problems go through CG on the mean-zero subspace and are
+cross-checked against the variational energy; nonsymmetric coefficients use
+the BiCGStab weak form, where only the flux representation is meaningful.
+Besides ``homogenize_matrix`` (one period of a periodic field), the core
+serves the perforated cell (``perforation.masked_cell_matrix``, holes masked
+out) and the stochastic trials (``stability``, one realization on a torus of
+the trial size).
 """
 
 from __future__ import annotations
@@ -15,11 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MatrixField, ScalarField, eval_matrix, eval_scalar
+from .fields import (FieldBounds, MatrixField, ScalarField, eval_matrix,
+                     eval_scalar)
 from .numerics import (
     TORUS,
+    Grid,
     PEnergyProblem,
     build_grid,
+    cells_across,
     element_ops,
     minimize_p_energy,
     solve_corrector,
@@ -106,16 +113,20 @@ def _check_alignment(resolution: int, divisor: int):
                          "so phase boundaries land on element boundaries")
 
 
+def _torus_grid(field: ScalarField | MatrixField, resolution: int) -> Grid:
+    """One period of a periodic field as a torus at ``resolution`` cells per
+    unit, after the periodicity and phase-alignment checks."""
+    period, divisor = _field_period_and_alignment(field)
+    _check_alignment(resolution, divisor)
+    return build_grid(field.dim, cells_across(period, resolution),
+                      (0.0,) * field.dim, period, TORUS)
+
+
 def homogenize_matrix(field: ScalarField | MatrixField,
                       resolution: int) -> HomogenizedResult:
     """Homogenized matrix of a periodic quadratic energy at the given
     cells-per-unit resolution."""
-    period, divisor = _field_period_and_alignment(field)
-    _check_alignment(resolution, divisor)
-    dim = field.dim
-    cells = int(round(period * resolution))
-    grid = build_grid(dim, cells, (0.0,) * dim, period, TORUS)
-    ops = element_ops(grid)
+    grid = _torus_grid(field, resolution)
     centers = grid.element_centers()
     if isinstance(field, MatrixField):
         coeff = eval_matrix(field, centers)
@@ -123,13 +134,31 @@ def homogenize_matrix(field: ScalarField | MatrixField,
     else:
         coeff = eval_scalar(field, centers)
         symmetric = True
+    return homogenize_coefficients(grid, coeff, field.bounds, resolution,
+                                   symmetric=symmetric)
 
-    volume = period ** dim
+
+def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
+                            resolution: int, *, symmetric: bool = True,
+                            active: np.ndarray | None = None,
+                            extension_constant: float = 1.0) -> HomogenizedResult:
+    """Homogenized matrix of per-element coefficients on a torus grid.
+
+    One corrector solve per basis direction; column i is the flux average of
+    coeff * (e_i + grad w_i), and symmetric problems cross-check it against
+    the cell energy. ``active`` marks the elements outside Neumann holes;
+    ``bounds`` and ``extension_constant`` set the eigenvalue window that
+    ``HomogenizedResult`` checks, and ``resolution`` (cells per unit) is
+    recorded with it.
+    """
+    dim = grid.dim
+    ops = element_ops(grid)
+    volume = grid.side_length ** dim
     matrix = np.empty((dim, dim))
     iters = []
     residuals = []
     basis = np.eye(dim)
-    solves = solve_corrector(grid, coeff, basis, symmetric=symmetric)
+    solves = solve_corrector(grid, coeff, basis, symmetric=symmetric, active=active)
     for i, (e_i, (w, stats)) in enumerate(zip(basis, solves)):
         iters.append(stats.iterations)
         residuals.append(stats.residual)
@@ -142,9 +171,9 @@ def homogenize_matrix(field: ScalarField | MatrixField,
                     f"energy/flux cross-check failed in direction {i}: "
                     f"energy {energy:.12g} vs flux {column[i]:.12g}")
         matrix[:, i] = column
-    b = field.bounds
     return HomogenizedResult(matrix, resolution, symmetric, tuple(iters),
-                             tuple(residuals), b.alpha, b.beta)
+                             tuple(residuals), bounds.alpha, bounds.beta,
+                             extension_constant=extension_constant)
 
 
 def homogenize_p_energy(coeff: ScalarField, p: float, xi,
@@ -172,14 +201,11 @@ def p_energy_result(coeff: ScalarField, p: float, xis,
 
 def _p_energy_solve(coeff: ScalarField, p: float, xi,
                     resolution: int) -> tuple[float, int, float]:
-    period, divisor = _field_period_and_alignment(coeff)
-    _check_alignment(resolution, divisor)
-    dim = coeff.dim
+    grid = _torus_grid(coeff, resolution)
+    dim = grid.dim
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
-    cells = int(round(period * resolution))
-    grid = build_grid(dim, cells, (0.0,) * dim, period, TORUS)
     a_e = eval_scalar(coeff, grid.element_centers())
     problem = PEnergyProblem(grid, a_e, p, xi)
     x0 = None
@@ -187,7 +213,7 @@ def _p_energy_solve(coeff: ScalarField, p: float, xi,
         # continuation from the quadratic corrector with the same coefficient
         [(x0, _)] = solve_corrector(grid, a_e, [xi])
     u, stats = minimize_p_energy(problem, x0=x0)
-    value = problem.value(u) / period ** dim
+    value = problem.value(u) / grid.side_length ** dim
     b = coeff.bounds
     xi_norm = float(np.linalg.norm(xi))
     if value < b.alpha * xi_norm ** p - 1e-9 or value > b.beta * (1.0 + xi_norm ** p) + 1e-9:

@@ -421,7 +421,9 @@ class RandomCheckerboard(ScalarField):
     Cell z takes ``cell_values[1]`` with the given probability, decided by a
     counter-based hash of (seed, z + index_offset); ``shifted`` translates the
     environment by shifting the index. ``flip_cells`` swaps the two values on
-    the qualifying cells of a sparse rule (the stochastic perturbation).
+    the sub-squares z + [0, width)^d of its qualifying cells (the stochastic
+    perturbation); below width 1 the field is no longer constant on unit
+    cells.
     """
 
     cell_values: tuple[float, float]
@@ -445,20 +447,24 @@ class RandomCheckerboard(ScalarField):
             raise ValueError("index_offset must have one entry per axis")
 
     def values_impl(self, pts):
-        cells = np.floor(pts).astype(np.int64) + np.asarray(self.index_offset, dtype=np.int64)
+        floor = np.floor(pts)
+        cells = floor.astype(np.int64) + np.asarray(self.index_offset, dtype=np.int64)
         u = cell_uniforms(self.seed, cells)
         vals = np.where(u < self.probability, self.cell_values[1], self.cell_values[0])
         if self.flip_cells is not None:
-            flip = np.ones(len(cells), dtype=bool)
-            for j in range(self.dim):
-                flip &= power_of_two_cells(cells[:, j])
+            flip = np.all(power_of_two_cells(cells), axis=1)
+            # width 1 skips the test: pts - floor can round up to 1.0 just
+            # below an integer, and such a point still lies in its cell
+            if self.flip_cells.width < 1.0:
+                flip &= np.all(pts - floor < self.flip_cells.width, axis=1)
             swapped = self.cell_values[0] + self.cell_values[1] - vals
             vals = np.where(flip, swapped, vals)
         return vals
 
     @property
     def cell_side(self):
-        return 1.0
+        whole_cells = self.flip_cells is None or self.flip_cells.width == 1.0
+        return 1.0 if whole_cells else None
 
     def shifted(self, z: tuple[int, ...]) -> "RandomCheckerboard":
         offset = tuple(o + int(dz) for o, dz in zip(self.index_offset, z))
@@ -491,33 +497,15 @@ class MatrixField:
 
 
 def isotropic_matrix(coeff: ScalarField) -> MatrixField:
-    """a(y) * Identity as a MatrixField."""
-    zero_bounds = coeff.bounds
-    rows = []
-    for i in range(coeff.dim):
-        row = []
-        for j in range(coeff.dim):
-            if i == j:
-                row.append(coeff)
-            else:
-                row.append(_ZeroField(zero_bounds, coeff.dim))
-        rows.append(tuple(row))
-    return MatrixField(tuple(rows), symmetric=True, dim=coeff.dim)
+    """a(y) * Identity as a MatrixField.
 
-
-@dataclass(frozen=True)
-class _ZeroField(ScalarField):
-    # off-diagonal filler; deliberately exempt from the [alpha, beta] window,
-    # which constrains eigenvalues of the full matrix, not entries
-    bounds: FieldBounds
-    dim: int
-
-    def values_impl(self, pts):
-        return np.zeros(len(pts))
-
-    @property
-    def period(self):
-        return 1.0
+    The off-diagonal zeros are exempt from the [alpha, beta] window, which
+    constrains eigenvalues of the full matrix, not entries.
+    """
+    zero = _FixedValue(0.0, coeff.bounds, coeff.dim)
+    rows = tuple(tuple(coeff if i == j else zero for j in range(coeff.dim))
+                 for i in range(coeff.dim))
+    return MatrixField(rows, symmetric=True, dim=coeff.dim)
 
 
 def constant_matrix(mat, bounds: FieldBounds, dim: int = 2) -> MatrixField:

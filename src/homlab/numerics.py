@@ -36,7 +36,6 @@ from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 TORUS = "torus"
 BOX = "box"
@@ -386,15 +385,15 @@ def _iter_cap(config: SolverConfig, n: int) -> int:
 
 def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAULT_CONFIG,
              mean_zero: bool = False, *,
-             preconditioner: Callable[[np.ndarray], np.ndarray] | None = None
+             preconditioner: Callable[[np.ndarray], np.ndarray]
              ) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned conjugate gradients on an SPD (or mean-zero-deflated
     SPSD) system.
 
     ``preconditioner`` maps a residual r to z ~ A^-1 r and must be symmetric
-    positive (semi)definite; ``solve_corrector`` passes its spectral one.
-    Without it, direct callers get Jacobi. With ``mean_zero`` the right-hand
-    side is projected onto mean-zero and the solution is returned mean-zero;
+    positive (semi)definite; ``solve_corrector`` passes one built by
+    ``spectral_preconditioner``. With ``mean_zero`` the right-hand side is
+    projected onto mean-zero and the solution is returned mean-zero;
     this is how the periodic cell problems remove the constant kernel. The
     stopping rule is on the unpreconditioned residual norm, and the true
     residual |b - A x| is checked at the end (within 10x the target) and
@@ -411,15 +410,6 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), SolveStats(0, 0.0)
-
-    if preconditioner is None:
-        diag = A.diagonal()
-        if np.any(diag <= 0):
-            raise SolverError("cg_solve: the Jacobi preconditioner needs a positive diagonal")
-        inv_diag = 1.0 / diag
-
-        def preconditioner(r):
-            return inv_diag * r
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -524,6 +514,8 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
 
 def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
     """Nodes adjacent to active elements; errors if empty or disconnected."""
+    from scipy.sparse.csgraph import connected_components   # masked solves only
+
     if not np.any(active_el):
         raise RuntimeError("perforation removed every element")
     elem_nodes = element_ops(grid).elem_nodes[active_el]

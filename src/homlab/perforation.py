@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell import HomogenizedResult
-from .fields import _window_points, power_of_two_cells
+from .cell import HomogenizedResult, homogenize_coefficients
+from .fields import FieldBounds, _window_points, power_of_two_cells
 from .numerics import BOX, TORUS, build_grid, element_ops, solve_corrector
 from .rve import _window_grid
 
@@ -162,28 +162,17 @@ def masked_cell_matrix(E: PerforationSet,
                        resolution: int) -> tuple[HomogenizedResult, float]:
     """Perforated homogenized matrix and the cell volume fraction theta.
 
-    The eigenvalue window is widened by an extension constant of 3, an upper
-    bound on ``empirical_extension_constant``.
+    The eigenvalue window is that of the unit coefficient outside the holes,
+    widened by an extension constant of 3, an upper bound on
+    ``empirical_extension_constant``: [1/9, 1].
     """
     check_hole_resolution(E.radius, resolution)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
-    ops = element_ops(grid)
     active_el = ~E.membership(grid.element_centers())
-    theta = float(np.mean(active_el))
-    coeff = active_el.astype(float)
-    matrix = np.empty((2, 2))
-    basis = np.eye(2)
-    solves = solve_corrector(grid, coeff, basis, active=active_el)
-    for i, (e_i, (u, _)) in enumerate(zip(basis, solves)):
-        column = ops.flux_average(u, coeff, e_i)
-        energy = ops.energy_quadratic(u, coeff, e_i)
-        if abs(energy - column[i]) > 1e-8 * max(abs(energy), 1.0):
-            raise RuntimeError(f"masked energy/flux cross-check failed: "
-                               f"{energy:.12g} vs {column[i]:.12g}")
-        matrix[:, i] = column
-    result = HomogenizedResult(matrix, resolution, True, (), (), 1.0, 1.0,
-                               extension_constant=3.0)
-    return result, theta
+    result = homogenize_coefficients(grid, active_el.astype(float),
+                                     FieldBounds(1.0, 1.0), resolution,
+                                     active=active_el, extension_constant=3.0)
+    return result, float(np.mean(active_el))
 
 
 def masked_window_value(E: PerforationSet, x0, R: float, xi,

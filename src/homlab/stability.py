@@ -5,7 +5,8 @@ controls whether their homogenized limits must agree, homogenizes both sides
 (cell solve when periodic, window estimation otherwise), and classifies the
 outcome.  It also packages the canonical counterexample pairs, approximation
 of almost-periodic coefficients by periodic truncations, and a paired-seed
-stochastic comparison.
+stochastic comparison. Periodic cell solves and stochastic trials alike end
+in the torus core ``cell.homogenize_coefficients``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from fractions import Fraction
 import numpy as np
 
 from .cell import (HomogenizedResult, _field_period_and_alignment,
-                   homogenize_matrix, homogenized_quadratic_form,
-                   p_energy_result)
+                   homogenize_coefficients, homogenize_matrix,
+                   homogenized_quadratic_form, p_energy_result)
 from .fields import (Constant, FieldBounds, HalfSpaceStep, PeriodicStep,
-                     PPower, QuadraticIsotropic, QuadraticMatrix, ScalarField,
+                     PPower, QuadraticIsotropic, QuadraticMatrix,
                      STATISTIC_RESOLUTION, TrigPolynomialClamped,
                      _window_points, eval_scalar,
                      expectation_statistic, mean_abs_statistic, mix_seed)
-from .numerics import SolverError
+from .numerics import TORUS, SolverError, build_grid, cells_across
 from .rve import WindowEstimate, window_sequence
 
 __all__ = [
@@ -549,42 +550,6 @@ def counterexample_suite() -> dict[str, StabilityReport]:
 
 
 @dataclass(frozen=True)
-class _Periodized(ScalarField):
-    """Restriction of a field to [0, T)^d, repeated periodically.
-
-    Turns a seed-indexed environment into a cell-solvable field; cell indices
-    inside the fundamental window keep their absolute hashes.
-    """
-
-    base: ScalarField
-    torus_period: int
-
-    def __post_init__(self):
-        if self.torus_period < 1:
-            raise ValueError("torus period must be a positive integer")
-
-    @property
-    def bounds(self):
-        return self.base.bounds
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def period(self):
-        return float(self.torus_period)
-
-    @property
-    def alignment_divisor(self):
-        return self.base.alignment_divisor
-
-    def values_impl(self, pts):
-        T = float(self.torus_period)
-        return self.base.values_impl(pts - T * np.floor(pts / T))
-
-
-@dataclass(frozen=True)
 class StochasticStabilityReport:
     """Paired-seed comparison of two random families.
 
@@ -641,9 +606,13 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
                                     resolution_per_unit: int = 8,
                                     statistic_sizes=(8.0, 16.0, 32.0, 64.0)
                                     ) -> StochasticStabilityReport:
-    """Per-seed cell solves on the periodized torus window for both families,
-    aggregated into matrix confidence intervals plus the expectation trace of
-    the pair statistic at t = 1.
+    """Per-seed cell solves for both families, aggregated into matrix
+    confidence intervals plus the expectation trace of the pair statistic at
+    t = 1.
+
+    Each realization is restricted to the window [0, torus_size)^d, taken as
+    one period of a torus (cell indices keep their absolute hashes), and
+    homogenized there by ``cell.homogenize_coefficients``.
 
     Trials are paired by derived per-trial seeds, so swapping the family
     order negates the paired difference exactly.
@@ -652,15 +621,21 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
         raise ValueError(f"need at least 8 trials for stable intervals, got {trials}")
     if torus_size < 2:
         raise ValueError(f"torus size must be >= 2, got {torus_size}")
+    dim = f_family.dim
+    grid = build_grid(dim, cells_across(torus_size, resolution_per_unit),
+                      (0.0,) * dim, torus_size, TORUS)
+    centers = grid.element_centers()
     mats_f = []
     mats_g = []
     for i in range(trials):
         s = mix_seed(seed, i)
         for which, family, sink in (("f", f_family, mats_f),
                                     ("g", g_family, mats_g)):
-            field = _Periodized(family.realize(s), torus_size)
+            field = family.realize(s)
             try:
-                result = homogenize_matrix(field, resolution_per_unit)
+                result = homogenize_coefficients(
+                    grid, eval_scalar(field, centers), field.bounds,
+                    resolution_per_unit)
             except SolverError as e:
                 raise SolverError(f"trial {i}, family {which}: {e}") from e
             sink.append(result.matrix)

@@ -7,6 +7,7 @@ import pytest
 from homlab.cell import (
     HomogenizedResult,
     _field_period_and_alignment,
+    homogenize_coefficients,
     homogenize_matrix,
     homogenize_p_energy,
     homogenized_quadratic_form,
@@ -21,7 +22,9 @@ from homlab.fields import (
     TrigPolynomialClamped,
     checkerboard_step,
     constant_matrix,
+    eval_scalar,
 )
+from homlab.numerics import TORUS, build_grid
 
 B14 = FieldBounds(1.0, 4.0)
 ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -97,7 +100,8 @@ def test_resolution_convergence_gaps_decrease(checker_series):
 def test_checkerboard_cg_iterations_bounded_in_resolution():
     # the spectral preconditioner bounds the condition number by the 1:4
     # contrast; only the stopping rule on the unpreconditioned residual adds
-    # about one iteration per halving of h (Jacobi-PCG doubles instead)
+    # about one iteration per halving of h (a diagonal preconditioner would
+    # double the count per halving instead)
     field = checkerboard_step(1.0, 4.0, B14)
     counts = [max(homogenize_matrix(field, n).solver_iterations) for n in (16, 32, 64)]
     assert max(counts) <= 40
@@ -233,3 +237,11 @@ def test_integer_period_harmonic_identity():
     samples = 2.0 + 0.5 * np.sin(2.0 * np.pi * 0.5 * centers)
     harmonic = 1.0 / np.mean(1.0 / samples)
     assert abs(result.matrix[0, 0] - harmonic) <= 1e-10
+
+
+def test_core_on_step_coefficients_matches_homogenize_matrix():
+    field = PeriodicStep(2, (1.0, 4.0, 2.0, 3.0), B14, dim=2)
+    grid = build_grid(2, 16, (0.0, 0.0), 1.0, TORUS)
+    core = homogenize_coefficients(grid, eval_scalar(field, grid.element_centers()),
+                                   B14, 16)
+    assert core.matrix.tobytes() == homogenize_matrix(field, 16).matrix.tobytes()

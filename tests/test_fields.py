@@ -160,6 +160,18 @@ class TestRandomCheckerboard:
         assert flipped.values(inside)[0] == 5.0 - base.values(inside)[0]
         assert flipped.values(outside)[0] == base.values(outside)[0]
 
+    def test_flip_width_limits_the_flipped_sub_square(self):
+        def field(width):
+            return RandomCheckerboard((1.0, 4.0), 0.5, 11, B14, dim=2,
+                                      flip_cells=PowerOfTwoCells(width))
+        lower = np.array([[2.25, 4.25]])   # inside [0, 0.5)^2 of cell (2, 4)
+        upper = np.array([[2.75, 4.75]])   # its upper half
+        half, whole = field(0.5), field(1.0)
+        assert half.values(lower)[0] == whole.values(lower)[0]
+        assert half.values(upper)[0] != whole.values(upper)[0]
+        assert half.cell_side is None
+        assert whole.cell_side == 1.0
+
 
 class TestMatrixFields:
     def test_isotropic_promotion(self):

@@ -48,6 +48,12 @@ def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
     return K_ii, b[interior], interior
 
 
+def jacobi(system):
+    """Diagonal (Jacobi) preconditioner of a system, for direct cg_solve calls."""
+    inv_diag = 1.0 / system.matrix.diagonal()
+    return lambda r: inv_diag * r
+
+
 class TestGrid:
     def test_torus_1d_counts(self):
         g = build_grid(1, 4, (0.0,), 1.0, TORUS)
@@ -124,7 +130,8 @@ class TestCG:
         bnd = g.boundary_node_mask()
         bc = np.where(bnd, exact, 0.0)
         K_ii, b, interior = dirichlet_system(g, np.ones(g.n_elements), bc)
-        u_i, _ = cg_solve(SparseSystem(K_ii, symmetric=True), b)
+        A = SparseSystem(K_ii, symmetric=True)
+        u_i, _ = cg_solve(A, b, preconditioner=jacobi(A))
         u = bc.copy()
         u[interior] = u_i
         assert np.max(np.abs(u - exact)) <= 1e-8
@@ -138,7 +145,8 @@ class TestCG:
             A = sp.csr_matrix((q * eigs) @ q.T)
             A = SparseSystem((A + A.T) * 0.5, symmetric=True)
             b = rng.standard_normal(n)
-            x, stats = cg_solve(A, b, SolverConfig(max_iterations=200))
+            x, stats = cg_solve(A, b, SolverConfig(max_iterations=200),
+                                preconditioner=jacobi(A))
             assert stats.iterations <= 200
             assert np.linalg.norm(b - A.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -148,28 +156,35 @@ class TestCG:
         rng = np.random.default_rng(3)
         b = rng.standard_normal(g.n_nodes)
         b -= b.mean()
-        x, _ = cg_solve(SparseSystem(K, symmetric=True), b, mean_zero=True)
+        A = SparseSystem(K, symmetric=True)
+        x, _ = cg_solve(A, b, mean_zero=True, preconditioner=jacobi(A))
         assert abs(x.mean()) <= 1e-12
         assert np.linalg.norm(b - K @ x) <= 1e-9 * np.linalg.norm(b)
 
     def test_reports_and_checks_true_residual(self):
         A = SparseSystem(sp.diags(np.arange(1.0, 9.0)).tocsr(), symmetric=True)
         b = np.random.default_rng(8).standard_normal(8)
-        x, stats = cg_solve(A, b)
+        x, stats = cg_solve(A, b, preconditioner=jacobi(A))
         assert stats.residual == float(np.linalg.norm(b - A.matrix @ x))
         # constants are not in this kernel, so returning the mean-zero part
         # of the converged iterate breaks the solution; the final check sees it
         with pytest.raises(SolverError, match="true residual"):
-            cg_solve(A, b, mean_zero=True)
+            cg_solve(A, b, mean_zero=True, preconditioner=jacobi(A))
+
+    def test_requires_a_preconditioner(self):
+        A = SparseSystem(sp.csr_matrix(np.eye(3)), symmetric=True)
+        with pytest.raises(TypeError, match="preconditioner"):
+            cg_solve(A, np.ones(3))
 
     def test_requires_symmetric_flag(self):
-        mat = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        A = SparseSystem(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])),
+                         symmetric=False)
         with pytest.raises(ValueError):
-            cg_solve(SparseSystem(mat, symmetric=False), np.ones(2))
+            cg_solve(A, np.ones(2), preconditioner=jacobi(A))
 
     def test_zero_rhs_returns_zero(self):
-        mat = sp.csr_matrix(np.eye(3))
-        x, stats = cg_solve(SparseSystem(mat, symmetric=True), np.zeros(3))
+        A = SparseSystem(sp.csr_matrix(np.eye(3)), symmetric=True)
+        x, stats = cg_solve(A, np.zeros(3), preconditioner=jacobi(A))
         assert np.all(x == 0.0)
         assert stats.iterations == 0
 
@@ -179,8 +194,8 @@ class TestCG:
         coeff = two_phase_coeff(g)
         K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=True)
         b = ops.load_from_element_vectors(np.column_stack([coeff, np.zeros_like(coeff)]))
-        x1, _ = cg_solve(K, -b, mean_zero=True)
-        x2, _ = cg_solve(K, -b, mean_zero=True)
+        x1, _ = cg_solve(K, -b, mean_zero=True, preconditioner=jacobi(K))
+        x2, _ = cg_solve(K, -b, mean_zero=True, preconditioner=jacobi(K))
         assert x1.tobytes() == x2.tobytes()
 
 
@@ -341,7 +356,7 @@ class TestPEnergy:
         rhs = -2.0 * ops.load_from_element_vectors(coeff[:, None] * xi[None, :])
         # quadratic energy gradient is 2 K u + rhs-source; stationarity gives
         # K u = -load with load from the constant flux term
-        u_cg, _ = cg_solve(K, rhs / 2.0, mean_zero=True)
+        u_cg, _ = cg_solve(K, rhs / 2.0, mean_zero=True, preconditioner=jacobi(K))
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
 
     def test_float_floor_stops_backtracking(self):
@@ -420,7 +435,8 @@ class TestPEnergy:
         K = ops.assemble_stiffness(coeff)
         load = ops.load_from_element_vectors(coeff[:, None] * xi[None, :])
         K_ii = K[free][:, free]
-        u_i, _ = cg_solve(SparseSystem(K_ii, symmetric=True), -load[free])
+        A = SparseSystem(K_ii, symmetric=True)
+        u_i, _ = cg_solve(A, -load[free], preconditioner=jacobi(A))
         u_cg = fixed.copy()
         u_cg[free] = u_i
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
@@ -461,7 +477,8 @@ class TestMeshRefinement:
             load = ops.load_from_element_scalars(f)
             bc = np.zeros(g.n_nodes)
             K_ii, b, interior = dirichlet_system(g, np.ones(g.n_elements), bc, load)
-            u_i, _ = cg_solve(SparseSystem(K_ii, symmetric=True), b)
+            A = SparseSystem(K_ii, symmetric=True)
+            u_i, _ = cg_solve(A, b, preconditioner=jacobi(A))
             u = bc.copy()
             u[interior] = u_i
             errors.append(np.max(np.abs(u - exact)))
@@ -485,4 +502,5 @@ class TestSolverConfig:
         load = rng.standard_normal(g.n_nodes)
         K_ii, b, _ = dirichlet_system(g, np.ones(g.n_elements), bc, load)
         with pytest.raises(SolverError):
-            cg_solve(SparseSystem(K_ii, symmetric=True), b, SolverConfig(max_iterations=2))
+            A = SparseSystem(K_ii, symmetric=True)
+            cg_solve(A, b, SolverConfig(max_iterations=2), preconditioner=jacobi(A))

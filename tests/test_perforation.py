@@ -151,6 +151,13 @@ def test_masked_below_material_fraction():
     assert eigs.min() > 0.0 and eigs.max() <= 1.0
 
 
+def test_masked_cell_matrix_reports_each_direction_solve():
+    result, _ = masked_cell_matrix(BALLS, 32)
+    assert len(result.solver_iterations) == len(result.residuals) == 2
+    assert all(its > 0 for its in result.solver_iterations)
+    assert result.extension_constant == 3.0
+
+
 def test_masked_connectivity_errors():
     grid = build_grid(2, 8, (0.0, 0.0), 1.0, TORUS)
     with pytest.raises(RuntimeError, match="every element"):

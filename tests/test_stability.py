@@ -1,15 +1,17 @@
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from homlab.cell import HomogenizedResult
+from homlab import stability
+from homlab.cell import HomogenizedResult, homogenize_matrix
 from homlab.fields import (BallSupport, CheckerboardFamily, FieldBounds,
                            LpDecay, PeriodicStep, Perturbed, PowerOfTwoCells,
                            PPower, QuadraticIsotropic, QuadraticMatrix,
-                           TrigPolynomialClamped, constant_matrix,
-                           mean_abs_statistic)
+                           ScalarField, TrigPolynomialClamped,
+                           constant_matrix, mean_abs_statistic, mix_seed)
 from homlab.stability import (ApproximationStep, ApproximationTrace,
                               Conclusion, StabilityReport,
                               StochasticStabilityReport, counterexample_suite,
@@ -375,6 +377,44 @@ class TestStochastic:
             assert abs(mean - target) <= 2.0 * se + 0.05 * target
         off_mean = abs(rep.mean_f[0][1])
         assert off_mean <= 2.0 * rep.stderr_f[0][1] + 0.02
+
+    def test_trials_match_cell_solves_of_the_periodized_field(
+            self, checker_families, monkeypatch):
+        @dataclass(frozen=True)
+        class Periodized(ScalarField):
+            """A field restricted to [0, T)^d and repeated with period T."""
+
+            base: ScalarField
+            T: int
+
+            bounds = property(lambda self: self.base.bounds)
+            dim = property(lambda self: self.base.dim)
+            period = property(lambda self: float(self.T))
+
+            def values_impl(self, pts):
+                return self.base.values_impl(pts - self.T * np.floor(pts / self.T))
+
+        trial_matrices = []
+        core = stability.homogenize_coefficients
+
+        def recording(*args, **kwargs):
+            result = core(*args, **kwargs)
+            trial_matrices.append(result.matrix)
+            return result
+
+        monkeypatch.setattr(stability, "homogenize_coefficients", recording)
+        plain, flipped = checker_families
+        stochastic_stability_experiment(plain, flipped, 8, 5, torus_size=4,
+                                        resolution_per_unit=4,
+                                        statistic_sizes=(8.0, 16.0, 32.0))
+        expected = []
+        for i in range(8):
+            for family in (plain, flipped):
+                field = Periodized(family.realize(mix_seed(5, i)), 4)
+                expected.append(homogenize_matrix(field, 4).matrix)
+        assert len(trial_matrices) == len(expected) == 16
+        for got, want in zip(trial_matrices, expected):
+            assert got.tobytes() == want.tobytes()
 
     def test_validation(self, checker_families):
         plain, flipped = checker_families

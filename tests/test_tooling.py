@@ -1,10 +1,13 @@
 """Checks on the structure the tooling relies on: every function the benchmark
-tracer wraps still exists, and the experiment layer leaves the solver policy
-to ``numerics``."""
+tracer wraps still exists, the experiment layer leaves the solver policy
+to ``numerics``, and importing the CLI loads no solver module it may not
+need."""
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,3 +51,14 @@ def test_experiment_layer_takes_no_solver_config(module_name):
     assert functions
     for name, fn in functions:
         assert "config" not in inspect.signature(fn).parameters, name
+
+
+def test_cli_import_leaves_csgraph_unloaded():
+    # scipy.sparse.csgraph (and the scipy.sparse.linalg and scipy.linalg it
+    # pulls in) is loaded by the first masked solve, not at import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, homlab.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
