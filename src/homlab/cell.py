@@ -23,6 +23,7 @@ from .fields import (FieldBounds, MatrixField, ScalarField, eval_matrix,
                      eval_scalar)
 from .numerics import (
     TORUS,
+    GuardError,
     Grid,
     PEnergyProblem,
     build_grid,
@@ -70,13 +71,13 @@ class HomogenizedResult:
             defect = np.max(np.abs(self.matrix - self.matrix.T))
             scale = max(np.max(np.abs(self.matrix)), 1e-300)
             if defect > _CROSS_CHECK_TOL * scale:
-                raise RuntimeError(
+                raise GuardError(
                     f"symmetric input produced asymmetric output (defect {defect:.3e})")
         eigs = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         lo = self.bounds_alpha / self.extension_constant ** 2
         slack = 1e-9 * max(self.bounds_beta, 1.0)
         if eigs.min() < lo - slack or eigs.max() > self.bounds_beta + slack:
-            raise RuntimeError(
+            raise GuardError(
                 f"homogenized eigenvalues {eigs} escape [{lo:.6g}, {self.bounds_beta:.6g}]")
 
 
@@ -167,7 +168,7 @@ def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
             energy = ops.energy_quadratic(w, coeff, e_i) / volume
             scale = max(abs(energy), 1.0)
             if abs(energy - column[i]) > _CROSS_CHECK_TOL * scale:
-                raise RuntimeError(
+                raise GuardError(
                     f"energy/flux cross-check failed in direction {i}: "
                     f"energy {energy:.12g} vs flux {column[i]:.12g}")
         matrix[:, i] = column
@@ -208,14 +209,10 @@ def _p_energy_solve(coeff: ScalarField, p: float, xi,
         raise ValueError(f"xi must have shape ({dim},)")
     a_e = eval_scalar(coeff, grid.element_centers())
     problem = PEnergyProblem(grid, a_e, p, xi)
-    x0 = None
-    if p != 2.0:
-        # continuation from the quadratic corrector with the same coefficient
-        [(x0, _)] = solve_corrector(grid, a_e, [xi])
-    u, stats = minimize_p_energy(problem, x0=x0)
+    u, stats = minimize_p_energy(problem)
     value = problem.value(u) / grid.side_length ** dim
     b = coeff.bounds
     xi_norm = float(np.linalg.norm(xi))
     if value < b.alpha * xi_norm ** p - 1e-9 or value > b.beta * (1.0 + xi_norm ** p) + 1e-9:
-        raise RuntimeError(f"cell energy {value:.6g} escapes the growth sandwich")
+        raise GuardError(f"cell energy {value:.6g} escapes the growth sandwich")
     return value, stats.iterations, stats.residual

@@ -5,8 +5,9 @@ One subcommand per experiment kind plus ``validate``.  Runs write CSV tables
 ``run.log`` with per-stage diagnostics; the log is the one artifact exempt
 from the byte-identical reproducibility rule, since it carries timings.
 
-Exit codes: 0 success, 2 invalid spec or parameters, 3 a soundness guard
-fired, 4 solver failure.
+Exit codes: 0 success, 1 any other runtime error, 2 invalid spec or
+parameters, 3 a soundness guard fired (``GuardError``), 4 solver failure
+(``SolverError``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .experiment_spec import (KINDS, ExperimentSpec, SpecValidationError,
                               build_density, build_family, build_perforation,
                               parse_spec)
 from .fields import QuadraticMatrix
-from .numerics import SolverError
+from .numerics import GuardError, SolverError
 from .perforation import (GaussianSource, lambda_problem_experiment,
                           masked_cell_value, penalized_cell_value)
 from .rve import window_sequence
@@ -32,6 +33,7 @@ from .stability import (counterexample_suite, run_stability_pair,
 from .svgplot import plot_series, write_csv, write_text_atomic
 
 EXIT_OK = 0
+EXIT_ERROR = 1
 EXIT_INVALID = 2
 EXIT_GUARD = 3
 EXIT_SOLVER = 4
@@ -302,7 +304,7 @@ def run_experiment(spec: ExperimentSpec, out_dir=None,
         log.stage("solver-failure", str(e))
         print(f"solver failure: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except RuntimeError as e:
+    except GuardError as e:
         log.stage("soundness-guard", str(e))
         print(f"soundness guard fired: {e}", file=sys.stderr)
         return EXIT_GUARD
@@ -310,6 +312,10 @@ def run_experiment(spec: ExperimentSpec, out_dir=None,
         log.stage("invalid-parameters", str(e))
         print(f"invalid parameters: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as e:
+        log.stage("error", str(e))
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
     finally:
         log.flush()
     for path in artifacts:

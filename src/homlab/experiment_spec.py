@@ -43,7 +43,7 @@ from .fields import (BallSupport, CheckerboardFamily, Constant, FieldBounds,
 from .numerics import cells_across
 from .perforation import PerforationSet, SparseRemoval, check_hole_resolution
 from .rve import MIN_WINDOW_CELLS
-from .stability import _density_field, _is_periodic
+from .stability import _density_field, _is_periodic, check_flip_alignment
 
 __all__ = [
     "SpecError", "SpecValidationError", "ExperimentSpec",
@@ -385,6 +385,14 @@ def _cell_holes(cell_resolution, radius, eps_list):
         check_hole_resolution(radius, cell_resolution, "cell_resolution")
 
 
+def _flip_aligned(family, family_g, resolution_per_unit):
+    for key, node in (("family", family), ("family_g", family_g)):
+        try:
+            check_flip_alignment(_build(node), resolution_per_unit)
+        except ValueError as e:
+            raise _Bad(f"{key}.flip.width", str(e)) from None
+
+
 def _same_families(family_g, family):
     if any(family[k] != family_g[k] for k in ("dim", "alpha", "beta")):
         raise _Bad("family_g.bounds",
@@ -528,7 +536,7 @@ _ROWS = {
         (lambda statistic_sizes: _cells(
             "statistic_sizes", statistic_sizes, STATISTIC_RESOLUTION,
             "the statistic resolution"),
-         _same_families)),
+         _same_families, _flip_aligned)),
     "counterexamples": _Row(_COMMON),
 }
 

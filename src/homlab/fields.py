@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import Grid, cells_across
+from .numerics import Grid, GuardError, cells_across
 
 _MASK64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
@@ -600,13 +600,13 @@ def eval_scalar(field: ScalarField, pts) -> np.ndarray:
     """Evaluate and enforce the bounds contract.
 
     A value outside the bounds is a broken field, not bad input: it raises
-    RuntimeError, which the CLI reports as a soundness-guard failure.
+    GuardError, which the CLI reports as a soundness-guard failure.
     """
     v = field.values(pts)
     b = field.bounds
     if np.any(v < b.alpha - 1e-12) or np.any(v > b.beta + 1e-12):
-        raise RuntimeError(f"field values escaped bounds [{b.alpha}, {b.beta}]: "
-                             f"range [{v.min():.6g}, {v.max():.6g}]")
+        raise GuardError(f"field values escaped bounds [{b.alpha}, {b.beta}]: "
+                         f"range [{v.min():.6g}, {v.max():.6g}]")
     return v
 
 

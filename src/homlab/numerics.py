@@ -18,9 +18,15 @@ systems are solved by CG preconditioned with the fast-diagonalization inverse
 of a constant-coefficient reference operator a_ref K + c_ref M (real FFT on
 the torus, DST-I on the box; see ``spectral_preconditioner``), so the
 iteration count is bounded by the coefficient contrast and does not grow
-with the resolution; nonsymmetric systems use unpreconditioned BiCGStab.
-Both stop on the unpreconditioned residual and check the true residual at
-the end.
+with the resolution; nonsymmetric systems use BiCGStab right-preconditioned
+with the same inverse for their symmetric part. Both stop on the
+unpreconditioned residual and check the true residual at the end.
+
+The p-power energies are minimized by L-BFGS (``minimize_p_energy``) whose
+initial inverse Hessian is the same reference inverse for a_ref = 1,
+scaled per iteration: a preconditioned two-loop recursion whose iteration
+count, like CG's, does not grow with the mesh. It stops on the Euclidean
+gradient norm.
 
 Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
@@ -45,6 +51,12 @@ _DUPLICATE_TOL = 1e-12
 
 class SolverError(RuntimeError):
     """A linear or nonlinear solve failed to reach its tolerance."""
+
+
+class GuardError(RuntimeError):
+    """A soundness guard fired: a computed result contradicts what the
+    analysis guarantees (field bounds, energy/flux cross-checks, symmetry,
+    eigenvalue window, growth sandwich, verdict/trace consistency)."""
 
 
 @dataclass(frozen=True)
@@ -448,8 +460,19 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
 
 def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
                               config: SolverConfig = DEFAULT_CONFIG,
-                              mean_zero: bool = False) -> tuple[np.ndarray, SolveStats]:
-    """BiCGStab for the nonsymmetric weak forms (flux problems)."""
+                              mean_zero: bool = False, *,
+                              preconditioner: Callable[[np.ndarray], np.ndarray]
+                              ) -> tuple[np.ndarray, SolveStats]:
+    """Right-preconditioned BiCGStab for the nonsymmetric weak forms (flux
+    problems).
+
+    ``preconditioner`` maps a vector r to z ~ A^-1 r; ``solve_corrector``
+    passes the ``spectral_preconditioner`` of the symmetric part. Right
+    preconditioning (A M y = b, x = M y) keeps the recurrence on the
+    unpreconditioned residual, which is what the stopping rule tests; the
+    true residual |b - A x| is checked at the end (within 10x the target).
+    ``mean_zero`` works as in ``cg_solve``.
+    """
     A = system.matrix
     b = np.asarray(rhs, dtype=float).copy()
     if b.shape != (system.n,):
@@ -481,23 +504,25 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
             rho = alpha = omega = 1.0
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
-        v = A @ p
+        p_hat = preconditioner(p)
+        v = A @ p_hat
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
             raise SolverError(f"krylov_solve_nonsymmetric: breakdown at iteration {it}")
         alpha = rho_new / denom
         s = r - alpha * v
         if np.linalg.norm(s) <= tol:
-            x = x + alpha * p
+            x = x + alpha * p_hat
             r = s
             it += 1
             break
-        t = A @ s
+        s_hat = preconditioner(s)
+        t = A @ s_hat
         tt = float(t @ t)
         if tt < 1e-300:
             raise SolverError(f"krylov_solve_nonsymmetric: stagnation at iteration {it}")
         omega = float(t @ s) / tt
-        x = x + alpha * p + omega * s
+        x = x + alpha * p_hat + omega * s_hat
         r = s - omega * t
         rho = rho_new
         it += 1
@@ -537,7 +562,8 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
                             unknowns: np.ndarray | None = None
                             ) -> Callable[[np.ndarray], np.ndarray]:
     """Exact inverse of the constant-coefficient reference operator
-    a_ref K + c_ref M on ``grid``, as a CG preconditioner.
+    a_ref K + c_ref M on ``grid``, as a preconditioner (CG, BiCGStab and
+    L-BFGS's initial inverse Hessian).
 
     On a uniform grid the Q1 stiffness and mass matrices are tensor products
     of the 1D stencils with symbols k(t) = (2 - 2 cos t) / h and
@@ -607,11 +633,12 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
     only. With an element mask ``active`` the unknowns are the nodes touching
     an active element, which must form one connected component.
 
-    Symmetric systems are solved by CG with ``spectral_preconditioner``:
-    a_ref is the mean coefficient over the active elements (trace / dim for
-    matrix coefficients) and c_ref the mean shift diagonal on the unknowns
-    over the reference mass diagonal (4h/6)^dim, so a constant-coefficient
-    system is solved in one iteration. Nonsymmetric systems use BiCGStab.
+    Symmetric systems are solved by CG, nonsymmetric ones by right-
+    preconditioned BiCGStab, both with ``spectral_preconditioner``: a_ref is
+    the mean coefficient over the active elements (trace / dim for matrix
+    coefficients, i.e. of their symmetric part) and c_ref the mean shift
+    diagonal on the unknowns over the reference mass diagonal (4h/6)^dim, so
+    a constant-coefficient symmetric system is solved in one iteration.
     Assembly, restriction, the connectivity check and the preconditioner
     setup run once for all directions. Returns the full nodal vector and the
     solver stats of each solve.
@@ -633,16 +660,15 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
                     else unknowns[~boundary[unknowns]])
     system = SparseSystem(K if unknowns is None else K[unknowns][:, unknowns],
                           symmetric=symmetric)
-    precond = None
-    if symmetric:
-        c = coeff if active is None else coeff[active]
-        a_ref = float(c.mean() if c.ndim == 1
-                      else np.trace(c, axis1=1, axis2=2).mean() / grid.dim)
-        c_ref = 0.0
-        if shift is not None:
-            c_ref = (float(shift.diagonal()[unknowns].mean())
-                     / (4.0 * grid.h / 6.0) ** grid.dim)
-        precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns)
+    # the trace of a matrix coefficient is the trace of its symmetric part
+    c = coeff if active is None else coeff[active]
+    a_ref = float(c.mean() if c.ndim == 1
+                  else np.trace(c, axis1=1, axis2=2).mean() / grid.dim)
+    c_ref = 0.0
+    if shift is not None:
+        c_ref = (float(shift.diagonal()[unknowns].mean())
+                 / (4.0 * grid.h / 6.0) ** grid.dim)
+    precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns)
     out = []
     for xi in ([None] if xis is None else xis):
         g = None
@@ -662,7 +688,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
             w, stats = cg_solve(system, rhs, config, mean_zero=torus,
                                 preconditioner=precond)
         else:
-            w, stats = krylov_solve_nonsymmetric(system, rhs, config, mean_zero=torus)
+            w, stats = krylov_solve_nonsymmetric(system, rhs, config, mean_zero=torus,
+                                                 preconditioner=precond)
         if unknowns is None:
             u = w
         elif g is None:
@@ -740,7 +767,19 @@ class PEnergyProblem:
 
 def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CONFIG,
                       x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
-    """L-BFGS with Armijo backtracking; energies are asserted non-increasing.
+    """Preconditioned L-BFGS with Armijo backtracking; energies are asserted
+    non-increasing.
+
+    The initial inverse Hessian of the two-loop recursion is gamma P, with
+    P = ``spectral_preconditioner(grid, 1, 0, free)`` the inverse of the
+    unit-coefficient stiffness on the unknowns (FFT on the torus, whose
+    constant mode it zeroes, DST-I on the interior nodes of a box) and
+    gamma = s^T y / y^T P y from the newest curvature pair (Nocedal-Wright,
+    Numerical Optimization, 7.2). Before any pair is stored, gamma is
+    1 / (p (p - 1) mean a), the reference Hessian scale at |xi + grad v| = 1,
+    and the first trial step is the unit step. The iteration count then
+    does not grow with the mesh. The stopping rule stays on the Euclidean
+    gradient norm.
 
     ``x0`` warm-starts the free unknowns (continuation from a cheaper
     problem). Returns the full nodal vector (boundary data included for
@@ -762,6 +801,8 @@ def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CO
     stall_ceiling = 1e3 * tol
     stall_drop = 8.0 * np.finfo(float).eps
     cap = _iter_cap(config, n)
+    precond = spectral_preconditioner(problem.grid, 1.0, 0.0, problem.free)
+    gamma0 = 1.0 / (problem.p * (problem.p - 1.0) * float(problem.coeff.mean()))
     memory: list[tuple[np.ndarray, np.ndarray]] = []
     m_max = 10
     it = 0
@@ -769,12 +810,12 @@ def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CO
     floor_hit = False
     g_norm = float(np.linalg.norm(grad))
     while g_norm > tol and it < cap:
-        d = _lbfgs_direction(grad, memory)
+        d = _lbfgs_direction(grad, memory, precond, gamma0)
         slope = float(grad @ d)
         if slope >= 0:
             d = -grad
             slope = -g_norm ** 2
-        step = 1.0 if memory else min(1.0, 1.0 / g_norm)
+        step = 1.0
         accepted = False
         for _ in range(60):
             u_try = u + step * d
@@ -821,7 +862,8 @@ def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CO
     return problem.full_vector(u), SolveStats(it, g_norm)
 
 
-def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
+def _lbfgs_direction(grad: np.ndarray, memory, precond, gamma0: float) -> np.ndarray:
+    """-H grad by the two-loop recursion with initial inverse Hessian gamma P."""
     q = grad.copy()
     alphas = []
     for s, y in reversed(memory):
@@ -829,9 +871,11 @@ def _lbfgs_direction(grad: np.ndarray, memory) -> np.ndarray:
         a = rho * float(s @ q)
         alphas.append((a, rho, s, y))
         q -= a * y
+    gamma = gamma0
     if memory:
         s, y = memory[-1]
-        q *= float(s @ y) / float(y @ y)
+        gamma = float(s @ y) / float(y @ precond(y))
+    q = gamma * precond(q)
     for a, rho, s, y in reversed(alphas):
         b = rho * float(y @ q)
         q += (a - b) * s

@@ -23,6 +23,7 @@ from .fields import (
 )
 from .numerics import (
     BOX,
+    GuardError,
     PEnergyProblem,
     build_grid,
     cells_across,
@@ -79,7 +80,7 @@ def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
     lo = alpha * xi_norm ** p
     hi = beta * (1.0 + xi_norm ** p)
     if value < lo - 1e-9 * max(1.0, lo) or value > hi + 1e-9 * max(1.0, hi):
-        raise RuntimeError(f"window value {value:.12g} escapes the growth "
+        raise GuardError(f"window value {value:.12g} escapes the growth "
                            f"bounds [{lo:.6g}, {hi:.6g}]")
 
 
@@ -96,8 +97,9 @@ def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int) -> float:
         free = np.flatnonzero(~grid.boundary_node_mask())
         problem = PEnergyProblem(grid, coeff, f.p, np.zeros(dim),
                                  free=free, fixed_values=g)
-        # continuation: the quadratic minimizer is a cheap, qualitatively
-        # right starting point
+        # continuation: the quadratic minimizer already follows the affine
+        # boundary data, which a zero interior does not; it saves about a
+        # third of the L-BFGS iterations (21 vs 32 at R = 8, p = 3)
         [(u_quad, _)] = solve_corrector(grid, coeff, [xi], center=center)
         u, _ = minimize_p_energy(problem, x0=u_quad[free])
         raw = problem.value(u[free])
@@ -169,6 +171,6 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
         pairing = float(flux @ xi)
         scale = max(abs(energy), 1.0)
         if abs(pairing - energy) > 1e-10 * scale:
-            raise RuntimeError(
+            raise GuardError(
                 f"flux/energy pairing broke: {pairing:.12g} vs {energy:.12g}")
     return flux

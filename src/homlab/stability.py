@@ -26,14 +26,15 @@ from .fields import (Constant, FieldBounds, HalfSpaceStep, PeriodicStep,
                      STATISTIC_RESOLUTION, TrigPolynomialClamped,
                      _window_points, eval_scalar,
                      expectation_statistic, mean_abs_statistic, mix_seed)
-from .numerics import TORUS, SolverError, build_grid, cells_across
+from .numerics import TORUS, GuardError, SolverError, build_grid, cells_across
 from .rve import WindowEstimate, window_sequence
 
 __all__ = [
     "Conclusion", "StabilityReport", "ApproximationStep", "ApproximationTrace",
     "StochasticStabilityReport", "run_stability_pair",
     "run_approximation_scheme", "counterexample_suite",
-    "stochastic_stability_experiment", "signed_mean_statistic",
+    "stochastic_stability_experiment", "check_flip_alignment",
+    "signed_mean_statistic",
 ]
 
 # statistic values at or below this are treated as identically zero
@@ -117,7 +118,7 @@ class StabilityReport:
             raise ValueError(f"unknown verdict {self.condition_verdict!r}")
         want = "vanishing" if _trace_is_vanishing(psis) else "non-vanishing"
         if self.condition_verdict != want:
-            raise RuntimeError(
+            raise GuardError(
                 f"verdict {self.condition_verdict!r} inconsistent with the "
                 f"trace (trend test says {want!r})")
         if not (np.isfinite(self.discrepancy) and self.discrepancy >= 0):
@@ -127,14 +128,14 @@ class StabilityReport:
         holds = self.conclusion in (Conclusion.CONDITION_HOLDS_LIMITS_AGREE,
                                     Conclusion.CONDITION_HOLDS_LIMITS_DIFFER)
         if holds != (self.condition_verdict == "vanishing"):
-            raise RuntimeError("conclusion contradicts the condition verdict")
+            raise GuardError("conclusion contradicts the condition verdict")
         agree = self.conclusion in (Conclusion.CONDITION_HOLDS_LIMITS_AGREE,
                                     Conclusion.CONDITION_FAILS_LIMITS_AGREE)
         if agree != (self.discrepancy <= self.tolerance):
-            raise RuntimeError("conclusion contradicts the discrepancy")
+            raise GuardError("conclusion contradicts the discrepancy")
         if (self.conclusion is Conclusion.CONDITION_HOLDS_LIMITS_DIFFER
                 and self.numerical_failure is None):
-            raise RuntimeError(
+            raise GuardError(
                 "a vanishing statistic with differing limits is numerically "
                 "impossible for exact solves; the report must carry a "
                 "numerical-failure diagnostic")
@@ -300,7 +301,7 @@ def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0), *,
         got = mean_abs_statistic(f, g, t, R_list[-1], statistic_resolution)
         want = (t / t0) ** p * psis[-1]
         if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-            raise RuntimeError(
+            raise GuardError(
                 f"statistic does not scale as t^{p}: psi({t}) = {got:.15g}, "
                 f"expected {want:.15g}")
     verdict = "vanishing" if _trace_is_vanishing(psis) else "non-vanishing"
@@ -390,7 +391,7 @@ class ApproximationTrace:
         want = _approximates(self.steps, self.window_reference,
                              self.agreement_rtol)
         if self.approximates != want:
-            raise RuntimeError("approximation verdict inconsistent with the trace")
+            raise GuardError("approximation verdict inconsistent with the trace")
 
     def summary(self) -> dict:
         return {
@@ -543,7 +544,7 @@ def counterexample_suite() -> dict[str, StabilityReport]:
     for name, want in expected.items():
         got = reports[name].conclusion
         if got is not want:
-            raise RuntimeError(
+            raise GuardError(
                 f"counterexample {name!r} concluded {got.value} instead of "
                 f"{want.value}; the catalog no longer matches the analysis")
     return reports
@@ -575,7 +576,7 @@ class StochasticStabilityReport:
         means = [m for _, m, _ in self.statistic_trace]
         if (_trace_is_vanishing(means) and not self.intervals_overlap
                 and self.numerical_failure is None):
-            raise RuntimeError(
+            raise GuardError(
                 "a vanishing expectation statistic with non-overlapping "
                 "intervals is inconsistent; the report must carry a "
                 "numerical-failure diagnostic")
@@ -601,6 +602,23 @@ def _nested(a: np.ndarray) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(x) for x in row) for row in np.atleast_2d(a))
 
 
+def check_flip_alignment(family, resolution_per_unit: int):
+    """A family's flip sub-squares z + [0, width)^d must end on element
+    boundaries of the trial grids, so the cell matrices see the same flip
+    as the statistic: width * resolution_per_unit must be an integer
+    (``numerics.cells_across``); otherwise ValueError."""
+    if family.flip_cells is None:
+        return
+    width = family.flip_cells.width
+    try:
+        cells_across(width, resolution_per_unit)
+    except ValueError:
+        raise ValueError(f"flip width {width:g} times resolution_per_unit "
+                         f"{resolution_per_unit} must be an integer so the "
+                         "flipped sub-squares end on element boundaries"
+                         ) from None
+
+
 def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
                                     *, torus_size: int = 32,
                                     resolution_per_unit: int = 8,
@@ -612,7 +630,8 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
 
     Each realization is restricted to the window [0, torus_size)^d, taken as
     one period of a torus (cell indices keep their absolute hashes), and
-    homogenized there by ``cell.homogenize_coefficients``.
+    homogenized there by ``cell.homogenize_coefficients``. Flip widths must
+    align with the grid (``check_flip_alignment``).
 
     Trials are paired by derived per-trial seeds, so swapping the family
     order negates the paired difference exactly.
@@ -621,6 +640,8 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
         raise ValueError(f"need at least 8 trials for stable intervals, got {trials}")
     if torus_size < 2:
         raise ValueError(f"torus size must be >= 2, got {torus_size}")
+    for family in (f_family, g_family):
+        check_flip_alignment(family, resolution_per_unit)
     dim = f_family.dim
     grid = build_grid(dim, cells_across(torus_size, resolution_per_unit),
                       (0.0,) * dim, torus_size, TORUS)

@@ -171,6 +171,15 @@ def test_p_energy_samples_result():
         homogenized_quadratic_form(result, [1.0])
 
 
+def test_p_energy_iterations_stay_flat():
+    # the tiny benchmark cell spec: p = 3, 2x2 step [1, 4, 4, 1] at 8 and 16
+    # cells per unit; plain L-BFGS from the quadratic warm start took 14 and 34
+    field = PeriodicStep(2, [1.0, 4.0, 4.0, 1.0], B14, dim=2)
+    for resolution in (8, 16):
+        result = p_energy_result(field, 3.0, [[1.0, 0.0]], resolution)
+        assert max(result.solver_iterations) <= 25
+
+
 def test_quadratic_form_examples():
     eye = HomogenizedResult(np.eye(2), 8, True, (), (), 0.5, 4.0)
     assert homogenized_quadratic_form(eye, [3.0, 4.0]) == pytest.approx(25.0)

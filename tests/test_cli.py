@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from homlab.cli import main
-from homlab.numerics import SolverError
+from homlab.numerics import GuardError, SolverError
 
 STEP_1D = {"type": "periodic_step", "subdivisions": 2, "values": [1.5, 3.5],
            "dim": 1}
@@ -31,6 +31,15 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "field.bounds" in out
         assert "bogus" in out
+
+    def test_misaligned_flip_width_exits_2_with_path(self, tmp_path, capsys):
+        fam = {"type": "checkerboard_family", "values": [1.0, 4.0]}
+        tree = {"kind": "stochastic", "family": fam, "resolution_per_unit": 4,
+                "family_g": dict(fam, flip={"type": "power_of_two",
+                                            "width": 0.3})}
+        path = spec_file(tmp_path, tree)
+        assert main(["validate", "--spec", path]) == 2
+        assert "family_g.flip.width" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path):
         assert main(["validate", "--spec", str(tmp_path / "nope.json")]) == 2
@@ -117,7 +126,7 @@ class TestRunCommand:
 
     def test_soundness_guard_exits_3(self, tmp_path, capsys, monkeypatch):
         def tripped():
-            raise RuntimeError("catalog no longer matches the analysis")
+            raise GuardError("catalog no longer matches the analysis")
 
         monkeypatch.setattr("homlab.cli.counterexample_suite", tripped)
         path = spec_file(tmp_path, {"kind": "counterexamples"})
@@ -126,6 +135,22 @@ class TestRunCommand:
                      str(out)]) == 3
         assert "soundness guard" in capsys.readouterr().err
         assert "soundness-guard" in (out / "run.log").read_text()
+
+    def test_other_runtime_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        # only GuardError means "soundness guard fired"; any other runtime
+        # error is reported with its message under exit 1
+        def broken():
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setattr("homlab.cli.counterexample_suite", broken)
+        path = spec_file(tmp_path, {"kind": "counterexamples"})
+        out = tmp_path / "error"
+        assert main(["counterexamples", "--spec", path, "--out",
+                     str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "unexpected state" in err
+        assert "soundness guard" not in err
+        assert "unexpected state" in (out / "run.log").read_text()
 
     def test_field_escaping_bounds_exits_3(self, tmp_path, capsys, monkeypatch):
         def escaping(self, pts):

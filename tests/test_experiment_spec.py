@@ -199,6 +199,18 @@ class TestParsing:
         violations = validate_document(doc(tree))
         assert any(v.path == "family_g.bounds" for v in violations)
 
+    def test_stochastic_flip_width_aligns_with_resolution(self):
+        # the library refuses flip edges inside an element; so does validate
+        fam = {"type": "checkerboard_family", "values": [1.0, 4.0]}
+        for width, ok in ((0.3, False), (0.25, True), (1.0, True)):
+            for key in ("family", "family_g"):
+                tree = {"kind": "stochastic", "family": fam, "family_g": fam,
+                        "resolution_per_unit": 4,
+                        key: dict(fam, flip={"type": "power_of_two",
+                                             "width": width})}
+                paths = [v.path for v in validate_document(doc(tree))]
+                assert paths == ([] if ok else [f"{key}.flip.width"]), (width, key)
+
     def test_perforation_hole_resolution_guard(self):
         # every grid that resolves a hole needs MIN_CELLS_ACROSS_HOLE (8)
         # elements across it, as the library demands at run time; radius

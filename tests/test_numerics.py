@@ -11,6 +11,7 @@ import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from homlab.fields import FieldBounds, PeriodicStep, PPower
 from homlab.numerics import (
     BOX,
     TORUS,
@@ -28,12 +29,19 @@ from homlab.numerics import (
     solve_corrector,
     spectral_preconditioner,
 )
+from homlab.rve import local_min_energy
 
 
 def two_phase_coeff(grid, low=1.0, high=4.0):
     """Element coefficients for the half-half profile in the first axis."""
     frac = np.mod(grid.element_centers()[:, 0], 1.0)
     return np.where(frac < 0.5, low, high)
+
+
+def checkerboard_coeff(grid, low=1.0, high=4.0):
+    """Element coefficients for the 2x2 checkerboard of the unit cell."""
+    c = grid.element_centers()
+    return np.where((np.floor(2 * c[:, 0]) + np.floor(2 * c[:, 1])) % 2 == 0, low, high)
 
 
 def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
@@ -52,6 +60,11 @@ def jacobi(system):
     """Diagonal (Jacobi) preconditioner of a system, for direct cg_solve calls."""
     inv_diag = 1.0 / system.matrix.diagonal()
     return lambda r: inv_diag * r
+
+
+def identity(r):
+    """No preconditioning, for direct solver calls on unstructured matrices."""
+    return r
 
 
 class TestGrid:
@@ -311,7 +324,8 @@ class TestNonsymmetricKrylov:
         for _ in range(5):
             A = np.eye(n) * 4.0 + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
             b = rng.standard_normal(n)
-            x, _ = krylov_solve_nonsymmetric(SparseSystem(sp.csr_matrix(A), symmetric=False), b)
+            x, _ = krylov_solve_nonsymmetric(SparseSystem(sp.csr_matrix(A), symmetric=False), b,
+                                             preconditioner=identity)
             assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
 
     def test_nonsymmetric_torus_system(self):
@@ -322,8 +336,36 @@ class TestNonsymmetricKrylov:
         A_e = two_phase_coeff(g)[:, None, None] * np.array([[2.0, 1.0], [-1.0, 2.0]])
         K = ops.assemble_stiffness(A_e)
         rhs = -ops.load_from_element_vectors(A_e[:, :, 0])
-        x, _ = krylov_solve_nonsymmetric(SparseSystem(K, symmetric=False), rhs, mean_zero=True)
+        x, _ = krylov_solve_nonsymmetric(SparseSystem(K, symmetric=False), rhs, mean_zero=True,
+                                         preconditioner=identity)
         assert np.linalg.norm(rhs - K @ x) <= 1e-9 * max(np.linalg.norm(rhs), 1e-30)
+
+    @pytest.mark.parametrize("topology", [TORUS, BOX])
+    def test_spectral_right_preconditioning(self, topology):
+        # checkerboard coefficient with a skew part: the reference inverse of
+        # the symmetric part (a_ref = trace / dim) cuts BiCGStab's iterations
+        # and keeps them flat under refinement, with the same answer
+        torus = topology == TORUS
+        iters = {}
+        for n in (32, 64):
+            g = build_grid(2, n, (0.0, 0.0), 1.0, topology)
+            ops = element_ops(g)
+            A_e = checkerboard_coeff(g)[:, None, None] * np.array([[2.0, 1.0], [-1.0, 2.0]])
+            if torus:
+                K = ops.assemble_stiffness(A_e)
+                b = -ops.load_from_element_vectors(A_e[:, :, 0])
+            else:
+                K, b, _ = dirichlet_system(g, A_e, interpolate_affine(g, [1.0, 0.0]))
+            system = SparseSystem(K, symmetric=False)
+            a_ref = np.trace(A_e, axis1=1, axis2=2).mean() / 2
+            x, stats = krylov_solve_nonsymmetric(
+                system, b, mean_zero=torus, preconditioner=spectral_preconditioner(g, a_ref))
+            plain, plain_stats = krylov_solve_nonsymmetric(
+                system, b, mean_zero=torus, preconditioner=identity)
+            assert np.max(np.abs(x - plain)) <= 1e-7 * np.max(np.abs(plain))
+            assert stats.iterations < plain_stats.iterations / 3
+            iters[n] = stats.iterations
+        assert iters[64] <= iters[32] + 5
 
 
 def brute_force_1d_p_energy(coeff, h, p, xi, tol=1e-12):
@@ -360,15 +402,12 @@ class TestPEnergy:
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
 
     def test_float_floor_stops_backtracking(self):
-        # warm-started from the quadratic corrector, this descent reaches the
-        # float64 energy floor above the gradient target; the line search
-        # must stop halving there instead of spending tens of evaluations per
-        # stalled iteration on noise-level Armijo tests
+        # this descent reaches the float64 energy floor above the gradient
+        # target; the line search must stop halving there instead of spending
+        # tens of evaluations per stalled iteration on noise-level Armijo tests
         g = build_grid(2, 32, (0.0, 0.0), 1.0, TORUS)
-        c = g.element_centers()
-        coeff = np.where((np.floor(2 * c[:, 0]) + np.floor(2 * c[:, 1])) % 2 == 0, 1.0, 4.0)
+        coeff = checkerboard_coeff(g)
         xi = np.array([0.3, 0.7])
-        [(x0, _)] = solve_corrector(g, coeff, [xi])
         calls = []
 
         class Counted(PEnergyProblem):
@@ -377,11 +416,14 @@ class TestPEnergy:
                 return super().value(u_free)
 
         prob = Counted(g, coeff, 1.5, xi)
-        u, stats = minimize_p_energy(prob, x0=x0)
+        u, stats = minimize_p_energy(prob)
+        tol = SolverConfig().nonlinear_grad_tolerance
+        assert tol < stats.residual <= 1e3 * tol      # the floor exit was taken
         assert len(calls) <= 1.25 * stats.iterations + 10
-        assert stats.residual <= 1e3 * SolverConfig().nonlinear_grad_tolerance
-        cold, _ = minimize_p_energy(PEnergyProblem(g, coeff, 1.5, xi))
-        assert abs(prob.value(u) - prob.value(cold)) <= 1e-12 * prob.value(cold)
+        # a warm start from the quadratic corrector lands on the same minimum
+        [(x0, _)] = solve_corrector(g, coeff, [xi])
+        warm, _ = minimize_p_energy(PEnergyProblem(g, coeff, 1.5, xi), x0=x0)
+        assert abs(prob.value(u) - prob.value(warm)) <= 1e-12 * prob.value(warm)
 
     def test_1d_p3_against_brute_force(self):
         g = build_grid(1, 16, (0.0,), 1.0, TORUS)
@@ -460,6 +502,49 @@ class TestPEnergy:
             u, _ = minimize_p_energy(prob)
             runs.append(u.tobytes())
         assert runs[0] == runs[1]
+
+
+class TestPreconditionedLBFGS:
+    """The spectral initial Hessian changes iteration counts, not minima.
+
+    The energies were recorded from the plain L-BFGS (initial Hessian
+    s^T y / y^T y times the identity) that preceded the preconditioned one.
+    """
+
+    # (contrast, p) -> energy of the 2x2 checkerboard at 32^2, xi = e_1
+    TORUS_ENERGIES = {
+        (4.0, 1.5): 1.9137837057076459,
+        (4.0, 3.0): 2.04717992252134,
+        (4.0, 4.0): 2.0536988189296963,
+        (16.0, 1.5): 3.6101592044848196,
+        (16.0, 3.0): 4.7131302197677725,
+        (16.0, 4.0): 4.711467453220115,
+    }
+
+    @pytest.mark.parametrize("contrast, p", sorted(TORUS_ENERGIES))
+    def test_torus_energies_match_plain_lbfgs(self, contrast, p):
+        g = build_grid(2, 32, (0.0, 0.0), 1.0, TORUS)
+        prob = PEnergyProblem(g, checkerboard_coeff(g, high=contrast), p,
+                              np.array([1.0, 0.0]))
+        u, _ = minimize_p_energy(prob)
+        want = self.TORUS_ENERGIES[contrast, p]
+        assert abs(prob.value(u) - want) <= 1e-10 * want
+
+    def test_dirichlet_window_matches_plain_lbfgs(self):
+        # a p = 3 window off the checkerboard's symmetry center: the box path
+        # with the DST-I inverse on the interior nodes
+        f = PPower(PeriodicStep(2, [1.0, 4.0, 4.0, 1.0], FieldBounds(1.0, 4.0),
+                                dim=2), 3.0)
+        value = local_min_energy(f, (0.25, 0.25), 2.0, [1.0, 0.0], 8)
+        assert abs(value - 2.1324507115571) <= 1e-10 * 2.1324507115571
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_iterations_do_not_grow_with_the_mesh(self, n):
+        # plain L-BFGS takes 67 iterations at 32^2 and 175 at 64^2
+        g = build_grid(2, n, (0.0, 0.0), 1.0, TORUS)
+        prob = PEnergyProblem(g, checkerboard_coeff(g), 3.0, np.array([1.0, 0.0]))
+        _, stats = minimize_p_energy(prob)
+        assert stats.iterations <= 35
 
 
 class TestMeshRefinement:

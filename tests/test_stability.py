@@ -14,7 +14,8 @@ from homlab.fields import (BallSupport, CheckerboardFamily, FieldBounds,
                            constant_matrix, mean_abs_statistic, mix_seed)
 from homlab.stability import (ApproximationStep, ApproximationTrace,
                               Conclusion, StabilityReport,
-                              StochasticStabilityReport, counterexample_suite,
+                              StochasticStabilityReport, check_flip_alignment,
+                              counterexample_suite,
                               run_approximation_scheme, run_stability_pair,
                               signed_mean_statistic,
                               stochastic_stability_experiment)
@@ -422,6 +423,25 @@ class TestStochastic:
             stochastic_stability_experiment(plain, flipped, 7, 0)
         with pytest.raises(ValueError, match="torus"):
             stochastic_stability_experiment(plain, flipped, 8, 0, torus_size=1)
+
+    def test_flip_width_must_align_with_the_grid(self, checker_families):
+        # at 4 cells per unit a 0.3 flip edge cuts through elements, so the
+        # cell matrices would see a 0.25 flip while the statistic sees 0.3
+        plain, _ = checker_families
+
+        def flipped(width):
+            return CheckerboardFamily((1.0, 4.0), 0.5, B14,
+                                      flip_cells=PowerOfTwoCells(width))
+
+        with pytest.raises(ValueError, match="flip width 0.3"):
+            stochastic_stability_experiment(plain, flipped(0.3), 8, 0,
+                                            torus_size=4, resolution_per_unit=4)
+        with pytest.raises(ValueError, match="flip width 0.3"):
+            stochastic_stability_experiment(flipped(0.3), plain, 8, 0,
+                                            torus_size=4, resolution_per_unit=4)
+        for width in (0.25, 1.0):
+            check_flip_alignment(flipped(width), 4)
+        check_flip_alignment(plain, 3)
 
     def test_report_guard(self):
         kw = dict(trials=8, torus_size=8, seed=0,
