@@ -13,10 +13,11 @@ t^2 times the spectral radius of the symmetrized difference for matrix pairs,
 t^p |a - b| for p-power pairs).
 
 Fields that are constant on the cubes z + [0, s)^d of a lattice report the
-side s as ``cell_side``. When both coefficients of a scalar pair report the
-same side, the statistic evaluates one midpoint per lattice cell and weights
-it by the number of window midpoints in that cell: the same midpoint
-quadrature, grouped by cell, at a fraction of the field evaluations.
+side s as ``cell_side``. When the sides of both coefficients of a scalar
+pair are multiples of the finer one, the statistic evaluates one midpoint
+per cell of the finer lattice and weights it by the number of window
+midpoints in that cell: the same midpoint quadrature, grouped by cell, at a
+fraction of the field evaluations.
 """
 
 from __future__ import annotations
@@ -423,7 +424,7 @@ class RandomCheckerboard(ScalarField):
     environment by shifting the index. ``flip_cells`` swaps the two values on
     the sub-squares z + [0, width)^d of its qualifying cells (the stochastic
     perturbation); below width 1 the field is no longer constant on unit
-    cells.
+    cells, but a width of 1/k leaves it constant on the cubes of side 1/k.
     """
 
     cell_values: tuple[float, float]
@@ -463,8 +464,11 @@ class RandomCheckerboard(ScalarField):
 
     @property
     def cell_side(self):
-        whole_cells = self.flip_cells is None or self.flip_cells.width == 1.0
-        return 1.0 if whole_cells else None
+        if self.flip_cells is None:
+            return 1.0
+        width = self.flip_cells.width
+        per_unit = 1.0 / width
+        return width if abs(per_unit - round(per_unit)) <= 1e-9 else None
 
     def shifted(self, z: tuple[int, ...]) -> "RandomCheckerboard":
         offset = tuple(o + int(dz) for o, dz in zip(self.index_offset, z))
@@ -658,12 +662,18 @@ def _window_points(R: float, resolution_per_unit: int, dim: int, center,
 
 
 def _common_cell_side(f: EnergyDensity, g: EnergyDensity) -> float | None:
-    """Lattice cell side on which both scalar coefficients are constant."""
+    """Lattice cell side on which both scalar coefficients are constant: the
+    finer of their two sides when the coarser is an integer multiple of it
+    (to 1e-9), else None."""
     scalar_kinds = (QuadraticIsotropic, PPower)
     if not (isinstance(f, scalar_kinds) and isinstance(g, scalar_kinds)):
         return None
-    side = f.coeff.cell_side
-    return side if side == g.coeff.cell_side else None
+    sides = (f.coeff.cell_side, g.coeff.cell_side)
+    if None in sides:
+        return None
+    fine, coarse = sorted(sides)
+    ratio = coarse / fine
+    return fine if abs(ratio - round(ratio)) <= 1e-9 else None
 
 
 def _quadrature_mean(values: np.ndarray, weights: np.ndarray | None) -> float:
@@ -687,8 +697,9 @@ def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
 
     The sup is analytic per density pair; midpoint quadrature over Q_R(center)
     with the given resolution. When both coefficients of a scalar pair report
-    the same ``cell_side``, the midpoints are summed once per lattice cell,
-    weighted by how many of them the cell holds: t^p * sum(w sup) / sum(w).
+    a ``cell_side`` and the coarser is a multiple of the finer, the midpoints
+    are summed once per cell of the finer lattice, weighted by how many of
+    them the cell holds: t^p * sum(w sup) / sum(w).
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")

@@ -169,8 +169,9 @@ class TestRandomCheckerboard:
         half, whole = field(0.5), field(1.0)
         assert half.values(lower)[0] == whole.values(lower)[0]
         assert half.values(upper)[0] != whole.values(upper)[0]
-        assert half.cell_side is None
+        assert half.cell_side == 0.5
         assert whole.cell_side == 1.0
+        assert field(0.3).cell_side is None
 
 
 class TestMatrixFields:
@@ -322,6 +323,21 @@ class TestCellConstantStatistic:
         # [-3.5, 4.5) x [-3.75, 4.25) meets 9 cells per axis
         mean_abs_statistic(a, b, 1.0, 8.0, 16, center=(0.5, 0.25))
         assert counted == [81, 81]
+
+    # flip width, checkerboard points per evaluation over Q_16 at 8 per unit
+    @pytest.mark.parametrize("width, points", [(1.0, 16 ** 2), (0.5, 32 ** 2),
+                                               (0.25, 64 ** 2), (0.3, 128 ** 2)])
+    def test_sub_cell_flips_group_per_flip_cube(self, monkeypatch, width, points):
+        counted = _count_checkerboard_points(monkeypatch)
+        a = RandomCheckerboard((1.0, 4.0), 0.5, 3, B14)
+        b = RandomCheckerboard((1.0, 4.0), 0.5, 3, B14,
+                               flip_cells=PowerOfTwoCells(width))
+        got = mean_abs_statistic(QuadraticIsotropic(a), QuadraticIsotropic(b),
+                                 1.0, 16.0, 8)
+        assert counted == [points, points]
+        want = _brute_force_statistic(a, b, 1.0, 2.0, 16.0, 8, (0.0, 0.0))
+        assert want > 0
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
 
     def test_other_pairs_stay_pointwise(self, monkeypatch):
         counted = _count_checkerboard_points(monkeypatch)

@@ -221,6 +221,108 @@ def _pinned_mean_zero_solve(K, rhs):
     return v - v.mean()
 
 
+def _coo_reference(ops, data):
+    """Element matrices data[e, a, b] summed into CSR by COO -> CSR."""
+    n_loc = ops.elem_nodes.shape[1]
+    rows = np.repeat(ops.elem_nodes, n_loc, axis=1).ravel()
+    cols = np.tile(ops.elem_nodes, (1, n_loc)).ravel()
+    mat = sp.coo_matrix((data.ravel(), (rows, cols)),
+                        shape=(ops.grid.n_nodes, ops.grid.n_nodes)).tocsr()
+    mat.sum_duplicates()
+    mat.sort_indices()
+    return mat
+
+
+def _assert_same_csr(got, want):
+    assert got.indices.dtype == want.indices.dtype
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("topology, n", [(TORUS, 2), (TORUS, 3), (TORUS, 5),
+                                         (BOX, 2), (BOX, 4)])
+def test_assembly_matches_coo_reference(dim, topology, n):
+    """The cached-pattern assembly is bit-identical to COO -> CSR, wrapped
+    duplicate stencil offsets of the 2-node torus included."""
+    g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
+    ops = element_ops(g)
+    rng = np.random.default_rng(10 * dim + n)
+    scalar = rng.uniform(1.0, 4.0, g.n_elements)
+    matrix = rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim))
+    assert dim == 1 or not np.allclose(matrix, matrix.transpose(0, 2, 1))
+    lap = np.einsum("kkab->ab", ops.stiff_blocks)
+    _assert_same_csr(ops.assemble_stiffness(scalar),
+                     _coo_reference(ops, scalar[:, None, None] * lap[None]))
+    _assert_same_csr(ops.assemble_stiffness(matrix),
+                     _coo_reference(ops, np.einsum("ekl,klab->eab", matrix,
+                                                   ops.stiff_blocks)))
+    # the left half of the elements: the nodes right of it (none on the
+    # 2-node torus) get all-zero rows, which stay as explicit zeros
+    mask = g.element_centers()[:, 0] < 0.5
+    mass = ops.assemble_mass(mask)
+    scale = g.h ** dim * mask
+    _assert_same_csr(mass, _coo_reference(ops, scale[:, None, None] * ops.mass_ref[None]))
+    row_max = np.maximum.reduceat(np.abs(mass.data), mass.indptr[:-1])
+    assert np.any(row_max == 0.0) == (topology == BOX or n > 2)
+
+
+def test_assembly_pattern_is_shared_and_read_only():
+    g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
+    ops = element_ops(g)
+    K = ops.assemble_stiffness(np.full(g.n_elements, 2.0))
+    M = ops.assemble_mass()
+    for mat in (K, M):
+        assert np.shares_memory(mat.indices, ops.pattern.indices)
+        assert np.shares_memory(mat.indptr, ops.pattern.indptr)
+    for arr in (ops.pattern.indptr, ops.pattern.indices, ops.pattern.pos):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("case", ["box-interior", "torus-masked", "box-masked"])
+def test_restriction_matches_fancy_indexing(case):
+    """``restrict`` (first call builds the map, the second reuses it) equals
+    K[unknowns][:, unknowns] and, with the data-added shift of
+    ``solve_corrector``, (K + shift)[unknowns][:, unknowns]."""
+    topology = BOX if case.startswith("box") else TORUS
+    g = build_grid(2, 12, (0.0, 0.0), 1.0, topology)
+    ops = element_ops(g)
+    coeff = np.random.default_rng(3).uniform(1.0, 4.0, g.n_elements)
+    free = np.ones(g.n_nodes, dtype=bool) if topology == TORUS else ~g.boundary_node_mask()
+    active = None
+    if case.endswith("masked"):
+        active = np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.25
+        touched = np.zeros(g.n_nodes, dtype=bool)
+        touched[ops.elem_nodes[active]] = True
+        free &= touched
+    unknowns = np.flatnonzero(free)
+    K = ops.assemble_stiffness(coeff)
+    shift = 3.0 * ops.assemble_mass(active)
+    shifted = ops.pattern.matrix(K.data + shift.data)
+    for mat, reference in ((K, K), (shifted, (K + shift).tocsr())):
+        want = reference[unknowns][:, unknowns]
+        want.sort_indices()
+        first = ops.restrict(mat, unknowns)
+        again = ops.restrict(mat, unknowns)
+        assert np.shares_memory(again.indices, first.indices)
+        _assert_same_csr(first, want)
+        _assert_same_csr(again, want)
+
+
+def test_shift_with_foreign_pattern_raises():
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
+    other = build_grid(2, 8, (0.0, 0.0), 2.0, TORUS)
+    coeff = np.full(g.n_elements, 2.0)
+    load = np.ones(g.n_nodes)
+    for shift in (sp.identity(g.n_nodes, format="csr"),
+                  element_ops(g).assemble_mass().tocoo(),
+                  element_ops(other).assemble_mass()):
+        with pytest.raises(ValueError, match="shift"):
+            solve_corrector(g, coeff, shift=shift, load=load)
+
+
 @pytest.mark.parametrize("variant", ["torus", "torus-masked", "box-affine",
                                      "box-masked", "box-shifted"])
 def test_solve_corrector_matches_direct_solve(variant):

@@ -62,3 +62,18 @@ def test_cli_import_leaves_csgraph_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+def test_p_energy_cell_builds_no_csr_pattern(monkeypatch):
+    # the assembly pattern is built on a grid's first assembly; the torus
+    # p-energy solves (penergy-cell) run L-BFGS only and must not pay for it
+    from homlab import cell, numerics
+    from homlab.fields import FieldBounds, checkerboard_step
+
+    def refuse(*args):
+        raise AssertionError("a CSR pattern was built")
+
+    monkeypatch.setattr(numerics, "_csr_pattern", refuse)
+    numerics.element_ops.cache_clear()
+    field = checkerboard_step(1.0, 4.0, FieldBounds(1.0, 4.0))
+    assert cell.homogenize_p_energy(field, 3.0, [1.0, 0.0], 8) > 0
