@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -225,10 +225,11 @@ def _reference_gradients(dim: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-point stencil of one grid axis with ``nodes`` nodes: ``count[x]``
-    distinct stencil nodes of x, and ``rank[x, k]``, the place of node
-    x + k - 1 among them in increasing order. Box ends have two neighbours;
-    on a 2-node torus x - 1 and x + 1 are the same node and share a place.
+    """The 3-point stencil of one grid axis with ``nodes`` nodes:
+    ``column[x]`` holds the distinct stencil nodes of x in increasing order,
+    padded with ``nodes``, and node x + k - 1 is ``column[x, rank[x, k]]``.
+    Box ends have two neighbours; on a 2-node torus x - 1 and x + 1 are the
+    same node and share a place.
     """
     target = np.arange(nodes)[:, None] + np.arange(-1, 2)[None, :]
     if torus:
@@ -237,33 +238,29 @@ def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
         distinct[:, 2] = target[:, 2] != target[:, 0]
     else:
         distinct = (target >= 0) & (target < nodes)
-    rank = (distinct[:, None, :] & (target[:, None, :] < target[:, :, None])).sum(axis=2)
-    return distinct.sum(axis=1), rank
-
-
-def _square_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> sp.csr_matrix:
-    """Square CSR matrix on sorted, duplicate-free index arrays, which it
-    shares rather than copies."""
-    n = len(indptr) - 1
-    mat = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    mat.has_canonical_format = True
-    return mat
+    column = np.sort(np.where(distinct, target, nodes), axis=1)
+    rank = (column[:, None, :] < target[:, :, None]).sum(axis=2)
+    return column, rank
 
 
 @dataclass(frozen=True)
 class CsrPattern:
-    """Sparsity of every matrix assembled on one grid: the 3^dim-node stencil
-    in CSR form, rows sorted, no duplicates. ``pos`` sends element-local
-    entry (e, a, b), raveled, to its slot in ``indices``. All three arrays
-    are read-only; ``indptr`` and ``indices`` have scipy's index dtype and
-    are shared by every matrix assembled on the grid."""
+    """Sparsity of every matrix assembled on one grid shape: the
+    3^dim-node stencil in CSR form, rows sorted, no duplicates. ``pos`` sends
+    element-local entry (e, a, b), raveled, to its slot in ``indices``. All
+    three arrays are read-only; ``indptr`` and ``indices`` have scipy's index
+    dtype and are shared by every matrix assembled on the shape."""
 
     indptr: np.ndarray
     indices: np.ndarray
     pos: np.ndarray
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
-        return _square_csr(data, self.indices, self.indptr)
+        """The matrix with entries ``data``; it shares the index arrays."""
+        n = len(self.indptr) - 1
+        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        mat.has_canonical_format = True
+        return mat
 
     def holds(self, mat: sp.spmatrix) -> bool:
         """True if ``mat`` is a CSR matrix with exactly this pattern."""
@@ -273,79 +270,59 @@ class CsrPattern:
                 and np.array_equal(mat.indices, self.indices))
 
 
-def _csr_pattern(grid: Grid, elem_nodes: np.ndarray) -> CsrPattern:
-    """Build the grid's ``CsrPattern`` from the per-axis stencils.
+@lru_cache(maxsize=8)
+def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
+    """The ``CsrPattern`` of a grid shape, built from the per-axis stencils.
 
-    Element (e_x, e_y) has its local node a at (e_x + a_x, e_y + a_y),
-    x-fastest as in ``Grid.element_nodes``, and node ids are x-fastest too.
-    Row (x, y) thus holds count[y] count[x] columns sorted by y, then x: it
-    starts at start[y] T + count[y] start[x] (T = sum of count), and column
-    (x', y') sits rank_y count[x] + rank_x further on. Each term depends on
-    one axis, so the slots of each local pair (a, b) are an outer sum of
-    per-axis tables.
+    Row (x, y) holds its count[y] x count[x] stencil nodes (column[y, k_y],
+    column[x, k_x]), k_y-major, from slot T start[y] + count[y] start[x] on
+    (T is the sum of count, start its running sum before each node). On each
+    axis, element-local node b of element e is place k = rank[b - a + 1] of
+    row node a (node e + a), so entry (e, a, b) has slot
+    T start[y] + count[y] start[x] + k_y count[x] + k_x. count is 3 except at
+    box ends and on 2-node tori (2), so this is the outer sum of
+    T start[y] + 3 k_y and 3 start[x] + k_x, less start[x] where count[y] = 2
+    and less k_y where count[x] = 2. The pattern depends on the shape only:
+    grids of one shape, like windows of one size, share it.
     """
-    nodes, cells, dim = grid.nodes_per_axis, grid.cells_per_axis, grid.dim
-    count, rank = _axis_stencil(nodes, grid.topology == TORUS)
+    nodes = cells + (topology == BOX)
+    column, rank = _axis_stencil(nodes, topology == TORUS)
+    real = column < nodes
+    count = real.sum(axis=1)
     row_len = count if dim == 1 else np.outer(count, count).ravel()
     nnz = int(row_len.sum())
     # scipy's choice for CSR index arrays: int32 whenever the values fit
-    idx = np.int32 if max(nnz, grid.n_nodes) <= np.iinfo(np.int32).max else np.int64
-    count, rank = count.astype(idx), rank.astype(idx)
-    indptr = np.zeros(grid.n_nodes + 1, dtype=idx)
+    idx = np.int32 if max(nnz, nodes ** dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(nodes ** dim + 1, dtype=idx)
     np.cumsum(row_len, out=indptr[1:])
-    start = (np.cumsum(count) - count).astype(idx)
-    node = (np.arange(cells)[:, None] + np.arange(2)[None, :]) % nodes    # [e, a]
-    c, s = count[node], start[node]
-    s_rows = s * count.sum()        # 2D: start of the block of rows y
+    node = (np.arange(cells)[:, None] + np.arange(2)[None, :]) % nodes     # [e, a]
     offset = np.arange(2)[None, :] - np.arange(2)[:, None] + 1            # [a, b]
-    place = rank[node[:, :, None], offset[None, :, :]]                     # [e, a, b]
-    n_loc = 2 ** dim
-    slot = np.empty((n_loc, n_loc) + (cells,) * dim, dtype=idx)
-    indices = np.empty(nnz, dtype=idx)
-    columns = elem_nodes.astype(idx)
-    for a in range(n_loc):
-        ay, ax = divmod(a, 2)
-        for b in range(n_loc):
-            by, bx = divmod(b, 2)
-            if dim == 1:
-                slot[a, b] = s[:, ax] + place[:, ax, bx]
-            else:
-                slot[a, b] = (s_rows[:, ay, None]
-                              + c[:, ay, None] * s[None, :, ax]
-                              + place[:, ay, by, None] * c[None, :, ax]
-                              + place[None, :, ax, bx])
-            indices[slot[a, b].ravel()] = columns[:, b]
-    pos = np.moveaxis(slot, (0, 1), (-2, -1)).ravel()     # [e, a, b]
+    k = rank[node[:, :, None], offset[None]].astype(idx)                  # [e, a, b]
+    start = (np.cumsum(count) - count).astype(idx)[node]                  # [e, a]
+    count = count.astype(idx)[node]
+    if dim == 1:
+        indices = column[real].astype(idx)
+        pos = start[:, :, None] + k
+    else:
+        # the 3 x 3 stencil places of every row, then the real ones in order
+        places = np.empty((nodes, nodes, 3, 3), dtype=idx)
+        keep = np.empty((nodes, nodes, 3, 3), dtype=bool)
+        for ry, rx in np.ndindex(3, 3):
+            np.add.outer(column[:, ry] * nodes, column[:, rx], out=places[:, :, ry, rx])
+            np.logical_and.outer(real[:, ry], real[:, rx], out=keep[:, :, ry, rx])
+        indices = places[keep]
+        pos = np.empty((cells, cells, 2, 2, 2, 2), dtype=idx)     # [e_y, e_x, a, b]
+        row_total = idx(real.sum())        # T
+        for ay, ax, by, bx in np.ndindex(2, 2, 2, 2):
+            out = pos[:, :, ay, ax, by, bx]
+            np.add.outer(row_total * start[:, ay] + 3 * k[:, ay, by],
+                         3 * start[:, ax] + k[:, ax, bx], out=out)
+            out[count[:, ay] < 3] -= start[:, ax]
+            out[:, count[:, ax] < 3] -= k[:, ay, by, None]
+    pos = pos.ravel()
     for arr in (indptr, indices, pos):
         arr.setflags(write=False)
     return CsrPattern(indptr, indices, pos)
-
-
-# Sets of unknowns whose restriction map one grid keeps: the box interior
-# and the masked node sets of the epsilon solves of one lambda problem.
-_RESTRICTIONS_KEPT = 4
-
-
-def _restriction(pattern: CsrPattern, unknowns: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Data slots of ``pattern`` inside unknowns x unknowns, with the
-    ``indices`` and ``indptr`` of the restricted matrix (read-only)."""
-    n = len(pattern.indptr) - 1
-    m = len(unknowns)
-    if m and (unknowns[0] < 0 or unknowns[-1] >= n or np.any(np.diff(unknowns) <= 0)):
-        raise ValueError("unknowns must be sorted, distinct node ids")
-    local = np.full(n, -1, dtype=pattern.indices.dtype)
-    local[unknowns] = np.arange(m)
-    row = np.repeat(local, np.diff(pattern.indptr))
-    col = local[pattern.indices]
-    keep = np.flatnonzero((row >= 0) & (col >= 0))
-    # unknowns are sorted, so rows stay in order and columns sorted within them
-    indptr = np.zeros(m + 1, dtype=pattern.indptr.dtype)
-    np.cumsum(np.bincount(row[keep], minlength=m), out=indptr[1:])
-    indices = col[keep]
-    for arr in (keep, indices, indptr):
-        arr.setflags(write=False)
-    return keep, indices, indptr
 
 
 @dataclass
@@ -355,9 +332,8 @@ class ElementOps:
     Every matrix assembled on the grid has the same sparsity, the 3^dim-node
     stencil: its ``CsrPattern`` is built from the stencil offsets on the
     first assembly (grids that never assemble, like the p-energy ones, never
-    build it), and each assembly is then one ``np.bincount`` of the element
-    matrices into the pattern's slots. ``restrict`` slices a matrix on the
-    pattern to a set of unknowns through an index map kept per unknowns.
+    build it) and kept per grid shape, and each assembly is then one
+    ``np.bincount`` of the element matrices into the pattern's slots.
     """
 
     grid: Grid
@@ -366,11 +342,10 @@ class ElementOps:
     grad_ref: np.ndarray        # (n_q, dim, 2**dim), reference gradients
     stiff_blocks: np.ndarray    # (dim, dim, 2**dim, 2**dim), see assemble_stiffness
     mass_ref: np.ndarray        # (2**dim, 2**dim), unit-measure mass matrix
-    _restrictions: dict = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
+    @property
     def pattern(self) -> CsrPattern:
-        return _csr_pattern(self.grid, self.elem_nodes)
+        return _csr_pattern(self.grid.dim, self.grid.cells_per_axis, self.grid.topology)
 
     @property
     def h(self) -> float:
@@ -418,27 +393,6 @@ class ElementOps:
         pattern = self.pattern
         return pattern.matrix(np.bincount(pattern.pos, weights=data.ravel(),
                                           minlength=len(pattern.indices)))
-
-    def restrict(self, mat: sp.csr_matrix, unknowns: np.ndarray) -> sp.csr_matrix:
-        """``mat[unknowns][:, unknowns]`` for a matrix on the grid's pattern
-        and sorted, distinct node ids ``unknowns``.
-
-        The slots kept and the restricted ``indices``/``indptr`` are computed
-        once per set of unknowns and kept (the last ``_RESTRICTIONS_KEPT``
-        sets per grid); each call then gathers the kept data slots.
-        """
-        pattern = self.pattern
-        if not pattern.holds(mat):
-            raise ValueError("matrix does not have the grid's CSR pattern")
-        key = (unknowns.dtype.str, unknowns.tobytes())
-        cached = self._restrictions.pop(key, None)
-        if cached is None:
-            cached = _restriction(pattern, unknowns)
-            if len(self._restrictions) >= _RESTRICTIONS_KEPT:
-                del self._restrictions[next(iter(self._restrictions))]
-        self._restrictions[key] = cached
-        keep, indices, indptr = cached
-        return _square_csr(mat.data[keep], indices, indptr)
 
     def load_from_element_vectors(self, flux: np.ndarray) -> np.ndarray:
         """Nodal load L_a = sum_e h^d <F_e, grad phi_a> for per-element F_e."""
@@ -788,8 +742,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
     K is assembled on the grid's cached ``CsrPattern``. The shift must come
     from ``assemble_mass`` on the same grid, so it has that pattern and is
     added data array to data array; a shift with any other pattern raises
-    ValueError. The restriction to the unknowns is ``ElementOps.restrict``,
-    whose index map is cached per (grid, unknowns).
+    ValueError.
 
     Symmetric systems are solved by CG, nonsymmetric ones by right-
     preconditioned BiCGStab, both with ``spectral_preconditioner``: a_ref is
@@ -818,7 +771,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
         boundary = grid.boundary_node_mask()
         unknowns = (np.flatnonzero(~boundary) if unknowns is None
                     else unknowns[~boundary[unknowns]])
-    system = SparseSystem(K if unknowns is None else ops.restrict(K, unknowns),
+    system = SparseSystem(K if unknowns is None else K[unknowns][:, unknowns],
                           symmetric=symmetric)
     # the trace of a matrix coefficient is the trace of its symmetric part
     c = coeff if active is None else coeff[active]

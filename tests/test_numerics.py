@@ -273,7 +273,10 @@ def test_assembly_pattern_is_shared_and_read_only():
     ops = element_ops(g)
     K = ops.assemble_stiffness(np.full(g.n_elements, 2.0))
     M = ops.assemble_mass()
-    for mat in (K, M):
+    # a grid of the same shape elsewhere, like the next window, shares it
+    window = element_ops(build_grid(2, 6, (-1.5, 2.0), 3.0, BOX))
+    assert window.pattern is ops.pattern
+    for mat in (K, M, window.assemble_mass()):
         assert np.shares_memory(mat.indices, ops.pattern.indices)
         assert np.shares_memory(mat.indptr, ops.pattern.indptr)
     for arr in (ops.pattern.indptr, ops.pattern.indices, ops.pattern.pos):
@@ -281,11 +284,27 @@ def test_assembly_pattern_is_shared_and_read_only():
             arr[0] = 1
 
 
+class _Recorded(Exception):
+    pass
+
+
 @pytest.mark.parametrize("case", ["box-interior", "torus-masked", "box-masked"])
-def test_restriction_matches_fancy_indexing(case):
-    """``restrict`` (first call builds the map, the second reuses it) equals
-    K[unknowns][:, unknowns] and, with the data-added shift of
-    ``solve_corrector``, (K + shift)[unknowns][:, unknowns]."""
+def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
+    """The system ``solve_corrector`` builds (stiffness plus the data-added
+    shift on boxes, then restricted to the unknowns) equals scipy's
+    (K + shift)[unknowns][:, unknowns] bit for bit."""
+    from homlab import numerics
+
+    systems = []
+
+    class Recorded(SparseSystem):
+        # record the system and stop before the solve
+        def __post_init__(self):
+            super().__post_init__()
+            systems.append(self.matrix)
+            raise _Recorded
+
+    monkeypatch.setattr(numerics, "SparseSystem", Recorded)
     topology = BOX if case.startswith("box") else TORUS
     g = build_grid(2, 12, (0.0, 0.0), 1.0, topology)
     ops = element_ops(g)
@@ -299,16 +318,18 @@ def test_restriction_matches_fancy_indexing(case):
         free &= touched
     unknowns = np.flatnonzero(free)
     K = ops.assemble_stiffness(coeff)
-    shift = 3.0 * ops.assemble_mass(active)
-    shifted = ops.pattern.matrix(K.data + shift.data)
-    for mat, reference in ((K, K), (shifted, (K + shift).tocsr())):
-        want = reference[unknowns][:, unknowns]
-        want.sort_indices()
-        first = ops.restrict(mat, unknowns)
-        again = ops.restrict(mat, unknowns)
-        assert np.shares_memory(again.indices, first.indices)
-        _assert_same_csr(first, want)
-        _assert_same_csr(again, want)
+    with pytest.raises(_Recorded):
+        if topology == TORUS:
+            reference = K
+            solve_corrector(g, coeff, [np.array([1.0, 0.0])], active=active)
+        else:
+            shift = 3.0 * ops.assemble_mass(active)
+            reference = (K + shift).tocsr()
+            solve_corrector(g, coeff, active=active, shift=shift, load=np.ones(g.n_nodes))
+    want = reference[unknowns][:, unknowns]
+    want.sort_indices()
+    [got] = systems
+    _assert_same_csr(got, want)
 
 
 def test_shift_with_foreign_pattern_raises():
