@@ -334,14 +334,24 @@ class ElementOps:
     first assembly (grids that never assemble, like the p-energy ones, never
     build it) and kept per grid shape, and each assembly is then one
     ``np.bincount`` of the element matrices into the pattern's slots.
+
+    Every per-element contraction is a 2-D matrix product on rows gathered
+    once by ``v[elem_nodes]``, against small read-only matrices precomputed
+    per grid: the gradient matrix ``grad_matrix`` sends an element's nodal
+    values to the gradients at its quadrature points, one flat row with the
+    component fastest (column q dim + k is component k at point q);
+    ``mean_grad_matrix`` sends them to the quadrature mean of the gradient;
+    ``point_sum`` sums the dim components of such a row per point.
     """
 
     grid: Grid
-    elem_nodes: np.ndarray      # (n_e, 2**dim)
-    quad_weights: np.ndarray    # (n_q,)
-    grad_ref: np.ndarray        # (n_q, dim, 2**dim), reference gradients
-    stiff_blocks: np.ndarray    # (dim, dim, 2**dim, 2**dim), see assemble_stiffness
-    mass_ref: np.ndarray        # (2**dim, 2**dim), unit-measure mass matrix
+    elem_nodes: np.ndarray         # (n_e, 2**dim)
+    quad_weights: np.ndarray       # (n_q,)
+    grad_matrix: np.ndarray        # (2**dim, n_q * dim)
+    mean_grad_matrix: np.ndarray   # (2**dim, dim)
+    point_sum: np.ndarray          # (n_q * dim, n_q)
+    stiff_blocks: np.ndarray       # (dim, dim, 2**dim, 2**dim), see assemble_stiffness
+    mass_ref: np.ndarray           # (2**dim, 2**dim), unit-measure mass matrix
 
     @property
     def pattern(self) -> CsrPattern:
@@ -351,19 +361,14 @@ class ElementOps:
     def h(self) -> float:
         return self.grid.h
 
-    @property
-    def grad_phys(self) -> np.ndarray:
-        return self.grad_ref / self.h
-
     def gradients(self, v: np.ndarray) -> np.ndarray:
         """Gradients of the FE function v at quadrature points, (n_e, n_q, dim)."""
-        ve = v[self.elem_nodes]                       # (n_e, n_loc)
-        return np.einsum("qka,ea->eqk", self.grad_phys, ve)
+        rows = v[self.elem_nodes] @ self.grad_matrix
+        return rows.reshape(len(rows), len(self.quad_weights), self.grid.dim)
 
     def element_mean_gradients(self, v: np.ndarray) -> np.ndarray:
         """Quadrature average of grad v per element, (n_e, dim)."""
-        g = self.gradients(v)
-        return np.einsum("q,eqk->ek", self.quad_weights, g)
+        return v[self.elem_nodes] @ self.mean_grad_matrix
 
     def assemble_stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
         """Stiffness for per-element coefficients.
@@ -374,10 +379,11 @@ class ElementOps:
         """
         coeff = np.asarray(coeff, dtype=float)
         if coeff.ndim == 1:
-            lap = np.einsum("kkab->ab", self.stiff_blocks)
+            lap = np.trace(self.stiff_blocks)
             data = coeff[:, None, None] * lap[None, :, :]
         else:
-            data = np.einsum("ekl,klab->eab", coeff, self.stiff_blocks)
+            n_loc = self.elem_nodes.shape[1]
+            data = coeff.reshape(len(coeff), -1) @ self.stiff_blocks.reshape(-1, n_loc ** 2)
         return self._scatter(data)
 
     def assemble_mass(self, element_mask: np.ndarray | None = None) -> sp.csr_matrix:
@@ -396,8 +402,7 @@ class ElementOps:
 
     def load_from_element_vectors(self, flux: np.ndarray) -> np.ndarray:
         """Nodal load L_a = sum_e h^d <F_e, grad phi_a> for per-element F_e."""
-        avg_b = np.einsum("q,qka->ka", self.quad_weights, self.grad_phys)
-        contrib = (self.h ** self.grid.dim) * np.einsum("ek,ka->ea", flux, avg_b)
+        contrib = (self.h ** self.grid.dim) * (flux @ self.mean_grad_matrix.T)
         return np.bincount(self.elem_nodes.ravel(), weights=contrib.ravel(),
                            minlength=self.grid.n_nodes)
 
@@ -410,33 +415,44 @@ class ElementOps:
 
     def energy_quadratic(self, v: np.ndarray, coeff: np.ndarray, xi: np.ndarray) -> float:
         """sum_e h^d <A_e (xi + grad v), (xi + grad v)> via quadrature."""
-        g = self.gradients(v) + xi[None, None, :]
+        d = self.grid.dim
+        w = self.quad_weights
+        g = v[self.elem_nodes] @ self.grad_matrix
+        g += np.tile(xi, len(w))
         if coeff.ndim == 1:
-            dens = coeff[:, None] * np.einsum("eqk,eqk->eq", g, g)
+            total = coeff @ ((g * g) @ (self.point_sum @ w))
         else:
-            ag = np.einsum("ekl,eql->eqk", coeff, g)
-            dens = np.einsum("eqk,eqk->eq", ag, g)
-        return float(self.h ** self.grid.dim * np.einsum("eq,q->", dens, self.quad_weights))
+            # <A g, g> = sum_kl A_kl g_k g_l; columns k::d hold component k
+            total = sum(coeff[:, k, l] @ ((g[:, k::d] * g[:, l::d]) @ w)
+                        for k, l in np.ndindex(d, d))
+        return float(self.h ** d * total)
 
     def flux_average(self, v: np.ndarray, coeff: np.ndarray, xi: np.ndarray) -> np.ndarray:
         """Mean of A (xi + grad v) over the grid domain, shape (dim,)."""
         g = self.element_mean_gradients(v) + xi[None, :]
         if coeff.ndim == 1:
-            f = coeff[:, None] * g
-        else:
-            f = np.einsum("ekl,el->ek", coeff, g)
-        return f.mean(axis=0)
+            return (coeff @ g) / len(g)
+        # sum_e A_e g_e is the trace over (l, m) of sum_e A_ekl g_em
+        d = self.grid.dim
+        cross = coeff.reshape(len(g), d * d).T @ g
+        return np.trace(cross.reshape(d, d, d), axis1=1, axis2=2) / len(g)
 
 
 @lru_cache(maxsize=8)
 def element_ops(grid: Grid) -> ElementOps:
-    pts, wts = _reference_quadrature(grid.dim)
-    grad_ref = _reference_gradients(grid.dim, pts)
+    dim, n_loc = grid.dim, 2 ** grid.dim
+    pts, wts = _reference_quadrature(dim)
+    grad_ref = _reference_gradients(dim, pts)
     # stiff_blocks[k, l, a, b] = int_e d_k phi_a d_l phi_b dx; h-independent in
     # 2D (h^d * h^-2), 1/h in 1D.
-    scale = grid.h ** grid.dim / grid.h ** 2
+    scale = grid.h ** dim / grid.h ** 2
     blocks = scale * np.einsum("q,qka,qlb->klab", wts, grad_ref, grad_ref)
-    if grid.dim == 1:
+    grad_phys = grad_ref / grid.h
+    # C order: a product with the strided views runs about 3x slower
+    grad_matrix = np.ascontiguousarray(grad_phys.transpose(2, 0, 1)).reshape(n_loc, -1)
+    mean_grad_matrix = np.ascontiguousarray(np.einsum("q,qka->ak", wts, grad_phys))
+    point_sum = np.kron(np.eye(len(wts)), np.ones((dim, 1)))
+    if dim == 1:
         mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
     else:
         pts_m, wts_m = _reference_quadrature(2)
@@ -445,7 +461,10 @@ def element_ops(grid: Grid) -> ElementOps:
                                (1 - pts_m[:, 0]) * pts_m[:, 1],
                                pts_m[:, 0] * pts_m[:, 1]])
         mass = np.einsum("q,qa,qb->ab", wts_m, phi, phi)
-    return ElementOps(grid, grid.element_nodes(), wts, grad_ref, blocks, mass)
+    arrays = (wts, grad_matrix, mean_grad_matrix, point_sum, blocks, mass)
+    for arr in arrays:
+        arr.setflags(write=False)
+    return ElementOps(grid, grid.element_nodes(), *arrays)
 
 
 @dataclass
@@ -787,8 +806,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
         g = None
         if torus:
             xi = np.asarray(xi, dtype=float)
-            flux = (coeff[:, None] * xi[None, :] if coeff.ndim == 1
-                    else np.einsum("ekl,l->ek", coeff, xi))
+            flux = coeff[:, None] * xi[None, :] if coeff.ndim == 1 else coeff @ xi
             rhs = -ops.load_from_element_vectors(flux)
         elif xi is None:
             rhs = load
@@ -822,6 +840,11 @@ class PEnergyProblem:
     Constraints are either periodic-with-mean-zero (``free`` is None, torus
     grids) or Dirichlet (``free`` lists unconstrained node ids and
     ``fixed_values`` holds the boundary data on the full node set).
+
+    ``value`` and ``gradient`` evaluate xi + grad v at every quadrature point
+    as one product of the gathered nodal rows with the grid's precomputed
+    gradient matrix (``ElementOps.grad_matrix``); the gradient maps the
+    weighted point values back through its transpose.
     """
 
     grid: Grid
@@ -831,6 +854,7 @@ class PEnergyProblem:
     free: np.ndarray | None = None
     fixed_values: np.ndarray | None = None
     ops: ElementOps = field(init=False, repr=False)
+    _xi_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=float)
@@ -842,6 +866,7 @@ class PEnergyProblem:
         if self.free is None and self.grid.topology != TORUS:
             raise ValueError("unconstrained problems are torus-only (mean-zero kernel)")
         self.ops = element_ops(self.grid)
+        self._xi_rows = np.tile(self.xi, len(self.ops.quad_weights))
 
     @property
     def n_free(self) -> int:
@@ -854,23 +879,27 @@ class PEnergyProblem:
         full[self.free] = u_free
         return full
 
-    def value(self, u_free: np.ndarray) -> float:
+    def _point_rows(self, u_free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """xi + grad v at the quadrature points as flat rows (n_e, n_q dim),
+        and its squared length per point (n_e, n_q)."""
         v = self.full_vector(u_free)
-        g = self.ops.gradients(v) + self.xi[None, None, :]
-        mag_sq = np.einsum("eqk,eqk->eq", g, g)
-        dens = np.einsum("eq,q->e", mag_sq ** (self.p / 2.0), self.ops.quad_weights)
+        g = v[self.ops.elem_nodes] @ self.ops.grad_matrix
+        g += self._xi_rows
+        return g, (g * g) @ self.ops.point_sum
+
+    def value(self, u_free: np.ndarray) -> float:
+        _, mag_sq = self._point_rows(u_free)
+        dens = mag_sq ** (self.p / 2.0) @ self.ops.quad_weights
         return float(self.grid.h ** self.grid.dim * (self.coeff @ dens))
 
     def gradient(self, u_free: np.ndarray) -> np.ndarray:
-        v = self.full_vector(u_free)
-        g = self.ops.gradients(v) + self.xi[None, None, :]
-        mag_sq = np.einsum("eqk,eqk->eq", g, g)
+        g, mag_sq = self._point_rows(u_free)
         # p |g|^(p-2) g, with the p=2 case reducing to 2 g exactly.
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(mag_sq > 0, mag_sq ** (self.p / 2.0 - 1.0), 0.0)
         w = (self.p * self.grid.h ** self.grid.dim) * \
             self.coeff[:, None] * self.ops.quad_weights[None, :] * scale
-        contrib = np.einsum("eq,eqk,qka->ea", w, g, self.ops.grad_phys)
+        contrib = ((w @ self.ops.point_sum.T) * g) @ self.ops.grad_matrix.T
         full_grad = np.bincount(self.ops.elem_nodes.ravel(), weights=contrib.ravel(),
                                 minlength=self.grid.n_nodes)
         if self.free is None:

@@ -245,7 +245,11 @@ def _assert_same_csr(got, want):
                                          (BOX, 2), (BOX, 4)])
 def test_assembly_matches_coo_reference(dim, topology, n):
     """The cached-pattern assembly is bit-identical to COO -> CSR, wrapped
-    duplicate stencil offsets of the 2-node torus included."""
+    duplicate stencil offsets of the 2-node torus included. The element
+    matrices are formed as in ``assemble_stiffness`` (one matrix product for
+    matrix coefficients), so only the scatter is compared here; the element
+    contraction itself is checked against einsum in
+    ``test_element_kernels_match_einsum``."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     rng = np.random.default_rng(10 * dim + n)
@@ -255,9 +259,10 @@ def test_assembly_matches_coo_reference(dim, topology, n):
     lap = np.einsum("kkab->ab", ops.stiff_blocks)
     _assert_same_csr(ops.assemble_stiffness(scalar),
                      _coo_reference(ops, scalar[:, None, None] * lap[None]))
+    n_loc = 2 ** dim
+    matrix_data = matrix.reshape(g.n_elements, -1) @ ops.stiff_blocks.reshape(-1, n_loc ** 2)
     _assert_same_csr(ops.assemble_stiffness(matrix),
-                     _coo_reference(ops, np.einsum("ekl,klab->eab", matrix,
-                                                   ops.stiff_blocks)))
+                     _coo_reference(ops, matrix_data.reshape(-1, n_loc, n_loc)))
     # the left half of the elements: the nodes right of it (none on the
     # 2-node torus) get all-zero rows, which stay as explicit zeros
     mask = g.element_centers()[:, 0] < 0.5
@@ -282,6 +287,83 @@ def test_assembly_pattern_is_shared_and_read_only():
     for arr in (ops.pattern.indptr, ops.pattern.indices, ops.pattern.pos):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def _assert_rel(got, want, rtol=1e-13):
+    """|got - want| within rtol of the largest |want| entry."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("topology", [TORUS, BOX])
+def test_element_kernels_match_einsum(dim, topology):
+    """Every per-element matrix product of ``ElementOps`` and
+    ``PEnergyProblem`` agrees with the einsum contraction over the reference
+    gradients, to 1e-13 relative: scalar, symmetric-matrix and
+    nonsymmetric-matrix coefficients; the box p-energy with free nodes and
+    boundary data."""
+    from homlab.numerics import _reference_gradients, _reference_quadrature
+
+    g = build_grid(dim, 5, (0.3,) * dim, 2.0, topology)
+    ops = element_ops(g)
+    pts, wts = _reference_quadrature(dim)
+    grad = _reference_gradients(dim, pts) / g.h                  # [q, k, a]
+    rng = np.random.default_rng(2 * dim + (topology == BOX))
+    v = rng.standard_normal(g.n_nodes)
+    xi = rng.standard_normal(dim)
+    vol = g.h ** dim
+
+    def nodal(contrib):
+        return np.bincount(ops.elem_nodes.ravel(), weights=contrib.ravel(),
+                           minlength=g.n_nodes)
+
+    grads = np.einsum("qka,ea->eqk", grad, v[ops.elem_nodes])
+    mean = np.einsum("q,eqk->ek", wts, grads)
+    _assert_rel(ops.gradients(v), grads)
+    _assert_rel(ops.element_mean_gradients(v), mean)
+    flux = rng.standard_normal((g.n_elements, dim))
+    _assert_rel(ops.load_from_element_vectors(flux),
+                nodal(vol * np.einsum("ek,q,qka->ea", flux, wts, grad)))
+
+    gx = grads + xi
+    m = rng.uniform(-1.0, 1.0, (g.n_elements, dim, dim))
+    coeffs = {"scalar": rng.uniform(1.0, 4.0, g.n_elements),
+              "symmetric": m + m.transpose(0, 2, 1) + 4.0 * np.eye(dim),
+              "nonsymmetric": m + 2.0 * np.eye(dim)}
+    assert dim == 1 or not np.allclose(m, m.transpose(0, 2, 1))
+    for c in coeffs.values():
+        if c.ndim == 1:
+            c_mat = c[:, None, None] * np.eye(dim)
+            blocks = c[:, None, None] * np.einsum("kkab->ab", ops.stiff_blocks)
+        else:
+            c_mat = c
+            blocks = np.einsum("ekl,klab->eab", c, ops.stiff_blocks)
+        ag = np.einsum("ekl,eql->eqk", c_mat, gx)
+        _assert_rel(ops.energy_quadratic(v, c, xi),
+                    vol * np.einsum("eqk,eqk,q->", ag, gx, wts))
+        _assert_rel(ops.flux_average(v, c, xi),
+                    np.einsum("ekl,el->ek", c_mat, mean + xi).mean(axis=0))
+        _assert_rel(ops.assemble_stiffness(c).toarray(),
+                    _coo_reference(ops, blocks).toarray())
+
+    coeff = coeffs["scalar"]
+    if topology == TORUS:
+        free = fixed = None
+        u = v
+    else:
+        free = np.flatnonzero(~g.boundary_node_mask())
+        fixed, u = v.copy(), v[free]
+        fixed[free] = 0.0
+    mag_sq = np.einsum("eqk,eqk->eq", gx, gx)
+    for p in (1.5, 2.0, 3.0):
+        prob = PEnergyProblem(g, coeff, p, xi, free=free, fixed_values=fixed)
+        _assert_rel(prob.value(u),
+                    vol * coeff @ np.einsum("eq,q->e", mag_sq ** (p / 2), wts))
+        w = p * vol * coeff[:, None] * wts[None, :] * mag_sq ** (p / 2 - 1)
+        full = nodal(np.einsum("eq,eqk,qka->ea", w, gx, grad))
+        _assert_rel(prob.gradient(u), full - full.mean() if free is None else full[free])
 
 
 class _Recorded(Exception):
@@ -523,6 +605,23 @@ class TestPEnergy:
         # K u = -load with load from the constant flux term
         u_cg, _ = cg_solve(K, rhs / 2.0, mean_zero=True, preconditioner=jacobi(K))
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("topology", [TORUS, BOX])
+    def test_gradient_matches_central_differences(self, p, topology):
+        g = build_grid(2, 4, (0.0, 0.0), 1.0, topology)
+        rng = np.random.default_rng(int(10 * p))
+        free = fixed = None
+        if topology == BOX:
+            free = np.flatnonzero(~g.boundary_node_mask())
+            fixed = rng.standard_normal(g.n_nodes)
+        prob = PEnergyProblem(g, checkerboard_coeff(g), p, np.array([1.0, 0.5]),
+                              free=free, fixed_values=fixed)
+        u = 0.1 * rng.standard_normal(prob.n_free)
+        step = 1e-5
+        fd = np.array([(prob.value(u + step * e) - prob.value(u - step * e)) / (2 * step)
+                       for e in np.eye(prob.n_free)])
+        assert np.abs(prob.gradient(u) - fd).max() <= 1e-7 * np.abs(fd).max()
 
     def test_float_floor_stops_backtracking(self):
         # this descent reaches the float64 energy floor above the gradient

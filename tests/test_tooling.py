@@ -77,3 +77,30 @@ def test_p_energy_cell_builds_no_csr_pattern(monkeypatch):
     numerics.element_ops.cache_clear()
     field = checkerboard_step(1.0, 4.0, FieldBounds(1.0, 4.0))
     assert cell.homogenize_p_energy(field, 3.0, [1.0, 0.0], 8) > 0
+
+
+def test_evaluations_call_no_einsum(monkeypatch):
+    # element_ops builds its blocks with einsum once per grid; after that the
+    # p-energy value/gradient, the corrector load and the energy/flux
+    # cross-check are matrix products on those blocks
+    import numpy as np
+
+    from homlab import cell, numerics
+    from homlab.fields import FieldBounds, checkerboard_step, eval_scalar
+
+    field = checkerboard_step(1.0, 4.0, FieldBounds(1.0, 4.0))
+    grid = cell._torus_grid(field, 8)
+    coeff = eval_scalar(field, grid.element_centers())
+    numerics.element_ops(grid)
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == numerics.__name__:
+            calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    assert cell.homogenize_p_energy(field, 3.0, [1.0, 0.0], 8) > 0
+    cell.homogenize_coefficients(grid, coeff, field.bounds, 8)
+    assert calls == []
