@@ -1,9 +1,12 @@
 """Command-line front end: validate specs, run experiments, emit artifacts.
 
-One subcommand per experiment kind plus ``validate``.  Runs write CSV tables
-(and SVG plots unless ``--no-plots``) into the output directory, plus a
-``run.log`` with per-stage diagnostics; the log is the one artifact exempt
-from the byte-identical reproducibility rule, since it carries timings.
+One subcommand per experiment kind plus ``validate``.  Each kind's runner
+computes and yields its artifacts as (file name, payload) pairs; one writer,
+``_write_artifacts``, emits them into the output directory in the order
+yielded: CSV tables, JSON summaries and, unless ``--no-plots``, SVG plots.  Next to
+them goes a ``run.log`` with per-stage diagnostics; the log is the one
+artifact exempt from the byte-identical reproducibility rule, since it
+carries timings.  A failed run keeps the files written before the failure.
 
 Exit codes: 0 success, 1 any other runtime error, 2 invalid spec or
 parameters, 3 a soundness guard fired (``GuardError``), 4 solver failure
@@ -57,18 +60,18 @@ class _StageLog:
         self.path.write_text("\n".join(self.lines) + "\n", encoding="utf-8")
 
 
-def _write_json(path: Path, obj):
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _matrix_header(dim: int):
     return [f"a_{i + 1}{j + 1}" for i in range(dim) for j in range(dim)]
 
 
 # ---------------------------------------------------------------------------
-# runners (spec, out dir, plots, log) -> list of artifact paths
+# runners: generators (spec, log) -> (file name, payload) pairs, in write
+# order. The suffix says what the payload is: ".csv" (header, rows), ".json"
+# a dict, ".svg" (series, plot_series labels). A runner computes; only
+# _write_artifacts writes, and it draws the next pair once the last is on
+# disk, so a failure mid-run keeps every file yielded before it.
 
-def _run_cell(spec: ExperimentSpec, out: Path, plots, log):
+def _run_cell(spec: ExperimentSpec, log):
     prm = spec.params
     density = build_density(prm["field"], prm["p"])
     dim = density.dim
@@ -92,28 +95,17 @@ def _run_cell(spec: ExperimentSpec, out: Path, plots, log):
 
     value_header = (_matrix_header(dim) if prm["p"] == 2.0 else ["value"])
     rows = [[r] + vals for r, (vals, _) in zip(prm["resolutions"], solved)]
-    csv_path = out / "cell.csv"
-    write_csv(csv_path, ["resolution"] + value_header, rows)
-    artifacts = [csv_path]
-
-    if plots and len(prm["resolutions"]) >= 2:
-        if prm["p"] == 2.0:
-            series = {f"a_{i + 1}{i + 1}":
-                      [(float(r), vals[i * dim + i])
-                       for r, (vals, _) in zip(prm["resolutions"], solved)]
-                      for i in range(dim)}
-        else:
-            series = {"value": [(float(r), vals[0])
-                                for r, (vals, _) in zip(prm["resolutions"],
-                                                        solved)]}
-        svg_path = out / "cell.svg"
-        write_text_atomic(svg_path, plot_series(series, x_label="n",
-                                                log_x=True))
-        artifacts.append(svg_path)
-    return artifacts
+    yield "cell.csv", (["resolution"] + value_header, rows)
+    if len(rows) >= 2:
+        # the diagonal of the matrix, or the one p-energy value
+        columns = ([(f"a_{i + 1}{i + 1}", i * dim + i) for i in range(dim)]
+                   if prm["p"] == 2.0 else [("value", 0)])
+        series = {name: [(float(row[0]), row[1 + k]) for row in rows]
+                  for name, k in columns}
+        yield "cell.svg", (series, {"x_label": "n"})
 
 
-def _run_rve(spec: ExperimentSpec, out: Path, plots, log):
+def _run_rve(spec: ExperimentSpec, log):
     prm = spec.params
     density = build_density(prm["field"], prm["p"])
     log.stage("windows", f"R in {list(prm['windows'])} at "
@@ -123,11 +115,9 @@ def _run_rve(spec: ExperimentSpec, out: Path, plots, log):
     log.stage("verdict", f"limit {est.limit_estimate:.12g}, gap "
                          f"{est.cauchy_gap:.3e}, homogenizable "
                          f"{est.homogenizable_at_center}")
-    csv_path = out / "rve.csv"
-    write_csv(csv_path, ["R", "value"],
-              [[R, v] for R, v in zip(est.window_sizes, est.values)])
-    summary_path = out / "rve_summary.json"
-    _write_json(summary_path, {
+    yield "rve.csv", (["R", "value"],
+                      [[R, v] for R, v in zip(est.window_sizes, est.values)])
+    yield "rve_summary.json", {
         "center": list(est.center),
         "xi": list(est.xi),
         "p": est.p,
@@ -137,17 +127,11 @@ def _run_rve(spec: ExperimentSpec, out: Path, plots, log):
         "cauchy_gap": est.cauchy_gap,
         "homogenizable_at_center": est.homogenizable_at_center,
         "resolution_per_unit": est.resolution_per_unit,
-    })
-    artifacts = [csv_path, summary_path]
-    if plots:
-        svg_path = out / "rve.svg"
-        series = list(zip(est.window_sizes, est.values))
-        write_text_atomic(svg_path, plot_series(series, log_x=True))
-        artifacts.append(svg_path)
-    return artifacts
+    }
+    yield "rve.svg", (list(zip(est.window_sizes, est.values)), {})
 
 
-def _run_stability(spec: ExperimentSpec, out: Path, plots, log):
+def _run_stability(spec: ExperimentSpec, log):
     prm = spec.params
     f = build_density(prm["field"], prm["p"])
     g = build_density(prm["field_g"], prm["p"])
@@ -160,46 +144,28 @@ def _run_stability(spec: ExperimentSpec, out: Path, plots, log):
     log.stage("conclusion", f"{rep.conclusion.value}, discrepancy "
                             f"{rep.discrepancy:.3e} vs tolerance "
                             f"{rep.tolerance:.3e}")
-    csv_path = out / "stability.csv"
-    write_csv(csv_path, ["R", "psi"], [[R, v] for R, v in rep.statistic_trace])
-    summary_path = out / "stability_summary.json"
-    _write_json(summary_path, rep.summary())
-    artifacts = [csv_path, summary_path]
-    if plots:
-        svg_path = out / "stability.svg"
-        write_text_atomic(svg_path,
-                          plot_series(list(rep.statistic_trace),
-                                      y_label="psi", log_x=True))
-        artifacts.append(svg_path)
-    return artifacts
+    yield "stability.csv", (["R", "psi"],
+                            [[R, v] for R, v in rep.statistic_trace])
+    yield "stability_summary.json", rep.summary()
+    yield "stability.svg", (list(rep.statistic_trace), {"y_label": "psi"})
 
 
-def _run_counterexamples(spec: ExperimentSpec, out: Path, plots, log):
+def _run_counterexamples(spec: ExperimentSpec, log):
     log.stage("suite", "running the counterexample catalog")
     suite = counterexample_suite()
-    artifacts = []
     summary = {}
     series = {}
     for name, rep in suite.items():
         log.stage("case", f"{name}: {rep.conclusion.value}")
-        csv_path = out / f"counterexample_{name}.csv"
-        write_csv(csv_path, ["R", "psi"],
-                  [[R, v] for R, v in rep.statistic_trace])
-        artifacts.append(csv_path)
+        yield f"counterexample_{name}.csv", (
+            ["R", "psi"], [[R, v] for R, v in rep.statistic_trace])
         summary[name] = rep.summary()
         series[name] = [(R, v) for R, v in rep.statistic_trace]
-    summary_path = out / "counterexamples_summary.json"
-    _write_json(summary_path, summary)
-    artifacts.append(summary_path)
-    if plots:
-        svg_path = out / "counterexamples.svg"
-        write_text_atomic(svg_path,
-                          plot_series(series, y_label="psi", log_x=True))
-        artifacts.append(svg_path)
-    return artifacts
+    yield "counterexamples_summary.json", summary
+    yield "counterexamples.svg", (series, {"y_label": "psi"})
 
 
-def _run_perforation(spec: ExperimentSpec, out: Path, plots, log):
+def _run_perforation(spec: ExperimentSpec, log):
     prm = spec.params
     E = build_perforation(prm)
     log.stage("masked", f"shape {prm['shape']}, radius {prm['radius']:g}, "
@@ -210,51 +176,38 @@ def _run_perforation(spec: ExperimentSpec, out: Path, plots, log):
                  for n in prm["n_list"]]
     for n, v in zip(prm["n_list"], penalized):
         log.stage("penalized", f"n {n:g}: {v:.12g} (masked {masked:.12g})")
-    csv_path = out / "perforation.csv"
-    write_csv(csv_path, ["n", "penalized", "masked"],
-              [[n, v, masked] for n, v in zip(prm["n_list"], penalized)])
-    artifacts = [csv_path]
-    if plots:
-        svg_path = out / "perforation.svg"
-        series = {"penalized": list(zip(prm["n_list"], penalized)),
-                  "masked": [(prm["n_list"][0], masked),
-                             (prm["n_list"][-1], masked)]}
-        write_text_atomic(svg_path, plot_series(series, x_label="n",
-                                                log_x=True))
-        artifacts.append(svg_path)
+    yield "perforation.csv", (
+        ["n", "penalized", "masked"],
+        [[n, v, masked] for n, v in zip(prm["n_list"], penalized)])
+    yield "perforation.svg", (
+        {"penalized": list(zip(prm["n_list"], penalized)),
+         "masked": [(prm["n_list"][0], masked), (prm["n_list"][-1], masked)]},
+        {"x_label": "n"})
+    if not prm["eps_list"]:
+        return
 
-    if prm["eps_list"]:
-        log.stage("lambda", f"eps in {list(prm['eps_list'])}, "
-                            f"lambda {prm['lam']:g}")
-        report = lambda_problem_experiment(
-            E, prm["lam"], GaussianSource(), prm["eps_list"],
-            box_size=prm["box_size"], n_penal=prm["n_list"][-1],
-            resolution=prm["lambda_resolution"],
-            cell_resolution=prm["cell_resolution"])
-        lambda_csv = out / "lambda.csv"
-        write_csv(lambda_csv, ["epsilon", "l2_distance"],
-                  [[e, d] for e, d in zip(report.epsilons, report.distances)])
-        artifacts.append(lambda_csv)
-        summary_path = out / "perforation_summary.json"
-        _write_json(summary_path, {
-            "masked": masked,
-            "theta": report.theta,
-            "hom_matrix": [list(map(float, row)) for row in report.hom_matrix],
-            "epsilons": list(report.epsilons),
-            "distances": list(report.distances),
-        })
-        artifacts.append(summary_path)
-        if plots:
-            svg_path = out / "lambda.svg"
-            pts = list(zip(report.epsilons, report.distances))
-            write_text_atomic(svg_path,
-                              plot_series(pts, x_label="epsilon",
-                                          y_label="l2 distance", log_x=True))
-            artifacts.append(svg_path)
-    return artifacts
+    log.stage("lambda", f"eps in {list(prm['eps_list'])}, "
+                        f"lambda {prm['lam']:g}")
+    report = lambda_problem_experiment(
+        E, prm["lam"], GaussianSource(), prm["eps_list"],
+        box_size=prm["box_size"], n_penal=prm["n_list"][-1],
+        resolution=prm["lambda_resolution"],
+        cell_resolution=prm["cell_resolution"])
+    yield "lambda.csv", (["epsilon", "l2_distance"],
+                         [[e, d] for e, d in zip(report.epsilons,
+                                                 report.distances)])
+    yield "perforation_summary.json", {
+        "masked": masked,
+        "theta": report.theta,
+        "hom_matrix": [list(map(float, row)) for row in report.hom_matrix],
+        "epsilons": list(report.epsilons),
+        "distances": list(report.distances),
+    }
+    yield "lambda.svg", (list(zip(report.epsilons, report.distances)),
+                         {"x_label": "epsilon", "y_label": "l2 distance"})
 
 
-def _run_stochastic(spec: ExperimentSpec, out: Path, plots, log):
+def _run_stochastic(spec: ExperimentSpec, log):
     prm = spec.params
     family_f = build_family(prm["family"])
     family_g = build_family(prm["family_g"])
@@ -266,19 +219,11 @@ def _run_stochastic(spec: ExperimentSpec, out: Path, plots, log):
         resolution_per_unit=prm["resolution_per_unit"],
         statistic_sizes=prm["statistic_sizes"])
     log.stage("verdict", f"intervals_overlap {rep.intervals_overlap}")
-    csv_path = out / "stochastic.csv"
-    write_csv(csv_path, ["R", "mean", "stderr"],
-              [[R, m, se] for R, m, se in rep.statistic_trace])
-    summary_path = out / "stochastic_summary.json"
-    _write_json(summary_path, rep.summary())
-    artifacts = [csv_path, summary_path]
-    if plots:
-        svg_path = out / "stochastic.svg"
-        pts = [(R, m) for R, m, _ in rep.statistic_trace]
-        write_text_atomic(svg_path, plot_series(pts, y_label="mean psi",
-                                                log_x=True))
-        artifacts.append(svg_path)
-    return artifacts
+    yield "stochastic.csv", (["R", "mean", "stderr"],
+                             [[R, m, se] for R, m, se in rep.statistic_trace])
+    yield "stochastic_summary.json", rep.summary()
+    yield "stochastic.svg", ([(R, m) for R, m, _ in rep.statistic_trace],
+                             {"y_label": "mean psi"})
 
 
 _RUNNERS = {
@@ -291,6 +236,27 @@ _RUNNERS = {
 }
 
 
+def _write_artifacts(out: Path, artifacts, plots: bool) -> list[Path]:
+    """Write the (file name, payload) pairs a runner yields, in order, and
+    return their paths; without ``plots`` each ``.svg`` is skipped unrendered.
+    """
+    written = []
+    for name, payload in artifacts:
+        path = out / name
+        if name.endswith(".csv"):
+            write_csv(path, *payload)
+        elif name.endswith(".json"):
+            write_text_atomic(path, json.dumps(payload, indent=2,
+                                               sort_keys=True) + "\n")
+        elif plots:
+            series, labels = payload
+            write_text_atomic(path, plot_series(series, log_x=True, **labels))
+        else:
+            continue
+        written.append(path)
+    return written
+
+
 def run_experiment(spec: ExperimentSpec, out_dir=None,
                    plots: bool = True) -> int:
     """Run one validated spec; returns the process exit code."""
@@ -299,7 +265,8 @@ def run_experiment(spec: ExperimentSpec, out_dir=None,
     log = _StageLog(out / "run.log")
     log.stage("spec", f"kind {spec.kind}, seed {spec.seed}")
     try:
-        artifacts = _RUNNERS[spec.kind](spec, out, plots, log)
+        artifacts = _write_artifacts(out, _RUNNERS[spec.kind](spec, log),
+                                     plots)
     except SolverError as e:
         log.stage("solver-failure", str(e))
         print(f"solver failure: {e}", file=sys.stderr)

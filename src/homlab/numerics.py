@@ -342,6 +342,10 @@ class ElementOps:
     component fastest (column q dim + k is component k at point q);
     ``mean_grad_matrix`` sends them to the quadrature mean of the gradient;
     ``point_sum`` sums the dim components of such a row per point.
+    ``grad_matrix_t`` and ``point_spread`` are C-ordered copies of the
+    transposes of ``grad_matrix`` and ``point_sum``, for the products that
+    map point values back to nodes: products with the strided ``.T`` views
+    run 2-3x slower.
     """
 
     grid: Grid
@@ -350,6 +354,8 @@ class ElementOps:
     grad_matrix: np.ndarray        # (2**dim, n_q * dim)
     mean_grad_matrix: np.ndarray   # (2**dim, dim)
     point_sum: np.ndarray          # (n_q * dim, n_q)
+    grad_matrix_t: np.ndarray      # (n_q * dim, 2**dim)
+    point_spread: np.ndarray       # (n_q, n_q * dim)
     stiff_blocks: np.ndarray       # (dim, dim, 2**dim, 2**dim), see assemble_stiffness
     mass_ref: np.ndarray           # (2**dim, 2**dim), unit-measure mass matrix
 
@@ -452,6 +458,8 @@ def element_ops(grid: Grid) -> ElementOps:
     grad_matrix = np.ascontiguousarray(grad_phys.transpose(2, 0, 1)).reshape(n_loc, -1)
     mean_grad_matrix = np.ascontiguousarray(np.einsum("q,qka->ak", wts, grad_phys))
     point_sum = np.kron(np.eye(len(wts)), np.ones((dim, 1)))
+    grad_matrix_t = np.ascontiguousarray(grad_matrix.T)
+    point_spread = np.ascontiguousarray(point_sum.T)
     if dim == 1:
         mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
     else:
@@ -461,7 +469,8 @@ def element_ops(grid: Grid) -> ElementOps:
                                (1 - pts_m[:, 0]) * pts_m[:, 1],
                                pts_m[:, 0] * pts_m[:, 1]])
         mass = np.einsum("q,qa,qb->ab", wts_m, phi, phi)
-    arrays = (wts, grad_matrix, mean_grad_matrix, point_sum, blocks, mass)
+    arrays = (wts, grad_matrix, mean_grad_matrix, point_sum, grad_matrix_t,
+              point_spread, blocks, mass)
     for arr in arrays:
         arr.setflags(write=False)
     return ElementOps(grid, grid.element_nodes(), *arrays)
@@ -844,7 +853,8 @@ class PEnergyProblem:
     ``value`` and ``gradient`` evaluate xi + grad v at every quadrature point
     as one product of the gathered nodal rows with the grid's precomputed
     gradient matrix (``ElementOps.grad_matrix``); the gradient maps the
-    weighted point values back through its transpose.
+    weighted point values back through its transpose
+    (``ElementOps.grad_matrix_t``).
     """
 
     grid: Grid
@@ -855,6 +865,7 @@ class PEnergyProblem:
     fixed_values: np.ndarray | None = None
     ops: ElementOps = field(init=False, repr=False)
     _xi_rows: np.ndarray = field(init=False, repr=False)
+    _point_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=float)
@@ -867,6 +878,9 @@ class PEnergyProblem:
             raise ValueError("unconstrained problems are torus-only (mean-zero kernel)")
         self.ops = element_ops(self.grid)
         self._xi_rows = np.tile(self.xi, len(self.ops.quad_weights))
+        # p h^d a_e w_q, the gradient's fixed factor per (element, point)
+        self._point_weights = (self.p * self.grid.h ** self.grid.dim) * \
+            self.coeff[:, None] * self.ops.quad_weights[None, :]
 
     @property
     def n_free(self) -> int:
@@ -897,9 +911,8 @@ class PEnergyProblem:
         # p |g|^(p-2) g, with the p=2 case reducing to 2 g exactly.
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(mag_sq > 0, mag_sq ** (self.p / 2.0 - 1.0), 0.0)
-        w = (self.p * self.grid.h ** self.grid.dim) * \
-            self.coeff[:, None] * self.ops.quad_weights[None, :] * scale
-        contrib = ((w @ self.ops.point_sum.T) * g) @ self.ops.grad_matrix.T
+        w = self._point_weights * scale
+        contrib = ((w @ self.ops.point_spread) * g) @ self.ops.grad_matrix_t
         full_grad = np.bincount(self.ops.elem_nodes.ravel(), weights=contrib.ravel(),
                                 minlength=self.grid.n_nodes)
         if self.free is None:

@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from homlab.numerics import GuardError, SolverError
 
 STEP_1D = {"type": "periodic_step", "subdivisions": 2, "values": [1.5, 3.5],
            "dim": 1}
+PERFORATION_EPS = {"kind": "perforation", "radius": 0.25, "resolution": 64,
+                   "n_list": [4, 16], "eps_list": [0.5],
+                   "lambda_resolution": 64, "cell_resolution": 32}
 
 
 def spec_file(tmp_path, tree, name="spec.json"):
@@ -174,6 +178,58 @@ class TestRunCommand:
         assert main(["stability", "--spec", path, "--out", str(out)]) == 4
         assert "solver failure" in capsys.readouterr().err
         assert "solver-failure" in (out / "run.log").read_text()
+
+    def test_failure_keeps_artifacts_written_before_it(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def stalled(*args, **kwargs):
+            raise SolverError("lambda solve stalled")
+
+        monkeypatch.setattr("homlab.cli.lambda_problem_experiment", stalled)
+        path = spec_file(tmp_path, PERFORATION_EPS)
+        out = tmp_path / "partial"
+        assert main(["perforation", "--spec", path, "--out", str(out)]) == 4
+        assert "solver failure" in capsys.readouterr().err
+        assert "solver-failure" in (out / "run.log").read_text()
+        assert (out / "perforation.csv").exists()
+        assert not (out / "lambda.csv").exists()
+
+    def test_non_finite_table_value_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        report = SimpleNamespace(
+            conclusion=SimpleNamespace(value="ConditionHoldsLimitsAgree"),
+            statistic_trace=[(8.0, 0.5), (16.0, float("nan"))],
+            summary=lambda: {"label": "nan-trace"})
+        monkeypatch.setattr("homlab.cli.counterexample_suite",
+                            lambda: {"nan-trace": report})
+        path = spec_file(tmp_path, {"kind": "counterexamples"})
+        out = tmp_path / "nan"
+        assert main(["counterexamples", "--spec", path, "--out",
+                     str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert "invalid-parameters" in (out / "run.log").read_text()
+
+    @pytest.mark.parametrize("flags, names", [
+        ([], ["perforation.csv", "perforation.svg", "lambda.csv",
+              "perforation_summary.json", "lambda.svg"]),
+        (["--no-plots"], ["perforation.csv", "lambda.csv",
+                          "perforation_summary.json"]),
+    ], ids=["plots", "no-plots"])
+    def test_perforation_write_order(self, tmp_path, capsys, monkeypatch,
+                                     flags, names):
+        # the one kind whose tables and plots interleave; the lambda problem
+        # is stubbed, only the order of the written files is under test
+        report = SimpleNamespace(theta=0.2, hom_matrix=np.eye(2),
+                                 epsilons=[0.5, 0.25], distances=[0.1, 0.05])
+        monkeypatch.setattr("homlab.cli.lambda_problem_experiment",
+                            lambda *args, **kwargs: report)
+        path = spec_file(tmp_path, dict(PERFORATION_EPS, eps_list=[0.5, 0.25]))
+        out = tmp_path / "order"
+        assert main(["perforation", "--spec", path, "--out", str(out)]
+                    + flags) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            names + ["run.log"])
 
     def test_seed_flag_overrides_spec(self, tmp_path):
         tree = {"kind": "stochastic", "seed": 5,

@@ -1,7 +1,7 @@
 """Checks on the structure the tooling relies on: every function the benchmark
 tracer wraps still exists, the experiment layer leaves the solver policy
 to ``numerics``, and importing the CLI loads no solver module it may not
-need."""
+need, and the CLI's runners leave every write to its one artifact writer."""
 
 import importlib
 import importlib.util
@@ -104,3 +104,20 @@ def test_evaluations_call_no_einsum(monkeypatch):
     assert cell.homogenize_p_energy(field, 3.0, [1.0, 0.0], 8) > 0
     cell.homogenize_coefficients(grid, coeff, field.bounds, 8)
     assert calls == []
+
+
+def test_runners_yield_and_never_write():
+    # every artifact goes through cli._write_artifacts; a runner only yields
+    # (file name, payload) pairs and takes no output directory or plot flag
+    from homlab import cli
+
+    assert set(cli._RUNNERS) == set(cli.KINDS)
+    for kind, fn in cli._RUNNERS.items():
+        assert inspect.isgeneratorfunction(fn), kind
+        assert list(inspect.signature(fn).parameters) == ["spec", "log"], kind
+        names, codes = set(), [fn.__code__]
+        while codes:  # the runner and the functions nested in it
+            code = codes.pop()
+            names |= set(code.co_names)
+            codes += [c for c in code.co_consts if inspect.iscode(c)]
+        assert not names & {"write_csv", "write_text_atomic", "plot_series"}, kind
