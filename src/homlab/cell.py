@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (FieldBounds, MatrixField, ScalarField, eval_matrix,
-                     eval_scalar)
+from .fields import (EnergyDensity, FieldBounds, MatrixField, ScalarField,
+                     element_coefficients)
 from .numerics import (
     TORUS,
     GuardError,
@@ -128,15 +128,9 @@ def homogenize_matrix(field: ScalarField | MatrixField,
     """Homogenized matrix of a periodic quadratic energy at the given
     cells-per-unit resolution."""
     grid = _torus_grid(field, resolution)
-    centers = grid.element_centers()
-    if isinstance(field, MatrixField):
-        coeff = eval_matrix(field, centers)
-        symmetric = field.symmetric
-    else:
-        coeff = eval_scalar(field, centers)
-        symmetric = True
-    return homogenize_coefficients(grid, coeff, field.bounds, resolution,
-                                   symmetric=symmetric)
+    return homogenize_coefficients(grid, element_coefficients(field, grid),
+                                   field.bounds, resolution,
+                                   symmetric=EnergyDensity(field).symmetric)
 
 
 def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
@@ -207,7 +201,7 @@ def _p_energy_solve(coeff: ScalarField, p: float, xi,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
-    a_e = eval_scalar(coeff, grid.element_centers())
+    a_e = element_coefficients(coeff, grid)
     problem = PEnergyProblem(grid, a_e, p, xi)
     u, stats = minimize_p_energy(problem)
     value = problem.value(u) / grid.side_length ** dim

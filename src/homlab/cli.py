@@ -26,7 +26,6 @@ from .cell import homogenize_matrix, p_energy_result
 from .experiment_spec import (KINDS, ExperimentSpec, SpecValidationError,
                               build_density, build_family, build_perforation,
                               parse_spec)
-from .fields import QuadraticMatrix
 from .numerics import GuardError, SolverError
 from .perforation import (GaussianSource, lambda_problem_experiment,
                           masked_cell_value, penalized_cell_value)
@@ -78,9 +77,7 @@ def _run_cell(spec: ExperimentSpec, log):
 
     def solve(resolution):
         if prm["p"] == 2.0:
-            target = (density.matrix if isinstance(density, QuadraticMatrix)
-                      else density.coeff)
-            result = homogenize_matrix(target, resolution)
+            result = homogenize_matrix(density.coeff, resolution)
             return [float(v) for v in result.matrix.ravel()], result
         result = p_energy_result(density.coeff, prm["p"], (prm["xi"],),
                                  resolution)
@@ -179,10 +176,12 @@ def _run_perforation(spec: ExperimentSpec, log):
     yield "perforation.csv", (
         ["n", "penalized", "masked"],
         [[n, v, masked] for n, v in zip(prm["n_list"], penalized)])
-    yield "perforation.svg", (
-        {"penalized": list(zip(prm["n_list"], penalized)),
-         "masked": [(prm["n_list"][0], masked), (prm["n_list"][-1], masked)]},
-        {"x_label": "n"})
+    if len(prm["n_list"]) >= 2:
+        yield "perforation.svg", (
+            {"penalized": list(zip(prm["n_list"], penalized)),
+             "masked": [(prm["n_list"][0], masked),
+                        (prm["n_list"][-1], masked)]},
+            {"x_label": "n"})
     if not prm["eps_list"]:
         return
 
@@ -203,8 +202,9 @@ def _run_perforation(spec: ExperimentSpec, log):
         "epsilons": list(report.epsilons),
         "distances": list(report.distances),
     }
-    yield "lambda.svg", (list(zip(report.epsilons, report.distances)),
-                         {"x_label": "epsilon", "y_label": "l2 distance"})
+    if len(report.epsilons) >= 2:
+        yield "lambda.svg", (list(zip(report.epsilons, report.distances)),
+                             {"x_label": "epsilon", "y_label": "l2 distance"})
 
 
 def _run_stochastic(spec: ExperimentSpec, log):
@@ -250,7 +250,7 @@ def _write_artifacts(out: Path, artifacts, plots: bool) -> list[Path]:
                                                sort_keys=True) + "\n")
         elif plots:
             series, labels = payload
-            write_text_atomic(path, plot_series(series, log_x=True, **labels))
+            write_text_atomic(path, plot_series(series, **labels))
         else:
             continue
         written.append(path)

@@ -34,16 +34,15 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .cell import _check_alignment, _field_period_and_alignment
-from .fields import (BallSupport, CheckerboardFamily, Constant, FieldBounds,
-                     HalfSpaceStep, LpDecay, MatrixField, PeriodicStep,
-                     Perturbed, PowerOfTwoCells, PPower, QuadraticIsotropic,
-                     QuadraticMatrix, RandomCheckerboard,
-                     STATISTIC_RESOLUTION, TrigPolynomialClamped,
-                     constant_matrix)
+from .fields import (BallSupport, CheckerboardFamily, Constant,
+                     EnergyDensity, FieldBounds, HalfSpaceStep, LpDecay,
+                     PeriodicStep, Perturbed, PowerOfTwoCells,
+                     RandomCheckerboard, STATISTIC_RESOLUTION,
+                     TrigPolynomialClamped, constant_matrix)
 from .numerics import cells_across
 from .perforation import PerforationSet, SparseRemoval, check_hole_resolution
 from .rve import MIN_WINDOW_CELLS
-from .stability import _density_field, _is_periodic, check_flip_alignment
+from .stability import _is_periodic, check_flip_alignment
 
 __all__ = [
     "SpecError", "SpecValidationError", "ExperimentSpec",
@@ -332,9 +331,9 @@ def _cells(key: str, sizes, resolution: int, name: str, minimum: int = 1):
 def _cell_solvable(resolutions, field, p):
     """``cell``'s own preconditions: a periodic field, and every resolution
     a multiple of the field's alignment divisor."""
-    target = _density_field(build_density(field, p))
+    coeff = build_density(field, p).coeff
     try:
-        _, divisor = _field_period_and_alignment(target)
+        _, divisor = _field_period_and_alignment(coeff)
     except ValueError as e:
         raise _Bad("field.type", f"cell solves need a periodic field: {e}"
                    ) from None
@@ -349,7 +348,7 @@ def _pair(p, field, field_g):
                                   f"{f.dim}")
     if f.bounds != g.bounds:
         raise _Bad("field_g.bounds", "field and field_g must share alpha/beta")
-    if type(f) is not type(g):
+    if f.is_matrix != g.is_matrix:
         raise _Bad("field_g.type", "field and field_g must both be matrix "
                                    "or both be scalar fields")
 
@@ -365,7 +364,7 @@ def _hom_aligned(hom_resolution, field, field_g, p):
     for node in (field, field_g):
         density = build_density(node, p)
         if _is_periodic(density):
-            _, divisor = _field_period_and_alignment(_density_field(density))
+            _, divisor = _field_period_and_alignment(density.coeff)
             for resolution in (hom_resolution, hom_resolution // 2):
                 _check_alignment(resolution, divisor)
 
@@ -587,13 +586,8 @@ def _build(node: dict | None):
     return None if node is None else _call(_ROWS[node["type"]].build, node)
 
 
-def build_density(field: dict, p: float):
-    coeff = _build(field)
-    if isinstance(coeff, MatrixField):
-        if p != 2.0:
-            raise ValueError("matrix coefficients require p = 2")
-        return QuadraticMatrix(coeff)
-    return QuadraticIsotropic(coeff) if p == 2.0 else PPower(coeff, p)
+def build_density(field: dict, p: float) -> EnergyDensity:
+    return EnergyDensity(_build(field), p)
 
 
 def build_family(family: dict) -> CheckerboardFamily:

@@ -6,11 +6,15 @@ index), so evaluation is deterministic, order-independent, and random access;
 shifting the environment is an integer index shift, which is what makes the
 stationarity identity a(w, y + z) = a(shift_z w, y) exact.
 
+One type, ``EnergyDensity(coeff, p)``, covers the three energy densities the
+experiments compare: a(y) |xi|^2 and a(y) |xi|^p (a scalar coefficient) and
+<A(y) xi, xi> (a matrix coefficient, p = 2 only).
+
 The statistics implement the closeness-in-mean quantity used by the stability
 experiments: the cube-window average of the analytic supremum over |xi| <= t
-of the energy-density difference (t^2 |a - b| for quadratic scalar pairs,
-t^2 times the spectral radius of the symmetrized difference for matrix pairs,
-t^p |a - b| for p-power pairs).
+of the energy-density difference (t^p |a - b| for scalar pairs; t^2 times the
+spectral radius of the symmetrized difference when either coefficient is a
+matrix, a scalar a standing for a I).
 
 Fields that are constant on the cubes z + [0, s)^d of a lattice report the
 side s as ``cell_side``. When the sides of both coefficients of a scalar
@@ -546,47 +550,26 @@ class _FixedValue(ScalarField):
 # Energy densities f(y, xi)
 
 @dataclass(frozen=True)
-class QuadraticIsotropic:
-    coeff: ScalarField
+class EnergyDensity:
+    """f(y, xi) = a(y) |xi|^p for a scalar coefficient a, or <A(y) xi, xi>
+    for a matrix coefficient A (which requires p = 2)."""
 
-    @property
-    def p(self):
-        return 2.0
-
-    @property
-    def dim(self):
-        return self.coeff.dim
-
-    @property
-    def bounds(self):
-        return self.coeff.bounds
-
-
-@dataclass(frozen=True)
-class QuadraticMatrix:
-    matrix: MatrixField
-
-    @property
-    def p(self):
-        return 2.0
-
-    @property
-    def dim(self):
-        return self.matrix.dim
-
-    @property
-    def bounds(self):
-        return self.matrix.bounds
-
-
-@dataclass(frozen=True)
-class PPower:
-    coeff: ScalarField
-    p: float
+    coeff: ScalarField | MatrixField
+    p: float = 2.0
 
     def __post_init__(self):
         if not self.p > 1:
             raise ValueError(f"p must exceed 1, got {self.p}")
+        if self.is_matrix and self.p != 2.0:
+            raise ValueError("matrix coefficients require p = 2")
+
+    @property
+    def is_matrix(self) -> bool:
+        return isinstance(self.coeff, MatrixField)
+
+    @property
+    def symmetric(self) -> bool:
+        return not self.is_matrix or self.coeff.symmetric
 
     @property
     def dim(self):
@@ -595,9 +578,6 @@ class PPower:
     @property
     def bounds(self):
         return self.coeff.bounds
-
-
-EnergyDensity = QuadraticIsotropic | QuadraticMatrix | PPower
 
 
 def eval_scalar(field: ScalarField, pts) -> np.ndarray:
@@ -618,12 +598,13 @@ def eval_matrix(field: MatrixField, pts) -> np.ndarray:
     return field.values(pts)
 
 
-def element_coefficients(density: EnergyDensity, grid: Grid) -> np.ndarray:
+def element_coefficients(coeff: ScalarField | MatrixField,
+                         grid: Grid) -> np.ndarray:
     """Per-element coefficients at element centers: (n_e,) or (n_e, d, d)."""
     centers = grid.element_centers()
-    if isinstance(density, QuadraticMatrix):
-        return eval_matrix(density.matrix, centers)
-    return eval_scalar(density.coeff, centers)
+    if isinstance(coeff, MatrixField):
+        return eval_matrix(coeff, centers)
+    return eval_scalar(coeff, centers)
 
 
 def _window_points(R: float, resolution_per_unit: int, dim: int, center,
@@ -665,8 +646,7 @@ def _common_cell_side(f: EnergyDensity, g: EnergyDensity) -> float | None:
     """Lattice cell side on which both scalar coefficients are constant: the
     finer of their two sides when the coarser is an integer multiple of it
     (to 1e-9), else None."""
-    scalar_kinds = (QuadraticIsotropic, PPower)
-    if not (isinstance(f, scalar_kinds) and isinstance(g, scalar_kinds)):
+    if f.is_matrix or g.is_matrix:
         return None
     sides = (f.coeff.cell_side, g.coeff.cell_side)
     if None in sides:
@@ -690,6 +670,14 @@ def _sym_spectral_radius_2x2(D: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(half_tr + root), np.abs(half_tr - root))
 
 
+def _matrix_values(density: EnergyDensity, pts: np.ndarray) -> np.ndarray:
+    """The coefficient at ``pts`` as (m, d, d) matrices; a scalar a is a I."""
+    if density.is_matrix:
+        return density.coeff.values(pts)
+    a = eval_scalar(density.coeff, pts)
+    return a[:, None, None] * np.eye(density.dim)
+
+
 def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
                        resolution_per_unit: int = STATISTIC_RESOLUTION,
                        center=None) -> float:
@@ -705,29 +693,16 @@ def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
         raise ValueError(f"t must be positive, got {t}")
     if f.dim != g.dim:
         raise ValueError("densities have different dimensions")
+    if f.p != g.p:
+        raise ValueError("densities can only be compared at equal p")
     pts, weights = _window_points(R, resolution_per_unit, f.dim, center,
                                   _common_cell_side(f, g))
-    quad_kinds = (QuadraticIsotropic, QuadraticMatrix)
-    if isinstance(f, PPower) or isinstance(g, PPower):
-        if not (isinstance(f, PPower) and isinstance(g, PPower) and f.p == g.p):
-            raise ValueError("p-power densities can only be compared at equal p")
-        diff = np.abs(eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts))
-        return float(t ** f.p * _quadrature_mean(diff, weights))
-    if isinstance(f, quad_kinds) and isinstance(g, quad_kinds):
-        if isinstance(f, QuadraticIsotropic) and isinstance(g, QuadraticIsotropic):
-            diff = np.abs(eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts))
-            return float(t ** 2 * _quadrature_mean(diff, weights))
-        fm = f.matrix.values(pts) if isinstance(f, QuadraticMatrix) else \
-            eval_scalar(f.coeff, pts)[:, None, None] * np.eye(f.dim)[None]
-        gm = g.matrix.values(pts) if isinstance(g, QuadraticMatrix) else \
-            eval_scalar(g.coeff, pts)[:, None, None] * np.eye(g.dim)[None]
-        D = fm - gm
-        if f.dim == 1:
-            sup = np.abs(D[:, 0, 0])
-        else:
-            sup = _sym_spectral_radius_2x2(D)
-        return float(t ** 2 * sup.mean())
-    raise ValueError(f"unsupported density pair: {type(f).__name__}, {type(g).__name__}")
+    if f.is_matrix or g.is_matrix:
+        D = _matrix_values(f, pts) - _matrix_values(g, pts)
+        sup = np.abs(D[:, 0, 0]) if f.dim == 1 else _sym_spectral_radius_2x2(D)
+    else:
+        sup = np.abs(eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts))
+    return float(t ** f.p * _quadrature_mean(sup, weights))
 
 
 def expectation_statistic(family_f, family_g, t: float, R: float, trials: int,
@@ -744,8 +719,8 @@ def expectation_statistic(family_f, family_g, t: float, R: float, trials: int,
     vals = np.empty(trials)
     for i in range(trials):
         s = mix_seed(seed, i)
-        fa = QuadraticIsotropic(family_f.realize(s))
-        fb = QuadraticIsotropic(family_g.realize(s))
+        fa = EnergyDensity(family_f.realize(s))
+        fb = EnergyDensity(family_g.realize(s))
         vals[i] = mean_abs_statistic(fa, fb, t, R, resolution_per_unit)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / np.sqrt(trials))

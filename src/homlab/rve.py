@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (
-    MatrixField,
-    PPower,
-    QuadraticMatrix,
-    element_coefficients,
-    eval_matrix,
-)
+from .fields import EnergyDensity, MatrixField, element_coefficients
 from .numerics import (
     BOX,
     GuardError,
@@ -62,15 +56,19 @@ class WindowEstimate:
             _check_growth(v, self.bounds_alpha, self.bounds_beta, self.p, self.xi)
 
 
+def _window_center(dim: int, x0) -> np.ndarray:
+    """x0 broadcast to a (dim,) window center; None is the origin."""
+    if x0 is None:
+        return np.zeros(dim)
+    return np.broadcast_to(np.asarray(x0, dtype=float), (dim,)).astype(float)
+
+
 def _window_grid(dim: int, x0, R: float, resolution_per_unit: int):
     n = cells_across(R, resolution_per_unit)
     if n < MIN_WINDOW_CELLS:
         raise ValueError(f"window needs at least {MIN_WINDOW_CELLS} cells "
                          f"per axis, got {n}")
-    if x0 is None:
-        x0v = np.zeros(dim)
-    else:
-        x0v = np.broadcast_to(np.asarray(x0, dtype=float), (dim,)).astype(float)
+    x0v = _window_center(dim, x0)
     origin = tuple(x0v[k] - R / 2.0 for k in range(dim))
     return build_grid(dim, n, origin, R, BOX), x0v
 
@@ -84,15 +82,16 @@ def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
                            f"bounds [{lo:.6g}, {hi:.6g}]")
 
 
-def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int) -> float:
+def local_min_energy(f: EnergyDensity, x0, R: float, xi,
+                     resolution_per_unit: int) -> float:
     """Normalized minimum energy on the cube window Q_R(x0)."""
     dim = f.dim
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
     grid, center = _window_grid(dim, x0, R, resolution_per_unit)
-    coeff = element_coefficients(f, grid)
-    if isinstance(f, PPower) and f.p != 2.0:
+    coeff = element_coefficients(f.coeff, grid)
+    if f.p != 2.0:
         g = interpolate_affine(grid, xi, center)
         free = np.flatnonzero(~grid.boundary_node_mask())
         problem = PEnergyProblem(grid, coeff, f.p, np.zeros(dim),
@@ -104,8 +103,7 @@ def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int) -> float:
         u, _ = minimize_p_energy(problem, x0=u_quad[free])
         raw = problem.value(u[free])
     else:
-        symmetric = not (isinstance(f, QuadraticMatrix) and not f.matrix.symmetric)
-        [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=symmetric,
+        [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=f.symmetric,
                                    center=center)
         raw = element_ops(grid).energy_quadratic(u, coeff, np.zeros(dim))
     value = raw / R ** dim
@@ -113,7 +111,7 @@ def local_min_energy(f, x0, R: float, xi, resolution_per_unit: int) -> float:
     return value
 
 
-def window_sequence(f, x0, xi, R_list,
+def window_sequence(f: EnergyDensity, x0, xi, R_list,
                     resolution_per_unit: int) -> WindowEstimate:
     """Window estimates over increasing sizes, with gap-based verdict.
 
@@ -134,12 +132,9 @@ def window_sequence(f, x0, xi, R_list,
     # fields on aligned windows) count as converged
     noise = 1e-12 * max(1.0, max(abs(v) for v in values))
     homogenizable = gaps[-1] <= gaps[-2] + noise
-    dim = f.dim
-    x0v = (np.zeros(dim) if x0 is None
-           else np.broadcast_to(np.asarray(x0, dtype=float), (dim,)))
     xi = np.asarray(xi, dtype=float)
     return WindowEstimate(
-        center=tuple(float(c) for c in x0v),
+        center=tuple(float(c) for c in _window_center(f.dim, x0)),
         window_sizes=tuple(float(R) for R in R_list),
         xi=tuple(float(c) for c in xi),
         values=tuple(values),
@@ -161,7 +156,7 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
     grid, center = _window_grid(dim, x0, R, resolution_per_unit)
-    coeff = eval_matrix(A, grid.element_centers())
+    coeff = element_coefficients(A, grid)
     [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=A.symmetric,
                                center=center)
     ops = element_ops(grid)

@@ -21,10 +21,9 @@ import numpy as np
 from .cell import (HomogenizedResult, _field_period_and_alignment,
                    homogenize_coefficients, homogenize_matrix,
                    homogenized_quadratic_form, p_energy_result)
-from .fields import (Constant, FieldBounds, HalfSpaceStep, PeriodicStep,
-                     PPower, QuadraticIsotropic, QuadraticMatrix,
-                     STATISTIC_RESOLUTION, TrigPolynomialClamped,
-                     _window_points, eval_scalar,
+from .fields import (Constant, EnergyDensity, FieldBounds, HalfSpaceStep,
+                     PeriodicStep, STATISTIC_RESOLUTION,
+                     TrigPolynomialClamped, _window_points, eval_scalar,
                      expectation_statistic, mean_abs_statistic, mix_seed)
 from .numerics import TORUS, GuardError, SolverError, build_grid, cells_across
 from .rve import WindowEstimate, window_sequence
@@ -158,7 +157,8 @@ class StabilityReport:
         return out
 
 
-def signed_mean_statistic(f, g, t: float, R: float) -> float:
+def signed_mean_statistic(f: EnergyDensity, g: EnergyDensity, t: float,
+                          R: float) -> float:
     """Window mean of the signed coefficient difference (no absolute value)
     over the origin-centered window Q_R.
 
@@ -168,25 +168,20 @@ def signed_mean_statistic(f, g, t: float, R: float) -> float:
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    scalar_kinds = (QuadraticIsotropic, PPower)
-    if not (isinstance(f, scalar_kinds) and type(f) is type(g)):
+    if f.is_matrix or g.is_matrix:
         raise ValueError("signed means are defined for scalar-coefficient pairs")
     if f.dim != g.dim:
         raise ValueError("densities have different dimensions")
-    if isinstance(f, PPower) and f.p != g.p:
-        raise ValueError("p-power densities can only be compared at equal p")
+    if f.p != g.p:
+        raise ValueError("densities can only be compared at equal p")
     pts, _ = _window_points(R, STATISTIC_RESOLUTION, f.dim, None)
     diff = eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts)
     return float(t ** f.p * diff.mean())
 
 
-def _density_field(density):
-    return density.matrix if isinstance(density, QuadraticMatrix) else density.coeff
-
-
-def _is_periodic(density) -> bool:
+def _is_periodic(density: EnergyDensity) -> bool:
     try:
-        _field_period_and_alignment(_density_field(density))
+        _field_period_and_alignment(density.coeff)
     except ValueError:
         return False
     return True
@@ -236,16 +231,14 @@ def _pair_discrepancy(res_f, res_g, p: float) -> float:
     raise ValueError("cannot compare a matrix result with energy samples")
 
 
-def _cell_solve(density, resolution):
-    if isinstance(density, QuadraticMatrix):
-        return homogenize_matrix(density.matrix, resolution)
-    if isinstance(density, QuadraticIsotropic):
+def _cell_solve(density: EnergyDensity, resolution):
+    if density.p == 2.0:
         return homogenize_matrix(density.coeff, resolution)
     return p_energy_result(density.coeff, density.p,
                            _default_sample_xis(density.dim), resolution)
 
 
-def _cell_estimate(density, resolution):
+def _cell_estimate(density: EnergyDensity, resolution):
     """Cell solve plus the half-resolution convergence gap that calibrates
     the comparison tolerance."""
     if resolution < 2 or resolution % 2:
@@ -256,7 +249,8 @@ def _cell_estimate(density, resolution):
     return fine, _pair_discrepancy(fine, coarse, density.p)
 
 
-def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0), *,
+def run_stability_pair(f: EnergyDensity, g: EnergyDensity, t_list=None,
+                       R_list=(8.0, 16.0, 32.0, 64.0), *,
                        x0=None, hom_resolution: int = 64,
                        window_sizes=None, resolution_per_unit: int = 8,
                        statistic_resolution: int = STATISTIC_RESOLUTION,
@@ -270,14 +264,13 @@ def run_stability_pair(f, g, t_list=None, R_list=(8.0, 16.0, 32.0, 64.0), *,
     along the first coordinate direction. The comparison tolerance is 3x the
     worst observed gap, floored at 1e-8.
     """
-    if type(f) is not type(g):
-        raise ValueError("f and g must share one energy form")
+    if f.is_matrix != g.is_matrix or f.p != g.p:
+        raise ValueError("f and g must share one energy form: both scalar or "
+                         "both matrix coefficients, at equal p")
     if f.dim != g.dim:
         raise ValueError("f and g must share the dimension")
     if f.bounds != g.bounds:
         raise ValueError("f and g must share bounds")
-    if isinstance(f, PPower) and f.p != g.p:
-        raise ValueError("p-power densities can only be compared at equal p")
     p = f.p
     dim = f.dim
 
@@ -454,7 +447,7 @@ def run_approximation_scheme(f: TrigPolynomialClamped,
     # keeps the trace independent of silent entries
     terms = tuple(term for term in f.terms if term[0] != 0.0)
     clean = TrigPolynomialClamped(f.offset, terms, f.bounds, dim=dim)
-    f_density = QuadraticIsotropic(clean)
+    f_density = EnergyDensity(clean)
 
     convergent_table = []
     for _, freq, _ in terms:
@@ -481,7 +474,7 @@ def run_approximation_scheme(f: TrigPolynomialClamped,
         except SolverError as e:
             raise SolverError(f"homogenizing truncation j={j}: {e}") from e
         hom_value = homogenized_quadratic_form(result, xi_probe)
-        statistic = mean_abs_statistic(f_density, QuadraticIsotropic(g_j),
+        statistic = mean_abs_statistic(f_density, EnergyDensity(g_j),
                                        1.0, 32.0)
         steps.append(ApproximationStep(j, "freqs " + " ".join(described),
                                        float(hom_value), float(statistic)))
@@ -504,23 +497,23 @@ def counterexample_suite() -> dict[str, StabilityReport]:
 
     # same harmonic mean, phases swapped: |a - b| = 3 everywhere, yet both
     # sides homogenize to the identical 1.6
-    a1 = QuadraticIsotropic(PeriodicStep(2, (1.0, 4.0), bounds, dim=1))
-    b1 = QuadraticIsotropic(PeriodicStep(2, (4.0, 1.0), bounds, dim=1))
+    a1 = EnergyDensity(PeriodicStep(2, (1.0, 4.0), bounds, dim=1))
+    b1 = EnergyDensity(PeriodicStep(2, (4.0, 1.0), bounds, dim=1))
     reports["swapped-1d"] = run_stability_pair(
         a1, b1, t_list=(1.0, 2.0), hom_resolution=64, label="swapped-1d")
 
     # the layered analogue in 2D: swapping the layers preserves both the
     # harmonic and arithmetic directional means
-    a2 = QuadraticIsotropic(PeriodicStep(2, (1.0, 4.0, 1.0, 4.0), bounds, dim=2))
-    b2 = QuadraticIsotropic(PeriodicStep(2, (4.0, 1.0, 4.0, 1.0), bounds, dim=2))
+    a2 = EnergyDensity(PeriodicStep(2, (1.0, 4.0, 1.0, 4.0), bounds, dim=2))
+    b2 = EnergyDensity(PeriodicStep(2, (4.0, 1.0, 4.0, 1.0), bounds, dim=2))
     reports["swapped-layered"] = run_stability_pair(
         a2, b2, hom_resolution=32, label="swapped-layered")
 
     # a single interface is invisible to any fixed one-phase window but makes
     # the field non-homogenizable: off-center windows settle on the low phase
     # while the constant comparison field sits at gamma
-    step = QuadraticIsotropic(HalfSpaceStep(gamma, c, bounds, dim=1))
-    flat = QuadraticIsotropic(Constant(gamma, bounds, dim=1))
+    step = EnergyDensity(HalfSpaceStep(gamma, c, bounds, dim=1))
+    flat = EnergyDensity(Constant(gamma, bounds, dim=1))
     reports["half-space"] = run_stability_pair(
         step, flat, x0=-4.0, window_sizes=(2.0, 4.0, 8.0),
         resolution_per_unit=8, label="half-space")

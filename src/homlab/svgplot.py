@@ -76,7 +76,7 @@ def _normalize_series(series):
     return [("", [(float(x), float(y)) for x, y in series])]
 
 
-def _check_points(named, log_x: bool):
+def _check_points(named):
     if not named:
         raise ValueError("nothing to plot: no series given")
     for name, pts in named:
@@ -87,7 +87,7 @@ def _check_points(named, log_x: bool):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{label} contains a non-finite point "
                                  f"({x}, {y})")
-            if log_x and x <= 0:
+            if x <= 0:
                 raise ValueError(f"log-x plots need positive x, got {x}")
 
 
@@ -97,21 +97,18 @@ def _ticks_linear(lo: float, hi: float, count: int = 5):
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def plot_series(series, x_label: str = "R", y_label: str = "value", *,
-                log_x: bool = False, title: str = "") -> str:
+def plot_series(series, x_label: str = "R", y_label: str = "value") -> str:
     """Self-contained SVG 1.1 line plot: one polyline per series.
 
     ``series`` is either a list of (x, y) points (one unnamed series) or a
-    dict name -> points (named series get a legend). ``log_x`` plots against
-    log2(x) and puts ticks on the data abscissas.
+    dict name -> points (named series get a legend). The x axis is log2(x),
+    so every x must be positive; with at most seven distinct abscissas the
+    ticks sit on them.
     """
     named = _normalize_series(series)
-    _check_points(named, log_x)
+    _check_points(named)
 
-    def tx(x):
-        return math.log2(x) if log_x else x
-
-    all_x = [tx(x) for _, pts in named for x, _ in pts]
+    all_x = [math.log2(x) for _, pts in named for x, _ in pts]
     all_y = [y for _, pts in named for _, y in pts]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
@@ -124,17 +121,14 @@ def plot_series(series, x_label: str = "R", y_label: str = "value", *,
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(x):
-        return _MARGIN_LEFT + (tx(x) - x_lo) / (x_hi - x_lo) * plot_w
+        return _MARGIN_LEFT + (math.log2(x) - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y):
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
-    if log_x:
-        xs = sorted({x for _, pts in named for x, _ in pts})
-        x_ticks = xs if len(xs) <= 7 else [2.0 ** t for t in
-                                           _ticks_linear(x_lo, x_hi)]
-    else:
-        x_ticks = _ticks_linear(x_lo, x_hi)
+    xs = sorted({x for _, pts in named for x, _ in pts})
+    x_ticks = xs if len(xs) <= 7 else [2.0 ** t for t in
+                                       _ticks_linear(x_lo, x_hi)]
     y_ticks = _ticks_linear(y_lo, y_hi)
 
     out = []
@@ -142,9 +136,6 @@ def plot_series(series, x_label: str = "R", y_label: str = "value", *,
                f'width="{_WIDTH:g}" height="{_HEIGHT:g}" '
                f'viewBox="0 0 {_WIDTH:g} {_HEIGHT:g}">')
     out.append(f'<rect width="{_WIDTH:g}" height="{_HEIGHT:g}" fill="white"/>')
-    if title:
-        out.append(f'<text x="{_WIDTH / 2:.2f}" y="20" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="14">{_esc(title)}</text>')
 
     bottom = _MARGIN_TOP + plot_h
     right = _MARGIN_LEFT + plot_w

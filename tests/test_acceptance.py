@@ -12,9 +12,9 @@ from scipy.optimize import minimize
 
 from homlab.cell import homogenize_matrix, homogenize_p_energy
 from homlab.cli import main
-from homlab.fields import (BallSupport, CheckerboardFamily, FieldBounds,
-                           HalfSpaceStep, Layered1D, LpDecay, PeriodicStep,
-                           Perturbed, PowerOfTwoCells, QuadraticIsotropic,
+from homlab.fields import (BallSupport, CheckerboardFamily, EnergyDensity,
+                           FieldBounds, HalfSpaceStep, Layered1D, LpDecay,
+                           PeriodicStep, Perturbed, PowerOfTwoCells,
                            TrigPolynomialClamped, checkerboard_step,
                            constant_matrix, mean_abs_statistic)
 from homlab.perforation import (GaussianSource, PerforationSet, SparseRemoval,
@@ -99,7 +99,7 @@ def test_windows_approach_cell_value(criterion):
         field = TrigPolynomialClamped(
             2.5, ((0.6, (1.0, 0.0), 0.0), (0.3, (0.0, 1.0), 0.0)), B14, dim=2)
         cell = homogenize_matrix(field, 256).matrix[0, 0]
-        est = window_sequence(QuadraticIsotropic(field), None, [1.0, 0.0],
+        est = window_sequence(EnergyDensity(field), None, [1.0, 0.0],
                               (4.0, 8.0, 16.0), 16)
         gaps = [abs(v - cell) for v in est.values]
         assert gaps[0] > gaps[1] > gaps[2]
@@ -125,16 +125,16 @@ def test_sparse_perturbation_sweep(criterion):
         assert len(pairs) == 10
         for base, rule, amplitude in pairs:
             report = run_stability_pair(
-                QuadraticIsotropic(base),
-                QuadraticIsotropic(Perturbed(base, rule, amplitude)))
+                EnergyDensity(base),
+                EnergyDensity(Perturbed(base, rule, amplitude)))
             assert report.conclusion is Conclusion.CONDITION_HOLDS_LIMITS_AGREE
             assert report.numerical_failure is None
 
 
 def test_swapped_phases_fail_condition_same_limit(criterion):
     with criterion(7):
-        f = QuadraticIsotropic(PeriodicStep(2, (1.0, 4.0), B14, dim=1))
-        g = QuadraticIsotropic(PeriodicStep(2, (4.0, 1.0), B14, dim=1))
+        f = EnergyDensity(PeriodicStep(2, (1.0, 4.0), B14, dim=1))
+        g = EnergyDensity(PeriodicStep(2, (4.0, 1.0), B14, dim=1))
         for t in (1.0, 2.0):
             for R in (8.0, 16.0, 32.0):
                 assert mean_abs_statistic(f, g, t, R) == 3.0 * t * t
@@ -147,7 +147,7 @@ def test_swapped_phases_fail_condition_same_limit(criterion):
 
 def test_half_space_center_dependent_limits(criterion):
     with criterion(8):
-        field = QuadraticIsotropic(HalfSpaceStep(2.0, 0.5, B14, dim=1))
+        field = EnergyDensity(HalfSpaceStep(2.0, 0.5, B14, dim=1))
         left = window_sequence(field, [-4.0], [1.0], (2.0, 4.0, 8.0), 8)
         right = window_sequence(field, [4.0], [1.0], (2.0, 4.0, 8.0), 8)
         assert abs(left.limit_estimate - 1.5) <= 1e-9

@@ -231,6 +231,25 @@ class TestRunCommand:
         assert sorted(p.name for p in out.iterdir()) == sorted(
             names + ["run.log"])
 
+    @pytest.mark.parametrize("tree, names", [
+        ({"kind": "perforation", "radius": 0.25, "resolution": 64,
+          "n_list": [16]}, ["perforation.csv"]),
+        (PERFORATION_EPS, ["perforation.csv", "perforation.svg", "lambda.csv",
+                           "perforation_summary.json"]),
+    ], ids=["one-n", "one-eps"])
+    def test_one_entry_perforation_list_skips_its_plot(self, tmp_path, capsys,
+                                                       tree, names):
+        # a plot needs two points: a one-entry n_list leaves out
+        # perforation.svg and a one-entry eps_list lambda.svg, and the run
+        # still succeeds
+        path = spec_file(tmp_path, tree)
+        out = tmp_path / "one"
+        assert main(["perforation", "--spec", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            names + ["run.log"])
+
     def test_seed_flag_overrides_spec(self, tmp_path):
         tree = {"kind": "stochastic", "seed": 5,
                 "family": {"type": "checkerboard_family",

@@ -7,8 +7,7 @@ from homlab.experiment_spec import (SpecValidationError, build_density,
                                     parse_spec, serialize_spec,
                                     validate_document)
 from homlab.fields import (BallSupport, FieldBounds, Perturbed,
-                           PowerOfTwoCells, PPower, QuadraticIsotropic,
-                           QuadraticMatrix)
+                           PowerOfTwoCells)
 from homlab.perforation import SparseRemoval
 
 
@@ -307,7 +306,7 @@ class TestBuilders:
     def test_perturbed_density(self):
         spec = parse_spec(doc(ROUND_TRIP_DOCS[2]))
         density = build_density(spec.params["field"], spec.params["p"])
-        assert isinstance(density, QuadraticIsotropic)
+        assert density.p == 2.0 and not density.is_matrix
         assert isinstance(density.coeff, Perturbed)
         assert density.coeff.rule == BallSupport(2.0)
         assert density.coeff.amplitude == -0.5
@@ -315,7 +314,7 @@ class TestBuilders:
     def test_p_power_density(self):
         spec = parse_spec(doc(ROUND_TRIP_DOCS[1]))
         density = build_density(spec.params["field"], spec.params["p"])
-        assert isinstance(density, PPower)
+        assert not density.is_matrix
         assert density.p == 3.0
 
     def test_matrix_density(self):
@@ -323,8 +322,8 @@ class TestBuilders:
                 "field": {"type": "matrix", "entries": [[2, 1], [-1, 2]]}}
         spec = parse_spec(doc(tree))
         density = build_density(spec.params["field"], 2.0)
-        assert isinstance(density, QuadraticMatrix)
-        assert not density.matrix.symmetric
+        assert density.is_matrix and density.p == 2.0
+        assert not density.coeff.symmetric
 
     def test_family_with_flip(self):
         spec = parse_spec(doc(ROUND_TRIP_DOCS[5]))

@@ -11,6 +11,7 @@ from homlab.fields import (
     BallSupport,
     CheckerboardFamily,
     Constant,
+    EnergyDensity,
     FieldBounds,
     HalfSpaceStep,
     Layered1D,
@@ -18,9 +19,6 @@ from homlab.fields import (
     PeriodicStep,
     Perturbed,
     PowerOfTwoCells,
-    PPower,
-    QuadraticIsotropic,
-    QuadraticMatrix,
     RandomCheckerboard,
     ScalarField,
     TrigPolynomialClamped,
@@ -33,6 +31,7 @@ from homlab.fields import (
     mix_seed,
     rule_mean_abs_bound,
 )
+from homlab.stability import run_stability_pair
 
 B14 = FieldBounds(1.0, 4.0)
 
@@ -188,40 +187,70 @@ class TestMatrixFields:
             constant_matrix([[2.0, 3.9], [3.9, 2.0]], B14)
 
 
+class TestEnergyDensity:
+    def test_members_read_the_coefficient(self):
+        scalar = EnergyDensity(two_phase(dim=2), 3.0)
+        assert not scalar.is_matrix and scalar.symmetric
+        assert (scalar.dim, scalar.bounds, scalar.p) == (2, B14, 3.0)
+        skew = EnergyDensity(constant_matrix([[2.0, 1.0], [-1.0, 2.0]], B14))
+        assert skew.is_matrix and not skew.symmetric and skew.p == 2.0
+        assert EnergyDensity(constant_matrix(np.eye(2) * 2.0, B14)).symmetric
+
+    def test_p_checks(self):
+        m = constant_matrix(np.eye(2) * 2.0, B14)
+        with pytest.raises(ValueError, match="require p = 2"):
+            EnergyDensity(m, 3.0)
+        with pytest.raises(ValueError, match="exceed 1"):
+            EnergyDensity(m, 1.0)
+        with pytest.raises(ValueError, match="exceed 1"):
+            EnergyDensity(two_phase(), 1.0)
+
+    def test_scalar_p2_pair_is_quadratic(self):
+        # a scalar density at p = 2 is the quadratic one however it was
+        # built: the pair is cell-solved to matrices, not sampled p-energies
+        f = EnergyDensity(two_phase(), 2.0)
+        g = EnergyDensity(Layered1D((0.0, 0.5), (4.0, 1.0), B14))
+        rep = run_stability_pair(f, g, hom_resolution=16)
+        for result in (rep.homogenized_f, rep.homogenized_g):
+            assert result.matrix is not None
+            assert result.energy_samples is None
+        assert rep.discrepancy <= rep.tolerance
+
+
 class TestMeanAbsStatistic:
     def test_identical_fields_give_zero(self):
-        f = QuadraticIsotropic(two_phase())
+        f = EnergyDensity(two_phase())
         assert mean_abs_statistic(f, f, 1.0, 8.0) == 0.0
 
     @pytest.mark.parametrize("R", [1.0, 2.0, 5.0, 16.0])
     def test_swapped_two_phase_is_exactly_three(self, R):
-        f = QuadraticIsotropic(two_phase())
-        g = QuadraticIsotropic(Layered1D((0.0, 0.5), (4.0, 1.0), B14))
+        f = EnergyDensity(two_phase())
+        g = EnergyDensity(Layered1D((0.0, 0.5), (4.0, 1.0), B14))
         assert mean_abs_statistic(f, g, 1.0, R) == pytest.approx(3.0, abs=1e-12)
 
     def test_t_scaling_is_exact(self):
-        f = QuadraticIsotropic(two_phase())
-        g = QuadraticIsotropic(Layered1D((0.0, 0.5), (4.0, 1.0), B14))
+        f = EnergyDensity(two_phase())
+        g = EnergyDensity(Layered1D((0.0, 0.5), (4.0, 1.0), B14))
         s1 = mean_abs_statistic(f, g, 1.0, 4.0)
         s2 = mean_abs_statistic(f, g, 2.0, 4.0)
         assert s2 == pytest.approx(4.0 * s1, rel=1e-14)
-        fp = PPower(two_phase(), 3.0)
-        gp = PPower(Layered1D((0.0, 0.5), (4.0, 1.0), B14), 3.0)
+        fp = EnergyDensity(two_phase(), 3.0)
+        gp = EnergyDensity(Layered1D((0.0, 0.5), (4.0, 1.0), B14), 3.0)
         assert mean_abs_statistic(fp, gp, 2.0, 4.0) == \
             pytest.approx(8.0 * mean_abs_statistic(fp, gp, 1.0, 4.0), rel=1e-14)
 
     def test_ball_support_matches_ball_volume(self):
         base = Constant(2.0, B14, dim=2)
-        g = QuadraticIsotropic(Perturbed(base, BallSupport(1.0), 1.0))
-        f = QuadraticIsotropic(base)
+        g = EnergyDensity(Perturbed(base, BallSupport(1.0), 1.0))
+        f = EnergyDensity(base)
         for R in (4.0, 8.0):
             got = mean_abs_statistic(f, g, 1.0, R, resolution_per_unit=64)
             assert got == pytest.approx(np.pi / R ** 2, rel=2e-3)
 
     def test_statistic_decreases_and_halves(self):
         base = Constant(2.0, B14, dim=2)
-        f = QuadraticIsotropic(base)
-        g = QuadraticIsotropic(Perturbed(base, BallSupport(1.0), 1.0))
+        f = EnergyDensity(base)
+        g = EnergyDensity(Perturbed(base, BallSupport(1.0), 1.0))
         vals = [mean_abs_statistic(f, g, 1.0, R, resolution_per_unit=16)
                 for R in (8.0, 16.0, 32.0, 64.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -230,8 +259,8 @@ class TestMeanAbsStatistic:
     def test_power_of_two_cells_matches_enumeration(self):
         rule = PowerOfTwoCells(width=1.0)
         base = Constant(1.0, B14, dim=2)
-        f = QuadraticIsotropic(base)
-        g = QuadraticIsotropic(Perturbed(base, rule, 1.0))
+        f = EnergyDensity(base)
+        g = EnergyDensity(Perturbed(base, rule, 1.0))
         for R in (8.0, 16.0, 32.0):
             got = mean_abs_statistic(f, g, 1.0, R, resolution_per_unit=4)
             expected = rule_mean_abs_bound(rule, R, 2)
@@ -241,31 +270,31 @@ class TestMeanAbsStatistic:
     def test_lp_decay_matches_cellwise_sum(self):
         rule = LpDecay(1.5)
         base = Constant(2.0, B14, dim=1)
-        f = QuadraticIsotropic(base)
-        g = QuadraticIsotropic(Perturbed(base, rule, 0.5))
+        f = EnergyDensity(base)
+        g = EnergyDensity(Perturbed(base, rule, 0.5))
         got = mean_abs_statistic(f, g, 1.0, 16.0, resolution_per_unit=8)
         assert got == pytest.approx(0.5 * rule_mean_abs_bound(rule, 16.0, 1), rel=1e-12)
 
     def test_skew_difference_contributes_nothing(self):
         # the statistic compares quadratic forms, so a purely antisymmetric
         # matrix difference is invisible by design
-        f = QuadraticIsotropic(Constant(2.0, B14, dim=2))
-        g = QuadraticMatrix(constant_matrix([[2.0, 1.0], [-1.0, 2.0]], B14))
+        f = EnergyDensity(Constant(2.0, B14, dim=2))
+        g = EnergyDensity(constant_matrix([[2.0, 1.0], [-1.0, 2.0]], B14))
         assert mean_abs_statistic(f, g, 1.0, 4.0) == 0.0
 
     def test_matrix_pair_spectral_sup(self):
-        f = QuadraticMatrix(constant_matrix(np.diag([1.0, 4.0]), B14))
-        g = QuadraticMatrix(constant_matrix(np.diag([4.0, 1.0]), B14))
+        f = EnergyDensity(constant_matrix(np.diag([1.0, 4.0]), B14))
+        g = EnergyDensity(constant_matrix(np.diag([4.0, 1.0]), B14))
         assert mean_abs_statistic(f, g, 1.0, 4.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_rejects_mismatched_p(self):
-        f = PPower(two_phase(), 3.0)
-        g = QuadraticIsotropic(two_phase())
+        f = EnergyDensity(two_phase(), 3.0)
+        g = EnergyDensity(two_phase())
         with pytest.raises(ValueError):
             mean_abs_statistic(f, g, 1.0, 4.0)
 
     def test_rejects_non_integral_window(self):
-        f = QuadraticIsotropic(two_phase())
+        f = EnergyDensity(two_phase())
         with pytest.raises(ValueError):
             mean_abs_statistic(f, f, 1.0, 0.3, resolution_per_unit=2)
 
@@ -303,9 +332,9 @@ class TestCellConstantStatistic:
         a = RandomCheckerboard(values, 0.5, 3, B14, dim=dim)
         b = RandomCheckerboard(values, 0.5, 4, B14, dim=dim,
                                flip_cells=PowerOfTwoCells())
-        wrap = QuadraticIsotropic if p == 2.0 else (lambda x: PPower(x, p))
         center = (c, -0.5 * c)[:dim]
-        got = mean_abs_statistic(wrap(a), wrap(b), 1.7, R, res, center=center)
+        got = mean_abs_statistic(EnergyDensity(a, p), EnergyDensity(b, p),
+                                 1.7, R, res, center=center)
         want = _brute_force_statistic(a, b, 1.7, p, R, res, center)
         assert want > 0
         if values == (1.0, 4.0):
@@ -315,8 +344,8 @@ class TestCellConstantStatistic:
 
     def test_evaluates_one_point_per_cell(self, monkeypatch):
         counted = _count_checkerboard_points(monkeypatch)
-        a = QuadraticIsotropic(RandomCheckerboard((1.0, 4.0), 0.5, 1, B14))
-        b = QuadraticIsotropic(RandomCheckerboard((1.0, 4.0), 0.5, 2, B14))
+        a = EnergyDensity(RandomCheckerboard((1.0, 4.0), 0.5, 1, B14))
+        b = EnergyDensity(RandomCheckerboard((1.0, 4.0), 0.5, 2, B14))
         mean_abs_statistic(a, b, 1.0, 8.0, 16)
         assert counted == [64, 64]
         counted.clear()
@@ -332,7 +361,7 @@ class TestCellConstantStatistic:
         a = RandomCheckerboard((1.0, 4.0), 0.5, 3, B14)
         b = RandomCheckerboard((1.0, 4.0), 0.5, 3, B14,
                                flip_cells=PowerOfTwoCells(width))
-        got = mean_abs_statistic(QuadraticIsotropic(a), QuadraticIsotropic(b),
+        got = mean_abs_statistic(EnergyDensity(a), EnergyDensity(b),
                                  1.0, 16.0, 8)
         assert counted == [points, points]
         want = _brute_force_statistic(a, b, 1.0, 2.0, 16.0, 8, (0.0, 0.0))
@@ -348,8 +377,8 @@ class TestCellConstantStatistic:
                              BallSupport(1.0), 1.0), 2)]
         for other, calls in others:
             counted.clear()
-            mean_abs_statistic(QuadraticIsotropic(board),
-                               QuadraticIsotropic(other), 1.0, 4.0, 4)
+            mean_abs_statistic(EnergyDensity(board),
+                               EnergyDensity(other), 1.0, 4.0, 4)
             assert counted == [256] * calls
 
 

@@ -11,7 +11,7 @@ import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from homlab.fields import FieldBounds, PeriodicStep, PPower
+from homlab.fields import EnergyDensity, FieldBounds, PeriodicStep
 from homlab.numerics import (
     BOX,
     TORUS,
@@ -755,8 +755,8 @@ class TestPreconditionedLBFGS:
     def test_dirichlet_window_matches_plain_lbfgs(self):
         # a p = 3 window off the checkerboard's symmetry center: the box path
         # with the DST-I inverse on the interior nodes
-        f = PPower(PeriodicStep(2, [1.0, 4.0, 4.0, 1.0], FieldBounds(1.0, 4.0),
-                                dim=2), 3.0)
+        f = EnergyDensity(PeriodicStep(2, [1.0, 4.0, 4.0, 1.0],
+                                       FieldBounds(1.0, 4.0), dim=2), 3.0)
         value = local_min_energy(f, (0.25, 0.25), 2.0, [1.0, 0.0], 8)
         assert abs(value - 2.1324507115571) <= 1e-10 * 2.1324507115571
 

@@ -9,12 +9,10 @@ import pytest
 from homlab.cell import homogenize_matrix
 from homlab.fields import (
     Constant,
+    EnergyDensity,
     FieldBounds,
     HalfSpaceStep,
     Layered1D,
-    PPower,
-    QuadraticIsotropic,
-    QuadraticMatrix,
     TrigPolynomialClamped,
     constant_matrix,
     isotropic_matrix,
@@ -53,25 +51,25 @@ def inv_coeff_integral(lo, hi):
 
 
 def test_constant_quadratic_any_window():
-    den = QuadraticIsotropic(Constant(3.0, B14, dim=2))
+    den = EnergyDensity(Constant(3.0, B14, dim=2))
     value = local_min_energy(den, (0.7, -0.2), 2.0, [1.0, 2.0], 8)
     assert abs(value - 15.0) <= 1e-10
 
 
 def test_constant_p3_affine_minimizer():
-    den = PPower(Constant(2.0, B14, dim=1), 3.0)
+    den = EnergyDensity(Constant(2.0, B14, dim=1), 3.0)
     value = local_min_energy(den, 0.0, 2.0, [1.0], 8)
     assert abs(value - 2.0) <= 1e-8
 
 
 def test_halfspace_right_window_exact():
-    den = QuadraticIsotropic(HalfSpaceStep(2.0, 0.5, B14, dim=1))
+    den = EnergyDensity(HalfSpaceStep(2.0, 0.5, B14, dim=1))
     value = local_min_energy(den, 16.0, 8.0, [1.0], 2)
     assert abs(value - 2.5) <= 1e-12
 
 
 def test_two_phase_windows_match_euler_oracle():
-    den = QuadraticIsotropic(two_phase(1))
+    den = EnergyDensity(two_phase(1))
     x0 = 0.25
     sizes = (4.5, 8.5, 16.5)
     values = [local_min_energy(den, x0, R, [1.0], 16) for R in sizes]
@@ -87,7 +85,7 @@ def test_two_phase_windows_match_euler_oracle():
 def test_two_phase_balanced_windows_exact():
     # windows of integer length cover both phases equally, so every estimate
     # is exactly the harmonic mean
-    den = QuadraticIsotropic(two_phase(1))
+    den = EnergyDensity(two_phase(1))
     est = window_sequence(den, 0.0, [1.0], (4.0, 8.0, 16.0), 16)
     for v in est.values:
         assert abs(v - 1.6) <= 1e-12
@@ -96,7 +94,7 @@ def test_two_phase_balanced_windows_exact():
 
 
 def test_p3_balanced_window_closed_form():
-    den = PPower(two_phase(1), 3.0)
+    den = EnergyDensity(two_phase(1), 3.0)
     value = local_min_energy(den, 0.0, 4.0, [1.0], 16)
     assert abs(value - 0.75 ** -2) <= 1e-6
 
@@ -104,7 +102,7 @@ def test_p3_balanced_window_closed_form():
 def test_smooth_periodic_windows_approach_cell():
     field = smooth_field()
     cell = homogenize_matrix(field, 16).matrix[0, 0]
-    est = window_sequence(QuadraticIsotropic(field), 0.0, [1.0, 0.0],
+    est = window_sequence(EnergyDensity(field), 0.0, [1.0, 0.0],
                           (4.0, 8.0, 16.0), 16)
     assert est.homogenizable_at_center
     gaps = np.abs(np.diff(est.values))
@@ -116,7 +114,7 @@ def test_smooth_periodic_windows_approach_cell():
 
 
 def test_center_independence_smooth():
-    den = QuadraticIsotropic(smooth_field())
+    den = EnergyDensity(smooth_field())
     at_zero = window_sequence(den, 0.0, [1.0, 0.0], (4.0, 8.0, 16.0), 16)
     shifted = window_sequence(den, 0.3, [1.0, 0.0], (4.0, 8.0, 16.0), 16)
     diff = abs(at_zero.limit_estimate - shifted.limit_estimate)
@@ -125,13 +123,13 @@ def test_center_independence_smooth():
 
 def test_almost_periodic_flagged_homogenizable():
     field = TrigPolynomialClamped(2.0, ((0.5, (math.sqrt(2.0),), 0.0),), B14, dim=1)
-    est = window_sequence(QuadraticIsotropic(field), 0.0, [1.0],
+    est = window_sequence(EnergyDensity(field), 0.0, [1.0],
                           (4.0, 8.0, 16.0, 32.0), 16)
     assert est.homogenizable_at_center
 
 
 def test_halfspace_center_dependent_limits():
-    den = QuadraticIsotropic(HalfSpaceStep(2.0, 0.5, B14, dim=1))
+    den = EnergyDensity(HalfSpaceStep(2.0, 0.5, B14, dim=1))
     right = window_sequence(den, 4.0, [1.0], (2.0, 4.0, 8.0), 4)
     left = window_sequence(den, -4.0, [1.0], (2.0, 4.0, 8.0), 4)
     for v in right.values:
@@ -145,7 +143,7 @@ def test_halfspace_center_dependent_limits():
 
 def test_translation_invariance_bit_identical():
     for field in (two_phase(2), smooth_field()):
-        den = QuadraticIsotropic(field)
+        den = EnergyDensity(field)
         base = window_sequence(den, (0.25, 0.25), [1.0, 0.0], (1.0, 2.0, 4.0), 8)
         moved = window_sequence(den, (2.25, -3.75), [1.0, 0.0], (1.0, 2.0, 4.0), 8)
         assert base.values == moved.values
@@ -165,7 +163,7 @@ def test_flux_constant_nonsymmetric():
 
 def test_flux_pairs_with_min_energy():
     field = isotropic_matrix(two_phase(2))
-    den = QuadraticIsotropic(two_phase(2))
+    den = EnergyDensity(two_phase(2))
     xi = np.array([1.0, 0.5])
     flux = flux_average_window(field, 0.0, 8.0, xi, 8)
     energy = local_min_energy(den, 0.0, 8.0, xi, 8)
@@ -184,7 +182,7 @@ def test_flux_layered_approaches_harmonic_mean():
 
 
 def test_window_preconditions():
-    den = QuadraticIsotropic(two_phase(1))
+    den = EnergyDensity(two_phase(1))
     with pytest.raises(ValueError, match="positive integer"):
         local_min_energy(den, 0.0, 1.3, [1.0], 16)
     with pytest.raises(ValueError, match="at least"):

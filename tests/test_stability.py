@@ -7,11 +7,11 @@ import pytest
 
 from homlab import stability
 from homlab.cell import HomogenizedResult, homogenize_matrix
-from homlab.fields import (BallSupport, CheckerboardFamily, FieldBounds,
-                           LpDecay, PeriodicStep, Perturbed, PowerOfTwoCells,
-                           PPower, QuadraticIsotropic, QuadraticMatrix,
-                           ScalarField, TrigPolynomialClamped,
-                           constant_matrix, mean_abs_statistic, mix_seed)
+from homlab.fields import (BallSupport, CheckerboardFamily, EnergyDensity,
+                           FieldBounds, LpDecay, PeriodicStep, Perturbed,
+                           PowerOfTwoCells, ScalarField,
+                           TrigPolynomialClamped, constant_matrix,
+                           mean_abs_statistic, mix_seed)
 from homlab.stability import (ApproximationStep, ApproximationTrace,
                               Conclusion, StabilityReport,
                               StochasticStabilityReport, check_flip_alignment,
@@ -124,7 +124,7 @@ class TestReportInvariants:
 
 class TestRunPair:
     def test_identical_fields(self):
-        f = QuadraticIsotropic(TWO_PHASE)
+        f = EnergyDensity(TWO_PHASE)
         rep = run_stability_pair(f, f, hom_resolution=32, label="self")
         assert all(v == 0.0 for _, v in rep.statistic_trace)
         assert rep.condition_verdict == "vanishing"
@@ -133,8 +133,8 @@ class TestRunPair:
         assert rep.numerical_failure is None
 
     def test_statistic_scales_exactly_in_t(self):
-        a = QuadraticIsotropic(PeriodicStep(2, (1.0, 4.0), B14, dim=1))
-        b = QuadraticIsotropic(PeriodicStep(2, (4.0, 1.0), B14, dim=1))
+        a = EnergyDensity(PeriodicStep(2, (1.0, 4.0), B14, dim=1))
+        b = EnergyDensity(PeriodicStep(2, (4.0, 1.0), B14, dim=1))
         psi1 = mean_abs_statistic(a, b, 1.0, 16.0)
         psi2 = mean_abs_statistic(a, b, 2.0, 16.0)
         assert psi1 == 3.0
@@ -142,8 +142,8 @@ class TestRunPair:
         assert psi2 == 2.0 ** 2 * psi1
 
     def test_compact_support_perturbation(self):
-        f = QuadraticIsotropic(TWO_PHASE)
-        g = QuadraticIsotropic(Perturbed(TWO_PHASE, BallSupport(1.0), 0.5))
+        f = EnergyDensity(TWO_PHASE)
+        g = EnergyDensity(Perturbed(TWO_PHASE, BallSupport(1.0), 0.5))
         rep = run_stability_pair(f, g, label="ball")
         assert rep.conclusion is Conclusion.CONDITION_HOLDS_LIMITS_AGREE
         psis = [v for _, v in rep.statistic_trace]
@@ -155,29 +155,29 @@ class TestRunPair:
     def test_one_pair_per_rule(self):
         rules = [PowerOfTwoCells(1.0), BallSupport(1.0), LpDecay(3.0)]
         for rule, amp in zip(rules, (0.5, -0.5, 0.5)):
-            f = QuadraticIsotropic(TWO_PHASE)
-            g = QuadraticIsotropic(Perturbed(TWO_PHASE, rule, amp))
+            f = EnergyDensity(TWO_PHASE)
+            g = EnergyDensity(Perturbed(TWO_PHASE, rule, amp))
             rep = run_stability_pair(f, g, label=type(rule).__name__)
             assert rep.conclusion is Conclusion.CONDITION_HOLDS_LIMITS_AGREE
             assert rep.numerical_failure is None
 
     def test_form_and_bounds_validation(self):
-        quad = QuadraticIsotropic(TWO_PHASE)
-        cubic = PPower(TWO_PHASE, 3.0)
+        quad = EnergyDensity(TWO_PHASE)
+        cubic = EnergyDensity(TWO_PHASE, 3.0)
         with pytest.raises(ValueError, match="form"):
             run_stability_pair(quad, cubic)
-        other_bounds = QuadraticIsotropic(
+        other_bounds = EnergyDensity(
             PeriodicStep(2, (1.5, 3.5), FieldBounds(1.0, 3.5), dim=1))
         with pytest.raises(ValueError, match="bounds"):
             run_stability_pair(quad, other_bounds)
         with pytest.raises(ValueError, match="equal p"):
-            run_stability_pair(cubic, PPower(TWO_PHASE, 4.0))
-        flat = QuadraticIsotropic(PeriodicStep(2, (1.5, 3.5) * 2, B14, dim=2))
+            run_stability_pair(cubic, EnergyDensity(TWO_PHASE, 4.0))
+        flat = EnergyDensity(PeriodicStep(2, (1.5, 3.5) * 2, B14, dim=2))
         with pytest.raises(ValueError, match="dimension"):
             run_stability_pair(quad, flat)
 
     def test_window_and_t_validation(self):
-        f = QuadraticIsotropic(TWO_PHASE)
+        f = EnergyDensity(TWO_PHASE)
         with pytest.raises(ValueError, match="at least 3"):
             run_stability_pair(f, f, R_list=(8.0, 16.0))
         with pytest.raises(ValueError, match="increasing"):
@@ -186,12 +186,12 @@ class TestRunPair:
             run_stability_pair(f, f, t_list=(0.0,))
 
     def test_odd_cell_resolution_rejected(self):
-        f = QuadraticIsotropic(TWO_PHASE)
+        f = EnergyDensity(TWO_PHASE)
         with pytest.raises(ValueError, match="even"):
             run_stability_pair(f, f, hom_resolution=33)
 
     def test_p_power_self_pair(self):
-        f = PPower(PeriodicStep(2, (1.0, 4.0), B14, dim=1), 3.0)
+        f = EnergyDensity(PeriodicStep(2, (1.0, 4.0), B14, dim=1), 3.0)
         rep = run_stability_pair(f, f, hom_resolution=32, label="p3")
         assert rep.conclusion is Conclusion.CONDITION_HOLDS_LIMITS_AGREE
         assert rep.discrepancy == 0.0
@@ -249,15 +249,15 @@ class TestCounterexamples:
 class TestSignedMean:
     def test_scalar_pairs_only(self):
         m = constant_matrix(np.eye(2) * 2.0, B14, dim=2)
-        pair = QuadraticMatrix(m)
+        pair = EnergyDensity(m)
         with pytest.raises(ValueError, match="scalar"):
             signed_mean_statistic(pair, pair, 1.0, 8.0)
-        f = QuadraticIsotropic(TWO_PHASE)
+        f = EnergyDensity(TWO_PHASE)
         with pytest.raises(ValueError, match="positive"):
             signed_mean_statistic(f, f, 0.0, 8.0)
         with pytest.raises(ValueError, match="equal p"):
-            signed_mean_statistic(PPower(TWO_PHASE, 3.0),
-                                  PPower(TWO_PHASE, 4.0), 1.0, 8.0)
+            signed_mean_statistic(EnergyDensity(TWO_PHASE, 3.0),
+                                  EnergyDensity(TWO_PHASE, 4.0), 1.0, 8.0)
 
 
 class TestApproximation:

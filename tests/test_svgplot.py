@@ -22,7 +22,7 @@ class TestPlotSeries:
         assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
     def test_axes_labeled_r_and_value_by_default(self):
-        svg = plot_series(THREE_POINTS, log_x=True)
+        svg = plot_series(THREE_POINTS)
         assert ">R</text>" in svg
         assert ">value</text>" in svg
 
@@ -47,12 +47,11 @@ class TestPlotSeries:
 
     def test_log_x_needs_positive_abscissas(self):
         with pytest.raises(ValueError, match="positive"):
-            plot_series([(0.0, 1.0), (2.0, 1.0)], log_x=True)
+            plot_series([(0.0, 1.0), (2.0, 1.0)])
 
     def test_deterministic_output(self):
-        a = plot_series(THREE_POINTS, log_x=True, title="sweep")
-        b = plot_series([(4.0, 1.0), (8.0, 0.5), (16.0, 0.25)], log_x=True,
-                        title="sweep")
+        a = plot_series(THREE_POINTS)
+        b = plot_series([(4.0, 1.0), (8.0, 0.5), (16.0, 0.25)])
         assert a == b
 
     def test_constant_series_has_nonzero_range(self):

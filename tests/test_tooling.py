@@ -1,12 +1,14 @@
 """Checks on the structure the tooling relies on: every function the benchmark
 tracer wraps still exists, the experiment layer leaves the solver policy
 to ``numerics``, and importing the CLI loads no solver module it may not
-need, and the CLI's runners leave every write to its one artifact writer."""
+need, the CLI's runners leave every write to its one artifact writer, one
+type describes every energy density, and plots have one x axis."""
 
 import importlib
 import importlib.util
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -121,3 +123,25 @@ def test_runners_yield_and_never_write():
             names |= set(code.co_names)
             codes += [c for c in code.co_consts if inspect.iscode(c)]
         assert not names & {"write_csv", "write_text_atomic", "plot_series"}, kind
+
+
+def test_one_energy_density_type():
+    # fields.EnergyDensity(coeff, p) is the one density type; no module keeps
+    # the per-form classes or the helper that unwrapped them
+    import homlab
+
+    retired = {"QuadraticIsotropic", "QuadraticMatrix", "PPower",
+               "_density_field"}
+    names = ["homlab"] + [f"homlab.{m.name}"
+                          for m in pkgutil.iter_modules(homlab.__path__)]
+    for name in names:
+        module = importlib.import_module(name)
+        assert not retired & set(vars(module)), name
+
+
+def test_plot_series_has_one_x_axis():
+    # every plot is drawn against log2(x) and carries no title
+    from homlab.svgplot import plot_series
+
+    params = inspect.signature(plot_series).parameters
+    assert not {"log_x", "title"} & set(params)
