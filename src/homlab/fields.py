@@ -27,13 +27,16 @@ fraction of the field evaluations.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
-from .numerics import Grid, GuardError, cells_across
+from .numerics import (Grid, GuardError, _on_axis, cells_across, nearest_integer,
+                       tensor_points)
 
 _MASK64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
@@ -219,10 +222,7 @@ class PeriodicStep(ScalarField):
     def values_impl(self, pts):
         k = self.subdivisions
         sub = np.clip((np.mod(pts, 1.0) * k).astype(np.int64), 0, k - 1)
-        flat = sub[:, 0]
-        if self.dim == 2:
-            flat = flat + k * sub[:, 1]
-        return np.asarray(self.cell_values)[flat]
+        return np.asarray(self.cell_values)[sub @ k ** np.arange(self.dim)]
 
     @property
     def period(self):
@@ -337,9 +337,7 @@ class PowerOfTwoCells:
         while k < half:
             powers.append(k)
             k *= 2
-        if dim == 1:
-            return [(p,) for p in powers]
-        return [(p, q) for p in powers for q in powers]
+        return list(itertools.product(powers, repeat=dim))
 
 
 @dataclass(frozen=True)
@@ -385,12 +383,9 @@ def rule_mean_abs_bound(rule: SparsePerturbationRule, R: float, dim: int) -> flo
         count = len(rule.qualifying_cells(R, dim))
         return count * rule.width ** dim / R ** dim
     half = int(np.ceil(R / 2.0))
-    ks = np.arange(-half, half)
-    if dim == 1:
-        total = np.sum((1.0 + np.abs(ks)) ** (-rule.exponent))
-    else:
-        kx, ky = np.meshgrid(ks, ks, indexing="xy")
-        total = np.sum((1.0 + np.maximum(np.abs(kx), np.abs(ky))) ** (-rule.exponent))
+    ks = np.abs(np.arange(-half, half))
+    norm = reduce(np.maximum, (_on_axis(ks, k, dim) for k in range(dim)))
+    total = np.sum((1.0 + norm) ** (-rule.exponent))
     return float(total / R ** dim)
 
 
@@ -471,8 +466,7 @@ class RandomCheckerboard(ScalarField):
         if self.flip_cells is None:
             return 1.0
         width = self.flip_cells.width
-        per_unit = 1.0 / width
-        return width if abs(per_unit - round(per_unit)) <= 1e-9 else None
+        return width if nearest_integer(1.0 / width) is not None else None
 
     def shifted(self, z: tuple[int, ...]) -> "RandomCheckerboard":
         offset = tuple(o + int(dz) for o, dz in zip(self.index_offset, z))
@@ -635,11 +629,8 @@ def _window_points(R: float, resolution_per_unit: int, dim: int, center,
         axes.append(axis)
     weights = None
     if cell_side is not None:
-        weights = counts[0] if dim == 1 else np.outer(counts[1], counts[0]).ravel()
-    if dim == 1:
-        return axes[0][:, None], weights
-    xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-    return np.column_stack([xg.ravel(), yg.ravel()]), weights
+        weights = math.prod(_on_axis(c, k, dim) for k, c in enumerate(counts)).ravel()
+    return tensor_points(axes), weights
 
 
 def _common_cell_side(f: EnergyDensity, g: EnergyDensity) -> float | None:
@@ -652,8 +643,7 @@ def _common_cell_side(f: EnergyDensity, g: EnergyDensity) -> float | None:
     if None in sides:
         return None
     fine, coarse = sorted(sides)
-    ratio = coarse / fine
-    return fine if abs(ratio - round(ratio)) <= 1e-9 else None
+    return fine if nearest_integer(coarse / fine) is not None else None
 
 
 def _quadrature_mean(values: np.ndarray, weights: np.ndarray | None) -> float:

@@ -9,6 +9,13 @@ bilinear forms themselves are integrated with a 2x2 Gauss rule per element,
 which is exact for bilinear elements and keeps the assembled stiffness free of
 spurious zero-energy modes.
 
+Every array on a grid (nodes, elements, the stencil, the spectral symbol,
+window points) is a tensor product of per-axis data, stored with x fastest.
+That layout lives in one helper pair: ``_on_axis`` places a per-axis array
+as a broadcastable view for its axis, and ``tensor_points`` lists the points
+of a product of coordinate axes. The grid code builds per-axis arrays and
+combines them through these two, with no branch on the dimension.
+
 Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it assembles the stiffness, restricts it to the unknowns
 (mean-zero on the torus, interior nodes on a box, nodes of active elements
@@ -36,9 +43,10 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +65,29 @@ class GuardError(RuntimeError):
     """A soundness guard fired: a computed result contradicts what the
     analysis guarantees (field bounds, energy/flux cross-checks, symmetry,
     eigenvalue window, growth sandwich, verdict/trace consistency)."""
+
+
+def _on_axis(a, k: int, dim: int) -> np.ndarray:
+    """``a`` as a view that broadcasts along axis k of the tensor layout of a
+    ``dim``-dimensional grid. The layout stores x fastest, so axis k is array
+    axis dim - 1 - k. Each axis of ``a`` opens its own block of ``dim`` array
+    axes: a per-axis (m, n) array lands on an (m-block, n-block) layout."""
+    a = np.asarray(a)
+    shape = []
+    for length in a.shape:
+        shape += [1] * (dim - 1 - k) + [length] + [1] * k
+    return a.reshape(shape)
+
+
+def tensor_points(axes) -> np.ndarray:
+    """The (m, dim) points of the tensor product of coordinate ``axes``
+    (axes[k] holds the coordinates along axis k), x fastest."""
+    dim = len(axes)
+    out = np.empty([len(a) for a in reversed(axes)] + [dim],
+                   dtype=np.result_type(*axes))
+    for k, a in enumerate(axes):
+        out[..., k] = _on_axis(a, k, dim)
+    return out.reshape(-1, dim)
 
 
 @dataclass(frozen=True)
@@ -104,59 +135,44 @@ class Grid:
 
     def node_coords(self) -> np.ndarray:
         """Node coordinates, shape (n_nodes, dim), x fastest."""
-        axes = [np.asarray(self.origin)[k] + self.h * np.arange(self.nodes_per_axis)
-                for k in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        return np.column_stack([xg.ravel(), yg.ravel()])
+        return tensor_points([o + self.h * np.arange(self.nodes_per_axis)
+                              for o in self.origin])
 
     def element_centers(self) -> np.ndarray:
         """Element center coordinates, shape (n_elements, dim)."""
-        axes = [np.asarray(self.origin)[k] + self.h * (np.arange(self.cells_per_axis) + 0.5)
-                for k in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
-        return np.column_stack([xg.ravel(), yg.ravel()])
+        return tensor_points([o + self.h * (np.arange(self.cells_per_axis) + 0.5)
+                              for o in self.origin])
 
     def element_nodes(self) -> np.ndarray:
         """Corner node ids per element, shape (n_elements, 2**dim).
 
         Local order is x-fastest: 1D (left, right), 2D (ll, lr, ul, ur).
         """
-        n = self.cells_per_axis
-        if self.dim == 1:
-            left = np.arange(n, dtype=np.int64)
-            right = left + 1
-            if self.topology == TORUS:
-                right %= n
-            return np.column_stack([left, right])
-        nnx = self.nodes_per_axis
-        ex, ey = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64),
-                             indexing="xy")
-        ex, ey = ex.ravel(), ey.ravel()
-        ix0, ix1 = ex, ex + 1
-        iy0, iy1 = ey, ey + 1
-        if self.topology == TORUS:
-            ix1 = ix1 % n
-            iy1 = iy1 % n
-        return np.column_stack([iy0 * nnx + ix0, iy0 * nnx + ix1,
-                                iy1 * nnx + ix0, iy1 * nnx + ix1])
+        n, nodes, dim = self.cells_per_axis, self.nodes_per_axis, self.dim
+        corner = (np.arange(2)[:, None] + np.arange(n, dtype=np.int64)) % nodes  # [a, e]
+        ids = sum(_on_axis(corner * nodes ** k, k, dim) for k in range(dim))
+        # built as [a, e] (local node outermost) and transposed once: the
+        # other order broadcasts 2-3x slower
+        return np.ascontiguousarray(ids.reshape(2 ** dim, n ** dim).T)
 
     def boundary_node_mask(self) -> np.ndarray:
         """Boolean mask of boundary nodes (box topology only)."""
         if self.topology != BOX:
             raise ValueError("torus grids have no boundary")
         nn = self.nodes_per_axis
-        if self.dim == 1:
-            mask = np.zeros(nn, dtype=bool)
-            mask[0] = mask[-1] = True
-            return mask
-        ix = np.arange(nn)
-        on_edge = (ix == 0) | (ix == nn - 1)
-        mask2 = on_edge[None, :] | on_edge[:, None]
-        return mask2.ravel()
+        on_edge = np.zeros(nn, dtype=bool)
+        on_edge[[0, -1]] = True
+        return reduce(np.logical_or,
+                      (_on_axis(on_edge, k, self.dim) for k in range(self.dim))).ravel()
+
+
+def nearest_integer(x: float) -> int | None:
+    """The integer within 1e-9 of ``x``, or None when there is none (also
+    for non-finite ``x``)."""
+    if not np.isfinite(x):
+        return None
+    n = int(round(x))
+    return n if abs(x - n) <= 1e-9 else None
 
 
 def cells_across(side: float, resolution: int) -> int:
@@ -165,9 +181,8 @@ def cells_across(side: float, resolution: int) -> int:
     The product must be a positive integer (to 1e-9), so the cells tile the
     side exactly; otherwise ValueError.
     """
-    n_f = side * resolution
-    n = int(round(n_f)) if np.isfinite(n_f) else 0
-    if abs(n_f - n) > 1e-9 or n < 1:
+    n = nearest_integer(side * resolution)
+    if n is None or n < 1:
         raise ValueError(f"side {side:g} times resolution {resolution} "
                          "must be a positive integer")
     return n
@@ -225,11 +240,11 @@ def _reference_gradients(dim: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-point stencil of one grid axis with ``nodes`` nodes:
-    ``column[x]`` holds the distinct stencil nodes of x in increasing order,
-    padded with ``nodes``, and node x + k - 1 is ``column[x, rank[x, k]]``.
-    Box ends have two neighbours; on a 2-node torus x - 1 and x + 1 are the
-    same node and share a place.
+    """The 3-point stencil of one grid axis with ``nodes`` nodes: node x has
+    ``count[x]`` distinct stencil nodes, and node x + k - 1 is place
+    ``rank[x, k]`` among them in increasing order. Box ends have two
+    neighbours; on a 2-node torus x - 1 and x + 1 are the same node and
+    share a place.
     """
     target = np.arange(nodes)[:, None] + np.arange(-1, 2)[None, :]
     if torus:
@@ -240,7 +255,7 @@ def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
         distinct = (target >= 0) & (target < nodes)
     column = np.sort(np.where(distinct, target, nodes), axis=1)
     rank = (column[:, None, :] < target[:, :, None]).sum(axis=2)
-    return column, rank
+    return distinct.sum(axis=1), rank
 
 
 @dataclass(frozen=True)
@@ -274,52 +289,43 @@ class CsrPattern:
 def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
     """The ``CsrPattern`` of a grid shape, built from the per-axis stencils.
 
-    Row (x, y) holds its count[y] x count[x] stencil nodes (column[y, k_y],
-    column[x, k_x]), k_y-major, from slot T start[y] + count[y] start[x] on
-    (T is the sum of count, start its running sum before each node). On each
-    axis, element-local node b of element e is place k = rank[b - a + 1] of
-    row node a (node e + a), so entry (e, a, b) has slot
-    T start[y] + count[y] start[x] + k_y count[x] + k_x. count is 3 except at
-    box ends and on 2-node tori (2), so this is the outer sum of
-    T start[y] + 3 k_y and 3 start[x] + k_x, less start[x] where count[y] = 2
-    and less k_y where count[x] = 2. The pattern depends on the shape only:
+    Row r holds the product of its per-axis stencils, the column with the
+    highest axis slowest, so a column whose axis-k node sits at place rank_k
+    of the row's axis-k stencil (of count_k nodes) has slot
+    indptr[r] + sum_k rank_k prod_{j<k} count_j. On each axis, element-local
+    node b of element e is place rank[b - a + 1] of row node a (node e + a),
+    which gives the slot of every element entry (e, a, b); ``indices`` holds
+    each entry's column at its slot. The pattern depends on the shape only:
     grids of one shape, like windows of one size, share it.
     """
     nodes = cells + (topology == BOX)
-    column, rank = _axis_stencil(nodes, topology == TORUS)
-    real = column < nodes
-    count = real.sum(axis=1)
-    row_len = count if dim == 1 else np.outer(count, count).ravel()
+    count, rank = _axis_stencil(nodes, topology == TORUS)
+    row_len = reduce(np.multiply, (_on_axis(count, k, dim) for k in range(dim)))
     nnz = int(row_len.sum())
     # scipy's choice for CSR index arrays: int32 whenever the values fit
     idx = np.int32 if max(nnz, nodes ** dim) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(nodes ** dim + 1, dtype=idx)
     np.cumsum(row_len, out=indptr[1:])
-    node = (np.arange(cells)[:, None] + np.arange(2)[None, :]) % nodes     # [e, a]
-    offset = np.arange(2)[None, :] - np.arange(2)[:, None] + 1            # [a, b]
-    k = rank[node[:, :, None], offset[None]].astype(idx)                  # [e, a, b]
-    start = (np.cumsum(count) - count).astype(idx)[node]                  # [e, a]
-    count = count.astype(idx)[node]
-    if dim == 1:
-        indices = column[real].astype(idx)
-        pos = start[:, :, None] + k
-    else:
-        # the 3 x 3 stencil places of every row, then the real ones in order
-        places = np.empty((nodes, nodes, 3, 3), dtype=idx)
-        keep = np.empty((nodes, nodes, 3, 3), dtype=bool)
-        for ry, rx in np.ndindex(3, 3):
-            np.add.outer(column[:, ry] * nodes, column[:, rx], out=places[:, :, ry, rx])
-            np.logical_and.outer(real[:, ry], real[:, rx], out=keep[:, :, ry, rx])
-        indices = places[keep]
-        pos = np.empty((cells, cells, 2, 2, 2, 2), dtype=idx)     # [e_y, e_x, a, b]
-        row_total = idx(real.sum())        # T
-        for ay, ax, by, bx in np.ndindex(2, 2, 2, 2):
-            out = pos[:, :, ay, ax, by, bx]
-            np.add.outer(row_total * start[:, ay] + 3 * k[:, ay, by],
-                         3 * start[:, ax] + k[:, ax, bx], out=out)
-            out[count[:, ay] < 3] -= start[:, ax]
-            out[:, count[:, ax] < 3] -= k[:, ay, by, None]
-    pos = pos.ravel()
+    # per-axis arrays over [a, b, e]: the entry's row and column node and
+    # the column's place in the row's stencil; built in this order and
+    # transposed once, since element-first broadcasting runs 2-3x slower
+    node = (np.arange(2)[:, None] + np.arange(cells)[None, :]) % nodes    # [a, e]
+    offset = np.arange(2)[None, :] - np.arange(2)[:, None] + 1           # [a, b]
+    place = rank[node[:, None, :], offset[:, :, None]].astype(idx)       # [a, b, e]
+    count = count.astype(idx)[node][:, None, :]                         # [a, 1, e]
+    node = node.astype(idx)
+    row = sum(_on_axis(node[:, None, :] * nodes ** k, k, dim) for k in range(dim))
+    col = sum(_on_axis(node[None, :, :] * nodes ** k, k, dim) for k in range(dim))
+    slot = np.empty((2,) * (2 * dim) + (cells,) * dim, dtype=idx)       # [a, b, e]
+    slot[...] = indptr[row]
+    stride = 1
+    for k in range(dim):
+        slot += _on_axis(place, k, dim) * stride
+        stride = stride * _on_axis(count, k, dim)
+    indices = np.empty(nnz, dtype=idx)
+    indices[slot] = col
+    # [a, b, e] -> [e, a, b], each block x fastest
+    pos = slot.transpose(*range(2 * dim, 3 * dim), *range(2 * dim)).ravel()
     for arr in (indptr, indices, pos):
         arr.setflags(write=False)
     return CsrPattern(indptr, indices, pos)
@@ -702,7 +708,8 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     On a uniform grid the Q1 stiffness and mass matrices are tensor products
     of the 1D stencils with symbols k(t) = (2 - 2 cos t) / h and
     m(t) = h (4 + 2 cos t) / 6, so the reference operator has the symbol
-    a_ref (k x m + m x k) + c_ref m x m in 2D (a_ref k + c_ref m in 1D). A
+    a_ref sum_k (k on axis k, m on the others) + c_ref (m on every axis),
+    e.g. a_ref (k x m + m x k) + c_ref m x m in 2D. A
     real FFT diagonalizes it on the torus (whose constant mode is zeroed) and
     an orthonormal DST-I on the interior nodes of a box. ``unknowns`` (full
     node ids, sorted) restricts it to a subset of those nodes: zero-extend,
@@ -711,19 +718,17 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     torus = grid.topology == TORUS
     n, h, dim = grid.cells_per_axis, grid.h, grid.dim
     if torus:
-        axes = [2.0 * np.pi * np.arange(n) / n] * (dim - 1)
-        axes.append(2.0 * np.pi * np.arange(n // 2 + 1) / n)   # rfft half axis
+        # x is the fastest array axis, the one rfftn halves
+        axes = [2.0 * np.pi * np.arange(n // 2 + 1) / n]
+        axes += [2.0 * np.pi * np.arange(n) / n] * (dim - 1)
         lattice = np.arange(grid.n_nodes)
     else:
         axes = [np.pi * np.arange(1, n) / n] * dim
         lattice = np.flatnonzero(~grid.boundary_node_mask())
-    ks = [(2.0 - 2.0 * np.cos(t)) / h for t in axes]
-    ms = [h * (4.0 + 2.0 * np.cos(t)) / 6.0 for t in axes]
-    if dim == 1:
-        symbol = a_ref * ks[0] + c_ref * ms[0]
-    else:
-        symbol = (a_ref * (np.outer(ks[0], ms[1]) + np.outer(ms[0], ks[1]))
-                  + c_ref * np.outer(ms[0], ms[1]))
+    ks = [_on_axis((2.0 - 2.0 * np.cos(t)) / h, k, dim) for k, t in enumerate(axes)]
+    ms = [_on_axis(h * (4.0 + 2.0 * np.cos(t)) / 6.0, k, dim) for k, t in enumerate(axes)]
+    stiffness = sum(ks[k] * math.prod(ms[:k] + ms[k + 1:]) for k in range(dim))
+    symbol = a_ref * stiffness + c_ref * math.prod(ms)
     if torus:
         symbol[(0,) * dim] = np.inf     # zero the constant mode
     inv_symbol = 1.0 / symbol

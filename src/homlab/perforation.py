@@ -17,7 +17,7 @@ import numpy as np
 
 from .cell import HomogenizedResult, homogenize_coefficients
 from .fields import FieldBounds, _window_points, power_of_two_cells
-from .numerics import BOX, TORUS, build_grid, element_ops, solve_corrector
+from .numerics import BOX, TORUS, Grid, build_grid, element_ops, solve_corrector
 from .rve import _window_grid
 
 MIN_CELLS_ACROSS_HOLE = 8
@@ -131,6 +131,14 @@ def check_hole_resolution(radius: float, resolution: int,
             f"elements across a hole of diameter {2 * radius:g}")
 
 
+def _hole_cell(E: PerforationSet, resolution: int) -> tuple[Grid, np.ndarray]:
+    """The unit torus at ``resolution`` elements per unit and which of its
+    elements have their centre in a hole; checks the hole resolution first."""
+    check_hole_resolution(E.radius, resolution)
+    grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
+    return grid, E.membership(grid.element_centers())
+
+
 def penalized_cell_value(E: PerforationSet, n: float, xi,
                          resolution: int) -> float:
     """Periodic cell minimum with coefficient 1 outside E, 1/n inside."""
@@ -138,10 +146,8 @@ def penalized_cell_value(E: PerforationSet, n: float, xi,
         raise ValueError(f"penalization index must be >= 1, got {n}")
     if resolution < 64:
         raise ValueError(f"resolution must be at least 64, got {resolution}")
-    check_hole_resolution(E.radius, resolution)
+    grid, inside = _hole_cell(E, resolution)
     xi = np.asarray(xi, dtype=float)
-    grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
-    inside = E.membership(grid.element_centers())
     coeff = np.where(inside, 1.0 / n, 1.0)
     [(u, _)] = solve_corrector(grid, coeff, [xi])
     return element_ops(grid).energy_quadratic(u, coeff, xi)
@@ -149,10 +155,9 @@ def penalized_cell_value(E: PerforationSet, n: float, xi,
 
 def masked_cell_value(E: PerforationSet, xi, resolution: int) -> float:
     """Perforated cell quadratic form <A_hom^E xi, xi> (Neumann holes)."""
-    check_hole_resolution(E.radius, resolution)
+    grid, inside = _hole_cell(E, resolution)
     xi = np.asarray(xi, dtype=float)
-    grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
-    active_el = ~E.membership(grid.element_centers())
+    active_el = ~inside
     coeff = active_el.astype(float)
     [(u, _)] = solve_corrector(grid, coeff, [xi], active=active_el)
     return element_ops(grid).energy_quadratic(u, coeff, xi)
@@ -166,9 +171,8 @@ def masked_cell_matrix(E: PerforationSet,
     widened by an extension constant of 3, an upper bound on
     ``empirical_extension_constant``: [1/9, 1].
     """
-    check_hole_resolution(E.radius, resolution)
-    grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
-    active_el = ~E.membership(grid.element_centers())
+    grid, inside = _hole_cell(E, resolution)
+    active_el = ~inside
     result = homogenize_coefficients(grid, active_el.astype(float),
                                      FieldBounds(1.0, 1.0), resolution,
                                      active=active_el, extension_constant=3.0)

@@ -12,7 +12,7 @@ in the torus core ``cell.homogenize_coefficients``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -575,20 +575,7 @@ class StochasticStabilityReport:
                 "numerical-failure diagnostic")
 
     def summary(self) -> dict:
-        return {
-            "trials": self.trials,
-            "torus_size": self.torus_size,
-            "seed": self.seed,
-            "statistic_trace": [list(row) for row in self.statistic_trace],
-            "mean_f": [list(r) for r in self.mean_f],
-            "stderr_f": [list(r) for r in self.stderr_f],
-            "mean_g": [list(r) for r in self.mean_g],
-            "stderr_g": [list(r) for r in self.stderr_g],
-            "paired_difference_mean": [list(r) for r in self.paired_difference_mean],
-            "paired_difference_stderr": [list(r) for r in self.paired_difference_stderr],
-            "intervals_overlap": self.intervals_overlap,
-            "numerical_failure": self.numerical_failure,
-        }
+        return asdict(self)
 
 
 def _nested(a: np.ndarray) -> tuple[tuple[float, ...], ...]:

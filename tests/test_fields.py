@@ -22,6 +22,7 @@ from homlab.fields import (
     RandomCheckerboard,
     ScalarField,
     TrigPolynomialClamped,
+    _window_points,
     checkerboard_step,
     constant_matrix,
     eval_scalar,
@@ -380,6 +381,66 @@ class TestCellConstantStatistic:
             mean_abs_statistic(EnergyDensity(board),
                                EnergyDensity(other), 1.0, 4.0, 4)
             assert counted == [256] * calls
+
+
+def _reference_window_points(R, res, dim, center, cell_side):
+    """The per-dimension construction of ``_window_points``, written out for
+    dims 1 and 2."""
+    n = int(round(R * res))
+    h = R / n
+    center = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
+    axes, counts = [], []
+    for k in range(dim):
+        axis = center[k] - R / 2.0 + h * (np.arange(n) + 0.5)
+        if cell_side is not None:
+            cell = np.floor(axis / cell_side)
+            first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+            counts.append(np.diff(np.r_[first, n]))
+            axis = axis[first]
+        axes.append(axis)
+    weights = None
+    if cell_side is not None:
+        weights = counts[0] if dim == 1 else np.outer(counts[1], counts[0]).ravel()
+    if dim == 1:
+        return axes[0][:, None], weights
+    xg, yg = np.meshgrid(axes[0], axes[1], indexing="xy")
+    return np.column_stack([xg.ravel(), yg.ravel()]), weights
+
+
+class TestWindowPoints:
+    @pytest.mark.parametrize("cell_side", [None, 1.0, 0.25])
+    @pytest.mark.parametrize("R, res, c", TestCellConstantStatistic.WINDOWS)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_reference(self, dim, R, res, c, cell_side):
+        center = None if c == 0.0 else (c, -0.5 * c)[:dim]
+        pts, weights = _window_points(R, res, dim, center, cell_side)
+        want_pts, want_weights = _reference_window_points(R, res, dim, center, cell_side)
+        np.testing.assert_array_equal(pts, want_pts, strict=True)
+        if cell_side is None:
+            assert weights is None
+        else:
+            np.testing.assert_array_equal(weights, want_weights, strict=True)
+            assert weights.sum() == round(R * res) ** dim
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tensor_rules_match_reference(dim):
+    # the lp-decay bound, the power-of-two cells and the periodic step index
+    # written out per dimension
+    rule = LpDecay(1.5)
+    ks = np.abs(np.arange(-4, 4))
+    norm = ks if dim == 1 else np.maximum(ks[None, :], ks[:, None])
+    want = float(np.sum((1.0 + norm) ** -1.5) / 7.5 ** dim)
+    assert rule_mean_abs_bound(rule, 7.5, dim) == want
+    cells = PowerOfTwoCells().qualifying_cells(9.0, dim)
+    powers = [1, 2, 4]
+    assert cells == ([(p,) for p in powers] if dim == 1
+                     else [(p, q) for p in powers for q in powers])
+    step = PeriodicStep(3, tuple(1.0 + 0.25 * i for i in range(3 ** dim)), B14, dim)
+    pts = np.random.default_rng(1).uniform(-2.0, 2.0, (200, dim))
+    sub = np.floor(np.mod(pts, 1.0) * 3).astype(int)
+    flat = sub[:, 0] if dim == 1 else sub[:, 0] + 3 * sub[:, 1]
+    np.testing.assert_array_equal(step.values(pts), 1.0 + 0.25 * flat)
 
 
 class TestExpectationStatistic:

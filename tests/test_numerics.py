@@ -21,11 +21,13 @@ from homlab.numerics import (
     SolverError,
     SparseSystem,
     build_grid,
+    cells_across,
     cg_solve,
     element_ops,
     interpolate_affine,
     krylov_solve_nonsymmetric,
     minimize_p_energy,
+    nearest_integer,
     solve_corrector,
     spectral_preconditioner,
 )
@@ -103,6 +105,69 @@ class TestGrid:
     def test_boundary_mask_counts(self):
         g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
         assert g.boundary_node_mask().sum() == 4 * 8
+
+
+def _reference_grid_arrays(g):
+    """The per-dimension construction of the four Grid arrays, written out
+    for dims 1 and 2: node coordinates, element centers, element nodes and
+    the box boundary mask (None on a torus)."""
+    n, nn = g.cells_per_axis, g.nodes_per_axis
+    nodes = [g.origin[k] + g.h * np.arange(nn) for k in range(g.dim)]
+    centers = [g.origin[k] + g.h * (np.arange(n) + 0.5) for k in range(g.dim)]
+    if g.dim == 1:
+        left = np.arange(n, dtype=np.int64)
+        right = left + 1
+        if g.topology == TORUS:
+            right %= n
+        mask = None
+        if g.topology == BOX:
+            mask = np.zeros(nn, dtype=bool)
+            mask[0] = mask[-1] = True
+        return nodes[0][:, None], centers[0][:, None], np.column_stack([left, right]), mask
+    xg, yg = np.meshgrid(*nodes, indexing="xy")
+    cx, cy = np.meshgrid(*centers, indexing="xy")
+    ex, ey = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64),
+                         indexing="xy")
+    ex, ey = ex.ravel(), ey.ravel()
+    ix1, iy1 = ex + 1, ey + 1
+    if g.topology == TORUS:
+        ix1, iy1 = ix1 % n, iy1 % n
+    elem = np.column_stack([ey * nn + ex, ey * nn + ix1, iy1 * nn + ex, iy1 * nn + ix1])
+    mask = None
+    if g.topology == BOX:
+        ix = np.arange(nn)
+        on_edge = (ix == 0) | (ix == nn - 1)
+        mask = (on_edge[None, :] | on_edge[:, None]).ravel()
+    return (np.column_stack([xg.ravel(), yg.ravel()]),
+            np.column_stack([cx.ravel(), cy.ravel()]), elem, mask)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("topology", [TORUS, BOX])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_grid_arrays_match_reference(dim, topology, n):
+    g = build_grid(dim, n, (-0.75, 1.25)[:dim], 1.5, topology)
+    nodes, centers, elem, mask = _reference_grid_arrays(g)
+    np.testing.assert_array_equal(g.node_coords(), nodes, strict=True)
+    np.testing.assert_array_equal(g.element_centers(), centers, strict=True)
+    np.testing.assert_array_equal(g.element_nodes(), elem, strict=True)
+    assert g.element_nodes().dtype == np.int64
+    if mask is None:
+        with pytest.raises(ValueError, match="no boundary"):
+            g.boundary_node_mask()
+    else:
+        np.testing.assert_array_equal(g.boundary_node_mask(), mask, strict=True)
+
+
+def test_nearest_integer_and_cells_across():
+    assert nearest_integer(3.0 + 5e-10) == 3
+    assert nearest_integer(-2.0) == -2
+    for x in (2.5, 3.0 + 2e-9, np.inf, -np.inf, np.nan):
+        assert nearest_integer(x) is None
+    assert cells_across(0.25, 16) == 4
+    for side in (0.3, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            cells_across(side, 16)
 
 
 class TestAffineData:

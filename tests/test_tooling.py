@@ -2,7 +2,8 @@
 tracer wraps still exists, the experiment layer leaves the solver policy
 to ``numerics``, and importing the CLI loads no solver module it may not
 need, the CLI's runners leave every write to its one artifact writer, one
-type describes every energy density, and plots have one x axis."""
+type describes every energy density, plots have one x axis, and grid
+arrays take their tensor layout from one helper pair."""
 
 import importlib
 import importlib.util
@@ -145,3 +146,15 @@ def test_plot_series_has_one_x_axis():
 
     params = inspect.signature(plot_series).parameters
     assert not {"log_x", "title"} & set(params)
+
+
+def test_grid_layout_has_one_home():
+    # the x-fastest tensor layout of grid arrays is built only through
+    # numerics._on_axis and numerics.tensor_points
+    import homlab
+
+    names = ["homlab"] + [f"homlab.{m.name}"
+                          for m in pkgutil.iter_modules(homlab.__path__)]
+    for name in names:
+        source = inspect.getsource(importlib.import_module(name))
+        assert "np.meshgrid" not in source, name
