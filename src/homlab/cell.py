@@ -49,7 +49,6 @@ class HomogenizedResult:
     """
 
     matrix: np.ndarray | None
-    resolution: int
     symmetric_input: bool
     solver_iterations: tuple[int, ...]
     residuals: tuple[float, ...]
@@ -129,12 +128,12 @@ def homogenize_matrix(field: ScalarField | MatrixField,
     cells-per-unit resolution."""
     grid = _torus_grid(field, resolution)
     return homogenize_coefficients(grid, element_coefficients(field, grid),
-                                   field.bounds, resolution,
+                                   field.bounds,
                                    symmetric=EnergyDensity(field).symmetric)
 
 
 def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
-                            resolution: int, *, symmetric: bool = True,
+                            *, symmetric: bool = True,
                             active: np.ndarray | None = None,
                             extension_constant: float = 1.0) -> HomogenizedResult:
     """Homogenized matrix of per-element coefficients on a torus grid.
@@ -143,8 +142,7 @@ def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
     coeff * (e_i + grad w_i), and symmetric problems cross-check it against
     the cell energy. ``active`` marks the elements outside Neumann holes;
     ``bounds`` and ``extension_constant`` set the eigenvalue window that
-    ``HomogenizedResult`` checks, and ``resolution`` (cells per unit) is
-    recorded with it.
+    ``HomogenizedResult`` checks.
     """
     dim = grid.dim
     ops = element_ops(grid)
@@ -166,47 +164,45 @@ def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
                     f"energy/flux cross-check failed in direction {i}: "
                     f"energy {energy:.12g} vs flux {column[i]:.12g}")
         matrix[:, i] = column
-    return HomogenizedResult(matrix, resolution, symmetric, tuple(iters),
-                             tuple(residuals), bounds.alpha, bounds.beta,
+    return HomogenizedResult(matrix, symmetric, tuple(iters), tuple(residuals),
+                             bounds.alpha, bounds.beta,
                              extension_constant=extension_constant)
 
 
 def homogenize_p_energy(coeff: ScalarField, p: float, xi,
                         resolution: int) -> float:
     """Homogenized p-power energy density at direction xi (periodic fields)."""
-    value, _, _ = _p_energy_solve(coeff, p, xi, resolution)
+    [(_, value)] = p_energy_result(coeff, p, (xi,), resolution).energy_samples
     return value
 
 
 def p_energy_result(coeff: ScalarField, p: float, xis,
                     resolution: int) -> HomogenizedResult:
-    """Sampled homogenized p-energies at several directions, as one result."""
+    """Sampled homogenized p-energies at several directions, as one result.
+
+    One period of the field is built and evaluated once; each direction is
+    then one L-BFGS minimization, checked against the growth sandwich.
+    """
+    grid = _torus_grid(coeff, resolution)
+    dim = grid.dim
+    a_e = element_coefficients(coeff, grid)
+    b = coeff.bounds
     samples = []
     iters = []
     residuals = []
     for xi in xis:
-        value, its, res = _p_energy_solve(coeff, p, xi, resolution)
-        samples.append((tuple(float(c) for c in np.asarray(xi, dtype=float)), value))
-        iters.append(its)
-        residuals.append(res)
-    return HomogenizedResult(None, resolution, True, tuple(iters),
-                             tuple(residuals), coeff.bounds.alpha,
-                             coeff.bounds.beta, energy_samples=tuple(samples))
-
-
-def _p_energy_solve(coeff: ScalarField, p: float, xi,
-                    resolution: int) -> tuple[float, int, float]:
-    grid = _torus_grid(coeff, resolution)
-    dim = grid.dim
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (dim,):
-        raise ValueError(f"xi must have shape ({dim},)")
-    a_e = element_coefficients(coeff, grid)
-    problem = PEnergyProblem(grid, a_e, p, xi)
-    u, stats = minimize_p_energy(problem)
-    value = problem.value(u) / grid.side_length ** dim
-    b = coeff.bounds
-    xi_norm = float(np.linalg.norm(xi))
-    if value < b.alpha * xi_norm ** p - 1e-9 or value > b.beta * (1.0 + xi_norm ** p) + 1e-9:
-        raise GuardError(f"cell energy {value:.6g} escapes the growth sandwich")
-    return value, stats.iterations, stats.residual
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape != (dim,):
+            raise ValueError(f"xi must have shape ({dim},)")
+        problem = PEnergyProblem(grid, a_e, p, xi)
+        u, stats = minimize_p_energy(problem)
+        value = problem.value(u) / grid.side_length ** dim
+        xi_norm = float(np.linalg.norm(xi))
+        if (value < b.alpha * xi_norm ** p - 1e-9
+                or value > b.beta * (1.0 + xi_norm ** p) + 1e-9):
+            raise GuardError(f"cell energy {value:.6g} escapes the growth sandwich")
+        samples.append((tuple(float(c) for c in xi), value))
+        iters.append(stats.iterations)
+        residuals.append(stats.residual)
+    return HomogenizedResult(None, True, tuple(iters), tuple(residuals),
+                             b.alpha, b.beta, energy_samples=tuple(samples))

@@ -384,6 +384,17 @@ def _cell_holes(cell_resolution, radius, eps_list):
         check_hole_resolution(radius, cell_resolution, "cell_resolution")
 
 
+def _lambda_box(box_size, lambda_resolution, eps_list):
+    # the lambda problem solves on a box of box_size * lambda_resolution cells
+    if eps_list:
+        try:
+            cells_across(box_size, lambda_resolution)
+        except ValueError:
+            raise ValueError(f"{box_size:g} times lambda_resolution "
+                             f"{lambda_resolution} must be an integer"
+                             ) from None
+
+
 def _flip_aligned(family, family_g, resolution_per_unit):
     for key, node in (("family", family), ("family_g", family_g)):
         try:
@@ -524,7 +535,7 @@ _ROWS = {
          "cell_resolution": _integer(64, ge=32)},
         (lambda xi: _direction(xi, 2),
          lambda resolution, radius: check_hole_resolution(radius, resolution),
-         _lambda_holes, _cell_holes)),
+         _lambda_holes, _cell_holes, _lambda_box)),
     "stochastic": _Row(
         {**_COMMON, "family": _FAMILY, "family_g": _FAMILY,
          "trials": _integer(16, ge=8),

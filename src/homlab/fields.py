@@ -668,6 +668,16 @@ def _matrix_values(density: EnergyDensity, pts: np.ndarray) -> np.ndarray:
     return a[:, None, None] * np.eye(density.dim)
 
 
+def _check_pair(f: EnergyDensity, g: EnergyDensity, t: float):
+    """The arguments every window statistic of a density pair needs."""
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
+    if f.dim != g.dim:
+        raise ValueError("densities have different dimensions")
+    if f.p != g.p:
+        raise ValueError("densities can only be compared at equal p")
+
+
 def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
                        resolution_per_unit: int = STATISTIC_RESOLUTION,
                        center=None) -> float:
@@ -679,12 +689,7 @@ def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
     are summed once per cell of the finer lattice, weighted by how many of
     them the cell holds: t^p * sum(w sup) / sum(w).
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    if f.dim != g.dim:
-        raise ValueError("densities have different dimensions")
-    if f.p != g.p:
-        raise ValueError("densities can only be compared at equal p")
+    _check_pair(f, g, t)
     pts, weights = _window_points(R, resolution_per_unit, f.dim, center,
                                   _common_cell_side(f, g))
     if f.is_matrix or g.is_matrix:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .cell import HomogenizedResult, homogenize_coefficients
 from .fields import FieldBounds, _window_points, power_of_two_cells
-from .numerics import BOX, TORUS, Grid, build_grid, element_ops, solve_corrector
+from .numerics import (BOX, TORUS, Grid, build_grid, cells_across, element_ops,
+                       solve_corrector)
 from .rve import _window_grid
 
 MIN_CELLS_ACROSS_HOLE = 8
@@ -92,25 +93,17 @@ class PerforationSet:
         return inside
 
 
-@dataclass(frozen=True)
-class VolumeFraction:
-    theta: float
-    window: float
-    method: str
-
-    def __post_init__(self):
-        if not 0.0 < self.theta <= 1.0:
-            raise RuntimeError(f"volume fraction {self.theta} escapes (0, 1]; "
-                               "the perforation admits no nontrivial limit")
-
-
-def volume_fraction(E: PerforationSet, R: float, resolution: int) -> VolumeFraction:
-    """Element-center estimate of |Q_R \\ E| / R^2."""
+def volume_fraction(E: PerforationSet, R: float, resolution: int) -> float:
+    """Element-center estimate of theta = |Q_R \\ E| / R^2; RuntimeError
+    unless theta lies in (0, 1]."""
     if R < 4:
         raise ValueError(f"window must be at least 4, got {R}")
     pts, _ = _window_points(R, resolution, 2, None)
     theta = 1.0 - float(np.mean(E.membership(pts)))
-    return VolumeFraction(theta, float(R), "element-centers")
+    if not 0.0 < theta <= 1.0:
+        raise RuntimeError(f"volume fraction {theta} escapes (0, 1]; "
+                           "the perforation admits no nontrivial limit")
+    return theta
 
 
 def symmetric_difference_density(E: PerforationSet, E2: PerforationSet,
@@ -174,8 +167,8 @@ def masked_cell_matrix(E: PerforationSet,
     grid, inside = _hole_cell(E, resolution)
     active_el = ~inside
     result = homogenize_coefficients(grid, active_el.astype(float),
-                                     FieldBounds(1.0, 1.0), resolution,
-                                     active=active_el, extension_constant=3.0)
+                                     FieldBounds(1.0, 1.0), active=active_el,
+                                     extension_constant=3.0)
     return result, float(np.mean(active_el))
 
 
@@ -198,17 +191,14 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi,
 class ExtensionResult:
     """Polar-grid extension of annulus data over the inner ball.
 
-    ``inner_values[i, j]`` lives at radius ``inner_radii[i]`` and angle
-    ``angles[j]``; the gradient ratio compares L2 gradient norms of the
-    extension (over B_{2s}) and the input (over B_{3s} minus B_{2s}).
+    For the scale s and resolution of ``extend_over_ball``,
+    ``inner_values`` has shape (2 resolution, 8 resolution) and entry [i, j]
+    lives at radius (i + 1/2) s / resolution and angle
+    (j + 1/2) 2 pi / (8 resolution); the gradient ratio compares L2 gradient norms of
+    the extension (over B_{2s}) and the input (over B_{3s} minus B_{2s}).
     """
 
-    scale: float
-    inner_radii: np.ndarray
-    annulus_radii: np.ndarray
-    angles: np.ndarray
     inner_values: np.ndarray
-    annulus_values: np.ndarray
     annulus_mean: float
     gradient_ratio: float
 
@@ -266,8 +256,7 @@ def extend_over_ball(u, resolution: int, scale: float = 1.0) -> ExtensionResult:
     den = _polar_gradient_sq_integral(annulus_values, annulus_radii, dr, dtheta)
     floor = 1e-14 * max(1.0, float(np.max(np.abs(annulus_values))) ** 2)
     ratio = 0.0 if den <= floor else float(np.sqrt(num / den))
-    return ExtensionResult(s, inner_radii, annulus_radii, angles, inner_values,
-                           annulus_values, mean, ratio)
+    return ExtensionResult(inner_values, mean, ratio)
 
 
 def empirical_extension_constant() -> float:
@@ -318,8 +307,6 @@ class LambdaReport:
     distances: tuple[float, ...]
     hom_matrix: np.ndarray
     theta: float
-    box_size: float
-    resolution: int
 
 
 def lambda_problem_experiment(E: PerforationSet, lam: float, source,
@@ -340,9 +327,9 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
         check_hole_resolution(E.radius * eps, resolution)
-    n = int(round(box_size * resolution))
     half = box_size / 2.0
-    grid = build_grid(2, n, (-half, -half), box_size, BOX)
+    grid = build_grid(2, cells_across(box_size, resolution), (-half, -half),
+                      box_size, BOX)
     ops = element_ops(grid)
     centers = grid.element_centers()
     f_el = np.asarray(source(centers), dtype=float)
@@ -365,5 +352,4 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
                                        load=load_eps)
         diff = u_eps - u_hom
         distances.append(float(np.sqrt(diff @ (mass_full @ diff))))
-    return LambdaReport(epsilons, tuple(distances), hom.matrix, theta,
-                        box_size, resolution)
+    return LambdaReport(epsilons, tuple(distances), hom.matrix, theta)

@@ -23,8 +23,9 @@ from .cell import (HomogenizedResult, _field_period_and_alignment,
                    homogenized_quadratic_form, p_energy_result)
 from .fields import (Constant, EnergyDensity, FieldBounds, HalfSpaceStep,
                      PeriodicStep, STATISTIC_RESOLUTION,
-                     TrigPolynomialClamped, _window_points, eval_scalar,
-                     expectation_statistic, mean_abs_statistic, mix_seed)
+                     TrigPolynomialClamped, _check_pair, _window_points,
+                     eval_scalar, expectation_statistic, mean_abs_statistic,
+                     mix_seed)
 from .numerics import TORUS, GuardError, SolverError, build_grid, cells_across
 from .rve import WindowEstimate, window_sequence
 
@@ -166,14 +167,9 @@ def signed_mean_statistic(f: EnergyDensity, g: EnergyDensity, t: float,
     by cancellation for pairs whose limits differ, which is exactly what the
     weak-mean-only counterexample demonstrates.
     """
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_pair(f, g, t)
     if f.is_matrix or g.is_matrix:
         raise ValueError("signed means are defined for scalar-coefficient pairs")
-    if f.dim != g.dim:
-        raise ValueError("densities have different dimensions")
-    if f.p != g.p:
-        raise ValueError("densities can only be compared at equal p")
     pts, _ = _window_points(R, STATISTIC_RESOLUTION, f.dim, None)
     diff = eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts)
     return float(t ** f.p * diff.mean())
@@ -385,16 +381,6 @@ class ApproximationTrace:
                              self.agreement_rtol)
         if self.approximates != want:
             raise GuardError("approximation verdict inconsistent with the trace")
-
-    def summary(self) -> dict:
-        return {
-            "steps": [[s.order, s.description, s.hom_value, s.statistic]
-                      for s in self.steps],
-            "window_limit": self.window_reference.limit_estimate,
-            "window_cauchy_gap": self.window_reference.cauchy_gap,
-            "approximates": self.approximates,
-            "agreement_rtol": self.agreement_rtol,
-        }
 
 
 def _convergents(x: float, count: int) -> list[Fraction]:
@@ -635,8 +621,7 @@ def stochastic_stability_experiment(f_family, g_family, trials: int, seed: int,
             field = family.realize(s)
             try:
                 result = homogenize_coefficients(
-                    grid, eval_scalar(field, centers), field.bounds,
-                    resolution_per_unit)
+                    grid, eval_scalar(field, centers), field.bounds)
             except SolverError as e:
                 raise SolverError(f"trial {i}, family {which}: {e}") from e
             sink.append(result.matrix)

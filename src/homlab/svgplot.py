@@ -20,6 +20,7 @@ _MARGIN_LEFT = 70.0
 _MARGIN_RIGHT = 20.0
 _MARGIN_TOP = 30.0
 _MARGIN_BOTTOM = 50.0
+_TICKS = 5  # linear ticks per axis
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2",
             "#7f7f7f", "#17becf")
@@ -91,10 +92,10 @@ def _check_points(named):
                 raise ValueError(f"log-x plots need positive x, got {x}")
 
 
-def _ticks_linear(lo: float, hi: float, count: int = 5):
+def _ticks_linear(lo: float, hi: float):
     if lo == hi:
         return [lo]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def plot_series(series, x_label: str = "R", y_label: str = "value") -> str:

@@ -181,9 +181,9 @@ def test_p_energy_iterations_stay_flat():
 
 
 def test_quadratic_form_examples():
-    eye = HomogenizedResult(np.eye(2), 8, True, (), (), 0.5, 4.0)
+    eye = HomogenizedResult(np.eye(2), True, (), (), 0.5, 4.0)
     assert homogenized_quadratic_form(eye, [3.0, 4.0]) == pytest.approx(25.0)
-    layered = HomogenizedResult(np.diag([1.6, 2.5]), 8, True, (), (), 1.0, 4.0)
+    layered = HomogenizedResult(np.diag([1.6, 2.5]), True, (), (), 1.0, 4.0)
     assert homogenized_quadratic_form(layered, [1.0, 0.0]) == pytest.approx(1.6)
     assert homogenized_quadratic_form(layered, [1.0, 1.0]) == pytest.approx(4.1)
     with pytest.raises(ValueError):
@@ -192,17 +192,17 @@ def test_quadratic_form_examples():
 
 def test_result_validation():
     with pytest.raises(ValueError):
-        HomogenizedResult(None, 8, True, (), (), 1.0, 4.0)
+        HomogenizedResult(None, True, (), (), 1.0, 4.0)
     with pytest.raises(ValueError):
-        HomogenizedResult(np.eye(2), 8, True, (), (), 1.0, 4.0,
+        HomogenizedResult(np.eye(2), True, (), (), 1.0, 4.0,
                           energy_samples=(((1.0,), 1.0),))
     with pytest.raises(RuntimeError):
-        HomogenizedResult(np.array([[2.0, 0.5], [0.0, 2.0]]), 8, True, (), (),
+        HomogenizedResult(np.array([[2.0, 0.5], [0.0, 2.0]]), True, (), (),
                           1.0, 4.0)
     with pytest.raises(RuntimeError):
-        HomogenizedResult(10.0 * np.eye(2), 8, True, (), (), 1.0, 4.0)
+        HomogenizedResult(10.0 * np.eye(2), True, (), (), 1.0, 4.0)
     # perforated window: alpha / C^2 admits small eigenvalues
-    HomogenizedResult(0.5 * np.eye(2), 8, True, (), (), 1.0, 4.0,
+    HomogenizedResult(0.5 * np.eye(2), True, (), (), 1.0, 4.0,
                       extension_constant=2.0)
 
 
@@ -252,5 +252,5 @@ def test_core_on_step_coefficients_matches_homogenize_matrix():
     field = PeriodicStep(2, (1.0, 4.0, 2.0, 3.0), B14, dim=2)
     grid = build_grid(2, 16, (0.0, 0.0), 1.0, TORUS)
     core = homogenize_coefficients(grid, eval_scalar(field, grid.element_centers()),
-                                   B14, 16)
+                                   B14)
     assert core.matrix.tobytes() == homogenize_matrix(field, 16).matrix.tobytes()

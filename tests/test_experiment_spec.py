@@ -229,6 +229,22 @@ class TestParsing:
         assert validate_document(doc(tree)) == []
         assert validate_document(doc({**tree, **lam, "cell_resolution": 40})) == []
 
+    def test_perforation_lambda_box_spans_whole_cells(self):
+        # the lambda problem meshes its box with box_size * lambda_resolution
+        # cells; 1.01 * 64 used to validate and then run on 65 cells
+        tree = {"kind": "perforation", "box_size": 1.01,
+                "lambda_resolution": 64, "eps_list": [0.5]}
+        assert [v.path for v in validate_document(doc(tree))] == ["box_size"]
+        # the box is built only when the lambda problem runs
+        assert validate_document(doc({**tree, "eps_list": []})) == []
+        # the benchmark's boxes: 2.0 x 160 and 2.0 x 64
+        for eps_list, lambda_resolution in (([0.25, 0.125], 160),
+                                            ([0.5, 0.25], 64)):
+            good = {"kind": "perforation", "box_size": 2.0,
+                    "eps_list": eps_list,
+                    "lambda_resolution": lambda_resolution}
+            assert validate_document(doc(good)) == []
+
     def test_parse_spec_raises_with_every_violation(self):
         tree = {"kind": "cell", "bogus": 1,
                 "field": {"type": "constant", "alpha": 4.0, "beta": 1.0},

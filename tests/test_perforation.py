@@ -11,7 +11,6 @@ from homlab.perforation import (
     GaussianSource,
     PerforationSet,
     SparseRemoval,
-    VolumeFraction,
     empirical_extension_constant,
     extend_over_ball,
     lambda_problem_experiment,
@@ -56,29 +55,30 @@ def test_power_of_two_cells():
 
 
 def test_volume_fraction_no_holes():
-    assert volume_fraction(PerforationSet("ball", 0.0), 4, 32).theta == 1.0
+    assert volume_fraction(PerforationSet("ball", 0.0), 4, 32) == 1.0
+    # at resolution 1 every element centre is a cell centre, inside a hole
     with pytest.raises(RuntimeError, match="nontrivial"):
-        VolumeFraction(0.0, 4.0, "element-centers")
+        volume_fraction(PerforationSet("square", 0.45), 4, 1)
     with pytest.raises(ValueError, match="at least 4"):
         volume_fraction(BALLS, 2, 32)
 
 
 def test_volume_fraction_ball_area():
     est = volume_fraction(BALLS, 4, 128)
-    assert abs(est.theta - (1.0 - np.pi / 16.0)) <= 0.002
+    assert abs(est - (1.0 - np.pi / 16.0)) <= 0.002
 
 
 def test_volume_fraction_square_exact():
     squares = PerforationSet("square", 0.25)
-    assert volume_fraction(squares, 4, 16).theta == 0.75
+    assert volume_fraction(squares, 4, 16) == 0.75
 
 
 def test_sparse_removal_same_limit():
     sparse = PerforationSet("ball", 0.25, SparseRemoval())
-    est = volume_fraction(sparse, 64, 16).theta
+    est = volume_fraction(sparse, 64, 16)
     assert abs(est - (1.0 - np.pi / 16.0)) <= 0.01
     # removal only adds material
-    assert est >= volume_fraction(BALLS, 64, 16).theta
+    assert est >= volume_fraction(BALLS, 64, 16)
 
 
 def test_symmetric_difference_identical():
@@ -255,3 +255,7 @@ def test_lambda_validation():
     with pytest.raises(ValueError, match="across a hole"):
         lambda_problem_experiment(BALLS, 1.0, GaussianSource(), (1.0 / 16.0,),
                                   resolution=128)
+    # 1.01 * 64 cells do not tile the box
+    with pytest.raises(ValueError, match="positive integer"):
+        lambda_problem_experiment(BALLS, 1.0, GaussianSource(), (0.5,),
+                                  box_size=1.01, resolution=64)

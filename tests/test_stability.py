@@ -25,7 +25,7 @@ TWO_PHASE = PeriodicStep(2, (1.5, 3.5), B14, dim=1)
 
 
 def fake_cell_result(value: float = 2.0) -> HomogenizedResult:
-    return HomogenizedResult(np.array([[value]]), 8, True, (0,), (0.0,),
+    return HomogenizedResult(np.array([[value]]), True, (0,), (0.0,),
                              1.0, 4.0)
 
 

@@ -3,7 +3,8 @@ tracer wraps still exists, the experiment layer leaves the solver policy
 to ``numerics``, and importing the CLI loads no solver module it may not
 need, the CLI's runners leave every write to its one artifact writer, one
 type describes every energy density, plots have one x axis, and grid
-arrays take their tensor layout from one helper pair."""
+arrays take their tensor layout from one helper pair, and result records
+hold only fields that something reads."""
 
 import importlib
 import importlib.util
@@ -105,7 +106,7 @@ def test_evaluations_call_no_einsum(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counting)
     assert cell.homogenize_p_energy(field, 3.0, [1.0, 0.0], 8) > 0
-    cell.homogenize_coefficients(grid, coeff, field.bounds, 8)
+    cell.homogenize_coefficients(grid, coeff, field.bounds)
     assert calls == []
 
 
@@ -158,3 +159,27 @@ def test_grid_layout_has_one_home():
     for name in names:
         source = inspect.getsource(importlib.import_module(name))
         assert "np.meshgrid" not in source, name
+
+
+def test_result_records_hold_only_read_fields():
+    # a record field, or a parameter that only fills one, must have a
+    # reader: the CLI, another module or a test
+    import dataclasses
+
+    from homlab import cell, perforation, stability
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert fields(cell.HomogenizedResult) == {
+        "matrix", "symmetric_input", "solver_iterations", "residuals",
+        "bounds_alpha", "bounds_beta", "energy_samples", "extension_constant"}
+    assert fields(perforation.LambdaReport) == {
+        "epsilons", "distances", "hom_matrix", "theta"}
+    assert fields(perforation.ExtensionResult) == {
+        "inner_values", "annulus_mean", "gradient_ratio"}
+    params = inspect.signature(cell.homogenize_coefficients).parameters
+    assert "resolution" not in params
+    assert not hasattr(perforation, "VolumeFraction")
+    assert not hasattr(cell, "_p_energy_solve")
+    assert not hasattr(stability.ApproximationTrace, "summary")
