@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import (EnergyDensity, FieldBounds, MatrixField, ScalarField,
-                     element_coefficients)
+from .fields import FieldBounds, MatrixField, ScalarField, element_coefficients
 from .numerics import (
     TORUS,
     GuardError,
@@ -29,6 +28,7 @@ from .numerics import (
     build_grid,
     cells_across,
     element_ops,
+    is_symmetric,
     minimize_p_energy,
     solve_corrector,
 )
@@ -128,20 +128,19 @@ def homogenize_matrix(field: ScalarField | MatrixField,
     cells-per-unit resolution."""
     grid = _torus_grid(field, resolution)
     return homogenize_coefficients(grid, element_coefficients(field, grid),
-                                   field.bounds,
-                                   symmetric=EnergyDensity(field).symmetric)
+                                   field.bounds)
 
 
 def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
-                            *, symmetric: bool = True,
-                            active: np.ndarray | None = None,
+                            *, active: np.ndarray | None = None,
                             extension_constant: float = 1.0) -> HomogenizedResult:
     """Homogenized matrix of per-element coefficients on a torus grid.
 
     One corrector solve per basis direction; column i is the flux average of
-    coeff * (e_i + grad w_i), and symmetric problems cross-check it against
-    the cell energy. ``active`` marks the elements outside Neumann holes;
-    ``bounds`` and ``extension_constant`` set the eigenvalue window that
+    coeff * (e_i + grad w_i), and symmetric coefficients
+    (``numerics.is_symmetric``) cross-check it against the cell energy.
+    ``active`` marks the elements outside Neumann holes; ``bounds`` and
+    ``extension_constant`` set the eigenvalue window that
     ``HomogenizedResult`` checks.
     """
     dim = grid.dim
@@ -151,7 +150,8 @@ def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
     iters = []
     residuals = []
     basis = np.eye(dim)
-    solves = solve_corrector(grid, coeff, basis, symmetric=symmetric, active=active)
+    symmetric = is_symmetric(coeff)
+    solves = solve_corrector(grid, coeff, basis, active=active)
     for i, (e_i, (w, stats)) in enumerate(zip(basis, solves)):
         iters.append(stats.iterations)
         residuals.append(stats.residual)

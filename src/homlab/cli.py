@@ -212,9 +212,9 @@ def _run_stochastic(spec: ExperimentSpec, log):
     family_f = build_family(prm["family"])
     family_g = build_family(prm["family_g"])
     log.stage("trials", f"{prm['trials']} paired trials, torus "
-                        f"{prm['torus_size']}, seed {spec.seed}")
+                        f"{prm['torus_size']}, seed {prm['seed']}")
     rep = stochastic_stability_experiment(
-        family_f, family_g, prm["trials"], spec.seed,
+        family_f, family_g, prm["trials"], prm["seed"],
         torus_size=prm["torus_size"],
         resolution_per_unit=prm["resolution_per_unit"],
         statistic_sizes=prm["statistic_sizes"])
@@ -263,7 +263,9 @@ def run_experiment(spec: ExperimentSpec, out_dir=None,
     out = Path(out_dir if out_dir is not None else spec.out)
     out.mkdir(parents=True, exist_ok=True)
     log = _StageLog(out / "run.log")
-    log.stage("spec", f"kind {spec.kind}, seed {spec.seed}")
+    seed = spec.params.get("seed")   # stochastic specs only
+    log.stage("spec", f"kind {spec.kind}"
+                      + ("" if seed is None else f", seed {seed}"))
     try:
         artifacts = _write_artifacts(out, _RUNNERS[spec.kind](spec, log),
                                      plots)
@@ -304,8 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="path to the spec file")
         p.add_argument("--out", default=None,
                        help="output directory (default: the spec's 'out')")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the spec's top-level seed")
+        if kind == "stochastic":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the spec's top-level seed")
         p.add_argument("--no-plots", action="store_true",
                        help="write tables only, skip SVG plots")
     return parser
@@ -334,11 +337,11 @@ def main(argv=None) -> int:
         print(f"spec kind {spec.kind!r} does not match the "
               f"{args.command!r} subcommand", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         if args.seed < 0:
             print("seed must be nonnegative", file=sys.stderr)
             return EXIT_INVALID
-        spec = replace(spec, seed=args.seed)
+        spec = replace(spec, params={**spec.params, "seed": args.seed})
     return run_experiment(spec, out_dir=args.out, plots=not args.no_plots)
 
 

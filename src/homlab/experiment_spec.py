@@ -79,7 +79,6 @@ class ExperimentSpec:
 
     kind: str
     out: str
-    seed: int
     params: dict
 
 
@@ -422,7 +421,7 @@ _CHECKERBOARD = {"values": _number_list(min_len=2),
                  "probability": _number(0.5, ge=0.0, le=1.0), **_BOUNDS,
                  "dim": _integer(2, ge=1),
                  "flip": _node(("power_of_two",), default=None)}
-_COMMON = {"out": _string("out"), "seed": _integer(0, ge=0)}
+_COMMON = {"out": _string("out")}
 _FIELD_KEYS = {"field": _node(_FIELD), "p": _number(2.0, gt=1.0),
                "xi": _number_list(lambda field: (1.0,) + (0.0,) * (
                    _build(field).dim - 1))}
@@ -537,7 +536,8 @@ _ROWS = {
          lambda resolution, radius: check_hole_resolution(radius, resolution),
          _lambda_holes, _cell_holes, _lambda_box)),
     "stochastic": _Row(
-        {**_COMMON, "family": _FAMILY, "family_g": _FAMILY,
+        {**_COMMON, "seed": _integer(0, ge=0),
+         "family": _FAMILY, "family_g": _FAMILY,
          "trials": _integer(16, ge=8),
          "torus_size": _integer(32, ge=2),
          "resolution_per_unit": _integer(8, ge=2),
@@ -564,8 +564,7 @@ def _parse_document(text: str, col: _Collector) -> ExperimentSpec | None:
     params = _walk(tree, "", col, KINDS, "kind")
     if params is None or col:
         return None
-    return ExperimentSpec(params.pop("kind"), params.pop("out"),
-                          params.pop("seed"), params)
+    return ExperimentSpec(params.pop("kind"), params.pop("out"), params)
 
 
 def parse_spec(text: str) -> ExperimentSpec:
@@ -586,8 +585,7 @@ def validate_document(text: str) -> list[SpecError]:
 
 def serialize_spec(spec: ExperimentSpec) -> str:
     """The normalized document, defaults explicit; parses back to ``spec``."""
-    tree = {"kind": spec.kind, "out": spec.out, "seed": spec.seed,
-            **spec.params}
+    tree = {"kind": spec.kind, "out": spec.out, **spec.params}
     return json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 

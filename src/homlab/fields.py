@@ -81,19 +81,16 @@ def cell_uniforms(seed: int, cells: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldBounds:
-    """Uniform ellipticity window [alpha, beta] and growth exponent p."""
+    """Uniform ellipticity window [alpha, beta]."""
 
     alpha: float
     beta: float
-    p: float = 2.0
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if not self.beta >= self.alpha:
             raise ValueError(f"beta must be >= alpha, got bounds ({self.alpha}, {self.beta})")
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
 
 
 def _as_points(pts, dim: int) -> np.ndarray:
@@ -475,10 +472,10 @@ class RandomCheckerboard(ScalarField):
 
 @dataclass(frozen=True)
 class MatrixField:
-    """d x d matrix of scalar fields with a declared symmetry flag."""
+    """d x d matrix of scalar fields; whether it is symmetric is read from
+    its sampled values (``numerics.is_symmetric``)."""
 
     entries: tuple[tuple[ScalarField, ...], ...]
-    symmetric: bool
     dim: int
 
     def __post_init__(self):
@@ -507,7 +504,7 @@ def isotropic_matrix(coeff: ScalarField) -> MatrixField:
     zero = _FixedValue(0.0, coeff.bounds, coeff.dim)
     rows = tuple(tuple(coeff if i == j else zero for j in range(coeff.dim))
                  for i in range(coeff.dim))
-    return MatrixField(rows, symmetric=True, dim=coeff.dim)
+    return MatrixField(rows, dim=coeff.dim)
 
 
 def constant_matrix(mat, bounds: FieldBounds, dim: int = 2) -> MatrixField:
@@ -524,7 +521,7 @@ def constant_matrix(mat, bounds: FieldBounds, dim: int = 2) -> MatrixField:
         raise ValueError(f"matrix norm exceeds beta = {bounds.beta}")
     rows = tuple(tuple(_FixedValue(mat[i, j], bounds, dim) for j in range(dim))
                  for i in range(dim))
-    return MatrixField(rows, symmetric=bool(np.allclose(mat, mat.T, atol=0)), dim=dim)
+    return MatrixField(rows, dim=dim)
 
 
 @dataclass(frozen=True)
@@ -560,10 +557,6 @@ class EnergyDensity:
     @property
     def is_matrix(self) -> bool:
         return isinstance(self.coeff, MatrixField)
-
-    @property
-    def symmetric(self) -> bool:
-        return not self.is_matrix or self.coeff.symmetric
 
     @property
     def dim(self):

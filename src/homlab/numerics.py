@@ -20,20 +20,23 @@ Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it assembles the stiffness, restricts it to the unknowns
 (mean-zero on the torus, interior nodes on a box, nodes of active elements
 when a mask is given), builds the right-hand side and prolongs the solution
-back to a full nodal vector. Its single solver policy: symmetric (SPD)
-systems are solved by CG preconditioned with the fast-diagonalization inverse
-of a constant-coefficient reference operator a_ref K + c_ref M (real FFT on
-the torus, DST-I on the box; see ``spectral_preconditioner``), so the
-iteration count is bounded by the coefficient contrast and does not grow
-with the resolution; nonsymmetric systems use BiCGStab right-preconditioned
-with the same inverse for their symmetric part. Both stop on the
-unpreconditioned residual and check the true residual at the end.
+back to a full nodal vector. Its single solver policy takes no options and
+reads symmetry from the coefficients (``is_symmetric``, to 1e-12 relative):
+symmetric (SPD) systems are solved by CG preconditioned with the
+fast-diagonalization inverse of a constant-coefficient reference operator
+a_ref K + c_ref M (real FFT on the torus, DST-I on the box; see
+``spectral_preconditioner``), so the iteration count is bounded by the
+coefficient contrast and does not grow with the resolution; nonsymmetric
+systems use BiCGStab right-preconditioned with the same inverse for their
+symmetric part. Both stop on the unpreconditioned residual at 1e-10 of the
+right-hand side, check the true residual at the end and fail after 20
+iterations per unknown.
 
 The p-power energies are minimized by L-BFGS (``minimize_p_energy``) whose
 initial inverse Hessian is the same reference inverse for a_ref = 1,
 scaled per iteration: a preconditioned two-loop recursion whose iteration
-count, like CG's, does not grow with the mesh. It stops on the Euclidean
-gradient norm.
+count, like CG's, does not grow with the mesh. It stops on a Euclidean
+gradient norm of 1e-8, under the same iteration cap.
 
 Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
@@ -55,6 +58,11 @@ TORUS = "torus"
 BOX = "box"
 
 _DUPLICATE_TOL = 1e-12
+
+# the solver policy; read at call time
+_REL_TOLERANCE = 1e-10          # Krylov: residual relative to the rhs
+_GRAD_TOLERANCE = 1e-8          # L-BFGS: Euclidean gradient norm
+_ITERATIONS_PER_UNKNOWN = 20    # every solver's iteration cap
 
 
 class SolverError(RuntimeError):
@@ -507,22 +515,18 @@ class SparseSystem:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    rel_tolerance: float = 1e-10
-    max_iterations: int | None = None   # None -> 20 * n_unknowns
-    nonlinear_grad_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.rel_tolerance < 1:
-            raise ValueError(f"rel_tolerance must be in (0, 1), got {self.rel_tolerance}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if not self.nonlinear_grad_tolerance > 0:
-            raise ValueError("nonlinear_grad_tolerance must be positive")
-
-
-DEFAULT_CONFIG = SolverConfig()
+def is_symmetric(coeff: np.ndarray) -> bool:
+    """True for scalar per-element coefficients, and for (n_e, d, d) ones
+    whose off-diagonal pairs agree to ``_DUPLICATE_TOL`` times max |c|, the
+    relative test ``SparseSystem`` applies to the assembled matrix. Pairs
+    are compared in place: a transposed copy costs several times more."""
+    coeff = np.asarray(coeff)
+    if coeff.ndim == 1:
+        return True
+    tol = _DUPLICATE_TOL * max(float(np.abs(coeff).max()), 1e-300)
+    d = coeff.shape[1]
+    return all(float(np.abs(coeff[:, k, l] - coeff[:, l, k]).max()) <= tol
+               for k in range(d) for l in range(k + 1, d))
 
 
 @dataclass
@@ -531,12 +535,7 @@ class SolveStats:
     residual: float
 
 
-def _iter_cap(config: SolverConfig, n: int) -> int:
-    return config.max_iterations if config.max_iterations is not None else 20 * n
-
-
-def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAULT_CONFIG,
-             mean_zero: bool = False, *,
+def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
              preconditioner: Callable[[np.ndarray], np.ndarray]
              ) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned conjugate gradients on an SPD (or mean-zero-deflated
@@ -568,8 +567,8 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
-    tol = config.rel_tolerance * b_norm
-    cap = _iter_cap(config, system.n)
+    tol = _REL_TOLERANCE * b_norm
+    cap = _ITERATIONS_PER_UNKNOWN * system.n
     it = 0
     res = float(np.linalg.norm(r))
     while res > tol and it < cap:
@@ -599,7 +598,6 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, config: SolverConfig = DEFAU
 
 
 def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
-                              config: SolverConfig = DEFAULT_CONFIG,
                               mean_zero: bool = False, *,
                               preconditioner: Callable[[np.ndarray], np.ndarray]
                               ) -> tuple[np.ndarray, SolveStats]:
@@ -622,8 +620,8 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), SolveStats(0, 0.0)
-    tol = config.rel_tolerance * b_norm
-    cap = _iter_cap(config, system.n)
+    tol = _REL_TOLERANCE * b_norm
+    cap = _ITERATIONS_PER_UNKNOWN * system.n
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -756,10 +754,10 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     return apply
 
 
-def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool = True,
+def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
                     center=None, active: np.ndarray | None = None,
-                    shift: sp.spmatrix | None = None, load: np.ndarray | None = None,
-                    config: SolverConfig = DEFAULT_CONFIG) -> list[tuple[np.ndarray, SolveStats]]:
+                    shift: sp.spmatrix | None = None, load: np.ndarray | None = None
+                    ) -> list[tuple[np.ndarray, SolveStats]]:
     """The package's one linear-solve kernel: one solve per direction in ``xis``
     for the stiffness K of the per-element ``coeff`` on ``grid``.
 
@@ -777,8 +775,9 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
     added data array to data array; a shift with any other pattern raises
     ValueError.
 
-    Symmetric systems are solved by CG, nonsymmetric ones by right-
-    preconditioned BiCGStab, both with ``spectral_preconditioner``: a_ref is
+    Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
+    ones by right-preconditioned BiCGStab, both with
+    ``spectral_preconditioner``: a_ref is
     the mean coefficient over the active elements (trace / dim for matrix
     coefficients, i.e. of their symmetric part) and c_ref the mean shift
     diagonal on the unknowns over the reference mass diagonal (4h/6)^dim, so
@@ -793,6 +792,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
     if torus and (load is not None or shift is not None or center is not None):
         raise ValueError("load, shift and center apply to box grids only")
     coeff = np.asarray(coeff, dtype=float)
+    symmetric = is_symmetric(coeff)
     ops = element_ops(grid)
     K = ops.assemble_stiffness(coeff)
     if shift is not None:
@@ -830,10 +830,9 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *, symmetric: bool 
         if unknowns is not None:
             rhs = rhs[unknowns]
         if symmetric:
-            w, stats = cg_solve(system, rhs, config, mean_zero=torus,
-                                preconditioner=precond)
+            w, stats = cg_solve(system, rhs, mean_zero=torus, preconditioner=precond)
         else:
-            w, stats = krylov_solve_nonsymmetric(system, rhs, config, mean_zero=torus,
+            w, stats = krylov_solve_nonsymmetric(system, rhs, mean_zero=torus,
                                                  preconditioner=precond)
         if unknowns is None:
             u = w
@@ -925,7 +924,7 @@ class PEnergyProblem:
         return full_grad[self.free]
 
 
-def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CONFIG,
+def minimize_p_energy(problem: PEnergyProblem,
                       x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned L-BFGS with Armijo backtracking; energies are asserted
     non-increasing.
@@ -953,14 +952,14 @@ def minimize_p_energy(problem: PEnergyProblem, config: SolverConfig = DEFAULT_CO
         raise ValueError("Dirichlet problems need fixed_values")
     energy = problem.value(u)
     grad = problem.gradient(u)
-    tol = config.nonlinear_grad_tolerance
+    tol = _GRAD_TOLERANCE
     # Energy comparisons bottom out at machine epsilon, after which Armijo
     # decisions are noise; a descent that stalls there with the gradient
     # within three decades of the target is at the float64 minimum and is
     # accepted. Anything coarser stays a hard failure.
     stall_ceiling = 1e3 * tol
     stall_drop = 8.0 * np.finfo(float).eps
-    cap = _iter_cap(config, n)
+    cap = _ITERATIONS_PER_UNKNOWN * n
     precond = spectral_preconditioner(problem.grid, 1.0, 0.0, problem.free)
     gamma0 = 1.0 / (problem.p * (problem.p - 1.0) * float(problem.coeff.mean()))
     memory: list[tuple[np.ndarray, np.ndarray]] = []

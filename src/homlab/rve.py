@@ -23,6 +23,7 @@ from .numerics import (
     cells_across,
     element_ops,
     interpolate_affine,
+    is_symmetric,
     minimize_p_energy,
     solve_corrector,
 )
@@ -103,8 +104,7 @@ def local_min_energy(f: EnergyDensity, x0, R: float, xi,
         u, _ = minimize_p_energy(problem, x0=u_quad[free])
         raw = problem.value(u[free])
     else:
-        [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=f.symmetric,
-                                   center=center)
+        [(u, _)] = solve_corrector(grid, coeff, [xi], center=center)
         raw = element_ops(grid).energy_quadratic(u, coeff, np.zeros(dim))
     value = raw / R ** dim
     _check_growth(value, f.bounds.alpha, f.bounds.beta, f.p, xi)
@@ -157,11 +157,10 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
         raise ValueError(f"xi must have shape ({dim},)")
     grid, center = _window_grid(dim, x0, R, resolution_per_unit)
     coeff = element_coefficients(A, grid)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], symmetric=A.symmetric,
-                               center=center)
+    [(u, _)] = solve_corrector(grid, coeff, [xi], center=center)
     ops = element_ops(grid)
     flux = ops.flux_average(u, coeff, np.zeros(dim))
-    if A.symmetric:
+    if is_symmetric(coeff):
         energy = ops.energy_quadratic(u, coeff, np.zeros(dim)) / R ** dim
         pairing = float(flux @ xi)
         scale = max(abs(energy), 1.0)

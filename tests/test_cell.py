@@ -229,9 +229,9 @@ def test_periods_and_divisors_combine_by_lcm():
     third = TrigPolynomialClamped(2.0, ((0.5, (0.0, 1.0 / 3.0), 0.0),), B14, dim=2)
     quarter = Layered1D((0.0, 0.25), (1.0, 2.0), B14, dim=2)
     thirds = PeriodicStep(3, (1.0,) * 9, B14, dim=2)
-    field = MatrixField(((half, quarter), (quarter, third)), symmetric=True, dim=2)
+    field = MatrixField(((half, quarter), (quarter, third)), dim=2)
     assert _field_period_and_alignment(field) == (6.0, 4)
-    field = MatrixField(((half, quarter), (thirds, third)), symmetric=False, dim=2)
+    field = MatrixField(((half, quarter), (thirds, third)), dim=2)
     assert _field_period_and_alignment(field) == (6.0, 12)
 
 

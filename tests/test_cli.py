@@ -266,6 +266,33 @@ class TestRunCommand:
         assert summary["seed"] == 7
         assert summary["intervals_overlap"] is True
 
+    def test_seed_flag_only_on_stochastic(self, tmp_path, capsys):
+        # no other kind reads a seed, so no other subcommand takes one
+        path = spec_file(tmp_path, {"kind": "cell", "field": STEP_1D,
+                                    "resolutions": [8]})
+        with pytest.raises(SystemExit) as exc:
+            main(["cell", "--spec", path, "--out", str(tmp_path / "c"),
+                  "--seed", "7"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_near_symmetric_matrix_runs(self, tmp_path):
+        # symmetry is read from the coefficients at 1e-12 relative: a
+        # 1e-6 asymmetry is a nonsymmetric problem, not a broken guard
+        near = {"type": "matrix", "entries": [[2.5, 1], [1.000001, 2.5]]}
+        path = spec_file(tmp_path, {"kind": "cell", "field": near,
+                                    "resolutions": [16]})
+        out = tmp_path / "cell"
+        assert main(["cell", "--spec", path, "--out", str(out)]) == 0
+        assert (out / "cell.csv").read_text().splitlines() == [
+            "resolution,a_11,a_12,a_21,a_22", "16,2.5,1,1.000001,2.5"]
+        tree = {"kind": "stability", "field": near,
+                "field_g": {"type": "matrix", "entries": [[2.5, 1], [1, 2.5]]},
+                "R_list": [4, 8, 16], "hom_resolution": 16}
+        path = spec_file(tmp_path, tree, "pair.json")
+        assert main(["stability", "--spec", path, "--out",
+                     str(tmp_path / "pair"), "--no-plots"]) == 0
+
     def test_perforation_run_penalized_sandwich(self, tmp_path):
         tree = {"kind": "perforation", "radius": 0.25, "resolution": 64,
                 "n_list": [4, 16]}

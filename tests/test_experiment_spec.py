@@ -7,7 +7,8 @@ from homlab.experiment_spec import (SpecValidationError, build_density,
                                     parse_spec, serialize_spec,
                                     validate_document)
 from homlab.fields import (BallSupport, FieldBounds, Perturbed,
-                           PowerOfTwoCells)
+                           PowerOfTwoCells, element_coefficients)
+from homlab.numerics import TORUS, build_grid, is_symmetric
 from homlab.perforation import SparseRemoval
 
 
@@ -24,7 +25,7 @@ class TestParsing:
         spec = parse_spec(doc(MINIMAL_CELL))
         assert spec.kind == "cell"
         assert spec.out == "out"
-        assert spec.seed == 0
+        assert "seed" not in spec.params
         assert spec.params["field"] == {"type": "constant", "value": 2.0,
                                         "alpha": 1.0, "beta": 4.0, "dim": 1}
         assert spec.params["p"] == 2.0
@@ -55,8 +56,18 @@ class TestParsing:
         assert violations[0].path == "$"
 
     def test_integer_beyond_float_range_is_one_violation(self):
-        text = '{"kind": "counterexamples", "seed": 1' + "0" * 400 + "}"
+        family = '{"values": [1, 4]}'
+        text = ('{"kind": "stochastic", "seed": 1' + "0" * 400
+                + f', "family": {family}, "family_g": {family}}}')
         assert [v.path for v in validate_document(text)] == ["seed"]
+
+    def test_seed_is_a_stochastic_key(self):
+        # only the stochastic runner reads a seed; elsewhere it is unknown
+        tree = {"kind": "rve", "seed": 3,
+                "field": {"type": "half_space", "gamma": 2.0, "c": 0.5}}
+        assert [(v.path, v.message) for v in validate_document(doc(tree))] == [
+            ("seed", "unknown key")]
+        assert parse_spec(doc(ROUND_TRIP_DOCS[5])).params["seed"] == 11
 
     def test_unknown_kind_and_field_type(self):
         assert any(v.path == "kind"
@@ -260,7 +271,7 @@ ROUND_TRIP_DOCS = [
      "field": {"type": "periodic_step", "subdivisions": 2,
                "values": [1.0, 4.0], "dim": 1},
      "resolutions": [64, 128]},
-    {"kind": "rve", "out": "artifacts", "seed": 3,
+    {"kind": "rve", "out": "artifacts",
      "field": {"type": "perturbed",
                "base": {"type": "periodic_step", "subdivisions": 2,
                         "values": [1.5, 3.5], "dim": 1},
@@ -339,7 +350,8 @@ class TestBuilders:
         spec = parse_spec(doc(tree))
         density = build_density(spec.params["field"], 2.0)
         assert density.is_matrix and density.p == 2.0
-        assert not density.coeff.symmetric
+        grid = build_grid(2, 4, (0.0, 0.0), 1.0, TORUS)
+        assert not is_symmetric(element_coefficients(density.coeff, grid))
 
     def test_family_with_flip(self):
         spec = parse_spec(doc(ROUND_TRIP_DOCS[5]))

@@ -25,6 +25,7 @@ from homlab.fields import (
     _window_points,
     checkerboard_step,
     constant_matrix,
+    element_coefficients,
     eval_scalar,
     expectation_statistic,
     isotropic_matrix,
@@ -32,6 +33,7 @@ from homlab.fields import (
     mix_seed,
     rule_mean_abs_bound,
 )
+from homlab.numerics import TORUS, build_grid, is_symmetric
 from homlab.stability import run_stability_pair
 
 B14 = FieldBounds(1.0, 4.0)
@@ -47,8 +49,6 @@ class TestBounds:
             FieldBounds(0.0, 1.0)
         with pytest.raises(ValueError):
             FieldBounds(2.0, 1.0)
-        with pytest.raises(ValueError):
-            FieldBounds(1.0, 2.0, p=1.0)
 
     def test_constant_outside_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -190,12 +190,16 @@ class TestMatrixFields:
 
 class TestEnergyDensity:
     def test_members_read_the_coefficient(self):
+        grid = build_grid(2, 4, (0.0, 0.0), 1.0, TORUS)
         scalar = EnergyDensity(two_phase(dim=2), 3.0)
-        assert not scalar.is_matrix and scalar.symmetric
+        assert not scalar.is_matrix
+        assert is_symmetric(element_coefficients(scalar.coeff, grid))
         assert (scalar.dim, scalar.bounds, scalar.p) == (2, B14, 3.0)
         skew = EnergyDensity(constant_matrix([[2.0, 1.0], [-1.0, 2.0]], B14))
-        assert skew.is_matrix and not skew.symmetric and skew.p == 2.0
-        assert EnergyDensity(constant_matrix(np.eye(2) * 2.0, B14)).symmetric
+        assert skew.is_matrix and skew.p == 2.0
+        assert not is_symmetric(element_coefficients(skew.coeff, grid))
+        sym = EnergyDensity(constant_matrix(np.eye(2) * 2.0, B14))
+        assert is_symmetric(element_coefficients(sym.coeff, grid))
 
     def test_p_checks(self):
         m = constant_matrix(np.eye(2) * 2.0, B14)

@@ -5,19 +5,21 @@ solution of the quadratic case and a brute-force nodal minimization with
 scipy.optimize on an energy evaluated by straight Riemann sums.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+from homlab import numerics
 from homlab.fields import EnergyDensity, FieldBounds, PeriodicStep
 from homlab.numerics import (
     BOX,
     TORUS,
     Grid,
     PEnergyProblem,
-    SolverConfig,
     SolverError,
     SparseSystem,
     build_grid,
@@ -25,6 +27,7 @@ from homlab.numerics import (
     cg_solve,
     element_ops,
     interpolate_affine,
+    is_symmetric,
     krylov_solve_nonsymmetric,
     minimize_p_energy,
     nearest_integer,
@@ -183,6 +186,24 @@ class TestAffineData:
             interpolate_affine(g, np.array([1.0, 0.0]))
 
 
+def test_is_symmetric_reads_the_coefficients():
+    # the relative 1e-12 test of SparseSystem, applied per off-diagonal pair
+    rng = np.random.default_rng(4)
+    assert is_symmetric(rng.uniform(1.0, 4.0, 50))
+    m = rng.uniform(-1.0, 1.0, (50, 2, 2))
+    sym = m + m.transpose(0, 2, 1) + 4.0 * np.eye(2)
+    sym[7, 0, 1] = sym[7, 1, 0] = 1e-3      # small enough to hold a 1e-17 defect
+    assert is_symmetric(sym)
+    for defect, expected in ((1e-17, True), (1e-6, False)):
+        near = sym.copy()
+        near[7, 1, 0] += defect * np.abs(sym).max()
+        assert near[7, 1, 0] != near[7, 0, 1]
+        assert is_symmetric(near) is expected
+    skew = np.broadcast_to(np.array([[2.0, 1.0], [-1.0, 2.0]]), (50, 2, 2))
+    assert not is_symmetric(skew)
+    assert is_symmetric(np.full((50, 1, 1), 2.0))
+
+
 class TestSparseSystem:
     def test_symmetric_flag_checked(self):
         mat = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]]))
@@ -214,17 +235,17 @@ class TestCG:
         u[interior] = u_i
         assert np.max(np.abs(u - exact)) <= 1e-8
 
-    def test_random_spd_systems_converge_quickly(self):
+    def test_random_spd_systems_converge_quickly(self, monkeypatch):
         rng = np.random.default_rng(7)
         n = 200
+        monkeypatch.setattr(numerics, "_ITERATIONS_PER_UNKNOWN", 1)   # cap 200
         for trial in range(50):
             q, _ = np.linalg.qr(rng.standard_normal((n, n)))
             eigs = np.exp(rng.uniform(0.0, np.log(100.0), size=n))
             A = sp.csr_matrix((q * eigs) @ q.T)
             A = SparseSystem((A + A.T) * 0.5, symmetric=True)
             b = rng.standard_normal(n)
-            x, stats = cg_solve(A, b, SolverConfig(max_iterations=200),
-                                preconditioner=jacobi(A))
+            x, stats = cg_solve(A, b, preconditioner=jacobi(A))
             assert stats.iterations <= 200
             assert np.linalg.norm(b - A.matrix @ x) <= 1e-10 * np.linalg.norm(b)
 
@@ -493,7 +514,7 @@ def test_shift_with_foreign_pattern_raises():
 
 @pytest.mark.parametrize("variant", ["torus", "torus-masked", "box-affine",
                                      "box-masked", "box-shifted"])
-def test_solve_corrector_matches_direct_solve(variant):
+def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
     """The kernel against spsolve on the system restricted by hand."""
     topology = TORUS if variant.startswith("torus") else BOX
     side = 1.0 if topology == TORUS else 2.0
@@ -509,7 +530,7 @@ def test_solve_corrector_matches_direct_solve(variant):
         active = np.max(np.abs(local), axis=1) > 0.2
         coeff = coeff * active
     K = ops.assemble_stiffness(coeff)
-    config = SolverConfig(rel_tolerance=1e-13)
+    monkeypatch.setattr(numerics, "_REL_TOLERANCE", 1e-13)
     kwargs = {}
     expected = np.zeros(g.n_nodes)
     if topology == TORUS:
@@ -539,7 +560,7 @@ def test_solve_corrector_matches_direct_solve(variant):
                                                           -(K @ lift)[free])
             kwargs = {"center": center}
     xis = None if variant == "box-shifted" else [xi]
-    [(u, stats)] = solve_corrector(g, coeff, xis, active=active, config=config, **kwargs)
+    [(u, stats)] = solve_corrector(g, coeff, xis, active=active, **kwargs)
     assert stats.iterations > 0
     assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
 
@@ -704,7 +725,7 @@ class TestPEnergy:
 
         prob = Counted(g, coeff, 1.5, xi)
         u, stats = minimize_p_energy(prob)
-        tol = SolverConfig().nonlinear_grad_tolerance
+        tol = numerics._GRAD_TOLERANCE
         assert tol < stats.residual <= 1e3 * tol      # the floor exit was taken
         assert len(calls) <= 1.25 * stats.iterations + 10
         # a warm start from the quadratic corrector lands on the same minimum
@@ -858,21 +879,15 @@ class TestMeshRefinement:
         assert errors[2] / errors[1] <= 0.75
 
 
-class TestSolverConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(rel_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            SolverConfig(nonlinear_grad_tolerance=-1.0)
-
-    def test_iteration_cap_enforced(self):
+class TestSolverPolicy:
+    def test_iteration_cap_enforced(self, monkeypatch):
         g = build_grid(2, 32, (0.0, 0.0), 1.0, BOX)
         bc = np.zeros(g.n_nodes)
         rng = np.random.default_rng(0)
         load = rng.standard_normal(g.n_nodes)
         K_ii, b, _ = dirichlet_system(g, np.ones(g.n_elements), bc, load)
-        with pytest.raises(SolverError):
-            A = SparseSystem(K_ii, symmetric=True)
-            cg_solve(A, b, SolverConfig(max_iterations=2), preconditioner=jacobi(A))
+        A = SparseSystem(K_ii, symmetric=True)
+        # a cap of exactly 2 iterations
+        monkeypatch.setattr(numerics, "_ITERATIONS_PER_UNKNOWN", Fraction(2, A.n))
+        with pytest.raises(SolverError, match="no convergence in 2 iterations"):
+            cg_solve(A, b, preconditioner=jacobi(A))

@@ -4,6 +4,7 @@ windows, the extension operator, and the lambda-problem experiment."""
 import numpy as np
 import pytest
 
+from homlab import numerics
 from homlab.fields import power_of_two_cells
 from homlab.numerics import TORUS, _active_nodes_checked, build_grid
 from homlab.perforation import (
@@ -243,6 +244,19 @@ def test_lambda_distances_decrease():
     assert rep.distances[0] > rep.distances[1]
     assert abs(rep.theta - (1.0 - np.pi / 16.0)) <= 0.01
     assert abs(rep.hom_matrix[0, 0] - rep.hom_matrix[1, 1]) <= 1e-10
+
+
+def test_lambda_homogenized_solve_runs_cg(monkeypatch):
+    # the masked cell matrix is symmetric only to rounding (~1e-17
+    # relative); spread over the box it must still count as symmetric
+    def refuse(*args, **kwargs):
+        raise AssertionError("BiCGStab ran")
+
+    monkeypatch.setattr(numerics, "krylov_solve_nonsymmetric", refuse)
+    rep = lambda_problem_experiment(BALLS, 1.0, GaussianSource(), (0.5,),
+                                    resolution=64, cell_resolution=32)
+    assert rep.hom_matrix[0, 1] != rep.hom_matrix[1, 0]
+    assert rep.distances[0] > 0.0
 
 
 def test_lambda_validation():

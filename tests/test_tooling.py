@@ -4,7 +4,8 @@ to ``numerics``, and importing the CLI loads no solver module it may not
 need, the CLI's runners leave every write to its one artifact writer, one
 type describes every energy density, plots have one x axis, and grid
 arrays take their tensor layout from one helper pair, and result records
-hold only fields that something reads."""
+hold only fields that something reads, and the solve path takes no
+solver options: symmetry is read from the coefficients."""
 
 import importlib
 import importlib.util
@@ -183,3 +184,21 @@ def test_result_records_hold_only_read_fields():
     assert not hasattr(perforation, "VolumeFraction")
     assert not hasattr(cell, "_p_energy_solve")
     assert not hasattr(stability.ApproximationTrace, "summary")
+
+
+def test_solve_path_takes_no_knobs():
+    # the solver policy is a set of numerics constants and symmetry is read
+    # from the coefficients; only SparseSystem still takes a declaration,
+    # which its constructor checks
+    import dataclasses
+
+    from homlab import cell, fields, numerics
+
+    assert not {"SolverConfig", "DEFAULT_CONFIG", "_iter_cap"} & set(vars(numerics))
+    functions = [fn for name, fn in inspect.getmembers(numerics, inspect.isfunction)
+                 if fn.__module__ == numerics.__name__ and not name.startswith("_")]
+    for fn in functions + [cell.homogenize_coefficients]:
+        assert not {"config", "symmetric"} & set(inspect.signature(fn).parameters), fn
+    assert {f.name for f in dataclasses.fields(fields.MatrixField)} == {"entries", "dim"}
+    assert {f.name for f in dataclasses.fields(fields.FieldBounds)} == {"alpha", "beta"}
+    assert not hasattr(fields.EnergyDensity, "symmetric")
