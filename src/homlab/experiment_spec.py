@@ -30,6 +30,7 @@ import inspect
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -131,7 +132,7 @@ def _walk(raw: dict, path: str, col: _Collector, types, type_key="type",
         return col.error(_join(path, type_key), "required key is missing")
     if kind not in types:
         return col.error(_join(path, type_key), f"expected one of "
-                         f"{', '.join(types)}; got {kind!r}")
+                         f"{', '.join(types)}; got {_excerpt(kind)}")
     row = _ROWS[kind]
     for short, key in row.aliases:
         if short in data and key in data:
@@ -173,6 +174,24 @@ def _is_number(v) -> bool:
         return False
 
 
+def _excerpt(v, width: int = 40) -> str:
+    """``repr(v)``, or its two ends and its length when longer than ``width``."""
+    text = repr(v)
+    if len(text) <= width:
+        return text
+    return f"{text[:width - 12]}...{text[-8:]} ({len(text)} characters)"
+
+
+def _not_a_number(raw, path: str, col: _Collector, expected: str):
+    """The error for a ``raw`` that ``_is_number`` rejects: an integer beyond
+    the float range is out of range, anything else is not ``expected``."""
+    if isinstance(raw, int) and not isinstance(raw, bool):
+        return col.error(path, f"value out of range (beyond "
+                               f"{sys.float_info.max:.4g} in magnitude), "
+                               f"got {_excerpt(raw)}")
+    return col.error(path, f"expected {expected}, got {_excerpt(raw)}")
+
+
 def _within(v, path: str, col: _Collector, limits: dict):
     for name, bound in limits.items():
         symbol, holds = _LIMITS[name]
@@ -184,15 +203,17 @@ def _within(v, path: str, col: _Collector, limits: dict):
 def _number(default=_REQUIRED, **limits):
     def read(raw, path, col):
         if not _is_number(raw):
-            return col.error(path, f"expected a finite number, got {raw!r}")
+            return _not_a_number(raw, path, col, "a finite number")
         return _within(float(raw), path, col, limits)
     return read, default
 
 
 def _integer(default=_REQUIRED, **limits):
     def read(raw, path, col):
-        if not _is_number(raw) or not float(raw).is_integer():
-            return col.error(path, f"expected an integer, got {raw!r}")
+        if not _is_number(raw):
+            return _not_a_number(raw, path, col, "an integer")
+        if not float(raw).is_integer():
+            return col.error(path, f"expected an integer, got {_excerpt(raw)}")
         return _within(int(raw), path, col, limits)
     return read, default
 
@@ -200,10 +221,10 @@ def _integer(default=_REQUIRED, **limits):
 def _string(default=_REQUIRED, choices=None):
     def read(raw, path, col):
         if not isinstance(raw, str):
-            return col.error(path, f"expected a string, got {raw!r}")
+            return col.error(path, f"expected a string, got {_excerpt(raw)}")
         if choices is not None and raw not in choices:
             return col.error(path, f"expected one of {', '.join(choices)}; "
-                                   f"got {raw!r}")
+                                   f"got {_excerpt(raw)}")
         return raw
     return read, default
 
@@ -211,7 +232,7 @@ def _string(default=_REQUIRED, choices=None):
 def _boolean(default=_REQUIRED):
     def read(raw, path, col):
         if not isinstance(raw, bool):
-            return col.error(path, f"expected true/false, got {raw!r}")
+            return col.error(path, f"expected true/false, got {_excerpt(raw)}")
         return raw
     return read, default
 
@@ -222,7 +243,7 @@ def _number_list(default=_REQUIRED, min_len=1, increasing=False,
 
     def read(raw, path, col):
         if not isinstance(raw, list):
-            return col.error(path, f"expected a list of numbers, got {raw!r}")
+            return col.error(path, f"expected a list of numbers, got {_excerpt(raw)}")
         if len(raw) < min_len:
             return col.error(path, f"need at least {min_len} entries, "
                                    f"got {len(raw)}")
@@ -239,7 +260,7 @@ def _node(types, default=_REQUIRED, type_default=_REQUIRED):
     """A nested field, rule or family: an object whose type is in ``types``."""
     def read(raw, path, col):
         if not isinstance(raw, dict):
-            return col.error(path, f"expected an object, got {raw!r}")
+            return col.error(path, f"expected an object, got {_excerpt(raw)}")
         return _walk(raw, path, col, types, "type", type_default)
     return read, default
 

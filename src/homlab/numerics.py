@@ -42,6 +42,12 @@ Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
 mean-zero subspace handled explicitly, and because reruns must be
 bit-identical.
+
+scipy is imported where it is first used, never with the module, so the
+import, ``validate`` and the p-energy solves load none of it: ``scipy.sparse``
+loads at the first assembly (``CsrPattern.matrix``), ``scipy.sparse.csgraph``
+at the first masked solve (``_active_nodes_checked``) and ``scipy.fft`` at
+the first box solve (``spectral_preconditioner``).
 """
 
 from __future__ import annotations
@@ -52,7 +58,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
 import numpy as np
-import scipy.sparse as sp
 
 TORUS = "torus"
 BOX = "box"
@@ -248,11 +253,11 @@ def _reference_gradients(dim: int, pts: np.ndarray) -> np.ndarray:
 
 
 def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-point stencil of one grid axis with ``nodes`` nodes: node x has
-    ``count[x]`` distinct stencil nodes, and node x + k - 1 is place
-    ``rank[x, k]`` among them in increasing order. Box ends have two
-    neighbours; on a 2-node torus x - 1 and x + 1 are the same node and
-    share a place.
+    """The 3-point stencil of one grid axis with ``nodes`` nodes: row x of
+    ``column`` lists the distinct stencil nodes of node x in increasing
+    order, padded with ``nodes``, and node x + k - 1 is place ``rank[x, k]``
+    among them. Box ends have two neighbours; on a 2-node torus x - 1 and
+    x + 1 are the same node and share a place.
     """
     target = np.arange(nodes)[:, None] + np.arange(-1, 2)[None, :]
     if torus:
@@ -263,7 +268,7 @@ def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
         distinct = (target >= 0) & (target < nodes)
     column = np.sort(np.where(distinct, target, nodes), axis=1)
     rank = (column[:, None, :] < target[:, :, None]).sum(axis=2)
-    return distinct.sum(axis=1), rank
+    return column, rank
 
 
 @dataclass(frozen=True)
@@ -280,6 +285,8 @@ class CsrPattern:
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with entries ``data``; it shares the index arrays."""
+        import scipy.sparse as sp    # the first assembly pays for loading it
+
         n = len(self.indptr) - 1
         mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
         mat.has_canonical_format = True
@@ -287,6 +294,8 @@ class CsrPattern:
 
     def holds(self, mat: sp.spmatrix) -> bool:
         """True if ``mat`` is a CSR matrix with exactly this pattern."""
+        import scipy.sparse as sp
+
         n = len(self.indptr) - 1
         return (sp.issparse(mat) and mat.format == "csr" and mat.shape == (n, n)
                 and np.array_equal(mat.indptr, self.indptr)
@@ -298,40 +307,54 @@ def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
     """The ``CsrPattern`` of a grid shape, built from the per-axis stencils.
 
     Row r holds the product of its per-axis stencils, the column with the
-    highest axis slowest, so a column whose axis-k node sits at place rank_k
-    of the row's axis-k stencil (of count_k nodes) has slot
+    highest axis slowest: ``indices`` lists the tensor product of the
+    per-axis stencil columns over [row, place], padded places dropped, and a
+    column whose axis-k node sits at place rank_k of the row's axis-k
+    stencil (of count_k nodes) has slot
     indptr[r] + sum_k rank_k prod_{j<k} count_j. On each axis, element-local
     node b of element e is place rank[b - a + 1] of row node a (node e + a),
-    which gives the slot of every element entry (e, a, b); ``indices`` holds
-    each entry's column at its slot. The pattern depends on the shape only:
-    grids of one shape, like windows of one size, share it.
+    which gives the slot of every element entry (e, a, b). The pattern
+    depends on the shape only: grids of one shape, like windows of one size,
+    share it.
     """
     nodes = cells + (topology == BOX)
-    count, rank = _axis_stencil(nodes, topology == TORUS)
+    column, rank = _axis_stencil(nodes, topology == TORUS)
+    present = column < nodes
+    count = present.sum(axis=1)
     row_len = reduce(np.multiply, (_on_axis(count, k, dim) for k in range(dim)))
     nnz = int(row_len.sum())
     # scipy's choice for CSR index arrays: int32 whenever the values fit
     idx = np.int32 if max(nnz, nodes ** dim) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(nodes ** dim + 1, dtype=idx)
     np.cumsum(row_len, out=indptr[1:])
-    # per-axis arrays over [a, b, e]: the entry's row and column node and
-    # the column's place in the row's stencil; built in this order and
-    # transposed once, since element-first broadcasting runs 2-3x slower
+    # every row's columns over [row node, place] per axis, in C order: rows
+    # in order, each row's columns increasing. One pass per combination of
+    # places (the highest axis first) writes each entry once; a padded place
+    # adds -nodes**dim, which makes the sum negative and drops the entry
+    # (dim * nodes**dim <= nnz, so the sum cannot overflow idx)
+    terms = [np.where(present, column * nodes ** k, -nodes ** dim).astype(idx)
+             for k in range(dim)]
+    full = np.empty((nodes,) * dim + (3,) * dim, dtype=idx)
+    for places in np.ndindex((3,) * dim):
+        full[(...,) + places] = sum(_on_axis(terms[k][:, p], k, dim)
+                                    for k, p in enumerate(reversed(places)))
+    full = full.ravel()
+    indices = full[full >= 0]
+    # per-axis arrays over [a, b, e]: the entry's row node and the column's
+    # place in the row's stencil; built in this order and transposed once,
+    # since element-first broadcasting runs 2-3x slower
     node = (np.arange(2)[:, None] + np.arange(cells)[None, :]) % nodes    # [a, e]
     offset = np.arange(2)[None, :] - np.arange(2)[:, None] + 1           # [a, b]
     place = rank[node[:, None, :], offset[:, :, None]].astype(idx)       # [a, b, e]
     count = count.astype(idx)[node][:, None, :]                         # [a, 1, e]
     node = node.astype(idx)
     row = sum(_on_axis(node[:, None, :] * nodes ** k, k, dim) for k in range(dim))
-    col = sum(_on_axis(node[None, :, :] * nodes ** k, k, dim) for k in range(dim))
     slot = np.empty((2,) * (2 * dim) + (cells,) * dim, dtype=idx)       # [a, b, e]
     slot[...] = indptr[row]
     stride = 1
     for k in range(dim):
         slot += _on_axis(place, k, dim) * stride
         stride = stride * _on_axis(count, k, dim)
-    indices = np.empty(nnz, dtype=idx)
-    indices[slot] = col
     # [a, b, e] -> [e, a, b], each block x fastest
     pos = slot.transpose(*range(2 * dim, 3 * dim), *range(2 * dim)).ravel()
     for arr in (indptr, indices, pos):
@@ -677,6 +700,7 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
 
 def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
     """Nodes adjacent to active elements; errors if empty or disconnected."""
+    import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components   # masked solves only
 
     if not np.any(active_el):

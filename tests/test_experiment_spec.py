@@ -61,6 +61,20 @@ class TestParsing:
                 + f', "family": {family}, "family_g": {family}}}')
         assert [v.path for v in validate_document(text)] == ["seed"]
 
+    def test_integer_beyond_float_range_is_out_of_range(self):
+        # integer and number keys both name the range, and the echoed value
+        # is a bounded excerpt, not all 401 digits
+        huge = "1" + "0" * 400
+        family = '{"values": [1, %s]}'
+        text = ('{"kind": "stochastic", "seed": -' + huge
+                + f', "family": {family % 4}, "family_g": {family % huge}}}')
+        violations = validate_document(text)
+        assert [v.path for v in violations] == ["seed", "family_g.values[1]"]
+        for v in violations:
+            assert v.message.startswith("value out of range"), v.message
+            assert v.message.endswith(("(401 characters)", "(402 characters)"))
+            assert len(v.message) < 120, v.message
+
     def test_seed_is_a_stochastic_key(self):
         # only the stochastic runner reads a seed; elsewhere it is unknown
         tree = {"kind": "rve", "seed": 3,

@@ -359,6 +359,30 @@ def test_assembly_matches_coo_reference(dim, topology, n):
     assert np.any(row_max == 0.0) == (topology == BOX or n > 2)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("topology, n", [(TORUS, 2), (TORUS, 3), (TORUS, 7),
+                                         (BOX, 2), (BOX, 3), (BOX, 7)])
+def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
+    """Slot s of the pattern holds the s-th distinct (row, column) pair of
+    the element entries, rows in order and each row's columns increasing,
+    and ``pos`` sends entry (e, a, b) to the slot of its pair; the wrapped
+    duplicate offsets of the 2-node torus share one slot."""
+    g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
+    nodes = g.element_nodes()
+    n_loc = nodes.shape[1]
+    rows = np.repeat(nodes, n_loc, axis=1).ravel()   # (e, a, b) raveled
+    cols = np.tile(nodes, n_loc).ravel()
+    key = rows.astype(np.int64) * g.n_nodes + cols
+    pairs = np.unique(key)
+    pattern = numerics._csr_pattern(dim, n, topology)
+    row_len = np.bincount(pairs // g.n_nodes, minlength=g.n_nodes)
+    assert np.array_equal(pattern.indptr, np.concatenate([[0], np.cumsum(row_len)]))
+    assert np.array_equal(pattern.indices, pairs % g.n_nodes)
+    assert np.array_equal(pattern.pos, np.searchsorted(pairs, key))
+    for arr in (pattern.indptr, pattern.indices, pattern.pos):
+        assert arr.dtype == np.int32
+
+
 def test_assembly_pattern_is_shared_and_read_only():
     g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)

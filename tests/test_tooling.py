@@ -1,15 +1,17 @@
 """Checks on the structure the tooling relies on: every function the benchmark
-tracer wraps still exists, the experiment layer leaves the solver policy
-to ``numerics``, and importing the CLI loads no solver module it may not
-need, the CLI's runners leave every write to its one artifact writer, one
-type describes every energy density, plots have one x axis, and grid
-arrays take their tensor layout from one helper pair, and result records
-hold only fields that something reads, and the solve path takes no
-solver options: symmetry is read from the coefficients."""
+tracer wraps still exists, the experiment layer leaves the solver policy to
+``numerics``, and importing the CLI loads no solver module it may not need
+(validating a spec and a p-energy cell run load no scipy), the CLI's runners
+leave every write to its one artifact writer, one type describes every
+energy density, plots have one x axis, and grid arrays take their tensor
+layout from one helper pair, and result records hold only fields that
+something reads, and the solve path takes no solver options: symmetry is
+read from the coefficients."""
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import pkgutil
 import subprocess
@@ -67,6 +69,56 @@ def test_cli_import_leaves_csgraph_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+
+P_ENERGY_CELL = {"kind": "cell", "p": 3.0, "xi": [1.0],
+                 "field": {"type": "periodic_step", "subdivisions": 2,
+                           "values": [1.0, 4.0], "dim": 1},
+                 "resolutions": [8, 16]}
+
+SCIPY_LOADED = ("sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.'))")
+
+
+def _fresh_python(code: str, stdin: str = "") -> list:
+    """Run ``code`` in a new interpreter on the repo's sources and return
+    what its last printed line evaluates to."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], input=stdin,
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_validate_and_parse_load_no_scipy():
+    # scipy.sparse is loaded by the first assembly; importing the CLI and
+    # validating or parsing any spec need none of scipy
+    from test_experiment_spec import ROUND_TRIP_DOCS
+
+    docs = ROUND_TRIP_DOCS + [P_ENERGY_CELL]
+    code = ("import json, sys\n"
+            "import homlab.cli\n"
+            "from homlab.experiment_spec import parse_spec, validate_document\n"
+            "for doc in json.load(sys.stdin):\n"
+            "    text = json.dumps(doc)\n"
+            "    assert validate_document(text) == [], doc\n"
+            "    parse_spec(text)\n"
+            f"print(json.dumps({SCIPY_LOADED}))")
+    assert _fresh_python(code, json.dumps(docs)) == []
+
+
+def test_p_energy_cell_run_loads_no_scipy(tmp_path):
+    # a p != 2 cell run minimizes by L-BFGS and assembles no matrix
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(P_ENERGY_CELL), encoding="utf-8")
+    argv = ["cell", "--spec", str(spec), "--out", str(tmp_path / "out"), "--no-plots"]
+    code = ("import json, sys\n"
+            "from homlab import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, {SCIPY_LOADED}]))")
+    assert _fresh_python(code) == [0, []]
+    assert (tmp_path / "out" / "cell.csv").is_file()
 
 
 def test_p_energy_cell_builds_no_csr_pattern(monkeypatch):
