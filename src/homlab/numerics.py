@@ -17,7 +17,9 @@ of a product of coordinate axes. The grid code builds per-axis arrays and
 combines them through these two, with no branch on the dimension.
 
 Every linear solve in the package goes through one kernel,
-``solve_corrector``: it assembles the stiffness, restricts it to the unknowns
+``solve_corrector``: it takes every term of -div(a grad u) + c u = f per
+element, assembles the stiffness of a plus the c-weighted mass in one
+scatter, restricts it to the unknowns
 (mean-zero on the torus, interior nodes on a box, nodes of active elements
 when a mask is given), builds the right-hand side and prolongs the solution
 back to a full nodal vector. Its single solver policy takes no options and
@@ -292,15 +294,6 @@ class CsrPattern:
         mat.has_canonical_format = True
         return mat
 
-    def holds(self, mat: sp.spmatrix) -> bool:
-        """True if ``mat`` is a CSR matrix with exactly this pattern."""
-        import scipy.sparse as sp
-
-        n = len(self.indptr) - 1
-        return (sp.issparse(mat) and mat.format == "csr" and mat.shape == (n, n)
-                and np.array_equal(mat.indptr, self.indptr)
-                and np.array_equal(mat.indices, self.indices))
-
 
 @lru_cache(maxsize=8)
 def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
@@ -404,17 +397,15 @@ class ElementOps:
     def h(self) -> float:
         return self.grid.h
 
-    def gradients(self, v: np.ndarray) -> np.ndarray:
-        """Gradients of the FE function v at quadrature points, (n_e, n_q, dim)."""
-        rows = v[self.elem_nodes] @ self.grad_matrix
-        return rows.reshape(len(rows), len(self.quad_weights), self.grid.dim)
-
     def element_mean_gradients(self, v: np.ndarray) -> np.ndarray:
         """Quadrature average of grad v per element, (n_e, dim)."""
         return v[self.elem_nodes] @ self.mean_grad_matrix
 
-    def assemble_stiffness(self, coeff: np.ndarray) -> sp.csr_matrix:
-        """Stiffness for per-element coefficients.
+    def assemble_stiffness(self, coeff: np.ndarray,
+                           shift: np.ndarray | None = None) -> sp.csr_matrix:
+        """Stiffness for per-element coefficients, plus the mass weighted by
+        the per-element ``shift`` when given (the matrix of
+        -div(coeff grad u) + shift u), in one scatter.
 
         ``coeff`` is (n_e,) for scalar coefficients or (n_e, dim, dim) for
         matrix ones; rows are test functions, so nonsymmetric coefficient
@@ -422,21 +413,21 @@ class ElementOps:
         """
         coeff = np.asarray(coeff, dtype=float)
         if coeff.ndim == 1:
-            lap = np.trace(self.stiff_blocks)
-            data = coeff[:, None, None] * lap[None, :, :]
+            data = np.outer(coeff, np.trace(self.stiff_blocks))
         else:
             n_loc = self.elem_nodes.shape[1]
             data = coeff.reshape(len(coeff), -1) @ self.stiff_blocks.reshape(-1, n_loc ** 2)
+        if shift is not None:
+            data += np.outer(self.h ** self.grid.dim * shift, self.mass_ref)
         return self._scatter(data)
 
-    def assemble_mass(self, element_mask: np.ndarray | None = None) -> sp.csr_matrix:
-        """Mass matrix restricted to ``element_mask`` (all elements if None)."""
-        n_e = self.grid.n_elements
-        scale = np.full(n_e, self.h ** self.grid.dim)
-        if element_mask is not None:
-            scale = scale * element_mask
-        data = scale[:, None, None] * self.mass_ref[None, :, :]
-        return self._scatter(data)
+    def assemble_mass(self, weights: np.ndarray | None = None) -> sp.csr_matrix:
+        """Mass matrix with per-element ``weights`` (1 on every element if
+        None); a boolean mask restricts it to the masked elements."""
+        scale = np.full(self.grid.n_elements, self.h ** self.grid.dim)
+        if weights is not None:
+            scale = scale * weights
+        return self._scatter(np.outer(scale, self.mass_ref))
 
     def _scatter(self, data: np.ndarray) -> sp.csr_matrix:
         pattern = self.pattern
@@ -558,6 +549,33 @@ class SolveStats:
     residual: float
 
 
+def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
+                  mean_zero: bool, preconditioner) -> tuple[np.ndarray, SolveStats]:
+    """Both Krylov solvers around their loop ``iterate(A, b, preconditioner,
+    tol, cap) -> (x, iterations)``: the right-hand side checked, copied and
+    (with ``mean_zero``) projected, zero answered by zero; then x projected
+    likewise and its true residual |b - A x| checked against 10x the target
+    and reported."""
+    A = system.matrix
+    b = np.asarray(rhs, dtype=float).copy()
+    if b.shape != (system.n,):
+        raise ValueError(f"rhs has shape {b.shape}, expected ({system.n},)")
+    if mean_zero:
+        b -= b.mean()
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0.0:
+        return np.zeros_like(b), SolveStats(0, 0.0)
+    tol = _REL_TOLERANCE * b_norm
+    x, it = iterate(A, b, preconditioner, tol, _ITERATIONS_PER_UNKNOWN * system.n)
+    if mean_zero:
+        x -= x.mean()
+    true_res = float(np.linalg.norm(b - A @ x))
+    if true_res > 10 * tol:
+        raise SolverError(f"{name}: true residual {true_res:.3e} exceeds 10x the "
+                          f"target {tol:.3e} after {it} iterations")
+    return x, SolveStats(it, true_res)
+
+
 def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
              preconditioner: Callable[[np.ndarray], np.ndarray]
              ) -> tuple[np.ndarray, SolveStats]:
@@ -575,23 +593,17 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
     """
     if not system.symmetric:
         raise ValueError("cg_solve requires a symmetric system")
-    A = system.matrix
-    b = np.asarray(rhs, dtype=float).copy()
-    if b.shape != (system.n,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({system.n},)")
-    if mean_zero:
-        b -= b.mean()
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros_like(b), SolveStats(0, 0.0)
+    return _krylov_frame("cg_solve", _cg_iterate, system, rhs, mean_zero,
+                         preconditioner)
 
+
+def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
+                cap: int) -> tuple[np.ndarray, int]:
     x = np.zeros_like(b)
     r = b.copy()
     z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
-    tol = _REL_TOLERANCE * b_norm
-    cap = _ITERATIONS_PER_UNKNOWN * system.n
     it = 0
     res = float(np.linalg.norm(r))
     while res > tol and it < cap:
@@ -608,16 +620,10 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
         rz = rz_new
         it += 1
         res = float(np.linalg.norm(r))
-    if mean_zero:
-        x -= x.mean()
     if res > tol:
         raise SolverError(f"cg_solve: no convergence in {it} iterations "
                           f"(residual {res:.3e}, target {tol:.3e})")
-    true_res = float(np.linalg.norm(b - A @ x))
-    if true_res > 10 * tol:
-        raise SolverError(f"cg_solve: true residual {true_res:.3e} exceeds 10x the "
-                          f"target {tol:.3e} after {it} iterations")
-    return x, SolveStats(it, true_res)
+    return x, it
 
 
 def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
@@ -634,18 +640,12 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
     true residual |b - A x| is checked at the end (within 10x the target).
     ``mean_zero`` works as in ``cg_solve``.
     """
-    A = system.matrix
-    b = np.asarray(rhs, dtype=float).copy()
-    if b.shape != (system.n,):
-        raise ValueError(f"rhs has shape {b.shape}, expected ({system.n},)")
-    if mean_zero:
-        b -= b.mean()
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros_like(b), SolveStats(0, 0.0)
-    tol = _REL_TOLERANCE * b_norm
-    cap = _ITERATIONS_PER_UNKNOWN * system.n
+    return _krylov_frame("krylov_solve_nonsymmetric", _bicgstab_iterate, system,
+                         rhs, mean_zero, preconditioner)
 
+
+def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
+                      cap: int) -> tuple[np.ndarray, int]:
     x = np.zeros_like(b)
     r = b.copy()
     r_hat = r.copy()
@@ -689,13 +689,7 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
         it += 1
         if np.linalg.norm(r) <= tol:
             break
-    true_res = float(np.linalg.norm(b - A @ x))
-    if true_res > 10 * tol:
-        raise SolverError(f"krylov_solve_nonsymmetric: no convergence in {it} iterations "
-                          f"(residual {true_res:.3e}, target {tol:.3e})")
-    if mean_zero:
-        x -= x.mean()
-    return x, SolveStats(it, true_res)
+    return x, it
 
 
 def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
@@ -780,49 +774,48 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
 
 def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
                     center=None, active: np.ndarray | None = None,
-                    shift: sp.spmatrix | None = None, load: np.ndarray | None = None
+                    shift: np.ndarray | None = None, source: np.ndarray | None = None
                     ) -> list[tuple[np.ndarray, SolveStats]]:
     """The package's one linear-solve kernel: one solve per direction in ``xis``
-    for the stiffness K of the per-element ``coeff`` on ``grid``.
+    of -div(a grad u) + c u = f on ``grid``, every term given per element:
+    the coefficient a is ``coeff``, the zeroth-order term c is ``shift``
+    (zero if None) and the source f is ``source``.
 
     Torus grids give the mean-zero periodic corrector, loaded by
     -div(coeff xi). Box grids give u = g + w with the Dirichlet lift
     g = <xi, x - center> and w = 0 on the boundary solving
-    (K + shift) w = -(K + shift) g on the interior nodes; with ``load`` in
-    place of ``xis``, one solve of (K + shift) w = load with zero boundary
-    values. ``shift`` (e.g. lambda * mass) and ``load`` apply to boxes
-    only. With an element mask ``active`` the unknowns are the nodes touching
-    an active element, which must form one connected component.
-
-    K is assembled on the grid's cached ``CsrPattern``. The shift must come
-    from ``assemble_mass`` on the same grid, so it has that pattern and is
-    added data array to data array; a shift with any other pattern raises
-    ValueError.
+    (K + M_c) w = -(K + M_c) g on the interior nodes, where K is the
+    stiffness of ``coeff`` and M_c the mass weighted by ``shift``; with
+    ``source`` in place of ``xis``, one solve of (K + M_c) w = F with zero
+    boundary values, F the one-point load of f
+    (``ElementOps.load_from_element_scalars``). ``shift`` and ``source``
+    apply to boxes only. With an element mask ``active`` the unknowns are
+    the nodes touching an active element, which must form one connected
+    component. K + M_c is assembled in one scatter on the grid's cached
+    ``CsrPattern``.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
     ones by right-preconditioned BiCGStab, both with
-    ``spectral_preconditioner``: a_ref is
-    the mean coefficient over the active elements (trace / dim for matrix
-    coefficients, i.e. of their symmetric part) and c_ref the mean shift
-    diagonal on the unknowns over the reference mass diagonal (4h/6)^dim, so
-    a constant-coefficient symmetric system is solved in one iteration.
+    ``spectral_preconditioner``: a_ref is the mean coefficient over the
+    active elements (trace / dim for matrix coefficients, i.e. of their
+    symmetric part) and c_ref the node average of c: the mean over the
+    unknowns of load_from_element_scalars(shift) / h^dim, whose entry at
+    node a is the sum of c_e / 2^dim over the elements e at a, that is the
+    diagonal of M_c at a over the reference mass diagonal (4h/6)^dim. So a
+    constant-coefficient symmetric system is solved in one iteration.
     Assembly, restriction, the connectivity check and the preconditioner
     setup run once for all directions. Returns the full nodal vector and the
     solver stats of each solve.
     """
     torus = grid.topology == TORUS
-    if (xis is None) == (load is None):
-        raise ValueError("give either directions xis or a load, not both")
-    if torus and (load is not None or shift is not None or center is not None):
-        raise ValueError("load, shift and center apply to box grids only")
+    if (xis is None) == (source is None):
+        raise ValueError("give either directions xis or a source, not both")
+    if torus and (source is not None or shift is not None or center is not None):
+        raise ValueError("source, shift and center apply to box grids only")
     coeff = np.asarray(coeff, dtype=float)
     symmetric = is_symmetric(coeff)
     ops = element_ops(grid)
-    K = ops.assemble_stiffness(coeff)
-    if shift is not None:
-        if not ops.pattern.holds(shift):
-            raise ValueError("shift must be assembled on the same grid (assemble_mass)")
-        K = ops.pattern.matrix(K.data + shift.data)
+    K = ops.assemble_stiffness(coeff, shift)
     unknowns = None if active is None else _active_nodes_checked(grid, active)
     if not torus:
         boundary = grid.boundary_node_mask()
@@ -836,8 +829,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
                   else np.trace(c, axis1=1, axis2=2).mean() / grid.dim)
     c_ref = 0.0
     if shift is not None:
-        c_ref = (float(shift.diagonal()[unknowns].mean())
-                 / (4.0 * grid.h / 6.0) ** grid.dim)
+        c_ref = (float(ops.load_from_element_scalars(shift)[unknowns].mean())
+                 / grid.h ** grid.dim)
     precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns)
     out = []
     for xi in ([None] if xis is None else xis):
@@ -847,7 +840,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
             flux = coeff[:, None] * xi[None, :] if coeff.ndim == 1 else coeff @ xi
             rhs = -ops.load_from_element_vectors(flux)
         elif xi is None:
-            rhs = load
+            rhs = ops.load_from_element_scalars(source)
         else:
             g = interpolate_affine(grid, xi, center)
             rhs = -(K @ g)

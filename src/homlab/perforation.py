@@ -330,26 +330,23 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     half = box_size / 2.0
     grid = build_grid(2, cells_across(box_size, resolution), (-half, -half),
                       box_size, BOX)
-    ops = element_ops(grid)
     centers = grid.element_centers()
     f_el = np.asarray(source(centers), dtype=float)
 
     hom, theta = masked_cell_matrix(E, cell_resolution)
     coeff_hom = np.broadcast_to(hom.matrix, (grid.n_elements, 2, 2))
-    mass_full = ops.assemble_mass(np.ones(grid.n_elements, dtype=bool))
-    load_hom = theta * ops.load_from_element_scalars(f_el)
     [(u_hom, _)] = solve_corrector(grid, np.ascontiguousarray(coeff_hom),
-                                   shift=lam * (theta * mass_full), load=load_hom)
+                                   shift=np.full(grid.n_elements, lam * theta),
+                                   source=theta * f_el)
 
+    mass = element_ops(grid).assemble_mass()
     distances = []
     for eps in epsilons:
         inside = E.membership(centers / eps)
         coeff = np.where(inside, 1.0 / n_penal, 1.0)
         mask = ~inside
-        mass_eps = ops.assemble_mass(mask)
-        load_eps = ops.load_from_element_scalars(np.where(mask, f_el, 0.0))
-        [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mass_eps,
-                                       load=load_eps)
+        [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mask,
+                                       source=np.where(mask, f_el, 0.0))
         diff = u_eps - u_hom
-        distances.append(float(np.sqrt(diff @ (mass_full @ diff))))
+        distances.append(float(np.sqrt(diff @ (mass @ diff))))
     return LambdaReport(epsilons, tuple(distances), hom.matrix, theta)

@@ -6,7 +6,8 @@ leave every write to its one artifact writer, one type describes every
 energy density, plots have one x axis, and grid arrays take their tensor
 layout from one helper pair, and result records hold only fields that
 something reads, and the solve path takes no solver options: symmetry is
-read from the coefficients."""
+read from the coefficients, and every term of the equation reaches the solve
+kernel per element."""
 
 import importlib
 import importlib.util
@@ -254,3 +255,44 @@ def test_solve_path_takes_no_knobs():
     assert {f.name for f in dataclasses.fields(fields.MatrixField)} == {"entries", "dim"}
     assert {f.name for f in dataclasses.fields(fields.FieldBounds)} == {"alpha", "beta"}
     assert not hasattr(fields.EnergyDensity, "symmetric")
+
+
+TINY_PERFORATION = {"kind": "perforation", "shape": "ball", "radius": 0.25,
+                    "resolution": 64, "n_list": [4, 16],
+                    "eps_list": [0.5, 0.25], "lambda_resolution": 64,
+                    "cell_resolution": 32}
+
+
+def test_solve_corrector_takes_terms_per_element(tmp_path, monkeypatch):
+    # the lambda-problem hands the kernel its zeroth-order term and source
+    # per element, like the coefficient, and the kernel assembles them; no
+    # caller builds a mass matrix or a nodal load for it
+    import homlab
+    import numpy as np
+
+    from homlab import cli, numerics
+
+    calls = []
+    solve = numerics.solve_corrector
+
+    def recording(grid, *args, **kwargs):
+        calls.append((grid.n_elements, kwargs.get("shift"), kwargs.get("source")))
+        return solve(grid, *args, **kwargs)
+
+    for m in pkgutil.iter_modules(homlab.__path__):
+        module = importlib.import_module(f"homlab.{m.name}")
+        if getattr(module, "solve_corrector", None) is solve:
+            monkeypatch.setattr(module, "solve_corrector", recording)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(TINY_PERFORATION), encoding="utf-8")
+    argv = ["perforation", "--spec", str(spec), "--out", str(tmp_path / "out"),
+            "--no-plots"]
+    assert cli.main(argv) == 0
+    shifted = [c for c in calls if c[1] is not None]
+    assert len(shifted) == 1 + len(TINY_PERFORATION["eps_list"])
+    for n_elements, *terms in calls:
+        for values in terms:
+            assert values is None or (isinstance(values, np.ndarray)
+                                      and values.dtype == float
+                                      and values.shape == (n_elements,))
+    assert not hasattr(numerics.CsrPattern, "holds")
