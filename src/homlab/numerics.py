@@ -32,13 +32,18 @@ coefficient contrast and does not grow with the resolution; nonsymmetric
 systems use BiCGStab right-preconditioned with the same inverse for their
 symmetric part. Both stop on the unpreconditioned residual at 1e-10 of the
 right-hand side, check the true residual at the end and fail after 20
-iterations per unknown.
+iterations per unknown. The inverse is applied in float64 on the torus and
+in float32 on the box, where it halves the transform's cost; the solvers
+themselves run in float64, so the rounding of a float32 apply can cost an
+iteration but not accuracy (the mixed-precision split of Higham and Mary,
+Acta Numerica 31, 2022).
 
 The p-power energies are minimized by L-BFGS (``minimize_p_energy``) whose
 initial inverse Hessian is the same reference inverse for a_ref = 1,
-scaled per iteration: a preconditioned two-loop recursion whose iteration
-count, like CG's, does not grow with the mesh. It stops on a Euclidean
-gradient norm of 1e-8, under the same iteration cap.
+applied in float64 on both topologies and scaled per iteration: a
+preconditioned two-loop recursion whose iteration count, like CG's, does
+not grow with the mesh. It stops on a Euclidean gradient norm of 1e-8,
+under the same iteration cap.
 
 Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
@@ -715,11 +720,11 @@ def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
 
 
 def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
-                            unknowns: np.ndarray | None = None
-                            ) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact inverse of the constant-coefficient reference operator
-    a_ref K + c_ref M on ``grid``, as a preconditioner (CG, BiCGStab and
-    L-BFGS's initial inverse Hessian).
+                            unknowns: np.ndarray | None = None, *,
+                            dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
+    """Inverse of the constant-coefficient reference operator a_ref K + c_ref M
+    on ``grid``, as a preconditioner (CG, BiCGStab and L-BFGS's initial
+    inverse Hessian), exact up to the rounding of ``dtype``.
 
     On a uniform grid the Q1 stiffness and mass matrices are tensor products
     of the 1D stencils with symbols k(t) = (2 - 2 cos t) / h and
@@ -730,6 +735,15 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     an orthonormal DST-I on the interior nodes of a box. ``unknowns`` (full
     node ids, sorted) restricts it to a subset of those nodes: zero-extend,
     apply, restrict, which keeps it symmetric positive definite.
+
+    ``dtype`` is the precision of the transforms: the symbol is computed in
+    float64 and stored once in ``dtype``, and each apply casts its input
+    into a buffer of that type, which the box transforms overwrite in place
+    (the caller's vector is never written). The result is always a new
+    float64 vector. ``solve_corrector`` passes float32 on box grids, where
+    it halves the transform's cost; a Krylov solver's stopping test and
+    true-residual check stay float64, so only the iteration count can feel
+    the rounding.
     """
     torus = grid.topology == TORUS
     n, h, dim = grid.cells_per_axis, grid.h, grid.dim
@@ -747,7 +761,7 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     symbol = a_ref * stiffness + c_ref * math.prod(ms)
     if torus:
         symbol[(0,) * dim] = np.inf     # zero the constant mode
-    inv_symbol = 1.0 / symbol
+    inv_symbol = (1.0 / symbol).astype(dtype, copy=False)
     shape = (n if torus else n - 1,) * dim
     pos = None
     if unknowns is not None and len(unknowns) != len(lattice):
@@ -757,17 +771,20 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
 
     def apply(r: np.ndarray) -> np.ndarray:
         if pos is None:
-            f = r.reshape(shape)
+            # a fresh buffer on the box, whose transforms overwrite it
+            f = r.astype(dtype, copy=not torus)
         else:
-            f = np.zeros(len(lattice))
+            f = np.zeros(len(lattice), dtype)
             f[pos] = r
-            f = f.reshape(shape)
+        f = f.reshape(shape)
         if torus:
             z = np.fft.irfftn(np.fft.rfftn(f) * inv_symbol, s=shape, axes=range(dim))
         else:
-            z = dstn(dstn(f, type=1, norm="ortho") * inv_symbol, type=1, norm="ortho")
+            z = dstn(f, type=1, norm="ortho", overwrite_x=True)
+            z *= inv_symbol
+            z = dstn(z, type=1, norm="ortho", overwrite_x=True)
         z = z.ravel()
-        return z if pos is None else z[pos]
+        return (z if pos is None else z[pos]).astype(np.float64, copy=False)
 
     return apply
 
@@ -801,8 +818,11 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     symmetric part) and c_ref the node average of c: the mean over the
     unknowns of load_from_element_scalars(shift) / h^dim, whose entry at
     node a is the sum of c_e / 2^dim over the elements e at a, that is the
-    diagonal of M_c at a over the reference mass diagonal (4h/6)^dim. So a
-    constant-coefficient symmetric system is solved in one iteration.
+    diagonal of M_c at a over the reference mass diagonal (4h/6)^dim. The
+    preconditioner runs in float64 on the torus and in float32 on the box,
+    so a constant-coefficient symmetric system is solved in one iteration
+    on the torus and in at most two on the box, where its inverse is exact
+    only to float32 rounding.
     Assembly, restriction, the connectivity check and the preconditioner
     setup run once for all directions. Returns the full nodal vector and the
     solver stats of each solve.
@@ -831,7 +851,10 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     if shift is not None:
         c_ref = (float(ops.load_from_element_scalars(shift)[unknowns].mean())
                  / grid.h ** grid.dim)
-    precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns)
+    # float32 transforms on the box (half the cost of float64); numpy's
+    # float32 FFT is no faster on the torus, which keeps float64
+    precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns,
+                                      dtype=np.float64 if torus else np.float32)
     out = []
     for xi in ([None] if xis is None else xis):
         g = None
@@ -951,11 +974,13 @@ def minimize_p_energy(problem: PEnergyProblem,
     unit-coefficient stiffness on the unknowns (FFT on the torus, whose
     constant mode it zeroes, DST-I on the interior nodes of a box) and
     gamma = s^T y / y^T P y from the newest curvature pair (Nocedal-Wright,
-    Numerical Optimization, 7.2). Before any pair is stored, gamma is
-    1 / (p (p - 1) mean a), the reference Hessian scale at |xi + grad v| = 1,
-    and the first trial step is the unit step. The iteration count then
-    does not grow with the mesh. The stopping rule stays on the Euclidean
-    gradient norm.
+    Numerical Optimization, 7.2). P stays float64 on a box too: a float32
+    apply, as the box Krylov solves use, takes a 1D p = 3 window with 63
+    free unknowns from 5 to 7 iterations. Before any pair is stored, gamma
+    is 1 / (p (p - 1) mean a), the reference Hessian scale at
+    |xi + grad v| = 1, and the first trial step is the unit step. The
+    iteration count then does not grow with the mesh. The stopping rule
+    stays on the Euclidean gradient norm.
 
     ``x0`` warm-starts the free unknowns (continuation from a cheaper
     problem). Returns the full nodal vector (boundary data included for

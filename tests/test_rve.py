@@ -99,6 +99,25 @@ def test_p3_balanced_window_closed_form():
     assert abs(value - 0.75 ** -2) <= 1e-6
 
 
+def test_box_lbfgs_keeps_float64_preconditioner(monkeypatch):
+    # the p = 3 window above is a box L-BFGS solve on 63 free unknowns; with
+    # the float64 preconditioner apply it takes 5 iterations, with a float32
+    # apply (as the box Krylov solves use) it would take 7
+    from homlab import rve
+
+    real = rve.minimize_p_energy
+    stats = []
+
+    def recorded(*args, **kwargs):
+        u, st = real(*args, **kwargs)
+        stats.append(st)
+        return u, st
+
+    monkeypatch.setattr(rve, "minimize_p_energy", recorded)
+    local_min_energy(EnergyDensity(two_phase(1), 3.0), 0.0, 4.0, [1.0], 16)
+    assert [st.iterations for st in stats] == [5]
+
+
 def test_smooth_periodic_windows_approach_cell():
     field = smooth_field()
     cell = homogenize_matrix(field, 16).matrix[0, 0]

@@ -1,13 +1,13 @@
 """Checks on the structure the tooling relies on: every function the benchmark
 tracer wraps still exists, the experiment layer leaves the solver policy to
 ``numerics``, and importing the CLI loads no solver module it may not need
-(validating a spec and a p-energy cell run load no scipy), the CLI's runners
-leave every write to its one artifact writer, one type describes every
-energy density, plots have one x axis, and grid arrays take their tensor
-layout from one helper pair, and result records hold only fields that
-something reads, and the solve path takes no solver options: symmetry is
-read from the coefficients, and every term of the equation reaches the solve
-kernel per element."""
+(validating a spec and a p-energy cell run load no scipy, and a torus-only
+stochastic run no scipy.fft), the CLI's runners leave every write to its one
+artifact writer, one type describes every energy density, plots have one x
+axis, and grid arrays take their tensor layout from one helper pair, and
+result records hold only fields that something reads, and the solve path
+takes no solver options: symmetry is read from the coefficients, and every
+term of the equation reaches the solve kernel per element."""
 
 import importlib
 import importlib.util
@@ -120,6 +120,29 @@ def test_p_energy_cell_run_loads_no_scipy(tmp_path):
             f"print(json.dumps([code, {SCIPY_LOADED}]))")
     assert _fresh_python(code) == [0, []]
     assert (tmp_path / "out" / "cell.csv").is_file()
+
+
+def test_stochastic_run_loads_no_scipy_fft(tmp_path):
+    # a stochastic run solves on the torus only; its preconditioner keeps
+    # numpy's float64 FFT, since loading scipy.fft costs ~7 MB of peak RSS
+    # and numpy's float32 FFT is no faster there
+    tree = {"kind": "stochastic", "seed": 5,
+            "family": {"type": "checkerboard_family", "values": [1.0, 4.0]},
+            "family_g": {"type": "checkerboard_family", "values": [1.0, 4.0]},
+            "trials": 8, "torus_size": 2, "resolution_per_unit": 2,
+            "statistic_sizes": [8, 16, 32]}
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tree), encoding="utf-8")
+    argv = ["stochastic", "--spec", str(spec), "--out", str(tmp_path / "out"),
+            "--no-plots"]
+    probe = ("import json, sys\n"
+             "from homlab import cli\n"
+             f"code = cli.main({argv!r})\n"
+             f"print(json.dumps([code, {SCIPY_LOADED}]))")
+    exit_code, loaded = _fresh_python(probe)
+    assert exit_code == 0
+    assert "scipy.sparse" in loaded      # the run did assemble and solve
+    assert "scipy.fft" not in loaded
 
 
 def test_p_energy_cell_builds_no_csr_pattern(monkeypatch):
