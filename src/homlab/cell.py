@@ -30,6 +30,7 @@ from .numerics import (
     element_ops,
     is_symmetric,
     minimize_p_energy,
+    nearest_integer,
     solve_corrector,
 )
 
@@ -89,35 +90,39 @@ def homogenized_quadratic_form(result: HomogenizedResult, xi) -> float:
     return float(xi @ result.matrix @ xi)
 
 
-def _field_period_and_alignment(field) -> tuple[float, int]:
-    if isinstance(field, MatrixField):
-        parts = [field.entries[i][j] for i in range(field.dim) for j in range(field.dim)]
-    else:
-        parts = [field]
+def _field_period_and_alignment(field) -> tuple[int, int]:
+    parts = ([part for row in field.entries for part in row]
+             if isinstance(field, MatrixField) else [field])
     periods = []
     for part in parts:
         p = part.period
         if p is None:
             raise ValueError("field is not periodic; use the window estimator instead")
-        q = int(round(p))
-        if abs(p - q) > 1e-12 or q < 1:
+        q = nearest_integer(p)
+        if q is None or q < 1:
             raise ValueError(f"unsupported non-integer period {p}")
         periods.append(q)
-    return (float(math.lcm(*periods)),
+    return (math.lcm(*periods),
             math.lcm(*(part.alignment_divisor for part in parts)))
 
 
-def _check_alignment(resolution: int, divisor: int):
+def is_periodic(field: ScalarField | MatrixField) -> bool:
+    """Whether cell solves apply: every part has an integer period."""
+    try:
+        _field_period_and_alignment(field)
+    except ValueError:
+        return False
+    return True
+
+
+def torus_grid(field: ScalarField | MatrixField, resolution: int) -> Grid:
+    """One period of a periodic field as a torus at ``resolution`` cells per
+    unit. ValueError when the field is not periodic or a phase boundary
+    would fall inside an element."""
+    period, divisor = _field_period_and_alignment(field)
     if resolution % divisor != 0:
         raise ValueError(f"resolution {resolution} must be a multiple of {divisor} "
                          "so phase boundaries land on element boundaries")
-
-
-def _torus_grid(field: ScalarField | MatrixField, resolution: int) -> Grid:
-    """One period of a periodic field as a torus at ``resolution`` cells per
-    unit, after the periodicity and phase-alignment checks."""
-    period, divisor = _field_period_and_alignment(field)
-    _check_alignment(resolution, divisor)
     return build_grid(field.dim, cells_across(period, resolution),
                       (0.0,) * field.dim, period, TORUS)
 
@@ -126,7 +131,7 @@ def homogenize_matrix(field: ScalarField | MatrixField,
                       resolution: int) -> HomogenizedResult:
     """Homogenized matrix of a periodic quadratic energy at the given
     cells-per-unit resolution."""
-    grid = _torus_grid(field, resolution)
+    grid = torus_grid(field, resolution)
     return homogenize_coefficients(grid, element_coefficients(field, grid),
                                    field.bounds)
 
@@ -183,7 +188,7 @@ def p_energy_result(coeff: ScalarField, p: float, xis,
     One period of the field is built and evaluated once; each direction is
     then one L-BFGS minimization, checked against the growth sandwich.
     """
-    grid = _torus_grid(coeff, resolution)
+    grid = torus_grid(coeff, resolution)
     dim = grid.dim
     a_e = element_coefficients(coeff, grid)
     b = coeff.bounds

@@ -19,9 +19,10 @@ only when those keys are valid.  A ``ValueError`` it raises (often the
 library's own rule, such as a constructor's bounds check) becomes a
 violation at its first key, or at the path a ``_Bad`` names, and marks the
 keys it read invalid so that checks depending on them stay quiet.
-Validation builds the fields and applies the solver preconditions
-(periodicity, grid alignment, window and hole resolution), so a spec that
-parses does not fail inside a solver for a reason the schema could catch.
+Validation builds the fields and calls the runs' own preconditions (1D or
+2D grids, ``cell.torus_grid``, ``stability.check_hom_resolution``, window,
+hole and flip resolution), so a spec that parses does not fail inside a run
+for a reason the schema could catch.
 """
 
 from __future__ import annotations
@@ -34,16 +35,16 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .cell import _check_alignment, _field_period_and_alignment
+from .cell import is_periodic, torus_grid
 from .fields import (BallSupport, CheckerboardFamily, Constant,
                      EnergyDensity, FieldBounds, HalfSpaceStep, LpDecay,
                      PeriodicStep, Perturbed, PowerOfTwoCells,
                      RandomCheckerboard, STATISTIC_RESOLUTION,
                      TrigPolynomialClamped, constant_matrix)
-from .numerics import cells_across
+from .numerics import MAX_DIM, cells_across
 from .perforation import PerforationSet, SparseRemoval, check_hole_resolution
 from .rve import MIN_WINDOW_CELLS
-from .stability import _is_periodic, check_flip_alignment
+from .stability import check_flip_alignment, check_hom_resolution
 
 __all__ = [
     "SpecError", "SpecValidationError", "ExperimentSpec",
@@ -349,16 +350,16 @@ def _cells(key: str, sizes, resolution: int, name: str, minimum: int = 1):
 
 
 def _cell_solvable(resolutions, field, p):
-    """``cell``'s own preconditions: a periodic field, and every resolution
-    a multiple of the field's alignment divisor."""
+    """``cell``'s own precondition: ``cell.torus_grid`` at every resolution."""
     coeff = build_density(field, p).coeff
     try:
-        _, divisor = _field_period_and_alignment(coeff)
+        for resolution in resolutions:
+            torus_grid(coeff, resolution)
     except ValueError as e:
+        if is_periodic(coeff):
+            raise
         raise _Bad("field.type", f"cell solves need a periodic field: {e}"
                    ) from None
-    for resolution in resolutions:
-        _check_alignment(resolution, divisor)
 
 
 def _pair(p, field, field_g):
@@ -373,20 +374,15 @@ def _pair(p, field, field_g):
                                    "or both be scalar fields")
 
 
-def _even(hom_resolution):
-    if hom_resolution % 2:
-        raise ValueError("must be even (the convergence gap needs a "
-                         "half-resolution solve)")
-
-
-def _hom_aligned(hom_resolution, field, field_g, p):
-    """Periodic pairs are cell-solved at hom_resolution and half of it."""
+def _hom_solvable(hom_resolution, field, field_g, p):
+    """A periodic density of the pair is cell-solved at hom_resolution and
+    half of it, with the checks ``run_stability_pair`` makes, in its order."""
     for node in (field, field_g):
-        density = build_density(node, p)
-        if _is_periodic(density):
-            _, divisor = _field_period_and_alignment(density.coeff)
+        coeff = build_density(node, p).coeff
+        if is_periodic(coeff):
+            check_hom_resolution(hom_resolution)
             for resolution in (hom_resolution, hom_resolution // 2):
-                _check_alignment(resolution, divisor)
+                torus_grid(coeff, resolution)
 
 
 def _lambda_holes(eps_list, radius, lambda_resolution):
@@ -440,7 +436,7 @@ _RULES = ("power_of_two", "ball", "lp_decay")
 _BOUNDS = {"alpha": _number(1.0, gt=0.0), "beta": _number(4.0, gt=0.0)}
 _CHECKERBOARD = {"values": _number_list(min_len=2),
                  "probability": _number(0.5, ge=0.0, le=1.0), **_BOUNDS,
-                 "dim": _integer(2, ge=1),
+                 "dim": _integer(2, ge=1, le=MAX_DIM),
                  "flip": _node(("power_of_two",), default=None)}
 _COMMON = {"out": _string("out")}
 _FIELD_KEYS = {"field": _node(_FIELD), "p": _number(2.0, gt=1.0),
@@ -452,13 +448,13 @@ _FAMILY = _node(("checkerboard_family",), type_default="checkerboard_family")
 _ROWS = {
     # fields: a ValueError from the constructor lands at its first key
     "constant": _Row(
-        {"value": _number(), **_BOUNDS, "dim": _integer(1, ge=1)},
+        {"value": _number(), **_BOUNDS, "dim": _integer(1, ge=1, le=MAX_DIM)},
         (_bounds,),
         lambda value, alpha, beta, dim: Constant(
             value, FieldBounds(alpha, beta), dim)),
     "periodic_step": _Row(
         {"subdivisions": _integer(ge=1), "values": _number_list(), **_BOUNDS,
-         "dim": _integer(2, ge=1, le=2)},
+         "dim": _integer(2, ge=1, le=MAX_DIM)},
         (_bounds,),
         lambda values, subdivisions, alpha, beta, dim: PeriodicStep(
             subdivisions, values, FieldBounds(alpha, beta), dim=dim)),
@@ -471,19 +467,19 @@ _ROWS = {
                                flip_cells=_build(flip))),
     "half_space": _Row(
         {"gamma": _number(), "c": _number(), **_BOUNDS,
-         "dim": _integer(1, ge=1)},
+         "dim": _integer(1, ge=1, le=MAX_DIM)},
         (_bounds,),
         lambda gamma, c, alpha, beta, dim: HalfSpaceStep(
             gamma, c, FieldBounds(alpha, beta), dim)),
     "trig": _Row(
         {"offset": _number(), "terms": (_trig_terms, _REQUIRED), **_BOUNDS,
-         "dim": _integer(1, ge=1)},
+         "dim": _integer(1, ge=1, le=MAX_DIM)},
         (_bounds, _trig_shape),
         lambda terms, offset, alpha, beta, dim: TrigPolynomialClamped(
             offset, terms, FieldBounds(alpha, beta), dim)),
     "matrix": _Row(
         {"entries": (_matrix_entries, _REQUIRED), **_BOUNDS,
-         "dim": _integer(2, ge=1)},
+         "dim": _integer(2, ge=1, le=MAX_DIM)},
         (_bounds,),
         lambda entries, alpha, beta, dim: constant_matrix(
             entries, FieldBounds(alpha, beta), dim)),
@@ -539,7 +535,7 @@ _ROWS = {
          lambda window_sizes, resolution_per_unit, R_list: _cells(
              "window_sizes", window_sizes, resolution_per_unit,
              "resolution_per_unit", MIN_WINDOW_CELLS),
-         _even, _hom_aligned)),
+         _hom_solvable)),
     "perforation": _Row(
         {**_COMMON, "shape": _string("ball", ("ball", "square")),
          "radius": _number(0.25, ge=0.0, lt=0.5),

@@ -594,9 +594,9 @@ def element_coefficients(coeff: ScalarField | MatrixField,
     return eval_scalar(coeff, centers)
 
 
-def _window_points(R: float, resolution_per_unit: int, dim: int, center,
-                   cell_side: float | None = None
-                   ) -> tuple[np.ndarray, np.ndarray | None]:
+def window_points(R: float, resolution_per_unit: int, dim: int, center,
+                  cell_side: float | None = None
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """Midpoint quadrature nodes of the cube window Q_R(center), as (m, dim)
     points and integer weights.
 
@@ -661,7 +661,7 @@ def _matrix_values(density: EnergyDensity, pts: np.ndarray) -> np.ndarray:
     return a[:, None, None] * np.eye(density.dim)
 
 
-def _check_pair(f: EnergyDensity, g: EnergyDensity, t: float):
+def check_pair(f: EnergyDensity, g: EnergyDensity, t: float):
     """The arguments every window statistic of a density pair needs."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -682,9 +682,9 @@ def mean_abs_statistic(f: EnergyDensity, g: EnergyDensity, t: float, R: float,
     are summed once per cell of the finer lattice, weighted by how many of
     them the cell holds: t^p * sum(w sup) / sum(w).
     """
-    _check_pair(f, g, t)
-    pts, weights = _window_points(R, resolution_per_unit, f.dim, center,
-                                  _common_cell_side(f, g))
+    check_pair(f, g, t)
+    pts, weights = window_points(R, resolution_per_unit, f.dim, center,
+                                 _common_cell_side(f, g))
     if f.is_matrix or g.is_matrix:
         D = _matrix_values(f, pts) - _matrix_values(g, pts)
         sup = np.abs(D[:, 0, 0]) if f.dim == 1 else _sym_spectral_radius_2x2(D)

@@ -68,6 +68,7 @@ import numpy as np
 
 TORUS = "torus"
 BOX = "box"
+MAX_DIM = 2  # grids are 1D or 2D
 
 _DUPLICATE_TOL = 1e-12
 
@@ -126,8 +127,8 @@ class Grid:
     topology: str
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must be between 1 and {MAX_DIM}, got {self.dim}")
         if self.cells_per_axis < 2:
             raise ValueError(f"cells_per_axis must be >= 2, got {self.cells_per_axis}")
         if not self.side_length > 0:

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cell import HomogenizedResult, homogenize_coefficients
-from .fields import FieldBounds, _window_points, power_of_two_cells
+from .fields import FieldBounds, power_of_two_cells, window_points
 from .numerics import (BOX, TORUS, Grid, build_grid, cells_across, element_ops,
                        solve_corrector)
-from .rve import _window_grid
+from .rve import window_grid
 
 MIN_CELLS_ACROSS_HOLE = 8
 
@@ -98,7 +98,7 @@ def volume_fraction(E: PerforationSet, R: float, resolution: int) -> float:
     unless theta lies in (0, 1]."""
     if R < 4:
         raise ValueError(f"window must be at least 4, got {R}")
-    pts, _ = _window_points(R, resolution, 2, None)
+    pts, _ = window_points(R, resolution, 2, None)
     theta = 1.0 - float(np.mean(E.membership(pts)))
     if not 0.0 < theta <= 1.0:
         raise RuntimeError(f"volume fraction {theta} escapes (0, 1]; "
@@ -109,7 +109,7 @@ def volume_fraction(E: PerforationSet, R: float, resolution: int) -> float:
 def symmetric_difference_density(E: PerforationSet, E2: PerforationSet,
                                  R: float, resolution: int) -> float:
     """Element-center estimate of |(E xor E2) ∩ Q_R| / R^2."""
-    pts, _ = _window_points(R, resolution, 2, None)
+    pts, _ = window_points(R, resolution, 2, None)
     return float(np.mean(E.membership(pts) != E2.membership(pts)))
 
 
@@ -177,7 +177,7 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi,
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
     check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
-    grid, center = _window_grid(2, x0, R, resolution)
+    grid, center = window_grid(2, x0, R, resolution)
     active_el = ~E.membership(grid.element_centers())
     coeff = active_el.astype(float)
     [(u, _)] = solve_corrector(grid, coeff, [xi], center=center, active=active_el)

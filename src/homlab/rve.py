@@ -64,7 +64,8 @@ def _window_center(dim: int, x0) -> np.ndarray:
     return np.broadcast_to(np.asarray(x0, dtype=float), (dim,)).astype(float)
 
 
-def _window_grid(dim: int, x0, R: float, resolution_per_unit: int):
+def window_grid(dim: int, x0, R: float, resolution_per_unit: int):
+    """The box grid of Q_R(x0), >= MIN_WINDOW_CELLS cells across, and x0."""
     n = cells_across(R, resolution_per_unit)
     if n < MIN_WINDOW_CELLS:
         raise ValueError(f"window needs at least {MIN_WINDOW_CELLS} cells "
@@ -90,7 +91,7 @@ def local_min_energy(f: EnergyDensity, x0, R: float, xi,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
-    grid, center = _window_grid(dim, x0, R, resolution_per_unit)
+    grid, center = window_grid(dim, x0, R, resolution_per_unit)
     coeff = element_coefficients(f.coeff, grid)
     if f.p != 2.0:
         g = interpolate_affine(grid, xi, center)
@@ -155,7 +156,7 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
-    grid, center = _window_grid(dim, x0, R, resolution_per_unit)
+    grid, center = window_grid(dim, x0, R, resolution_per_unit)
     coeff = element_coefficients(A, grid)
     [(u, _)] = solve_corrector(grid, coeff, [xi], center=center)
     ops = element_ops(grid)

@@ -18,14 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cell import (HomogenizedResult, _field_period_and_alignment,
-                   homogenize_coefficients, homogenize_matrix,
-                   homogenized_quadratic_form, p_energy_result)
+from .cell import (HomogenizedResult, homogenize_coefficients,
+                   homogenize_matrix, homogenized_quadratic_form,
+                   is_periodic, p_energy_result)
 from .fields import (Constant, EnergyDensity, FieldBounds, HalfSpaceStep,
                      PeriodicStep, STATISTIC_RESOLUTION,
-                     TrigPolynomialClamped, _check_pair, _window_points,
-                     eval_scalar, expectation_statistic, mean_abs_statistic,
-                     mix_seed)
+                     TrigPolynomialClamped, check_pair, eval_scalar,
+                     expectation_statistic, mean_abs_statistic, mix_seed,
+                     window_points)
 from .numerics import TORUS, GuardError, SolverError, build_grid, cells_across
 from .rve import WindowEstimate, window_sequence
 
@@ -34,6 +34,7 @@ __all__ = [
     "StochasticStabilityReport", "run_stability_pair",
     "run_approximation_scheme", "counterexample_suite",
     "stochastic_stability_experiment", "check_flip_alignment",
+    "check_hom_resolution",
     "signed_mean_statistic",
 ]
 
@@ -167,20 +168,12 @@ def signed_mean_statistic(f: EnergyDensity, g: EnergyDensity, t: float,
     by cancellation for pairs whose limits differ, which is exactly what the
     weak-mean-only counterexample demonstrates.
     """
-    _check_pair(f, g, t)
+    check_pair(f, g, t)
     if f.is_matrix or g.is_matrix:
         raise ValueError("signed means are defined for scalar-coefficient pairs")
-    pts, _ = _window_points(R, STATISTIC_RESOLUTION, f.dim, None)
+    pts, _ = window_points(R, STATISTIC_RESOLUTION, f.dim, None)
     diff = eval_scalar(f.coeff, pts) - eval_scalar(g.coeff, pts)
     return float(t ** f.p * diff.mean())
-
-
-def _is_periodic(density: EnergyDensity) -> bool:
-    try:
-        _field_period_and_alignment(density.coeff)
-    except ValueError:
-        return False
-    return True
 
 
 def _default_sample_xis(dim: int) -> tuple[tuple[float, ...], ...]:
@@ -234,12 +227,18 @@ def _cell_solve(density: EnergyDensity, resolution):
                            _default_sample_xis(density.dim), resolution)
 
 
-def _cell_estimate(density: EnergyDensity, resolution):
-    """Cell solve plus the half-resolution convergence gap that calibrates
-    the comparison tolerance."""
+def check_hom_resolution(resolution: int):
+    """Periodic densities are cell-solved at ``resolution`` and at half of
+    it, so it must be even; ValueError otherwise."""
     if resolution < 2 or resolution % 2:
         raise ValueError(f"cell resolution {resolution} must be even so the "
                          "half-resolution convergence gap can be observed")
+
+
+def _cell_estimate(density: EnergyDensity, resolution):
+    """Cell solve plus the half-resolution convergence gap that calibrates
+    the comparison tolerance."""
+    check_hom_resolution(resolution)
     fine = _cell_solve(density, resolution)
     coarse = _cell_solve(density, resolution // 2)
     return fine, _pair_discrepancy(fine, coarse, density.p)
@@ -263,12 +262,9 @@ def run_stability_pair(f: EnergyDensity, g: EnergyDensity, t_list=None,
     if f.is_matrix != g.is_matrix or f.p != g.p:
         raise ValueError("f and g must share one energy form: both scalar or "
                          "both matrix coefficients, at equal p")
-    if f.dim != g.dim:
-        raise ValueError("f and g must share the dimension")
     if f.bounds != g.bounds:
         raise ValueError("f and g must share bounds")
     p = f.p
-    dim = f.dim
 
     R_list = [float(R) for R in R_list]
     if len(R_list) < 3:
@@ -278,8 +274,8 @@ def run_stability_pair(f: EnergyDensity, g: EnergyDensity, t_list=None,
     if t_list is None:
         t_list = (1.0,) if p == 2.0 else (1.0, 2.0)
     t_list = [float(t) for t in t_list]
-    if not t_list or any(t <= 0 for t in t_list):
-        raise ValueError("t values must be positive")
+    # the dimensions, and every t positive (an empty list reads as t = 0)
+    check_pair(f, g, min(t_list, default=0.0))
 
     t0 = t_list[0]
     psis = [mean_abs_statistic(f, g, t0, R, statistic_resolution)
@@ -300,9 +296,9 @@ def run_stability_pair(f: EnergyDensity, g: EnergyDensity, t_list=None,
 
     def estimate(density, which):
         try:
-            if _is_periodic(density):
+            if is_periodic(density.coeff):
                 return _cell_estimate(density, hom_resolution)
-            est = window_sequence(density, x0, np.eye(dim)[0], windows,
+            est = window_sequence(density, x0, np.eye(f.dim)[0], windows,
                                   resolution_per_unit)
             return est, est.cauchy_gap
         except SolverError as e:

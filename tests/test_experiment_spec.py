@@ -209,6 +209,49 @@ class TestParsing:
         assert "multiple of 3" in violations[0].message
         assert validate_document(doc(dict(tree, hom_resolution=96))) == []
 
+    HALF_SPACE_G = {"type": "half_space", "gamma": 2, "c": 0.25}
+
+    def test_hom_resolution_rules_apply_to_periodic_pairs_only(self):
+        # run_stability_pair cell-solves periodic densities only, at
+        # hom_resolution and half of it; window-estimated pairs ignore it
+        tree = {"kind": "stability", "field": self.HALF_SPACE,
+                "field_g": self.HALF_SPACE_G, "hom_resolution": 33}
+        assert validate_document(doc(tree)) == []
+        for field, resolution, message in [
+                (self.STEP_1D, 33, "must be even"),
+                # half of 2 is one cell per period, too few for a torus
+                ({"type": "constant", "value": 2}, 2, "cells_per_axis")]:
+            violations = validate_document(doc(dict(
+                tree, field_g=field, hom_resolution=resolution)))
+            assert [v.path for v in violations] == ["hom_resolution"]
+            assert message in violations[0].message
+
+    CUBE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+
+    @pytest.mark.parametrize("tree, path", [
+        ({"kind": "cell", "field": {"type": "constant", "value": 2}},
+         "field.dim"),
+        ({"kind": "cell", "field": {"type": "matrix", "entries": CUBE}},
+         "field.dim"),
+        ({"kind": "rve", "field": {"type": "random_checkerboard",
+                                   "values": [1, 4]}}, "field.dim"),
+        ({"kind": "rve", "field": HALF_SPACE}, "field.dim"),
+        ({"kind": "rve", "field": {"type": "trig", "offset": 2,
+                                   "terms": [[0.5, [1, 0, 0], 0]]}},
+         "field.dim"),
+        ({"kind": "stochastic", "family": {"values": [1, 4]},
+          "family_g": {"values": [1, 4], "dim": 2}}, "family.dim"),
+    ], ids=["constant", "matrix", "random_checkerboard", "half_space", "trig",
+            "checkerboard_family"])
+    def test_dim_above_the_grids_is_one_violation(self, tree, path):
+        # numerics grids are 1D or 2D; a dim 3 field used to validate and
+        # then exit 2 with "dim must be 1 or 2"
+        node = path.split(".")[0]
+        tree = {**tree, node: {**tree[node], "dim": 3}}
+        violations = validate_document(doc(tree))
+        assert [v.path for v in violations] == [path]
+        assert violations[0].message == "value must be <= 2, got 3"
+
     def test_stability_pair_shares_one_energy_form(self):
         tree = {"kind": "stability",
                 "field": {"type": "matrix", "entries": [[2, 0], [0, 2]]},

@@ -22,7 +22,6 @@ from homlab.fields import (
     RandomCheckerboard,
     ScalarField,
     TrigPolynomialClamped,
-    _window_points,
     checkerboard_step,
     constant_matrix,
     element_coefficients,
@@ -32,6 +31,7 @@ from homlab.fields import (
     mean_abs_statistic,
     mix_seed,
     rule_mean_abs_bound,
+    window_points,
 )
 from homlab.numerics import TORUS, build_grid, is_symmetric
 from homlab.stability import run_stability_pair
@@ -388,7 +388,7 @@ class TestCellConstantStatistic:
 
 
 def _reference_window_points(R, res, dim, center, cell_side):
-    """The per-dimension construction of ``_window_points``, written out for
+    """The per-dimension construction of ``window_points``, written out for
     dims 1 and 2."""
     n = int(round(R * res))
     h = R / n
@@ -417,7 +417,7 @@ class TestWindowPoints:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_reference(self, dim, R, res, c, cell_side):
         center = None if c == 0.0 else (c, -0.5 * c)[:dim]
-        pts, weights = _window_points(R, res, dim, center, cell_side)
+        pts, weights = window_points(R, res, dim, center, cell_side)
         want_pts, want_weights = _reference_window_points(R, res, dim, center, cell_side)
         np.testing.assert_array_equal(pts, want_pts, strict=True)
         if cell_side is None:

@@ -7,7 +7,9 @@ artifact writer, one type describes every energy density, plots have one x
 axis, and grid arrays take their tensor layout from one helper pair, and
 result records hold only fields that something reads, and the solve path
 takes no solver options: symmetry is read from the coefficients, and every
-term of the equation reaches the solve kernel per element."""
+term of the equation reaches the solve kernel per element, and ``validate``
+calls the runs' own rules instead of borrowing private helpers or copying
+them."""
 
 import importlib
 import importlib.util
@@ -170,7 +172,7 @@ def test_evaluations_call_no_einsum(monkeypatch):
     from homlab.fields import FieldBounds, checkerboard_step, eval_scalar
 
     field = checkerboard_step(1.0, 4.0, FieldBounds(1.0, 4.0))
-    grid = cell._torus_grid(field, 8)
+    grid = cell.torus_grid(field, 8)
     coeff = eval_scalar(field, grid.element_centers())
     numerics.element_ops(grid)
     calls = []
@@ -260,6 +262,26 @@ def test_result_records_hold_only_read_fields():
     assert not hasattr(perforation, "VolumeFraction")
     assert not hasattr(cell, "_p_energy_solve")
     assert not hasattr(stability.ApproximationTrace, "summary")
+
+
+def test_run_rules_have_one_home():
+    # validate calls the rules the runs apply (cell.torus_grid,
+    # stability.check_hom_resolution, numerics.MAX_DIM) instead of keeping
+    # copies, and no module borrows another's private helper
+    import ast
+
+    from homlab import cell, experiment_spec, perforation, stability
+
+    for module in (experiment_spec, stability, perforation):
+        tree = ast.parse(inspect.getsource(module))
+        borrowed = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or node.module.startswith("homlab"))
+                    for alias in node.names if alias.name.startswith("_")]
+        assert borrowed == [], module.__name__
+    assert not hasattr(experiment_spec, "_even")
+    assert not hasattr(stability, "_is_periodic")
+    assert not hasattr(cell, "_check_alignment")
 
 
 def test_solve_path_takes_no_knobs():
