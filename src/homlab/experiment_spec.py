@@ -20,9 +20,10 @@ library's own rule, such as a constructor's bounds check) becomes a
 violation at its first key, or at the path a ``_Bad`` names, and marks the
 keys it read invalid so that checks depending on them stay quiet.
 Validation builds the fields and calls the runs' own preconditions (1D or
-2D grids, ``cell.torus_grid``, ``stability.check_hom_resolution``, window,
-hole and flip resolution), so a spec that parses does not fail inside a run
-for a reason the schema could catch.
+2D grids, ``cell.torus_grid``, ``stability.check_hom_resolution``,
+``perforation.lambda_box_grid``, window, hole and flip resolution), so a
+spec that parses does not fail inside a run for a reason the schema could
+catch.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from .fields import (BallSupport, CheckerboardFamily, Constant,
                      PeriodicStep, Perturbed, PowerOfTwoCells,
                      RandomCheckerboard, STATISTIC_RESOLUTION,
                      TrigPolynomialClamped, constant_matrix)
-from .numerics import MAX_DIM, cells_across
-from .perforation import PerforationSet, SparseRemoval, check_hole_resolution
+from .numerics import MAX_DIM, cells_across, nearest_integer
+from .perforation import (PerforationSet, SparseRemoval, check_hole_resolution,
+                          lambda_box_grid)
 from .rve import MIN_WINDOW_CELLS
 from .stability import check_flip_alignment, check_hom_resolution
 
@@ -401,14 +403,12 @@ def _cell_holes(cell_resolution, radius, eps_list):
 
 
 def _lambda_box(box_size, lambda_resolution, eps_list):
-    # the lambda problem solves on a box of box_size * lambda_resolution cells
+    # the lambda problem solves on perforation.lambda_box_grid
     if eps_list:
-        try:
-            cells_across(box_size, lambda_resolution)
-        except ValueError:
+        if nearest_integer(box_size * lambda_resolution) is None:
             raise ValueError(f"{box_size:g} times lambda_resolution "
-                             f"{lambda_resolution} must be an integer"
-                             ) from None
+                             f"{lambda_resolution} must be an integer")
+        lambda_box_grid(box_size, lambda_resolution)
 
 
 def _flip_aligned(family, family_g, resolution_per_unit):

@@ -570,12 +570,12 @@ class EnergyDensity:
 def eval_scalar(field: ScalarField, pts) -> np.ndarray:
     """Evaluate and enforce the bounds contract.
 
-    A value outside the bounds is a broken field, not bad input: it raises
-    GuardError, which the CLI reports as a soundness-guard failure.
+    A value outside the bounds, or NaN, is a broken field, not bad input: it
+    raises GuardError, which the CLI reports as a soundness-guard failure.
     """
     v = field.values(pts)
     b = field.bounds
-    if np.any(v < b.alpha - 1e-12) or np.any(v > b.beta + 1e-12):
+    if not (np.all(v >= b.alpha - 1e-12) and np.all(v <= b.beta + 1e-12)):
         raise GuardError(f"field values escaped bounds [{b.alpha}, {b.beta}]: "
                          f"range [{v.min():.6g}, {v.max():.6g}]")
     return v

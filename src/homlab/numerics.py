@@ -4,10 +4,11 @@ Grids are uniform in 1D (linear elements) and 2D (bilinear elements) with two
 topologies: a torus that identifies opposite faces (periodic cell problems)
 and a box that carries Dirichlet data (window estimators, truncated domains).
 Coefficients are sampled once per element at its center, so discontinuous
-microstructures are represented as element-wise constants; the gradient
-bilinear forms themselves are integrated with a 2x2 Gauss rule per element,
-which is exact for bilinear elements and keeps the assembled stiffness free of
-spurious zero-energy modes.
+microstructures are represented as element-wise constants. The reference
+element is the tensor product of the two-node 1D element; its stiffness,
+mass and every energy are integrated with the 2-point Gauss rule on each
+axis in every dimension, which is exact for the stiffness and the mass and
+keeps the assembled stiffness free of spurious zero-energy modes.
 
 Every array on a grid (nodes, elements, the stencil, the spectral symbol,
 window points) is a tensor product of per-axis data, stored with x fastest.
@@ -76,6 +77,7 @@ _DUPLICATE_TOL = 1e-12
 _REL_TOLERANCE = 1e-10          # Krylov: residual relative to the rhs
 _GRAD_TOLERANCE = 1e-8          # L-BFGS: Euclidean gradient norm
 _ITERATIONS_PER_UNKNOWN = 20    # every solver's iteration cap
+# every tolerance test below is written so that a NaN value fails it
 
 
 class SolverError(RuntimeError):
@@ -233,31 +235,25 @@ def interpolate_affine(grid: Grid, xi, center=None) -> np.ndarray:
     return coords @ xi
 
 
-# Reference-element data. 2x2 Gauss per element in 2D, midpoint in 1D (exact
-# there since gradients are element-constant).
+# Reference-element data. The Q1 element on the unit cube is the tensor
+# product of the two-node 1D element, integrated with the 2-point Gauss rule
+# on each axis in every dimension: exact for the mass and the stiffness.
 
-_G1 = 0.5 - 0.5 / np.sqrt(3.0)
-_G2 = 0.5 + 0.5 / np.sqrt(3.0)
-
-
-def _reference_quadrature(dim: int):
-    """Points (n_q, dim), weights (n_q,) on the unit reference element."""
-    if dim == 1:
-        return np.array([[0.5]]), np.array([1.0])
-    pts = np.array([[_G1, _G1], [_G2, _G1], [_G1, _G2], [_G2, _G2]])
-    wts = np.full(4, 0.25)
-    return pts, wts
+_GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 
-def _reference_gradients(dim: int, pts: np.ndarray) -> np.ndarray:
-    """d(phi_a)/d(xi_k) at quadrature points, shape (n_q, dim, 2**dim)."""
-    if dim == 1:
-        return np.tile(np.array([[[-1.0, 1.0]]]), (len(pts), 1, 1))
-    out = np.empty((len(pts), 2, 4))
-    for q, (x, y) in enumerate(pts):
-        out[q, 0] = [-(1 - y), (1 - y), -y, y]
-        out[q, 1] = [-(1 - x), -x, (1 - x), x]
-    return out
+def _reference_element(dim: int):
+    """Weights (n_q,), shape values (n_q, 2**dim) and gradients
+    (n_q, dim, 2**dim) at the Gauss points of the unit reference element,
+    corners x fastest like ``Grid.element_nodes``. Corner c has the factor
+    1 - t (c_k = 0) or t (c_k = 1) and the slope 2 c_k - 1 on axis k."""
+    pts = tensor_points([_GAUSS] * dim)[:, None, :]             # [q, 1, k]
+    corners = tensor_points([np.array([0.0, 1.0])] * dim)       # [a, k]
+    factor = np.where(corners > 0, pts, 1 - pts)                # [q, a, k]
+    grads = np.stack([(2 * corners[:, k] - 1)
+                      * np.delete(factor, k, axis=2).prod(axis=2)
+                      for k in range(dim)], axis=1)
+    return np.full(2 ** dim, 0.5 ** dim), factor.prod(axis=2), grads
 
 
 def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -481,8 +477,7 @@ class ElementOps:
 @lru_cache(maxsize=8)
 def element_ops(grid: Grid) -> ElementOps:
     dim, n_loc = grid.dim, 2 ** grid.dim
-    pts, wts = _reference_quadrature(dim)
-    grad_ref = _reference_gradients(dim, pts)
+    wts, phi, grad_ref = _reference_element(dim)
     # stiff_blocks[k, l, a, b] = int_e d_k phi_a d_l phi_b dx; h-independent in
     # 2D (h^d * h^-2), 1/h in 1D.
     scale = grid.h ** dim / grid.h ** 2
@@ -494,15 +489,7 @@ def element_ops(grid: Grid) -> ElementOps:
     point_sum = np.kron(np.eye(len(wts)), np.ones((dim, 1)))
     grad_matrix_t = np.ascontiguousarray(grad_matrix.T)
     point_spread = np.ascontiguousarray(point_sum.T)
-    if dim == 1:
-        mass = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    else:
-        pts_m, wts_m = _reference_quadrature(2)
-        phi = np.column_stack([(1 - pts_m[:, 0]) * (1 - pts_m[:, 1]),
-                               pts_m[:, 0] * (1 - pts_m[:, 1]),
-                               (1 - pts_m[:, 0]) * pts_m[:, 1],
-                               pts_m[:, 0] * pts_m[:, 1]])
-        mass = np.einsum("q,qa,qb->ab", wts_m, phi, phi)
+    mass = np.einsum("q,qa,qb->ab", wts, phi, phi)
     arrays = (wts, grad_matrix, mean_grad_matrix, point_sum, grad_matrix_t,
               point_spread, blocks, mass)
     for arr in arrays:
@@ -525,7 +512,7 @@ class SparseSystem:
             scale = np.abs(self.matrix.data).max() if self.matrix.nnz else 0.0
             defect = np.abs((self.matrix - self.matrix.T).data)
             worst = defect.max() if defect.size else 0.0
-            if worst > _DUPLICATE_TOL * max(scale, 1e-300):
+            if not worst <= _DUPLICATE_TOL * max(scale, 1e-300):
                 raise ValueError(
                     f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
                     f"exceeds {_DUPLICATE_TOL:.0e} * |M|_max = {_DUPLICATE_TOL * scale:.3e}")
@@ -576,7 +563,7 @@ def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
     if mean_zero:
         x -= x.mean()
     true_res = float(np.linalg.norm(b - A @ x))
-    if true_res > 10 * tol:
+    if not true_res <= 10 * tol:
         raise SolverError(f"{name}: true residual {true_res:.3e} exceeds 10x the "
                           f"target {tol:.3e} after {it} iterations")
     return x, SolveStats(it, true_res)
@@ -626,7 +613,7 @@ def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
         rz = rz_new
         it += 1
         res = float(np.linalg.norm(r))
-    if res > tol:
+    if not res <= tol:
         raise SolverError(f"cg_solve: no convergence in {it} iterations "
                           f"(residual {res:.3e}, target {tol:.3e})")
     return x, it
@@ -678,7 +665,7 @@ def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
             raise SolverError(f"krylov_solve_nonsymmetric: breakdown at iteration {it}")
         alpha = rho_new / denom
         s = r - alpha * v
-        if np.linalg.norm(s) <= tol:
+        if not np.linalg.norm(s) > tol:
             x = x + alpha * p_hat
             r = s
             it += 1
@@ -693,7 +680,7 @@ def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
         r = s - omega * t
         rho = rho_new
         it += 1
-        if np.linalg.norm(r) <= tol:
+        if not np.linalg.norm(r) > tol:
             break
     return x, it
 
@@ -1058,7 +1045,7 @@ def minimize_p_energy(problem: PEnergyProblem,
                 break
         else:
             stalled = 0
-    if g_norm > tol and not floor_hit:
+    if not g_norm <= tol and not floor_hit:
         raise SolverError(f"minimize_p_energy: no convergence in {it} iterations "
                           f"(grad norm {g_norm:.3e}, target {tol:.3e})")
     return problem.full_vector(u), SolveStats(it, g_norm)

@@ -124,6 +124,14 @@ def check_hole_resolution(radius: float, resolution: int,
             f"elements across a hole of diameter {2 * radius:g}")
 
 
+def lambda_box_grid(box_size: float, resolution: int) -> Grid:
+    """The lambda problem's zero-Dirichlet box: side ``box_size``, centered
+    at the origin, at ``resolution`` cells per unit."""
+    half = box_size / 2.0
+    return build_grid(2, cells_across(box_size, resolution), (-half, -half),
+                      box_size, BOX)
+
+
 def _hole_cell(E: PerforationSet, resolution: int) -> tuple[Grid, np.ndarray]:
     """The unit torus at ``resolution`` elements per unit and which of its
     elements have their centre in a hole; checks the hole resolution first."""
@@ -327,9 +335,7 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
         if not 0.0 < eps <= 1.0:
             raise ValueError(f"epsilon must lie in (0, 1], got {eps}")
         check_hole_resolution(E.radius * eps, resolution)
-    half = box_size / 2.0
-    grid = build_grid(2, cells_across(box_size, resolution), (-half, -half),
-                      box_size, BOX)
+    grid = lambda_box_grid(box_size, resolution)
     centers = grid.element_centers()
     f_el = np.asarray(source(centers), dtype=float)
 

@@ -303,6 +303,10 @@ class TestParsing:
         tree = {"kind": "perforation", "box_size": 1.01,
                 "lambda_resolution": 64, "eps_list": [0.5]}
         assert [v.path for v in validate_document(doc(tree))] == ["box_size"]
+        # 0.015625 * 64 is one cell, and the box grid needs two; this used to
+        # validate and then fail after the masked and penalized solves
+        tiny = {**tree, "box_size": 0.015625}
+        assert [v.path for v in validate_document(doc(tiny))] == ["box_size"]
         # the box is built only when the lambda problem runs
         assert validate_document(doc({**tree, "eps_list": []})) == []
         # the benchmark's boxes: 2.0 x 160 and 2.0 x 64

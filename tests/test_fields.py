@@ -33,7 +33,7 @@ from homlab.fields import (
     rule_mean_abs_bound,
     window_points,
 )
-from homlab.numerics import TORUS, build_grid, is_symmetric
+from homlab.numerics import TORUS, GuardError, build_grid, is_symmetric
 from homlab.stability import run_stability_pair
 
 B14 = FieldBounds(1.0, 4.0)
@@ -72,6 +72,18 @@ class TestEvaluation:
 
         with pytest.raises(RuntimeError, match="escaped bounds"):
             eval_scalar(Escaping(B14), np.array([0.25, 0.75]))
+
+    def test_nan_values_fail_the_bounds_guard(self):
+        @dataclass(frozen=True)
+        class Broken(ScalarField):
+            bounds: FieldBounds
+            dim: int = 1
+
+            def values_impl(self, pts):
+                return np.where(pts[:, 0] < 0.5, 2.0, np.nan)
+
+        with pytest.raises(GuardError, match="escaped bounds"):
+            eval_scalar(Broken(B14), np.array([0.25, 0.75]))
 
     def test_half_space_step_bounds_guard(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ scipy.optimize on an energy evaluated by straight Riemann sums.
 """
 
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -211,6 +212,11 @@ class TestSparseSystem:
             SparseSystem(mat, symmetric=True)
         SparseSystem(mat, symmetric=False)
 
+    def test_nan_entry_fails_the_symmetry_check(self):
+        mat = sp.csr_matrix(np.diag([2.0, np.nan, 2.0]))
+        with pytest.raises(ValueError, match="declared symmetric"):
+            SparseSystem(mat, symmetric=True)
+
     def test_duplicates_are_merged(self):
         mat = sp.coo_matrix((np.array([1.0, 1.0]), (np.array([0, 0]), np.array([0, 0]))),
                             shape=(2, 2))
@@ -269,6 +275,12 @@ class TestCG:
         # of the converged iterate breaks the solution; the final check sees it
         with pytest.raises(SolverError, match="true residual"):
             cg_solve(A, b, mean_zero=True, preconditioner=jacobi(A))
+
+    def test_nan_iterate_fails_the_residual_test(self):
+        # a preconditioner that answers NaN makes every iterate NaN
+        A = SparseSystem(sp.diags(np.arange(1.0, 4.0)).tocsr(), symmetric=True)
+        with pytest.raises(SolverError, match="no convergence in 1 iterations"):
+            cg_solve(A, np.ones(3), preconditioner=lambda r: np.full_like(r, np.nan))
 
     def test_requires_a_preconditioner(self):
         A = SparseSystem(sp.csr_matrix(np.eye(3)), symmetric=True)
@@ -428,6 +440,39 @@ def _assert_rel(got, want, rtol=1e-13):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
+def test_reference_element_matches_closed_forms(dim):
+    """The Q1 element is the tensor product of the two-node 1D element: its
+    mass and stiffness blocks are Kronecker products (x fastest) of the 1D
+    mass M1, stiffness K1 and moment C1[a, b] = int phi_a' phi_b, to 1e-15;
+    the shape values form a partition of unity at every quadrature point."""
+    from homlab.numerics import _reference_element
+
+    M1 = np.array([[1.0, 0.5], [0.5, 1.0]]) / 3.0
+    K1 = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    C1 = np.array([[-0.5, -0.5], [0.5, 0.5]])
+
+    def kron(factors):
+        # factors[j] is the factor of axis j; x fastest puts axis 0 last
+        return reduce(np.kron, factors[::-1])
+
+    g = build_grid(dim, 4, (0.0,) * dim, 2.0, TORUS)
+    ops = element_ops(g)
+    np.testing.assert_allclose(ops.mass_ref, kron([M1] * dim), rtol=0, atol=1e-15)
+    for k, l in np.ndindex(dim, dim):
+        factors = [M1] * dim
+        if k == l:
+            factors[k] = K1
+        else:
+            factors[k], factors[l] = C1, C1.T
+        np.testing.assert_allclose(ops.stiff_blocks[k, l],
+                                   g.h ** (dim - 2) * kron(factors),
+                                   rtol=0, atol=1e-15)
+    _, phi, grad = _reference_element(dim)
+    np.testing.assert_allclose(phi.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(grad.sum(axis=2), 0.0, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("topology", [TORUS, BOX])
 def test_element_kernels_match_einsum(dim, topology):
     """Every per-element matrix product of ``ElementOps`` and
@@ -435,12 +480,12 @@ def test_element_kernels_match_einsum(dim, topology):
     gradients, to 1e-13 relative: scalar, symmetric-matrix and
     nonsymmetric-matrix coefficients; the box p-energy with free nodes and
     boundary data."""
-    from homlab.numerics import _reference_gradients, _reference_quadrature
+    from homlab.numerics import _reference_element
 
     g = build_grid(dim, 5, (0.3,) * dim, 2.0, topology)
     ops = element_ops(g)
-    pts, wts = _reference_quadrature(dim)
-    grad = _reference_gradients(dim, pts) / g.h                  # [q, k, a]
+    wts, _, grad = _reference_element(dim)
+    grad = grad / g.h                                            # [q, k, a]
     rng = np.random.default_rng(2 * dim + (topology == BOX))
     v = rng.standard_normal(g.n_nodes)
     xi = rng.standard_normal(dim)
@@ -703,6 +748,13 @@ class TestNonsymmetricKrylov:
                                              preconditioner=identity)
             assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
 
+    def test_nan_residual_stops_the_loop(self):
+        # a NaN residual ends the iteration at once (the cap here is 60), and
+        # the true-residual check rejects the NaN iterate
+        A = SparseSystem(sp.csr_matrix(np.diag([2.0, np.nan, 2.0])), symmetric=False)
+        with pytest.raises(SolverError, match="true residual nan .* after 1 iterations"):
+            krylov_solve_nonsymmetric(A, np.ones(3), preconditioner=identity)
+
     def test_nonsymmetric_torus_system(self):
         # weak form with a constant skew part; constants span both kernels, so
         # mean-zero compatibility carries over from the symmetric case
@@ -874,6 +926,13 @@ class TestPEnergy:
         u_cg = fixed.copy()
         u_cg[free] = u_i
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
+
+    def test_nan_coefficient_fails_the_gradient_test(self):
+        g = build_grid(1, 8, (0.0,), 1.0, TORUS)
+        coeff = np.ones(8)
+        coeff[3] = np.nan
+        with pytest.raises(SolverError, match="grad norm nan"):
+            minimize_p_energy(PEnergyProblem(g, coeff, 3.0, np.array([1.0])))
 
     def test_rejects_bad_parameters(self):
         g = build_grid(1, 8, (0.0,), 1.0, TORUS)

@@ -4,7 +4,8 @@ tracer wraps still exists, the experiment layer leaves the solver policy to
 (validating a spec and a p-energy cell run load no scipy, and a torus-only
 stochastic run no scipy.fft), the CLI's runners leave every write to its one
 artifact writer, one type describes every energy density, plots have one x
-axis, and grid arrays take their tensor layout from one helper pair, and
+axis, grid arrays take their tensor layout from one helper pair and the Q1
+reference element is one tensor product with no branch on the dimension, and
 result records hold only fields that something reads, and the solve path
 takes no solver options: symmetry is read from the coefficients, and every
 term of the equation reaches the solve kernel per element, and ``validate``
@@ -238,6 +239,34 @@ def test_grid_layout_has_one_home():
     for name in names:
         source = inspect.getsource(importlib.import_module(name))
         assert "np.meshgrid" not in source, name
+
+
+def test_reference_element_has_one_home():
+    # the Q1 element is one tensor product of the 1D element, so numerics
+    # compares no dim with an integer literal
+    import ast
+
+    from homlab import numerics
+
+    for name in ("_G1", "_G2", "_reference_quadrature", "_reference_gradients"):
+        assert not hasattr(numerics, name), name
+
+    def is_dim(node):
+        return ((isinstance(node, ast.Name) and node.id == "dim")
+                or (isinstance(node, ast.Attribute) and node.attr == "dim"))
+
+    def is_int(node):
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    branches = []
+    for node in ast.walk(ast.parse(inspect.getsource(numerics))):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            for op, a, b in zip(node.ops, operands, operands[1:]):
+                if (isinstance(op, (ast.Eq, ast.NotEq))
+                        and (is_dim(a) and is_int(b) or is_int(a) and is_dim(b))):
+                    branches.append(node.lineno)
+    assert branches == []
 
 
 def test_result_records_hold_only_read_fields():
