@@ -21,10 +21,15 @@ import numpy as np
 
 from .fields import FieldBounds, MatrixField, ScalarField, element_coefficients
 from .numerics import (
+    CELL_GROWTH_ATOL,
+    CELL_PAIRING_RTOL,
+    HOM_EIGEN_RTOL,
+    HOM_SYMMETRY_RTOL,
     TORUS,
     GuardError,
     Grid,
     PEnergyProblem,
+    agrees,
     build_grid,
     cells_across,
     element_ops,
@@ -33,8 +38,6 @@ from .numerics import (
     nearest_integer,
     solve_corrector,
 )
-
-_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass
@@ -70,13 +73,13 @@ class HomogenizedResult:
         if self.symmetric_input:
             defect = np.max(np.abs(self.matrix - self.matrix.T))
             scale = max(np.max(np.abs(self.matrix)), 1e-300)
-            if defect > _CROSS_CHECK_TOL * scale:
+            if not defect <= HOM_SYMMETRY_RTOL * scale:
                 raise GuardError(
                     f"symmetric input produced asymmetric output (defect {defect:.3e})")
         eigs = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         lo = self.bounds_alpha / self.extension_constant ** 2
-        slack = 1e-9 * max(self.bounds_beta, 1.0)
-        if eigs.min() < lo - slack or eigs.max() > self.bounds_beta + slack:
+        slack = HOM_EIGEN_RTOL * max(self.bounds_beta, 1.0)
+        if not (eigs.min() >= lo - slack and eigs.max() <= self.bounds_beta + slack):
             raise GuardError(
                 f"homogenized eigenvalues {eigs} escape [{lo:.6g}, {self.bounds_beta:.6g}]")
 
@@ -163,8 +166,7 @@ def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
         column = ops.flux_average(w, coeff, e_i)
         if symmetric:
             energy = ops.energy_quadratic(w, coeff, e_i) / volume
-            scale = max(abs(energy), 1.0)
-            if abs(energy - column[i]) > _CROSS_CHECK_TOL * scale:
+            if not agrees(column[i], energy, CELL_PAIRING_RTOL):
                 raise GuardError(
                     f"energy/flux cross-check failed in direction {i}: "
                     f"energy {energy:.12g} vs flux {column[i]:.12g}")
@@ -203,8 +205,8 @@ def p_energy_result(coeff: ScalarField, p: float, xis,
         u, stats = minimize_p_energy(problem)
         value = problem.value(u) / grid.side_length ** dim
         xi_norm = float(np.linalg.norm(xi))
-        if (value < b.alpha * xi_norm ** p - 1e-9
-                or value > b.beta * (1.0 + xi_norm ** p) + 1e-9):
+        if not (b.alpha * xi_norm ** p - CELL_GROWTH_ATOL <= value
+                <= b.beta * (1.0 + xi_norm ** p) + CELL_GROWTH_ATOL):
             raise GuardError(f"cell energy {value:.6g} escapes the growth sandwich")
         samples.append((tuple(float(c) for c in xi), value))
         iters.append(stats.iterations)

@@ -43,8 +43,8 @@ from .fields import (BallSupport, CheckerboardFamily, Constant,
                      RandomCheckerboard, STATISTIC_RESOLUTION,
                      TrigPolynomialClamped, constant_matrix)
 from .numerics import MAX_DIM, cells_across, nearest_integer
-from .perforation import (PerforationSet, SparseRemoval, check_hole_resolution,
-                          lambda_box_grid)
+from .perforation import (PerforationSet, SparseRemoval, check_hole_cell,
+                          check_hole_resolution, lambda_box_grid)
 from .rve import MIN_WINDOW_CELLS
 from .stability import check_flip_alignment, check_hom_resolution
 
@@ -396,10 +396,23 @@ def _lambda_holes(eps_list, radius, lambda_resolution):
             raise _Bad(f"eps_list[{i}]", f"{e} at eps {eps:g}") from None
 
 
-def _cell_holes(cell_resolution, radius, eps_list):
+def _check_hole_cell(resolution: int, name: str, shape, radius, removal):
+    """``perforation.check_hole_cell`` for the spec's holes at
+    ``resolution``, which ``name`` labels."""
+    check_hole_cell(build_perforation({"shape": shape, "radius": radius,
+                                       "removal": removal}), resolution, name)
+
+
+def _holes(resolution, shape, radius, removal):
+    # the masked and penalized cell solves run on a cell at resolution
+    _check_hole_cell(resolution, "resolution", shape, radius, removal)
+
+
+def _cell_holes(cell_resolution, shape, radius, removal, eps_list):
     # the lambda problem homogenizes on a cell at cell_resolution
     if eps_list:
-        check_hole_resolution(radius, cell_resolution, "cell_resolution")
+        _check_hole_cell(cell_resolution, "cell_resolution", shape, radius,
+                         removal)
 
 
 def _lambda_box(box_size, lambda_resolution, eps_list):
@@ -550,8 +563,7 @@ _ROWS = {
          "lambda_resolution": _integer(256, ge=64),
          "cell_resolution": _integer(64, ge=32)},
         (lambda xi: _direction(xi, 2),
-         lambda resolution, radius: check_hole_resolution(radius, resolution),
-         _lambda_holes, _cell_holes, _lambda_box)),
+         _holes, _lambda_holes, _cell_holes, _lambda_box)),
     "stochastic": _Row(
         {**_COMMON, "seed": _integer(0, ge=0),
          "family": _FAMILY, "family_g": _FAMILY,

@@ -35,8 +35,8 @@ from functools import reduce
 
 import numpy as np
 
-from .numerics import (Grid, GuardError, _on_axis, cells_across, nearest_integer,
-                       tensor_points)
+from .numerics import (FIELD_BOUNDS_ATOL, Grid, GuardError, _on_axis, cells_across,
+                       nearest_integer, tensor_points)
 
 _MASK64 = (1 << 64) - 1
 _C1 = 0xBF58476D1CE4E5B9
@@ -514,10 +514,10 @@ def constant_matrix(mat, bounds: FieldBounds, dim: int = 2) -> MatrixField:
         raise ValueError(f"matrix must be {dim} x {dim}")
     sym = 0.5 * (mat + mat.T)
     eigs = np.linalg.eigvalsh(sym)
-    if eigs.min() < bounds.alpha - 1e-12:
+    if not eigs.min() >= bounds.alpha - FIELD_BOUNDS_ATOL:
         raise ValueError(f"matrix not elliptic above alpha = {bounds.alpha}: "
                          f"min symmetric eigenvalue {eigs.min():.6g}")
-    if np.linalg.norm(mat, 2) > bounds.beta + 1e-12:
+    if not np.linalg.norm(mat, 2) <= bounds.beta + FIELD_BOUNDS_ATOL:
         raise ValueError(f"matrix norm exceeds beta = {bounds.beta}")
     rows = tuple(tuple(_FixedValue(mat[i, j], bounds, dim) for j in range(dim))
                  for i in range(dim))
@@ -575,7 +575,8 @@ def eval_scalar(field: ScalarField, pts) -> np.ndarray:
     """
     v = field.values(pts)
     b = field.bounds
-    if not (np.all(v >= b.alpha - 1e-12) and np.all(v <= b.beta + 1e-12)):
+    if not (np.all(v >= b.alpha - FIELD_BOUNDS_ATOL)
+            and np.all(v <= b.beta + FIELD_BOUNDS_ATOL)):
         raise GuardError(f"field values escaped bounds [{b.alpha}, {b.beta}]: "
                          f"range [{v.min():.6g}, {v.max():.6g}]")
     return v

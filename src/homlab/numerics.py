@@ -24,10 +24,10 @@ scatter, restricts it to the unknowns
 (mean-zero on the torus, interior nodes on a box, nodes of active elements
 when a mask is given), builds the right-hand side and prolongs the solution
 back to a full nodal vector. Its single solver policy takes no options and
-reads symmetry from the coefficients (``is_symmetric``, to 1e-12 relative):
-symmetric (SPD) systems are solved by CG preconditioned with the
-fast-diagonalization inverse of a constant-coefficient reference operator
-a_ref K + c_ref M (real FFT on the torus, DST-I on the box; see
+reads symmetry from the coefficients (``is_symmetric``, relative to
+``SYMMETRY_RTOL``): symmetric (SPD) systems are solved by CG preconditioned
+with the fast-diagonalization inverse of a constant-coefficient reference
+operator a_ref K + c_ref M (real FFT on the torus, DST-I on the box; see
 ``spectral_preconditioner``), so the iteration count is bounded by the
 coefficient contrast and does not grow with the resolution; nonsymmetric
 systems use BiCGStab right-preconditioned with the same inverse for their
@@ -51,6 +51,13 @@ the periodic problems are singular (constants in the kernel) and need the
 mean-zero subspace handled explicitly, and because reruns must be
 bit-identical.
 
+Every soundness guard of the package (field bounds, symmetry, the
+homogenized eigenvalue window, the energy/flux cross-checks, the growth
+sandwiches and the statistic's homogeneity in t) reads its tolerance from
+one table of constants next to ``GuardError``: one row per guard, with its
+scale rule and the places that use it. Three rows share the relative rule
+|value - reference| <= tol * max(|reference|, 1) through ``agrees``.
+
 scipy is imported where it is first used, never with the module, so the
 import, ``validate`` and the p-energy solves load none of it: ``scipy.sparse``
 loads at the first assembly (``CsrPattern.matrix``), ``scipy.sparse.csgraph``
@@ -71,8 +78,6 @@ TORUS = "torus"
 BOX = "box"
 MAX_DIM = 2  # grids are 1D or 2D
 
-_DUPLICATE_TOL = 1e-12
-
 # the solver policy; read at call time
 _REL_TOLERANCE = 1e-10          # Krylov: residual relative to the rhs
 _GRAD_TOLERANCE = 1e-8          # L-BFGS: Euclidean gradient norm
@@ -90,6 +95,43 @@ class GuardError(RuntimeError):
     eigenvalue window, growth sandwich, verdict/trace consistency)."""
 
 
+# The soundness-guard tolerances, one row per guard: the value, the scale
+# rule it is applied with and the guards that read it. Every guard is
+# written as its negated pass condition, so a NaN fails it. The two rows of
+# one identity (energy/flux, growth sandwich) still differ: making them equal
+# would change what fires.
+#
+# |c_kl - c_lk| <= tol * max(max|c|, 1e-300) over the coefficients or the
+# assembled matrix: is_symmetric, SparseSystem (the latter raises ValueError)
+SYMMETRY_RTOL = 1e-12
+# alpha - tol <= value <= beta + tol, absolute: fields.eval_scalar; the
+# symmetric-part eigenvalues and the norm of fields.constant_matrix (ValueError)
+FIELD_BOUNDS_ATOL = 1e-12
+# max|A - A^T| <= tol * max(max|A|, 1e-300): cell.HomogenizedResult
+HOM_SYMMETRY_RTOL = 1e-8
+# eigenvalues of sym(A) in [alpha / C^2 - s, beta + s], s = tol * max(beta, 1):
+# cell.HomogenizedResult
+HOM_EIGEN_RTOL = 1e-9
+# agrees(flux, energy, tol): cell.homogenize_coefficients
+CELL_PAIRING_RTOL = 1e-8
+# agrees(flux . xi, energy, tol): rve.flux_average_window
+WINDOW_PAIRING_RTOL = 1e-10
+# alpha |xi|^p - tol <= value <= beta (1 + |xi|^p) + tol, absolute:
+# cell.p_energy_result
+CELL_GROWTH_ATOL = 1e-9
+# the same sandwich, each bound b widened by tol * max(1, b): rve._check_growth
+WINDOW_GROWTH_RTOL = 1e-9
+# agrees(psi(t), (t / t0)^p psi(t0), tol): stability.run_stability_pair
+HOMOGENEITY_RTOL = 1e-12
+
+
+def agrees(value: float, reference: float, tol: float) -> bool:
+    """|value - reference| <= tol * max(|reference|, 1); False when either is
+    NaN. The scale rule of the relative guard rows that compare a computed
+    value with the one the analysis predicts."""
+    return abs(value - reference) <= tol * max(abs(reference), 1.0)
+
+
 def _on_axis(a, k: int, dim: int) -> np.ndarray:
     """``a`` as a view that broadcasts along axis k of the tensor layout of a
     ``dim``-dimensional grid. The layout stores x fastest, so axis k is array
@@ -105,6 +147,7 @@ def _on_axis(a, k: int, dim: int) -> np.ndarray:
 def tensor_points(axes) -> np.ndarray:
     """The (m, dim) points of the tensor product of coordinate ``axes``
     (axes[k] holds the coordinates along axis k), x fastest."""
+    axes = [np.asarray(a) for a in axes]
     dim = len(axes)
     out = np.empty([len(a) for a in reversed(axes)] + [dim],
                    dtype=np.result_type(*axes))
@@ -512,10 +555,10 @@ class SparseSystem:
             scale = np.abs(self.matrix.data).max() if self.matrix.nnz else 0.0
             defect = np.abs((self.matrix - self.matrix.T).data)
             worst = defect.max() if defect.size else 0.0
-            if not worst <= _DUPLICATE_TOL * max(scale, 1e-300):
+            if not worst <= SYMMETRY_RTOL * max(scale, 1e-300):
                 raise ValueError(
                     f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
-                    f"exceeds {_DUPLICATE_TOL:.0e} * |M|_max = {_DUPLICATE_TOL * scale:.3e}")
+                    f"exceeds {SYMMETRY_RTOL:.0e} * |M|_max = {SYMMETRY_RTOL * scale:.3e}")
 
     @property
     def n(self) -> int:
@@ -524,13 +567,13 @@ class SparseSystem:
 
 def is_symmetric(coeff: np.ndarray) -> bool:
     """True for scalar per-element coefficients, and for (n_e, d, d) ones
-    whose off-diagonal pairs agree to ``_DUPLICATE_TOL`` times max |c|, the
+    whose off-diagonal pairs agree to ``SYMMETRY_RTOL`` times max |c|, the
     relative test ``SparseSystem`` applies to the assembled matrix. Pairs
     are compared in place: a transposed copy costs several times more."""
     coeff = np.asarray(coeff)
     if coeff.ndim == 1:
         return True
-    tol = _DUPLICATE_TOL * max(float(np.abs(coeff).max()), 1e-300)
+    tol = SYMMETRY_RTOL * max(float(np.abs(coeff).max()), 1e-300)
     d = coeff.shape[1]
     return all(float(np.abs(coeff[:, k, l] - coeff[:, l, k]).max()) <= tol
                for k in range(d) for l in range(k + 1, d))

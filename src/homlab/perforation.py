@@ -18,7 +18,7 @@ import numpy as np
 from .cell import HomogenizedResult, homogenize_coefficients
 from .fields import FieldBounds, power_of_two_cells, window_points
 from .numerics import (BOX, TORUS, Grid, build_grid, cells_across, element_ops,
-                       solve_corrector)
+                       solve_corrector, tensor_points)
 from .rve import window_grid
 
 MIN_CELLS_ACROSS_HOLE = 8
@@ -132,10 +132,29 @@ def lambda_box_grid(box_size: float, resolution: int) -> Grid:
                       box_size, BOX)
 
 
+def check_hole_cell(E: PerforationSet, resolution: int,
+                    name: str = "resolution"):
+    """Raise ValueError unless the unit cell at ``resolution`` elements per
+    unit resolves the holes of ``E`` (``check_hole_resolution``) and keeps
+    some element centre outside them; ``name`` labels the resolution.
+
+    The hole in a cell is convex and the centres form a grid, so every
+    centre lies in it exactly when the four corner centres do (also in
+    floating point: each coordinate of a centre is monotone in its index).
+    Testing those four keeps the rule's cost independent of the resolution.
+    """
+    check_hole_resolution(E.radius, resolution, name)
+    # the outermost element centres, by the Grid.element_centers formula
+    ends = 0.0 + (1.0 / resolution) * (np.array([0, resolution - 1]) + 0.5)
+    if E.membership(tensor_points([ends, ends])).all():
+        raise ValueError(f"{name} {resolution} puts every element centre of "
+                         f"the cell in a {E.shape} hole of radius {E.radius:g}")
+
+
 def _hole_cell(E: PerforationSet, resolution: int) -> tuple[Grid, np.ndarray]:
     """The unit torus at ``resolution`` elements per unit and which of its
-    elements have their centre in a hole; checks the hole resolution first."""
-    check_hole_resolution(E.radius, resolution)
+    elements have their centre in a hole; ``check_hole_cell`` first."""
+    check_hole_cell(E, resolution)
     grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
     return grid, E.membership(grid.element_centers())
 

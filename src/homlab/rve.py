@@ -17,8 +17,11 @@ import numpy as np
 from .fields import EnergyDensity, MatrixField, element_coefficients
 from .numerics import (
     BOX,
+    WINDOW_GROWTH_RTOL,
+    WINDOW_PAIRING_RTOL,
     GuardError,
     PEnergyProblem,
+    agrees,
     build_grid,
     cells_across,
     element_ops,
@@ -79,7 +82,8 @@ def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
     xi_norm = float(np.linalg.norm(xi))
     lo = alpha * xi_norm ** p
     hi = beta * (1.0 + xi_norm ** p)
-    if value < lo - 1e-9 * max(1.0, lo) or value > hi + 1e-9 * max(1.0, hi):
+    if not (lo - WINDOW_GROWTH_RTOL * max(1.0, lo) <= value
+            <= hi + WINDOW_GROWTH_RTOL * max(1.0, hi)):
         raise GuardError(f"window value {value:.12g} escapes the growth "
                            f"bounds [{lo:.6g}, {hi:.6g}]")
 
@@ -164,8 +168,7 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
     if is_symmetric(coeff):
         energy = ops.energy_quadratic(u, coeff, np.zeros(dim)) / R ** dim
         pairing = float(flux @ xi)
-        scale = max(abs(energy), 1.0)
-        if abs(pairing - energy) > 1e-10 * scale:
+        if not agrees(pairing, energy, WINDOW_PAIRING_RTOL):
             raise GuardError(
                 f"flux/energy pairing broke: {pairing:.12g} vs {energy:.12g}")
     return flux

@@ -26,7 +26,8 @@ from .fields import (Constant, EnergyDensity, FieldBounds, HalfSpaceStep,
                      TrigPolynomialClamped, check_pair, eval_scalar,
                      expectation_statistic, mean_abs_statistic, mix_seed,
                      window_points)
-from .numerics import TORUS, GuardError, SolverError, build_grid, cells_across
+from .numerics import (HOMOGENEITY_RTOL, TORUS, GuardError, SolverError, agrees,
+                       build_grid, cells_across)
 from .rve import WindowEstimate, window_sequence
 
 __all__ = [
@@ -46,6 +47,10 @@ _ZERO_TRACE = 1e-14
 # approximation scheme, and the relative agreement its verdict demands
 _APPROXIMATION_RESOLUTION = 16
 _AGREEMENT_RTOL = 0.02
+
+# the floor of run_stability_pair's comparison tolerance (3x the worst
+# convergence gap): a verdict threshold, not a soundness guard
+_COMPARISON_FLOOR = 1e-8
 
 
 class Conclusion(Enum):
@@ -285,7 +290,7 @@ def run_stability_pair(f: EnergyDensity, g: EnergyDensity, t_list=None,
     for t in t_list[1:]:
         got = mean_abs_statistic(f, g, t, R_list[-1], statistic_resolution)
         want = (t / t0) ** p * psis[-1]
-        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
+        if not agrees(got, want, HOMOGENEITY_RTOL):
             raise GuardError(
                 f"statistic does not scale as t^{p}: psi({t}) = {got:.15g}, "
                 f"expected {want:.15g}")
@@ -307,7 +312,7 @@ def run_stability_pair(f: EnergyDensity, g: EnergyDensity, t_list=None,
     res_f, gap_f = estimate(f, "f")
     res_g, gap_g = estimate(g, "g")
     discrepancy = _pair_discrepancy(res_f, res_g, p)
-    tolerance = max(3.0 * gap_f, 3.0 * gap_g, 1e-8)
+    tolerance = max(3.0 * gap_f, 3.0 * gap_g, _COMPARISON_FLOOR)
 
     vanishing = verdict == "vanishing"
     agree = discrepancy <= tolerance

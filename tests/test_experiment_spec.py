@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +299,29 @@ class TestParsing:
         assert validate_document(doc(tree)) == []
         assert validate_document(doc({**tree, **lam, "cell_resolution": 40})) == []
 
+    def test_perforation_holes_covering_the_cell_fail_validate(self):
+        # square holes that hold every element centre of a cell used to
+        # validate and then exit 1 at the masked solve ("perforation removed
+        # every element"); validate now calls perforation.check_hole_cell
+        covered = {"kind": "perforation", "shape": "square", "radius": 0.495,
+                   "resolution": 64, "n_list": [1, 4]}
+        violations = validate_document(doc(covered))
+        assert [v.path for v in violations] == ["resolution"]
+        assert "every element centre" in violations[0].message
+        # the lambda problem's cell: square 0.49 covers it at 32, not at 64
+        lam = {"kind": "perforation", "shape": "square", "radius": 0.49,
+               "resolution": 64, "n_list": [1, 4], "eps_list": [0.5],
+               "lambda_resolution": 64, "cell_resolution": 32}
+        violations = validate_document(doc(lam))
+        assert [v.path for v in violations] == ["cell_resolution"]
+        assert "every element centre" in violations[0].message
+        assert validate_document(doc({**lam, "cell_resolution": 64})) == []
+        assert validate_document(doc({**lam, "eps_list": []})) == []
+        # ball holes leave the cell's corners
+        for radius in (0.495, 0.499):
+            assert validate_document(doc({**covered, "shape": "ball",
+                                          "radius": radius})) == []
+
     def test_perforation_lambda_box_spans_whole_cells(self):
         # the lambda problem meshes its box with box_size * lambda_resolution
         # cells; 1.01 * 64 used to validate and then run on 65 cells
@@ -374,6 +399,21 @@ ROUND_TRIP_DOCS = [
                "amplitude": 0.5},
      "field_g": {"type": "half_space", "gamma": 2.0, "c": 0.5}},
 ]
+
+
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_benchmark_specs_validate():
+    # the benchmark runs these specs; ROUND_TRIP_DOCS parse in TestRoundTrip
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads",
+                                                  BENCHMARK_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, sizes in workloads.SPECS.items():
+        for size in sizes:
+            assert validate_document(workloads.spec_text(name, size)) == [], \
+                (name, size)
 
 
 class TestRoundTrip:

@@ -34,6 +34,7 @@ from homlab.numerics import (
     nearest_integer,
     solve_corrector,
     spectral_preconditioner,
+    tensor_points,
 )
 from homlab.rve import local_min_energy
 
@@ -161,6 +162,16 @@ def test_grid_arrays_match_reference(dim, topology, n):
             g.boundary_node_mask()
     else:
         np.testing.assert_array_equal(g.boundary_node_mask(), mask, strict=True)
+
+
+@pytest.mark.parametrize("axes", [[(0.0, 1.0), (0.0, 1.0)], [[0.0, 1.0], range(2)],
+                                  [(0.5, 1.5, 2.5)]],
+                         ids=["tuples", "list-range", "1d"])
+def test_tensor_points_accepts_sequence_axes(axes):
+    # tuple, list and range axes give the points of their ndarray forms
+    want = tensor_points([np.asarray(a) for a in axes])
+    np.testing.assert_array_equal(tensor_points(axes), want, strict=True)
+    assert want.shape == (np.prod([len(a) for a in axes]), len(axes))
 
 
 def test_nearest_integer_and_cells_across():

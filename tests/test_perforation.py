@@ -12,6 +12,7 @@ from homlab.perforation import (
     GaussianSource,
     PerforationSet,
     SparseRemoval,
+    check_hole_cell,
     empirical_extension_constant,
     extend_over_ball,
     lambda_problem_experiment,
@@ -167,6 +168,31 @@ def test_masked_connectivity_errors():
     two_strips = (rows < 2) | ((rows >= 4) & (rows < 6))
     with pytest.raises(RuntimeError, match="disconnected"):
         _active_nodes_checked(grid, two_strips)
+
+
+@pytest.mark.parametrize("resolution", [32, 33, 64, 96])
+def test_holes_covering_every_element_centre_are_invalid(resolution):
+    # the rule tests the four corner centres; it must agree with every
+    # centre of the cell, also for radii at the outermost centre's distance
+    # (0.4921875 at 64) and with the sparse removal
+    grid = build_grid(2, resolution, (0.0, 0.0), 1.0, TORUS)
+    centers = grid.element_centers()
+    edge = 0.5 - 0.5 / resolution
+    radii = [0.25, 0.45, 0.49, 0.495, 0.499, edge, np.nextafter(edge, 0.0)]
+    for shape in ("ball", "square"):
+        for radius in radii:
+            for removal in (None, SparseRemoval()):
+                E = PerforationSet(shape, radius, removal)
+                covered = bool(E.membership(centers).all())
+                assert covered == (shape == "square" and radius >= edge)
+                if covered:
+                    with pytest.raises(ValueError, match="every element centre"):
+                        check_hole_cell(E, resolution, "cell_resolution")
+                else:
+                    check_hole_cell(E, resolution)
+    # the solves raise it before the masked solve's RuntimeError
+    with pytest.raises(ValueError, match="resolution 64 puts every"):
+        masked_cell_value(PerforationSet("square", 0.495), E1, 64)
 
 
 def test_masked_window_sandwiches_cell():

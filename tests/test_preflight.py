@@ -81,6 +81,28 @@ def specs(draw):
             "family_g": dict(family, flip=draw(FLIP))}
 
 
+@st.composite
+def perforation_specs(draw):
+    tree = {"kind": "perforation",
+            "shape": draw(st.sampled_from(["ball", "square"])),
+            # the floats and radii near 1/2, where holes pinch the cell
+            "radius": draw(st.one_of(st.floats(0.0, 0.5, exclude_max=True),
+                                     st.sampled_from([0.45, 0.49, 0.495]))),
+            "removal": draw(st.booleans()),
+            "resolution": draw(st.integers(64, 96)),
+            "n_list": draw(st.lists(st.sampled_from([1.0, 4.0, 16.0, 64.0]),
+                                    min_size=1, max_size=2,
+                                    unique=True).map(sorted))}
+    if draw(st.booleans()):
+        # box_size * lambda_resolution must be a whole number of cells
+        tree.update(eps_list=draw(st.lists(st.sampled_from([1.0, 0.5, 0.25]),
+                                           min_size=1, max_size=2)),
+                    lambda_resolution=64,
+                    box_size=draw(st.integers(32, 96)) / 64,
+                    cell_resolution=draw(st.integers(32, 64)))
+    return tree
+
+
 def run(tree, command) -> int:
     """``homlab <command> --spec <tree>`` in-process; a run writes tables
     only, into a temporary directory."""
@@ -110,6 +132,17 @@ def test_odd_hom_resolution_runs_for_window_estimated_pairs():
 def test_accepted_specs_never_exit_2(tree):
     # tiny specs of dim 1 to 3; a run may fail a guard or a solve, but
     # never on parameters that validate let through
+    if not validate_document(json.dumps(tree)):
+        assert run(tree, tree["kind"]) in (EXIT_OK, EXIT_ERROR, EXIT_GUARD,
+                                           EXIT_SOLVER)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(perforation_specs())
+def test_accepted_perforation_specs_never_exit_2(tree):
+    # tiny perforated cells and lambda problems; holes may pinch the cell
+    # (a guard fires), but never on parameters that validate let through
     if not validate_document(json.dumps(tree)):
         assert run(tree, tree["kind"]) in (EXIT_OK, EXIT_ERROR, EXIT_GUARD,
                                            EXIT_SOLVER)

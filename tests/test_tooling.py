@@ -10,7 +10,8 @@ result records hold only fields that something reads, and the solve path
 takes no solver options: symmetry is read from the coefficients, and every
 term of the equation reaches the solve kernel per element, and ``validate``
 calls the runs' own rules instead of borrowing private helpers or copying
-them."""
+them, and every soundness guard reads its tolerance from one table in
+``numerics``."""
 
 import importlib
 import importlib.util
@@ -311,6 +312,53 @@ def test_run_rules_have_one_home():
     assert not hasattr(experiment_spec, "_even")
     assert not hasattr(stability, "_is_periodic")
     assert not hasattr(cell, "_check_alignment")
+
+
+def test_guard_tolerances_have_one_home():
+    # every soundness guard reads its tolerance from the numerics table: no
+    # function that raises GuardError, and none of the ValueError symmetry
+    # and ellipticity checks, holds a float literal in [1e-299, 1e-6] (the
+    # 1e-300 zero-scale floor lies below that range)
+    import ast
+
+    from homlab import cell, fields, numerics, rve, stability
+
+    also = {"SparseSystem.__post_init__", "is_symmetric", "constant_matrix"}
+
+    def raises_guard(fn):
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "GuardError":
+                    return True
+        return False
+
+    def functions(node, prefix=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield prefix + child.name, child
+                yield from functions(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from functions(child, prefix + child.name + ".")
+
+    found, checked = [], set()
+    for module in (numerics, fields, cell, rve, stability):
+        tree = ast.parse(inspect.getsource(module))
+        for name, fn in functions(tree):
+            if name in also or raises_guard(fn):
+                checked.add(name)
+                found += [(module.__name__, name, node.value)
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.Constant)
+                          and type(node.value) is float
+                          and 1e-299 <= abs(node.value) <= 1e-6]
+    assert found == []
+    assert also | {"eval_scalar", "HomogenizedResult.__post_init__",
+                   "homogenize_coefficients", "p_energy_result",
+                   "_check_growth", "flux_average_window",
+                   "run_stability_pair"} <= checked
+    assert not hasattr(numerics, "_DUPLICATE_TOL")
+    assert not hasattr(cell, "_CROSS_CHECK_TOL")
 
 
 def test_solve_path_takes_no_knobs():
