@@ -2,7 +2,8 @@
 
 Grids are uniform in 1D (linear elements) and 2D (bilinear elements) with two
 topologies: a torus that identifies opposite faces (periodic cell problems)
-and a box that carries Dirichlet data (window estimators, truncated domains).
+and a box whose boundary nodes are held at zero (window estimators, truncated
+domains).
 Coefficients are sampled once per element at its center, so discontinuous
 microstructures are represented as element-wise constants. The reference
 element is the tensor product of the two-node 1D element; its stiffness,
@@ -20,10 +21,14 @@ combines them through these two, with no branch on the dimension.
 Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it takes every term of -div(a grad u) + c u = f per
 element, assembles the stiffness of a plus the c-weighted mass in one
-scatter, restricts it to the unknowns
-(mean-zero on the torus, interior nodes on a box, nodes of active elements
-when a mask is given), builds the right-hand side and prolongs the solution
-back to a full nodal vector. Its single solver policy takes no options and
+scatter, restricts it to the unknowns (mean-zero on the torus, interior
+nodes on a box, nodes of active elements when a mask is given), builds the
+right-hand side and prolongs the solution back to a full nodal vector. A
+direction xi is solved in one form on both topologies: the corrector w of
+u = <xi, x - x0> + w, periodic on the torus and zero on the box boundary
+(the window form of Bourgeat and Piatnitski, Ann. IHP 40, 2004), loaded by
+-div(a xi). Energies and fluxes are those of xi + grad w; no affine
+boundary data are built. Its single solver policy takes no options and
 reads symmetry from the coefficients (``is_symmetric``, relative to
 ``SYMMETRY_RTOL``): symmetric (SPD) systems are solved by CG preconditioned
 with the fast-diagonalization inverse of a constant-coefficient reference
@@ -199,11 +204,6 @@ class Grid:
     def n_elements(self) -> int:
         return self.cells_per_axis ** self.dim
 
-    def node_coords(self) -> np.ndarray:
-        """Node coordinates, shape (n_nodes, dim), x fastest."""
-        return tensor_points([o + self.h * np.arange(self.nodes_per_axis)
-                              for o in self.origin])
-
     def element_centers(self) -> np.ndarray:
         """Element center coordinates, shape (n_elements, dim)."""
         return tensor_points([o + self.h * (np.arange(self.cells_per_axis) + 0.5)
@@ -258,24 +258,6 @@ def build_grid(dim: int, cells_per_axis: int, origin, side_length: float,
                topology: str) -> Grid:
     return Grid(dim, cells_per_axis, tuple(float(o) for o in origin),
                 float(side_length), topology)
-
-
-def interpolate_affine(grid: Grid, xi, center=None) -> np.ndarray:
-    """Nodal values of the affine function x -> <xi, x> (box grids only).
-
-    With ``center`` given the function is <xi, x - center>: shifting boundary
-    data by a constant leaves Dirichlet energies unchanged, and anchoring at
-    the window center keeps integer-translated windows bit-identical.
-    """
-    if grid.topology != BOX:
-        raise ValueError("affine data is incompatible with the torus identification")
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (grid.dim,):
-        raise ValueError(f"xi must have shape ({grid.dim},), got {xi.shape}")
-    coords = grid.node_coords()
-    if center is not None:
-        coords = coords - np.asarray(center, dtype=float)[None, :]
-    return coords @ xi
 
 
 # Reference-element data. The Q1 element on the unit cube is the tensor
@@ -821,7 +803,7 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
 
 
 def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
-                    center=None, active: np.ndarray | None = None,
+                    active: np.ndarray | None = None,
                     shift: np.ndarray | None = None, source: np.ndarray | None = None
                     ) -> list[tuple[np.ndarray, SolveStats]]:
     """The package's one linear-solve kernel: one solve per direction in ``xis``
@@ -829,18 +811,19 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     the coefficient a is ``coeff``, the zeroth-order term c is ``shift``
     (zero if None) and the source f is ``source``.
 
-    Torus grids give the mean-zero periodic corrector, loaded by
-    -div(coeff xi). Box grids give u = g + w with the Dirichlet lift
-    g = <xi, x - center> and w = 0 on the boundary solving
-    (K + M_c) w = -(K + M_c) g on the interior nodes, where K is the
-    stiffness of ``coeff`` and M_c the mass weighted by ``shift``; with
-    ``source`` in place of ``xis``, one solve of (K + M_c) w = F with zero
-    boundary values, F the one-point load of f
-    (``ElementOps.load_from_element_scalars``). ``shift`` and ``source``
-    apply to boxes only. With an element mask ``active`` the unknowns are
-    the nodes touching an active element, which must form one connected
-    component. K + M_c is assembled in one scatter on the grid's cached
-    ``CsrPattern``.
+    A direction xi gives the corrector w of u = <xi, x - x0> + w, loaded by
+    -div(coeff xi) on both topologies: w is periodic and mean-zero on the
+    torus (the cell problem) and zero on the boundary of a box (the window
+    problem with affine boundary data, whose energy and flux do not depend
+    on x0). Callers evaluate xi + grad w (``ElementOps.energy_quadratic``,
+    ``ElementOps.flux_average``). With ``source`` in place of ``xis`` (box
+    grids only), one solve of (K + M_c) w = F with zero boundary values,
+    where K is the stiffness of ``coeff``, M_c the mass weighted by
+    ``shift`` (source solves only) and F the one-point load of f
+    (``ElementOps.load_from_element_scalars``). With an element mask
+    ``active`` the unknowns are the nodes touching an active element, which
+    must form one connected component. K + M_c is assembled in one scatter
+    on the grid's cached ``CsrPattern``.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
     ones by right-preconditioned BiCGStab, both with
@@ -861,8 +844,10 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     torus = grid.topology == TORUS
     if (xis is None) == (source is None):
         raise ValueError("give either directions xis or a source, not both")
-    if torus and (source is not None or shift is not None or center is not None):
-        raise ValueError("source, shift and center apply to box grids only")
+    if shift is not None and source is None:
+        raise ValueError("shift applies to source solves only")
+    if torus and source is not None:
+        raise ValueError("source solves apply to box grids only")
     coeff = np.asarray(coeff, dtype=float)
     symmetric = is_symmetric(coeff)
     ops = element_ops(grid)
@@ -888,16 +873,12 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
                                       dtype=np.float64 if torus else np.float32)
     out = []
     for xi in ([None] if xis is None else xis):
-        g = None
-        if torus:
+        if xi is None:
+            rhs = ops.load_from_element_scalars(source)
+        else:
             xi = np.asarray(xi, dtype=float)
             flux = coeff[:, None] * xi[None, :] if coeff.ndim == 1 else coeff @ xi
             rhs = -ops.load_from_element_vectors(flux)
-        elif xi is None:
-            rhs = ops.load_from_element_scalars(source)
-        else:
-            g = interpolate_affine(grid, xi, center)
-            rhs = -(K @ g)
         if unknowns is not None:
             rhs = rhs[unknowns]
         if symmetric:
@@ -905,15 +886,11 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
         else:
             w, stats = krylov_solve_nonsymmetric(system, rhs, mean_zero=torus,
                                                  preconditioner=precond)
-        if unknowns is None:
-            u = w
-        elif g is None:
-            u = np.zeros(grid.n_nodes)
-            u[unknowns] = w
-        else:
-            u = g.copy()
-            u[unknowns] += w
-        out.append((u, stats))
+        if unknowns is not None:
+            w_full = np.zeros(grid.n_nodes)
+            w_full[unknowns] = w
+            w = w_full
+        out.append((w, stats))
     return out
 
 
@@ -921,9 +898,10 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
 class PEnergyProblem:
     """Discrete p-power energy sum_e a_e h^d mean_q |xi + grad v|^p.
 
-    Constraints are either periodic-with-mean-zero (``free`` is None, torus
-    grids) or Dirichlet (``free`` lists unconstrained node ids and
-    ``fixed_values`` holds the boundary data on the full node set).
+    The unknown v is the corrector of ``solve_corrector``, constrained by the
+    topology: periodic and mean-zero on the torus (``free`` is None, every
+    node is unknown) and zero on the boundary of a box (``free`` lists the
+    interior nodes), so the affine data of a window enter through xi alone.
 
     ``value`` and ``gradient`` evaluate xi + grad v at every quadrature point
     as one product of the gathered nodal rows with the grid's precomputed
@@ -936,8 +914,7 @@ class PEnergyProblem:
     coeff: np.ndarray
     p: float
     xi: np.ndarray
-    free: np.ndarray | None = None
-    fixed_values: np.ndarray | None = None
+    free: np.ndarray | None = field(init=False, repr=False)
     ops: ElementOps = field(init=False, repr=False)
     _xi_rows: np.ndarray = field(init=False, repr=False)
     _point_weights: np.ndarray = field(init=False, repr=False)
@@ -949,8 +926,8 @@ class PEnergyProblem:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if self.coeff.shape != (self.grid.n_elements,):
             raise ValueError("coeff must have one scalar per element")
-        if self.free is None and self.grid.topology != TORUS:
-            raise ValueError("unconstrained problems are torus-only (mean-zero kernel)")
+        self.free = (None if self.grid.topology == TORUS
+                     else np.flatnonzero(~self.grid.boundary_node_mask()))
         self.ops = element_ops(self.grid)
         self._xi_rows = np.tile(self.xi, len(self.ops.quad_weights))
         # p h^d a_e w_q, the gradient's fixed factor per (element, point)
@@ -964,7 +941,7 @@ class PEnergyProblem:
     def full_vector(self, u_free: np.ndarray) -> np.ndarray:
         if self.free is None:
             return u_free
-        full = self.fixed_values.copy()
+        full = np.zeros(self.grid.n_nodes)
         full[self.free] = u_free
         return full
 
@@ -995,8 +972,7 @@ class PEnergyProblem:
         return full_grad[self.free]
 
 
-def minimize_p_energy(problem: PEnergyProblem,
-                      x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
+def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned L-BFGS with Armijo backtracking; energies are asserted
     non-increasing.
 
@@ -1013,16 +989,12 @@ def minimize_p_energy(problem: PEnergyProblem,
     iteration count then does not grow with the mesh. The stopping rule
     stays on the Euclidean gradient norm.
 
-    ``x0`` warm-starts the free unknowns (continuation from a cheaper
-    problem). Returns the full nodal vector (boundary data included for
-    Dirichlet problems, mean-zero for periodic ones).
+    The descent starts from v = 0, which on a box is the affine data
+    itself. Returns the full nodal vector of the corrector: zero on the
+    boundary of a box, mean-zero on the torus.
     """
     n = problem.n_free
-    u = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if u.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
-    if problem.free is not None and problem.fixed_values is None:
-        raise ValueError("Dirichlet problems need fixed_values")
+    u = np.zeros(n)
     energy = problem.value(u)
     grad = problem.gradient(u)
     tol = _GRAD_TOLERANCE

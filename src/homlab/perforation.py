@@ -204,11 +204,11 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi,
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
     check_hole_resolution(E.radius, resolution)
     xi = np.asarray(xi, dtype=float)
-    grid, center = window_grid(2, x0, R, resolution)
+    grid = window_grid(2, x0, R, resolution)
     active_el = ~E.membership(grid.element_centers())
     coeff = active_el.astype(float)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], center=center, active=active_el)
-    return element_ops(grid).energy_quadratic(u, coeff, np.zeros(2)) / R ** 2
+    [(w, _)] = solve_corrector(grid, coeff, [xi], active=active_el)
+    return element_ops(grid).energy_quadratic(w, coeff, xi) / R ** 2
 
 
 # --- extension operator -----------------------------------------------------

@@ -25,7 +25,6 @@ from .numerics import (
     build_grid,
     cells_across,
     element_ops,
-    interpolate_affine,
     is_symmetric,
     minimize_p_energy,
     solve_corrector,
@@ -68,14 +67,14 @@ def _window_center(dim: int, x0) -> np.ndarray:
 
 
 def window_grid(dim: int, x0, R: float, resolution_per_unit: int):
-    """The box grid of Q_R(x0), >= MIN_WINDOW_CELLS cells across, and x0."""
+    """The box grid of Q_R(x0), >= MIN_WINDOW_CELLS cells across."""
     n = cells_across(R, resolution_per_unit)
     if n < MIN_WINDOW_CELLS:
         raise ValueError(f"window needs at least {MIN_WINDOW_CELLS} cells "
                          f"per axis, got {n}")
     x0v = _window_center(dim, x0)
     origin = tuple(x0v[k] - R / 2.0 for k in range(dim))
-    return build_grid(dim, n, origin, R, BOX), x0v
+    return build_grid(dim, n, origin, R, BOX)
 
 
 def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
@@ -95,22 +94,20 @@ def local_min_energy(f: EnergyDensity, x0, R: float, xi,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
-    grid, center = window_grid(dim, x0, R, resolution_per_unit)
+    grid = window_grid(dim, x0, R, resolution_per_unit)
     coeff = element_coefficients(f.coeff, grid)
     if f.p != 2.0:
-        g = interpolate_affine(grid, xi, center)
-        free = np.flatnonzero(~grid.boundary_node_mask())
-        problem = PEnergyProblem(grid, coeff, f.p, np.zeros(dim),
-                                 free=free, fixed_values=g)
-        # continuation: the quadratic minimizer already follows the affine
-        # boundary data, which a zero interior does not; it saves about a
-        # third of the L-BFGS iterations (21 vs 32 at R = 8, p = 3)
-        [(u_quad, _)] = solve_corrector(grid, coeff, [xi], center=center)
-        u, _ = minimize_p_energy(problem, x0=u_quad[free])
-        raw = problem.value(u[free])
+        # L-BFGS starts from w = 0, which is the affine data itself, as the
+        # torus cell starts from zero. A warm start from the quadratic
+        # corrector saves no time (2x2 checkerboard of 1 and 4, p = 3, 8
+        # cells per unit): 22 vs 25 iterations at R = 8 plus a 15-iteration
+        # CG solve, and 23 vs 21 at R = 16
+        problem = PEnergyProblem(grid, coeff, f.p, xi)
+        w, _ = minimize_p_energy(problem)
+        raw = problem.value(w[problem.free])
     else:
-        [(u, _)] = solve_corrector(grid, coeff, [xi], center=center)
-        raw = element_ops(grid).energy_quadratic(u, coeff, np.zeros(dim))
+        [(w, _)] = solve_corrector(grid, coeff, [xi])
+        raw = element_ops(grid).energy_quadratic(w, coeff, xi)
     value = raw / R ** dim
     _check_growth(value, f.bounds.alpha, f.bounds.beta, f.p, xi)
     return value
@@ -160,13 +157,13 @@ def flux_average_window(A: MatrixField, x0, R: float, xi,
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (dim,):
         raise ValueError(f"xi must have shape ({dim},)")
-    grid, center = window_grid(dim, x0, R, resolution_per_unit)
+    grid = window_grid(dim, x0, R, resolution_per_unit)
     coeff = element_coefficients(A, grid)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], center=center)
+    [(w, _)] = solve_corrector(grid, coeff, [xi])
     ops = element_ops(grid)
-    flux = ops.flux_average(u, coeff, np.zeros(dim))
+    flux = ops.flux_average(w, coeff, xi)
     if is_symmetric(coeff):
-        energy = ops.energy_quadratic(u, coeff, np.zeros(dim)) / R ** dim
+        energy = ops.energy_quadratic(w, coeff, xi) / R ** dim
         pairing = float(flux @ xi)
         if not agrees(pairing, energy, WINDOW_PAIRING_RTOL):
             raise GuardError(

@@ -27,7 +27,6 @@ from homlab.numerics import (
     cells_across,
     cg_solve,
     element_ops,
-    interpolate_affine,
     is_symmetric,
     krylov_solve_nonsymmetric,
     minimize_p_energy,
@@ -49,6 +48,12 @@ def checkerboard_coeff(grid, low=1.0, high=4.0):
     """Element coefficients for the 2x2 checkerboard of the unit cell."""
     c = grid.element_centers()
     return np.where((np.floor(2 * c[:, 0]) + np.floor(2 * c[:, 1])) % 2 == 0, low, high)
+
+
+def node_coords(grid):
+    """Node coordinates (n_nodes, dim), x fastest."""
+    return tensor_points([o + grid.h * np.arange(grid.nodes_per_axis)
+                          for o in grid.origin])
 
 
 def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
@@ -153,7 +158,7 @@ def _reference_grid_arrays(g):
 def test_grid_arrays_match_reference(dim, topology, n):
     g = build_grid(dim, n, (-0.75, 1.25)[:dim], 1.5, topology)
     nodes, centers, elem, mask = _reference_grid_arrays(g)
-    np.testing.assert_array_equal(g.node_coords(), nodes, strict=True)
+    np.testing.assert_array_equal(node_coords(g), nodes, strict=True)
     np.testing.assert_array_equal(g.element_centers(), centers, strict=True)
     np.testing.assert_array_equal(g.element_nodes(), elem, strict=True)
     assert g.element_nodes().dtype == np.int64
@@ -183,19 +188,6 @@ def test_nearest_integer_and_cells_across():
     for side in (0.3, 0.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="must be a positive integer"):
             cells_across(side, 16)
-
-
-class TestAffineData:
-    def test_values_are_inner_products(self):
-        g = build_grid(2, 4, (-1.0, 2.0), 2.0, BOX)
-        xi = np.array([0.5, -2.0])
-        v = interpolate_affine(g, xi)
-        assert np.allclose(v, g.node_coords() @ xi, atol=0, rtol=0)
-
-    def test_torus_rejected(self):
-        g = build_grid(2, 4, (0.0, 0.0), 1.0, TORUS)
-        with pytest.raises(ValueError):
-            interpolate_affine(g, np.array([1.0, 0.0]))
 
 
 def test_is_symmetric_reads_the_coefficients():
@@ -241,7 +233,7 @@ class TestCG:
         # u = x*y lies in the Q1 space and is harmonic, so the discrete
         # solution must reproduce it to solver tolerance.
         g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
-        coords = g.node_coords()
+        coords = node_coords(g)
         exact = coords[:, 0] * coords[:, 1]
         bnd = g.boundary_node_mask()
         bc = np.where(bnd, exact, 0.0)
@@ -489,8 +481,8 @@ def test_element_kernels_match_einsum(dim, topology):
     """Every per-element matrix product of ``ElementOps`` and
     ``PEnergyProblem`` agrees with the einsum contraction over the reference
     gradients, to 1e-13 relative: scalar, symmetric-matrix and
-    nonsymmetric-matrix coefficients; the box p-energy with free nodes and
-    boundary data."""
+    nonsymmetric-matrix coefficients; the box p-energy on the interior nodes,
+    with zero boundary values."""
     from homlab.numerics import _reference_element
 
     g = build_grid(dim, 5, (0.3,) * dim, 2.0, topology)
@@ -535,21 +527,21 @@ def test_element_kernels_match_einsum(dim, topology):
                     _coo_reference(ops, blocks).toarray())
 
     coeff = coeffs["scalar"]
-    if topology == TORUS:
-        free = fixed = None
-        u = v
-    else:
-        free = np.flatnonzero(~g.boundary_node_mask())
-        fixed, u = v.copy(), v[free]
-        fixed[free] = 0.0
+    u = v
+    if topology == BOX:
+        # the box p-energy holds the boundary nodes at zero
+        free = ~g.boundary_node_mask()
+        u = v[free]
+        gx = np.einsum("qka,ea->eqk", grad, np.where(free, v, 0.0)[ops.elem_nodes]) + xi
     mag_sq = np.einsum("eqk,eqk->eq", gx, gx)
     for p in (1.5, 2.0, 3.0):
-        prob = PEnergyProblem(g, coeff, p, xi, free=free, fixed_values=fixed)
+        prob = PEnergyProblem(g, coeff, p, xi)
         _assert_rel(prob.value(u),
                     vol * coeff @ np.einsum("eq,q->e", mag_sq ** (p / 2), wts))
         w = p * vol * coeff[:, None] * wts[None, :] * mag_sq ** (p / 2 - 1)
         full = nodal(np.einsum("eq,eqk,qka->ea", w, gx, grad))
-        _assert_rel(prob.gradient(u), full - full.mean() if free is None else full[free])
+        _assert_rel(prob.gradient(u),
+                    full - full.mean() if topology == TORUS else full[free])
 
 
 class _Recorded(Exception):
@@ -615,7 +607,6 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
     centers = g.element_centers()
     coeff = np.random.default_rng(5).uniform(1.0, 4.0, g.n_elements)
     xi = np.array([0.6, -0.8])
-    center = np.array([1.0, 1.0])
     active = None
     if variant.endswith("masked"):
         local = np.mod(centers, 1.0) - 0.5
@@ -625,6 +616,7 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
     monkeypatch.setattr(numerics, "_REL_TOLERANCE", 1e-13)
     kwargs = {}
     expected = np.zeros(g.n_nodes)
+    lift = np.zeros(g.n_nodes)
     if topology == TORUS:
         nodes = np.arange(g.n_nodes) if active is None else \
             np.unique(ops.elem_nodes[active])
@@ -646,14 +638,17 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
                                                          load[free])
             kwargs = {"shift": shift, "source": source}
         else:
-            lift = interpolate_affine(g, xi, center)
+            # the affine-Dirichlet problem, solved with its nodal lift
+            # <xi, x - x0>; the kernel returns the corrector, zero on the
+            # boundary, and the lift plus the corrector solves it
+            lift = (node_coords(g) - np.array([1.0, 1.0])) @ xi
             expected = lift.copy()
             expected[free] += scipy.sparse.linalg.spsolve(K[free][:, free].tocsc(),
                                                           -(K @ lift)[free])
-            kwargs = {"center": center}
     xis = None if variant == "box-shifted" else [xi]
     [(u, stats)] = solve_corrector(g, coeff, xis, active=active, **kwargs)
     assert stats.iterations > 0
+    u = lift + u
     assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
@@ -668,6 +663,20 @@ def test_spectral_preconditioner_inverts_reference_torus(dim):
                         preconditioner=spectral_preconditioner(g, 2.5))
     assert stats.iterations == 1
     assert np.linalg.norm((b - b.mean()) - K @ x) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_solve_corrector_rejects_terms_outside_their_solves():
+    # a direction solve takes no shift; source solves are box-only
+    box = build_grid(1, 8, (0.0,), 1.0, BOX)
+    torus = build_grid(1, 8, (0.0,), 1.0, TORUS)
+    coeff, ones = np.ones(8), np.ones(8)
+    for grid in (box, torus):
+        with pytest.raises(ValueError, match="shift applies to source solves only"):
+            solve_corrector(grid, coeff, [np.array([1.0])], shift=ones)
+    with pytest.raises(ValueError, match="box grids only"):
+        solve_corrector(torus, coeff, source=ones)
+    with pytest.raises(ValueError, match="box grids only"):
+        solve_corrector(torus, coeff, shift=ones, source=ones)
 
 
 @pytest.mark.parametrize("dim,lam", [(1, 0.0), (2, 0.0), (2, 7.0), (1, 7.0)])
@@ -789,11 +798,12 @@ class TestNonsymmetricKrylov:
             g = build_grid(2, n, (0.0, 0.0), 1.0, topology)
             ops = element_ops(g)
             A_e = checkerboard_coeff(g)[:, None, None] * np.array([[2.0, 1.0], [-1.0, 2.0]])
-            if torus:
-                K = ops.assemble_stiffness(A_e)
-                b = -ops.load_from_element_vectors(A_e[:, :, 0])
-            else:
-                K, b, _ = dirichlet_system(g, A_e, interpolate_affine(g, [1.0, 0.0]))
+            K = ops.assemble_stiffness(A_e)
+            b = -ops.load_from_element_vectors(A_e[:, :, 0])
+            if not torus:
+                # the window corrector: the torus load, zero boundary values
+                interior = ~g.boundary_node_mask()
+                K, b = K[interior][:, interior], b[interior]
             system = SparseSystem(K, symmetric=False)
             a_ref = np.trace(A_e, axis1=1, axis2=2).mean() / 2
             x, stats = krylov_solve_nonsymmetric(
@@ -844,12 +854,7 @@ class TestPEnergy:
     def test_gradient_matches_central_differences(self, p, topology):
         g = build_grid(2, 4, (0.0, 0.0), 1.0, topology)
         rng = np.random.default_rng(int(10 * p))
-        free = fixed = None
-        if topology == BOX:
-            free = np.flatnonzero(~g.boundary_node_mask())
-            fixed = rng.standard_normal(g.n_nodes)
-        prob = PEnergyProblem(g, checkerboard_coeff(g), p, np.array([1.0, 0.5]),
-                              free=free, fixed_values=fixed)
+        prob = PEnergyProblem(g, checkerboard_coeff(g), p, np.array([1.0, 0.5]))
         u = 0.1 * rng.standard_normal(prob.n_free)
         step = 1e-5
         fd = np.array([(prob.value(u + step * e) - prob.value(u - step * e)) / (2 * step)
@@ -871,14 +876,10 @@ class TestPEnergy:
                 return super().value(u_free)
 
         prob = Counted(g, coeff, 1.5, xi)
-        u, stats = minimize_p_energy(prob)
+        _, stats = minimize_p_energy(prob)
         tol = numerics._GRAD_TOLERANCE
         assert tol < stats.residual <= 1e3 * tol      # the floor exit was taken
         assert len(calls) <= 1.25 * stats.iterations + 10
-        # a warm start from the quadratic corrector lands on the same minimum
-        [(x0, _)] = solve_corrector(g, coeff, [xi])
-        warm, _ = minimize_p_energy(PEnergyProblem(g, coeff, 1.5, xi), x0=x0)
-        assert abs(prob.value(u) - prob.value(warm)) <= 1e-12 * prob.value(warm)
 
     def test_1d_p3_against_brute_force(self):
         g = build_grid(1, 16, (0.0,), 1.0, TORUS)
@@ -923,10 +924,8 @@ class TestPEnergy:
         g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
         coeff = two_phase_coeff(g)
         xi = np.array([1.0, 0.0])
-        bnd = g.boundary_node_mask()
-        free = np.where(~bnd)[0]
-        fixed = np.zeros(g.n_nodes)
-        prob = PEnergyProblem(g, coeff, 2.0, xi, free=free, fixed_values=fixed)
+        prob = PEnergyProblem(g, coeff, 2.0, xi)
+        free = prob.free
         u_min, _ = minimize_p_energy(prob)
         ops = element_ops(g)
         K = ops.assemble_stiffness(coeff)
@@ -934,7 +933,7 @@ class TestPEnergy:
         K_ii = K[free][:, free]
         A = SparseSystem(K_ii, symmetric=True)
         u_i, _ = cg_solve(A, -load[free], preconditioner=jacobi(A))
-        u_cg = fixed.copy()
+        u_cg = np.zeros(g.n_nodes)
         u_cg[free] = u_i
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
 
@@ -951,9 +950,12 @@ class TestPEnergy:
             PEnergyProblem(g, np.ones(8), 1.0, np.array([1.0]))
         with pytest.raises(ValueError):
             PEnergyProblem(g, np.ones(4), 2.0, np.array([1.0]))
+        # the topology sets the unknowns: every node of the torus, the
+        # interior of a box
+        assert PEnergyProblem(g, np.ones(8), 2.0, np.array([1.0])).free is None
         box = build_grid(1, 8, (0.0,), 1.0, BOX)
-        with pytest.raises(ValueError):
-            PEnergyProblem(box, np.ones(8), 2.0, np.array([1.0]))
+        np.testing.assert_array_equal(
+            PEnergyProblem(box, np.ones(8), 2.0, np.array([1.0])).free, np.arange(1, 8))
 
     def test_deterministic_bit_identical(self):
         g = build_grid(1, 32, (0.0,), 1.0, TORUS)
@@ -1016,7 +1018,7 @@ class TestMeshRefinement:
         errors = []
         for n in (32, 64, 128):
             g = build_grid(2, n, (0.0, 0.0), 1.0, BOX)
-            coords = g.node_coords()
+            coords = node_coords(g)
             exact = np.sin(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1])
             centers = g.element_centers()
             f = 2 * np.pi ** 2 * np.sin(np.pi * centers[:, 0]) * np.sin(np.pi * centers[:, 1])

@@ -180,6 +180,34 @@ def test_flux_constant_nonsymmetric():
         assert np.max(np.abs(flux - A @ xi)) <= 1e-10
 
 
+@pytest.mark.parametrize("A", [[[2.0, 0.5], [0.5, 3.0]], [[2.0, 1.0], [-1.0, 2.0]], 3.0],
+                         ids=["symmetric", "nonsymmetric", "scalar"])
+def test_constant_windows_need_no_solve(monkeypatch, A):
+    # a constant coefficient loads the window corrector with exactly zero:
+    # no solver iteration, and every window reads <A xi, xi> bit for bit
+    from homlab import rve
+
+    real = rve.solve_corrector
+    iterations = []
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        iterations.extend(stats.iterations for _, stats in out)
+        return out
+
+    monkeypatch.setattr(rve, "solve_corrector", recorded)
+    if np.ndim(A):
+        coeff, A = constant_matrix(A, B14), np.array(A)
+    else:
+        coeff, A = Constant(A, B14, dim=2), A * np.eye(2)
+    xi = np.array([1.0, 0.5])
+    est = window_sequence(EnergyDensity(coeff), (0.3, -0.7), xi,
+                          (4.0, 8.0, 16.0), 16)
+    assert iterations == [0, 0, 0]
+    assert est.values == (float(xi @ A @ xi),) * 3
+    assert est.cauchy_gap == 0.0
+
+
 def test_flux_pairs_with_min_energy():
     field = isotropic_matrix(two_phase(2))
     den = EnergyDensity(two_phase(2))

@@ -377,6 +377,13 @@ def test_solve_path_takes_no_knobs():
     assert {f.name for f in dataclasses.fields(fields.MatrixField)} == {"entries", "dim"}
     assert {f.name for f in dataclasses.fields(fields.FieldBounds)} == {"alpha", "beta"}
     assert not hasattr(fields.EnergyDensity, "symmetric")
+    # a box direction solve takes the torus's form: no affine lift, no
+    # window center, and the p-energy unknowns follow from the topology
+    assert "center" not in inspect.signature(numerics.solve_corrector).parameters
+    assert {f.name for f in dataclasses.fields(numerics.PEnergyProblem)
+            if f.init} == {"grid", "coeff", "p", "xi"}
+    assert not hasattr(numerics, "interpolate_affine")
+    assert not hasattr(numerics.Grid, "node_coords")
 
 
 TINY_PERFORATION = {"kind": "perforation", "shape": "ball", "radius": 0.25,
