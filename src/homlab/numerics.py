@@ -833,10 +833,12 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     unknowns of load_from_element_scalars(shift) / h^dim, whose entry at
     node a is the sum of c_e / 2^dim over the elements e at a, that is the
     diagonal of M_c at a over the reference mass diagonal (4h/6)^dim. The
-    preconditioner runs in float64 on the torus and in float32 on the box,
-    so a constant-coefficient symmetric system is solved in one iteration
-    on the torus and in at most two on the box, where its inverse is exact
-    only to float32 rounding.
+    preconditioner runs in float64 on the torus and in float32 on the box.
+    A constant coefficient gives a direction solve a load that vanishes up
+    to the rounding of the element sums, exactly when h and xi are dyadic
+    (16 cells per unit, xi = (1, 0.5)); a zero load returns w = 0 without
+    iterating. A constant-coefficient source solve on the box takes at most
+    two CG iterations, since its inverse is exact only to float32 rounding.
     Assembly, restriction, the connectivity check and the preconditioner
     setup run once for all directions. Returns the full nodal vector and the
     solver stats of each solve.
@@ -972,7 +974,8 @@ class PEnergyProblem:
         return full_grad[self.free]
 
 
-def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
+def minimize_p_energy(problem: PEnergyProblem,
+                      x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned L-BFGS with Armijo backtracking; energies are asserted
     non-increasing.
 
@@ -989,12 +992,15 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     iteration count then does not grow with the mesh. The stopping rule
     stays on the Euclidean gradient norm.
 
-    The descent starts from v = 0, which on a box is the affine data
-    itself. Returns the full nodal vector of the corrector: zero on the
-    boundary of a box, mean-zero on the torus.
+    ``x0`` warm-starts the free unknowns (continuation from a cheaper
+    problem); without it the descent starts from v = 0, which on a box is
+    the affine data itself. Returns the full nodal vector of the corrector:
+    zero on the boundary of a box, mean-zero on the torus.
     """
     n = problem.n_free
-    u = np.zeros(n)
+    u = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    if u.shape != (n,):
+        raise ValueError(f"x0 must have shape ({n},)")
     energy = problem.value(u)
     grad = problem.gradient(u)
     tol = _GRAD_TOLERANCE

@@ -97,13 +97,14 @@ def local_min_energy(f: EnergyDensity, x0, R: float, xi,
     grid = window_grid(dim, x0, R, resolution_per_unit)
     coeff = element_coefficients(f.coeff, grid)
     if f.p != 2.0:
-        # L-BFGS starts from w = 0, which is the affine data itself, as the
-        # torus cell starts from zero. A warm start from the quadratic
-        # corrector saves no time (2x2 checkerboard of 1 and 4, p = 3, 8
-        # cells per unit): 22 vs 25 iterations at R = 8 plus a 15-iteration
-        # CG solve, and 23 vs 21 at R = 16
         problem = PEnergyProblem(grid, coeff, f.p, xi)
-        w, _ = minimize_p_energy(problem)
+        # continuation: L-BFGS starts from the quadratic corrector. On a 2x2
+        # checkerboard of 1 and 4, p = 3, xi = (1, 0.5), 8 cells per unit,
+        # warm start (its CG solve included) vs start from w = 0: 17 L-BFGS
+        # + 11 CG vs 20 L-BFGS iterations, 15 vs 15 ms, at R = 8; 18 + 11
+        # vs 23, 58 vs 63 ms, at R = 16 (2 vCPU)
+        [(w_quad, _)] = solve_corrector(grid, coeff, [xi])
+        w, _ = minimize_p_energy(problem, x0=w_quad[problem.free])
         raw = problem.value(w[problem.free])
     else:
         [(w, _)] = solve_corrector(grid, coeff, [xi])

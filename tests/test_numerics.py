@@ -50,12 +50,6 @@ def checkerboard_coeff(grid, low=1.0, high=4.0):
     return np.where((np.floor(2 * c[:, 0]) + np.floor(2 * c[:, 1])) % 2 == 0, low, high)
 
 
-def node_coords(grid):
-    """Node coordinates (n_nodes, dim), x fastest."""
-    return tensor_points([o + grid.h * np.arange(grid.nodes_per_axis)
-                          for o in grid.origin])
-
-
 def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
     """Reduce an assembled problem to the interior nodes."""
     ops = element_ops(grid)
@@ -118,9 +112,10 @@ class TestGrid:
 
 
 def _reference_grid_arrays(g):
-    """The per-dimension construction of the four Grid arrays, written out
-    for dims 1 and 2: node coordinates, element centers, element nodes and
-    the box boundary mask (None on a torus)."""
+    """The per-dimension construction of the grid arrays, written out for
+    dims 1 and 2: node coordinates (which the tests' exact solutions read),
+    element centers, element nodes and the box boundary mask (None on a
+    torus)."""
     n, nn = g.cells_per_axis, g.nodes_per_axis
     nodes = [g.origin[k] + g.h * np.arange(nn) for k in range(g.dim)]
     centers = [g.origin[k] + g.h * (np.arange(n) + 0.5) for k in range(g.dim)]
@@ -157,8 +152,7 @@ def _reference_grid_arrays(g):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_grid_arrays_match_reference(dim, topology, n):
     g = build_grid(dim, n, (-0.75, 1.25)[:dim], 1.5, topology)
-    nodes, centers, elem, mask = _reference_grid_arrays(g)
-    np.testing.assert_array_equal(node_coords(g), nodes, strict=True)
+    _, centers, elem, mask = _reference_grid_arrays(g)
     np.testing.assert_array_equal(g.element_centers(), centers, strict=True)
     np.testing.assert_array_equal(g.element_nodes(), elem, strict=True)
     assert g.element_nodes().dtype == np.int64
@@ -233,7 +227,7 @@ class TestCG:
         # u = x*y lies in the Q1 space and is harmonic, so the discrete
         # solution must reproduce it to solver tolerance.
         g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
-        coords = node_coords(g)
+        coords = _reference_grid_arrays(g)[0]
         exact = coords[:, 0] * coords[:, 1]
         bnd = g.boundary_node_mask()
         bc = np.where(bnd, exact, 0.0)
@@ -641,7 +635,7 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
             # the affine-Dirichlet problem, solved with its nodal lift
             # <xi, x - x0>; the kernel returns the corrector, zero on the
             # boundary, and the lift plus the corrector solves it
-            lift = (node_coords(g) - np.array([1.0, 1.0])) @ xi
+            lift = (_reference_grid_arrays(g)[0] - np.array([1.0, 1.0])) @ xi
             expected = lift.copy()
             expected[free] += scipy.sparse.linalg.spsolve(K[free][:, free].tocsc(),
                                                           -(K @ lift)[free])
@@ -876,10 +870,14 @@ class TestPEnergy:
                 return super().value(u_free)
 
         prob = Counted(g, coeff, 1.5, xi)
-        _, stats = minimize_p_energy(prob)
+        u, stats = minimize_p_energy(prob)
         tol = numerics._GRAD_TOLERANCE
         assert tol < stats.residual <= 1e3 * tol      # the floor exit was taken
         assert len(calls) <= 1.25 * stats.iterations + 10
+        # a warm start from the quadratic corrector lands on the same minimum
+        [(x0, _)] = solve_corrector(g, coeff, [xi])
+        warm, _ = minimize_p_energy(PEnergyProblem(g, coeff, 1.5, xi), x0=x0)
+        assert abs(prob.value(u) - prob.value(warm)) <= 1e-12 * prob.value(warm)
 
     def test_1d_p3_against_brute_force(self):
         g = build_grid(1, 16, (0.0,), 1.0, TORUS)
@@ -1018,7 +1016,7 @@ class TestMeshRefinement:
         errors = []
         for n in (32, 64, 128):
             g = build_grid(2, n, (0.0, 0.0), 1.0, BOX)
-            coords = node_coords(g)
+            coords = _reference_grid_arrays(g)[0]
             exact = np.sin(np.pi * coords[:, 0]) * np.sin(np.pi * coords[:, 1])
             centers = g.element_centers()
             f = 2 * np.pi ** 2 * np.sin(np.pi * centers[:, 0]) * np.sin(np.pi * centers[:, 1])
