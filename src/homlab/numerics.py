@@ -20,9 +20,10 @@ combines them through these two, with no branch on the dimension.
 
 Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it takes every term of -div(a grad u) + c u = f per
-element, assembles the stiffness of a plus the c-weighted mass in one
-scatter, restricts it to the unknowns (mean-zero on the torus, interior
-nodes on a box, nodes of active elements when a mask is given), builds the
+element, assembles the stiffness of a plus the c-weighted mass straight
+onto the unknowns (mean-zero on the torus, interior nodes on a box, nodes
+of active elements when a mask is given) as one GEMM into a stencil table
+and one gather from it (``ElementOps``, ``CsrPattern``), builds the
 right-hand side and prolongs the solution back to a full nodal vector. A
 direction xi is solved in one form on both topologies: the corrector w of
 u = <xi, x - x0> + w, periodic on the torus and zero on the box boundary
@@ -282,13 +283,14 @@ def _reference_element(dim: int):
 
 
 def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-point stencil of one grid axis with ``nodes`` nodes: row x of
-    ``column`` lists the distinct stencil nodes of node x in increasing
-    order, padded with ``nodes``, and node x + k - 1 is place ``rank[x, k]``
-    among them. Box ends have two neighbours; on a 2-node torus x - 1 and
-    x + 1 are the same node and share a place.
+    """The 3-point stencil of one grid axis with ``nodes`` nodes, as arrays
+    over [node x, place]: ``column`` lists the distinct stencil nodes of x in
+    increasing order, padded with ``nodes``, and ``offset`` is the offset
+    class of each place (0, 1, 2 for x - 1, x, x + 1). Box ends have two
+    neighbours; on a 2-node torus x - 1 and x + 1 are the same node, which
+    takes one place and class 0.
     """
-    target = np.arange(nodes)[:, None] + np.arange(-1, 2)[None, :]
+    target = np.arange(nodes)[:, None] + np.arange(-1, 2)[None, :]     # [x, k]
     if torus:
         target %= nodes
         distinct = np.ones(target.shape, dtype=bool)
@@ -296,21 +298,87 @@ def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
     else:
         distinct = (target >= 0) & (target < nodes)
     column = np.sort(np.where(distinct, target, nodes), axis=1)
-    rank = (column[:, None, :] < target[:, :, None]).sum(axis=2)
-    return column, rank
+    rank = (column[:, None, :] < target[:, :, None]).sum(axis=2)   # place of offset k
+    x, k = np.nonzero(distinct)
+    offset = np.zeros_like(column)
+    offset[x, rank[x, k]] = k
+    return column, offset
+
+
+def _tensor_entries(count: np.ndarray, values: list[list[np.ndarray]]
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The slots of the tensor product of one axis stencil per axis, in CSR
+    order, and the slots per row.
+
+    ``count[x]`` is the number of places of node x on each axis (padded
+    places last). Each item of ``values`` holds one [x, place] array per
+    axis; its result holds, for each slot, the sum over the axes of the
+    axis array at the slot's node and place, in the axis array's dtype.
+    Axes are added the lowest first, each as the slowest: row (x, r) of the
+    new block lists, for each place p of x, the slots s of row r of the
+    block so far, p slower than s. Runs of nodes x of one count share the
+    (r, p, s) index pattern, so each run is one broadcast sum.
+    """
+    per_row = np.ones(1, dtype=np.intp)
+    sums = [np.zeros(1, dtype=axes[0].dtype) for axes in values]
+    runs = np.split(np.arange(len(count)), np.flatnonzero(np.diff(count)) + 1)
+    for k in range(len(values[0])):
+        total = int(per_row.sum())
+        out = [np.empty(int(count.sum()) * total, dtype=s.dtype) for s in sums]
+        start = 0
+        for xs in runs:
+            reps = count[xs[0]] * per_row
+            row = np.repeat(np.arange(len(per_row)), reps)
+            local = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            prev = np.repeat(np.cumsum(per_row) - per_row, reps) + local % per_row[row]
+            place = local // per_row[row]
+            block = slice(start, start + len(xs) * len(prev))
+            for o, s, axes in zip(out, sums, values):
+                rows = o[block].reshape(len(xs), -1)
+                # mode "clip" writes straight into ``rows`` ("raise" buffers)
+                np.take(axes[k][xs], place, axis=1, out=rows, mode="clip")
+                rows += s[prev]
+            start = block.stop
+        per_row = np.outer(count, per_row).ravel()
+        sums = out
+    return per_row, sums
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
 
 @dataclass(frozen=True)
 class CsrPattern:
-    """Sparsity of every matrix assembled on one grid shape: the
-    3^dim-node stencil in CSR form, rows sorted, no duplicates. ``pos`` sends
-    element-local entry (e, a, b), raveled, to its slot in ``indices``. All
-    three arrays are read-only; ``indptr`` and ``indices`` have scipy's index
-    dtype and are shared by every matrix assembled on the shape."""
+    """Sparsity of the matrices assembled on one grid shape and one set of
+    nodes, and where their entries come from.
+
+    The rows and the columns are the nodes of the set: every node of the
+    grid, the interior nodes of a box, or a subset of either
+    (``restricted``). ``indptr`` and ``indices`` hold, in CSR form with
+    scipy's index dtype (rows sorted, no duplicates), the 3^dim-node stencil
+    of each row within the set; every matrix on the pattern shares them.
+
+    Entries are read from a stencil table with one row per node of a tensor
+    block, ``side`` nodes per axis from node ``first`` on every axis, and
+    one column per stencil offset class, x fastest: 3 classes per axis, or 2
+    on a 2-node torus axis, whose offsets -1 and +1 are one node.
+    ``incidence[a, b, c]`` is 1 when element-local node b sits in class c of
+    local node a. ``gather`` reads the slots' entries from the flat table,
+    as their indices, or as a boolean mask where the slots are in table
+    order (every node or the interior of a box); ``transpose`` sends each
+    slot to the slot of its transposed entry. Every array is read-only.
+    """
 
     indptr: np.ndarray
     indices: np.ndarray
-    pos: np.ndarray
+    gather: np.ndarray
+    transpose: np.ndarray
+    first: int
+    side: int
+    incidence: np.ndarray
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The matrix with entries ``data``; it shares the index arrays."""
@@ -321,76 +389,95 @@ class CsrPattern:
         mat.has_canonical_format = True
         return mat
 
+    def restricted(self, rows: np.ndarray) -> CsrPattern:
+        """The pattern of the rows and columns ``rows`` (sorted positions
+        among this pattern's rows), on the same table: the slots whose row
+        and column are both kept, renumbered."""
+        idx = self.indices.dtype
+        entries = np.flatnonzero(self.gather) if self.gather.dtype == bool else self.gather
+        inside = np.zeros(len(self.indptr) - 1, dtype=bool)
+        inside[rows] = True
+        kept = np.repeat(inside, np.diff(self.indptr)) & inside[self.indices]
+        before = np.zeros(len(kept) + 1, dtype=idx)    # kept slots before a slot
+        np.cumsum(kept, out=before[1:])
+        renumber = np.cumsum(inside, dtype=idx) - 1
+        arrays = _frozen(np.append(before[self.indptr[rows]], before[-1]),
+                         renumber[self.indices[kept]], entries[kept],
+                         before[self.transpose[kept]])
+        return CsrPattern(*arrays, self.first, self.side, self.incidence)
+
 
 @lru_cache(maxsize=8)
-def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
-    """The ``CsrPattern`` of a grid shape, built from the per-axis stencils.
+def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) -> CsrPattern:
+    """The ``CsrPattern`` of every node of a grid shape, or with ``interior``
+    of the interior nodes of a box, built from the per-axis stencils.
 
-    Row r holds the product of its per-axis stencils, the column with the
-    highest axis slowest: ``indices`` lists the tensor product of the
-    per-axis stencil columns over [row, place], padded places dropped, and a
-    column whose axis-k node sits at place rank_k of the row's axis-k
-    stencil (of count_k nodes) has slot
-    indptr[r] + sum_k rank_k prod_{j<k} count_j. On each axis, element-local
-    node b of element e is place rank[b - a + 1] of row node a (node e + a),
-    which gives the slot of every element entry (e, a, b). The pattern
-    depends on the shape only: grids of one shape, like windows of one size,
-    share it.
+    The set is a block of ``side`` nodes per axis, and its pattern the
+    tensor product of the axis stencils (``_tensor_entries``): row r holds
+    the product of its per-axis stencils, the column with the highest axis
+    slowest. The pattern depends on the shape only: grids of one shape,
+    like windows of one size, share it.
     """
-    nodes = cells + (topology == BOX)
-    column, rank = _axis_stencil(nodes, topology == TORUS)
-    present = column < nodes
-    count = present.sum(axis=1)
-    row_len = reduce(np.multiply, (_on_axis(count, k, dim) for k in range(dim)))
-    nnz = int(row_len.sum())
-    # scipy's choice for CSR index arrays: int32 whenever the values fit
-    idx = np.int32 if max(nnz, nodes ** dim) <= np.iinfo(np.int32).max else np.int64
-    indptr = np.zeros(nodes ** dim + 1, dtype=idx)
+    torus = topology == TORUS
+    first = int(interior)
+    side = cells + (not torus) - 2 * first
+    column, offset = _axis_stencil(side, torus)
+    classes = 2 if torus and side == 2 else 3
+    width = classes ** dim
+    count = (column < side).sum(axis=1)
+    nnz = int(count.sum()) ** dim
+    # scipy's choice for CSR index arrays: int32 whenever the values fit. The
+    # gather and transpose maps are numpy's own intp, since an index array of
+    # another type is converted on every use
+    idx = np.int32 if max(nnz, side ** dim) <= np.iinfo(np.int32).max else np.int64
+    # per slot: its column and its table entry
+    node = np.arange(side)[:, None]
+    row_len, (indices, gather) = _tensor_entries(count, [
+        [(column * side ** k).astype(idx) for k in range(dim)],
+        [node * side ** k * width + offset * classes ** k for k in range(dim)]])
+    indptr = np.zeros(side ** dim + 1, dtype=idx)
     np.cumsum(row_len, out=indptr[1:])
-    # every row's columns over [row node, place] per axis, in C order: rows
-    # in order, each row's columns increasing. One pass per combination of
-    # places (the highest axis first) writes each entry once; a padded place
-    # adds -nodes**dim, which makes the sum negative and drops the entry
-    # (dim * nodes**dim <= nnz, so the sum cannot overflow idx)
-    terms = [np.where(present, column * nodes ** k, -nodes ** dim).astype(idx)
-             for k in range(dim)]
-    full = np.empty((nodes,) * dim + (3,) * dim, dtype=idx)
-    for places in np.ndindex((3,) * dim):
-        full[(...,) + places] = sum(_on_axis(terms[k][:, p], k, dim)
-                                    for k, p in enumerate(reversed(places)))
-    full = full.ravel()
-    indices = full[full >= 0]
-    # per-axis arrays over [a, b, e]: the entry's row node and the column's
-    # place in the row's stencil; built in this order and transposed once,
-    # since element-first broadcasting runs 2-3x slower
-    node = (np.arange(2)[:, None] + np.arange(cells)[None, :]) % nodes    # [a, e]
-    offset = np.arange(2)[None, :] - np.arange(2)[:, None] + 1           # [a, b]
-    place = rank[node[:, None, :], offset[:, :, None]].astype(idx)       # [a, b, e]
-    count = count.astype(idx)[node][:, None, :]                         # [a, 1, e]
-    node = node.astype(idx)
-    row = sum(_on_axis(node[:, None, :] * nodes ** k, k, dim) for k in range(dim))
-    slot = np.empty((2,) * (2 * dim) + (cells,) * dim, dtype=idx)       # [a, b, e]
-    slot[...] = indptr[row]
-    stride = 1
-    for k in range(dim):
-        slot += _on_axis(place, k, dim) * stride
-        stride = stride * _on_axis(count, k, dim)
-    # [a, b, e] -> [e, a, b], each block x fastest
-    pos = slot.transpose(*range(2 * dim, 3 * dim), *range(2 * dim)).ravel()
-    for arr in (indptr, indices, pos):
-        arr.setflags(write=False)
-    return CsrPattern(indptr, indices, pos)
+    # gather is one-to-one, so its inverse at the table entry of a slot's
+    # transposed entry (the column's row, the opposite class) is that slot
+    slot = np.empty(side ** dim * width, dtype=np.intp)
+    slot[gather] = np.arange(nnz)
+    if not torus:
+        # a box lists its table entries in order (no wrapped columns): one
+        # flag per entry reads them, in an eighth of the memory
+        mask = np.zeros(len(slot), dtype=bool)
+        mask[gather] = True
+        gather = mask
+    # the class of offset k - 1 on an axis, and reversed, the opposite class
+    fold = np.array([0, 1, 0]) if classes == 2 else np.arange(3)
+    _, (mirror,) = _tensor_entries(count, [
+        [column * side ** k * width + fold[::-1][offset] * classes ** k for k in range(dim)]])
+    transpose = slot[mirror]
+    # incidence per axis: local node b of local node a has offset b - a; the
+    # tensor product puts x fastest
+    axis = np.zeros((2, 2, classes))
+    for a, b in np.ndindex(2, 2):
+        axis[a, b, fold[b - a + 1]] = 1.0
+    incidence = reduce(np.kron, [axis] * dim)
+    return CsrPattern(*_frozen(indptr, indices, gather, transpose), first, side,
+                      *_frozen(incidence))
 
 
 @dataclass
 class ElementOps:
     """Per-grid cached arrays for assembly and energy evaluation.
 
-    Every matrix assembled on the grid has the same sparsity, the 3^dim-node
-    stencil: its ``CsrPattern`` is built from the stencil offsets on the
-    first assembly (grids that never assemble, like the p-energy ones, never
-    build it) and kept per grid shape, and each assembly is then one
-    ``np.bincount`` of the element matrices into the pattern's slots.
+    Every matrix is assembled on a ``CsrPattern``: every node, or the
+    unknowns of a solve. Row node x of the pattern's stencil table reads the
+    P parameters of its 2^dim elements x - a, one per corner a, as shifted
+    views of the per-element grid padded by one layer (zeros beyond a box,
+    the wrapped layer on a torus). One GEMM against the (2^dim P x width)
+    weights sum_b block_p[a, b] incidence[a, b, c] gives the table: each
+    row's matrix entry per stencil offset class. The pattern's gather then
+    reads the CSR data from it; no element entry is scattered. The patterns
+    of every node and of a box's interior are built on first use and kept
+    per grid shape (grids that never assemble, like the p-energy ones, never
+    build them); ``restricted_pattern`` derives the pattern of any other set
+    of unknowns from them.
 
     Every per-element contraction is a 2-D matrix product on rows gathered
     once by ``v[elem_nodes]``, against small read-only matrices precomputed
@@ -418,7 +505,25 @@ class ElementOps:
 
     @property
     def pattern(self) -> CsrPattern:
+        """The ``CsrPattern`` of every node."""
         return _csr_pattern(self.grid.dim, self.grid.cells_per_axis, self.grid.topology)
+
+    def restricted_pattern(self, unknowns: np.ndarray) -> CsrPattern:
+        """The ``CsrPattern`` of the rows and columns ``unknowns`` (sorted node
+        ids), which on a box must be interior nodes. The interior of a box
+        has one cached pattern per grid shape, like every node; a smaller
+        set is derived from one of them per call."""
+        g = self.grid
+        box = g.topology == BOX
+        if box and g.boundary_node_mask()[unknowns].any():
+            raise ValueError("the unknowns of a box must be interior nodes")
+        base = _csr_pattern(g.dim, g.cells_per_axis, g.topology, interior=box)
+        if len(unknowns) == len(base.indptr) - 1:
+            return base
+        if box:     # node ids to positions in the interior block
+            axes = np.unravel_index(unknowns, (g.nodes_per_axis,) * g.dim)
+            unknowns = np.ravel_multi_index([a - 1 for a in axes], (base.side,) * g.dim)
+        return base.restricted(unknowns)
 
     @property
     def h(self) -> float:
@@ -428,38 +533,67 @@ class ElementOps:
         """Quadrature average of grad v per element, (n_e, dim)."""
         return v[self.elem_nodes] @ self.mean_grad_matrix
 
-    def assemble_stiffness(self, coeff: np.ndarray,
-                           shift: np.ndarray | None = None) -> sp.csr_matrix:
+    def assemble_stiffness(self, coeff: np.ndarray, shift: np.ndarray | None = None,
+                           pattern: CsrPattern | None = None) -> sp.csr_matrix:
         """Stiffness for per-element coefficients, plus the mass weighted by
         the per-element ``shift`` when given (the matrix of
-        -div(coeff grad u) + shift u), in one scatter.
+        -div(coeff grad u) + shift u), on the rows and columns of ``pattern``
+        (every node if None), in one table.
 
         ``coeff`` is (n_e,) for scalar coefficients or (n_e, dim, dim) for
         matrix ones; rows are test functions, so nonsymmetric coefficient
         matrices assemble to nonsymmetric systems.
         """
         coeff = np.asarray(coeff, dtype=float)
+        n_loc = len(self.mass_ref)
         if coeff.ndim == 1:
-            data = np.outer(coeff, np.trace(self.stiff_blocks))
+            params, blocks = [coeff], np.trace(self.stiff_blocks)[None]
         else:
-            n_loc = self.elem_nodes.shape[1]
-            data = coeff.reshape(len(coeff), -1) @ self.stiff_blocks.reshape(-1, n_loc ** 2)
+            params = [coeff.reshape(len(coeff), -1)]
+            blocks = self.stiff_blocks.reshape(-1, n_loc, n_loc)
         if shift is not None:
-            data += np.outer(self.h ** self.grid.dim * shift, self.mass_ref)
-        return self._scatter(data)
+            params.append(self.h ** self.grid.dim * shift)
+            blocks = np.concatenate([blocks, self.mass_ref[None]])
+        return self._assemble(params, blocks, pattern)
 
-    def assemble_mass(self, weights: np.ndarray | None = None) -> sp.csr_matrix:
+    def assemble_mass(self, weights: np.ndarray | None = None,
+                      pattern: CsrPattern | None = None) -> sp.csr_matrix:
         """Mass matrix with per-element ``weights`` (1 on every element if
-        None); a boolean mask restricts it to the masked elements."""
+        None) on the rows and columns of ``pattern`` (every node if None); a
+        boolean mask restricts it to the masked elements."""
         scale = np.full(self.grid.n_elements, self.h ** self.grid.dim)
         if weights is not None:
             scale = scale * weights
-        return self._scatter(np.outer(scale, self.mass_ref))
+        return self._assemble([scale], self.mass_ref[None], pattern)
 
-    def _scatter(self, data: np.ndarray) -> sp.csr_matrix:
-        pattern = self.pattern
-        return pattern.matrix(np.bincount(pattern.pos, weights=data.ravel(),
-                                          minlength=len(pattern.indices)))
+    def _assemble(self, params: list[np.ndarray], blocks: np.ndarray,
+                  pattern: CsrPattern | None) -> sp.csr_matrix:
+        """The matrix whose element matrices are sum_p param_p blocks[p] over
+        the parameter columns of ``params`` ((n_e,) or (n_e, m) each)."""
+        pattern = self.pattern if pattern is None else pattern
+        d, n, side = self.grid.dim, self.grid.cells_per_axis, pattern.side
+        weights = blocks.transpose(1, 0, 2) @ pattern.incidence    # [a, p, c]
+        # the parameters per element, padded by one layer; parameter-major,
+        # so that each corner below copies contiguous rows
+        padded = np.zeros((len(blocks),) + (n + 2,) * d)
+        start = 0
+        for values in params:
+            values = values.reshape(n ** d, -1).T
+            padded[(slice(start, start + len(values)),) + (slice(1, n + 1),) * d] = \
+                values.reshape((-1,) + (n,) * d)
+            start += len(values)
+        if self.grid.topology == TORUS:
+            for j in range(1, d + 1):
+                padded[(slice(None),) * j + (0,)] = padded[(slice(None),) * j + (n,)]
+                padded[(slice(None),) * j + (n + 1,)] = padded[(slice(None),) * j + (1,)]
+        # table node first + i reads element first + i - a, padded index + 1
+        corners = np.empty(weights.shape[:2] + (side,) * d)       # [a, p, node]
+        for a, corner in enumerate(np.ndindex((2,) * d)):
+            corners[a] = padded[(slice(None),) + tuple(
+                slice(pattern.first + 1 - c, pattern.first + 1 - c + side) for c in corner)]
+        table = corners.reshape(-1, side ** d).T @ weights.reshape(-1, weights.shape[2])
+        del padded, corners
+        return pattern.matrix(table.ravel()[pattern.gather])
 
     def load_from_element_vectors(self, flux: np.ndarray) -> np.ndarray:
         """Nodal load L_a = sum_e h^d <F_e, grad phi_a> for per-element F_e."""
@@ -524,27 +658,57 @@ def element_ops(grid: Grid) -> ElementOps:
 
 @dataclass
 class SparseSystem:
-    """CSR system with a symmetry declaration checked at construction."""
+    """CSR system with a symmetry declaration checked at construction.
+
+    A system declared symmetric compares each stored entry with its
+    transpose's entry (zero where that is not stored), relative to
+    ``SYMMETRY_RTOL``, without a transposed copy. ``transpose`` gives the
+    slot of each stored entry's transpose when the pattern knows it
+    (``CsrPattern.transpose``, as ``solve_corrector`` passes); otherwise the
+    entries are found by a sorted search over the (row, column) keys.
+    """
 
     matrix: sp.csr_matrix
     symmetric: bool
+    transpose: np.ndarray | None = None
 
     def __post_init__(self):
         self.matrix = self.matrix.tocsr()
         self.matrix.sum_duplicates()
         self.matrix.sort_indices()
-        if self.symmetric:
-            scale = np.abs(self.matrix.data).max() if self.matrix.nnz else 0.0
-            defect = np.abs((self.matrix - self.matrix.T).data)
-            worst = defect.max() if defect.size else 0.0
-            if not worst <= SYMMETRY_RTOL * max(scale, 1e-300):
-                raise ValueError(
-                    f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
-                    f"exceeds {SYMMETRY_RTOL:.0e} * |M|_max = {SYMMETRY_RTOL * scale:.3e}")
+        data = self.matrix.data
+        if not self.symmetric or not data.size:
+            return
+        if self.transpose is None:
+            mirror = _stored_transpose(self.matrix)
+        elif len(self.transpose) == len(data):
+            mirror = data[self.transpose]
+        else:
+            raise ValueError(f"transpose map has {len(self.transpose)} slots "
+                             f"for {len(data)} entries")
+        # max |x| as max(max x, -min x): no temporary, and NaN propagates
+        scale = np.maximum(data.max(), -data.min())
+        np.subtract(data, mirror, out=mirror)
+        worst = np.maximum(mirror.max(), -mirror.min())
+        if not worst <= SYMMETRY_RTOL * max(scale, 1e-300):
+            raise ValueError(
+                f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
+                f"exceeds {SYMMETRY_RTOL:.0e} * |M|_max = {SYMMETRY_RTOL * scale:.3e}")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+def _stored_transpose(mat: sp.csr_matrix) -> np.ndarray:
+    """The entry at (c, r) for each stored entry (r, c) of a canonical CSR
+    matrix, 0 where it is not stored."""
+    size = max(mat.shape)
+    row = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
+    key = row * size + mat.indices     # increasing: rows in order, columns sorted
+    mirror_key = mat.indices.astype(np.int64) * size + row
+    at = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
+    return np.where(key[at] == mirror_key, mat.data[at], 0.0)
 
 
 def is_symmetric(coeff: np.ndarray) -> bool:
@@ -822,8 +986,11 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     ``shift`` (source solves only) and F the one-point load of f
     (``ElementOps.load_from_element_scalars``). With an element mask
     ``active`` the unknowns are the nodes touching an active element, which
-    must form one connected component. K + M_c is assembled in one scatter
-    on the grid's cached ``CsrPattern``.
+    must form one connected component. K + M_c is assembled straight onto
+    the unknowns, on their ``CsrPattern`` (kept per grid shape for every
+    node of a torus and the interior of a box, derived per call under a
+    mask), and ``SparseSystem`` checks its symmetry through the pattern's
+    transpose map; no matrix on other nodes is built or sliced.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
     ones by right-preconditioned BiCGStab, both with
@@ -839,8 +1006,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     (16 cells per unit, xi = (1, 0.5)); a zero load returns w = 0 without
     iterating. A constant-coefficient source solve on the box takes at most
     two CG iterations, since its inverse is exact only to float32 rounding.
-    Assembly, restriction, the connectivity check and the preconditioner
-    setup run once for all directions. Returns the full nodal vector and the
+    Assembly, the connectivity check and the preconditioner setup run once
+    for all directions. Returns the full nodal vector and the
     solver stats of each solve.
     """
     torus = grid.topology == TORUS
@@ -853,14 +1020,14 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     coeff = np.asarray(coeff, dtype=float)
     symmetric = is_symmetric(coeff)
     ops = element_ops(grid)
-    K = ops.assemble_stiffness(coeff, shift)
     unknowns = None if active is None else _active_nodes_checked(grid, active)
     if not torus:
         boundary = grid.boundary_node_mask()
         unknowns = (np.flatnonzero(~boundary) if unknowns is None
                     else unknowns[~boundary[unknowns]])
-    system = SparseSystem(K if unknowns is None else K[unknowns][:, unknowns],
-                          symmetric=symmetric)
+    pattern = ops.pattern if unknowns is None else ops.restricted_pattern(unknowns)
+    system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
+                          symmetric=symmetric, transpose=pattern.transpose)
     # the trace of a matrix coefficient is the trace of its symmetric part
     c = coeff if active is None else coeff[active]
     a_ref = float(c.mean() if c.ndim == 1

@@ -114,7 +114,10 @@ def plot_series(series, x_label: str = "R", y_label: str = "value") -> str:
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     x_pad = 0.05 * (x_hi - x_lo) if x_hi > x_lo else max(0.5, abs(x_lo) * 0.1)
-    y_pad = 0.05 * (y_hi - y_lo) if y_hi > y_lo else max(0.5, abs(y_lo) * 0.1)
+    # a y span at the rounding level of the values is drawn flat: stretched
+    # to full height it would show only rounding, under equal tick labels
+    flat = y_hi - y_lo <= 1e-12 * max(abs(y_lo), abs(y_hi))
+    y_pad = max(0.5, abs(y_lo) * 0.1) if flat else 0.05 * (y_hi - y_lo)
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 

@@ -329,22 +329,25 @@ def _coo_reference(ops, data):
 
 
 def _assert_same_csr(got, want):
+    """The same CSR structure (explicit zeros included) and index dtype, and
+    the same entries to 1e-15 of the largest: the stencil table adds the
+    same <= 2^dim element terms per entry as a scatter, in another order."""
     assert got.indices.dtype == want.indices.dtype
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
-    assert np.array_equal(got.data, want.data)
+    assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("topology, n", [(TORUS, 2), (TORUS, 3), (TORUS, 5),
                                          (BOX, 2), (BOX, 4)])
 def test_assembly_matches_coo_reference(dim, topology, n):
-    """The cached-pattern assembly is bit-identical to COO -> CSR, wrapped
-    duplicate stencil offsets of the 2-node torus included. The element
-    matrices are formed as in ``assemble_stiffness`` (one matrix product for
-    matrix coefficients), so only the scatter is compared here; the element
-    contraction itself is checked against einsum in
-    ``test_element_kernels_match_einsum``."""
+    """The stencil-table assembly matches COO -> CSR of the element
+    matrices: the same structure and, to rounding, the same entries, wrapped
+    duplicate stencil offsets of the 2-node torus included. The reference
+    element matrices are formed with one matrix product for matrix
+    coefficients; the element contraction itself is checked against einsum
+    in ``test_element_kernels_match_einsum``."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     rng = np.random.default_rng(10 * dim + n)
@@ -373,39 +376,152 @@ def test_assembly_matches_coo_reference(dim, topology, n):
                                          (BOX, 2), (BOX, 3), (BOX, 7)])
 def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     """Slot s of the pattern holds the s-th distinct (row, column) pair of
-    the element entries, rows in order and each row's columns increasing,
-    and ``pos`` sends entry (e, a, b) to the slot of its pair; the wrapped
-    duplicate offsets of the 2-node torus share one slot."""
+    the element entries, rows in order and each row's columns increasing;
+    ``gather`` sends it to the table entry of its row and offset class (3
+    per axis, x fastest; on the 2-node torus the wrapped offsets -1 and +1
+    share a slot and class 0), by index on a torus and by a mask over the
+    table on a box, whose slots are in table order; ``transpose`` sends it
+    to the slot of the pair (column, row)."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     nodes = g.element_nodes()
     n_loc = nodes.shape[1]
     rows = np.repeat(nodes, n_loc, axis=1).ravel()   # (e, a, b) raveled
     cols = np.tile(nodes, n_loc).ravel()
-    key = rows.astype(np.int64) * g.n_nodes + cols
-    pairs = np.unique(key)
+    pairs = np.unique(rows.astype(np.int64) * g.n_nodes + cols)
+    row, col = pairs // g.n_nodes, pairs % g.n_nodes
     pattern = numerics._csr_pattern(dim, n, topology)
-    row_len = np.bincount(pairs // g.n_nodes, minlength=g.n_nodes)
+    row_len = np.bincount(row, minlength=g.n_nodes)
     assert np.array_equal(pattern.indptr, np.concatenate([[0], np.cumsum(row_len)]))
-    assert np.array_equal(pattern.indices, pairs % g.n_nodes)
-    assert np.array_equal(pattern.pos, np.searchsorted(pairs, key))
-    for arr in (pattern.indptr, pattern.indices, pattern.pos):
-        assert arr.dtype == np.int32
+    assert np.array_equal(pattern.indices, col)
+    wrap = topology == TORUS and n == 2
+    classes = 2 if wrap else 3
+    offset_class = 0
+    for k in range(dim):
+        step = (col // g.nodes_per_axis ** k % g.nodes_per_axis
+                - row // g.nodes_per_axis ** k % g.nodes_per_axis)
+        if topology == TORUS:
+            step = (step + 1) % g.nodes_per_axis - 1
+        offset_class = offset_class + (np.abs(step) != 1 if wrap else step + 1) * classes ** k
+    assert pattern.first == 0 and pattern.side == g.nodes_per_axis
+    entries = row * classes ** dim + offset_class
+    if topology == BOX:
+        assert pattern.gather.shape == (g.n_nodes * 3 ** dim,)
+        assert np.array_equal(np.flatnonzero(pattern.gather), entries)
+    else:
+        assert np.array_equal(pattern.gather, entries)
+    assert np.array_equal(pattern.transpose, np.searchsorted(pairs, col * g.n_nodes + row))
+    assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
+    assert pattern.gather.dtype == (bool if topology == BOX else np.intp)
+    assert pattern.transpose.dtype == np.intp
 
 
 def test_assembly_pattern_is_shared_and_read_only():
+    """The pattern of every node and, on a box, that of the interior nodes
+    are built once per grid shape: every matrix restricted to the interior
+    shares the interior pattern's index arrays, on any grid of that shape."""
     g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)
-    K = ops.assemble_stiffness(np.full(g.n_elements, 2.0))
-    M = ops.assemble_mass()
-    # a grid of the same shape elsewhere, like the next window, shares it
+    interior = np.flatnonzero(~g.boundary_node_mask())
+    inner = ops.restricted_pattern(interior)
+    K = ops.assemble_stiffness(np.full(g.n_elements, 2.0), pattern=inner)
+    M = ops.assemble_mass(pattern=inner)
+    assert K.shape == M.shape == (len(interior),) * 2
+    # a grid of the same shape elsewhere, like the next window, shares them
     window = element_ops(build_grid(2, 6, (-1.5, 2.0), 3.0, BOX))
     assert window.pattern is ops.pattern
-    for mat in (K, M, window.assemble_mass()):
-        assert np.shares_memory(mat.indices, ops.pattern.indices)
-        assert np.shares_memory(mat.indptr, ops.pattern.indptr)
-    for arr in (ops.pattern.indptr, ops.pattern.indices, ops.pattern.pos):
-        with pytest.raises(ValueError):
-            arr[0] = 1
+    assert window.restricted_pattern(interior) is inner
+    for mat in (K, M, window.assemble_mass(pattern=inner)):
+        assert np.shares_memory(mat.indices, inner.indices)
+        assert np.shares_memory(mat.indptr, inner.indptr)
+    for pattern in (ops.pattern, inner, inner.restricted(np.arange(3))):
+        for arr in (pattern.indptr, pattern.indices, pattern.gather, pattern.transpose):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    with pytest.raises(ValueError, match="interior nodes"):
+        ops.restricted_pattern(np.arange(g.n_nodes))
+
+
+def _restricted_set(g, case):
+    """Sorted node ids: the interior of a box, or the nodes of a disc's
+    complement (within the interior on a box; no disc on 2 cells) with every
+    fifth node dropped too, which leaves rows with a partial stencil."""
+    free = np.ones(g.n_nodes, dtype=bool) if g.topology == TORUS else ~g.boundary_node_mask()
+    if case == "masked":
+        if g.cells_per_axis > 2:
+            active = np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.3
+            touched = np.zeros(g.n_nodes, dtype=bool)
+            touched[element_ops(g).elem_nodes[active]] = True
+            free &= touched
+        free[::5] = False
+    return np.flatnonzero(free)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("topology, n, case", [(BOX, 7, "interior"), (BOX, 8, "masked"),
+                                               (TORUS, 7, "masked"), (TORUS, 2, "masked"),
+                                               (BOX, 2, "interior")])
+def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
+    """``assemble_stiffness`` on ``restricted_pattern(unknowns)`` is the slice
+    [unknowns][:, unknowns] of the COO reference, explicit zeros included,
+    and the pattern's ``transpose`` sends each slot to that of its
+    transposed entry."""
+    g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
+    ops = element_ops(g)
+    unknowns = _restricted_set(g, case)
+    assert 0 < len(unknowns) < g.n_nodes
+    rng = np.random.default_rng(dim + n)
+    coeff = rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim))
+    shift = rng.uniform(0.5, 3.0, g.n_elements) * (g.element_centers()[:, 0] < 0.5)
+    n_loc = 2 ** dim
+    data = (coeff.reshape(g.n_elements, -1) @ ops.stiff_blocks.reshape(-1, n_loc ** 2)
+            ).reshape(-1, n_loc, n_loc) + (g.h ** dim * shift)[:, None, None] * ops.mass_ref
+    want = _coo_reference(ops, data)[unknowns][:, unknowns]
+    want.sort_indices()
+    pattern = ops.restricted_pattern(unknowns)
+    got = ops.assemble_stiffness(coeff, shift, pattern)
+    _assert_same_csr(got, want)
+    row = np.repeat(np.arange(len(unknowns)), np.diff(got.indptr))
+    key = row * len(unknowns) + got.indices
+    assert np.array_equal(pattern.transpose,
+                          np.searchsorted(key, got.indices * len(unknowns) + row))
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+def test_symmetry_guard_through_the_transpose_map(restricted):
+    """``SparseSystem`` with the pattern's transpose map passes and fails as
+    the max|M - M^T| test does, with the same message: a nonsymmetric matrix
+    coefficient, a NaN coefficient and a defect at rounding level. Without
+    the map it finds the transposed entries by search, with the same
+    result."""
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
+    ops = element_ops(g)
+    pattern = (ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+               if restricted else ops.pattern)
+    rng = np.random.default_rng(6)
+    sym = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2))
+    sym = sym + sym.transpose(0, 2, 1) + 4.0 * np.eye(2)
+    skew = sym.copy()
+    skew[:, 0, 1] += rng.uniform(0.0, 0.5, g.n_elements)   # a constant one cancels
+    nan = sym.copy()
+    nan[9, 1, 1] = np.nan
+    for coeff in (skew, nan):
+        K = ops.assemble_stiffness(coeff, pattern=pattern)
+        scale = np.abs(K.data).max()
+        worst = np.abs((K - K.T).data).max()
+        message = (f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
+                   f"exceeds {numerics.SYMMETRY_RTOL:.0e} * |M|_max = "
+                   f"{numerics.SYMMETRY_RTOL * scale:.3e}")
+        for transpose in (pattern.transpose, None):
+            with pytest.raises(ValueError) as raised:
+                SparseSystem(K, symmetric=True, transpose=transpose)
+            assert str(raised.value) == message
+        SparseSystem(K, symmetric=False, transpose=pattern.transpose)
+    K = ops.assemble_stiffness(sym, pattern=pattern)
+    K.data[pattern.transpose[7]] *= 1.0 + 1e-13     # within 1e-12 of max|M|
+    for transpose in (pattern.transpose, None):
+        SparseSystem(K, symmetric=True, transpose=transpose)
+    with pytest.raises(ValueError, match="transpose map has"):
+        SparseSystem(K, symmetric=True, transpose=pattern.transpose[1:])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -413,8 +529,8 @@ def test_assembly_pattern_is_shared_and_read_only():
 @pytest.mark.parametrize("kind", ["scalar", "matrix"])
 @pytest.mark.parametrize("weights", ["mask", "float"])
 def test_shifted_stiffness_is_stiffness_plus_mass(dim, topology, kind, weights):
-    """``assemble_stiffness(coeff, shift)`` scatters the stiffness and the
-    shift-weighted mass in one pass; it equals the two matrices assembled
+    """``assemble_stiffness(coeff, shift)`` assembles the stiffness and the
+    shift-weighted mass in one table; it equals the two matrices assembled
     apart and added, to 1e-14 relative."""
     g = build_grid(dim, 6, (0.0,) * dim, 1.5, topology)
     ops = element_ops(g)
@@ -545,9 +661,10 @@ class _Recorded(Exception):
 @pytest.mark.parametrize("case", ["box-interior", "torus-masked", "box-masked"])
 def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
     """The system ``solve_corrector`` builds (on boxes the stiffness plus
-    the shift-weighted mass, scattered as one matrix, then restricted to the
-    unknowns) is the slice [unknowns][:, unknowns] of that matrix bit for
-    bit, and agrees with scipy's (K + M_shift) to rounding."""
+    the shift-weighted mass, assembled as one matrix straight onto the
+    unknowns) has the structure of the slice [unknowns][:, unknowns] of that
+    matrix assembled on every node, the same entries to rounding, and
+    agrees with scipy's (K + M_shift) to rounding."""
     from homlab import numerics
 
     systems = []

@@ -58,6 +58,14 @@ class TestPlotSeries:
         svg = plot_series([(1.0, 2.0), (2.0, 2.0), (3.0, 2.0)])
         assert svg.count("<polyline") == 1
 
+    def test_span_at_rounding_level_plots_flat(self):
+        # a one-ulp spread is drawn like an exactly constant series: one
+        # height for every point, and distinct tick labels
+        svg = plot_series([(1, 1.8749999999999998), (2, 1.875), (4, 1.875)])
+        points = svg.split('points="')[1].split('"')[0].split()
+        assert len({p.split(",")[1] for p in points}) == 1
+        assert svg == plot_series([(1, 1.875), (2, 1.875), (4, 1.875)])
+
     def test_labels_are_escaped(self):
         svg = plot_series(THREE_POINTS, x_label="a<b", y_label="c&d")
         assert "a&lt;b" in svg

@@ -8,10 +8,10 @@ axis, grid arrays take their tensor layout from one helper pair and the Q1
 reference element is one tensor product with no branch on the dimension, and
 result records hold only fields that something reads, and the solve path
 takes no solver options: symmetry is read from the coefficients, and every
-term of the equation reaches the solve kernel per element, and ``validate``
-calls the runs' own rules instead of borrowing private helpers or copying
-them, and every soundness guard reads its tolerance from one table in
-``numerics``."""
+term of the equation reaches the solve kernel per element and is assembled
+straight onto the solve's unknowns, and ``validate`` calls the runs' own
+rules instead of borrowing private helpers or copying them, and every
+soundness guard reads its tolerance from one table in ``numerics``."""
 
 import importlib
 import importlib.util
@@ -126,17 +126,19 @@ def test_p_energy_cell_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "cell.csv").is_file()
 
 
+TINY_STOCHASTIC = {"kind": "stochastic", "seed": 5,
+                   "family": {"type": "checkerboard_family", "values": [1.0, 4.0]},
+                   "family_g": {"type": "checkerboard_family", "values": [1.0, 4.0]},
+                   "trials": 8, "torus_size": 2, "resolution_per_unit": 2,
+                   "statistic_sizes": [8, 16, 32]}
+
+
 def test_stochastic_run_loads_no_scipy_fft(tmp_path):
     # a stochastic run solves on the torus only; its preconditioner keeps
     # numpy's float64 FFT, since loading scipy.fft costs ~7 MB of peak RSS
     # and numpy's float32 FFT is no faster there
-    tree = {"kind": "stochastic", "seed": 5,
-            "family": {"type": "checkerboard_family", "values": [1.0, 4.0]},
-            "family_g": {"type": "checkerboard_family", "values": [1.0, 4.0]},
-            "trials": 8, "torus_size": 2, "resolution_per_unit": 2,
-            "statistic_sizes": [8, 16, 32]}
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps(tree), encoding="utf-8")
+    spec.write_text(json.dumps(TINY_STOCHASTIC), encoding="utf-8")
     argv = ["stochastic", "--spec", str(spec), "--out", str(tmp_path / "out"),
             "--no-plots"]
     probe = ("import json, sys\n"
@@ -425,3 +427,78 @@ def test_solve_corrector_takes_terms_per_element(tmp_path, monkeypatch):
                                       and values.dtype == float
                                       and values.shape == (n_elements,))
     assert not hasattr(numerics.CsrPattern, "holds")
+
+
+
+@pytest.mark.parametrize("tree", [TINY_PERFORATION, TINY_STOCHASTIC],
+                         ids=["perforation", "stochastic"])
+def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
+    # every system is assembled straight onto its solve's unknowns: no
+    # matrix on a box grid spans the boundary nodes, each SparseSystem has
+    # as many rows as its solve has unknowns, and solve_corrector slices no
+    # CSR matrix
+    import homlab
+    import numpy as np
+    import scipy.sparse as sp
+
+    from homlab import cli, numerics
+
+    solves, slices, box_matrices = [], [], []
+    running = []    # the system sizes of the solve in progress
+    solve = numerics.solve_corrector
+
+    def recording(grid, *args, active=None, **kwargs):
+        solves.append((grid, active, []))
+        running.append(solves[-1][2])
+        try:
+            return solve(grid, *args, active=active, **kwargs)
+        finally:
+            running.pop()
+
+    post_init = numerics.SparseSystem.__post_init__
+
+    def system_recording(self):
+        post_init(self)
+        if running:
+            running[-1].append(self.n)
+
+    getitem = sp.csr_matrix.__getitem__
+
+    def getitem_recording(self, key):
+        if running:
+            slices.append(key)
+        return getitem(self, key)
+
+    def assembling(method):
+        def wrapped(self, *args, **kwargs):
+            mat = method(self, *args, **kwargs)
+            if self.grid.topology == numerics.BOX:
+                box_matrices.append((self.grid.n_nodes, mat.shape[0]))
+            return mat
+        return wrapped
+
+    for m in pkgutil.iter_modules(homlab.__path__):
+        module = importlib.import_module(f"homlab.{m.name}")
+        if getattr(module, "solve_corrector", None) is solve:
+            monkeypatch.setattr(module, "solve_corrector", recording)
+    monkeypatch.setattr(numerics.SparseSystem, "__post_init__", system_recording)
+    monkeypatch.setattr(sp.csr_matrix, "__getitem__", getitem_recording)
+    for name in ("assemble_stiffness", "assemble_mass"):
+        monkeypatch.setattr(numerics.ElementOps, name,
+                            assembling(getattr(numerics.ElementOps, name)))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tree), encoding="utf-8")
+    argv = [tree["kind"], "--spec", str(spec), "--out", str(tmp_path / "out"),
+            "--no-plots"]
+    assert cli.main(argv) == 0
+    assert solves and slices == []
+    for grid, active, systems in solves:
+        free = np.ones(grid.n_nodes, dtype=bool)
+        if active is not None:
+            free[:] = False
+            free[grid.element_nodes()[active]] = True
+        if grid.topology == numerics.BOX:
+            free &= ~grid.boundary_node_mask()
+        assert systems == [int(free.sum())]
+    assert all(rows < n_nodes for n_nodes, rows in box_matrices)
+    assert (tree is TINY_STOCHASTIC) == (box_matrices == [])
