@@ -278,8 +278,12 @@ def run_experiment(spec: ExperimentSpec, out_dir=None,
         print(f"soundness guard fired: {e}", file=sys.stderr)
         return EXIT_GUARD
     except ValueError as e:
-        log.stage("invalid-parameters", str(e))
-        print(f"invalid parameters: {e}", file=sys.stderr)
+        # the spec passed the same checks as ``validate``, which should
+        # refuse every spec a run would refuse
+        note = (f"{e}; the spec passed validate, so this is a gap in "
+                f"validate's pre-flight checks or a program fault: please report it")
+        log.stage("invalid-parameters", note)
+        print(f"invalid parameters: {note}", file=sys.stderr)
         return EXIT_INVALID
     except RuntimeError as e:
         log.stage("error", str(e))

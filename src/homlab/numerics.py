@@ -50,7 +50,10 @@ initial inverse Hessian is the same reference inverse for a_ref = 1,
 applied in float64 on both topologies and scaled per iteration: a
 preconditioned two-loop recursion whose iteration count, like CG's, does
 not grow with the mesh. It stops on a Euclidean gradient norm of 1e-8,
-under the same iteration cap.
+under the same iteration cap. An energy and a gradient at one point share
+one pass over the quadrature points, keyed on the point's values
+(``PEnergyProblem``): the gradient at an accepted step reuses the rows its
+line search built.
 
 Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
@@ -1064,6 +1067,17 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
 
 
 @dataclass
+class _PointEvaluation:
+    """One point of a ``PEnergyProblem`` (a private copy), its point rows
+    and squared lengths, and its energy once asked for."""
+
+    u: np.ndarray
+    rows: np.ndarray
+    mag_sq: np.ndarray
+    energy: float | None = None
+
+
+@dataclass
 class PEnergyProblem:
     """Discrete p-power energy sum_e a_e h^d mean_q |xi + grad v|^p.
 
@@ -1076,7 +1090,11 @@ class PEnergyProblem:
     as one product of the gathered nodal rows with the grid's precomputed
     gradient matrix (``ElementOps.grad_matrix``); the gradient maps the
     weighted point values back through its transpose
-    (``ElementOps.grad_matrix_t``).
+    (``ElementOps.grad_matrix_t``). An energy and a gradient at one point
+    share one pass over the quadrature points: the problem keeps a copy of
+    the last point it evaluated with that point's rows, squared lengths and
+    energy, and reuses them while the argument's values equal the copy's
+    (``np.array_equal``), so a vector changed in place is evaluated afresh.
     """
 
     grid: Grid
@@ -1087,6 +1105,8 @@ class PEnergyProblem:
     ops: ElementOps = field(init=False, repr=False)
     _xi_rows: np.ndarray = field(init=False, repr=False)
     _point_weights: np.ndarray = field(init=False, repr=False)
+    _last: _PointEvaluation | None = field(init=False, repr=False, compare=False,
+                                           default=None)
 
     def __post_init__(self):
         self.coeff = np.asarray(self.coeff, dtype=float)
@@ -1122,13 +1142,24 @@ class PEnergyProblem:
         g += self._xi_rows
         return g, (g * g) @ self.ops.point_sum
 
+    def _evaluated(self, u_free: np.ndarray) -> _PointEvaluation:
+        """The evaluation at u_free: the last one while the values match."""
+        last = self._last
+        if last is None or not np.array_equal(last.u, u_free):
+            self._last = last = _PointEvaluation(np.array(u_free, dtype=float),
+                                                 *self._point_rows(u_free))
+        return last
+
     def value(self, u_free: np.ndarray) -> float:
-        _, mag_sq = self._point_rows(u_free)
-        dens = mag_sq ** (self.p / 2.0) @ self.ops.quad_weights
-        return float(self.grid.h ** self.grid.dim * (self.coeff @ dens))
+        point = self._evaluated(u_free)
+        if point.energy is None:
+            dens = point.mag_sq ** (self.p / 2.0) @ self.ops.quad_weights
+            point.energy = float(self.grid.h ** self.grid.dim * (self.coeff @ dens))
+        return point.energy
 
     def gradient(self, u_free: np.ndarray) -> np.ndarray:
-        g, mag_sq = self._point_rows(u_free)
+        point = self._evaluated(u_free)
+        g, mag_sq = point.rows, point.mag_sq
         # p |g|^(p-2) g, with the p=2 case reducing to 2 g exactly.
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(mag_sq > 0, mag_sq ** (self.p / 2.0 - 1.0), 0.0)

@@ -127,6 +127,10 @@ class TestRunCommand:
         assert main(["cell", "--spec", path, "--out", str(out)]) == 2
         assert "invalid parameters" in capsys.readouterr().err
         assert "invalid-parameters" in (out / "run.log").read_text()
+        # the spec passed validate, so the message says what is at fault
+        assert ("refused at run time; the spec passed validate, so this is a gap "
+                "in validate's pre-flight checks or a program fault"
+                in (out / "run.log").read_text())
 
     def test_soundness_guard_exits_3(self, tmp_path, capsys, monkeypatch):
         def tripped():

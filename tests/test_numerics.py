@@ -972,6 +972,27 @@ class TestPEnergy:
                        for e in np.eye(prob.n_free)])
         assert np.abs(prob.gradient(u) - fd).max() <= 1e-7 * np.abs(fd).max()
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("topology", [TORUS, BOX])
+    def test_value_then_gradient_matches_a_fresh_problem(self, p, topology):
+        # an energy and a gradient at one point share one evaluation; what
+        # the second call reuses gives the bits a fresh problem computes, and
+        # a point changed in place in between is evaluated afresh
+        g = build_grid(2, 6, (0.0, 0.0), 1.0, topology)
+        coeff, xi = checkerboard_coeff(g), np.array([1.0, 0.5])
+
+        def fresh():
+            return PEnergyProblem(g, coeff, p, xi)
+
+        prob = fresh()
+        u = 0.1 * np.random.default_rng(int(10 * p)).standard_normal(prob.n_free)
+        energy = prob.value(u)
+        assert np.array_equal(prob.gradient(u), fresh().gradient(u))
+        assert prob.value(u.copy()) == energy == fresh().value(u)
+        u[3] += 0.05
+        assert np.array_equal(prob.gradient(u), fresh().gradient(u))
+        assert prob.value(u) == fresh().value(u) != energy
+
     def test_float_floor_stops_backtracking(self):
         # this descent reaches the float64 energy floor above the gradient
         # target; the line search must stop halving there instead of spending

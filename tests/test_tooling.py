@@ -11,7 +11,8 @@ takes no solver options: symmetry is read from the coefficients, and every
 term of the equation reaches the solve kernel per element and is assembled
 straight onto the solve's unknowns, and ``validate`` calls the runs' own
 rules instead of borrowing private helpers or copying them, and every
-soundness guard reads its tolerance from one table in ``numerics``."""
+soundness guard reads its tolerance from one table in ``numerics``, and an
+L-BFGS gradient reuses the point rows its line search built."""
 
 import importlib
 import importlib.util
@@ -124,6 +125,38 @@ def test_p_energy_cell_run_loads_no_scipy(tmp_path):
             f"print(json.dumps([code, {SCIPY_LOADED}]))")
     assert _fresh_python(code) == [0, []]
     assert (tmp_path / "out" / "cell.csv").is_file()
+
+
+def test_lbfgs_gradients_reuse_the_line_search_rows(tmp_path, monkeypatch):
+    # every gradient L-BFGS asks for is at the point whose energy it has just
+    # evaluated, so it reads that evaluation's point rows instead of building
+    # them again; a p-energy cell run asks for gradients only through L-BFGS
+    from homlab import cli
+    from homlab.numerics import PEnergyProblem
+
+    point_rows, gradient = PEnergyProblem._point_rows, PEnergyProblem.gradient
+    gradients, rows_in_gradients, inside = [], [], []
+
+    def counting_rows(self, u_free):
+        if inside:
+            rows_in_gradients.append(1)
+        return point_rows(self, u_free)
+
+    def counting_gradient(self, u_free):
+        gradients.append(1)
+        inside.append(1)
+        try:
+            return gradient(self, u_free)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(PEnergyProblem, "_point_rows", counting_rows)
+    monkeypatch.setattr(PEnergyProblem, "gradient", counting_gradient)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(P_ENERGY_CELL), encoding="utf-8")
+    assert cli.main(["cell", "--spec", str(spec), "--out", str(tmp_path / "out"),
+                     "--no-plots"]) == 0
+    assert gradients and rows_in_gradients == []
 
 
 TINY_STOCHASTIC = {"kind": "stochastic", "seed": 5,
