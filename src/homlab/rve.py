@@ -98,13 +98,7 @@ def local_min_energy(f: EnergyDensity, x0, R: float, xi,
     coeff = element_coefficients(f.coeff, grid)
     if f.p != 2.0:
         problem = PEnergyProblem(grid, coeff, f.p, xi)
-        # continuation: L-BFGS starts from the quadratic corrector. On a 2x2
-        # checkerboard of 1 and 4, p = 3, xi = (1, 0.5), 8 cells per unit,
-        # warm start (its CG solve included) vs start from w = 0: 17 L-BFGS
-        # + 11 CG vs 20 L-BFGS iterations, 15 vs 15 ms, at R = 8; 18 + 11
-        # vs 23, 58 vs 63 ms, at R = 16 (2 vCPU)
-        [(w_quad, _)] = solve_corrector(grid, coeff, [xi])
-        w, _ = minimize_p_energy(problem, x0=w_quad[problem.free])
+        w, _ = minimize_p_energy(problem)
         raw = problem.value(w[problem.free])
     else:
         [(w, _)] = solve_corrector(grid, coeff, [xi])

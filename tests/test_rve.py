@@ -13,6 +13,7 @@ from homlab.fields import (
     FieldBounds,
     HalfSpaceStep,
     Layered1D,
+    PeriodicStep,
     TrigPolynomialClamped,
     constant_matrix,
     isotropic_matrix,
@@ -100,22 +101,35 @@ def test_p3_balanced_window_closed_form():
 
 
 def test_box_lbfgs_keeps_float64_preconditioner(monkeypatch):
-    # the p = 3 window above is a box L-BFGS solve on 63 free unknowns; with
-    # the float64 preconditioner apply it takes 5 iterations, with a float32
-    # apply (as the box Krylov solves use) it would take 7
-    from homlab import rve
+    # a p = 3 window on the 2x2 checkerboard is a box L-BFGS solve started
+    # from w = 0 on 63^2 free unknowns; with the float64 preconditioner apply
+    # it takes 19 iterations, with a float32 apply (as the box Krylov solves
+    # use) it takes 23
+    from homlab import numerics, rve
 
-    real = rve.minimize_p_energy
-    stats = []
+    real_minimize, real_precond = rve.minimize_p_energy, numerics.spectral_preconditioner
+    den = EnergyDensity(PeriodicStep(2, [1.0, 4.0, 4.0, 1.0], B14, dim=2), 3.0)
 
-    def recorded(*args, **kwargs):
-        u, st = real(*args, **kwargs)
-        stats.append(st)
-        return u, st
+    def iterations():
+        stats = []
 
-    monkeypatch.setattr(rve, "minimize_p_energy", recorded)
-    local_min_energy(EnergyDensity(two_phase(1), 3.0), 0.0, 4.0, [1.0], 16)
-    assert [st.iterations for st in stats] == [5]
+        def recorded(problem):
+            u, st = real_minimize(problem)
+            stats.append(st.iterations)
+            return u, st
+
+        monkeypatch.setattr(rve, "minimize_p_energy", recorded)
+        local_min_energy(den, 0.0, 8.0, [1.0, 0.5], 8)
+        return stats
+
+    assert iterations() == [19]
+
+    def float32_precond(*args, **kwargs):
+        return real_precond(*args, **{**kwargs, "dtype": np.float32})
+
+    monkeypatch.setattr(numerics, "spectral_preconditioner", float32_precond)
+    [float32] = iterations()
+    assert float32 > 19
 
 
 def test_smooth_periodic_windows_approach_cell():

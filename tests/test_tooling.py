@@ -1,18 +1,19 @@
 """Checks on the structure the tooling relies on: every function the benchmark
 tracer wraps still exists, the experiment layer leaves the solver policy to
 ``numerics``, and importing the CLI loads no solver module it may not need
-(validating a spec and a p-energy cell run load no scipy, and a torus-only
-stochastic run no scipy.fft), the CLI's runners leave every write to its one
-artifact writer, one type describes every energy density, plots have one x
-axis, grid arrays take their tensor layout from one helper pair and the Q1
-reference element is one tensor product with no branch on the dimension, and
-result records hold only fields that something reads, and the solve path
-takes no solver options: symmetry is read from the coefficients, and every
-term of the equation reaches the solve kernel per element and is assembled
-straight onto the solve's unknowns, and ``validate`` calls the runs' own
-rules instead of borrowing private helpers or copying them, and every
-soundness guard reads its tolerance from one table in ``numerics``, and an
-L-BFGS gradient reuses the point rows its line search built."""
+(validating a spec and a p-energy cell run load no scipy, a p-energy window
+run only scipy.fft, and a torus-only stochastic run no scipy.fft), the CLI's
+runners leave every write to its one artifact writer, one type describes
+every energy density, plots have one x axis, grid arrays take their tensor
+layout from one helper pair and the Q1 reference element is one tensor
+product with no branch on the dimension, and result records hold only fields
+that something reads, and the solve path takes no solver options: symmetry is
+read from the coefficients, and every term of the equation reaches the solve
+kernel per element and is assembled straight onto the solve's unknowns, and
+``validate`` calls the runs' own rules instead of borrowing private helpers
+or copying them, and every soundness guard reads its tolerance from one table
+in ``numerics``, and an L-BFGS gradient reuses the point rows its line search
+built."""
 
 import importlib
 import importlib.util
@@ -127,6 +128,29 @@ def test_p_energy_cell_run_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "cell.csv").is_file()
 
 
+P_ENERGY_RVE = {"kind": "rve", "p": 3.0,
+                "field": {"type": "random_checkerboard", "values": [1.0, 4.0],
+                          "seed": 3},
+                "windows": [2, 4, 8], "resolution_per_unit": 4}
+
+
+def test_p_energy_window_run_loads_only_scipy_fft(tmp_path):
+    # a p != 2 window starts L-BFGS from w = 0 and assembles no matrix; only
+    # its box preconditioner (DST-I) needs scipy.fft
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(P_ENERGY_RVE), encoding="utf-8")
+    argv = ["rve", "--spec", str(spec), "--out", str(tmp_path / "out"), "--no-plots"]
+    code = ("import json, sys\n"
+            "from homlab import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, {SCIPY_LOADED}]))")
+    exit_code, loaded = _fresh_python(code)
+    assert exit_code == 0
+    assert "scipy.fft" in loaded
+    assert not any(m == "scipy.sparse" or m.startswith("scipy.sparse.") for m in loaded)
+    assert (tmp_path / "out" / "rve.csv").is_file()
+
+
 def test_lbfgs_gradients_reuse_the_line_search_rows(tmp_path, monkeypatch):
     # every gradient L-BFGS asks for is at the point whose energy it has just
     # evaluated, so it reads that evaluation's point rows instead of building
@@ -185,10 +209,11 @@ def test_stochastic_run_loads_no_scipy_fft(tmp_path):
 
 
 def test_p_energy_cell_builds_no_csr_pattern(monkeypatch):
-    # the assembly pattern is built on a grid's first assembly; the torus
-    # p-energy solves (penergy-cell) run L-BFGS only and must not pay for it
-    from homlab import cell, numerics
-    from homlab.fields import FieldBounds, checkerboard_step
+    # the assembly pattern is built on a grid's first assembly; the p-energy
+    # solves run L-BFGS only and must not pay for it, neither the torus cells
+    # (penergy-cell) nor the box windows, which start from w = 0
+    from homlab import cell, numerics, rve
+    from homlab.fields import EnergyDensity, FieldBounds, checkerboard_step
 
     def refuse(*args):
         raise AssertionError("a CSR pattern was built")
@@ -197,6 +222,8 @@ def test_p_energy_cell_builds_no_csr_pattern(monkeypatch):
     numerics.element_ops.cache_clear()
     field = checkerboard_step(1.0, 4.0, FieldBounds(1.0, 4.0))
     assert cell.homogenize_p_energy(field, 3.0, [1.0, 0.0], 8) > 0
+    assert rve.local_min_energy(EnergyDensity(field, 3.0), 0.0, 4.0,
+                                [1.0, 0.5], 8) > 0
 
 
 def test_evaluations_call_no_einsum(monkeypatch):
@@ -419,6 +446,8 @@ def test_solve_path_takes_no_knobs():
             if f.init} == {"grid", "coeff", "p", "xi"}
     assert not hasattr(numerics, "interpolate_affine")
     assert not hasattr(numerics.Grid, "node_coords")
+    # every p-energy solve starts from w = 0: no warm start to pass in
+    assert list(inspect.signature(numerics.minimize_p_energy).parameters) == ["problem"]
 
 
 TINY_PERFORATION = {"kind": "perforation", "shape": "ball", "radius": 0.25,
