@@ -11,16 +11,25 @@ carries timings.  A failed run keeps the files written before the failure.
 Exit codes: 0 success, 1 any other runtime error, 2 invalid spec or
 parameters, 3 a soundness guard fired (``GuardError``), 4 solver failure
 (``SolverError``).
+
+BLAS runs on one thread unless the environment sets its thread count, as
+its long reductions round differently on more threads; a process that
+loaded numpy before importing this module keeps its own setting.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+
+# before the package imports below load numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .cell import homogenize_matrix, p_energy_result
 from .experiment_spec import (KINDS, ExperimentSpec, SpecValidationError,

@@ -23,7 +23,8 @@ Every linear solve in the package goes through one kernel,
 element, assembles the stiffness of a plus the c-weighted mass straight
 onto the unknowns (mean-zero on the torus, interior nodes on a box, nodes
 of active elements when a mask is given) as one GEMM into a stencil table
-and one gather from it (``ElementOps``, ``CsrPattern``), builds the
+whose present entries, in table order, are the CSR data (``ElementOps``,
+``CsrPattern``; wrapped torus rows stay unsorted, as scipy allows), builds the
 right-hand side and prolongs the solution back to a full nodal vector. A
 direction xi is solved in one form on both topologies: the corrector w of
 u = <xi, x - x0> + w, periodic on the torus and zero on the box boundary
@@ -286,68 +287,6 @@ def _reference_element(dim: int):
     return np.full(2 ** dim, 0.5 ** dim), factor.prod(axis=2), grads
 
 
-def _axis_stencil(nodes: int, torus: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The 3-point stencil of one grid axis with ``nodes`` nodes, as arrays
-    over [node x, place]: ``column`` lists the distinct stencil nodes of x in
-    increasing order, padded with ``nodes``, and ``offset`` is the offset
-    class of each place (0, 1, 2 for x - 1, x, x + 1). Box ends have two
-    neighbours; on a 2-node torus x - 1 and x + 1 are the same node, which
-    takes one place and class 0.
-    """
-    target = np.arange(nodes)[:, None] + np.arange(-1, 2)[None, :]     # [x, k]
-    if torus:
-        target %= nodes
-        distinct = np.ones(target.shape, dtype=bool)
-        distinct[:, 2] = target[:, 2] != target[:, 0]
-    else:
-        distinct = (target >= 0) & (target < nodes)
-    column = np.sort(np.where(distinct, target, nodes), axis=1)
-    rank = (column[:, None, :] < target[:, :, None]).sum(axis=2)   # place of offset k
-    x, k = np.nonzero(distinct)
-    offset = np.zeros_like(column)
-    offset[x, rank[x, k]] = k
-    return column, offset
-
-
-def _tensor_entries(count: np.ndarray, values: list[list[np.ndarray]]
-                    ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The slots of the tensor product of one axis stencil per axis, in CSR
-    order, and the slots per row.
-
-    ``count[x]`` is the number of places of node x on each axis (padded
-    places last). Each item of ``values`` holds one [x, place] array per
-    axis; its result holds, for each slot, the sum over the axes of the
-    axis array at the slot's node and place, in the axis array's dtype.
-    Axes are added the lowest first, each as the slowest: row (x, r) of the
-    new block lists, for each place p of x, the slots s of row r of the
-    block so far, p slower than s. Runs of nodes x of one count share the
-    (r, p, s) index pattern, so each run is one broadcast sum.
-    """
-    per_row = np.ones(1, dtype=np.intp)
-    sums = [np.zeros(1, dtype=axes[0].dtype) for axes in values]
-    runs = np.split(np.arange(len(count)), np.flatnonzero(np.diff(count)) + 1)
-    for k in range(len(values[0])):
-        total = int(per_row.sum())
-        out = [np.empty(int(count.sum()) * total, dtype=s.dtype) for s in sums]
-        start = 0
-        for xs in runs:
-            reps = count[xs[0]] * per_row
-            row = np.repeat(np.arange(len(per_row)), reps)
-            local = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-            prev = np.repeat(np.cumsum(per_row) - per_row, reps) + local % per_row[row]
-            place = local // per_row[row]
-            block = slice(start, start + len(xs) * len(prev))
-            for o, s, axes in zip(out, sums, values):
-                rows = o[block].reshape(len(xs), -1)
-                # mode "clip" writes straight into ``rows`` ("raise" buffers)
-                np.take(axes[k][xs], place, axis=1, out=rows, mode="clip")
-                rows += s[prev]
-            start = block.stop
-        per_row = np.outer(count, per_row).ravel()
-        sums = out
-    return per_row, sums
-
-
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for arr in arrays:
         arr.setflags(write=False)
@@ -362,18 +301,20 @@ class CsrPattern:
     The rows and the columns are the nodes of the set: every node of the
     grid, the interior nodes of a box, or a subset of either
     (``restricted``). ``indptr`` and ``indices`` hold, in CSR form with
-    scipy's index dtype (rows sorted, no duplicates), the 3^dim-node stencil
-    of each row within the set; every matrix on the pattern shares them.
+    scipy's index dtype and without duplicates, the 3^dim-node stencil of
+    each row within the set; every matrix on the pattern shares them.
 
     Entries are read from a stencil table with one row per node of a tensor
     block, ``side`` nodes per axis from node ``first`` on every axis, and
-    one column per stencil offset class, x fastest: 3 classes per axis, or 2
-    on a 2-node torus axis, whose offsets -1 and +1 are one node.
-    ``incidence[a, b, c]`` is 1 when element-local node b sits in class c of
-    local node a. ``gather`` reads the slots' entries from the flat table,
-    as their indices, or as a boolean mask where the slots are in table
-    order (every node or the interior of a box); ``transpose`` sends each
-    slot to the slot of its transposed entry. Every array is read-only.
+    one column per stencil offset class, x fastest: 3 classes per axis
+    (offsets -1, 0, +1), or 2 on a 2-node torus axis, whose offsets -1 and
+    +1 are one node. ``incidence[a, b, c]`` is 1 when element-local node b
+    sits in class c of local node a. The slots are the table's present
+    entries in table order, read by the boolean mask ``gather``: a row lists
+    its present classes in class order, which sorts its columns in a box; a
+    torus row that wraps stays unsorted (node 0 reads node side - 1 first),
+    as scipy's CSR kernels allow. ``transpose`` sends each slot to the slot
+    of its transposed entry. Every array is read-only.
     """
 
     indptr: np.ndarray
@@ -389,24 +330,23 @@ class CsrPattern:
         import scipy.sparse as sp    # the first assembly pays for loading it
 
         n = len(self.indptr) - 1
-        mat = sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-        mat.has_canonical_format = True
-        return mat
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
     def restricted(self, rows: np.ndarray) -> CsrPattern:
         """The pattern of the rows and columns ``rows`` (sorted positions
         among this pattern's rows), on the same table: the slots whose row
-        and column are both kept, renumbered."""
+        and column are both kept, renumbered, still in table order."""
         idx = self.indices.dtype
-        entries = np.flatnonzero(self.gather) if self.gather.dtype == bool else self.gather
         inside = np.zeros(len(self.indptr) - 1, dtype=bool)
         inside[rows] = True
         kept = np.repeat(inside, np.diff(self.indptr)) & inside[self.indices]
         before = np.zeros(len(kept) + 1, dtype=idx)    # kept slots before a slot
         np.cumsum(kept, out=before[1:])
         renumber = np.cumsum(inside, dtype=idx) - 1
+        gather = self.gather.copy()
+        gather[self.gather] = kept
         arrays = _frozen(np.append(before[self.indptr[rows]], before[-1]),
-                         renumber[self.indices[kept]], entries[kept],
+                         renumber[self.indices[kept]], gather,
                          before[self.transpose[kept]])
         return CsrPattern(*arrays, self.first, self.side, self.incidence)
 
@@ -414,53 +354,49 @@ class CsrPattern:
 @lru_cache(maxsize=8)
 def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) -> CsrPattern:
     """The ``CsrPattern`` of every node of a grid shape, or with ``interior``
-    of the interior nodes of a box, built from the per-axis stencils.
+    of the interior nodes of a box: a block of ``side`` nodes per axis.
 
-    The set is a block of ``side`` nodes per axis, and its pattern the
-    tensor product of the axis stencils (``_tensor_entries``): row r holds
-    the product of its per-axis stencils, the column with the highest axis
-    slowest. The pattern depends on the shape only: grids of one shape,
-    like windows of one size, share it.
+    Each array is a tensor combination of per-axis [node, class] arrays: an
+    entry is present when it is on every axis (a torus wraps, a box ends),
+    its column sums the per-axis neighbours and a row's length is the
+    product of its per-axis counts. Grids of one shape share the pattern.
     """
     torus = topology == TORUS
     first = int(interior)
     side = cells + (not torus) - 2 * first
-    column, offset = _axis_stencil(side, torus)
     classes = 2 if torus and side == 2 else 3
     width = classes ** dim
-    count = (column < side).sum(axis=1)
+    # per axis [node x, class c]: the neighbour at offset c - 1, if any
+    neighbour = np.arange(side)[:, None] + np.arange(classes) - 1
+    present = torus | ((neighbour >= 0) & (neighbour < side))
+    neighbour %= side
+    count = present.sum(axis=1)
     nnz = int(count.sum()) ** dim
     # scipy's choice for CSR index arrays: int32 whenever the values fit. The
-    # gather and transpose maps are numpy's own intp, since an index array of
-    # another type is converted on every use
+    # transpose map is numpy's own intp, since an index array of another
+    # type is converted on every use
     idx = np.int32 if max(nnz, side ** dim) <= np.iinfo(np.int32).max else np.int64
-    # per slot: its column and its table entry
-    node = np.arange(side)[:, None]
-    row_len, (indices, gather) = _tensor_entries(count, [
-        [(column * side ** k).astype(idx) for k in range(dim)],
-        [node * side ** k * width + offset * classes ** k for k in range(dim)]])
+
+    def tensor(op, per_axis):
+        return reduce(op, (_on_axis(a, k, dim) for k, a in enumerate(per_axis))).ravel()
+
+    gather = tensor(np.logical_and, [present] * dim)
     indptr = np.zeros(side ** dim + 1, dtype=idx)
-    np.cumsum(row_len, out=indptr[1:])
-    # gather is one-to-one, so its inverse at the table entry of a slot's
-    # transposed entry (the column's row, the opposite class) is that slot
-    slot = np.empty(side ** dim * width, dtype=np.intp)
+    np.cumsum(tensor(np.multiply, [count] * dim), out=indptr[1:])
+    indices = tensor(np.add, [(neighbour * side ** k).astype(idx) for k in range(dim)])[gather]
+    # the table entry of each slot's transposed entry: the column's row and
+    # the opposite class (the same class on a 2-node torus), in the index
+    # dtype unless the table outgrows it
+    entry = idx if len(gather) <= np.iinfo(idx).max else np.int64
+    opposite = (2 - np.arange(classes)) % classes
+    mirror = tensor(np.add, [(neighbour * side ** k * width + opposite * classes ** k
+                              ).astype(entry) for k in range(dim)])[gather]
+    slot = np.zeros(len(gather), dtype=np.intp)
     slot[gather] = np.arange(nnz)
-    if not torus:
-        # a box lists its table entries in order (no wrapped columns): one
-        # flag per entry reads them, in an eighth of the memory
-        mask = np.zeros(len(slot), dtype=bool)
-        mask[gather] = True
-        gather = mask
-    # the class of offset k - 1 on an axis, and reversed, the opposite class
-    fold = np.array([0, 1, 0]) if classes == 2 else np.arange(3)
-    _, (mirror,) = _tensor_entries(count, [
-        [column * side ** k * width + fold[::-1][offset] * classes ** k for k in range(dim)]])
     transpose = slot[mirror]
     # incidence per axis: local node b of local node a has offset b - a; the
     # tensor product puts x fastest
-    axis = np.zeros((2, 2, classes))
-    for a, b in np.ndindex(2, 2):
-        axis[a, b, fold[b - a + 1]] = 1.0
+    axis = np.eye(classes)[(np.arange(2) - np.arange(2)[:, None] + 1) % classes]
     incidence = reduce(np.kron, [axis] * dim)
     return CsrPattern(*_frozen(indptr, indices, gather, transpose), first, side,
                       *_frozen(incidence))
@@ -476,8 +412,9 @@ class ElementOps:
     views of the per-element grid padded by one layer (zeros beyond a box,
     the wrapped layer on a torus). One GEMM against the (2^dim P x width)
     weights sum_b block_p[a, b] incidence[a, b, c] gives the table: each
-    row's matrix entry per stencil offset class. The pattern's gather then
-    reads the CSR data from it; no element entry is scattered. The patterns
+    row's matrix entry per stencil offset class. The pattern's mask reads
+    the CSR data from it in table order (wrapped torus rows stay unsorted):
+    no element entry is scattered and no slot reordered. The patterns
     of every node and of a box's interior are built on first use and kept
     per grid shape (grids that never assemble, like the p-energy ones, never
     build them); ``restricted_pattern`` derives the pattern of any other set
@@ -653,11 +590,9 @@ def element_ops(grid: Grid) -> ElementOps:
     grad_matrix_t = np.ascontiguousarray(grad_matrix.T)
     point_spread = np.ascontiguousarray(point_sum.T)
     mass = np.einsum("q,qa,qb->ab", wts, phi, phi)
-    arrays = (wts, grad_matrix, mean_grad_matrix, point_sum, grad_matrix_t,
-              point_spread, blocks, mass)
-    for arr in arrays:
-        arr.setflags(write=False)
-    return ElementOps(grid, grid.element_nodes(), *arrays)
+    return ElementOps(grid, grid.element_nodes(),
+                      *_frozen(wts, grad_matrix, mean_grad_matrix, point_sum,
+                               grad_matrix_t, point_spread, blocks, mass))
 
 
 @dataclass
@@ -669,7 +604,9 @@ class SparseSystem:
     ``SYMMETRY_RTOL``, without a transposed copy. ``transpose`` gives the
     slot of each stored entry's transpose when the pattern knows it
     (``CsrPattern.transpose``, as ``solve_corrector`` passes); otherwise the
-    entries are found by a sorted search over the (row, column) keys.
+    entries are found by a search over the sorted (row, column) keys. The
+    matrix is kept as given, never sorted: a pattern's matrices share its
+    read-only index arrays, and a torus row may list its columns unsorted.
     """
 
     matrix: sp.csr_matrix
@@ -678,8 +615,6 @@ class SparseSystem:
 
     def __post_init__(self):
         self.matrix = self.matrix.tocsr()
-        self.matrix.sum_duplicates()
-        self.matrix.sort_indices()
         data = self.matrix.data
         if not self.symmetric or not data.size:
             return
@@ -705,14 +640,18 @@ class SparseSystem:
 
 
 def _stored_transpose(mat: sp.csr_matrix) -> np.ndarray:
-    """The entry at (c, r) for each stored entry (r, c) of a canonical CSR
-    matrix, 0 where it is not stored."""
+    """The entry at (c, r) for each stored entry (r, c) of a CSR matrix with
+    columns in any order, 0 where it is not stored; duplicates raise."""
     size = max(mat.shape)
     row = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
-    key = row * size + mat.indices     # increasing: rows in order, columns sorted
+    key = row * size + mat.indices
+    order = np.argsort(key)
+    key = key[order]
+    if np.any(key[1:] == key[:-1]):
+        raise ValueError("matrix has duplicate entries; sum them first")
     mirror_key = mat.indices.astype(np.int64) * size + row
     at = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
-    return np.where(key[at] == mirror_key, mat.data[at], 0.0)
+    return np.where(key[at] == mirror_key, mat.data[order[at]], 0.0)
 
 
 def is_symmetric(coeff: np.ndarray) -> bool:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -350,3 +354,27 @@ class TestRunCommand:
                      "stability.svg"):
             assert ((out1 / name).read_bytes()
                     == (out2 / name).read_bytes()), name
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_default_run_uses_one_blas_thread(tmp_path):
+    # a fresh launch with no BLAS setting writes the bytes of one with one
+    # thread; with the threads left to OpenBLAS on two cores the lambda
+    # distances of this spec move at about 1e-13 relative
+    path = spec_file(tmp_path, dict(PERFORATION_EPS, eps_list=[0.5, 0.25]))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    outs = []
+    for extra in ({}, dict.fromkeys(BLAS_VARS, "1")):
+        out = tmp_path / f"run{len(outs)}"
+        subprocess.run([sys.executable, "-m", "homlab.cli", "perforation", "--spec", path,
+                        "--out", str(out), "--no-plots"],
+                       env={**base, **extra}, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir() if p.name != "run.log")
+    assert names == ["lambda.csv", "perforation.csv", "perforation_summary.json"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

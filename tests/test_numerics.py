@@ -221,6 +221,31 @@ class TestSparseSystem:
         assert sys_.matrix[0, 0] == 2.0
         assert sys_.matrix.indptr[-1] == sys_.matrix.data.size == 1
 
+    def test_duplicate_entries_are_refused_without_a_map(self):
+        mat = sp.csr_matrix((np.ones(3), np.array([0, 0, 1]), np.array([0, 2, 3])),
+                            shape=(2, 2))
+        with pytest.raises(ValueError, match="duplicate entries"):
+            SparseSystem(mat, symmetric=True)
+
+    def test_unsorted_pattern_matrix_is_checked_as_given(self):
+        """A torus pattern matrix, whose wrapped rows list their columns
+        unsorted, is checked without a transpose map: accepted when it is
+        symmetric, refused with one entry perturbed, and never sorted, so it
+        still shares the pattern's index arrays."""
+        g = build_grid(2, 6, (0.0, 0.0), 1.0, TORUS)
+        ops = element_ops(g)
+        for perturb in (False, True):
+            K = ops.assemble_stiffness(two_phase_coeff(g))
+            assert not K.has_sorted_indices
+            if perturb:
+                K.data[0] *= 1.0 + 1e-6     # row 0 against its wrapped column
+                with pytest.raises(ValueError, match="declared symmetric"):
+                    SparseSystem(K, symmetric=True)
+            else:
+                assert SparseSystem(K, symmetric=True).matrix is K
+            assert np.shares_memory(K.indices, ops.pattern.indices)
+            assert np.shares_memory(K.indptr, ops.pattern.indptr)
+
 
 class TestCG:
     def test_manufactured_bilinear_solution_is_exact(self):
@@ -328,14 +353,69 @@ def _coo_reference(ops, data):
     return mat
 
 
+def _pairs(mat):
+    """The row and the column of each stored entry of a CSR matrix or each
+    slot of a ``CsrPattern``."""
+    row = np.repeat(np.arange(len(mat.indptr) - 1, dtype=np.int64), np.diff(mat.indptr))
+    return row, mat.indices.astype(np.int64)
+
+
 def _assert_same_csr(got, want):
     """The same CSR structure (explicit zeros included) and index dtype, and
     the same entries to 1e-15 of the largest: the stencil table adds the
-    same <= 2^dim element terms per entry as a scatter, in another order."""
+    same <= 2^dim element terms per entry as a scatter, in another order.
+    ``want`` is canonical; ``got`` lists a row's columns in offset-class
+    order, unsorted where a torus row wraps, so its (row, column) pairs are
+    compared in sorted order: the same pairs, each once."""
     assert got.indices.dtype == want.indices.dtype
     assert np.array_equal(got.indptr, want.indptr)
-    assert np.array_equal(got.indices, want.indices)
-    assert np.abs(got.data - want.data).max() <= 1e-15 * np.abs(want.data).max()
+    row, col = _pairs(got)
+    key = row * got.shape[1] + col
+    order = np.argsort(key)
+    want_row, want_col = _pairs(want)
+    assert np.array_equal(key[order], want_row * want.shape[1] + want_col)
+    assert np.abs(got.data[order] - want.data).max() <= 1e-15 * np.abs(want.data).max()
+
+
+def _assert_transpose_map(mat, transpose):
+    """``transpose`` sends each slot of ``mat`` (a matrix or a pattern whose
+    (row, column) pairs are distinct) to the slot of the pair (column,
+    row)."""
+    row, col = _pairs(mat)
+    assert np.array_equal(row[transpose], col) and np.array_equal(col[transpose], row)
+
+
+def _classes(g):
+    """Offset classes per axis: 3, or 2 on a 2-node torus axis."""
+    return 2 if g.topology == TORUS and g.nodes_per_axis == 2 else 3
+
+
+def _table_entries(g, pattern, nodes):
+    """The stencil-table entry each slot of ``pattern`` should read, from its
+    row and column node (the node ids ``nodes`` of its rows and columns):
+    the row node's place in the table block, times the classes per row,
+    plus the offset class of the column, per axis offset + 1, x fastest (on
+    the 2-node torus the wrapped offsets -1 and +1 share class 0)."""
+    nn, classes = g.nodes_per_axis, _classes(g)
+    row, col = (nodes[a] for a in _pairs(pattern))
+    place = offset_class = 0
+    for k in range(g.dim):
+        r, c = row // nn ** k % nn, col // nn ** k % nn
+        step = c - r
+        if g.topology == TORUS:
+            step = (step + 1) % nn - 1
+        place = place + (r - pattern.first) * pattern.side ** k
+        offset_class = offset_class + (step + 1) % classes * classes ** k
+    return place * classes ** g.dim + offset_class
+
+
+def _assert_table_order(g, pattern, nodes):
+    """``gather`` is a boolean mask over the stencil table whose present
+    entries are the slots' table entries in slot order: the rows in order,
+    each row's slots its present offset classes in class order."""
+    assert pattern.gather.dtype == bool
+    assert pattern.gather.shape == ((pattern.side * _classes(g)) ** g.dim,)
+    assert np.array_equal(np.flatnonzero(pattern.gather), _table_entries(g, pattern, nodes))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -375,43 +455,32 @@ def test_assembly_matches_coo_reference(dim, topology, n):
 @pytest.mark.parametrize("topology, n", [(TORUS, 2), (TORUS, 3), (TORUS, 7),
                                          (BOX, 2), (BOX, 3), (BOX, 7)])
 def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
-    """Slot s of the pattern holds the s-th distinct (row, column) pair of
-    the element entries, rows in order and each row's columns increasing;
-    ``gather`` sends it to the table entry of its row and offset class (3
-    per axis, x fastest; on the 2-node torus the wrapped offsets -1 and +1
-    share a slot and class 0), by index on a torus and by a mask over the
-    table on a box, whose slots are in table order; ``transpose`` sends it
-    to the slot of the pair (column, row)."""
+    """The slots of the pattern hold the distinct (row, column) pairs of the
+    element entries, each once, rows in order; ``gather`` is a boolean mask
+    over the stencil table (3 offset classes per axis, x fastest; on the
+    2-node torus the wrapped offsets -1 and +1 share a slot and class 0)
+    whose present entries are the slots in table order, so a row's slots
+    are its present offset classes in class order; ``transpose`` sends each
+    slot to the slot of the pair (column, row)."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     nodes = g.element_nodes()
     n_loc = nodes.shape[1]
     rows = np.repeat(nodes, n_loc, axis=1).ravel()   # (e, a, b) raveled
     cols = np.tile(nodes, n_loc).ravel()
     pairs = np.unique(rows.astype(np.int64) * g.n_nodes + cols)
-    row, col = pairs // g.n_nodes, pairs % g.n_nodes
     pattern = numerics._csr_pattern(dim, n, topology)
-    row_len = np.bincount(row, minlength=g.n_nodes)
+    row_len = np.bincount(pairs // g.n_nodes, minlength=g.n_nodes)
     assert np.array_equal(pattern.indptr, np.concatenate([[0], np.cumsum(row_len)]))
-    assert np.array_equal(pattern.indices, col)
-    wrap = topology == TORUS and n == 2
-    classes = 2 if wrap else 3
-    offset_class = 0
-    for k in range(dim):
-        step = (col // g.nodes_per_axis ** k % g.nodes_per_axis
-                - row // g.nodes_per_axis ** k % g.nodes_per_axis)
-        if topology == TORUS:
-            step = (step + 1) % g.nodes_per_axis - 1
-        offset_class = offset_class + (np.abs(step) != 1 if wrap else step + 1) * classes ** k
+    row, col = _pairs(pattern)
+    assert np.array_equal(np.sort(row * g.n_nodes + col), pairs)
     assert pattern.first == 0 and pattern.side == g.nodes_per_axis
-    entries = row * classes ** dim + offset_class
-    if topology == BOX:
-        assert pattern.gather.shape == (g.n_nodes * 3 ** dim,)
-        assert np.array_equal(np.flatnonzero(pattern.gather), entries)
-    else:
-        assert np.array_equal(pattern.gather, entries)
-    assert np.array_equal(pattern.transpose, np.searchsorted(pairs, col * g.n_nodes + row))
+    _assert_table_order(g, pattern, np.arange(g.n_nodes))
+    # a box lists each row's columns in increasing order; a torus row that
+    # wraps lists its wrapped neighbours first
+    key = row * g.n_nodes + col
+    assert np.all(np.diff(key) > 0) == (topology == BOX)
+    _assert_transpose_map(pattern, pattern.transpose)
     assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
-    assert pattern.gather.dtype == (bool if topology == BOX else np.intp)
     assert pattern.transpose.dtype == np.intp
 
 
@@ -480,10 +549,8 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     pattern = ops.restricted_pattern(unknowns)
     got = ops.assemble_stiffness(coeff, shift, pattern)
     _assert_same_csr(got, want)
-    row = np.repeat(np.arange(len(unknowns)), np.diff(got.indptr))
-    key = row * len(unknowns) + got.indices
-    assert np.array_equal(pattern.transpose,
-                          np.searchsorted(key, got.indices * len(unknowns) + row))
+    _assert_table_order(g, pattern, unknowns)
+    _assert_transpose_map(got, pattern.transpose)
 
 
 @pytest.mark.parametrize("restricted", [False, True])

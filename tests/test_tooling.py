@@ -13,7 +13,8 @@ kernel per element and is assembled straight onto the solve's unknowns, and
 ``validate`` calls the runs' own rules instead of borrowing private helpers
 or copying them, and every soundness guard reads its tolerance from one table
 in ``numerics``, and an L-BFGS gradient reuses the point rows its line search
-built."""
+built, and an assembled matrix takes its slot order from the stencil
+table, unsorted where a torus row wraps."""
 
 import importlib
 import importlib.util
@@ -448,6 +449,20 @@ def test_solve_path_takes_no_knobs():
     assert not hasattr(numerics.Grid, "node_coords")
     # every p-energy solve starts from w = 0: no warm start to pass in
     assert list(inspect.signature(numerics.minimize_p_energy).parameters) == ["problem"]
+
+
+def test_stencil_table_order_is_csr_order():
+    # a pattern's slots are its stencil table's present entries in table
+    # order: no builder sorts the columns, no matrix is marked canonical (a
+    # wrapped torus row lists its columns unsorted) and no system sorts or
+    # merges the matrix it is given
+    from homlab import numerics
+
+    assert not hasattr(numerics, "_axis_stencil")
+    assert not hasattr(numerics, "_tensor_entries")
+    assert "has_canonical_format" not in inspect.getsource(numerics.CsrPattern.matrix)
+    source = inspect.getsource(numerics.SparseSystem)
+    assert "sort_indices" not in source and "sum_duplicates" not in source
 
 
 TINY_PERFORATION = {"kind": "perforation", "shape": "ball", "radius": 0.25,
