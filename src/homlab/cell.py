@@ -2,10 +2,12 @@
 
 Every homogenized matrix in the package comes from one torus core,
 ``homogenize_coefficients``: per basis direction a periodic corrector solve,
-then the field average of coefficient * (basis + corrector gradient).
-Symmetric problems go through CG on the mean-zero subspace and are
-cross-checked against the variational energy; nonsymmetric coefficients use
-the BiCGStab weak form, where only the flux representation is meaningful.
+then the field average of coefficient * (basis + corrector gradient), both
+read off by ``numerics.corrector_response``. It cross-checks each column of
+a symmetric problem against the variational energy; nonsymmetric
+coefficients use the BiCGStab weak form, where only the flux representation
+is meaningful. p-power cell energies come from the same function and are
+checked against the growth sandwich (``numerics.check_growth``).
 Besides ``homogenize_matrix`` (one period of a periodic field), the core
 serves the perforated cell (``perforation.masked_cell_matrix``, holes masked
 out) and the stochastic trials (``stability``, one realization on a torus of
@@ -21,22 +23,17 @@ import numpy as np
 
 from .fields import FieldBounds, MatrixField, ScalarField, element_coefficients
 from .numerics import (
-    CELL_GROWTH_ATOL,
-    CELL_PAIRING_RTOL,
     HOM_EIGEN_RTOL,
     HOM_SYMMETRY_RTOL,
     TORUS,
     GuardError,
     Grid,
-    PEnergyProblem,
-    agrees,
     build_grid,
     cells_across,
-    element_ops,
+    check_growth,
+    corrector_response,
     is_symmetric,
-    minimize_p_energy,
     nearest_integer,
-    solve_corrector,
 )
 
 
@@ -144,34 +141,18 @@ def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
                             extension_constant: float = 1.0) -> HomogenizedResult:
     """Homogenized matrix of per-element coefficients on a torus grid.
 
-    One corrector solve per basis direction; column i is the flux average of
-    coeff * (e_i + grad w_i), and symmetric coefficients
-    (``numerics.is_symmetric``) cross-check it against the cell energy.
-    ``active`` marks the elements outside Neumann holes; ``bounds`` and
-    ``extension_constant`` set the eigenvalue window that
+    Column i is the flux average of coeff * (e_i + grad w_i), read off the
+    corrector of each basis direction by ``numerics.corrector_response``
+    (which cross-checks it against the cell energy for symmetric
+    coefficients). ``active`` marks the elements outside Neumann holes;
+    ``bounds`` and ``extension_constant`` set the eigenvalue window that
     ``HomogenizedResult`` checks.
     """
-    dim = grid.dim
-    ops = element_ops(grid)
-    volume = grid.side_length ** dim
-    matrix = np.empty((dim, dim))
-    iters = []
-    residuals = []
-    basis = np.eye(dim)
-    symmetric = is_symmetric(coeff)
-    solves = solve_corrector(grid, coeff, basis, active=active)
-    for i, (e_i, (w, stats)) in enumerate(zip(basis, solves)):
-        iters.append(stats.iterations)
-        residuals.append(stats.residual)
-        column = ops.flux_average(w, coeff, e_i)
-        if symmetric:
-            energy = ops.energy_quadratic(w, coeff, e_i) / volume
-            if not agrees(column[i], energy, CELL_PAIRING_RTOL):
-                raise GuardError(
-                    f"energy/flux cross-check failed in direction {i}: "
-                    f"energy {energy:.12g} vs flux {column[i]:.12g}")
-        matrix[:, i] = column
-    return HomogenizedResult(matrix, symmetric, tuple(iters), tuple(residuals),
+    responses = corrector_response(grid, coeff, np.eye(grid.dim), active=active)
+    matrix = np.column_stack([flux for _, flux, _ in responses])
+    return HomogenizedResult(matrix, is_symmetric(coeff),
+                             tuple(stats.iterations for *_, stats in responses),
+                             tuple(stats.residual for *_, stats in responses),
                              bounds.alpha, bounds.beta,
                              extension_constant=extension_constant)
 
@@ -187,29 +168,19 @@ def p_energy_result(coeff: ScalarField, p: float, xis,
                     resolution: int) -> HomogenizedResult:
     """Sampled homogenized p-energies at several directions, as one result.
 
-    One period of the field is built and evaluated once; each direction is
-    then one L-BFGS minimization, checked against the growth sandwich.
+    One period of the field is built and evaluated once; each direction's
+    energy is then read off its corrector (``numerics.corrector_response``:
+    L-BFGS at p != 2) and checked against the growth sandwich
+    (``numerics.check_growth``).
     """
     grid = torus_grid(coeff, resolution)
-    dim = grid.dim
-    a_e = element_coefficients(coeff, grid)
     b = coeff.bounds
+    responses = corrector_response(grid, element_coefficients(coeff, grid), xis, p)
     samples = []
-    iters = []
-    residuals = []
-    for xi in xis:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape != (dim,):
-            raise ValueError(f"xi must have shape ({dim},)")
-        problem = PEnergyProblem(grid, a_e, p, xi)
-        u, stats = minimize_p_energy(problem)
-        value = problem.value(u) / grid.side_length ** dim
-        xi_norm = float(np.linalg.norm(xi))
-        if not (b.alpha * xi_norm ** p - CELL_GROWTH_ATOL <= value
-                <= b.beta * (1.0 + xi_norm ** p) + CELL_GROWTH_ATOL):
-            raise GuardError(f"cell energy {value:.6g} escapes the growth sandwich")
+    for xi, (value, _, _) in zip(xis, responses):
+        check_growth(value, b.alpha, b.beta, p, xi)
         samples.append((tuple(float(c) for c in xi), value))
-        iters.append(stats.iterations)
-        residuals.append(stats.residual)
-    return HomogenizedResult(None, True, tuple(iters), tuple(residuals),
+    return HomogenizedResult(None, True,
+                             tuple(stats.iterations for *_, stats in responses),
+                             tuple(stats.residual for *_, stats in responses),
                              b.alpha, b.beta, energy_samples=tuple(samples))

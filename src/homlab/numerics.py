@@ -56,17 +56,27 @@ and a gradient at one point share one pass over the quadrature points,
 keyed on the point's values (``PEnergyProblem``): the gradient at an
 accepted step reuses the rows its line search built.
 
+Every quantity read off a corrector, the energy of xi + grad w per unit
+volume and the mean flux a (xi + grad w), comes from one function,
+``corrector_response``: one ``solve_corrector`` call for all directions at
+p = 2, one L-BFGS minimization per direction at any other p. At p = 2 and
+symmetric coefficients w minimizes the quadratic energy, so flux . xi equals
+the energy (Jikov, Kozlov and Oleinik, Homogenization of Differential
+Operators and Integral Functionals, 1994, 1.1); every such response is
+cross-checked on that identity.
+
 Solvers are written here rather than taken from scipy.sparse.linalg because
 the periodic problems are singular (constants in the kernel) and need the
 mean-zero subspace handled explicitly, and because reruns must be
 bit-identical.
 
 Every soundness guard of the package (field bounds, symmetry, the
-homogenized eigenvalue window, the energy/flux cross-checks, the growth
-sandwiches and the statistic's homogeneity in t) reads its tolerance from
+homogenized eigenvalue window, the energy/flux cross-check, the growth
+sandwich and the statistic's homogeneity in t) reads its tolerance from
 one table of constants next to ``GuardError``: one row per guard, with its
-scale rule and the places that use it. Three rows share the relative rule
-|value - reference| <= tol * max(|reference|, 1) through ``agrees``.
+scale rule and the places that use it. Two rows share the relative rule
+|value - reference| <= tol * max(|reference|, 1) through ``agrees``; the
+growth sandwich of every cell and window energy is ``check_growth``.
 
 scipy is imported where it is first used, never with the module, so the
 import, ``validate`` and the torus p-energy solves load none of it and the
@@ -108,9 +118,7 @@ class GuardError(RuntimeError):
 
 # The soundness-guard tolerances, one row per guard: the value, the scale
 # rule it is applied with and the guards that read it. Every guard is
-# written as its negated pass condition, so a NaN fails it. The two rows of
-# one identity (energy/flux, growth sandwich) still differ: making them equal
-# would change what fires.
+# written as its negated pass condition, so a NaN fails it.
 #
 # |c_kl - c_lk| <= tol * max(max|c|, 1e-300) over the coefficients or the
 # assembled matrix: is_symmetric, SparseSystem (the latter raises ValueError)
@@ -123,15 +131,11 @@ HOM_SYMMETRY_RTOL = 1e-8
 # eigenvalues of sym(A) in [alpha / C^2 - s, beta + s], s = tol * max(beta, 1):
 # cell.HomogenizedResult
 HOM_EIGEN_RTOL = 1e-9
-# agrees(flux, energy, tol): cell.homogenize_coefficients
-CELL_PAIRING_RTOL = 1e-8
-# agrees(flux . xi, energy, tol): rve.flux_average_window
-WINDOW_PAIRING_RTOL = 1e-10
-# alpha |xi|^p - tol <= value <= beta (1 + |xi|^p) + tol, absolute:
-# cell.p_energy_result
-CELL_GROWTH_ATOL = 1e-9
-# the same sandwich, each bound b widened by tol * max(1, b): rve._check_growth
-WINDOW_GROWTH_RTOL = 1e-9
+# agrees(flux . xi, energy, tol) for symmetric coefficients: corrector_response
+PAIRING_RTOL = 1e-8
+# alpha |xi|^p <= value <= beta (1 + |xi|^p), each bound b widened by
+# tol * max(1, b): check_growth
+GROWTH_RTOL = 1e-9
 # agrees(psi(t), (t / t0)^p psi(t0), tol): stability.run_stability_pair
 HOMOGENEITY_RTOL = 1e-12
 
@@ -141,6 +145,19 @@ def agrees(value: float, reference: float, tol: float) -> bool:
     NaN. The scale rule of the relative guard rows that compare a computed
     value with the one the analysis predicts."""
     return abs(value - reference) <= tol * max(abs(reference), 1.0)
+
+
+def check_growth(value: float, alpha: float, beta: float, p: float, xi):
+    """GuardError unless alpha |xi|^p <= value <= beta (1 + |xi|^p), the growth
+    sandwich of an energy density per unit volume, each bound b widened by
+    ``GROWTH_RTOL`` * max(1, b)."""
+    xi_norm = float(np.linalg.norm(xi))
+    lo = alpha * xi_norm ** p
+    hi = beta * (1.0 + xi_norm ** p)
+    if not (lo - GROWTH_RTOL * max(1.0, lo) <= value
+            <= hi + GROWTH_RTOL * max(1.0, hi)):
+        raise GuardError(f"energy {value:.12g} escapes the growth "
+                         f"bounds [{lo:.6g}, {hi:.6g}]")
 
 
 def _on_axis(a, k: int, dim: int) -> np.ndarray:
@@ -347,7 +364,7 @@ class CsrPattern:
         gather[self.gather] = kept
         arrays = _frozen(np.append(before[self.indptr[rows]], before[-1]),
                          renumber[self.indices[kept]], gather,
-                         before[self.transpose[kept]])
+                         before[self.transpose[kept]].astype(np.intp, copy=False))
         return CsrPattern(*arrays, self.first, self.side, self.incidence)
 
 
@@ -922,14 +939,14 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     -div(coeff xi) on both topologies: w is periodic and mean-zero on the
     torus (the cell problem) and zero on the boundary of a box (the window
     problem with affine boundary data, whose energy and flux do not depend
-    on x0). Callers evaluate xi + grad w (``ElementOps.energy_quadratic``,
-    ``ElementOps.flux_average``). With ``source`` in place of ``xis`` (box
-    grids only), one solve of (K + M_c) w = F with zero boundary values,
-    where K is the stiffness of ``coeff``, M_c the mass weighted by
-    ``shift`` (source solves only) and F the one-point load of f
-    (``ElementOps.load_from_element_scalars``). With an element mask
-    ``active`` the unknowns are the nodes touching an active element, which
-    must form one connected component. K + M_c is assembled straight onto
+    on x0). ``corrector_response`` evaluates xi + grad w
+    (``ElementOps.energy_quadratic``, ``ElementOps.flux_average``). With
+    ``source`` in place of ``xis`` (box grids only), one solve of
+    (K + M_c) w = F with zero boundary values, where K is the stiffness of
+    ``coeff``, M_c the mass weighted by ``shift`` (source solves only) and F
+    the one-point load of f (``ElementOps.load_from_element_scalars``). With
+    an element mask ``active`` the unknowns are the nodes touching an active
+    element, which must form one connected component. K + M_c is assembled straight onto
     the unknowns, on their ``CsrPattern`` (kept per grid shape for every
     node of a torus and the interior of a box, derived per call under a
     mask), and ``SparseSystem`` checks its symmetry through the pattern's
@@ -1224,3 +1241,47 @@ def _lbfgs_direction(grad: np.ndarray, memory, precond, gamma0: float) -> np.nda
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
+
+
+def corrector_response(grid: Grid, coeff: np.ndarray, xis, p: float = 2.0, *,
+                       active: np.ndarray | None = None
+                       ) -> list[tuple[float, np.ndarray | None, SolveStats]]:
+    """What the package reads off the corrector w of each direction in
+    ``xis``: the energy of xi + grad w per unit grid volume, the mean flux
+    a (xi + grad w) and the solver stats.
+
+    At p = 2 the correctors come from one ``solve_corrector`` call (under the
+    element mask ``active``), the energy from ``ElementOps.energy_quadratic``
+    and the flux from ``ElementOps.flux_average``. For symmetric coefficients
+    (``is_symmetric``) w minimizes the energy, so flux . xi equals it; the
+    two are cross-checked with ``agrees`` at ``PAIRING_RTOL``. At any other p
+    each direction is one L-BFGS minimization of ``PEnergyProblem``, the
+    flux is None and an element mask is refused.
+    """
+    xis = [np.asarray(xi, dtype=float) for xi in xis]
+    for xi in xis:
+        if xi.shape != (grid.dim,):
+            raise ValueError(f"xi must have shape ({grid.dim},)")
+    volume = grid.side_length ** grid.dim
+    if p != 2.0:
+        if active is not None:
+            raise ValueError("p-energy solves take no element mask")
+        out = []
+        for xi in xis:
+            problem = PEnergyProblem(grid, coeff, p, xi)
+            w, stats = minimize_p_energy(problem)
+            w_free = w if problem.free is None else w[problem.free]
+            out.append((problem.value(w_free) / volume, None, stats))
+        return out
+    ops = element_ops(grid)
+    symmetric = is_symmetric(coeff)
+    out = []
+    for xi, (w, stats) in zip(xis, solve_corrector(grid, coeff, xis, active=active)):
+        energy = ops.energy_quadratic(w, coeff, xi) / volume
+        flux = ops.flux_average(w, coeff, xi)
+        pairing = float(flux @ xi)
+        if symmetric and not agrees(pairing, energy, PAIRING_RTOL):
+            raise GuardError(f"energy/flux cross-check failed at xi = {xi}: "
+                             f"energy {energy:.12g} vs flux . xi {pairing:.12g}")
+        out.append((energy, flux, stats))
+    return out

@@ -17,8 +17,9 @@ import numpy as np
 
 from .cell import HomogenizedResult, homogenize_coefficients
 from .fields import FieldBounds, power_of_two_cells, window_points
-from .numerics import (BOX, TORUS, Grid, build_grid, cells_across, element_ops,
-                       solve_corrector, tensor_points)
+from .numerics import (BOX, TORUS, Grid, build_grid, cells_across,
+                       corrector_response, element_ops, solve_corrector,
+                       tensor_points)
 from .rve import window_grid
 
 MIN_CELLS_ACROSS_HOLE = 8
@@ -167,20 +168,17 @@ def penalized_cell_value(E: PerforationSet, n: float, xi,
     if resolution < 64:
         raise ValueError(f"resolution must be at least 64, got {resolution}")
     grid, inside = _hole_cell(E, resolution)
-    xi = np.asarray(xi, dtype=float)
-    coeff = np.where(inside, 1.0 / n, 1.0)
-    [(u, _)] = solve_corrector(grid, coeff, [xi])
-    return element_ops(grid).energy_quadratic(u, coeff, xi)
+    [(value, _, _)] = corrector_response(grid, np.where(inside, 1.0 / n, 1.0), [xi])
+    return value
 
 
 def masked_cell_value(E: PerforationSet, xi, resolution: int) -> float:
     """Perforated cell quadratic form <A_hom^E xi, xi> (Neumann holes)."""
     grid, inside = _hole_cell(E, resolution)
-    xi = np.asarray(xi, dtype=float)
     active_el = ~inside
-    coeff = active_el.astype(float)
-    [(u, _)] = solve_corrector(grid, coeff, [xi], active=active_el)
-    return element_ops(grid).energy_quadratic(u, coeff, xi)
+    [(value, _, _)] = corrector_response(grid, active_el.astype(float), [xi],
+                                         active=active_el)
+    return value
 
 
 def masked_cell_matrix(E: PerforationSet,
@@ -203,12 +201,11 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi,
                         resolution: int) -> float:
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
     check_hole_resolution(E.radius, resolution)
-    xi = np.asarray(xi, dtype=float)
     grid = window_grid(2, x0, R, resolution)
     active_el = ~E.membership(grid.element_centers())
-    coeff = active_el.astype(float)
-    [(w, _)] = solve_corrector(grid, coeff, [xi], active=active_el)
-    return element_ops(grid).energy_quadratic(w, coeff, xi) / R ** 2
+    [(value, _, _)] = corrector_response(grid, active_el.astype(float), [xi],
+                                         active=active_el)
+    return value
 
 
 # --- extension operator -----------------------------------------------------

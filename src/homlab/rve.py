@@ -6,6 +6,10 @@ settle as R grows, independently of the window center; window_sequence
 packages a growing family of windows together with its Cauchy gaps and a
 numerical homogenizability verdict. The verdict is evidence, not proof: the
 raw value sequence always travels with it.
+
+Window energies and fluxes are read off the window corrector by
+``numerics.corrector_response``, which cross-checks energy against flux for
+symmetric coefficients; every window value passes ``numerics.check_growth``.
 """
 
 from __future__ import annotations
@@ -15,20 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import EnergyDensity, MatrixField, element_coefficients
-from .numerics import (
-    BOX,
-    WINDOW_GROWTH_RTOL,
-    WINDOW_PAIRING_RTOL,
-    GuardError,
-    PEnergyProblem,
-    agrees,
-    build_grid,
-    cells_across,
-    element_ops,
-    is_symmetric,
-    minimize_p_energy,
-    solve_corrector,
-)
+from .numerics import BOX, build_grid, cells_across, check_growth, corrector_response
 
 MIN_WINDOW_CELLS = 8
 
@@ -56,7 +47,7 @@ class WindowEstimate:
         if len(sizes) >= 2 and not np.all(np.diff(sizes) > 0):
             raise ValueError("window sizes must be strictly increasing")
         for v in self.values:
-            _check_growth(v, self.bounds_alpha, self.bounds_beta, self.p, self.xi)
+            check_growth(v, self.bounds_alpha, self.bounds_beta, self.p, self.xi)
 
 
 def _window_center(dim: int, x0) -> np.ndarray:
@@ -77,34 +68,13 @@ def window_grid(dim: int, x0, R: float, resolution_per_unit: int):
     return build_grid(dim, n, origin, R, BOX)
 
 
-def _check_growth(value: float, alpha: float, beta: float, p: float, xi):
-    xi_norm = float(np.linalg.norm(xi))
-    lo = alpha * xi_norm ** p
-    hi = beta * (1.0 + xi_norm ** p)
-    if not (lo - WINDOW_GROWTH_RTOL * max(1.0, lo) <= value
-            <= hi + WINDOW_GROWTH_RTOL * max(1.0, hi)):
-        raise GuardError(f"window value {value:.12g} escapes the growth "
-                           f"bounds [{lo:.6g}, {hi:.6g}]")
-
-
 def local_min_energy(f: EnergyDensity, x0, R: float, xi,
                      resolution_per_unit: int) -> float:
     """Normalized minimum energy on the cube window Q_R(x0)."""
-    dim = f.dim
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (dim,):
-        raise ValueError(f"xi must have shape ({dim},)")
-    grid = window_grid(dim, x0, R, resolution_per_unit)
-    coeff = element_coefficients(f.coeff, grid)
-    if f.p != 2.0:
-        problem = PEnergyProblem(grid, coeff, f.p, xi)
-        w, _ = minimize_p_energy(problem)
-        raw = problem.value(w[problem.free])
-    else:
-        [(w, _)] = solve_corrector(grid, coeff, [xi])
-        raw = element_ops(grid).energy_quadratic(w, coeff, xi)
-    value = raw / R ** dim
-    _check_growth(value, f.bounds.alpha, f.bounds.beta, f.p, xi)
+    grid = window_grid(f.dim, x0, R, resolution_per_unit)
+    [(value, _, _)] = corrector_response(grid, element_coefficients(f.coeff, grid),
+                                         [xi], f.p)
+    check_growth(value, f.bounds.alpha, f.bounds.beta, f.p, xi)
     return value
 
 
@@ -148,19 +118,6 @@ def window_sequence(f: EnergyDensity, x0, xi, R_list,
 def flux_average_window(A: MatrixField, x0, R: float, xi,
                         resolution_per_unit: int) -> np.ndarray:
     """Window mean of A grad u for the affine-Dirichlet boundary problem."""
-    dim = A.dim
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (dim,):
-        raise ValueError(f"xi must have shape ({dim},)")
-    grid = window_grid(dim, x0, R, resolution_per_unit)
-    coeff = element_coefficients(A, grid)
-    [(w, _)] = solve_corrector(grid, coeff, [xi])
-    ops = element_ops(grid)
-    flux = ops.flux_average(w, coeff, xi)
-    if is_symmetric(coeff):
-        energy = ops.energy_quadratic(w, coeff, xi) / R ** dim
-        pairing = float(flux @ xi)
-        if not agrees(pairing, energy, WINDOW_PAIRING_RTOL):
-            raise GuardError(
-                f"flux/energy pairing broke: {pairing:.12g} vs {energy:.12g}")
+    grid = window_grid(A.dim, x0, R, resolution_per_unit)
+    [(_, flux, _)] = corrector_response(grid, element_coefficients(A, grid), [xi])
     return flux

@@ -71,6 +71,22 @@ class TestRunCommand:
         assert (out / "cell.svg").exists()
         assert (out / "run.log").exists()
 
+    def test_large_p_energy_cell_stays_in_growth_sandwich(self, tmp_path):
+        # a constant field's p-energy is alpha |xi|^p exactly; near 1e9 an
+        # absolute slack of 1e-9 lies below one ulp, the relative one does not
+        xi = [1000.0, 333.0]
+        tree = {"kind": "cell", "field": {"type": "constant", "value": 1.0,
+                                          "dim": 2},
+                "p": 3, "xi": xi, "resolutions": [8]}
+        path = spec_file(tmp_path, tree)
+        out = tmp_path / "large"
+        assert main(["cell", "--spec", path, "--out", str(out),
+                     "--no-plots"]) == 0
+        header, row = (out / "cell.csv").read_text().splitlines()
+        assert header == "resolution,value"
+        value = float(row.split(",")[1])
+        assert value == pytest.approx(np.linalg.norm(xi) ** 3, rel=1e-12)
+
     def test_no_plots_skips_svg(self, tmp_path):
         tree = {"kind": "cell", "field": {"type": "constant", "value": 2,
                                           "dim": 1},

@@ -551,6 +551,8 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     _assert_same_csr(got, want)
     _assert_table_order(g, pattern, unknowns)
     _assert_transpose_map(got, pattern.transpose)
+    # an index array of another type is converted on every use
+    assert pattern.transpose.dtype == np.intp
 
 
 @pytest.mark.parametrize("restricted", [False, True])
@@ -855,6 +857,17 @@ def test_solve_corrector_rejects_terms_outside_their_solves():
         solve_corrector(torus, coeff, source=ones)
     with pytest.raises(ValueError, match="box grids only"):
         solve_corrector(torus, coeff, shift=ones, source=ones)
+
+
+def test_corrector_response_refuses_what_it_cannot_read():
+    # a direction must match the grid, and a p-energy has no masked form
+    torus = build_grid(2, 4, (0.0, 0.0), 1.0, TORUS)
+    coeff = np.ones(torus.n_elements)
+    with pytest.raises(ValueError, match=r"xi must have shape \(2,\)"):
+        numerics.corrector_response(torus, coeff, [np.array([1.0])])
+    with pytest.raises(ValueError, match="no element mask"):
+        numerics.corrector_response(torus, coeff, [np.array([1.0, 0.0])], 3.0,
+                                    active=np.ones(torus.n_elements, dtype=bool))
 
 
 @pytest.mark.parametrize("dim,lam", [(1, 0.0), (2, 0.0), (2, 7.0), (1, 7.0)])

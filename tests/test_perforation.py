@@ -224,6 +224,27 @@ def test_masked_window_sparse_perturbation():
     assert diffs[1] < diffs[0]
 
 
+def test_energy_flux_cross_check_guards_every_value(monkeypatch):
+    # an energy evaluation off by 1e-6 breaks its pairing with the flux:
+    # each p = 2 value read off a corrector is cross-checked
+    from homlab.fields import Constant, EnergyDensity, FieldBounds
+    from homlab.rve import local_min_energy
+
+    energy = numerics.ElementOps.energy_quadratic
+
+    def skewed(self, *args):
+        return energy(self, *args) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(numerics.ElementOps, "energy_quadratic", skewed)
+    with pytest.raises(numerics.GuardError, match="cross-check"):
+        penalized_cell_value(BALLS, 4, E1, 64)
+    with pytest.raises(numerics.GuardError, match="cross-check"):
+        masked_window_value(BALLS, (0.0, 0.0), 4, E1, 16)
+    density = EnergyDensity(Constant(2.0, FieldBounds(1.0, 4.0), dim=2))
+    with pytest.raises(numerics.GuardError, match="cross-check"):
+        local_min_energy(density, 0.0, 1.0, E1, 8)
+
+
 def test_extension_constant_input():
     result = extend_over_ball(lambda x, y: np.full_like(x, 5.0), 16)
     assert result.gradient_ratio == 0.0

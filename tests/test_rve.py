@@ -105,9 +105,9 @@ def test_box_lbfgs_keeps_float64_preconditioner(monkeypatch):
     # from w = 0 on 63^2 free unknowns; with the float64 preconditioner apply
     # it takes 19 iterations, with a float32 apply (as the box Krylov solves
     # use) it takes 23
-    from homlab import numerics, rve
+    from homlab import numerics
 
-    real_minimize, real_precond = rve.minimize_p_energy, numerics.spectral_preconditioner
+    real_minimize, real_precond = numerics.minimize_p_energy, numerics.spectral_preconditioner
     den = EnergyDensity(PeriodicStep(2, [1.0, 4.0, 4.0, 1.0], B14, dim=2), 3.0)
 
     def iterations():
@@ -118,7 +118,7 @@ def test_box_lbfgs_keeps_float64_preconditioner(monkeypatch):
             stats.append(st.iterations)
             return u, st
 
-        monkeypatch.setattr(rve, "minimize_p_energy", recorded)
+        monkeypatch.setattr(numerics, "minimize_p_energy", recorded)
         local_min_energy(den, 0.0, 8.0, [1.0, 0.5], 8)
         return stats
 
@@ -199,9 +199,9 @@ def test_flux_constant_nonsymmetric():
 def test_constant_windows_need_no_solve(monkeypatch, A):
     # a constant coefficient loads the window corrector with exactly zero:
     # no solver iteration, and every window reads <A xi, xi> bit for bit
-    from homlab import rve
+    from homlab import numerics
 
-    real = rve.solve_corrector
+    real = numerics.solve_corrector
     iterations = []
 
     def recorded(*args, **kwargs):
@@ -209,7 +209,7 @@ def test_constant_windows_need_no_solve(monkeypatch, A):
         iterations.extend(stats.iterations for _, stats in out)
         return out
 
-    monkeypatch.setattr(rve, "solve_corrector", recorded)
+    monkeypatch.setattr(numerics, "solve_corrector", recorded)
     if np.ndim(A):
         coeff, A = constant_matrix(A, B14), np.array(A)
     else:

@@ -14,7 +14,8 @@ kernel per element and is assembled straight onto the solve's unknowns, and
 or copying them, and every soundness guard reads its tolerance from one table
 in ``numerics``, and an L-BFGS gradient reuses the point rows its line search
 built, and an assembled matrix takes its slot order from the stencil
-table, unsorted where a torus row wraps."""
+table, unsorted where a torus row wraps, and every energy and flux read off
+a corrector comes from ``numerics.corrector_response``."""
 
 import importlib
 import importlib.util
@@ -417,11 +418,36 @@ def test_guard_tolerances_have_one_home():
                           and 1e-299 <= abs(node.value) <= 1e-6]
     assert found == []
     assert also | {"eval_scalar", "HomogenizedResult.__post_init__",
-                   "homogenize_coefficients", "p_energy_result",
-                   "_check_growth", "flux_average_window",
+                   "corrector_response", "check_growth",
                    "run_stability_pair"} <= checked
     assert not hasattr(numerics, "_DUPLICATE_TOL")
     assert not hasattr(cell, "_CROSS_CHECK_TOL")
+    # one row per identity: the energy/flux pairing and the growth sandwich
+    assert not {"CELL_PAIRING_RTOL", "WINDOW_PAIRING_RTOL", "CELL_GROWTH_ATOL",
+                "WINDOW_GROWTH_RTOL"} & set(vars(numerics))
+    assert not hasattr(rve, "_check_growth")
+
+
+def test_corrector_postprocessing_has_one_home():
+    # every energy, flux and p-energy the package reads off a corrector comes
+    # from numerics.corrector_response: no function in cell, rve or
+    # perforation evaluates one, and solve_corrector is called there only for
+    # the source (lambda) problem
+    import ast
+
+    from homlab import cell, perforation, rve
+
+    evaluators = {"energy_quadratic", "flux_average", "minimize_p_energy",
+                  "PEnergyProblem"}
+    for module in (cell, rve, perforation):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            assert name not in evaluators, (module.__name__, name)
+            if name == "solve_corrector":
+                assert "source" in {k.arg for k in node.keywords}, module.__name__
 
 
 def test_solve_path_takes_no_knobs():
