@@ -15,6 +15,9 @@ parameters, 3 a soundness guard fired (``GuardError``), 4 solver failure
 BLAS runs on one thread unless the environment sets its thread count, as
 its long reductions round differently on more threads; a process that
 loaded numpy before importing this module keeps its own setting.
+
+The modules of a single kind (``perforation``, ``stability``, ``rve``) are
+imported by the runner that needs them, so a run loads only its own.
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ from .experiment_spec import (KINDS, ExperimentSpec, SpecValidationError,
                               build_density, build_family, build_perforation,
                               parse_spec)
 from .numerics import GuardError, SolverError
-from .perforation import (GaussianSource, lambda_problem_experiment,
-                          masked_cell_value, penalized_cell_value)
-from .rve import window_sequence
-from .stability import (counterexample_suite, run_stability_pair,
-                        stochastic_stability_experiment)
 from .svgplot import plot_series, write_csv, write_text_atomic
 
 EXIT_OK = 0
@@ -112,12 +110,14 @@ def _run_cell(spec: ExperimentSpec, log):
 
 
 def _run_rve(spec: ExperimentSpec, log):
+    from . import rve
+
     prm = spec.params
     density = build_density(prm["field"], prm["p"])
     log.stage("windows", f"R in {list(prm['windows'])} at "
                          f"{prm['resolution_per_unit']}/unit")
-    est = window_sequence(density, prm["center"], prm["xi"], prm["windows"],
-                          prm["resolution_per_unit"])
+    est = rve.window_sequence(density, prm["center"], prm["xi"],
+                              prm["windows"], prm["resolution_per_unit"])
     log.stage("verdict", f"limit {est.limit_estimate:.12g}, gap "
                          f"{est.cauchy_gap:.3e}, homogenizable "
                          f"{est.homogenizable_at_center}")
@@ -138,11 +138,13 @@ def _run_rve(spec: ExperimentSpec, log):
 
 
 def _run_stability(spec: ExperimentSpec, log):
+    from . import stability
+
     prm = spec.params
     f = build_density(prm["field"], prm["p"])
     g = build_density(prm["field_g"], prm["p"])
     log.stage("pair", f"label {prm['label']!r}, R in {list(prm['R_list'])}")
-    rep = run_stability_pair(
+    rep = stability.run_stability_pair(
         f, g, t_list=prm["t_list"], R_list=prm["R_list"],
         hom_resolution=prm["hom_resolution"], window_sizes=prm["window_sizes"],
         resolution_per_unit=prm["resolution_per_unit"],
@@ -157,8 +159,10 @@ def _run_stability(spec: ExperimentSpec, log):
 
 
 def _run_counterexamples(spec: ExperimentSpec, log):
+    from . import stability
+
     log.stage("suite", "running the counterexample catalog")
-    suite = counterexample_suite()
+    suite = stability.counterexample_suite()
     summary = {}
     series = {}
     for name, rep in suite.items():
@@ -172,13 +176,16 @@ def _run_counterexamples(spec: ExperimentSpec, log):
 
 
 def _run_perforation(spec: ExperimentSpec, log):
+    from . import perforation
+
     prm = spec.params
     E = build_perforation(prm)
     log.stage("masked", f"shape {prm['shape']}, radius {prm['radius']:g}, "
                         f"resolution {prm['resolution']}")
-    masked = masked_cell_value(E, prm["xi"], prm["resolution"])
+    masked = perforation.masked_cell_value(E, prm["xi"], prm["resolution"])
     log.stage("penalized", f"n in {list(prm['n_list'])}")
-    penalized = [penalized_cell_value(E, n, prm["xi"], prm["resolution"])
+    penalized = [perforation.penalized_cell_value(E, n, prm["xi"],
+                                                  prm["resolution"])
                  for n in prm["n_list"]]
     for n, v in zip(prm["n_list"], penalized):
         log.stage("penalized", f"n {n:g}: {v:.12g} (masked {masked:.12g})")
@@ -196,8 +203,8 @@ def _run_perforation(spec: ExperimentSpec, log):
 
     log.stage("lambda", f"eps in {list(prm['eps_list'])}, "
                         f"lambda {prm['lam']:g}")
-    report = lambda_problem_experiment(
-        E, prm["lam"], GaussianSource(), prm["eps_list"],
+    report = perforation.lambda_problem_experiment(
+        E, prm["lam"], perforation.GaussianSource(), prm["eps_list"],
         box_size=prm["box_size"], n_penal=prm["n_list"][-1],
         resolution=prm["lambda_resolution"],
         cell_resolution=prm["cell_resolution"])
@@ -217,12 +224,14 @@ def _run_perforation(spec: ExperimentSpec, log):
 
 
 def _run_stochastic(spec: ExperimentSpec, log):
+    from . import stability
+
     prm = spec.params
     family_f = build_family(prm["family"])
     family_g = build_family(prm["family_g"])
     log.stage("trials", f"{prm['trials']} paired trials, torus "
                         f"{prm['torus_size']}, seed {prm['seed']}")
-    rep = stochastic_stability_experiment(
+    rep = stability.stochastic_stability_experiment(
         family_f, family_g, prm["trials"], prm["seed"],
         torus_size=prm["torus_size"],
         resolution_per_unit=prm["resolution_per_unit"],

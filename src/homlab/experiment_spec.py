@@ -23,7 +23,8 @@ Validation builds the fields and calls the runs' own preconditions (1D or
 2D grids, ``cell.torus_grid``, ``stability.check_hom_resolution``,
 ``perforation.lambda_box_grid``, window, hole and flip resolution), so a
 spec that parses does not fail inside a run for a reason the schema could
-catch.
+catch. The ``perforation`` and ``stability`` rules are imported by the
+checks that call them, so validating a spec of another kind loads neither.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .cell import is_periodic, torus_grid
 from .fields import (BallSupport, CheckerboardFamily, Constant,
@@ -43,10 +44,10 @@ from .fields import (BallSupport, CheckerboardFamily, Constant,
                      RandomCheckerboard, STATISTIC_RESOLUTION,
                      TrigPolynomialClamped, constant_matrix)
 from .numerics import MAX_DIM, cells_across, nearest_integer
-from .perforation import (PerforationSet, SparseRemoval, check_hole_cell,
-                          check_hole_resolution, lambda_box_grid)
 from .rve import MIN_WINDOW_CELLS
-from .stability import check_flip_alignment, check_hom_resolution
+
+if TYPE_CHECKING:
+    from .perforation import PerforationSet
 
 __all__ = [
     "SpecError", "SpecValidationError", "ExperimentSpec",
@@ -379,6 +380,8 @@ def _pair(p, field, field_g):
 def _hom_solvable(hom_resolution, field, field_g, p):
     """A periodic density of the pair is cell-solved at hom_resolution and
     half of it, with the checks ``run_stability_pair`` makes, in its order."""
+    from .stability import check_hom_resolution
+
     for node in (field, field_g):
         coeff = build_density(node, p).coeff
         if is_periodic(coeff):
@@ -388,6 +391,8 @@ def _hom_solvable(hom_resolution, field, field_g, p):
 
 
 def _lambda_holes(eps_list, radius, lambda_resolution):
+    from .perforation import check_hole_resolution
+
     for i, eps in enumerate(eps_list):
         try:
             check_hole_resolution(radius * eps, lambda_resolution,
@@ -399,6 +404,8 @@ def _lambda_holes(eps_list, radius, lambda_resolution):
 def _check_hole_cell(resolution: int, name: str, shape, radius, removal):
     """``perforation.check_hole_cell`` for the spec's holes at
     ``resolution``, which ``name`` labels."""
+    from .perforation import check_hole_cell
+
     check_hole_cell(build_perforation({"shape": shape, "radius": radius,
                                        "removal": removal}), resolution, name)
 
@@ -417,6 +424,8 @@ def _cell_holes(cell_resolution, shape, radius, removal, eps_list):
 
 def _lambda_box(box_size, lambda_resolution, eps_list):
     # the lambda problem solves on perforation.lambda_box_grid
+    from .perforation import lambda_box_grid
+
     if eps_list:
         if nearest_integer(box_size * lambda_resolution) is None:
             raise ValueError(f"{box_size:g} times lambda_resolution "
@@ -425,6 +434,8 @@ def _lambda_box(box_size, lambda_resolution, eps_list):
 
 
 def _flip_aligned(family, family_g, resolution_per_unit):
+    from .stability import check_flip_alignment
+
     for key, node in (("family", family), ("family_g", family_g)):
         try:
             check_flip_alignment(_build(node), resolution_per_unit)
@@ -633,5 +644,7 @@ def build_family(family: dict) -> CheckerboardFamily:
 
 
 def build_perforation(params: dict) -> PerforationSet:
+    from .perforation import PerforationSet, SparseRemoval
+
     perturbation = SparseRemoval() if params["removal"] else None
     return PerforationSet(params["shape"], params["radius"], perturbation)

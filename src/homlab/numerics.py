@@ -81,9 +81,11 @@ growth sandwich of every cell and window energy is ``check_growth``.
 scipy is imported where it is first used, never with the module, so the
 import, ``validate`` and the torus p-energy solves load none of it and the
 box p-energy solves load only ``scipy.fft``: ``scipy.sparse`` loads at the
-first assembly (``CsrPattern.matrix``), ``scipy.sparse.csgraph`` at the
-first masked solve (``_active_nodes_checked``) and ``scipy.fft`` at the
-first box preconditioner (``spectral_preconditioner``).
+first assembly (``CsrPattern.matrix``) and ``scipy.fft`` at the first box
+preconditioner (``spectral_preconditioner``). The connectivity check of a
+masked solve (``_active_nodes_checked``) labels components with numpy
+alone, so no solve loads scipy's graph routines, ``scipy.sparse.linalg`` or
+``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -395,19 +397,28 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
     idx = np.int32 if max(nnz, side ** dim) <= np.iinfo(np.int32).max else np.int64
 
     def tensor(op, per_axis):
-        return reduce(op, (_on_axis(a, k, dim) for k, a in enumerate(per_axis))).ravel()
+        return reduce(op, (_on_axis(a, k, dim) for k, a in enumerate(per_axis)))
 
-    gather = tensor(np.logical_and, [present] * dim)
+    def table(op, per_axis):
+        # class-major: one class at a time over the long node axes, into its
+        # column of the [node, class] table; one broadcast over the whole
+        # table runs numpy's inner loop over a 3-wide class axis, 2-6x slower
+        out = np.empty((side,) * dim + (classes,) * dim, dtype=np.result_type(*per_axis))
+        for c in np.ndindex(out.shape[dim:]):
+            out[(...,) + c] = tensor(op, [a[:, c[dim - 1 - k]] for k, a in enumerate(per_axis)])
+        return out.ravel()
+
+    gather = table(np.logical_and, [present] * dim)
     indptr = np.zeros(side ** dim + 1, dtype=idx)
     np.cumsum(tensor(np.multiply, [count] * dim), out=indptr[1:])
-    indices = tensor(np.add, [(neighbour * side ** k).astype(idx) for k in range(dim)])[gather]
+    indices = table(np.add, [(neighbour * side ** k).astype(idx) for k in range(dim)])[gather]
     # the table entry of each slot's transposed entry: the column's row and
     # the opposite class (the same class on a 2-node torus), in the index
     # dtype unless the table outgrows it
     entry = idx if len(gather) <= np.iinfo(idx).max else np.int64
     opposite = (2 - np.arange(classes)) % classes
-    mirror = tensor(np.add, [(neighbour * side ** k * width + opposite * classes ** k
-                              ).astype(entry) for k in range(dim)])[gather]
+    mirror = table(np.add, [(neighbour * side ** k * width + opposite * classes ** k
+                             ).astype(entry) for k in range(dim)])[gather]
     slot = np.zeros(len(gather), dtype=np.intp)
     slot[gather] = np.arange(nnz)
     transpose = slot[mirror]
@@ -834,26 +845,65 @@ def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
     return x, it
 
 
-def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
-    """Nodes adjacent to active elements; errors if empty or disconnected."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components   # masked solves only
+def _block_min(labels: np.ndarray, torus: bool) -> np.ndarray:
+    """The min of ``labels`` over the 3^dim block around each entry of the
+    element grid, wrapped on a torus and cut off at a box edge: one shifted
+    min per axis."""
+    for k in range(labels.ndim):
+        src = np.moveaxis(labels, k, 0)
+        out = src.copy()
+        np.minimum(out[1:], src[:-1], out=out[1:])
+        np.minimum(out[:-1], src[1:], out=out[:-1])
+        if torus:
+            np.minimum(out[:1], src[-1:], out=out[:1])
+            np.minimum(out[-1:], src[:1], out=out[-1:])
+        labels = np.moveaxis(out, 0, k)
+    return labels
 
+
+def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
+    """Nodes adjacent to active elements; errors if empty or disconnected.
+
+    Two active elements are neighbours when they share a node, so the
+    components are labelled on the element grid with numpy alone (Shiloach
+    and Vishkin, J. Algorithms 3, 1982): each round takes every element's
+    min label over its block (``_block_min``), lowers the label of the
+    element its label names to that min too (hooking the whole tree, so a
+    corridor entered at its far end does not take a round per element), and
+    pointer-jumps ``label = label[label]`` until nothing changes. A label is
+    always an element of the same component, so at the fixed point each
+    component holds one root, labelled by itself.
+    """
     if not np.any(active_el):
         raise RuntimeError("perforation removed every element")
-    elem_nodes = element_ops(grid).elem_nodes[active_el]
-    active_nodes = np.unique(elem_nodes)
-    # consecutive local nodes chain each element's nodes into one clique
-    a, b = elem_nodes[:, :-1].ravel(), elem_nodes[:, 1:].ravel()
-    n = grid.n_nodes
-    adj = sp.coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-    _, labels = connected_components(adj.tocsr(), directed=False)
-    # nodes not touching any active element form singleton components
-    n_active_comp = len(np.unique(labels[active_nodes]))
+    n_e = grid.n_elements
+    none = n_e                  # the label of inactive elements
+    labels = np.where(active_el, np.arange(n_e), none)
+    parent = np.empty(n_e + 1, dtype=labels.dtype)
+    parent[n_e] = none
+    while True:
+        low = _block_min(labels.reshape((grid.cells_per_axis,) * grid.dim),
+                         grid.topology == TORUS).ravel()
+        low[~active_el] = none
+        parent[:n_e] = labels
+        np.minimum.at(parent, labels, low)
+        jumped = np.minimum(parent[:n_e], low)
+        while True:
+            parent[:n_e] = jumped
+            further = parent[jumped]
+            if np.array_equal(further, jumped):
+                break
+            jumped = further
+        if np.array_equal(jumped, labels):
+            break
+        labels = jumped
+    n_active_comp = int(np.count_nonzero(labels == np.arange(n_e)))
     if n_active_comp != 1:
         raise RuntimeError(f"perforation complement is disconnected at this "
                            f"resolution ({n_active_comp} components)")
-    return active_nodes
+    touched = np.zeros(grid.n_nodes, dtype=bool)
+    touched[element_ops(grid).elem_nodes[active_el]] = True
+    return np.flatnonzero(touched)
 
 
 def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,

@@ -156,7 +156,7 @@ class TestRunCommand:
         def tripped():
             raise GuardError("catalog no longer matches the analysis")
 
-        monkeypatch.setattr("homlab.cli.counterexample_suite", tripped)
+        monkeypatch.setattr("homlab.stability.counterexample_suite", tripped)
         path = spec_file(tmp_path, {"kind": "counterexamples"})
         out = tmp_path / "guard"
         assert main(["counterexamples", "--spec", path, "--out",
@@ -170,7 +170,7 @@ class TestRunCommand:
         def broken():
             raise RuntimeError("unexpected state")
 
-        monkeypatch.setattr("homlab.cli.counterexample_suite", broken)
+        monkeypatch.setattr("homlab.stability.counterexample_suite", broken)
         path = spec_file(tmp_path, {"kind": "counterexamples"})
         out = tmp_path / "error"
         assert main(["counterexamples", "--spec", path, "--out",
@@ -195,7 +195,7 @@ class TestRunCommand:
         def stalled(*args, **kwargs):
             raise SolverError("cg stalled at iteration 3")
 
-        monkeypatch.setattr("homlab.cli.run_stability_pair", stalled)
+        monkeypatch.setattr("homlab.stability.run_stability_pair", stalled)
         tree = {"kind": "stability", "field": STEP_1D, "field_g": STEP_1D}
         path = spec_file(tmp_path, tree)
         out = tmp_path / "solv"
@@ -208,7 +208,7 @@ class TestRunCommand:
         def stalled(*args, **kwargs):
             raise SolverError("lambda solve stalled")
 
-        monkeypatch.setattr("homlab.cli.lambda_problem_experiment", stalled)
+        monkeypatch.setattr("homlab.perforation.lambda_problem_experiment", stalled)
         path = spec_file(tmp_path, PERFORATION_EPS)
         out = tmp_path / "partial"
         assert main(["perforation", "--spec", path, "--out", str(out)]) == 4
@@ -223,7 +223,7 @@ class TestRunCommand:
             conclusion=SimpleNamespace(value="ConditionHoldsLimitsAgree"),
             statistic_trace=[(8.0, 0.5), (16.0, float("nan"))],
             summary=lambda: {"label": "nan-trace"})
-        monkeypatch.setattr("homlab.cli.counterexample_suite",
+        monkeypatch.setattr("homlab.stability.counterexample_suite",
                             lambda: {"nan-trace": report})
         path = spec_file(tmp_path, {"kind": "counterexamples"})
         out = tmp_path / "nan"
@@ -244,7 +244,7 @@ class TestRunCommand:
         # is stubbed, only the order of the written files is under test
         report = SimpleNamespace(theta=0.2, hom_matrix=np.eye(2),
                                  epsilons=[0.5, 0.25], distances=[0.1, 0.05])
-        monkeypatch.setattr("homlab.cli.lambda_problem_experiment",
+        monkeypatch.setattr("homlab.perforation.lambda_problem_experiment",
                             lambda *args, **kwargs: report)
         path = spec_file(tmp_path, dict(PERFORATION_EPS, eps_list=[0.5, 0.25]))
         out = tmp_path / "order"

@@ -1,6 +1,9 @@
 """Perforation tests: membership oracles, penalization sandwich, masked
 windows, the extension operator, and the lambda-problem experiment."""
 
+import collections
+import itertools
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,61 @@ def test_masked_connectivity_errors():
     two_strips = (rows < 2) | ((rows >= 4) & (rows < 6))
     with pytest.raises(RuntimeError, match="disconnected"):
         _active_nodes_checked(grid, two_strips)
+
+
+def _bfs_components(grid, active):
+    """Oracle: the sorted nodes of the active elements and the number of
+    their components, two active elements being neighbours when they share
+    a node, by a plain breadth-first search over the elements at each node."""
+    n, nodes, dim = grid.cells_per_axis, grid.nodes_per_axis, grid.dim
+    at_node = {}
+    for e in np.flatnonzero(active).tolist():
+        cell = [e // n ** k % n for k in range(dim)]
+        for corner in itertools.product((0, 1), repeat=dim):
+            node = sum((i + a) % nodes * nodes ** k
+                       for k, (i, a) in enumerate(zip(cell, corner)))
+            at_node.setdefault(node, []).append(e)
+    elements = {e for touching in at_node.values() for e in touching}
+    corners = {}
+    for node, touching in at_node.items():
+        for e in touching:
+            corners.setdefault(e, []).append(node)
+    seen, components = set(), 0
+    for start in sorted(elements):
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = collections.deque([start])
+        while queue:
+            e = queue.popleft()
+            for node in corners[e]:
+                for f in at_node[node]:
+                    if f not in seen:
+                        seen.add(f)
+                        queue.append(f)
+    return sorted(at_node), components
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("topology", ["torus", "box"])
+def test_masked_connectivity_matches_bfs(dim, topology):
+    # the numpy labelling against a plain breadth-first search on seeded
+    # random masks, 2-cell axes included: the same node set, or the same
+    # error with the same component count
+    rng = np.random.default_rng(20 + 2 * dim + (topology == "box"))
+    for trial in range(60):
+        cells = 2 + trial % 4 if trial < 20 else int(rng.integers(2, 10 if dim == 2 else 40))
+        grid = build_grid(dim, cells, (0.0,) * dim, 1.0, topology)
+        active = rng.random(grid.n_elements) < rng.uniform(0.1, 0.9)
+        if not active.any():
+            continue
+        nodes, components = _bfs_components(grid, active)
+        if components == 1:
+            assert _active_nodes_checked(grid, active).tolist() == nodes
+        else:
+            with pytest.raises(RuntimeError, match=fr"\({components} components\)"):
+                _active_nodes_checked(grid, active)
 
 
 @pytest.mark.parametrize("resolution", [32, 33, 64, 96])

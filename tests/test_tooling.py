@@ -69,15 +69,33 @@ def test_experiment_layer_takes_no_solver_config(module_name):
         assert "config" not in inspect.signature(fn).parameters, name
 
 
-def test_cli_import_leaves_csgraph_unloaded():
-    # scipy.sparse.csgraph (and the scipy.sparse.linalg and scipy.linalg it
-    # pulls in) is loaded by the first masked solve, not at import
+def test_cli_import_leaves_csgraph_unloaded(tmp_path):
+    # neither the import nor a masked perforation run loads
+    # scipy.sparse.csgraph, or the scipy.sparse.linalg and scipy.linalg it
+    # would pull in: the masked solves' connectivity check is numpy alone.
+    # scipy.special is not pinned, since scipy.fft loads it for the box
+    # preconditioner
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = "import sys, homlab.cli; print('scipy.sparse.csgraph' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == "False"
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(TINY_PERFORATION), encoding="utf-8")
+    argv = ["perforation", "--spec", str(spec), "--out", str(tmp_path / "out"),
+            "--no-plots"]
+    code = ("import json, sys\n"
+            "from homlab import cli\n"
+            f"code = cli.main({argv!r})\n"
+            f"print(json.dumps([code, {SCIPY_LOADED}]))")
+    exit_code, loaded = _fresh_python(code)
+    assert exit_code == 0
+    assert "scipy.sparse" in loaded      # the run did assemble and solve
+    unwanted = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+    assert [m for m in loaded if m.startswith(unwanted)] == []
+    assert (tmp_path / "out" / "lambda.csv").is_file()
 
 
 P_ENERGY_CELL = {"kind": "cell", "p": 3.0, "xi": [1.0],
@@ -115,6 +133,22 @@ def test_validate_and_parse_load_no_scipy():
             "    parse_spec(text)\n"
             f"print(json.dumps({SCIPY_LOADED}))")
     assert _fresh_python(code, json.dumps(docs)) == []
+
+
+def test_validate_and_parse_load_only_their_kind():
+    # the perforation and stability rules are imported by the checks that
+    # call them: a cell spec loads neither module, a stochastic spec (whose
+    # flip alignment is a stability rule) does not load perforation
+    code = ("import json, sys\n"
+            "import homlab.cli\n"
+            "from homlab.experiment_spec import parse_spec, validate_document\n"
+            "text = sys.stdin.read()\n"
+            "assert validate_document(text) == []\n"
+            "parse_spec(text)\n"
+            "print(json.dumps([m for m in ('homlab.perforation', 'homlab.stability')\n"
+            "                  if m in sys.modules]))")
+    assert _fresh_python(code, json.dumps(P_ENERGY_CELL)) == []
+    assert "homlab.perforation" not in _fresh_python(code, json.dumps(TINY_STOCHASTIC))
 
 
 def test_p_energy_cell_run_loads_no_scipy(tmp_path):
