@@ -22,10 +22,11 @@ Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it takes every term of -div(a grad u) + c u = f per
 element, assembles the stiffness of a plus the c-weighted mass straight
 onto the unknowns (mean-zero on the torus, interior nodes on a box, nodes
-of active elements when a mask is given) as one GEMM into a stencil table
-whose present entries, in table order, are the CSR data (``ElementOps``,
-``CsrPattern``; wrapped torus rows stay unsorted, as scipy allows), builds the
-right-hand side and prolongs the solution back to a full nodal vector. A
+of active elements when a mask is given) by GEMMs into a stencil table,
+filled one slab of lines at a time, whose present entries, in table order,
+are the CSR data (``ElementOps``, ``CsrPattern``; wrapped torus rows stay
+unsorted, as scipy allows), builds the right-hand side and prolongs the
+solution back to a full nodal vector. A
 direction xi is solved in one form on both topologies: the corrector w of
 u = <xi, x - x0> + w, periodic on the torus and zero on the box boundary
 (the window form of Bourgeat and Piatnitski, Ann. IHP 40, 2004), loaded by
@@ -291,6 +292,16 @@ def build_grid(dim: int, cells_per_axis: int, origin, side_length: float,
 
 _GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
+# Stencil-table rows per slab of ``ElementOps._assemble``. One slab's corner
+# copies and table take (2^dim P + 9) doubles a row, 0.95 MB at P = 5 (a
+# matrix coefficient and a shift), and no array over the whole table is held.
+# Timed on a 2-vCPU host (the best of 40 assemblies, three alternating
+# rounds) on the 319^2 box interior and the 120^2 torus: 4096 rows was the
+# fastest; 1024 rows paid the per-slab overhead (box scalar 4.6-6.5 ms
+# against 2.8-3.5) and 8192 and 16384 rows ran the matrix-coefficient box
+# assembly slower (7.6-11.6 ms against 6.3-8.0).
+_SLAB_ROWS = 4096
+
 
 def _reference_element(dim: int):
     """Weights (n_q,), shape values (n_q, 2**dim) and gradients
@@ -438,11 +449,13 @@ class ElementOps:
     unknowns of a solve. Row node x of the pattern's stencil table reads the
     P parameters of its 2^dim elements x - a, one per corner a, as shifted
     views of the per-element grid padded by one layer (zeros beyond a box,
-    the wrapped layer on a torus). One GEMM against the (2^dim P x width)
+    the wrapped layer on a torus). A GEMM against the (2^dim P x width)
     weights sum_b block_p[a, b] incidence[a, b, c] gives the table: each
-    row's matrix entry per stencil offset class. The pattern's mask reads
-    the CSR data from it in table order (wrapped torus rows stay unsorted):
-    no element entry is scattered and no slot reordered. The patterns
+    row's matrix entry per stencil offset class. The table is built one slab
+    of lines along the slowest node axis at a time, and the pattern's mask
+    appends each slab's present entries to the CSR data in table order
+    (wrapped torus rows stay unsorted): no element entry is scattered, no
+    slot reordered and no array over the whole table held. The patterns
     of every node and of a box's interior are built on first use and kept
     per grid shape (grids that never assemble, like the p-energy ones, never
     build them); ``restricted_pattern`` derives the pattern of any other set
@@ -535,16 +548,15 @@ class ElementOps:
             scale = scale * weights
         return self._assemble([scale], self.mass_ref[None], pattern)
 
-    def _assemble(self, params: list[np.ndarray], blocks: np.ndarray,
-                  pattern: CsrPattern | None) -> sp.csr_matrix:
-        """The matrix whose element matrices are sum_p param_p blocks[p] over
-        the parameter columns of ``params`` ((n_e,) or (n_e, m) each)."""
-        pattern = self.pattern if pattern is None else pattern
-        d, n, side = self.grid.dim, self.grid.cells_per_axis, pattern.side
-        weights = blocks.transpose(1, 0, 2) @ pattern.incidence    # [a, p, c]
-        # the parameters per element, padded by one layer; parameter-major,
-        # so that each corner below copies contiguous rows
-        padded = np.zeros((len(blocks),) + (n + 2,) * d)
+    def _padded(self, params: list[np.ndarray]) -> np.ndarray:
+        """The parameter columns of ``params`` ((n_e,) or (n_e, m) each) per
+        element, parameter-major, on the element grid padded by one layer on
+        every side: zeros beyond a box, the wrapped layer on a torus. Node x
+        of the grid reads its element x - 1 + c, corner c, at padded index
+        x + c."""
+        d, n = self.grid.dim, self.grid.cells_per_axis
+        count = sum(1 if v.ndim == 1 else v.shape[1] for v in params)
+        padded = np.zeros((count,) + (n + 2,) * d)
         start = 0
         for values in params:
             values = values.reshape(n ** d, -1).T
@@ -555,14 +567,58 @@ class ElementOps:
             for j in range(1, d + 1):
                 padded[(slice(None),) * j + (0,)] = padded[(slice(None),) * j + (n,)]
                 padded[(slice(None),) * j + (n + 1,)] = padded[(slice(None),) * j + (1,)]
-        # table node first + i reads element first + i - a, padded index + 1
-        corners = np.empty(weights.shape[:2] + (side,) * d)       # [a, p, node]
-        for a, corner in enumerate(np.ndindex((2,) * d)):
-            corners[a] = padded[(slice(None),) + tuple(
-                slice(pattern.first + 1 - c, pattern.first + 1 - c + side) for c in corner)]
-        table = corners.reshape(-1, side ** d).T @ weights.reshape(-1, weights.shape[2])
-        del padded, corners
-        return pattern.matrix(table.ravel()[pattern.gather])
+        return padded
+
+    def _assemble(self, params: list[np.ndarray], blocks: np.ndarray,
+                  pattern: CsrPattern | None) -> sp.csr_matrix:
+        """The matrix whose element matrices are sum_p param_p blocks[p] over
+        the parameter columns of ``params`` ((n_e,) or (n_e, m) each).
+
+        The stencil table is filled one slab at a time: a block of whole
+        lines along the slowest node axis, ``_SLAB_ROWS`` table rows or one
+        line if a line is longer. Each slab copies its corner views of the
+        padded parameters, runs one GEMM against the weights and appends its
+        present entries to the CSR data, so no array over the whole table
+        is ever built."""
+        pattern = self.pattern if pattern is None else pattern
+        d, side = self.grid.dim, pattern.side
+        weights = blocks.transpose(1, 0, 2) @ pattern.incidence    # [a, p, c]
+        weights = weights.reshape(-1, weights.shape[2])
+        padded = self._padded(params)
+        line = side ** (d - 1)                          # table rows per line
+        # numpy runs a one-row product as a GEMV, which rounds differently
+        # from the GEMM: a slab holds two rows or more unless the table has
+        # one, so a one-row remainder joins the slab before it
+        lines = min(side, max(1, 2 // line, _SLAB_ROWS // line))
+        bounds = list(range(0, side, lines)) + [side]
+        if len(bounds) > 2 and (side - bounds[-2]) * line == 1:
+            del bounds[-2]
+        most = max(b - a for a, b in zip(bounds, bounds[1:])) * line
+        gather = pattern.gather.reshape(side, -1)
+        data = np.empty(len(pattern.indices))
+        # one slab's corner copies and table, reused by every slab
+        corner_buf = np.empty(len(weights) * most)
+        table_buf = np.empty(most * weights.shape[1])
+        start = 0
+        for y, stop in zip(bounds, bounds[1:]):
+            rows = (stop - y) * line
+            corners = corner_buf[:len(weights) * rows].reshape(
+                (2 ** d, len(padded), stop - y) + (side,) * (d - 1))     # [a, p, node]
+            # table node first + i reads element first + i - a, padded index + 1
+            for a, corner in enumerate(np.ndindex((2,) * d)):
+                lo = [pattern.first + 1 - c for c in corner]
+                corners[a] = padded[(slice(None), slice(lo[0] + y, lo[0] + stop))
+                                    + tuple(slice(k, k + side) for k in lo[1:])]
+            mask = gather[y:stop].ravel()
+            count = np.count_nonzero(mask)
+            # a slab with every entry present (a torus) is its own CSR data
+            table = (data[start:start + count] if count == len(mask)
+                     else table_buf[:len(mask)]).reshape(rows, -1)
+            np.matmul(corners.reshape(len(weights), rows).T, weights, out=table)
+            if count < len(mask):
+                data[start:start + count] = table.ravel()[mask]
+            start += count
+        return pattern.matrix(data)
 
     def load_from_element_vectors(self, flux: np.ndarray) -> np.ndarray:
         """Nodal load L_a = sum_e h^d <F_e, grad phi_a> for per-element F_e."""
@@ -571,11 +627,19 @@ class ElementOps:
                            minlength=self.grid.n_nodes)
 
     def load_from_element_scalars(self, values: np.ndarray) -> np.ndarray:
-        """Nodal load L_a = sum_e h^d f_e / n_loc (one-point load quadrature)."""
-        n_loc = self.elem_nodes.shape[1]
-        contrib = (self.h ** self.grid.dim / n_loc) * np.repeat(values, n_loc)
-        return np.bincount(self.elem_nodes.ravel(), weights=contrib,
-                           minlength=self.grid.n_nodes)
+        """Nodal load L_a = sum_e h^d f_e / n_loc (one-point load quadrature).
+
+        A sum of 2^dim shifted views of the padded element grid, one per
+        corner in ``np.ndindex`` order: node x adds its elements x - 1 + c
+        in increasing element id, as a scatter in element order would, so a
+        box load is exact to the bit. A torus node on the wrap adds its
+        wrapped element first, which moves it at rounding level."""
+        d, nodes = self.grid.dim, self.grid.nodes_per_axis
+        padded = self._padded([(self.h ** d / len(self.mass_ref)) * values])[0]
+        load = np.zeros((nodes,) * d)
+        for corner in np.ndindex((2,) * d):
+            load += padded[tuple(slice(c, c + nodes) for c in corner)]
+        return load.ravel()
 
     def energy_quadratic(self, v: np.ndarray, coeff: np.ndarray, xi: np.ndarray) -> float:
         """sum_e h^d <A_e (xi + grad v), (xi + grad v)> via quadrature."""

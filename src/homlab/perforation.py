@@ -356,23 +356,25 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     f_el = np.asarray(source(centers), dtype=float)
 
     hom, theta = masked_cell_matrix(E, cell_resolution)
+    # one constant matrix, passed as a read-only view of every element
     coeff_hom = np.broadcast_to(hom.matrix, (grid.n_elements, 2, 2))
-    [(u_hom, _)] = solve_corrector(grid, np.ascontiguousarray(coeff_hom),
+    [(u_hom, _)] = solve_corrector(grid, coeff_hom,
                                    shift=np.full(grid.n_elements, lam * theta),
                                    source=theta * f_el)
 
-    # both solutions vanish on the boundary, so the L2 distance needs the
-    # mass on the interior nodes only
-    ops = element_ops(grid)
+    # both solutions vanish on the boundary, so the L2 distance needs only
+    # their interior values and the mass on the interior nodes; the mass is
+    # assembled once, after the last solve, so that no solve runs beside it
     interior = np.flatnonzero(~grid.boundary_node_mask())
-    mass = ops.assemble_mass(pattern=ops.restricted_pattern(interior))
-    distances = []
+    diffs = []
     for eps in epsilons:
         inside = E.membership(centers / eps)
         coeff = np.where(inside, 1.0 / n_penal, 1.0)
         mask = ~inside
         [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mask,
                                        source=np.where(mask, f_el, 0.0))
-        diff = (u_eps - u_hom)[interior]
-        distances.append(float(np.sqrt(diff @ (mass @ diff))))
+        diffs.append((u_eps - u_hom)[interior])
+    ops = element_ops(grid)
+    mass = ops.assemble_mass(pattern=ops.restricted_pattern(interior))
+    distances = [float(np.sqrt(diff @ (mass @ diff))) for diff in diffs]
     return LambdaReport(epsilons, tuple(distances), hom.matrix, theta)

@@ -525,10 +525,12 @@ def _restricted_set(g, case):
     return np.flatnonzero(free)
 
 
+_RESTRICTED_CASES = [(BOX, 7, "interior"), (BOX, 8, "masked"), (TORUS, 7, "masked"),
+                     (TORUS, 2, "masked"), (BOX, 2, "interior")]
+
+
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("topology, n, case", [(BOX, 7, "interior"), (BOX, 8, "masked"),
-                                               (TORUS, 7, "masked"), (TORUS, 2, "masked"),
-                                               (BOX, 2, "interior")])
+@pytest.mark.parametrize("topology, n, case", _RESTRICTED_CASES)
 def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     """``assemble_stiffness`` on ``restricted_pattern(unknowns)`` is the slice
     [unknowns][:, unknowns] of the COO reference, explicit zeros included,
@@ -553,6 +555,61 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     _assert_transpose_map(got, pattern.transpose)
     # an index array of another type is converted on every use
     assert pattern.transpose.dtype == np.intp
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("topology, n, case", _RESTRICTED_CASES + [
+    (TORUS, 2, "all"), (TORUS, 70, "all"), (BOX, 70, "interior")])
+def test_slab_size_leaves_the_data_unchanged(monkeypatch, dim, topology, n, case):
+    """The stencil table built one line per slab (two rows in 1D, the
+    fewest a slab holds), two lines per slab (a short last slab on odd
+    sides) or as one slab gives the same CSR data to the bit as the default
+    slab size, for scalar and matrix coefficients with and without a shift
+    and for the mass; at 70 cells the default takes one slab in 1D and
+    several in 2D."""
+    g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
+    ops = element_ops(g)
+    pattern = ops.pattern if case == "all" else ops.restricted_pattern(_restricted_set(g, case))
+    rng = np.random.default_rng(dim + n)
+    scalar = rng.uniform(0.5, 4.0, g.n_elements)
+    matrix = rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim))
+    shift = rng.uniform(0.5, 3.0, g.n_elements)
+
+    def data():
+        mats = [ops.assemble_stiffness(c, s, pattern)
+                for c in (scalar, matrix) for s in (None, shift)]
+        return [m.data.tobytes() for m in mats + [ops.assemble_mass(shift, pattern)]]
+
+    want = data()
+    line = pattern.side ** (dim - 1)
+    for rows in (1, 2 * line, pattern.side ** dim):
+        monkeypatch.setattr(numerics, "_SLAB_ROWS", rows)
+        assert data() == want
+
+
+@pytest.mark.parametrize("dim, n, topology", [(1, 7, BOX), (1, 2, BOX), (2, 7, BOX),
+                                              (2, 9, BOX), (2, 33, BOX), (1, 2, TORUS),
+                                              (1, 9, TORUS), (2, 2, TORUS), (2, 7, TORUS),
+                                              (2, 40, TORUS)])
+def test_scalar_load_matches_a_scatter(dim, n, topology):
+    """``load_from_element_scalars`` against an ``np.bincount`` scatter of
+    h^d f_e / 2^dim to each element's nodes: bit-identical on a box, where
+    both add a node's elements in increasing element id, and within 1e-15
+    relative on a torus, whose wrap nodes add their elements in another
+    order."""
+    g = build_grid(dim, n, (0.0,) * dim, 1.3, topology)
+    ops = element_ops(g)
+    values = np.random.default_rng(dim * n).uniform(0.1, 3.0, g.n_elements)
+    n_loc = 2 ** dim
+    want = np.bincount(ops.elem_nodes.ravel(),
+                       weights=np.repeat(g.h ** dim / n_loc * values, n_loc),
+                       minlength=g.n_nodes)
+    got = ops.load_from_element_scalars(values)
+    assert got.shape == want.shape
+    if topology == BOX:
+        assert got.tobytes() == want.tobytes()
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("restricted", [False, True])

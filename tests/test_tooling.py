@@ -14,8 +14,10 @@ kernel per element and is assembled straight onto the solve's unknowns, and
 or copying them, and every soundness guard reads its tolerance from one table
 in ``numerics``, and an L-BFGS gradient reuses the point rows its line search
 built, and an assembled matrix takes its slot order from the stencil
-table, unsorted where a torus row wraps, and every energy and flux read off
-a corrector comes from ``numerics.corrector_response``."""
+table, unsorted where a torus row wraps, and built slab by slab without an
+array over the whole table, and a constant coefficient reaches the solve
+kernel as a read-only broadcast view, and every energy and flux read off a
+corrector comes from ``numerics.corrector_response``."""
 
 import importlib
 import importlib.util
@@ -523,6 +525,62 @@ def test_stencil_table_order_is_csr_order():
     assert "has_canonical_format" not in inspect.getsource(numerics.CsrPattern.matrix)
     source = inspect.getsource(numerics.SparseSystem)
     assert "sort_indices" not in source and "sum_duplicates" not in source
+
+
+def test_box_assembly_holds_no_whole_table():
+    # the stencil table is built slab by slab: the allocation peak of a
+    # matrix-coefficient, shifted assembly on the interior of a 160^2 box
+    # is the CSR data and the padded parameters plus one slab's buffers. A
+    # whole-table build also holds the corner stack and the table at once,
+    # 2.5x the data plus the padded parameters here
+    import tracemalloc
+
+    import numpy as np
+
+    from homlab import numerics
+
+    g = numerics.build_grid(2, 160, (0.0, 0.0), 1.0, numerics.BOX)
+    ops = numerics.element_ops(g)
+    pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+    rng = np.random.default_rng(0)
+    coeff = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2)) + 3.0 * np.eye(2)
+    shift = rng.uniform(0.5, 2.0, g.n_elements)
+    ops.assemble_stiffness(coeff, shift, pattern)    # loads scipy.sparse if not yet
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mat = ops.assemble_stiffness(coeff, shift, pattern)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    padded = 5 * (g.cells_per_axis + 2) ** 2 * 8    # 4 coefficient entries + the shift
+    assert peak <= 1.75 * (mat.data.nbytes + padded)
+
+
+def test_solve_corrector_takes_a_broadcast_coefficient():
+    # one constant matrix reaches the kernel as a read-only broadcast view
+    # of every element, not a copy, and gives the copy's solution to the bit
+    import numpy as np
+
+    from homlab import numerics
+
+    matrix = np.array([[2.0, 0.3], [0.3, 1.5]])
+    box = numerics.build_grid(2, 24, (0.0, 0.0), 1.0, numerics.BOX)
+    torus = numerics.build_grid(2, 24, (0.0, 0.0), 1.0, numerics.TORUS)
+    source = np.cos(3.0 * box.element_centers()).sum(axis=1)
+    for grid, kwargs in ((box, {"shift": np.full(box.n_elements, 2.0), "source": source}),
+                         (torus, {"xis": [np.array([1.0, 0.3])]})):
+        view = np.broadcast_to(matrix, (grid.n_elements, 2, 2))
+        assert not view.flags.writeable
+        [(w, stats)] = numerics.solve_corrector(grid, view, **kwargs)
+        [(w_copy, stats_copy)] = numerics.solve_corrector(
+            grid, np.ascontiguousarray(view), **kwargs)
+        assert stats.iterations == stats_copy.iterations
+        assert w.tobytes() == w_copy.tobytes()
 
 
 TINY_PERFORATION = {"kind": "perforation", "shape": "ball", "radius": 0.25,
