@@ -91,10 +91,11 @@ alone, so no solve loads scipy's graph routines, ``scipy.sparse.linalg`` or
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -338,21 +339,23 @@ class CsrPattern:
     block, ``side`` nodes per axis from node ``first`` on every axis, and
     one column per stencil offset class, x fastest: 3 classes per axis
     (offsets -1, 0, +1), or 2 on a 2-node torus axis, whose offsets -1 and
-    +1 are one node. ``incidence[a, b, c]`` is 1 when element-local node b
-    sits in class c of local node a. The slots are the table's present
-    entries in table order, read by the boolean mask ``gather``: a row lists
-    its present classes in class order, which sorts its columns in a box; a
-    torus row that wraps stays unsorted (node 0 reads node side - 1 first),
-    as scipy's CSR kernels allow. ``transpose`` sends each slot to the slot
-    of its transposed entry. Every array is read-only.
+    +1 are one node. The block wraps on every axis when ``torus`` is set
+    and ends at its faces otherwise. ``incidence[a, b, c]`` is 1 when
+    element-local node b sits in class c of local node a. The slots are the
+    table's present entries in table order, read by the boolean mask
+    ``gather``: a row lists its present classes in class order, which sorts
+    its columns in a box; a torus row that wraps stays unsorted (node 0
+    reads node side - 1 first), as scipy's CSR kernels allow. The same
+    order gives every entry's transposed entry without an index map
+    (``symmetry_defect``). Every array is read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     gather: np.ndarray
-    transpose: np.ndarray
     first: int
     side: int
+    torus: bool
     incidence: np.ndarray
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
@@ -376,9 +379,134 @@ class CsrPattern:
         gather = self.gather.copy()
         gather[self.gather] = kept
         arrays = _frozen(np.append(before[self.indptr[rows]], before[-1]),
-                         renumber[self.indices[kept]], gather,
-                         before[self.transpose[kept]].astype(np.intp, copy=False))
-        return CsrPattern(*arrays, self.first, self.side, self.incidence)
+                         renumber[self.indices[kept]], gather)
+        return CsrPattern(*arrays, self.first, self.side, self.torus, self.incidence)
+
+    def symmetry_defect(self, data: np.ndarray) -> tuple[float, float]:
+        """max |entry| and max |entry - transposed entry| over the entries
+        ``data`` of a matrix on this pattern, each NaN when it meets a NaN.
+
+        Table entry (node x, class c) holds the entry of column x + delta_c,
+        so its transposed entry is table entry (x + delta_c, class -c), the
+        opposite offset on every axis. Each pair of mirrored classes is
+        compared once, as two shifted views of the table, with no index map
+        (``_mirror_pairs``); the centre class is its own mirror and is read
+        only where an entry is not finite, for which x - x is NaN. An absent
+        entry and its mirror both read 0. A full table (a torus) is ``data``
+        itself, and a torus with absent entries is scattered into a
+        zero-filled table (``_wrapped_views``). A box's table is scattered
+        one slab of ``_SLAB_ROWS`` rows at a time, with the next line, into a
+        zero-filled buffer, where each pair is one strided view
+        (``_flat_views``).
+        """
+        if len(data) != len(self.indices):
+            raise ValueError(f"matrix has {len(data)} entries for a pattern "
+                             f"of {len(self.indices)}")
+        dim = len(self.incidence).bit_length() - 1
+        classes = 2 if self.incidence.shape[2] == 2 ** dim else 3
+        side, width = self.side, classes ** dim
+        if self.torus:
+            table = data
+            if len(data) < len(self.gather):
+                table = np.zeros(len(self.gather))
+                table[self.gather] = data
+            scale = _max_abs(data)
+            views = _wrapped_views(dim, classes, side, not np.isfinite(scale))
+            return scale, _max_difference(table.reshape((side,) * dim + (classes,) * dim), views)
+        line = side ** (dim - 1)                        # table rows per line
+        gather = self.gather.reshape(side, -1)
+        lines = min(side, max(1, _SLAB_ROWS // line))
+        # the slab, the next line and one more row, where the mirror of the
+        # last row's corner class falls
+        buf = np.empty(((lines + 1) * line + 1) * width)
+        scale = worst = 0.0
+        start = 0
+        for y in range(0, side, lines):
+            stop = min(side, y + lines)
+            count = np.count_nonzero(gather[y:stop])
+            ahead = np.count_nonzero(gather[stop:stop + 1])
+            mask = gather[y:stop + 1].ravel()
+            buf.fill(0.0)
+            buf[:len(mask)][mask] = data[start:start + count + ahead]
+            start += count
+            slab_scale = _max_abs(buf)
+            scale = np.maximum(scale, slab_scale)
+            views = _flat_views(dim, side, (stop - y) * line, not np.isfinite(slab_scale))
+            worst = np.maximum(worst, _max_difference(buf, views))
+        return scale, worst
+
+
+def _max_abs(x: np.ndarray) -> float:
+    """max |x| as max(max x, -min x): no temporary, and NaN propagates."""
+    return np.maximum(x.max(), -x.min())
+
+
+@lru_cache(maxsize=None)
+def _mirror_pairs(dim: int, classes: int, centre: bool) -> tuple:
+    """(class, offset, mirror class) per pair of mirrored stencil classes
+    of a table with ``classes`` classes per axis, slowest axis first: one
+    class of each pair, the one whose offset is positive on the slowest axis
+    where it is not zero, and the centre, its own mirror at offset 0, only
+    with ``centre``. On a 2-node torus axis a class is its own mirror, one
+    node away either way: it is listed with offset +1."""
+    out = []
+    for c in np.ndindex((classes,) * dim):
+        step = tuple(k - 1 if classes == 3 else 1 - k for k in c)
+        moved = [s for s in step if s]
+        if moved[0] > 0 if moved else centre:
+            out.append((c, step, tuple((2 - k) % classes for k in c)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _wrapped_views(dim: int, classes: int, side: int, centre: bool) -> tuple:
+    """Index pairs (entries, their mirrors) into a torus stencil table: each
+    class of ``_mirror_pairs`` against its mirror class shifted by its
+    offset, in pieces per axis, one for the nodes whose neighbour lies
+    inside the block and one for the line that wraps."""
+    inside = (slice(0, side - 1), slice(1, side))     # (entries, mirrors) at +1
+    wrapped = (slice(side - 1, side), slice(0, 1))
+
+    def pieces(s):
+        if not s:
+            return [(slice(None), slice(None))]
+        return [inside, wrapped] if s > 0 else [inside[::-1], wrapped[::-1]]
+
+    out = []
+    for c, step, m in _mirror_pairs(dim, classes, centre):
+        for per_axis in itertools.product(*map(pieces, step)):
+            out.append((tuple(a for a, _ in per_axis) + c, tuple(b for _, b in per_axis) + m))
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _flat_views(dim: int, side: int, rows: int, centre: bool) -> tuple:
+    """Index pairs (entries, their mirrors) into the first ``rows`` rows of a
+    box's stencil table stored flat, one strided view per class of
+    ``_mirror_pairs``: its mirror lies a fixed distance on, the offset's
+    node shift in rows plus the class change. A box never wraps, so where
+    that distance runs past a line's last node, the entry and the one it
+    meets are both absent, 0 in the buffer."""
+    width = 3 ** dim
+    out = []
+    for c, step, m in _mirror_pairs(dim, 3, centre):
+        a = int(np.ravel_multi_index(c, (3,) * dim))
+        b = (int(np.ravel_multi_index(m, (3,) * dim))
+             + width * sum(s * side ** (dim - 1 - k) for k, s in enumerate(step)))
+        out.append(((slice(a, a + rows * width, width),), (slice(b, b + rows * width, width),)))
+    return tuple(out)
+
+
+def _max_difference(table: np.ndarray, views) -> float:
+    """max |table[a] - table[b]| over the index pairs (a, b) of ``views``,
+    NaN when any difference is, 0 when there is none."""
+    pieces = [(table[a], table[b]) for a, b in views]
+    diff = np.empty(sum(a.size for a, _ in pieces))
+    at = 0
+    for a, b in pieces:
+        np.subtract(a, b, out=diff[at:at + a.size].reshape(a.shape))
+        at += a.size
+    return _max_abs(diff) if at else 0.0
 
 
 @lru_cache(maxsize=8)
@@ -395,16 +523,13 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
     first = int(interior)
     side = cells + (not torus) - 2 * first
     classes = 2 if torus and side == 2 else 3
-    width = classes ** dim
     # per axis [node x, class c]: the neighbour at offset c - 1, if any
     neighbour = np.arange(side)[:, None] + np.arange(classes) - 1
     present = torus | ((neighbour >= 0) & (neighbour < side))
     neighbour %= side
     count = present.sum(axis=1)
     nnz = int(count.sum()) ** dim
-    # scipy's choice for CSR index arrays: int32 whenever the values fit. The
-    # transpose map is numpy's own intp, since an index array of another
-    # type is converted on every use
+    # scipy's choice for CSR index arrays: int32 whenever the values fit
     idx = np.int32 if max(nnz, side ** dim) <= np.iinfo(np.int32).max else np.int64
 
     def tensor(op, per_axis):
@@ -423,21 +548,11 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
     indptr = np.zeros(side ** dim + 1, dtype=idx)
     np.cumsum(tensor(np.multiply, [count] * dim), out=indptr[1:])
     indices = table(np.add, [(neighbour * side ** k).astype(idx) for k in range(dim)])[gather]
-    # the table entry of each slot's transposed entry: the column's row and
-    # the opposite class (the same class on a 2-node torus), in the index
-    # dtype unless the table outgrows it
-    entry = idx if len(gather) <= np.iinfo(idx).max else np.int64
-    opposite = (2 - np.arange(classes)) % classes
-    mirror = table(np.add, [(neighbour * side ** k * width + opposite * classes ** k
-                             ).astype(entry) for k in range(dim)])[gather]
-    slot = np.zeros(len(gather), dtype=np.intp)
-    slot[gather] = np.arange(nnz)
-    transpose = slot[mirror]
     # incidence per axis: local node b of local node a has offset b - a; the
     # tensor product puts x fastest
     axis = np.eye(classes)[(np.arange(2) - np.arange(2)[:, None] + 1) % classes]
     incidence = reduce(np.kron, [axis] * dim)
-    return CsrPattern(*_frozen(indptr, indices, gather, transpose), first, side,
+    return CsrPattern(*_frozen(indptr, indices, gather), first, side, torus,
                       *_frozen(incidence))
 
 
@@ -463,7 +578,9 @@ class ElementOps:
 
     Every per-element contraction is a 2-D matrix product on rows gathered
     once by ``v[elem_nodes]``, against small read-only matrices precomputed
-    per grid: the gradient matrix ``grad_matrix`` sends an element's nodal
+    per grid (``elem_nodes`` itself is built on first read, so a grid whose
+    solves read no element rows, like the source solves of a box, never
+    holds it): the gradient matrix ``grad_matrix`` sends an element's nodal
     values to the gradients at its quadrature points, one flat row with the
     component fastest (column q dim + k is component k at point q);
     ``mean_grad_matrix`` sends them to the quadrature mean of the gradient;
@@ -475,7 +592,6 @@ class ElementOps:
     """
 
     grid: Grid
-    elem_nodes: np.ndarray         # (n_e, 2**dim)
     quad_weights: np.ndarray       # (n_q,)
     grad_matrix: np.ndarray        # (2**dim, n_q * dim)
     mean_grad_matrix: np.ndarray   # (2**dim, dim)
@@ -484,6 +600,12 @@ class ElementOps:
     point_spread: np.ndarray       # (n_q, n_q * dim)
     stiff_blocks: np.ndarray       # (dim, dim, 2**dim, 2**dim), see assemble_stiffness
     mass_ref: np.ndarray           # (2**dim, 2**dim), unit-measure mass matrix
+
+    @cached_property
+    def elem_nodes(self) -> np.ndarray:
+        """Corner node ids per element, (n_e, 2**dim), read-only
+        (``Grid.element_nodes``)."""
+        return _frozen(self.grid.element_nodes())[0]
 
     @property
     def pattern(self) -> CsrPattern:
@@ -682,9 +804,8 @@ def element_ops(grid: Grid) -> ElementOps:
     grad_matrix_t = np.ascontiguousarray(grad_matrix.T)
     point_spread = np.ascontiguousarray(point_sum.T)
     mass = np.einsum("q,qa,qb->ab", wts, phi, phi)
-    return ElementOps(grid, grid.element_nodes(),
-                      *_frozen(wts, grad_matrix, mean_grad_matrix, point_sum,
-                               grad_matrix_t, point_spread, blocks, mass))
+    return ElementOps(grid, *_frozen(wts, grad_matrix, mean_grad_matrix, point_sum,
+                                     grad_matrix_t, point_spread, blocks, mass))
 
 
 @dataclass
@@ -693,34 +814,31 @@ class SparseSystem:
 
     A system declared symmetric compares each stored entry with its
     transpose's entry (zero where that is not stored), relative to
-    ``SYMMETRY_RTOL``, without a transposed copy. ``transpose`` gives the
-    slot of each stored entry's transpose when the pattern knows it
-    (``CsrPattern.transpose``, as ``solve_corrector`` passes); otherwise the
-    entries are found by a search over the sorted (row, column) keys. The
-    matrix is kept as given, never sorted: a pattern's matrices share its
-    read-only index arrays, and a torus row may list its columns unsorted.
+    ``SYMMETRY_RTOL``, without a transposed copy. A matrix assembled on a
+    ``CsrPattern``, given as ``pattern`` (as ``solve_corrector`` does), is
+    read in stencil-table order, each entry against its mirror in the table
+    (``CsrPattern.symmetry_defect``). A matrix built without one, like a
+    bare scipy matrix, has its transposed entries found by a search over
+    the sorted (row, column) keys (``_stored_transpose``). The matrix is
+    kept as given, never sorted: a pattern's matrices share its read-only
+    index arrays, and a torus row may list its columns unsorted.
     """
 
     matrix: sp.csr_matrix
     symmetric: bool
-    transpose: np.ndarray | None = None
+    pattern: CsrPattern | None = None
 
     def __post_init__(self):
         self.matrix = self.matrix.tocsr()
         data = self.matrix.data
         if not self.symmetric or not data.size:
             return
-        if self.transpose is None:
+        if self.pattern is None:
             mirror = _stored_transpose(self.matrix)
-        elif len(self.transpose) == len(data):
-            mirror = data[self.transpose]
+            np.subtract(data, mirror, out=mirror)
+            scale, worst = _max_abs(data), _max_abs(mirror)
         else:
-            raise ValueError(f"transpose map has {len(self.transpose)} slots "
-                             f"for {len(data)} entries")
-        # max |x| as max(max x, -min x): no temporary, and NaN propagates
-        scale = np.maximum(data.max(), -data.min())
-        np.subtract(data, mirror, out=mirror)
-        worst = np.maximum(mirror.max(), -mirror.min())
+            scale, worst = self.pattern.symmetry_defect(data)
         if not worst <= SYMMETRY_RTOL * max(scale, 1e-300):
             raise ValueError(
                 f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
@@ -733,7 +851,8 @@ class SparseSystem:
 
 def _stored_transpose(mat: sp.csr_matrix) -> np.ndarray:
     """The entry at (c, r) for each stored entry (r, c) of a CSR matrix with
-    columns in any order, 0 where it is not stored; duplicates raise."""
+    columns in any order, 0 where it is not stored; duplicates raise. The
+    symmetry check of a matrix that comes without its ``CsrPattern``."""
     size = max(mat.shape)
     row = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
     key = row * size + mat.indices
@@ -749,14 +868,16 @@ def _stored_transpose(mat: sp.csr_matrix) -> np.ndarray:
 def is_symmetric(coeff: np.ndarray) -> bool:
     """True for scalar per-element coefficients, and for (n_e, d, d) ones
     whose off-diagonal pairs agree to ``SYMMETRY_RTOL`` times max |c|, the
-    relative test ``SparseSystem`` applies to the assembled matrix. Pairs
-    are compared in place: a transposed copy costs several times more."""
+    relative test ``SparseSystem`` applies to the assembled matrix. The
+    scale and the pairs are read one (k, l) column at a time, so a
+    broadcast view of one matrix is never materialized."""
     coeff = np.asarray(coeff)
     if coeff.ndim == 1:
         return True
-    tol = SYMMETRY_RTOL * max(float(np.abs(coeff).max()), 1e-300)
     d = coeff.shape[1]
-    return all(float(np.abs(coeff[:, k, l] - coeff[:, l, k]).max()) <= tol
+    scale = reduce(np.maximum, (_max_abs(coeff[:, k, l]) for k, l in np.ndindex(d, d)))
+    tol = SYMMETRY_RTOL * max(float(scale), 1e-300)
+    return all(float(_max_abs(coeff[:, k, l] - coeff[:, l, k])) <= tol
                for k in range(d) for l in range(k + 1, d))
 
 
@@ -1060,11 +1181,11 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     ``coeff``, M_c the mass weighted by ``shift`` (source solves only) and F
     the one-point load of f (``ElementOps.load_from_element_scalars``). With
     an element mask ``active`` the unknowns are the nodes touching an active
-    element, which must form one connected component. K + M_c is assembled straight onto
-    the unknowns, on their ``CsrPattern`` (kept per grid shape for every
-    node of a torus and the interior of a box, derived per call under a
-    mask), and ``SparseSystem`` checks its symmetry through the pattern's
-    transpose map; no matrix on other nodes is built or sliced.
+    element, which must form one connected component. K + M_c is assembled
+    straight onto the unknowns, on their ``CsrPattern`` (kept per grid
+    shape for every node of a torus and the interior of a box, derived per
+    call under a mask), and ``SparseSystem`` checks its symmetry on the
+    pattern's stencil table; no matrix on other nodes is built or sliced.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
     ones by right-preconditioned BiCGStab, both with
@@ -1101,7 +1222,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
                     else unknowns[~boundary[unknowns]])
     pattern = ops.pattern if unknowns is None else ops.restricted_pattern(unknowns)
     system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
-                          symmetric=symmetric, transpose=pattern.transpose)
+                          symmetric=symmetric, pattern=pattern)
     # the trace of a matrix coefficient is the trace of its symmetric part
     c = coeff if active is None else coeff[active]
     a_ref = float(c.mean() if c.ndim == 1

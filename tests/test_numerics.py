@@ -202,6 +202,49 @@ def test_is_symmetric_reads_the_coefficients():
     assert is_symmetric(np.full((50, 1, 1), 2.0))
 
 
+def _whole_array_is_symmetric(coeff):
+    """``is_symmetric`` as it read the coefficients before taking them one
+    (k, l) column at a time: the scale over the whole array at once."""
+    tol = numerics.SYMMETRY_RTOL * max(float(np.abs(coeff).max()), 1e-300)
+    d = coeff.shape[1]
+    return all(float(np.abs(coeff[:, k, l] - coeff[:, l, k]).max()) <= tol
+               for k in range(d) for l in range(k + 1, d))
+
+
+def test_is_symmetric_verdict_matches_the_whole_array_read():
+    """Reading the scale and the pairs per column changes no verdict: random
+    coefficients in 1D and 2D, broadcast views of one matrix, defects at
+    0.5x, 1x and 2x the allowed value and NaN or infinite entries."""
+    rng = np.random.default_rng(8)
+    cases = []
+    for d in (1, 2):
+        for _ in range(5):
+            m = rng.uniform(-1.0, 1.0, (40, d, d))
+            cases += [m, m + m.transpose(0, 2, 1) + 3.0 * np.eye(d)]
+    for matrix in ([[2.0, 0.3], [0.3, 1.5]], [[2.0, 1.0], [-1.0, 2.0]], [[-3.0, 0.0], [0.0, 1.0]]):
+        cases.append(np.broadcast_to(np.array(matrix), (40, 2, 2)))
+    m = rng.uniform(-1.0, 1.0, (40, 2, 2))
+    sym = m + m.transpose(0, 2, 1) + 3.0 * np.eye(2)
+    allowed = numerics.SYMMETRY_RTOL * np.abs(sym).max()
+    for factor in (0.5, 1.0, 2.0, -0.5, -2.0):
+        near = sym.copy()
+        near[11, 0, 1] = near[11, 1, 0] + factor * allowed
+        cases.append(near)
+    for bad in (np.nan, np.inf, -np.inf):
+        for k, l in ((0, 0), (0, 1), (1, 0)):
+            odd = sym.copy()
+            odd[3, k, l] = bad
+            cases.append(odd)
+        cases.append(np.broadcast_to(np.array([[bad, 0.1], [0.1, 1.0]]), (40, 2, 2)))
+    cases.append(np.full((40, 1, 1), np.nan))
+    verdicts = []
+    with np.errstate(invalid="ignore"):
+        for coeff in cases:
+            assert is_symmetric(coeff) is _whole_array_is_symmetric(coeff)
+            verdicts.append(is_symmetric(coeff))
+    assert True in verdicts and False in verdicts
+
+
 class TestSparseSystem:
     def test_symmetric_flag_checked(self):
         mat = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]]))
@@ -229,7 +272,7 @@ class TestSparseSystem:
 
     def test_unsorted_pattern_matrix_is_checked_as_given(self):
         """A torus pattern matrix, whose wrapped rows list their columns
-        unsorted, is checked without a transpose map: accepted when it is
+        unsorted, is checked without its pattern: accepted when it is
         symmetric, refused with one entry perturbed, and never sorted, so it
         still shares the pattern's index arrays."""
         g = build_grid(2, 6, (0.0, 0.0), 1.0, TORUS)
@@ -377,12 +420,18 @@ def _assert_same_csr(got, want):
     assert np.abs(got.data[order] - want.data).max() <= 1e-15 * np.abs(want.data).max()
 
 
-def _assert_transpose_map(mat, transpose):
-    """``transpose`` sends each slot of ``mat`` (a matrix or a pattern whose
-    (row, column) pairs are distinct) to the slot of the pair (column,
-    row)."""
-    row, col = _pairs(mat)
-    assert np.array_equal(row[transpose], col) and np.array_equal(col[transpose], row)
+def _assert_table_check(pattern, data, rng):
+    """The stencil-table symmetry check of ``pattern`` reads scipy's
+    max|K - K^T| as its worst defect and max|K| as its scale, bit for bit:
+    on the entries ``data``, on ``data`` with one entry perturbed after
+    assembly, and on random entries."""
+    perturbed = data.copy()
+    perturbed[rng.integers(len(data))] += 0.37
+    for values in (data, perturbed, rng.uniform(-1.0, 1.0, len(data))):
+        K = pattern.matrix(values)
+        diff = K - K.T
+        worst = abs(diff).max() if diff.nnz else 0.0
+        assert pattern.symmetry_defect(values) == (np.abs(values).max(), worst)
 
 
 def _classes(g):
@@ -460,8 +509,8 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     over the stencil table (3 offset classes per axis, x fastest; on the
     2-node torus the wrapped offsets -1 and +1 share a slot and class 0)
     whose present entries are the slots in table order, so a row's slots
-    are its present offset classes in class order; ``transpose`` sends each
-    slot to the slot of the pair (column, row)."""
+    are its present offset classes in class order; the symmetry check read
+    from that table matches scipy's max|K - K^T| bit for bit."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     nodes = g.element_nodes()
     n_loc = nodes.shape[1]
@@ -479,15 +528,19 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     # wraps lists its wrapped neighbours first
     key = row * g.n_nodes + col
     assert np.all(np.diff(key) > 0) == (topology == BOX)
-    _assert_transpose_map(pattern, pattern.transpose)
     assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
-    assert pattern.transpose.dtype == np.intp
+    ops = element_ops(g)
+    rng = np.random.default_rng(dim + n)
+    K = ops.assemble_stiffness(rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim)))
+    _assert_table_check(pattern, K.data, rng)
 
 
 def test_assembly_pattern_is_shared_and_read_only():
     """The pattern of every node and, on a box, that of the interior nodes
     are built once per grid shape: every matrix restricted to the interior
-    shares the interior pattern's index arrays, on any grid of that shape."""
+    shares the interior pattern's index arrays, on any grid of that shape,
+    and the symmetry check read from each pattern's table matches scipy's
+    max|K - K^T| bit for bit."""
     g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)
     interior = np.flatnonzero(~g.boundary_node_mask())
@@ -502,10 +555,13 @@ def test_assembly_pattern_is_shared_and_read_only():
     for mat in (K, M, window.assemble_mass(pattern=inner)):
         assert np.shares_memory(mat.indices, inner.indices)
         assert np.shares_memory(mat.indptr, inner.indptr)
+    rng = np.random.default_rng(5)
     for pattern in (ops.pattern, inner, inner.restricted(np.arange(3))):
-        for arr in (pattern.indptr, pattern.indices, pattern.gather, pattern.transpose):
+        for arr in (pattern.indptr, pattern.indices, pattern.gather, pattern.incidence):
             with pytest.raises(ValueError):
                 arr[0] = 1
+        _assert_table_check(pattern, ops.assemble_mass(pattern=pattern).data, rng)
+    _assert_table_check(inner, K.data, rng)
     with pytest.raises(ValueError, match="interior nodes"):
         ops.restricted_pattern(np.arange(g.n_nodes))
 
@@ -534,8 +590,8 @@ _RESTRICTED_CASES = [(BOX, 7, "interior"), (BOX, 8, "masked"), (TORUS, 7, "maske
 def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     """``assemble_stiffness`` on ``restricted_pattern(unknowns)`` is the slice
     [unknowns][:, unknowns] of the COO reference, explicit zeros included,
-    and the pattern's ``transpose`` sends each slot to that of its
-    transposed entry."""
+    and the symmetry check read from the pattern's table matches scipy's
+    max|K - K^T| bit for bit."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     unknowns = _restricted_set(g, case)
@@ -552,9 +608,7 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     got = ops.assemble_stiffness(coeff, shift, pattern)
     _assert_same_csr(got, want)
     _assert_table_order(g, pattern, unknowns)
-    _assert_transpose_map(got, pattern.transpose)
-    # an index array of another type is converted on every use
-    assert pattern.transpose.dtype == np.intp
+    _assert_table_check(pattern, got.data, rng)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -565,8 +619,9 @@ def test_slab_size_leaves_the_data_unchanged(monkeypatch, dim, topology, n, case
     fewest a slab holds), two lines per slab (a short last slab on odd
     sides) or as one slab gives the same CSR data to the bit as the default
     slab size, for scalar and matrix coefficients with and without a shift
-    and for the mass; at 70 cells the default takes one slab in 1D and
-    several in 2D."""
+    and for the mass, and the symmetry check, which reads a box's table
+    slab by slab, gives the same scale and worst defect; at 70 cells the
+    default takes one slab in 1D and several in 2D."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     pattern = ops.pattern if case == "all" else ops.restricted_pattern(_restricted_set(g, case))
@@ -578,7 +633,8 @@ def test_slab_size_leaves_the_data_unchanged(monkeypatch, dim, topology, n, case
     def data():
         mats = [ops.assemble_stiffness(c, s, pattern)
                 for c in (scalar, matrix) for s in (None, shift)]
-        return [m.data.tobytes() for m in mats + [ops.assemble_mass(shift, pattern)]]
+        mats.append(ops.assemble_mass(shift, pattern))
+        return [(m.data.tobytes(), pattern.symmetry_defect(m.data)) for m in mats]
 
     want = data()
     line = pattern.side ** (dim - 1)
@@ -613,16 +669,16 @@ def test_scalar_load_matches_a_scatter(dim, n, topology):
 
 
 @pytest.mark.parametrize("restricted", [False, True])
-def test_symmetry_guard_through_the_transpose_map(restricted):
-    """``SparseSystem`` with the pattern's transpose map passes and fails as
-    the max|M - M^T| test does, with the same message: a nonsymmetric matrix
+def test_symmetry_guard_through_the_stencil_table(restricted):
+    """``SparseSystem`` given the matrix's pattern passes and fails as the
+    max|M - M^T| test does, with the same message: a nonsymmetric matrix
     coefficient, a NaN coefficient and a defect at rounding level. Without
-    the map it finds the transposed entries by search, with the same
-    result."""
+    the pattern it finds the transposed entries by search, with the same
+    result; a pattern the matrix was not assembled on is refused."""
     g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)
-    pattern = (ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
-               if restricted else ops.pattern)
+    inner = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+    pattern, other = (inner, ops.pattern) if restricted else (ops.pattern, inner)
     rng = np.random.default_rng(6)
     sym = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2))
     sym = sym + sym.transpose(0, 2, 1) + 4.0 * np.eye(2)
@@ -637,17 +693,17 @@ def test_symmetry_guard_through_the_transpose_map(restricted):
         message = (f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
                    f"exceeds {numerics.SYMMETRY_RTOL:.0e} * |M|_max = "
                    f"{numerics.SYMMETRY_RTOL * scale:.3e}")
-        for transpose in (pattern.transpose, None):
+        for table in (pattern, None):
             with pytest.raises(ValueError) as raised:
-                SparseSystem(K, symmetric=True, transpose=transpose)
+                SparseSystem(K, symmetric=True, pattern=table)
             assert str(raised.value) == message
-        SparseSystem(K, symmetric=False, transpose=pattern.transpose)
+        SparseSystem(K, symmetric=False, pattern=pattern)
     K = ops.assemble_stiffness(sym, pattern=pattern)
-    K.data[pattern.transpose[7]] *= 1.0 + 1e-13     # within 1e-12 of max|M|
-    for transpose in (pattern.transpose, None):
-        SparseSystem(K, symmetric=True, transpose=transpose)
-    with pytest.raises(ValueError, match="transpose map has"):
-        SparseSystem(K, symmetric=True, transpose=pattern.transpose[1:])
+    K.data[7] *= 1.0 + 1e-13     # within 1e-12 of max|M|
+    for table in (pattern, None):
+        SparseSystem(K, symmetric=True, pattern=table)
+    with pytest.raises(ValueError, match="entries for a pattern of"):
+        SparseSystem(K, symmetric=True, pattern=other)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

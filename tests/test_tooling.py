@@ -16,8 +16,11 @@ in ``numerics``, and an L-BFGS gradient reuses the point rows its line search
 built, and an assembled matrix takes its slot order from the stencil
 table, unsorted where a torus row wraps, and built slab by slab without an
 array over the whole table, and a constant coefficient reaches the solve
-kernel as a read-only broadcast view, and every energy and flux read off a
-corrector comes from ``numerics.corrector_response``."""
+kernel as a read-only broadcast view, read in place by ``is_symmetric``,
+and every energy and flux read off a corrector comes from
+``numerics.corrector_response``, and the symmetry check reads the stencil
+table with no transpose map, and the lambda problem's box never builds the
+element-to-node map."""
 
 import importlib
 import importlib.util
@@ -561,6 +564,31 @@ def test_box_assembly_holds_no_whole_table():
     assert peak <= 1.75 * (mat.data.nbytes + padded)
 
 
+def test_symmetry_check_keeps_no_transpose_map():
+    # the symmetry check reads the matrix in stencil-table order: no pattern
+    # holds a slot map, SparseSystem takes no map, and the cached pattern of
+    # the 320-cell box interior (the lambda-problem's) holds no intp array
+    # as long as its slots or its table
+    import dataclasses
+
+    import numpy as np
+
+    from homlab import numerics
+
+    assert not hasattr(numerics.CsrPattern, "transpose")
+    assert "transpose" not in {f.name for f in dataclasses.fields(numerics.CsrPattern)}
+    assert "transpose" not in inspect.signature(numerics.SparseSystem).parameters
+    g = numerics.build_grid(2, 320, (0.0, 0.0), 2.0, numerics.BOX)
+    ops = numerics.element_ops(g)
+    pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+    assert pattern is numerics._csr_pattern(2, 320, numerics.BOX, interior=True)
+    lengths = {len(pattern.indices), len(pattern.gather)}
+    for f in dataclasses.fields(pattern):
+        value = getattr(pattern, f.name)
+        if isinstance(value, np.ndarray):
+            assert not (value.dtype == np.intp and len(value) in lengths), f.name
+
+
 def test_solve_corrector_takes_a_broadcast_coefficient():
     # one constant matrix reaches the kernel as a read-only broadcast view
     # of every element, not a copy, and gives the copy's solution to the bit
@@ -581,6 +609,33 @@ def test_solve_corrector_takes_a_broadcast_coefficient():
             grid, np.ascontiguousarray(view), **kwargs)
         assert stats.iterations == stats_copy.iterations
         assert w.tobytes() == w_copy.tobytes()
+
+
+def test_is_symmetric_reads_a_broadcast_view_in_place():
+    # the symmetry of one constant matrix broadcast to every element of the
+    # 320^2 lambda box is read one (k, l) column at a time: the check
+    # allocates less than the n_e d^2 doubles a copy of the view would take
+    import tracemalloc
+
+    import numpy as np
+
+    from homlab import numerics
+
+    n_e, d = 320 ** 2, 2
+    for matrix, expected in (([[2.0, 0.3], [0.3, 1.5]], True), ([[2.0, 0.3], [0.2, 1.5]], False)):
+        view = np.broadcast_to(np.array(matrix), (n_e, d, d))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert numerics.is_symmetric(view) is expected
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < n_e * d * d * 8
 
 
 TINY_PERFORATION = {"kind": "perforation", "shape": "ball", "radius": 0.25,
@@ -622,6 +677,43 @@ def test_solve_corrector_takes_terms_per_element(tmp_path, monkeypatch):
                                       and values.dtype == float
                                       and values.shape == (n_elements,))
     assert not hasattr(numerics.CsrPattern, "holds")
+
+
+def test_lambda_box_builds_no_element_nodes(tmp_path, monkeypatch):
+    # the element-to-node map is built on first read; the lambda problem's
+    # box solves (source solves with scalar loads) and its interior mass
+    # read none, so the box's ElementOps never holds it
+    import homlab
+    import numpy as np
+
+    from homlab import cli, numerics
+
+    boxes = []
+    solve = numerics.solve_corrector
+
+    def recording(grid, *args, **kwargs):
+        out = solve(grid, *args, **kwargs)
+        if kwargs.get("source") is not None:
+            boxes.append(numerics.element_ops(grid))
+        return out
+
+    for m in pkgutil.iter_modules(homlab.__path__):
+        module = importlib.import_module(f"homlab.{m.name}")
+        if getattr(module, "solve_corrector", None) is solve:
+            monkeypatch.setattr(module, "solve_corrector", recording)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(TINY_PERFORATION), encoding="utf-8")
+    argv = ["perforation", "--spec", str(spec), "--out", str(tmp_path / "out"),
+            "--no-plots"]
+    assert cli.main(argv) == 0
+    assert len(boxes) == 1 + len(TINY_PERFORATION["eps_list"])
+    assert all(ops is boxes[0] for ops in boxes)
+    assert boxes[0] is numerics.element_ops(boxes[0].grid)
+    assert "elem_nodes" not in vars(boxes[0])
+    nodes = boxes[0].elem_nodes     # built on the first read, read-only
+    assert "elem_nodes" in vars(boxes[0]) and not nodes.flags.writeable
+    assert nodes.dtype == boxes[0].grid.element_nodes().dtype
+    assert np.array_equal(nodes, boxes[0].grid.element_nodes())
 
 
 
