@@ -607,6 +607,13 @@ class ElementOps:
         (``Grid.element_nodes``)."""
         return _frozen(self.grid.element_nodes())[0]
 
+    @cached_property
+    def interior_nodes(self) -> np.ndarray:
+        """Sorted ids of a box's interior nodes, read-only: the unknowns of
+        an unmasked box solve, built on first read and shared by every
+        reader."""
+        return _frozen(np.flatnonzero(~self.grid.boundary_node_mask()))[0]
+
     @property
     def pattern(self) -> CsrPattern:
         """The ``CsrPattern`` of every node."""
@@ -814,7 +821,8 @@ class SparseSystem:
 
     A system declared symmetric compares each stored entry with its
     transpose's entry (zero where that is not stored), relative to
-    ``SYMMETRY_RTOL``, without a transposed copy. A matrix assembled on a
+    ``SYMMETRY_RTOL``, without a transposed copy; a matrix with an entry
+    that is not finite fails the check. A matrix assembled on a
     ``CsrPattern``, given as ``pattern`` (as ``solve_corrector`` does), is
     read in stencil-table order, each entry against its mirror in the table
     (``CsrPattern.symmetry_defect``). A matrix built without one, like a
@@ -839,7 +847,8 @@ class SparseSystem:
             scale, worst = _max_abs(data), _max_abs(mirror)
         else:
             scale, worst = self.pattern.symmetry_defect(data)
-        if not worst <= SYMMETRY_RTOL * max(scale, 1e-300):
+        # an infinite entry would make the bound inf and pass any defect
+        if not (np.isfinite(scale) and worst <= SYMMETRY_RTOL * max(scale, 1e-300)):
             raise ValueError(
                 f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
                 f"exceeds {SYMMETRY_RTOL:.0e} * |M|_max = {SYMMETRY_RTOL * scale:.3e}")
@@ -890,16 +899,18 @@ class SolveStats:
 def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
                   mean_zero: bool, preconditioner) -> tuple[np.ndarray, SolveStats]:
     """Both Krylov solvers around their loop ``iterate(A, b, preconditioner,
-    tol, cap) -> (x, iterations)``: the right-hand side checked, copied and
-    (with ``mean_zero``) projected, zero answered by zero; then x projected
-    likewise and its true residual |b - A x| checked against 10x the target
-    and reported."""
+    tol, cap) -> (x, iterations)``: the right-hand side checked and (with
+    ``mean_zero``) projected into a new vector, zero answered by zero; then
+    x projected likewise and its true residual |b - A x| checked against 10x
+    the target and reported. No solver writes ``b``, so an unprojected
+    right-hand side is the caller's own vector, read in place, and x never
+    shares its memory."""
     A = system.matrix
-    b = np.asarray(rhs, dtype=float).copy()
+    b = np.asarray(rhs, dtype=float)
     if b.shape != (system.n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({system.n},)")
     if mean_zero:
-        b -= b.mean()
+        b = b - b.mean()
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros_like(b), SolveStats(0, 0.0)
@@ -928,6 +939,12 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
     stopping rule is on the unpreconditioned residual norm, and the true
     residual |b - A x| is checked at the end (within 10x the target) and
     reported in the stats.
+
+    Besides ``rhs``, which is read in place and never written, the loop
+    holds x, r, p, the preconditioned residual z and A p (Saad, Iterative
+    Methods for Sparse Linear Systems, 2nd ed., 2003, Alg. 9.1), one of
+    each: p is updated in place, and A p and z are dropped at their last
+    use, before their successors are made.
     """
     if not system.symmetric:
         raise ValueError("cg_solve requires a symmetric system")
@@ -940,8 +957,9 @@ def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
     x = np.zeros_like(b)
     r = b.copy()
     z = preconditioner(r)
-    p = z.copy()
+    p = z.copy()        # updated in place below; z may be r itself
     rz = float(r @ z)
+    del z
     it = 0
     res = float(np.linalg.norm(r))
     while res > tol and it < cap:
@@ -952,9 +970,13 @@ def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
+        del Ap          # each temporary goes before its successor is made
         z = preconditioner(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        # z + beta p to the bit: the same two roundings, and + commutes
+        p *= rz_new / rz
+        p += z
+        del z
         rz = rz_new
         it += 1
         res = float(np.linalg.norm(r))
@@ -1116,6 +1138,12 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     it halves the transform's cost; a Krylov solver's stopping test and
     true-residual check stay float64, so only the iteration count can feel
     the rounding.
+
+    The returned closure keeps the inverse symbol and, when ``unknowns`` is
+    a proper subset of the lattice (every node of a torus, the interior of
+    a box), their positions on it: ``unknowns`` itself on a torus, and on a
+    box their ranks among ``ElementOps.interior_nodes``. With every lattice
+    node as unknowns it keeps no node list.
     """
     torus = grid.topology == TORUS
     n, h, dim = grid.cells_per_axis, grid.h, grid.dim
@@ -1123,10 +1151,8 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
         # x is the fastest array axis, the one rfftn halves
         axes = [2.0 * np.pi * np.arange(n // 2 + 1) / n]
         axes += [2.0 * np.pi * np.arange(n) / n] * (dim - 1)
-        lattice = np.arange(grid.n_nodes)
     else:
         axes = [np.pi * np.arange(1, n) / n] * dim
-        lattice = np.flatnonzero(~grid.boundary_node_mask())
     ks = [_on_axis((2.0 - 2.0 * np.cos(t)) / h, k, dim) for k, t in enumerate(axes)]
     ms = [_on_axis(h * (4.0 + 2.0 * np.cos(t)) / 6.0, k, dim) for k, t in enumerate(axes)]
     stiffness = sum(ks[k] * math.prod(ms[:k] + ms[k + 1:]) for k in range(dim))
@@ -1135,9 +1161,12 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
         symbol[(0,) * dim] = np.inf     # zero the constant mode
     inv_symbol = (1.0 / symbol).astype(dtype, copy=False)
     shape = (n if torus else n - 1,) * dim
+    size = math.prod(shape)
     pos = None
-    if unknowns is not None and len(unknowns) != len(lattice):
-        pos = np.searchsorted(lattice, unknowns)
+    if unknowns is not None and len(unknowns) != size:
+        # node ids to positions on the lattice: on a torus they are the same
+        pos = (unknowns if torus
+               else np.searchsorted(element_ops(grid).interior_nodes, unknowns))
     if not torus:
         from scipy.fft import dstn     # only box solves pay for loading scipy.fft
 
@@ -1146,7 +1175,7 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
             # a fresh buffer on the box, whose transforms overwrite it
             f = r.astype(dtype, copy=not torus)
         else:
-            f = np.zeros(len(lattice), dtype)
+            f = np.zeros(size, dtype)
             f[pos] = r
         f = f.reshape(shape)
         if torus:
@@ -1217,9 +1246,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     ops = element_ops(grid)
     unknowns = None if active is None else _active_nodes_checked(grid, active)
     if not torus:
-        boundary = grid.boundary_node_mask()
-        unknowns = (np.flatnonzero(~boundary) if unknowns is None
-                    else unknowns[~boundary[unknowns]])
+        unknowns = (ops.interior_nodes if unknowns is None
+                    else unknowns[~grid.boundary_node_mask()[unknowns]])
     pattern = ops.pattern if unknowns is None else ops.restricted_pattern(unknowns)
     system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
                           symmetric=symmetric, pattern=pattern)
@@ -1307,9 +1335,8 @@ class PEnergyProblem:
             raise ValueError(f"p must exceed 1, got {self.p}")
         if self.coeff.shape != (self.grid.n_elements,):
             raise ValueError("coeff must have one scalar per element")
-        self.free = (None if self.grid.topology == TORUS
-                     else np.flatnonzero(~self.grid.boundary_node_mask()))
         self.ops = element_ops(self.grid)
+        self.free = None if self.grid.topology == TORUS else self.ops.interior_nodes
         self._xi_rows = np.tile(self.xi, len(self.ops.quad_weights))
         # p h^d a_e w_q, the gradient's fixed factor per (element, point)
         self._point_weights = (self.p * self.grid.h ** self.grid.dim) * \

@@ -354,6 +354,10 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     grid = lambda_box_grid(box_size, resolution)
     centers = grid.element_centers()
     f_el = np.asarray(source(centers), dtype=float)
+    # each epsilon's holes, read before the solves so that none of them
+    # runs beside the element centres
+    insides = [E.membership(centers / eps) for eps in epsilons]
+    del centers
 
     hom, theta = masked_cell_matrix(E, cell_resolution)
     # one constant matrix, passed as a read-only view of every element
@@ -363,18 +367,20 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
                                    source=theta * f_el)
 
     # both solutions vanish on the boundary, so the L2 distance needs only
-    # their interior values and the mass on the interior nodes; the mass is
-    # assembled once, after the last solve, so that no solve runs beside it
-    interior = np.flatnonzero(~grid.boundary_node_mask())
+    # their interior values (on the solves' own node list) and the mass on
+    # the interior nodes; the mass is assembled once, after the last solve,
+    # and each solution is dropped before the next solve, so that no solve
+    # runs beside either
+    ops = element_ops(grid)
+    interior = ops.interior_nodes
     diffs = []
-    for eps in epsilons:
-        inside = E.membership(centers / eps)
+    for inside in insides:
         coeff = np.where(inside, 1.0 / n_penal, 1.0)
         mask = ~inside
         [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mask,
                                        source=np.where(mask, f_el, 0.0))
         diffs.append((u_eps - u_hom)[interior])
-    ops = element_ops(grid)
+        del u_eps
     mass = ops.assemble_mass(pattern=ops.restricted_pattern(interior))
     distances = [float(np.sqrt(diff @ (mass @ diff))) for diff in diffs]
     return LambdaReport(epsilons, tuple(distances), hom.matrix, theta)

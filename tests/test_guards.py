@@ -1,7 +1,8 @@
 """Boundary tests of the soundness-guard table in ``numerics``: each row's
 guard passes a defect placed at half the allowed value under the row's own
-scale rule, fires at twice it and fires on a NaN. A looser tolerance, a
-changed scale rule or a pass condition that lets a NaN through fails here.
+scale rule, fires at twice it and fires on a NaN or an infinite entry. A
+looser tolerance, a changed scale rule or a pass condition that lets a NaN
+or an infinity through fails here.
 
 Rows covered: ``SYMMETRY_RTOL``, through ``SparseSystem`` both on the
 stencil table of the matrix's pattern and by the search for matrices that
@@ -129,3 +130,54 @@ def test_symmetry_guard_fires_on_a_non_finite_diagonal(dim, topology, n, case, v
         assert str(raised.value) == (
             f"matrix declared symmetric but |M - M^T|_max = nan exceeds "
             f"{numerics.SYMMETRY_RTOL:.0e} * |M|_max = {numerics.SYMMETRY_RTOL * value:.3e}")
+
+
+_INF_MESSAGE = (f"matrix declared symmetric but |M - M^T|_max = inf exceeds "
+                f"{numerics.SYMMETRY_RTOL:.0e} * |M|_max = inf")
+
+
+@pytest.mark.parametrize("dim, topology, n, case", _CASES)
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case, value):
+    """An infinite off-diagonal entry whose transposed entry is finite fires
+    on the pattern's table and by search: its defect and the bound
+    SYMMETRY_RTOL * max|M| are both inf, so a max|M| that is not finite
+    fails the check by itself."""
+    g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
+    ops = element_ops(g)
+    pattern = ops.pattern if case == "all" else ops.restricted_pattern(_unknowns(g, case))
+    data = ops.assemble_mass(pattern=pattern).data.copy()
+    row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
+    data[np.flatnonzero(row != pattern.indices)[0]] = value
+    K = pattern.matrix(data)
+    dense = K.toarray()
+    [(r, c)] = np.argwhere(np.isinf(dense))
+    assert r != c and np.isfinite(dense[c, r])
+    for table in (pattern, None):
+        with pytest.raises(ValueError) as raised:
+            _checked(K, table)
+        assert str(raised.value) == _INF_MESSAGE
+
+
+def test_symmetry_guard_fires_on_an_infinite_entry_of_a_bare_matrix():
+    """The same for a scipy matrix that comes without a pattern, read by
+    search."""
+    import scipy.sparse as sp
+
+    for entries in ([[2.0, np.inf], [1.0, 2.0]], [[2.0, 1.0], [-np.inf, 2.0]]):
+        with pytest.raises(ValueError) as raised:
+            SparseSystem(sp.csr_matrix(entries), symmetric=True)
+        assert str(raised.value) == _INF_MESSAGE
+
+
+def test_infinite_coefficient_fails_the_assembled_check():
+    """``is_symmetric`` reads an infinite off-diagonal coefficient with a
+    finite mirror as symmetric (its defect and bound are both inf), which
+    routes the solve to CG; the assembled matrix then holds inf * 0 = NaN
+    and ``SparseSystem`` refuses it before any iteration."""
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
+    coeff = np.broadcast_to(np.array([[2.0, 0.3], [0.3, 1.5]]), (g.n_elements, 2, 2)).copy()
+    coeff[10, 0, 1] = np.inf
+    assert numerics.is_symmetric(coeff)
+    with pytest.raises(ValueError, match="declared symmetric"), np.errstate(invalid="ignore"):
+        numerics.solve_corrector(g, coeff, [[1.0, 0.0]])

@@ -375,6 +375,104 @@ class TestCG:
         assert x1.tobytes() == x2.tobytes()
 
 
+def _reference_cg(system, rhs, mean_zero, preconditioner):
+    """Preconditioned CG with the update formulas ``cg_solve`` had before it
+    updated p in place (a new A p, z and p each iteration), inside the same
+    frame: returns x, the iteration count and the true residual."""
+    b = np.asarray(rhs, dtype=float).copy()
+    if mean_zero:
+        b -= b.mean()
+    tol = numerics._REL_TOLERANCE * np.linalg.norm(b)
+    A = system.matrix
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = preconditioner(r)
+    p = z.copy()
+    rz = float(r @ z)
+    it = 0
+    while float(np.linalg.norm(r)) > tol:
+        Ap = A @ p
+        alpha = rz / float(p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        z = preconditioner(r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+        it += 1
+    if mean_zero:
+        x -= x.mean()
+    return x, it, float(np.linalg.norm(b - A @ x))
+
+
+@pytest.mark.parametrize("case", ["torus-direction", "box-shifted-source",
+                                  "box-masked", "box-identity"])
+def test_cg_matches_the_reference_loop_to_the_bit(monkeypatch, case):
+    """``cg_solve`` against ``_reference_cg`` on the solves it runs for
+    ``solve_corrector``: a mean-zero direction solve on a torus (float64
+    FFT preconditioner), a shifted source solve on a box (float32 DST
+    preconditioner) and a direction solve on a masked box; and a direct
+    call whose preconditioner returns r itself. Every x, iteration count
+    and residual is equal, and the caller's right-hand side, handed over
+    read-only, is unchanged and shares no memory with x."""
+    topology = TORUS if case.startswith("torus") else BOX
+    g = build_grid(2, 32, (0.0, 0.0), 1.0, topology)
+    rng = np.random.default_rng(12)
+    coeff = rng.uniform(1.0, 4.0, g.n_elements)
+    solves = []
+    real = numerics.cg_solve
+
+    def recorded(system, rhs, mean_zero=False, *, preconditioner):
+        rhs.setflags(write=False)
+        before = rhs.copy()
+        x, stats = real(system, rhs, mean_zero, preconditioner=preconditioner)
+        assert np.array_equal(rhs, before)
+        assert not np.shares_memory(x, rhs)
+        solves.append((x, stats, _reference_cg(system, before, mean_zero, preconditioner)))
+        return x, stats
+
+    monkeypatch.setattr(numerics, "cg_solve", recorded)
+    if case == "torus-direction":
+        solve_corrector(g, coeff, [np.array([1.0, 0.3])])
+    elif case == "box-shifted-source":
+        solve_corrector(g, coeff, shift=rng.uniform(0.5, 2.0, g.n_elements),
+                        source=rng.uniform(-1.0, 1.0, g.n_elements))
+    elif case == "box-masked":
+        active = np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.2
+        solve_corrector(g, coeff * active, [np.array([0.6, -0.8])], active=active)
+    else:
+        ops = element_ops(g)
+        pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+        system = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
+                              symmetric=True, pattern=pattern)
+        recorded(system, rng.standard_normal(system.n), preconditioner=identity)
+    [(x, stats, (x_ref, it_ref, res_ref))] = solves
+    assert stats.iterations == it_ref > 2
+    assert np.array_equal(x, x_ref)
+    assert stats.residual == res_ref
+
+
+@pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("mean_zero", [False, True])
+def test_cg_never_writes_the_right_hand_side(mean_zero, zero):
+    """A read-only right-hand side, projected or not and zero or not, comes
+    back unchanged, and x is a new vector."""
+    topology = TORUS if mean_zero else BOX
+    g = build_grid(2, 16, (0.0, 0.0), 1.0, topology)
+    ops = element_ops(g)
+    pattern = (ops.pattern if mean_zero
+               else ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask())))
+    system = SparseSystem(ops.assemble_stiffness(two_phase_coeff(g), pattern=pattern),
+                          symmetric=True, pattern=pattern)
+    rhs = np.zeros(system.n) if zero else np.random.default_rng(2).standard_normal(system.n)
+    before = rhs.copy()
+    rhs.setflags(write=False)
+    x, stats = cg_solve(system, rhs, mean_zero, preconditioner=jacobi(system))
+    assert np.array_equal(rhs, before)
+    assert not np.shares_memory(x, rhs)
+    assert (stats.iterations == 0) == zero
+
+
 def _pinned_mean_zero_solve(K, rhs):
     """Direct solve of a singular connected system: pin node 0, then
     subtract the mean (the rhs is compatible, so this is the mean-zero

@@ -564,6 +564,85 @@ def test_box_assembly_holds_no_whole_table():
     assert peak <= 1.75 * (mat.data.nbytes + padded)
 
 
+def test_box_solve_holds_each_vector_once(monkeypatch):
+    # after a warm-up, one shifted source solve on a 160^2 box allocates, on
+    # top of the CSR data, at most 7.5 vectors of its n unknowns (7.2 here,
+    # set by the assembly), and its CG call at most 5.25 beyond what is
+    # live when it starts (5.03): x, r, p, A p and one temporary, with the
+    # caller's right-hand side read in place and z made after A p is gone.
+    # A copy of the right-hand side, a second A p, z or p beside its
+    # successor lifts the CG call to 5.5-6.0, a fresh interior node list
+    # per solve lifts the solve to 8.2, and the earlier kernel read 8.0 and
+    # 11.7
+    import tracemalloc
+
+    import numpy as np
+
+    from homlab import numerics
+
+    g = numerics.build_grid(2, 160, (0.0, 0.0), 1.0, numerics.BOX)
+    rng = np.random.default_rng(0)
+    coeff = rng.uniform(1.0, 4.0, g.n_elements)
+    shift = rng.uniform(0.5, 2.0, g.n_elements)
+    source = rng.uniform(-1.0, 1.0, g.n_elements)
+    numerics.solve_corrector(g, coeff, shift=shift, source=source)
+    pattern = numerics._csr_pattern(2, 160, numerics.BOX, interior=True)
+    n, data = len(pattern.indptr) - 1, len(pattern.indices) * 8
+    seen = []       # (the solve's peak before CG, CG's own peak)
+    cg_solve = numerics.cg_solve
+
+    def measured(*args, **kwargs):
+        before = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = cg_solve(*args, **kwargs)
+        seen.append((before, tracemalloc.get_traced_memory()[1] - start))
+        return out
+
+    monkeypatch.setattr(numerics, "cg_solve", measured)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        [(w, stats)] = numerics.solve_corrector(g, coeff, shift=shift, source=source)
+        [(before, cg_peak)] = seen
+        peak = max(before, tracemalloc.get_traced_memory()[1]) - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert stats.iterations > 2
+    assert cg_peak <= 5.25 * n * 8
+    assert peak - data <= 7.5 * n * 8
+
+
+@pytest.mark.parametrize("topology", ["box", "torus"])
+def test_unrestricted_preconditioner_keeps_no_node_list(topology):
+    # the closure of a preconditioner over every lattice node (every node of
+    # a torus, the interior of a box) keeps its inverse symbol and no array
+    # as long as the lattice, whether unknowns is None or the whole lattice
+    import numpy as np
+
+    from homlab import numerics
+
+    g = numerics.build_grid(2, 24, (0.0, 0.0), 1.0, topology)
+    lattice = (np.arange(g.n_nodes) if topology == "torus"
+               else np.flatnonzero(~g.boundary_node_mask()))
+    for unknowns in (None, lattice):
+        apply = numerics.spectral_preconditioner(g, 2.0, 1.0, unknowns)
+        kept = []
+        for cell in apply.__closure__:
+            try:
+                kept.append(cell.cell_contents)
+            except ValueError:      # scipy's dstn, bound on a box only
+                pass
+        assert not any(isinstance(v, np.ndarray) and v.ndim == 1 and len(v) == len(lattice)
+                       for v in kept)
+        r = np.random.default_rng(1).standard_normal(len(lattice))
+        assert apply(r).shape == r.shape
+
+
 def test_symmetry_check_keeps_no_transpose_map():
     # the symmetry check reads the matrix in stencil-table order: no pattern
     # holds a slot map, SparseSystem takes no map, and the cached pattern of
