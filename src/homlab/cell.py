@@ -9,9 +9,9 @@ coefficients use the BiCGStab weak form, where only the flux representation
 is meaningful. p-power cell energies come from the same function and are
 checked against the growth sandwich (``numerics.check_growth``).
 Besides ``homogenize_matrix`` (one period of a periodic field), the core
-serves the perforated cell (``perforation.masked_cell_matrix``, holes masked
-out) and the stochastic trials (``stability``, one realization on a torus of
-the trial size).
+serves the perforated cell (``perforation.masked_cell_matrix``, a zero
+coefficient on the holes) and the stochastic trials (``stability``, one
+realization on a torus of the trial size).
 """
 
 from __future__ import annotations
@@ -137,18 +137,17 @@ def homogenize_matrix(field: ScalarField | MatrixField,
 
 
 def homogenize_coefficients(grid: Grid, coeff: np.ndarray, bounds: FieldBounds,
-                            *, active: np.ndarray | None = None,
-                            extension_constant: float = 1.0) -> HomogenizedResult:
+                            *, extension_constant: float = 1.0) -> HomogenizedResult:
     """Homogenized matrix of per-element coefficients on a torus grid.
 
     Column i is the flux average of coeff * (e_i + grad w_i), read off the
     corrector of each basis direction by ``numerics.corrector_response``
     (which cross-checks it against the cell energy for symmetric
-    coefficients). ``active`` marks the elements outside Neumann holes;
+    coefficients). Elements where ``coeff`` is zero are Neumann holes;
     ``bounds`` and ``extension_constant`` set the eigenvalue window that
     ``HomogenizedResult`` checks.
     """
-    responses = corrector_response(grid, coeff, np.eye(grid.dim), active=active)
+    responses = corrector_response(grid, coeff, np.eye(grid.dim))
     matrix = np.column_stack([flux for _, flux, _ in responses])
     return HomogenizedResult(matrix, is_symmetric(coeff),
                              tuple(stats.iterations for *_, stats in responses),

@@ -20,19 +20,21 @@ combines them through these two, with no branch on the dimension.
 
 Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it takes every term of -div(a grad u) + c u = f per
-element, assembles the stiffness of a plus the c-weighted mass straight
-onto the unknowns (mean-zero on the torus, interior nodes on a box, nodes
-of active elements when a mask is given) by GEMMs into a stencil table,
-filled one slab of lines at a time, whose present entries, in table order,
-are the CSR data (``ElementOps``, ``CsrPattern``; wrapped torus rows stay
-unsorted, as scipy allows), builds the right-hand side and prolongs the
-solution back to a full nodal vector. A
-direction xi is solved in one form on both topologies: the corrector w of
-u = <xi, x - x0> + w, periodic on the torus and zero on the box boundary
-(the window form of Bourgeat and Piatnitski, Ann. IHP 40, 2004), loaded by
--div(a xi). Energies and fluxes are those of xi + grad w; no affine
-boundary data are built. Its single solver policy takes no options and
-reads symmetry from the coefficients (``is_symmetric``, relative to
+element, assembles the stiffness of a plus the c-weighted mass straight onto
+the unknowns (mean-zero on the torus, interior nodes on a box, the nodes of
+elements outside the holes) by GEMMs into a stencil table, filled one slab
+of lines at a time, whose present entries, in table order, are the CSR data
+(``ElementOps``, ``CsrPattern``; wrapped torus rows stay unsorted, as scipy
+allows), builds the right-hand side and prolongs the solution back to a full
+nodal vector. A hole is an element whose coefficient is zero (every entry of
+a matrix), the n -> infinity limit of a penalized coefficient 1/n on a
+Neumann hole (Jikov, Kozlov and Oleinik, 1994, ch. 3); p-energy solves take
+no holes. A direction xi is solved in one form on both topologies: the
+corrector w of u = <xi, x - x0> + w, periodic on the torus and zero on the
+box boundary (the window form of Bourgeat and Piatnitski, Ann. IHP 40,
+2004), loaded by -div(a xi). Energies and fluxes are those of xi + grad w;
+no affine boundary data are built. Its single solver policy takes no options
+and reads symmetry from the coefficients (``is_symmetric``, relative to
 ``SYMMETRY_RTOL``): symmetric (SPD) systems are solved by CG preconditioned
 with the fast-diagonalization inverse of a constant-coefficient reference
 operator a_ref K + c_ref M (real FFT on the torus, DST-I on the box; see
@@ -84,7 +86,7 @@ import, ``validate`` and the torus p-energy solves load none of it and the
 box p-energy solves load only ``scipy.fft``: ``scipy.sparse`` loads at the
 first assembly (``CsrPattern.matrix``) and ``scipy.fft`` at the first box
 preconditioner (``spectral_preconditioner``). The connectivity check of a
-masked solve (``_active_nodes_checked``) labels components with numpy
+solve with holes (``_active_nodes_checked``) labels components with numpy
 alone, so no solve loads scipy's graph routines, ``scipy.sparse.linalg`` or
 ``scipy.linalg``.
 """
@@ -610,7 +612,7 @@ class ElementOps:
     @cached_property
     def interior_nodes(self) -> np.ndarray:
         """Sorted ids of a box's interior nodes, read-only: the unknowns of
-        an unmasked box solve, built on first read and shared by every
+        a box solve without holes, built on first read and shared by every
         reader."""
         return _frozen(np.flatnonzero(~self.grid.boundary_node_mask()))[0]
 
@@ -1068,6 +1070,14 @@ def _block_min(labels: np.ndarray, torus: bool) -> np.ndarray:
     return labels
 
 
+def _active_elements(coeff: np.ndarray) -> np.ndarray | None:
+    """The elements outside the holes, or None without holes, read one entry
+    column at a time (a broadcast matrix is never materialized)."""
+    active = reduce(np.logical_or, (coeff[(slice(None),) + k] != 0
+                                    for k in np.ndindex(coeff.shape[1:])))
+    return None if active.all() else active
+
+
 def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
     """Nodes adjacent to active elements; errors if empty or disconnected.
 
@@ -1191,7 +1201,6 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
 
 
 def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
-                    active: np.ndarray | None = None,
                     shift: np.ndarray | None = None, source: np.ndarray | None = None
                     ) -> list[tuple[np.ndarray, SolveStats]]:
     """The package's one linear-solve kernel: one solve per direction in ``xis``
@@ -1208,19 +1217,20 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     ``source`` in place of ``xis`` (box grids only), one solve of
     (K + M_c) w = F with zero boundary values, where K is the stiffness of
     ``coeff``, M_c the mass weighted by ``shift`` (source solves only) and F
-    the one-point load of f (``ElementOps.load_from_element_scalars``). With
-    an element mask ``active`` the unknowns are the nodes touching an active
-    element, which must form one connected component. K + M_c is assembled
+    the one-point load of f (``ElementOps.load_from_element_scalars``). The
+    elements where ``coeff`` is zero are holes (``_active_elements``): the
+    unknowns are then the nodes touching another element, which must form
+    one connected component. K + M_c is assembled
     straight onto the unknowns, on their ``CsrPattern`` (kept per grid
     shape for every node of a torus and the interior of a box, derived per
-    call under a mask), and ``SparseSystem`` checks its symmetry on the
+    call when there are holes), and ``SparseSystem`` checks its symmetry on the
     pattern's stencil table; no matrix on other nodes is built or sliced.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
     ones by right-preconditioned BiCGStab, both with
     ``spectral_preconditioner``: a_ref is the mean coefficient over the
-    active elements (trace / dim for matrix coefficients, i.e. of their
-    symmetric part) and c_ref the node average of c: the mean over the
+    elements outside the holes (trace / dim for matrix coefficients, i.e.
+    of their symmetric part) and c_ref the node average of c: the mean over the
     unknowns of load_from_element_scalars(shift) / h^dim, whose entry at
     node a is the sum of c_e / 2^dim over the elements e at a, that is the
     diagonal of M_c at a over the reference mass diagonal (4h/6)^dim. The
@@ -1231,8 +1241,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     iterating. A constant-coefficient source solve on the box takes at most
     two CG iterations, since its inverse is exact only to float32 rounding.
     Assembly, the connectivity check and the preconditioner setup run once
-    for all directions. Returns the full nodal vector and the
-    solver stats of each solve.
+    for all directions; a source solve drops its terms once its load is
+    built. Returns the full nodal vector and the solver stats of each solve.
     """
     torus = grid.topology == TORUS
     if (xis is None) == (source is None):
@@ -1244,11 +1254,14 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     coeff = np.asarray(coeff, dtype=float)
     symmetric = is_symmetric(coeff)
     ops = element_ops(grid)
+    active = _active_elements(coeff)
     unknowns = None if active is None else _active_nodes_checked(grid, active)
     if not torus:
         unknowns = (ops.interior_nodes if unknowns is None
                     else unknowns[~grid.boundary_node_mask()[unknowns]])
-    pattern = ops.pattern if unknowns is None else ops.restricted_pattern(unknowns)
+    pattern = (ops.restricted_pattern(unknowns) if active is not None
+               else _csr_pattern(grid.dim, grid.cells_per_axis, grid.topology,
+                                 interior=not torus))
     system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
                           symmetric=symmetric, pattern=pattern)
     # the trace of a matrix coefficient is the trace of its symmetric part
@@ -1267,6 +1280,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     for xi in ([None] if xis is None else xis):
         if xi is None:
             rhs = ops.load_from_element_scalars(source)
+            coeff = shift = source = c = None   # read: CG runs beside none of them
         else:
             xi = np.asarray(xi, dtype=float)
             flux = coeff[:, None] * xi[None, :] if coeff.ndim == 1 else coeff @ xi
@@ -1333,8 +1347,9 @@ class PEnergyProblem:
         self.xi = np.asarray(self.xi, dtype=float)
         if self.p <= 1:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        if self.coeff.shape != (self.grid.n_elements,):
-            raise ValueError("coeff must have one scalar per element")
+        if self.coeff.shape != (self.grid.n_elements,) or not self.coeff.all():
+            raise ValueError("coeff must have one nonzero scalar per element "
+                             "(p-energy solves take no holes)")
         self.ops = element_ops(self.grid)
         self.free = None if self.grid.topology == TORUS else self.ops.interior_nodes
         self._xi_rows = np.tile(self.xi, len(self.ops.quad_weights))
@@ -1505,20 +1520,19 @@ def _lbfgs_direction(grad: np.ndarray, memory, precond, gamma0: float) -> np.nda
     return -q
 
 
-def corrector_response(grid: Grid, coeff: np.ndarray, xis, p: float = 2.0, *,
-                       active: np.ndarray | None = None
+def corrector_response(grid: Grid, coeff: np.ndarray, xis, p: float = 2.0
                        ) -> list[tuple[float, np.ndarray | None, SolveStats]]:
     """What the package reads off the corrector w of each direction in
     ``xis``: the energy of xi + grad w per unit grid volume, the mean flux
     a (xi + grad w) and the solver stats.
 
-    At p = 2 the correctors come from one ``solve_corrector`` call (under the
-    element mask ``active``), the energy from ``ElementOps.energy_quadratic``
+    At p = 2 the correctors come from one ``solve_corrector`` call (a zero
+    coefficient is a hole), the energy from ``ElementOps.energy_quadratic``
     and the flux from ``ElementOps.flux_average``. For symmetric coefficients
     (``is_symmetric``) w minimizes the energy, so flux . xi equals it; the
     two are cross-checked with ``agrees`` at ``PAIRING_RTOL``. At any other p
     each direction is one L-BFGS minimization of ``PEnergyProblem``, the
-    flux is None and an element mask is refused.
+    flux is None and a hole is refused (``PEnergyProblem``).
     """
     xis = [np.asarray(xi, dtype=float) for xi in xis]
     for xi in xis:
@@ -1526,8 +1540,6 @@ def corrector_response(grid: Grid, coeff: np.ndarray, xis, p: float = 2.0, *,
             raise ValueError(f"xi must have shape ({grid.dim},)")
     volume = grid.side_length ** grid.dim
     if p != 2.0:
-        if active is not None:
-            raise ValueError("p-energy solves take no element mask")
         out = []
         for xi in xis:
             problem = PEnergyProblem(grid, coeff, p, xi)
@@ -1538,7 +1550,7 @@ def corrector_response(grid: Grid, coeff: np.ndarray, xis, p: float = 2.0, *,
     ops = element_ops(grid)
     symmetric = is_symmetric(coeff)
     out = []
-    for xi, (w, stats) in zip(xis, solve_corrector(grid, coeff, xis, active=active)):
+    for xi, (w, stats) in zip(xis, solve_corrector(grid, coeff, xis)):
         energy = ops.energy_quadratic(w, coeff, xi) / volume
         flux = ops.flux_average(w, coeff, xi)
         pairing = float(flux @ xi)

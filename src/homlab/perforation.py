@@ -3,10 +3,10 @@ cell values, an annulus-to-ball extension operator, and the lambda-problem
 convergence experiment.
 
 Holes are realized on-grid by element-center membership, so coefficients
-stay piecewise constant per element and assembly is exact. The masked
-variant assembles only over elements outside the holes (Neumann holes); the
-penalized variant keeps the full grid with coefficient 1/n inside. The two
-bracket each other, which is what the sandwich tests check.
+stay piecewise constant per element and assembly is exact. The penalized
+variant takes coefficient 1/n inside the holes, the masked variant (Neumann
+holes) its n -> infinity limit 0, which ``numerics.solve_corrector`` reads
+as holes. The two bracket each other, which is what the sandwich tests check.
 """
 
 from __future__ import annotations
@@ -160,6 +160,13 @@ def _hole_cell(E: PerforationSet, resolution: int) -> tuple[Grid, np.ndarray]:
     return grid, E.membership(grid.element_centers())
 
 
+def _cell_value(E: PerforationSet, hole_coeff: float, xi, resolution: int) -> float:
+    """Periodic cell minimum with coefficient 1 outside E, ``hole_coeff`` inside."""
+    grid, inside = _hole_cell(E, resolution)
+    [(value, _, _)] = corrector_response(grid, np.where(inside, hole_coeff, 1.0), [xi])
+    return value
+
+
 def penalized_cell_value(E: PerforationSet, n: float, xi,
                          resolution: int) -> float:
     """Periodic cell minimum with coefficient 1 outside E, 1/n inside."""
@@ -167,18 +174,12 @@ def penalized_cell_value(E: PerforationSet, n: float, xi,
         raise ValueError(f"penalization index must be >= 1, got {n}")
     if resolution < 64:
         raise ValueError(f"resolution must be at least 64, got {resolution}")
-    grid, inside = _hole_cell(E, resolution)
-    [(value, _, _)] = corrector_response(grid, np.where(inside, 1.0 / n, 1.0), [xi])
-    return value
+    return _cell_value(E, 1.0 / n, xi, resolution)
 
 
 def masked_cell_value(E: PerforationSet, xi, resolution: int) -> float:
-    """Perforated cell quadratic form <A_hom^E xi, xi> (Neumann holes)."""
-    grid, inside = _hole_cell(E, resolution)
-    active_el = ~inside
-    [(value, _, _)] = corrector_response(grid, active_el.astype(float), [xi],
-                                         active=active_el)
-    return value
+    """Perforated cell quadratic form <A_hom^E xi, xi> (Neumann holes), 1/n -> 0."""
+    return _cell_value(E, 0.0, xi, resolution)
 
 
 def masked_cell_matrix(E: PerforationSet,
@@ -190,11 +191,9 @@ def masked_cell_matrix(E: PerforationSet,
     ``empirical_extension_constant``: [1/9, 1].
     """
     grid, inside = _hole_cell(E, resolution)
-    active_el = ~inside
-    result = homogenize_coefficients(grid, active_el.astype(float),
-                                     FieldBounds(1.0, 1.0), active=active_el,
-                                     extension_constant=3.0)
-    return result, float(np.mean(active_el))
+    result = homogenize_coefficients(grid, np.where(inside, 0.0, 1.0),
+                                     FieldBounds(1.0, 1.0), extension_constant=3.0)
+    return result, float(np.mean(~inside))
 
 
 def masked_window_value(E: PerforationSet, x0, R: float, xi,
@@ -202,9 +201,8 @@ def masked_window_value(E: PerforationSet, x0, R: float, xi,
     """Affine-Dirichlet window minimum on Q_R(x0) minus the holes."""
     check_hole_resolution(E.radius, resolution)
     grid = window_grid(2, x0, R, resolution)
-    active_el = ~E.membership(grid.element_centers())
-    [(value, _, _)] = corrector_response(grid, active_el.astype(float), [xi],
-                                         active=active_el)
+    inside = E.membership(grid.element_centers())
+    [(value, _, _)] = corrector_response(grid, np.where(inside, 0.0, 1.0), [xi])
     return value
 
 
@@ -375,10 +373,10 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     interior = ops.interior_nodes
     diffs = []
     for inside in insides:
-        coeff = np.where(inside, 1.0 / n_penal, 1.0)
-        mask = ~inside
-        [(u_eps, _)] = solve_corrector(grid, coeff, shift=lam * mask,
-                                       source=np.where(mask, f_el, 0.0))
+        # temporaries, which the kernel drops before its CG
+        [(u_eps, _)] = solve_corrector(grid, np.where(inside, 1.0 / n_penal, 1.0),
+                                       shift=lam * ~inside,
+                                       source=np.where(inside, 0.0, f_el))
         diffs.append((u_eps - u_hom)[interior])
         del u_eps
     mass = ops.assemble_mass(pattern=ops.restricted_pattern(interior))

@@ -6,17 +6,26 @@ or an infinity through fails here.
 
 Rows covered: ``SYMMETRY_RTOL``, through ``SparseSystem`` both on the
 stencil table of the matrix's pattern and by the search for matrices that
-come without one."""
+come without one; ``GROWTH_RTOL``, through ``numerics.check_growth`` and,
+for exit 3, through a ``cell`` run; ``HOMOGENEITY_RTOL``, through
+``stability.run_stability_pair``."""
+
+import json
 
 import numpy as np
 import pytest
 
 from homlab import numerics
-from homlab.numerics import BOX, TORUS, SparseSystem, build_grid, element_ops
+from homlab.numerics import BOX, TORUS, GuardError, SparseSystem, build_grid, element_ops
 
 
 def test_symmetry_row_is_pinned():
     assert numerics.SYMMETRY_RTOL == 1e-12
+
+
+def test_growth_and_homogeneity_rows_are_pinned():
+    assert numerics.GROWTH_RTOL == 1e-9
+    assert numerics.HOMOGENEITY_RTOL == 1e-12
 
 
 def _unknowns(g, case):
@@ -181,3 +190,96 @@ def test_infinite_coefficient_fails_the_assembled_check():
     assert numerics.is_symmetric(coeff)
     with pytest.raises(ValueError, match="declared symmetric"), np.errstate(invalid="ignore"):
         numerics.solve_corrector(g, coeff, [[1.0, 0.0]])
+
+
+def _growth_ends(alpha, beta, p, xi):
+    """The sandwich's ends and their slack GROWTH_RTOL * max(1, b), computed
+    as ``check_growth`` computes them."""
+    xi_norm = float(np.linalg.norm(xi))
+    lo, hi = alpha * xi_norm ** p, beta * (1.0 + xi_norm ** p)
+    return ((lo, numerics.GROWTH_RTOL * max(1.0, lo)),
+            (hi, numerics.GROWTH_RTOL * max(1.0, hi)))
+
+
+# (alpha, beta, p, xi): the lower end below 1 and above 1, and the upper
+# end below 1 and above 1
+_GROWTH_CASES = [(0.1, 0.2, 2.0, (0.5, 0.0)), (4.0, 9.0, 2.0, (1.0, 1.0)),
+                 (0.5, 2.0, 3.0, (0.6, 0.8)), (1.5, 1.5, 1.5, (2.0,))]
+
+
+@pytest.mark.parametrize("alpha, beta, p, xi", _GROWTH_CASES)
+def test_growth_guard_fires_at_its_bound(alpha, beta, p, xi):
+    """A value 0.5x the slack past either end of alpha |xi|^p <= value <=
+    beta (1 + |xi|^p) passes, 2x raises GuardError, and a NaN raises."""
+    (lo, lo_slack), (hi, hi_slack) = _growth_ends(alpha, beta, p, xi)
+    for end, outward in ((lo, -lo_slack), (hi, hi_slack)):
+        numerics.check_growth(end + 0.5 * outward, alpha, beta, p, xi)
+        with pytest.raises(GuardError, match="escapes the growth bounds"):
+            numerics.check_growth(end + 2.0 * outward, alpha, beta, p, xi)
+    with pytest.raises(GuardError, match="escapes the growth bounds"):
+        numerics.check_growth(np.nan, alpha, beta, p, xi)
+
+
+def test_growth_guard_exits_3_through_the_cli(tmp_path, monkeypatch, capsys):
+    """A p-energy cell run whose energy escapes the upper end of its growth
+    sandwich by 2x the slack exits 3: the real guard fires, not a patched
+    raise."""
+    from homlab import cell, cli
+
+    tree = {"kind": "cell", "p": 3.0, "xi": [1.0], "resolutions": [16],
+            "field": {"type": "periodic_step", "subdivisions": 2, "dim": 1,
+                      "values": [1.0, 4.0], "alpha": 1.0, "beta": 4.0}}
+    _, (hi, hi_slack) = _growth_ends(1.0, 4.0, 3.0, (1.0,))
+    real = cell.corrector_response
+
+    def escaping(*args, **kwargs):
+        return [(hi + 2.0 * hi_slack, flux, stats)
+                for _, flux, stats in real(*args, **kwargs)]
+
+    monkeypatch.setattr(cell, "corrector_response", escaping)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(tree), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["cell", "--spec", str(spec), "--out", str(out), "--no-plots"]) == 3
+    assert "escapes the growth bounds" in capsys.readouterr().err
+    assert "soundness-guard" in (out / "run.log").read_text()
+
+
+class _Passed(Exception):
+    """Raised right after the homogeneity check, to skip the rest of a run."""
+
+
+@pytest.mark.parametrize("psi0", [0.01, 10.0])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_homogeneity_guard_fires_at_its_bound(monkeypatch, psi0, p):
+    """A statistic off (t / t0)^p psi(t0) by 0.5x HOMOGENEITY_RTOL *
+    max(|expected|, 1) passes, 2x raises GuardError, and a NaN raises; the
+    expected values 0.04 or 0.08 and 40 or 80 sit on both sides of the scale's
+    floor of 1."""
+    from homlab import stability
+    from homlab.fields import Constant, EnergyDensity, FieldBounds
+
+    bounds = FieldBounds(1.0, 4.0)
+    f = EnergyDensity(Constant(1.0, bounds), p)
+    g = EnergyDensity(Constant(2.0, bounds), p)
+
+    def run(defect):
+        def statistic(f, g, t, R, resolution):
+            return psi0 if t == 1.0 else (t / 1.0) ** p * psi0 + defect
+
+        def passed(psis):
+            raise _Passed
+
+        monkeypatch.setattr(stability, "mean_abs_statistic", statistic)
+        monkeypatch.setattr(stability, "_trace_is_vanishing", passed)
+        stability.run_stability_pair(f, g, t_list=(1.0, 2.0))
+
+    want = 2.0 ** p * psi0
+    slack = numerics.HOMOGENEITY_RTOL * max(abs(want), 1.0)
+    for sign in (1.0, -1.0):
+        with pytest.raises(_Passed):
+            run(0.5 * sign * slack)
+        with pytest.raises(GuardError, match="does not scale as t"):
+            run(2.0 * sign * slack)
+    with pytest.raises(GuardError, match="does not scale as t"):
+        run(np.nan)

@@ -439,7 +439,7 @@ def test_cg_matches_the_reference_loop_to_the_bit(monkeypatch, case):
                         source=rng.uniform(-1.0, 1.0, g.n_elements))
     elif case == "box-masked":
         active = np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.2
-        solve_corrector(g, coeff * active, [np.array([0.6, -0.8])], active=active)
+        solve_corrector(g, coeff * active, [np.array([0.6, -0.8])])
     else:
         ops = element_ops(g)
         pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
@@ -962,9 +962,10 @@ def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
     ops = element_ops(g)
     coeff = np.random.default_rng(3).uniform(1.0, 4.0, g.n_elements)
     free = np.ones(g.n_nodes, dtype=bool) if topology == TORUS else ~g.boundary_node_mask()
-    active = None
     if case.endswith("masked"):
+        # a disc of holes: the coefficient is zero there
         active = np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.25
+        coeff = coeff * active
         touched = np.zeros(g.n_nodes, dtype=bool)
         touched[ops.elem_nodes[active]] = True
         free &= touched
@@ -973,11 +974,10 @@ def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
     shift = None
     with pytest.raises(_Recorded):
         if topology == TORUS:
-            solve_corrector(g, coeff, [np.array([1.0, 0.0])], active=active)
+            solve_corrector(g, coeff, [np.array([1.0, 0.0])])
         else:
             shift = np.random.default_rng(4).uniform(1.0, 3.0, g.n_elements)
-            solve_corrector(g, coeff, active=active, shift=shift,
-                            source=np.ones(g.n_elements))
+            solve_corrector(g, coeff, shift=shift, source=np.ones(g.n_elements))
     [got] = systems
     want = ops.assemble_stiffness(coeff, shift)[unknowns][:, unknowns]
     want.sort_indices()
@@ -1037,7 +1037,7 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
             expected[free] += scipy.sparse.linalg.spsolve(K[free][:, free].tocsc(),
                                                           -(K @ lift)[free])
     xis = None if variant == "box-shifted" else [xi]
-    [(u, stats)] = solve_corrector(g, coeff, xis, active=active, **kwargs)
+    [(u, stats)] = solve_corrector(g, coeff, xis, **kwargs)
     assert stats.iterations > 0
     u = lift + u
     assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
@@ -1071,14 +1071,103 @@ def test_solve_corrector_rejects_terms_outside_their_solves():
 
 
 def test_corrector_response_refuses_what_it_cannot_read():
-    # a direction must match the grid, and a p-energy has no masked form
+    # a direction must match the grid, and a p-energy takes no holes: one
+    # zero element is refused
     torus = build_grid(2, 4, (0.0, 0.0), 1.0, TORUS)
     coeff = np.ones(torus.n_elements)
     with pytest.raises(ValueError, match=r"xi must have shape \(2,\)"):
         numerics.corrector_response(torus, coeff, [np.array([1.0])])
-    with pytest.raises(ValueError, match="no element mask"):
-        numerics.corrector_response(torus, coeff, [np.array([1.0, 0.0])], 3.0,
-                                    active=np.ones(torus.n_elements, dtype=bool))
+    coeff[5] = 0.0
+    with pytest.raises(ValueError, match="p-energy solves take no holes"):
+        numerics.corrector_response(torus, coeff, [np.array([1.0, 0.0])], 3.0)
+
+
+def test_holes_are_read_off_the_coefficient():
+    """A hole is an element whose coefficient is zero, every entry of a
+    matrix coefficient; with no hole the kernel gets None. One matrix
+    broadcast to every element is read without materializing it."""
+    import tracemalloc
+
+    active = numerics._active_elements
+    assert active(np.array([1.0, 0.0, -0.0, 2.0, np.nan])).tolist() == \
+        [True, False, False, True, True]
+    assert active(np.ones(5)) is None
+    mats = np.zeros((4, 2, 2))
+    mats[0] = np.eye(2)
+    mats[2, 0, 1] = 1e-300
+    mats[3, 1, 1] = -1.0
+    assert active(mats).tolist() == [True, False, True, True]
+    assert active(np.ones((4, 2, 2))) is None
+    n_e = 320 * 320
+    view = np.broadcast_to(np.array([[2.0, 0.3], [0.3, 1.5]]), (n_e, 2, 2))
+    tracemalloc.start()
+    try:
+        assert active(view) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n_e       # boolean columns, less than one float64 column
+
+
+@pytest.mark.parametrize("topology", [TORUS, BOX])
+def test_coefficient_without_a_zero_takes_the_unmasked_path(monkeypatch, topology):
+    """A coefficient with no zero element, scalar or a matrix with zero
+    off-diagonal entries, solves on the cached pattern of every node of a
+    torus or of a box interior: no derived pattern and no connectivity
+    check."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve took the path with holes")
+
+    monkeypatch.setattr(numerics, "_active_nodes_checked", refuse)
+    monkeypatch.setattr(numerics.ElementOps, "restricted_pattern", refuse)
+    g = build_grid(2, 12, (0.0, 0.0), 1.0, topology)
+    coeff = np.random.default_rng(6).uniform(1.0, 4.0, g.n_elements)
+    diagonal = np.zeros((g.n_elements, 2, 2))
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = coeff, 2.0
+    for c in (coeff, diagonal):
+        [(w, stats)] = solve_corrector(g, c, [np.array([1.0, 0.5])])
+        assert stats.iterations > 0
+    if topology == BOX:
+        [(w, stats)] = solve_corrector(g, coeff, shift=np.ones(g.n_elements),
+                                       source=np.ones(g.n_elements))
+        assert stats.iterations > 0
+
+
+@pytest.mark.parametrize("topology", [TORUS, BOX])
+def test_zero_coefficient_everywhere_is_refused(topology):
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, topology)
+    for coeff in (np.zeros(g.n_elements), np.zeros((g.n_elements, 2, 2))):
+        with pytest.raises(RuntimeError, match="perforation removed every element"):
+            solve_corrector(g, coeff, [np.array([1.0, 0.0])])
+        with pytest.raises(RuntimeError, match="perforation removed every element"):
+            numerics.corrector_response(g, coeff, [np.array([1.0, 0.0])])
+
+
+def test_source_solve_iterates_beside_none_of_its_terms(monkeypatch):
+    """A box source solve builds its system, preconditioner and load and
+    then drops the coefficient, the shift and the source: passed as
+    temporaries, none of them is alive while CG runs."""
+    import weakref
+
+    g = build_grid(2, 16, (0.0, 0.0), 1.0, BOX)
+    rng = np.random.default_rng(8)
+    refs = []
+
+    def fresh(values):
+        refs.append(weakref.ref(values))
+        return values
+
+    real = numerics.cg_solve
+
+    def checked(*args, **kwargs):
+        assert len(refs) == 3 and all(ref() is None for ref in refs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "cg_solve", checked)
+    [(w, stats)] = solve_corrector(g, fresh(rng.uniform(1.0, 4.0, g.n_elements)),
+                                   shift=fresh(rng.uniform(0.5, 2.0, g.n_elements)),
+                                   source=fresh(rng.uniform(-1.0, 1.0, g.n_elements)))
+    assert stats.iterations > 0
 
 
 @pytest.mark.parametrize("dim,lam", [(1, 0.0), (2, 0.0), (2, 7.0), (1, 7.0)])
@@ -1106,15 +1195,16 @@ def test_solve_corrector_exact_on_reference_box(dim, lam):
 @pytest.mark.parametrize("masked", [False, True])
 def test_float32_box_apply_matches_float64(monkeypatch, masked):
     """The kernel's float32 DST-I apply on a perforated box (1/256 in the
-    holes, shift lambda on the rest): CG takes as many iterations as with
-    the float64 apply and reaches the same solution to 1e-9; each apply
-    returns float64 and leaves its input bit-unchanged."""
+    holes, or 0, which makes them Neumann holes; shift lambda on the rest):
+    CG takes as many iterations as with the float64 apply and reaches the
+    same solution to 1e-9; each apply returns float64 and leaves its input
+    bit-unchanged."""
     real = numerics.spectral_preconditioner
     g = build_grid(2, 64, (-1.0, -1.0), 2.0, BOX)
     centers = g.element_centers()
     inside = np.linalg.norm(np.mod(centers / 0.25, 1.0) - 0.5, axis=1) < 0.25
     mask = ~inside
-    coeff = np.where(inside, 1.0 / 256.0, 1.0)
+    coeff = np.where(inside, 0.0 if masked else 1.0 / 256.0, 1.0)
     source = np.where(mask, np.cos(centers[:, 0]) + centers[:, 1], 0.0)
 
     def solve(dtype):
@@ -1134,8 +1224,7 @@ def test_float32_box_apply_matches_float64(monkeypatch, masked):
             return checked
 
         monkeypatch.setattr(numerics, "spectral_preconditioner", build)
-        [(u, stats)] = solve_corrector(g, coeff, shift=7.0 * mask, source=source,
-                                       active=mask if masked else None)
+        [(u, stats)] = solve_corrector(g, coeff, shift=7.0 * mask, source=source)
         assert asked == [np.float32]
         return u, stats.iterations
 

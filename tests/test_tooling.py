@@ -500,8 +500,10 @@ def test_solve_path_takes_no_knobs():
     assert not {"SolverConfig", "DEFAULT_CONFIG", "_iter_cap"} & set(vars(numerics))
     functions = [fn for name, fn in inspect.getmembers(numerics, inspect.isfunction)
                  if fn.__module__ == numerics.__name__ and not name.startswith("_")]
+    # and the holes from where the coefficient is zero: no element mask
     for fn in functions + [cell.homogenize_coefficients]:
-        assert not {"config", "symmetric"} & set(inspect.signature(fn).parameters), fn
+        assert not ({"config", "symmetric", "active"}
+                    & set(inspect.signature(fn).parameters)), fn
     assert {f.name for f in dataclasses.fields(fields.MatrixField)} == {"entries", "dim"}
     assert {f.name for f in dataclasses.fields(fields.FieldBounds)} == {"alpha", "beta"}
     assert not hasattr(fields.EnergyDensity, "symmetric")
@@ -801,8 +803,9 @@ def test_lambda_box_builds_no_element_nodes(tmp_path, monkeypatch):
 def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
     # every system is assembled straight onto its solve's unknowns: no
     # matrix on a box grid spans the boundary nodes, each SparseSystem has
-    # as many rows as its solve has unknowns, and solve_corrector slices no
-    # CSR matrix
+    # as many rows as its solve has unknowns (the nodes of the elements
+    # where the recorded coefficient is not zero, off a box's boundary),
+    # and solve_corrector slices no CSR matrix
     import homlab
     import numpy as np
     import scipy.sparse as sp
@@ -813,11 +816,12 @@ def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
     running = []    # the system sizes of the solve in progress
     solve = numerics.solve_corrector
 
-    def recording(grid, *args, active=None, **kwargs):
-        solves.append((grid, active, []))
+    def recording(grid, coeff, *args, **kwargs):
+        entries = np.asarray(coeff).reshape(grid.n_elements, -1)
+        solves.append((grid, np.any(entries != 0, axis=1), []))
         running.append(solves[-1][2])
         try:
-            return solve(grid, *args, active=active, **kwargs)
+            return solve(grid, coeff, *args, **kwargs)
         finally:
             running.pop()
 
@@ -858,11 +862,11 @@ def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
             "--no-plots"]
     assert cli.main(argv) == 0
     assert solves and slices == []
+    # only the perforation run has solves with holes
+    assert any(not active.all() for _, active, _ in solves) == (tree is TINY_PERFORATION)
     for grid, active, systems in solves:
-        free = np.ones(grid.n_nodes, dtype=bool)
-        if active is not None:
-            free[:] = False
-            free[grid.element_nodes()[active]] = True
+        free = np.zeros(grid.n_nodes, dtype=bool)
+        free[grid.element_nodes()[active]] = True
         if grid.topology == numerics.BOX:
             free &= ~grid.boundary_node_mask()
         assert systems == [int(free.sum())]
