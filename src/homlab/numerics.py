@@ -401,9 +401,6 @@ class CsrPattern:
         zero-filled buffer, where each pair is one strided view
         (``_flat_views``).
         """
-        if len(data) != len(self.indices):
-            raise ValueError(f"matrix has {len(data)} entries for a pattern "
-                             f"of {len(self.indices)}")
         dim = len(self.incidence).bit_length() - 1
         classes = 2 if self.incidence.shape[2] == 2 ** dim else 3
         side, width = self.side, classes ** dim
@@ -819,36 +816,32 @@ def element_ops(grid: Grid) -> ElementOps:
 
 @dataclass
 class SparseSystem:
-    """CSR system with a symmetry declaration checked at construction.
+    """CSR system on the ``CsrPattern`` it was assembled on, with a symmetry
+    declaration checked at construction.
 
-    A system declared symmetric compares each stored entry with its
-    transpose's entry (zero where that is not stored), relative to
-    ``SYMMETRY_RTOL``, without a transposed copy; a matrix with an entry
-    that is not finite fails the check. A matrix assembled on a
-    ``CsrPattern``, given as ``pattern`` (as ``solve_corrector`` does), is
-    read in stencil-table order, each entry against its mirror in the table
-    (``CsrPattern.symmetry_defect``). A matrix built without one, like a
-    bare scipy matrix, has its transposed entries found by a search over
-    the sorted (row, column) keys (``_stored_transpose``). The matrix is
-    kept as given, never sorted: a pattern's matrices share its read-only
-    index arrays, and a torus row may list its columns unsorted.
+    The matrix must hold one entry per slot of ``pattern``. A system
+    declared symmetric compares each entry with its transposed entry (zero
+    where that is absent), relative to ``SYMMETRY_RTOL``, read in the
+    pattern's stencil table (``CsrPattern.symmetry_defect``) without a
+    transposed copy; a matrix with an entry that is not finite fails the
+    check. The matrix is kept as given, never sorted: it shares the
+    pattern's read-only index arrays, and a torus row may list its columns
+    unsorted. On a torus pattern (``CsrPattern.torus``, kept by
+    ``restricted``) the solvers remove the constant kernel.
     """
 
     matrix: sp.csr_matrix
     symmetric: bool
-    pattern: CsrPattern | None = None
+    pattern: CsrPattern
 
     def __post_init__(self):
-        self.matrix = self.matrix.tocsr()
         data = self.matrix.data
+        if len(data) != len(self.pattern.indices):
+            raise ValueError(f"matrix has {len(data)} entries for a pattern "
+                             f"of {len(self.pattern.indices)}")
         if not self.symmetric or not data.size:
             return
-        if self.pattern is None:
-            mirror = _stored_transpose(self.matrix)
-            np.subtract(data, mirror, out=mirror)
-            scale, worst = _max_abs(data), _max_abs(mirror)
-        else:
-            scale, worst = self.pattern.symmetry_defect(data)
+        scale, worst = self.pattern.symmetry_defect(data)
         # an infinite entry would make the bound inf and pass any defect
         if not (np.isfinite(scale) and worst <= SYMMETRY_RTOL * max(scale, 1e-300)):
             raise ValueError(
@@ -858,22 +851,6 @@ class SparseSystem:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-
-def _stored_transpose(mat: sp.csr_matrix) -> np.ndarray:
-    """The entry at (c, r) for each stored entry (r, c) of a CSR matrix with
-    columns in any order, 0 where it is not stored; duplicates raise. The
-    symmetry check of a matrix that comes without its ``CsrPattern``."""
-    size = max(mat.shape)
-    row = np.repeat(np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr))
-    key = row * size + mat.indices
-    order = np.argsort(key)
-    key = key[order]
-    if np.any(key[1:] == key[:-1]):
-        raise ValueError("matrix has duplicate entries; sum them first")
-    mirror_key = mat.indices.astype(np.int64) * size + row
-    at = np.minimum(np.searchsorted(key, mirror_key), len(key) - 1)
-    return np.where(key[at] == mirror_key, mat.data[order[at]], 0.0)
 
 
 def is_symmetric(coeff: np.ndarray) -> bool:
@@ -899,14 +876,15 @@ class SolveStats:
 
 
 def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
-                  mean_zero: bool, preconditioner) -> tuple[np.ndarray, SolveStats]:
+                  preconditioner) -> tuple[np.ndarray, SolveStats]:
     """Both Krylov solvers around their loop ``iterate(A, b, preconditioner,
-    tol, cap) -> (x, iterations)``: the right-hand side checked and (with
-    ``mean_zero``) projected into a new vector, zero answered by zero; then
-    x projected likewise and its true residual |b - A x| checked against 10x
-    the target and reported. No solver writes ``b``, so an unprojected
-    right-hand side is the caller's own vector, read in place, and x never
-    shares its memory."""
+    tol, cap) -> (x, iterations)``: the right-hand side checked and, on a
+    torus pattern (full or restricted), projected onto mean-zero into a new
+    vector, zero answered by zero; then x projected likewise and its true
+    residual |b - A x| checked against 10x the target and reported. No
+    solver writes ``b``, so an unprojected right-hand side is the caller's
+    own vector, read in place, and x never shares its memory."""
+    mean_zero = system.pattern.torus
     A = system.matrix
     b = np.asarray(rhs, dtype=float)
     if b.shape != (system.n,):
@@ -927,7 +905,7 @@ def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
     return x, SolveStats(it, true_res)
 
 
-def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
+def cg_solve(system: SparseSystem, rhs: np.ndarray, *,
              preconditioner: Callable[[np.ndarray], np.ndarray]
              ) -> tuple[np.ndarray, SolveStats]:
     """Preconditioned conjugate gradients on an SPD (or mean-zero-deflated
@@ -935,9 +913,9 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
 
     ``preconditioner`` maps a residual r to z ~ A^-1 r and must be symmetric
     positive (semi)definite; ``solve_corrector`` passes one built by
-    ``spectral_preconditioner``. With ``mean_zero`` the right-hand side is
-    projected onto mean-zero and the solution is returned mean-zero;
-    this is how the periodic cell problems remove the constant kernel. The
+    ``spectral_preconditioner``. On a torus pattern the right-hand side is
+    projected onto mean-zero and the solution is returned mean-zero; this
+    is how the periodic cell problems remove the constant kernel. The
     stopping rule is on the unpreconditioned residual norm, and the true
     residual |b - A x| is checked at the end (within 10x the target) and
     reported in the stats.
@@ -950,8 +928,7 @@ def cg_solve(system: SparseSystem, rhs: np.ndarray, mean_zero: bool = False, *,
     """
     if not system.symmetric:
         raise ValueError("cg_solve requires a symmetric system")
-    return _krylov_frame("cg_solve", _cg_iterate, system, rhs, mean_zero,
-                         preconditioner)
+    return _krylov_frame("cg_solve", _cg_iterate, system, rhs, preconditioner)
 
 
 def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
@@ -988,8 +965,7 @@ def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
     return x, it
 
 
-def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
-                              mean_zero: bool = False, *,
+def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray, *,
                               preconditioner: Callable[[np.ndarray], np.ndarray]
                               ) -> tuple[np.ndarray, SolveStats]:
     """Right-preconditioned BiCGStab for the nonsymmetric weak forms (flux
@@ -1000,10 +976,10 @@ def krylov_solve_nonsymmetric(system: SparseSystem, rhs: np.ndarray,
     preconditioning (A M y = b, x = M y) keeps the recurrence on the
     unpreconditioned residual, which is what the stopping rule tests; the
     true residual |b - A x| is checked at the end (within 10x the target).
-    ``mean_zero`` works as in ``cg_solve``.
+    A torus pattern is projected onto mean-zero as in ``cg_solve``.
     """
     return _krylov_frame("krylov_solve_nonsymmetric", _bicgstab_iterate, system,
-                         rhs, mean_zero, preconditioner)
+                         rhs, preconditioner)
 
 
 def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
@@ -1287,11 +1263,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
             rhs = -ops.load_from_element_vectors(flux)
         if unknowns is not None:
             rhs = rhs[unknowns]
-        if symmetric:
-            w, stats = cg_solve(system, rhs, mean_zero=torus, preconditioner=precond)
-        else:
-            w, stats = krylov_solve_nonsymmetric(system, rhs, mean_zero=torus,
-                                                 preconditioner=precond)
+        solve = cg_solve if symmetric else krylov_solve_nonsymmetric
+        w, stats = solve(system, rhs, preconditioner=precond)
         if unknowns is not None:
             w_full = np.zeros(grid.n_nodes)
             w_full[unknowns] = w

@@ -371,13 +371,14 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
     # runs beside either
     ops = element_ops(grid)
     interior = ops.interior_nodes
+    u_hom = u_hom[interior]
     diffs = []
     for inside in insides:
         # temporaries, which the kernel drops before its CG
         [(u_eps, _)] = solve_corrector(grid, np.where(inside, 1.0 / n_penal, 1.0),
                                        shift=lam * ~inside,
                                        source=np.where(inside, 0.0, f_el))
-        diffs.append((u_eps - u_hom)[interior])
+        diffs.append(u_eps[interior] - u_hom)
         del u_eps
     mass = ops.assemble_mass(pattern=ops.restricted_pattern(interior))
     distances = [float(np.sqrt(diff @ (mass @ diff))) for diff in diffs]

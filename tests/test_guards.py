@@ -4,18 +4,26 @@ scale rule, fires at twice it and fires on a NaN or an infinite entry. A
 looser tolerance, a changed scale rule or a pass condition that lets a NaN
 or an infinity through fails here.
 
-Rows covered: ``SYMMETRY_RTOL``, through ``SparseSystem`` both on the
-stencil table of the matrix's pattern and by the search for matrices that
-come without one; ``GROWTH_RTOL``, through ``numerics.check_growth`` and,
-for exit 3, through a ``cell`` run; ``HOMOGENEITY_RTOL``, through
-``stability.run_stability_pair``."""
+Rows covered, every row of the table: ``SYMMETRY_RTOL``, through
+``SparseSystem`` on the stencil table of the matrix's pattern;
+``FIELD_BOUNDS_ATOL``, through ``fields.eval_scalar`` and both ends of
+``fields.constant_matrix``; ``HOM_SYMMETRY_RTOL`` and ``HOM_EIGEN_RTOL``,
+through ``cell.HomogenizedResult``; ``PAIRING_RTOL``, through
+``numerics.corrector_response``; ``GROWTH_RTOL``, through
+``numerics.check_growth`` and, for exit 3, through a ``cell`` run;
+``HOMOGENEITY_RTOL``, through ``stability.run_stability_pair``. Where a
+row's scale has a floor (max(..., 1) or 1e-300), a case sits on each side
+of it."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from homlab import numerics
+from homlab.cell import HomogenizedResult
+from homlab.fields import FieldBounds, ScalarField, constant_matrix, eval_scalar
 from homlab.numerics import BOX, TORUS, GuardError, SparseSystem, build_grid, element_ops
 
 
@@ -26,6 +34,13 @@ def test_symmetry_row_is_pinned():
 def test_growth_and_homogeneity_rows_are_pinned():
     assert numerics.GROWTH_RTOL == 1e-9
     assert numerics.HOMOGENEITY_RTOL == 1e-12
+
+
+def test_field_homogenized_and_pairing_rows_are_pinned():
+    assert numerics.FIELD_BOUNDS_ATOL == 1e-12
+    assert numerics.HOM_SYMMETRY_RTOL == 1e-8
+    assert numerics.HOM_EIGEN_RTOL == 1e-9
+    assert numerics.PAIRING_RTOL == 1e-8
 
 
 def _unknowns(g, case):
@@ -49,7 +64,7 @@ def _message(K):
 
 def _checked(K, pattern):
     """``SparseSystem`` declared symmetric, on the stencil table of
-    ``pattern`` or, with None, by search."""
+    ``pattern``."""
     return SparseSystem(K, symmetric=True, pattern=pattern)
 
 
@@ -62,8 +77,7 @@ _CASES = [(2, TORUS, 8, "all"), (2, TORUS, 2, "all"), (2, BOX, 8, "interior"),
 @pytest.mark.parametrize("dim, topology, n, case", _CASES)
 def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, case):
     """A defect of 0.5x SYMMETRY_RTOL * max|M| passes, 2x raises ValueError
-    with the exact message and a NaN raises, on the pattern's table and by
-    search alike. In 2D the defect comes from a skewed matrix coefficient
+    with the exact message and a NaN raises, on the pattern's table. In 2D the defect comes from a skewed matrix coefficient
     on one element whose corners are all unknowns, on a torus the last of
     the first row, whose columns wrap; in 1D, where a 1x1 coefficient
     cannot be skewed, from the first off-diagonal entry of row 0 (a
@@ -111,13 +125,12 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
         placed = abs(mat - mat.T).max() / (numerics.SYMMETRY_RTOL * np.abs(mat.data).max())
         assert lo <= placed <= hi
     nan = defective(np.nan)
-    for table in (pattern, None):
-        _checked(near, table)
-        with pytest.raises(ValueError) as raised:
-            _checked(far, table)
-        assert str(raised.value) == _message(far)
-        with pytest.raises(ValueError, match="declared symmetric"):
-            _checked(nan, table)
+    _checked(near, pattern)
+    with pytest.raises(ValueError) as raised:
+        _checked(far, pattern)
+    assert str(raised.value) == _message(far)
+    with pytest.raises(ValueError, match="declared symmetric"):
+        _checked(nan, pattern)
 
 
 @pytest.mark.parametrize("dim, topology, n, case", _CASES)
@@ -133,12 +146,11 @@ def test_symmetry_guard_fires_on_a_non_finite_diagonal(dim, topology, n, case, v
     row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
     data[np.flatnonzero(row == pattern.indices)[-1]] = value
     K = pattern.matrix(data)
-    for table in (pattern, None):
-        with pytest.raises(ValueError) as raised, np.errstate(invalid="ignore"):
-            _checked(K, table)
-        assert str(raised.value) == (
-            f"matrix declared symmetric but |M - M^T|_max = nan exceeds "
-            f"{numerics.SYMMETRY_RTOL:.0e} * |M|_max = {numerics.SYMMETRY_RTOL * value:.3e}")
+    with pytest.raises(ValueError) as raised, np.errstate(invalid="ignore"):
+        _checked(K, pattern)
+    assert str(raised.value) == (
+        f"matrix declared symmetric but |M - M^T|_max = nan exceeds "
+        f"{numerics.SYMMETRY_RTOL:.0e} * |M|_max = {numerics.SYMMETRY_RTOL * value:.3e}")
 
 
 _INF_MESSAGE = (f"matrix declared symmetric but |M - M^T|_max = inf exceeds "
@@ -149,7 +161,7 @@ _INF_MESSAGE = (f"matrix declared symmetric but |M - M^T|_max = inf exceeds "
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case, value):
     """An infinite off-diagonal entry whose transposed entry is finite fires
-    on the pattern's table and by search: its defect and the bound
+    on the pattern's table: its defect and the bound
     SYMMETRY_RTOL * max|M| are both inf, so a max|M| that is not finite
     fails the check by itself."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
@@ -162,21 +174,48 @@ def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case
     dense = K.toarray()
     [(r, c)] = np.argwhere(np.isinf(dense))
     assert r != c and np.isfinite(dense[c, r])
-    for table in (pattern, None):
-        with pytest.raises(ValueError) as raised:
-            _checked(K, table)
-        assert str(raised.value) == _INF_MESSAGE
+    with pytest.raises(ValueError) as raised:
+        _checked(K, pattern)
+    assert str(raised.value) == _INF_MESSAGE
 
 
-def test_symmetry_guard_fires_on_an_infinite_entry_of_a_bare_matrix():
-    """The same for a scipy matrix that comes without a pattern, read by
-    search."""
-    import scipy.sparse as sp
-
+def test_symmetry_guard_fires_on_an_infinite_entry_on_either_side():
+    """The same for a 2 x 2 matrix on the pattern of a 3-cell box's
+    interior, with the infinite entry above or below the diagonal."""
+    ops = element_ops(build_grid(1, 3, (0.0,), 1.0, BOX))
+    pattern = ops.restricted_pattern(ops.interior_nodes)
+    row = np.repeat(np.arange(2), np.diff(pattern.indptr))
     for entries in ([[2.0, np.inf], [1.0, 2.0]], [[2.0, 1.0], [-np.inf, 2.0]]):
+        K = pattern.matrix(np.array(entries)[row, pattern.indices])
+        assert np.array_equal(K.toarray(), entries)
         with pytest.raises(ValueError) as raised:
-            SparseSystem(sp.csr_matrix(entries), symmetric=True)
+            _checked(K, pattern)
         assert str(raised.value) == _INF_MESSAGE
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-310])
+def test_symmetry_guard_scale_has_its_floor(scale):
+    """The bound scales with max|M| below 1 and stops at the floor 1e-300:
+    on a box-interior mass matrix scaled to max|M| = ``scale``, an
+    off-diagonal defect of 0.5x SYMMETRY_RTOL * max(max|M|, 1e-300)
+    passes and 2x raises with the exact message."""
+    ops = element_ops(build_grid(2, 8, (0.0, 0.0), 1.0, BOX))
+    pattern = ops.restricted_pattern(ops.interior_nodes)
+    data = ops.assemble_mass(pattern=pattern).data
+    data = data * (scale / np.abs(data).max())
+    allowed = numerics.SYMMETRY_RTOL * max(np.abs(data).max(), 1e-300)
+    row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
+    slot = np.flatnonzero(row != pattern.indices)[0]
+
+    def defective(factor):
+        perturbed = data.copy()
+        perturbed[slot] += factor * allowed
+        return pattern.matrix(perturbed)
+
+    _checked(defective(0.5), pattern)
+    with pytest.raises(ValueError) as raised:
+        _checked(defective(2.0), pattern)
+    assert str(raised.value) == _message(defective(2.0))
 
 
 def test_infinite_coefficient_fails_the_assembled_check():
@@ -283,3 +322,142 @@ def test_homogeneity_guard_fires_at_its_bound(monkeypatch, psi0, p):
             run(2.0 * sign * slack)
     with pytest.raises(GuardError, match="does not scale as t"):
         run(np.nan)
+
+
+@dataclass(frozen=True)
+class _Uniform(ScalarField):
+    """A field that takes ``value`` everywhere, inside its bounds or not."""
+
+    value: float
+    bounds: FieldBounds
+    dim: int = 1
+
+    def values_impl(self, pts):
+        return np.full(len(pts), self.value)
+
+
+_B14 = FieldBounds(1.0, 4.0)
+
+
+@pytest.mark.parametrize("end, outward", [(1.0, -1.0), (4.0, 1.0)])
+def test_field_bounds_guard_fires_at_its_bound(end, outward):
+    """A field value 0.5x FIELD_BOUNDS_ATOL outside either end of [alpha,
+    beta] passes ``eval_scalar``, 2x raises GuardError and a NaN raises."""
+    pts = np.array([0.25, 0.75])
+
+    def field(factor):
+        return _Uniform(end + factor * outward * numerics.FIELD_BOUNDS_ATOL, _B14)
+
+    near = eval_scalar(field(0.5), pts)
+    assert 0.45 <= abs(near[0] - end) / numerics.FIELD_BOUNDS_ATOL <= 0.55
+    for broken in (field(2.0), _Uniform(np.nan, _B14)):
+        with pytest.raises(GuardError, match="escaped bounds"):
+            eval_scalar(broken, pts)
+
+
+@pytest.mark.parametrize("end", ["eigenvalue", "norm"])
+def test_constant_matrix_guard_fires_at_its_bound(end):
+    """A symmetric part whose smallest eigenvalue lies 0.5x
+    FIELD_BOUNDS_ATOL below alpha, or a 2-norm 0.5x it above beta, passes
+    ``constant_matrix``; 2x raises ValueError. A NaN off-diagonal pair,
+    whose eigenvalues are NaN, raises at the eigenvalue end, which is
+    checked first."""
+    atol = numerics.FIELD_BOUNDS_ATOL
+
+    def matrix(factor):
+        if end == "eigenvalue":
+            return np.array([[1.0 - factor * atol, 0.5], [-0.5, 3.0]])
+        return np.diag([1.5, 4.0 + factor * atol])
+
+    placed = (1.0 - np.linalg.eigvalsh(matrix(0.5) + matrix(0.5).T).min() / 2
+              if end == "eigenvalue" else np.linalg.norm(matrix(0.5), 2) - 4.0)
+    assert 0.45 <= placed / atol <= 0.55
+    constant_matrix(matrix(0.5), _B14)
+    with pytest.raises(ValueError, match="not elliptic" if end == "eigenvalue"
+                       else "norm exceeds"):
+        constant_matrix(matrix(2.0), _B14)
+    nan = matrix(0.0)
+    nan[0, 1] = nan[1, 0] = np.nan
+    with pytest.raises(ValueError, match="not elliptic"):
+        constant_matrix(nan, _B14)
+
+
+# (matrix, alpha, beta): max|A| below 1, above 1 and below the 1e-300 floor
+_HOM_SYMMETRY_CASES = [([[0.25, 0.05], [0.05, 0.2]], 0.1, 0.5),
+                       ([[3.0, 0.5], [0.5, 2.0]], 1.0, 4.0),
+                       ([[2e-310, 0.0], [0.0, 1e-310]], 1e-320, 1.0)]
+
+
+@pytest.mark.parametrize("base, alpha, beta", _HOM_SYMMETRY_CASES)
+def test_homogenized_symmetry_guard_fires_at_its_bound(base, alpha, beta):
+    """An off-diagonal defect of 0.5x HOM_SYMMETRY_RTOL * max(max|A|,
+    1e-300) in the homogenized matrix of a symmetric input passes, 2x
+    raises GuardError and a NaN raises."""
+    base = np.array(base)
+    allowed = numerics.HOM_SYMMETRY_RTOL * max(np.abs(base).max(), 1e-300)
+
+    def result(factor):
+        matrix = base.copy()
+        matrix[0, 1] += factor * allowed
+        return HomogenizedResult(matrix, True, (), (), alpha, beta)
+
+    near = result(0.5).matrix
+    assert 0.45 <= abs(near[0, 1] - near[1, 0]) / allowed <= 0.55
+    for factor in (2.0, np.nan):
+        with pytest.raises(GuardError, match="asymmetric output"):
+            result(factor)
+
+
+# (alpha, beta, extension constant C): beta below and above 1, and the
+# perforated window [alpha / C^2, beta]
+@pytest.mark.parametrize("alpha, beta, C", [(0.1, 0.25, 1.0), (1.0, 4.0, 1.0),
+                                            (1.0, 4.0, 3.0)])
+@pytest.mark.parametrize("end", ["lower", "upper"])
+def test_homogenized_eigenvalue_guard_fires_at_its_bound(alpha, beta, C, end):
+    """A homogenized matrix whose symmetric part has an eigenvalue 0.5x
+    HOM_EIGEN_RTOL * max(beta, 1) outside either end of [alpha / C^2, beta]
+    passes, 2x raises GuardError and a NaN off-diagonal pair, whose
+    eigenvalues are NaN, raises."""
+    lo = alpha / C ** 2
+    slack = numerics.HOM_EIGEN_RTOL * max(beta, 1.0)
+    edge, outward = (lo, -slack) if end == "lower" else (beta, slack)
+
+    def result(factor, off_diagonal=0.0):
+        matrix = np.diag([edge + factor * outward, 0.5 * (lo + beta)])
+        matrix[0, 1] = matrix[1, 0] = off_diagonal
+        return HomogenizedResult(matrix, False, (), (), alpha, beta, extension_constant=C)
+
+    assert 0.45 <= abs(result(0.5).matrix[0, 0] - edge) / slack <= 0.55
+    for factor, off_diagonal in ((2.0, 0.0), (0.0, np.nan)):
+        with pytest.raises(GuardError, match="homogenized eigenvalues"):
+            result(factor, off_diagonal)
+
+
+@pytest.mark.parametrize("values", [(0.1, 0.4), (2.0, 8.0)])
+def test_pairing_guard_fires_at_its_bound(monkeypatch, values):
+    """An energy off flux . xi by 0.5x PAIRING_RTOL * max(|energy|, 1)
+    passes ``corrector_response``, 2x raises GuardError and a NaN raises;
+    the energies (0.22 and 4.4) sit on both sides of the scale's floor of 1.
+    The energy is patched in; the flux is the solve's own."""
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, TORUS)
+    coeff = np.where(g.element_centers()[:, 0] < 0.5, *values)
+    xi = np.array([1.0, 0.5])
+
+    def response(defect):
+        def energy_quadratic(self, v, coeff, xi):   # on the unit cell, volume 1
+            pairing = float(self.flux_average(v, coeff, xi) @ xi)
+            return pairing + defect * numerics.PAIRING_RTOL * max(abs(pairing), 1.0)
+
+        monkeypatch.setattr(numerics.ElementOps, "energy_quadratic", energy_quadratic)
+        [(energy, flux, _)] = numerics.corrector_response(g, coeff, [xi])
+        return energy, float(flux @ xi)
+
+    for sign in (1.0, -1.0):
+        energy, pairing = response(0.5 * sign)
+        assert (energy < 1.0) == (values[1] < 1.0)
+        placed = (energy - pairing) / (numerics.PAIRING_RTOL * max(abs(energy), 1.0))
+        assert 0.45 <= sign * placed <= 0.55
+        with pytest.raises(GuardError, match="energy/flux cross-check failed"):
+            response(2.0 * sign)
+    with pytest.raises(GuardError, match="energy/flux cross-check failed"):
+        response(np.nan)

@@ -51,15 +51,46 @@ def checkerboard_coeff(grid, low=1.0, high=4.0):
 
 
 def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
-    """Reduce an assembled problem to the interior nodes."""
+    """Reduce an assembled problem to the interior nodes: the symmetric
+    system on the box-interior pattern, its right-hand side and the
+    interior node ids."""
     ops = element_ops(grid)
-    K = ops.assemble_stiffness(coeff)
-    bnd = grid.boundary_node_mask()
-    interior = np.where(~bnd)[0]
+    interior = ops.interior_nodes
+    pattern = ops.restricted_pattern(interior)
     b = np.zeros(grid.n_nodes) if rhs_full is None else rhs_full.copy()
-    b = b - K @ boundary_values
-    K_ii = K[interior][:, interior]
-    return K_ii, b[interior], interior
+    b = b - ops.assemble_stiffness(coeff) @ boundary_values
+    system = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
+                          symmetric=True, pattern=pattern)
+    return system, b[interior], interior
+
+
+def system_on_pattern(dense, symmetric=True, topology=BOX):
+    """``dense``, which must vanish off the stencil, as a system on the
+    pattern of a 1D box's interior (or every node of a 1D torus) with as
+    many unknowns as ``dense`` has rows; absent entries are stored zeros."""
+    dense = np.asarray(dense, dtype=float)
+    g = build_grid(1, len(dense) + (topology == BOX), (0.0,), 1.0, topology)
+    ops = element_ops(g)
+    pattern = ops.pattern if topology == TORUS else ops.restricted_pattern(ops.interior_nodes)
+    mat = pattern.matrix(dense[_pairs(pattern)])
+    assert np.array_equal(mat.toarray(), dense, equal_nan=True)
+    return SparseSystem(mat, symmetric=symmetric, pattern=pattern)
+
+
+def random_assembled_system(rng, n, skew=0.0):
+    """The stiffness of random log-uniform element coefficients (contrast
+    at most 100) on the interior of an n x n-cell 2D box, with a random
+    skew part of at most ``skew`` times each coefficient, and its dense
+    copy."""
+    g = build_grid(2, n, (0.0, 0.0), 1.0, BOX)
+    ops = element_ops(g)
+    c = np.exp(rng.uniform(0.0, np.log(100.0), g.n_elements))
+    s = rng.uniform(-skew, skew, g.n_elements)
+    coeff = c[:, None, None] * (np.eye(2) + s[:, None, None] * np.array([[0.0, 1.0],
+                                                                        [-1.0, 0.0]]))
+    pattern = ops.restricted_pattern(ops.interior_nodes)
+    K = ops.assemble_stiffness(coeff if skew else c, pattern=pattern)
+    return SparseSystem(K, symmetric=not skew, pattern=pattern), K.toarray()
 
 
 def jacobi(system):
@@ -247,34 +278,33 @@ def test_is_symmetric_verdict_matches_the_whole_array_read():
 
 class TestSparseSystem:
     def test_symmetric_flag_checked(self):
-        mat = sp.csr_matrix(np.array([[2.0, 1.0], [0.5, 2.0]]))
+        dense = np.array([[2.0, 1.0], [0.5, 2.0]])
         with pytest.raises(ValueError):
-            SparseSystem(mat, symmetric=True)
-        SparseSystem(mat, symmetric=False)
+            system_on_pattern(dense, symmetric=True)
+        system_on_pattern(dense, symmetric=False)
 
     def test_nan_entry_fails_the_symmetry_check(self):
-        mat = sp.csr_matrix(np.diag([2.0, np.nan, 2.0]))
         with pytest.raises(ValueError, match="declared symmetric"):
-            SparseSystem(mat, symmetric=True)
+            system_on_pattern(np.diag([2.0, np.nan, 2.0]), symmetric=True)
 
-    def test_duplicates_are_merged(self):
-        mat = sp.coo_matrix((np.array([1.0, 1.0]), (np.array([0, 0]), np.array([0, 0]))),
-                            shape=(2, 2))
-        sys_ = SparseSystem(mat.tocsr(), symmetric=False)
-        assert sys_.matrix[0, 0] == 2.0
-        assert sys_.matrix.indptr[-1] == sys_.matrix.data.size == 1
-
-    def test_duplicate_entries_are_refused_without_a_map(self):
-        mat = sp.csr_matrix((np.ones(3), np.array([0, 0, 1]), np.array([0, 2, 3])),
-                            shape=(2, 2))
-        with pytest.raises(ValueError, match="duplicate entries"):
-            SparseSystem(mat, symmetric=True)
+    def test_a_system_without_its_pattern_is_refused(self):
+        """Every system is built on the pattern it was assembled on: none
+        is made without one, and none whose entries do not fill it."""
+        g = build_grid(2, 6, (0.0, 0.0), 1.0, TORUS)
+        ops = element_ops(g)
+        K = ops.assemble_stiffness(two_phase_coeff(g))
+        for symmetric in (True, False):
+            with pytest.raises(TypeError, match="pattern"):
+                SparseSystem(K, symmetric=symmetric)
+            with pytest.raises(ValueError, match="entries for a pattern of"):
+                SparseSystem(K, symmetric=symmetric,
+                             pattern=ops.restricted_pattern(np.arange(1, g.n_nodes)))
 
     def test_unsorted_pattern_matrix_is_checked_as_given(self):
         """A torus pattern matrix, whose wrapped rows list their columns
-        unsorted, is checked without its pattern: accepted when it is
-        symmetric, refused with one entry perturbed, and never sorted, so it
-        still shares the pattern's index arrays."""
+        unsorted, is checked on its pattern: accepted when it is symmetric,
+        refused with one entry perturbed, and never sorted, so it still
+        shares the pattern's index arrays."""
         g = build_grid(2, 6, (0.0, 0.0), 1.0, TORUS)
         ops = element_ops(g)
         for perturb in (False, True):
@@ -283,9 +313,9 @@ class TestSparseSystem:
             if perturb:
                 K.data[0] *= 1.0 + 1e-6     # row 0 against its wrapped column
                 with pytest.raises(ValueError, match="declared symmetric"):
-                    SparseSystem(K, symmetric=True)
+                    SparseSystem(K, symmetric=True, pattern=ops.pattern)
             else:
-                assert SparseSystem(K, symmetric=True).matrix is K
+                assert SparseSystem(K, symmetric=True, pattern=ops.pattern).matrix is K
             assert np.shares_memory(K.indices, ops.pattern.indices)
             assert np.shares_memory(K.indptr, ops.pattern.indptr)
 
@@ -299,67 +329,68 @@ class TestCG:
         exact = coords[:, 0] * coords[:, 1]
         bnd = g.boundary_node_mask()
         bc = np.where(bnd, exact, 0.0)
-        K_ii, b, interior = dirichlet_system(g, np.ones(g.n_elements), bc)
-        A = SparseSystem(K_ii, symmetric=True)
+        A, b, interior = dirichlet_system(g, np.ones(g.n_elements), bc)
         u_i, _ = cg_solve(A, b, preconditioner=jacobi(A))
         u = bc.copy()
         u[interior] = u_i
         assert np.max(np.abs(u - exact)) <= 1e-8
 
     def test_random_spd_systems_converge_quickly(self, monkeypatch):
+        # assembled on the interior of a 15^2 box: 196 unknowns
         rng = np.random.default_rng(7)
-        n = 200
-        monkeypatch.setattr(numerics, "_ITERATIONS_PER_UNKNOWN", 1)   # cap 200
+        monkeypatch.setattr(numerics, "_ITERATIONS_PER_UNKNOWN", 1)   # cap 196
         for trial in range(50):
-            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-            eigs = np.exp(rng.uniform(0.0, np.log(100.0), size=n))
-            A = sp.csr_matrix((q * eigs) @ q.T)
-            A = SparseSystem((A + A.T) * 0.5, symmetric=True)
-            b = rng.standard_normal(n)
+            A, dense = random_assembled_system(rng, 15)
+            b = rng.standard_normal(A.n)
             x, stats = cg_solve(A, b, preconditioner=jacobi(A))
-            assert stats.iterations <= 200
+            assert stats.iterations <= A.n
             assert np.linalg.norm(b - A.matrix @ x) <= 1e-10 * np.linalg.norm(b)
+            want = np.linalg.solve(dense, b)
+            assert np.linalg.norm(x - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_singular_torus_system_with_mean_zero(self):
         g = build_grid(1, 64, (0.0,), 1.0, TORUS)
-        K = element_ops(g).assemble_stiffness(two_phase_coeff(g))
+        ops = element_ops(g)
+        K = ops.assemble_stiffness(two_phase_coeff(g))
         rng = np.random.default_rng(3)
         b = rng.standard_normal(g.n_nodes)
         b -= b.mean()
-        A = SparseSystem(K, symmetric=True)
-        x, _ = cg_solve(A, b, mean_zero=True, preconditioner=jacobi(A))
+        A = SparseSystem(K, symmetric=True, pattern=ops.pattern)
+        x, _ = cg_solve(A, b, preconditioner=jacobi(A))
         assert abs(x.mean()) <= 1e-12
         assert np.linalg.norm(b - K @ x) <= 1e-9 * np.linalg.norm(b)
 
     def test_reports_and_checks_true_residual(self):
-        A = SparseSystem(sp.diags(np.arange(1.0, 9.0)).tocsr(), symmetric=True)
+        diag = np.diag(np.arange(1.0, 9.0))
+        A = system_on_pattern(diag)
         b = np.random.default_rng(8).standard_normal(8)
         x, stats = cg_solve(A, b, preconditioner=jacobi(A))
         assert stats.residual == float(np.linalg.norm(b - A.matrix @ x))
         # constants are not in this kernel, so returning the mean-zero part
-        # of the converged iterate breaks the solution; the final check sees it
+        # of the converged iterate breaks the solution; on a torus pattern
+        # the final check sees it
+        A = system_on_pattern(diag, topology=TORUS)
         with pytest.raises(SolverError, match="true residual"):
-            cg_solve(A, b, mean_zero=True, preconditioner=jacobi(A))
+            cg_solve(A, b, preconditioner=jacobi(A))
 
     def test_nan_iterate_fails_the_residual_test(self):
         # a preconditioner that answers NaN makes every iterate NaN
-        A = SparseSystem(sp.diags(np.arange(1.0, 4.0)).tocsr(), symmetric=True)
+        A = system_on_pattern(np.diag(np.arange(1.0, 4.0)))
         with pytest.raises(SolverError, match="no convergence in 1 iterations"):
             cg_solve(A, np.ones(3), preconditioner=lambda r: np.full_like(r, np.nan))
 
     def test_requires_a_preconditioner(self):
-        A = SparseSystem(sp.csr_matrix(np.eye(3)), symmetric=True)
+        A = system_on_pattern(np.eye(3))
         with pytest.raises(TypeError, match="preconditioner"):
             cg_solve(A, np.ones(3))
 
     def test_requires_symmetric_flag(self):
-        A = SparseSystem(sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]])),
-                         symmetric=False)
+        A = system_on_pattern(np.array([[2.0, 1.0], [0.0, 2.0]]), symmetric=False)
         with pytest.raises(ValueError):
             cg_solve(A, np.ones(2), preconditioner=jacobi(A))
 
     def test_zero_rhs_returns_zero(self):
-        A = SparseSystem(sp.csr_matrix(np.eye(3)), symmetric=True)
+        A = system_on_pattern(np.eye(3))
         x, stats = cg_solve(A, np.zeros(3), preconditioner=jacobi(A))
         assert np.all(x == 0.0)
         assert stats.iterations == 0
@@ -368,17 +399,49 @@ class TestCG:
         g = build_grid(2, 16, (0.0, 0.0), 1.0, TORUS)
         ops = element_ops(g)
         coeff = two_phase_coeff(g)
-        K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=True)
+        K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=True, pattern=ops.pattern)
         b = ops.load_from_element_vectors(np.column_stack([coeff, np.zeros_like(coeff)]))
-        x1, _ = cg_solve(K, -b, mean_zero=True, preconditioner=jacobi(K))
-        x2, _ = cg_solve(K, -b, mean_zero=True, preconditioner=jacobi(K))
+        x1, _ = cg_solve(K, -b, preconditioner=jacobi(K))
+        x2, _ = cg_solve(K, -b, preconditioner=jacobi(K))
         assert x1.tobytes() == x2.tobytes()
 
 
-def _reference_cg(system, rhs, mean_zero, preconditioner):
+@pytest.mark.parametrize("case", ["torus", "torus-masked", "box", "box-masked"])
+def test_cg_projects_exactly_on_torus_patterns(case):
+    """CG projects the right-hand side and the solution onto mean-zero
+    exactly when the system's pattern is a torus, of every node or of the
+    nodes outside a hole, and never on a box pattern: a right-hand side
+    with a nonzero mean is solved as b - mean(b) with a mean-zero x on a
+    torus, and as b itself on a box."""
+    g = build_grid(2, 12, (0.0, 0.0), 1.0, TORUS if case.startswith("torus") else BOX)
+    ops = element_ops(g)
+    coeff = two_phase_coeff(g)
+    free = np.ones(g.n_nodes, dtype=bool) if g.topology == TORUS else ~g.boundary_node_mask()
+    n_lattice = free.sum()
+    if case.endswith("masked"):
+        coeff = coeff * (np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.25)
+        touched = np.zeros(g.n_nodes, dtype=bool)
+        touched[ops.elem_nodes[coeff > 0]] = True
+        free &= touched
+    assert (free.sum() < n_lattice) == case.endswith("masked")
+    pattern = ops.restricted_pattern(np.flatnonzero(free))
+    assert pattern.torus == (g.topology == TORUS)
+    system = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
+                          symmetric=True, pattern=pattern)
+    rhs = np.random.default_rng(4).standard_normal(system.n) + 1.0
+    x, stats = cg_solve(system, rhs, preconditioner=jacobi(system))
+    want = rhs - rhs.mean() if pattern.torus else rhs
+    assert stats.iterations > 0
+    assert np.linalg.norm(want - system.matrix @ x) <= 1e-9 * np.linalg.norm(want)
+    assert (abs(x.mean()) <= 1e-12 * np.abs(x).max()) == pattern.torus
+
+
+def _reference_cg(system, rhs, preconditioner):
     """Preconditioned CG with the update formulas ``cg_solve`` had before it
     updated p in place (a new A p, z and p each iteration), inside the same
-    frame: returns x, the iteration count and the true residual."""
+    frame, projected onto mean-zero on a torus pattern: returns x, the
+    iteration count and the true residual."""
+    mean_zero = system.pattern.torus
     b = np.asarray(rhs, dtype=float).copy()
     if mean_zero:
         b -= b.mean()
@@ -422,13 +485,13 @@ def test_cg_matches_the_reference_loop_to_the_bit(monkeypatch, case):
     solves = []
     real = numerics.cg_solve
 
-    def recorded(system, rhs, mean_zero=False, *, preconditioner):
+    def recorded(system, rhs, *, preconditioner):
         rhs.setflags(write=False)
         before = rhs.copy()
-        x, stats = real(system, rhs, mean_zero, preconditioner=preconditioner)
+        x, stats = real(system, rhs, preconditioner=preconditioner)
         assert np.array_equal(rhs, before)
         assert not np.shares_memory(x, rhs)
-        solves.append((x, stats, _reference_cg(system, before, mean_zero, preconditioner)))
+        solves.append((x, stats, _reference_cg(system, before, preconditioner)))
         return x, stats
 
     monkeypatch.setattr(numerics, "cg_solve", recorded)
@@ -453,21 +516,21 @@ def test_cg_matches_the_reference_loop_to_the_bit(monkeypatch, case):
 
 
 @pytest.mark.parametrize("zero", [False, True])
-@pytest.mark.parametrize("mean_zero", [False, True])
-def test_cg_never_writes_the_right_hand_side(mean_zero, zero):
-    """A read-only right-hand side, projected or not and zero or not, comes
-    back unchanged, and x is a new vector."""
-    topology = TORUS if mean_zero else BOX
+@pytest.mark.parametrize("torus", [False, True])
+def test_cg_never_writes_the_right_hand_side(torus, zero):
+    """A read-only right-hand side, projected (on a torus) or not and zero
+    or not, comes back unchanged, and x is a new vector."""
+    topology = TORUS if torus else BOX
     g = build_grid(2, 16, (0.0, 0.0), 1.0, topology)
     ops = element_ops(g)
-    pattern = (ops.pattern if mean_zero
+    pattern = (ops.pattern if torus
                else ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask())))
     system = SparseSystem(ops.assemble_stiffness(two_phase_coeff(g), pattern=pattern),
                           symmetric=True, pattern=pattern)
     rhs = np.zeros(system.n) if zero else np.random.default_rng(2).standard_normal(system.n)
     before = rhs.copy()
     rhs.setflags(write=False)
-    x, stats = cg_solve(system, rhs, mean_zero, preconditioner=jacobi(system))
+    x, stats = cg_solve(system, rhs, preconditioner=jacobi(system))
     assert np.array_equal(rhs, before)
     assert not np.shares_memory(x, rhs)
     assert (stats.iterations == 0) == zero
@@ -768,11 +831,10 @@ def test_scalar_load_matches_a_scatter(dim, n, topology):
 
 @pytest.mark.parametrize("restricted", [False, True])
 def test_symmetry_guard_through_the_stencil_table(restricted):
-    """``SparseSystem`` given the matrix's pattern passes and fails as the
+    """``SparseSystem`` on the matrix's pattern passes and fails as the
     max|M - M^T| test does, with the same message: a nonsymmetric matrix
-    coefficient, a NaN coefficient and a defect at rounding level. Without
-    the pattern it finds the transposed entries by search, with the same
-    result; a pattern the matrix was not assembled on is refused."""
+    coefficient, a NaN coefficient and a defect at rounding level; a
+    pattern the matrix was not assembled on is refused."""
     g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)
     inner = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
@@ -791,15 +853,13 @@ def test_symmetry_guard_through_the_stencil_table(restricted):
         message = (f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
                    f"exceeds {numerics.SYMMETRY_RTOL:.0e} * |M|_max = "
                    f"{numerics.SYMMETRY_RTOL * scale:.3e}")
-        for table in (pattern, None):
-            with pytest.raises(ValueError) as raised:
-                SparseSystem(K, symmetric=True, pattern=table)
-            assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            SparseSystem(K, symmetric=True, pattern=pattern)
+        assert str(raised.value) == message
         SparseSystem(K, symmetric=False, pattern=pattern)
     K = ops.assemble_stiffness(sym, pattern=pattern)
     K.data[7] *= 1.0 + 1e-13     # within 1e-12 of max|M|
-    for table in (pattern, None):
-        SparseSystem(K, symmetric=True, pattern=table)
+    SparseSystem(K, symmetric=True, pattern=pattern)
     with pytest.raises(ValueError, match="entries for a pattern of"):
         SparseSystem(K, symmetric=True, pattern=other)
 
@@ -1048,9 +1108,10 @@ def test_spectral_preconditioner_inverts_reference_torus(dim):
     """Constant coefficient on the torus: CG with the FFT inverse of the
     reference operator converges in one iteration (mean-zero)."""
     g = build_grid(dim, 16, (0.0,) * dim, 1.0, TORUS)
-    K = element_ops(g).assemble_stiffness(np.full(g.n_elements, 2.5))
+    ops = element_ops(g)
+    K = ops.assemble_stiffness(np.full(g.n_elements, 2.5))
     b = np.random.default_rng(2).standard_normal(g.n_nodes)
-    x, stats = cg_solve(SparseSystem(K, symmetric=True), b, mean_zero=True,
+    x, stats = cg_solve(SparseSystem(K, symmetric=True, pattern=ops.pattern), b,
                         preconditioner=spectral_preconditioner(g, 2.5))
     assert stats.iterations == 1
     assert np.linalg.norm((b - b.mean()) - K @ x) <= 1e-10 * np.linalg.norm(b)
@@ -1250,19 +1311,22 @@ def test_masked_spectral_preconditioner_is_spd(topology):
 
 class TestNonsymmetricKrylov:
     def test_matches_dense_solve(self):
+        # assembled on the interior of an 11^2 box (100 unknowns) with a
+        # skew part of up to half of each element's coefficient
         rng = np.random.default_rng(11)
-        n = 120
         for _ in range(5):
-            A = np.eye(n) * 4.0 + 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-            b = rng.standard_normal(n)
-            x, _ = krylov_solve_nonsymmetric(SparseSystem(sp.csr_matrix(A), symmetric=False), b,
-                                             preconditioner=identity)
+            system, A = random_assembled_system(rng, 11, skew=0.5)
+            assert np.abs(A - A.T).max() > 1e-3 * np.abs(A).max()
+            b = rng.standard_normal(system.n)
+            x, _ = krylov_solve_nonsymmetric(system, b, preconditioner=identity)
             assert np.linalg.norm(b - A @ x) <= 1e-9 * np.linalg.norm(b)
+            want = np.linalg.solve(A, b)
+            assert np.linalg.norm(x - want) <= 1e-6 * np.linalg.norm(want)
 
     def test_nan_residual_stops_the_loop(self):
         # a NaN residual ends the iteration at once (the cap here is 60), and
         # the true-residual check rejects the NaN iterate
-        A = SparseSystem(sp.csr_matrix(np.diag([2.0, np.nan, 2.0])), symmetric=False)
+        A = system_on_pattern(np.diag([2.0, np.nan, 2.0]), symmetric=False)
         with pytest.raises(SolverError, match="true residual nan .* after 1 iterations"):
             krylov_solve_nonsymmetric(A, np.ones(3), preconditioner=identity)
 
@@ -1274,8 +1338,8 @@ class TestNonsymmetricKrylov:
         A_e = two_phase_coeff(g)[:, None, None] * np.array([[2.0, 1.0], [-1.0, 2.0]])
         K = ops.assemble_stiffness(A_e)
         rhs = -ops.load_from_element_vectors(A_e[:, :, 0])
-        x, _ = krylov_solve_nonsymmetric(SparseSystem(K, symmetric=False), rhs, mean_zero=True,
-                                         preconditioner=identity)
+        x, _ = krylov_solve_nonsymmetric(SparseSystem(K, symmetric=False, pattern=ops.pattern),
+                                         rhs, preconditioner=identity)
         assert np.linalg.norm(rhs - K @ x) <= 1e-9 * max(np.linalg.norm(rhs), 1e-30)
 
     @pytest.mark.parametrize("topology", [TORUS, BOX])
@@ -1283,24 +1347,24 @@ class TestNonsymmetricKrylov:
         # checkerboard coefficient with a skew part: the reference inverse of
         # the symmetric part (a_ref = trace / dim) cuts BiCGStab's iterations
         # and keeps them flat under refinement, with the same answer
-        torus = topology == TORUS
         iters = {}
         for n in (32, 64):
             g = build_grid(2, n, (0.0, 0.0), 1.0, topology)
             ops = element_ops(g)
             A_e = checkerboard_coeff(g)[:, None, None] * np.array([[2.0, 1.0], [-1.0, 2.0]])
-            K = ops.assemble_stiffness(A_e)
             b = -ops.load_from_element_vectors(A_e[:, :, 0])
-            if not torus:
+            pattern = ops.pattern
+            if topology == BOX:
                 # the window corrector: the torus load, zero boundary values
-                interior = ~g.boundary_node_mask()
-                K, b = K[interior][:, interior], b[interior]
-            system = SparseSystem(K, symmetric=False)
+                pattern = ops.restricted_pattern(ops.interior_nodes)
+                b = b[ops.interior_nodes]
+            system = SparseSystem(ops.assemble_stiffness(A_e, pattern=pattern),
+                                  symmetric=False, pattern=pattern)
             a_ref = np.trace(A_e, axis1=1, axis2=2).mean() / 2
             x, stats = krylov_solve_nonsymmetric(
-                system, b, mean_zero=torus, preconditioner=spectral_preconditioner(g, a_ref))
+                system, b, preconditioner=spectral_preconditioner(g, a_ref))
             plain, plain_stats = krylov_solve_nonsymmetric(
-                system, b, mean_zero=torus, preconditioner=identity)
+                system, b, preconditioner=identity)
             assert np.max(np.abs(x - plain)) <= 1e-7 * np.max(np.abs(plain))
             assert stats.iterations < plain_stats.iterations / 3
             iters[n] = stats.iterations
@@ -1333,11 +1397,11 @@ class TestPEnergy:
         prob = PEnergyProblem(g, coeff, 2.0, xi)
         u_min, _ = minimize_p_energy(prob)
         ops = element_ops(g)
-        K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=True)
+        K = SparseSystem(ops.assemble_stiffness(coeff), symmetric=True, pattern=ops.pattern)
         rhs = -2.0 * ops.load_from_element_vectors(coeff[:, None] * xi[None, :])
         # quadratic energy gradient is 2 K u + rhs-source; stationarity gives
         # K u = -load with load from the constant flux term
-        u_cg, _ = cg_solve(K, rhs / 2.0, mean_zero=True, preconditioner=jacobi(K))
+        u_cg, _ = cg_solve(K, rhs / 2.0, preconditioner=jacobi(K))
         assert np.max(np.abs(u_min - u_cg)) <= 1e-6
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -1440,10 +1504,10 @@ class TestPEnergy:
         free = prob.free
         u_min, _ = minimize_p_energy(prob)
         ops = element_ops(g)
-        K = ops.assemble_stiffness(coeff)
+        pattern = ops.restricted_pattern(free)
         load = ops.load_from_element_vectors(coeff[:, None] * xi[None, :])
-        K_ii = K[free][:, free]
-        A = SparseSystem(K_ii, symmetric=True)
+        A = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
+                         symmetric=True, pattern=pattern)
         u_i, _ = cg_solve(A, -load[free], preconditioner=jacobi(A))
         u_cg = np.zeros(g.n_nodes)
         u_cg[free] = u_i
@@ -1537,8 +1601,7 @@ class TestMeshRefinement:
             ops = element_ops(g)
             load = ops.load_from_element_scalars(f)
             bc = np.zeros(g.n_nodes)
-            K_ii, b, interior = dirichlet_system(g, np.ones(g.n_elements), bc, load)
-            A = SparseSystem(K_ii, symmetric=True)
+            A, b, interior = dirichlet_system(g, np.ones(g.n_elements), bc, load)
             u_i, _ = cg_solve(A, b, preconditioner=jacobi(A))
             u = bc.copy()
             u[interior] = u_i
@@ -1553,8 +1616,7 @@ class TestSolverPolicy:
         bc = np.zeros(g.n_nodes)
         rng = np.random.default_rng(0)
         load = rng.standard_normal(g.n_nodes)
-        K_ii, b, _ = dirichlet_system(g, np.ones(g.n_elements), bc, load)
-        A = SparseSystem(K_ii, symmetric=True)
+        A, b, _ = dirichlet_system(g, np.ones(g.n_elements), bc, load)
         # a cap of exactly 2 iterations
         monkeypatch.setattr(numerics, "_ITERATIONS_PER_UNKNOWN", Fraction(2, A.n))
         with pytest.raises(SolverError, match="no convergence in 2 iterations"):

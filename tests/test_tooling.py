@@ -492,7 +492,8 @@ def test_corrector_postprocessing_has_one_home():
 def test_solve_path_takes_no_knobs():
     # the solver policy is a set of numerics constants and symmetry is read
     # from the coefficients; only SparseSystem still takes a declaration,
-    # which its constructor checks
+    # which its constructor checks, and the solvers read the torus's
+    # constant kernel off the system's pattern
     import dataclasses
 
     from homlab import cell, fields, numerics
@@ -502,7 +503,7 @@ def test_solve_path_takes_no_knobs():
                  if fn.__module__ == numerics.__name__ and not name.startswith("_")]
     # and the holes from where the coefficient is zero: no element mask
     for fn in functions + [cell.homogenize_coefficients]:
-        assert not ({"config", "symmetric", "active"}
+        assert not ({"config", "symmetric", "active", "mean_zero"}
                     & set(inspect.signature(fn).parameters)), fn
     assert {f.name for f in dataclasses.fields(fields.MatrixField)} == {"entries", "dim"}
     assert {f.name for f in dataclasses.fields(fields.FieldBounds)} == {"alpha", "beta"}
@@ -647,9 +648,10 @@ def test_unrestricted_preconditioner_keeps_no_node_list(topology):
 
 def test_symmetry_check_keeps_no_transpose_map():
     # the symmetry check reads the matrix in stencil-table order: no pattern
-    # holds a slot map, SparseSystem takes no map, and the cached pattern of
-    # the 320-cell box interior (the lambda-problem's) holds no intp array
-    # as long as its slots or its table
+    # holds a slot map, SparseSystem takes no map and no matrix without its
+    # pattern (no key search for transposed entries), and the cached pattern
+    # of the 320-cell box interior (the lambda-problem's) holds no intp
+    # array as long as its slots or its table
     import dataclasses
 
     import numpy as np
@@ -659,6 +661,9 @@ def test_symmetry_check_keeps_no_transpose_map():
     assert not hasattr(numerics.CsrPattern, "transpose")
     assert "transpose" not in {f.name for f in dataclasses.fields(numerics.CsrPattern)}
     assert "transpose" not in inspect.signature(numerics.SparseSystem).parameters
+    assert not hasattr(numerics, "_stored_transpose")
+    assert inspect.signature(numerics.SparseSystem).parameters["pattern"].default \
+        is inspect.Parameter.empty
     g = numerics.build_grid(2, 320, (0.0, 0.0), 2.0, numerics.BOX)
     ops = numerics.element_ops(g)
     pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
