@@ -73,6 +73,11 @@ class HomogenizedResult:
             if not defect <= HOM_SYMMETRY_RTOL * scale:
                 raise GuardError(
                     f"symmetric input produced asymmetric output (defect {defect:.3e})")
+        # eigvalsh reads a NaN diagonal as finite eigenvalues ([0, -0] for
+        # diag(NaN, 1)), so a non-finite entry is refused before it runs
+        if not np.isfinite(self.matrix).all():
+            raise GuardError(f"homogenized matrix has a non-finite entry: "
+                             f"{self.matrix.tolist()}")
         eigs = np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))
         lo = self.bounds_alpha / self.extension_constant ** 2
         slack = HOM_EIGEN_RTOL * max(self.bounds_beta, 1.0)

@@ -229,6 +229,10 @@ class PeriodicStep(ScalarField):
     def alignment_divisor(self):
         return self.subdivisions
 
+    @property
+    def cell_side(self):
+        return 1.0 / self.subdivisions
+
 
 def checkerboard_step(low: float, high: float, bounds: FieldBounds) -> PeriodicStep:
     """The periodic 2x2 checkerboard with ``low`` on the even diagonal."""
@@ -512,6 +516,10 @@ def constant_matrix(mat, bounds: FieldBounds, dim: int = 2) -> MatrixField:
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (dim, dim):
         raise ValueError(f"matrix must be {dim} x {dim}")
+    # eigvalsh reads a NaN diagonal as finite eigenvalues ([0, -0] for
+    # diag(NaN, 1)), so a non-finite entry is refused before it runs
+    if not np.isfinite(mat).all():
+        raise ValueError(f"matrix has a non-finite entry: {mat.tolist()}")
     sym = 0.5 * (mat + mat.T)
     eigs = np.linalg.eigvalsh(sym)
     if not eigs.min() >= bounds.alpha - FIELD_BOUNDS_ATOL:

@@ -20,16 +20,20 @@ combines them through these two, with no branch on the dimension.
 
 Every linear solve in the package goes through one kernel,
 ``solve_corrector``: it takes every term of -div(a grad u) + c u = f per
-element, assembles the stiffness of a plus the c-weighted mass straight onto
-the unknowns (mean-zero on the torus, interior nodes on a box, the nodes of
-elements outside the holes) by GEMMs into a stencil table, filled one slab
-of lines at a time, whose present entries, in table order, are the CSR data
-(``ElementOps``, ``CsrPattern``; wrapped torus rows stay unsorted, as scipy
-allows), builds the right-hand side and prolongs the solution back to a full
-nodal vector. A hole is an element whose coefficient is zero (every entry of
-a matrix), the n -> infinity limit of a penalized coefficient 1/n on a
-Neumann hole (Jikov, Kozlov and Oleinik, 1994, ch. 3); p-energy solves take
-no holes. A direction xi is solved in one form on both topologies: the
+element, assembles the stiffness of a plus the c-weighted mass on the grid
+block (every node of the torus, the interior nodes of a box) by GEMMs into
+its stencil table, filled one slab of lines at a time, which is the CSR
+data: full 3^dim rows, with explicit zeros where a stencil leaves a box
+and in the rows and columns of nodes that are not unknowns (``ElementOps``,
+``CsrPattern``; wrapped torus rows stay unsorted, as scipy allows). The
+unknowns are mean-zero on the torus, interior nodes on a box, and the nodes
+of elements outside the holes; a solve with holes gathers them from the
+block around each product (``SparseSystem.apply``). It builds the
+right-hand side and prolongs the solution back to a full nodal vector. A
+hole is an element whose coefficient is zero (every entry of a matrix), the
+n -> infinity limit of a penalized coefficient 1/n on a Neumann hole (Jikov,
+Kozlov and Oleinik, 1994, ch. 3); p-energy solves take no holes. A
+direction xi is solved in one form on both topologies: the
 corrector w of u = <xi, x - x0> + w, periodic on the torus and zero on the
 box boundary (the window form of Bourgeat and Piatnitski, Ann. IHP 40,
 2004), loaded by -div(a xi). Energies and fluxes are those of xi + grad w;
@@ -296,8 +300,8 @@ def build_grid(dim: int, cells_per_axis: int, origin, side_length: float,
 _GAUSS = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 
 # Stencil-table rows per slab of ``ElementOps._assemble``. One slab's corner
-# copies and table take (2^dim P + 9) doubles a row, 0.95 MB at P = 5 (a
-# matrix coefficient and a shift), and no array over the whole table is held.
+# copies take 2^dim P doubles a row, 0.66 MB at P = 5 (a matrix coefficient
+# and a shift), and no array over the whole table but the CSR data is held.
 # Timed on a 2-vCPU host (the best of 40 assemblies, three alternating
 # rounds) on the 319^2 box interior and the 120^2 torus: 4096 rows was the
 # fastest; 1024 rows paid the per-slab overhead (box scalar 4.6-6.5 ms
@@ -328,33 +332,27 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class CsrPattern:
-    """Sparsity of the matrices assembled on one grid shape and one set of
-    nodes, and where their entries come from.
+    """Sparsity of the matrices assembled on one grid block, and where their
+    entries come from.
 
-    The rows and the columns are the nodes of the set: every node of the
-    grid, the interior nodes of a box, or a subset of either
-    (``restricted``). ``indptr`` and ``indices`` hold, in CSR form with
-    scipy's index dtype and without duplicates, the 3^dim-node stencil of
-    each row within the set; every matrix on the pattern shares them.
-
-    Entries are read from a stencil table with one row per node of a tensor
-    block, ``side`` nodes per axis from node ``first`` on every axis, and
-    one column per stencil offset class, x fastest: 3 classes per axis
-    (offsets -1, 0, +1), or 2 on a 2-node torus axis, whose offsets -1 and
-    +1 are one node. The block wraps on every axis when ``torus`` is set
-    and ends at its faces otherwise. ``incidence[a, b, c]`` is 1 when
-    element-local node b sits in class c of local node a. The slots are the
-    table's present entries in table order, read by the boolean mask
-    ``gather``: a row lists its present classes in class order, which sorts
-    its columns in a box; a torus row that wraps stays unsorted (node 0
-    reads node side - 1 first), as scipy's CSR kernels allow. The same
-    order gives every entry's transposed entry without an index map
-    (``symmetry_defect``). Every array is read-only.
+    The block is ``side`` nodes per axis from node ``first`` on every axis:
+    every node of a grid (``first`` 0) or the interior nodes of a box
+    (``first`` 1). It wraps on every axis when ``torus`` is set and ends at
+    its faces otherwise. A matrix on the pattern is the block's whole
+    stencil table, with one row per block node and one column per stencil
+    offset class, x fastest: 3 classes per axis (offsets -1, 0, +1), or 2 on
+    a 2-node torus axis, whose offsets -1 and +1 are one node. Its CSR data
+    *is* that table, so every row has the same ``classes**dim`` slots,
+    ``indptr`` is uniform and ``indices`` lists each slot's column, with
+    scipy's index dtype. A slot whose neighbour lies beyond a box face holds
+    0 in the row's own column; a torus row that wraps lists its columns
+    unsorted (node 0 reads node side - 1 first), as scipy's CSR kernels
+    allow. ``incidence[a, b, c]`` is 1 when element-local node b sits in
+    class c of local node a. Every array is read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    gather: np.ndarray
     first: int
     side: int
     torus: bool
@@ -367,23 +365,6 @@ class CsrPattern:
         n = len(self.indptr) - 1
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
 
-    def restricted(self, rows: np.ndarray) -> CsrPattern:
-        """The pattern of the rows and columns ``rows`` (sorted positions
-        among this pattern's rows), on the same table: the slots whose row
-        and column are both kept, renumbered, still in table order."""
-        idx = self.indices.dtype
-        inside = np.zeros(len(self.indptr) - 1, dtype=bool)
-        inside[rows] = True
-        kept = np.repeat(inside, np.diff(self.indptr)) & inside[self.indices]
-        before = np.zeros(len(kept) + 1, dtype=idx)    # kept slots before a slot
-        np.cumsum(kept, out=before[1:])
-        renumber = np.cumsum(inside, dtype=idx) - 1
-        gather = self.gather.copy()
-        gather[self.gather] = kept
-        arrays = _frozen(np.append(before[self.indptr[rows]], before[-1]),
-                         renumber[self.indices[kept]], gather)
-        return CsrPattern(*arrays, self.first, self.side, self.torus, self.incidence)
-
     def symmetry_defect(self, data: np.ndarray) -> tuple[float, float]:
         """max |entry| and max |entry - transposed entry| over the entries
         ``data`` of a matrix on this pattern, each NaN when it meets a NaN.
@@ -391,47 +372,20 @@ class CsrPattern:
         Table entry (node x, class c) holds the entry of column x + delta_c,
         so its transposed entry is table entry (x + delta_c, class -c), the
         opposite offset on every axis. Each pair of mirrored classes is
-        compared once, as two shifted views of the table, with no index map
-        (``_mirror_pairs``); the centre class is its own mirror and is read
-        only where an entry is not finite, for which x - x is NaN. An absent
-        entry and its mirror both read 0. A full table (a torus) is ``data``
-        itself, and a torus with absent entries is scattered into a
-        zero-filled table (``_wrapped_views``). A box's table is scattered
-        one slab of ``_SLAB_ROWS`` rows at a time, with the next line, into a
-        zero-filled buffer, where each pair is one strided view
-        (``_flat_views``).
+        compared as shifted views of the table, one piece at a time and with
+        no index map (``_mirror_views``); the centre class is its own mirror
+        and is read only where an entry is not finite, for which x - x is
+        NaN. A slot beyond a box face has no mirror in the block and is not
+        compared; it holds 0, as do the slots of a node outside a solve's
+        unknowns and their mirrors.
         """
         dim = len(self.incidence).bit_length() - 1
         classes = 2 if self.incidence.shape[2] == 2 ** dim else 3
-        side, width = self.side, classes ** dim
-        if self.torus:
-            table = data
-            if len(data) < len(self.gather):
-                table = np.zeros(len(self.gather))
-                table[self.gather] = data
-            scale = _max_abs(data)
-            views = _wrapped_views(dim, classes, side, not np.isfinite(scale))
-            return scale, _max_difference(table.reshape((side,) * dim + (classes,) * dim), views)
-        line = side ** (dim - 1)                        # table rows per line
-        gather = self.gather.reshape(side, -1)
-        lines = min(side, max(1, _SLAB_ROWS // line))
-        # the slab, the next line and one more row, where the mirror of the
-        # last row's corner class falls
-        buf = np.empty(((lines + 1) * line + 1) * width)
-        scale = worst = 0.0
-        start = 0
-        for y in range(0, side, lines):
-            stop = min(side, y + lines)
-            count = np.count_nonzero(gather[y:stop])
-            ahead = np.count_nonzero(gather[stop:stop + 1])
-            mask = gather[y:stop + 1].ravel()
-            buf.fill(0.0)
-            buf[:len(mask)][mask] = data[start:start + count + ahead]
-            start += count
-            slab_scale = _max_abs(buf)
-            scale = np.maximum(scale, slab_scale)
-            views = _flat_views(dim, side, (stop - y) * line, not np.isfinite(slab_scale))
-            worst = np.maximum(worst, _max_difference(buf, views))
+        scale = _max_abs(data)
+        table = data.reshape((self.side,) * dim + (classes,) * dim)
+        worst = 0.0
+        for a, b in _mirror_views(dim, classes, self.side, self.torus, not np.isfinite(scale)):
+            worst = np.maximum(worst, _max_abs(table[a] - table[b]))
         return scale, worst
 
 
@@ -458,18 +412,20 @@ def _mirror_pairs(dim: int, classes: int, centre: bool) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _wrapped_views(dim: int, classes: int, side: int, centre: bool) -> tuple:
-    """Index pairs (entries, their mirrors) into a torus stencil table: each
+def _mirror_views(dim: int, classes: int, side: int, torus: bool, centre: bool) -> tuple:
+    """Index pairs (entries, their mirrors) into a stencil table: each
     class of ``_mirror_pairs`` against its mirror class shifted by its
     offset, in pieces per axis, one for the nodes whose neighbour lies
-    inside the block and one for the line that wraps."""
+    inside the block and, on a torus, one for the line that wraps. A piece
+    with no node (a box block of one node per axis) is left out."""
     inside = (slice(0, side - 1), slice(1, side))     # (entries, mirrors) at +1
     wrapped = (slice(side - 1, side), slice(0, 1))
+    moving = [inside, wrapped] if torus else [inside] if side > 1 else []
 
     def pieces(s):
         if not s:
             return [(slice(None), slice(None))]
-        return [inside, wrapped] if s > 0 else [inside[::-1], wrapped[::-1]]
+        return moving if s > 0 else [p[::-1] for p in moving]
 
     out = []
     for c, step, m in _mirror_pairs(dim, classes, centre):
@@ -478,61 +434,27 @@ def _wrapped_views(dim: int, classes: int, side: int, centre: bool) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=16)
-def _flat_views(dim: int, side: int, rows: int, centre: bool) -> tuple:
-    """Index pairs (entries, their mirrors) into the first ``rows`` rows of a
-    box's stencil table stored flat, one strided view per class of
-    ``_mirror_pairs``: its mirror lies a fixed distance on, the offset's
-    node shift in rows plus the class change. A box never wraps, so where
-    that distance runs past a line's last node, the entry and the one it
-    meets are both absent, 0 in the buffer."""
-    width = 3 ** dim
-    out = []
-    for c, step, m in _mirror_pairs(dim, 3, centre):
-        a = int(np.ravel_multi_index(c, (3,) * dim))
-        b = (int(np.ravel_multi_index(m, (3,) * dim))
-             + width * sum(s * side ** (dim - 1 - k) for k, s in enumerate(step)))
-        out.append(((slice(a, a + rows * width, width),), (slice(b, b + rows * width, width),)))
-    return tuple(out)
-
-
-def _max_difference(table: np.ndarray, views) -> float:
-    """max |table[a] - table[b]| over the index pairs (a, b) of ``views``,
-    NaN when any difference is, 0 when there is none."""
-    pieces = [(table[a], table[b]) for a, b in views]
-    diff = np.empty(sum(a.size for a, _ in pieces))
-    at = 0
-    for a, b in pieces:
-        np.subtract(a, b, out=diff[at:at + a.size].reshape(a.shape))
-        at += a.size
-    return _max_abs(diff) if at else 0.0
-
-
 @lru_cache(maxsize=8)
 def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) -> CsrPattern:
     """The ``CsrPattern`` of every node of a grid shape, or with ``interior``
     of the interior nodes of a box: a block of ``side`` nodes per axis.
 
-    Each array is a tensor combination of per-axis [node, class] arrays: an
-    entry is present when it is on every axis (a torus wraps, a box ends),
-    its column sums the per-axis neighbours and a row's length is the
-    product of its per-axis counts. Grids of one shape share the pattern.
+    The column table is a tensor combination of per-axis [node, class]
+    arrays: a slot's column sums the per-axis neighbours (a torus wraps),
+    and on a box a slot that leaves the block on any axis takes the row's
+    own column. Grids of one shape share the pattern.
     """
     torus = topology == TORUS
     first = int(interior)
     side = cells + (not torus) - 2 * first
     classes = 2 if torus and side == 2 else 3
+    width = classes ** dim
     # per axis [node x, class c]: the neighbour at offset c - 1, if any
     neighbour = np.arange(side)[:, None] + np.arange(classes) - 1
     present = torus | ((neighbour >= 0) & (neighbour < side))
     neighbour %= side
-    count = present.sum(axis=1)
-    nnz = int(count.sum()) ** dim
     # scipy's choice for CSR index arrays: int32 whenever the values fit
-    idx = np.int32 if max(nnz, side ** dim) <= np.iinfo(np.int32).max else np.int64
-
-    def tensor(op, per_axis):
-        return reduce(op, (_on_axis(a, k, dim) for k, a in enumerate(per_axis)))
+    idx = np.int32 if side ** dim * width <= np.iinfo(np.int32).max else np.int64
 
     def table(op, per_axis):
         # class-major: one class at a time over the long node axes, into its
@@ -540,18 +462,20 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
         # table runs numpy's inner loop over a 3-wide class axis, 2-6x slower
         out = np.empty((side,) * dim + (classes,) * dim, dtype=np.result_type(*per_axis))
         for c in np.ndindex(out.shape[dim:]):
-            out[(...,) + c] = tensor(op, [a[:, c[dim - 1 - k]] for k, a in enumerate(per_axis)])
-        return out.ravel()
+            out[(...,) + c] = reduce(op, (_on_axis(a[:, c[dim - 1 - k]], k, dim)
+                                          for k, a in enumerate(per_axis)))
+        return out.reshape(side ** dim, width)
 
-    gather = table(np.logical_and, [present] * dim)
-    indptr = np.zeros(side ** dim + 1, dtype=idx)
-    np.cumsum(tensor(np.multiply, [count] * dim), out=indptr[1:])
-    indices = table(np.add, [(neighbour * side ** k).astype(idx) for k in range(dim)])[gather]
+    indices = table(np.add, [(neighbour * side ** k).astype(idx) for k in range(dim)])
+    if not torus:
+        own = np.arange(side ** dim, dtype=idx)[:, None]
+        indices = np.where(table(np.logical_and, [present] * dim), indices, own)
+    indptr = np.arange(0, (side ** dim + 1) * width, width, dtype=idx)
     # incidence per axis: local node b of local node a has offset b - a; the
     # tensor product puts x fastest
     axis = np.eye(classes)[(np.arange(2) - np.arange(2)[:, None] + 1) % classes]
     incidence = reduce(np.kron, [axis] * dim)
-    return CsrPattern(*_frozen(indptr, indices, gather), first, side, torus,
+    return CsrPattern(*_frozen(indptr, indices.ravel()), first, side, torus,
                       *_frozen(incidence))
 
 
@@ -559,21 +483,21 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
 class ElementOps:
     """Per-grid cached arrays for assembly and energy evaluation.
 
-    Every matrix is assembled on a ``CsrPattern``: every node, or the
-    unknowns of a solve. Row node x of the pattern's stencil table reads the
-    P parameters of its 2^dim elements x - a, one per corner a, as shifted
-    views of the per-element grid padded by one layer (zeros beyond a box,
-    the wrapped layer on a torus). A GEMM against the (2^dim P x width)
-    weights sum_b block_p[a, b] incidence[a, b, c] gives the table: each
-    row's matrix entry per stencil offset class. The table is built one slab
-    of lines along the slowest node axis at a time, and the pattern's mask
-    appends each slab's present entries to the CSR data in table order
-    (wrapped torus rows stay unsorted): no element entry is scattered, no
-    slot reordered and no array over the whole table held. The patterns
-    of every node and of a box's interior are built on first use and kept
-    per grid shape (grids that never assemble, like the p-energy ones, never
-    build them); ``restricted_pattern`` derives the pattern of any other set
-    of unknowns from them.
+    Every matrix is assembled on a ``CsrPattern``: every node, or the grid
+    block of a solve (``block_pattern``). Row node x of the pattern's
+    stencil table reads the P parameters of its 2^dim elements x - a, one
+    per corner a, as shifted views of the per-element grid padded by one
+    layer (zeros beyond a box, the wrapped layer on a torus). A GEMM against
+    the (2^dim P x width) weights sum_b block_p[a, b] incidence[a, b, c]
+    gives the table: each row's matrix entry per stencil offset class. The
+    table is built one slab of lines along the slowest node axis at a time,
+    straight into the CSR data: no element entry is scattered, no slot
+    reordered or compacted and no other array over the whole table held.
+    Slots that leave a box block are then set to 0 by slicing, and the rows
+    and columns of block nodes outside a solve's unknowns by their node
+    mask. The patterns of every node and of a box's interior are built on
+    first use and kept per grid shape (grids that never assemble, like the
+    p-energy ones, never build them).
 
     Every per-element contraction is a 2-D matrix product on rows gathered
     once by ``v[elem_nodes]``, against small read-only matrices precomputed
@@ -618,22 +542,12 @@ class ElementOps:
         """The ``CsrPattern`` of every node."""
         return _csr_pattern(self.grid.dim, self.grid.cells_per_axis, self.grid.topology)
 
-    def restricted_pattern(self, unknowns: np.ndarray) -> CsrPattern:
-        """The ``CsrPattern`` of the rows and columns ``unknowns`` (sorted node
-        ids), which on a box must be interior nodes. The interior of a box
-        has one cached pattern per grid shape, like every node; a smaller
-        set is derived from one of them per call."""
+    @property
+    def block_pattern(self) -> CsrPattern:
+        """The ``CsrPattern`` of the grid block every solve is assembled on:
+        every node of a torus, the interior nodes of a box."""
         g = self.grid
-        box = g.topology == BOX
-        if box and g.boundary_node_mask()[unknowns].any():
-            raise ValueError("the unknowns of a box must be interior nodes")
-        base = _csr_pattern(g.dim, g.cells_per_axis, g.topology, interior=box)
-        if len(unknowns) == len(base.indptr) - 1:
-            return base
-        if box:     # node ids to positions in the interior block
-            axes = np.unravel_index(unknowns, (g.nodes_per_axis,) * g.dim)
-            unknowns = np.ravel_multi_index([a - 1 for a in axes], (base.side,) * g.dim)
-        return base.restricted(unknowns)
+        return _csr_pattern(g.dim, g.cells_per_axis, g.topology, interior=g.topology == BOX)
 
     @property
     def h(self) -> float:
@@ -644,11 +558,14 @@ class ElementOps:
         return v[self.elem_nodes] @ self.mean_grad_matrix
 
     def assemble_stiffness(self, coeff: np.ndarray, shift: np.ndarray | None = None,
-                           pattern: CsrPattern | None = None) -> sp.csr_matrix:
+                           pattern: CsrPattern | None = None,
+                           positions: np.ndarray | None = None) -> sp.csr_matrix:
         """Stiffness for per-element coefficients, plus the mass weighted by
         the per-element ``shift`` when given (the matrix of
-        -div(coeff grad u) + shift u), on the rows and columns of ``pattern``
-        (every node if None), in one table.
+        -div(coeff grad u) + shift u), on the block of ``pattern`` (every
+        node if None), in one table. With ``positions`` (sorted block
+        positions of a solve's unknowns) the rows and columns of the other
+        block nodes are 0.
 
         ``coeff`` is (n_e,) for scalar coefficients or (n_e, dim, dim) for
         matrix ones; rows are test functions, so nonsymmetric coefficient
@@ -664,17 +581,19 @@ class ElementOps:
         if shift is not None:
             params.append(self.h ** self.grid.dim * shift)
             blocks = np.concatenate([blocks, self.mass_ref[None]])
-        return self._assemble(params, blocks, pattern)
+        return self._assemble(params, blocks, pattern, positions)
 
     def assemble_mass(self, weights: np.ndarray | None = None,
-                      pattern: CsrPattern | None = None) -> sp.csr_matrix:
+                      pattern: CsrPattern | None = None,
+                      positions: np.ndarray | None = None) -> sp.csr_matrix:
         """Mass matrix with per-element ``weights`` (1 on every element if
-        None) on the rows and columns of ``pattern`` (every node if None); a
-        boolean mask restricts it to the masked elements."""
+        None) on the block of ``pattern`` (every node if None) and
+        ``positions`` as in ``assemble_stiffness``; a boolean mask restricts
+        it to the masked elements."""
         scale = np.full(self.grid.n_elements, self.h ** self.grid.dim)
         if weights is not None:
             scale = scale * weights
-        return self._assemble([scale], self.mass_ref[None], pattern)
+        return self._assemble([scale], self.mass_ref[None], pattern, positions)
 
     def _padded(self, params: list[np.ndarray]) -> np.ndarray:
         """The parameter columns of ``params`` ((n_e,) or (n_e, m) each) per
@@ -698,20 +617,22 @@ class ElementOps:
         return padded
 
     def _assemble(self, params: list[np.ndarray], blocks: np.ndarray,
-                  pattern: CsrPattern | None) -> sp.csr_matrix:
+                  pattern: CsrPattern | None, positions: np.ndarray | None) -> sp.csr_matrix:
         """The matrix whose element matrices are sum_p param_p blocks[p] over
-        the parameter columns of ``params`` ((n_e,) or (n_e, m) each).
+        the parameter columns of ``params`` ((n_e,) or (n_e, m) each), with
+        the rows and columns of block nodes outside ``positions`` 0.
 
         The stencil table is filled one slab at a time: a block of whole
         lines along the slowest node axis, ``_SLAB_ROWS`` table rows or one
         line if a line is longer. Each slab copies its corner views of the
-        padded parameters, runs one GEMM against the weights and appends its
-        present entries to the CSR data, so no array over the whole table
-        is ever built."""
+        padded parameters and runs one GEMM against the weights into its
+        rows of the CSR data, so no other array over the whole table is
+        ever built."""
         pattern = self.pattern if pattern is None else pattern
         d, side = self.grid.dim, pattern.side
         weights = blocks.transpose(1, 0, 2) @ pattern.incidence    # [a, p, c]
         weights = weights.reshape(-1, weights.shape[2])
+        width = weights.shape[1]
         padded = self._padded(params)
         line = side ** (d - 1)                          # table rows per line
         # numpy runs a one-row product as a GEMV, which rounds differently
@@ -722,30 +643,36 @@ class ElementOps:
         if len(bounds) > 2 and (side - bounds[-2]) * line == 1:
             del bounds[-2]
         most = max(b - a for a, b in zip(bounds, bounds[1:])) * line
-        gather = pattern.gather.reshape(side, -1)
+        keep = None
+        if positions is not None:
+            keep = np.zeros(side ** d, dtype=bool)
+            keep[positions] = True
         data = np.empty(len(pattern.indices))
-        # one slab's corner copies and table, reused by every slab
+        # one slab's corner copies, reused by every slab
         corner_buf = np.empty(len(weights) * most)
-        table_buf = np.empty(most * weights.shape[1])
-        start = 0
         for y, stop in zip(bounds, bounds[1:]):
-            rows = (stop - y) * line
-            corners = corner_buf[:len(weights) * rows].reshape(
+            start, end = y * line, stop * line              # the slab's table rows
+            corners = corner_buf[:len(weights) * (end - start)].reshape(
                 (2 ** d, len(padded), stop - y) + (side,) * (d - 1))     # [a, p, node]
             # table node first + i reads element first + i - a, padded index + 1
             for a, corner in enumerate(np.ndindex((2,) * d)):
                 lo = [pattern.first + 1 - c for c in corner]
                 corners[a] = padded[(slice(None), slice(lo[0] + y, lo[0] + stop))
                                     + tuple(slice(k, k + side) for k in lo[1:])]
-            mask = gather[y:stop].ravel()
-            count = np.count_nonzero(mask)
-            # a slab with every entry present (a torus) is its own CSR data
-            table = (data[start:start + count] if count == len(mask)
-                     else table_buf[:len(mask)]).reshape(rows, -1)
-            np.matmul(corners.reshape(len(weights), rows).T, weights, out=table)
-            if count < len(mask):
-                data[start:start + count] = table.ravel()[mask]
-            start += count
+            table = data[start * width:end * width].reshape(-1, width)
+            np.matmul(corners.reshape(len(weights), -1).T, weights, out=table)
+            if not pattern.torus:
+                # the slots that leave the block through a face, per axis
+                faces = table.reshape((stop - y,) + (side,) * (d - 1) + (3,) * d)
+                for k in range(d):
+                    for node, c, face in ((0, 0, y == 0), (-1, 2, stop == side)):
+                        if k or face:
+                            at = [slice(None)] * (2 * d)
+                            at[k], at[d + k] = node, c
+                            faces[tuple(at)] = 0.0
+            if keep is not None:
+                columns = pattern.indices[start * width:end * width].reshape(-1, width)
+                table[~(keep[start:end, None] & keep[columns])] = 0.0
         return pattern.matrix(data)
 
     def load_from_element_vectors(self, flux: np.ndarray) -> np.ndarray:
@@ -816,23 +743,27 @@ def element_ops(grid: Grid) -> ElementOps:
 
 @dataclass
 class SparseSystem:
-    """CSR system on the ``CsrPattern`` it was assembled on, with a symmetry
-    declaration checked at construction.
+    """CSR system on the block of the ``CsrPattern`` it was assembled on,
+    with a symmetry declaration checked at construction.
 
-    The matrix must hold one entry per slot of ``pattern``. A system
-    declared symmetric compares each entry with its transposed entry (zero
-    where that is absent), relative to ``SYMMETRY_RTOL``, read in the
-    pattern's stencil table (``CsrPattern.symmetry_defect``) without a
+    The matrix must hold one entry per slot of ``pattern``. Its unknowns are
+    the block nodes at ``positions`` (sorted), or every block node if None;
+    the rows and columns of the other block nodes hold zeros, and ``n``
+    counts the unknowns. ``apply`` multiplies a vector of the unknowns, the
+    one product the solvers make. A system declared symmetric compares each
+    entry with its transposed entry, relative to ``SYMMETRY_RTOL``, read in
+    the pattern's stencil table (``CsrPattern.symmetry_defect``) without a
     transposed copy; a matrix with an entry that is not finite fails the
     check. The matrix is kept as given, never sorted: it shares the
     pattern's read-only index arrays, and a torus row may list its columns
-    unsorted. On a torus pattern (``CsrPattern.torus``, kept by
-    ``restricted``) the solvers remove the constant kernel.
+    unsorted. On a torus pattern (``CsrPattern.torus``) the solvers remove
+    the constant kernel.
     """
 
     matrix: sp.csr_matrix
     symmetric: bool
     pattern: CsrPattern
+    positions: np.ndarray | None = None
 
     def __post_init__(self):
         data = self.matrix.data
@@ -850,7 +781,16 @@ class SparseSystem:
 
     @property
     def n(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[0] if self.positions is None else len(self.positions)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for x on the unknowns: with ``positions``, x is scattered into
+        a zeroed block vector, multiplied and gathered back."""
+        if self.positions is None:
+            return self.matrix @ x
+        block = np.zeros(self.matrix.shape[0])
+        block[self.positions] = x
+        return (self.matrix @ block)[self.positions]
 
 
 def is_symmetric(coeff: np.ndarray) -> bool:
@@ -878,14 +818,15 @@ class SolveStats:
 def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
                   preconditioner) -> tuple[np.ndarray, SolveStats]:
     """Both Krylov solvers around their loop ``iterate(A, b, preconditioner,
-    tol, cap) -> (x, iterations)``: the right-hand side checked and, on a
-    torus pattern (full or restricted), projected onto mean-zero into a new
+    tol, cap) -> (x, iterations)``, where A is ``system.apply``: the
+    right-hand side checked and, on a torus pattern (every node or the
+    unknowns outside a hole), projected onto mean-zero into a new
     vector, zero answered by zero; then x projected likewise and its true
     residual |b - A x| checked against 10x the target and reported. No
     solver writes ``b``, so an unprojected right-hand side is the caller's
     own vector, read in place, and x never shares its memory."""
     mean_zero = system.pattern.torus
-    A = system.matrix
+    A = system.apply
     b = np.asarray(rhs, dtype=float)
     if b.shape != (system.n,):
         raise ValueError(f"rhs has shape {b.shape}, expected ({system.n},)")
@@ -898,7 +839,7 @@ def _krylov_frame(name: str, iterate, system: SparseSystem, rhs: np.ndarray,
     x, it = iterate(A, b, preconditioner, tol, _ITERATIONS_PER_UNKNOWN * system.n)
     if mean_zero:
         x -= x.mean()
-    true_res = float(np.linalg.norm(b - A @ x))
+    true_res = float(np.linalg.norm(b - A(x)))
     if not true_res <= 10 * tol:
         raise SolverError(f"{name}: true residual {true_res:.3e} exceeds 10x the "
                           f"target {tol:.3e} after {it} iterations")
@@ -942,7 +883,7 @@ def _cg_iterate(A, b: np.ndarray, preconditioner, tol: float,
     it = 0
     res = float(np.linalg.norm(r))
     while res > tol and it < cap:
-        Ap = A @ p
+        Ap = A(p)
         pAp = float(p @ Ap)
         if pAp <= 0:
             raise SolverError(f"cg_solve: non-positive curvature at iteration {it}")
@@ -1004,7 +945,7 @@ def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
         beta = (rho_new / rho) * (alpha / omega)
         p = r + beta * (p - omega * v)
         p_hat = preconditioner(p)
-        v = A @ p_hat
+        v = A(p_hat)
         denom = float(r_hat @ v)
         if abs(denom) < 1e-300:
             raise SolverError(f"krylov_solve_nonsymmetric: breakdown at iteration {it}")
@@ -1016,7 +957,7 @@ def _bicgstab_iterate(A, b: np.ndarray, preconditioner, tol: float,
             it += 1
             break
         s_hat = preconditioner(s)
-        t = A @ s_hat
+        t = A(s_hat)
         tt = float(t @ t)
         if tt < 1e-300:
             raise SolverError(f"krylov_solve_nonsymmetric: stagnation at iteration {it}")
@@ -1099,6 +1040,17 @@ def _active_nodes_checked(grid: Grid, active_el: np.ndarray) -> np.ndarray:
     return np.flatnonzero(touched)
 
 
+def _block_positions(grid: Grid, unknowns: np.ndarray | None) -> np.ndarray | None:
+    """The positions of ``unknowns`` (sorted node ids) on the grid's block,
+    every node of a torus or the interior of a box: the node ids themselves
+    on a torus, their ranks among ``ElementOps.interior_nodes`` on a box.
+    None when ``unknowns`` is None or fills the block."""
+    torus = grid.topology == TORUS
+    if unknowns is None or len(unknowns) == (grid.cells_per_axis - (not torus)) ** grid.dim:
+        return None
+    return unknowns if torus else np.searchsorted(element_ops(grid).interior_nodes, unknowns)
+
+
 def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
                             unknowns: np.ndarray | None = None, *,
                             dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
@@ -1148,11 +1100,7 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     inv_symbol = (1.0 / symbol).astype(dtype, copy=False)
     shape = (n if torus else n - 1,) * dim
     size = math.prod(shape)
-    pos = None
-    if unknowns is not None and len(unknowns) != size:
-        # node ids to positions on the lattice: on a torus they are the same
-        pos = (unknowns if torus
-               else np.searchsorted(element_ops(grid).interior_nodes, unknowns))
+    pos = _block_positions(grid, unknowns)
     if not torus:
         from scipy.fft import dstn     # only box solves pay for loading scipy.fft
 
@@ -1196,11 +1144,13 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     the one-point load of f (``ElementOps.load_from_element_scalars``). The
     elements where ``coeff`` is zero are holes (``_active_elements``): the
     unknowns are then the nodes touching another element, which must form
-    one connected component. K + M_c is assembled
-    straight onto the unknowns, on their ``CsrPattern`` (kept per grid
-    shape for every node of a torus and the interior of a box, derived per
-    call when there are holes), and ``SparseSystem`` checks its symmetry on the
-    pattern's stencil table; no matrix on other nodes is built or sliced.
+    one connected component. K + M_c is assembled on the grid block
+    (``ElementOps.block_pattern``, every node of a torus or the interior of
+    a box, kept per grid shape), with the rows and columns of block nodes
+    that are not unknowns set to 0, and ``SparseSystem`` checks its symmetry
+    on the pattern's stencil table and applies it to the unknowns (a
+    scatter into the block, a product and a gather); no CSR matrix is
+    sliced or renumbered.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
     ones by right-preconditioned BiCGStab, both with
@@ -1235,11 +1185,9 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     if not torus:
         unknowns = (ops.interior_nodes if unknowns is None
                     else unknowns[~grid.boundary_node_mask()[unknowns]])
-    pattern = (ops.restricted_pattern(unknowns) if active is not None
-               else _csr_pattern(grid.dim, grid.cells_per_axis, grid.topology,
-                                 interior=not torus))
-    system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
-                          symmetric=symmetric, pattern=pattern)
+    pattern, positions = ops.block_pattern, _block_positions(grid, unknowns)
+    system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern, positions),
+                          symmetric=symmetric, pattern=pattern, positions=positions)
     # the trace of a matrix coefficient is the trace of its symmetric part
     c = coeff if active is None else coeff[active]
     a_ref = float(c.mean() if c.ndim == 1

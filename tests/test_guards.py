@@ -53,6 +53,32 @@ def _unknowns(g, case):
     return np.flatnonzero(free)
 
 
+def _block(ops, case, unknowns):
+    """The pattern of every node for ``case`` "all", else the grid block
+    and the block positions of ``unknowns`` (None when they fill it)."""
+    if case == "all":
+        return ops.pattern, None
+    return ops.block_pattern, numerics._block_positions(ops.grid, unknowns)
+
+
+def _between_unknowns(pattern, positions):
+    """Per slot: whether its row and its column are both unknowns and
+    differ, an off-diagonal entry the solve reads."""
+    row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
+    off = row != pattern.indices
+    if positions is None:
+        return off
+    return off & np.isin(row, positions) & np.isin(pattern.indices, positions)
+
+
+def _centre_slots(pattern):
+    """Each row's slot in the centre offset class, its diagonal entry:
+    class 1 on every axis, of 3 (or 2 on a 2-node torus axis)."""
+    width = int(pattern.indptr[1])
+    classes = 2 if width == len(pattern.incidence) else 3
+    return np.arange(len(pattern.indptr) - 1) * width + (width - 1) // (classes - 1)
+
+
 def _message(K):
     """The guard's message for ``K``, from scipy's max|K - K^T| and max|K|."""
     worst = abs(K - K.T).max()
@@ -80,12 +106,13 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
     with the exact message and a NaN raises, on the pattern's table. In 2D the defect comes from a skewed matrix coefficient
     on one element whose corners are all unknowns, on a torus the last of
     the first row, whose columns wrap; in 1D, where a 1x1 coefficient
-    cannot be skewed, from the first off-diagonal entry of row 0 (a
-    wrapped column on a torus) perturbed after assembly."""
+    cannot be skewed, from the first off-diagonal entry between unknowns,
+    in the first unknown's row (a wrapped column on a torus), perturbed
+    after assembly."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     unknowns = _unknowns(g, case)
-    pattern = ops.pattern if case == "all" else ops.restricted_pattern(unknowns)
+    pattern, positions = _block(ops, case, unknowns)
     line = pattern.side ** (dim - 1)
     rows = {"default": numerics._SLAB_ROWS, "one row": 1, "two lines": 2 * line,
             "whole table": pattern.side ** dim}[slab]
@@ -93,7 +120,7 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
     rng = np.random.default_rng(10 * dim + n)
     m = rng.uniform(-1.0, 1.0, (g.n_elements, dim, dim))
     sym = m + m.transpose(0, 2, 1) + 3.0 * np.eye(dim)
-    K = ops.assemble_stiffness(sym, pattern=pattern)
+    K = ops.assemble_stiffness(sym, pattern=pattern, positions=positions)
     allowed = numerics.SYMMETRY_RTOL * np.abs(K.data).max()
     if dim == 2:
         nodes = g.element_nodes()
@@ -103,17 +130,18 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         unit = np.zeros_like(sym)
         unit[element] = skew
-        unit = ops.assemble_stiffness(unit, pattern=pattern)
+        unit = ops.assemble_stiffness(unit, pattern=pattern, positions=positions)
         unit = abs(unit - unit.T).max()       # the defect of a unit skew
 
         def defective(factor):
             coeff = sym.copy()
             coeff[element] += factor * allowed / unit * skew
-            return ops.assemble_stiffness(coeff, pattern=pattern)
+            return ops.assemble_stiffness(coeff, pattern=pattern, positions=positions)
     else:
-        row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
-        slot = np.flatnonzero(row != pattern.indices)[0]
-        assert row[slot] == 0 and (topology == BOX or pattern.indices[slot] == n - 1)
+        slot = np.flatnonzero(_between_unknowns(pattern, positions))[0]
+        first_row = 0 if positions is None else positions[0]
+        assert slot // len(pattern.incidence[0, 0]) == first_row
+        assert topology == BOX or pattern.indices[slot] == n - 1
 
         def defective(factor):
             data = K.data.copy()
@@ -141,10 +169,9 @@ def test_symmetry_guard_fires_on_a_non_finite_diagonal(dim, topology, n, case, v
     reads the centre class whenever an entry is not finite."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern = ops.pattern if case == "all" else ops.restricted_pattern(_unknowns(g, case))
-    data = ops.assemble_mass(pattern=pattern).data.copy()
-    row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
-    data[np.flatnonzero(row == pattern.indices)[-1]] = value
+    pattern, positions = _block(ops, case, _unknowns(g, case))
+    data = ops.assemble_mass(pattern=pattern, positions=positions).data.copy()
+    data[_centre_slots(pattern)[-1 if positions is None else positions[-1]]] = value
     K = pattern.matrix(data)
     with pytest.raises(ValueError) as raised, np.errstate(invalid="ignore"):
         _checked(K, pattern)
@@ -166,10 +193,9 @@ def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case
     fails the check by itself."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern = ops.pattern if case == "all" else ops.restricted_pattern(_unknowns(g, case))
-    data = ops.assemble_mass(pattern=pattern).data.copy()
-    row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))
-    data[np.flatnonzero(row != pattern.indices)[0]] = value
+    pattern, positions = _block(ops, case, _unknowns(g, case))
+    data = ops.assemble_mass(pattern=pattern, positions=positions).data.copy()
+    data[np.flatnonzero(_between_unknowns(pattern, positions))[0]] = value
     K = pattern.matrix(data)
     dense = K.toarray()
     [(r, c)] = np.argwhere(np.isinf(dense))
@@ -181,12 +207,14 @@ def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case
 
 def test_symmetry_guard_fires_on_an_infinite_entry_on_either_side():
     """The same for a 2 x 2 matrix on the pattern of a 3-cell box's
-    interior, with the infinite entry above or below the diagonal."""
-    ops = element_ops(build_grid(1, 3, (0.0,), 1.0, BOX))
-    pattern = ops.restricted_pattern(ops.interior_nodes)
+    interior, with the infinite entry above or below the diagonal; its
+    slots beyond the box's faces hold 0."""
+    pattern = element_ops(build_grid(1, 3, (0.0,), 1.0, BOX)).block_pattern
     row = np.repeat(np.arange(2), np.diff(pattern.indptr))
     for entries in ([[2.0, np.inf], [1.0, 2.0]], [[2.0, 1.0], [-np.inf, 2.0]]):
-        K = pattern.matrix(np.array(entries)[row, pattern.indices])
+        values = np.where(row == pattern.indices, 0.0, np.array(entries)[row, pattern.indices])
+        values[_centre_slots(pattern)] = np.diag(entries)
+        K = pattern.matrix(values)
         assert np.array_equal(K.toarray(), entries)
         with pytest.raises(ValueError) as raised:
             _checked(K, pattern)
@@ -200,7 +228,7 @@ def test_symmetry_guard_scale_has_its_floor(scale):
     off-diagonal defect of 0.5x SYMMETRY_RTOL * max(max|M|, 1e-300)
     passes and 2x raises with the exact message."""
     ops = element_ops(build_grid(2, 8, (0.0, 0.0), 1.0, BOX))
-    pattern = ops.restricted_pattern(ops.interior_nodes)
+    pattern = ops.block_pattern
     data = ops.assemble_mass(pattern=pattern).data
     data = data * (scale / np.abs(data).max())
     allowed = numerics.SYMMETRY_RTOL * max(np.abs(data).max(), 1e-300)
@@ -359,9 +387,9 @@ def test_field_bounds_guard_fires_at_its_bound(end, outward):
 def test_constant_matrix_guard_fires_at_its_bound(end):
     """A symmetric part whose smallest eigenvalue lies 0.5x
     FIELD_BOUNDS_ATOL below alpha, or a 2-norm 0.5x it above beta, passes
-    ``constant_matrix``; 2x raises ValueError. A NaN off-diagonal pair,
-    whose eigenvalues are NaN, raises at the eigenvalue end, which is
-    checked first."""
+    ``constant_matrix``; 2x raises ValueError. A NaN off-diagonal pair and
+    a NaN on the diagonal, which ``eigvalsh`` reads as finite eigenvalues,
+    are refused as non-finite entries before any eigenvalue is taken."""
     atol = numerics.FIELD_BOUNDS_ATOL
 
     def matrix(factor):
@@ -378,8 +406,13 @@ def test_constant_matrix_guard_fires_at_its_bound(end):
         constant_matrix(matrix(2.0), _B14)
     nan = matrix(0.0)
     nan[0, 1] = nan[1, 0] = np.nan
-    with pytest.raises(ValueError, match="not elliptic"):
-        constant_matrix(nan, _B14)
+    for diagonal in ((0, 0), (1, 1)):
+        nan_diagonal = matrix(0.0)
+        nan_diagonal[diagonal] = np.nan
+        assert np.isfinite(np.linalg.eigvalsh(nan_diagonal)).all()
+        for broken in (nan, nan_diagonal):
+            with pytest.raises(ValueError, match="matrix has a non-finite entry"):
+                constant_matrix(broken, _B14)
 
 
 # (matrix, alpha, beta): max|A| below 1, above 1 and below the 1e-300 floor
@@ -416,8 +449,9 @@ def test_homogenized_symmetry_guard_fires_at_its_bound(base, alpha, beta):
 def test_homogenized_eigenvalue_guard_fires_at_its_bound(alpha, beta, C, end):
     """A homogenized matrix whose symmetric part has an eigenvalue 0.5x
     HOM_EIGEN_RTOL * max(beta, 1) outside either end of [alpha / C^2, beta]
-    passes, 2x raises GuardError and a NaN off-diagonal pair, whose
-    eigenvalues are NaN, raises."""
+    passes and 2x raises GuardError; a NaN off-diagonal pair and a NaN on
+    the diagonal, which ``eigvalsh`` reads as finite eigenvalues, raise as
+    non-finite entries before any eigenvalue is taken."""
     lo = alpha / C ** 2
     slack = numerics.HOM_EIGEN_RTOL * max(beta, 1.0)
     edge, outward = (lo, -slack) if end == "lower" else (beta, slack)
@@ -428,9 +462,16 @@ def test_homogenized_eigenvalue_guard_fires_at_its_bound(alpha, beta, C, end):
         return HomogenizedResult(matrix, False, (), (), alpha, beta, extension_constant=C)
 
     assert 0.45 <= abs(result(0.5).matrix[0, 0] - edge) / slack <= 0.55
-    for factor, off_diagonal in ((2.0, 0.0), (0.0, np.nan)):
-        with pytest.raises(GuardError, match="homogenized eigenvalues"):
-            result(factor, off_diagonal)
+    with pytest.raises(GuardError, match="homogenized eigenvalues"):
+        result(2.0)
+    with pytest.raises(GuardError, match="homogenized matrix has a non-finite entry"):
+        result(0.0, np.nan)
+    for diagonal in ((0, 0), (1, 1)):
+        matrix = np.diag([edge, 0.5 * (lo + beta)])
+        matrix[diagonal] = np.nan
+        assert np.isfinite(np.linalg.eigvalsh(matrix)).all()
+        with pytest.raises(GuardError, match="homogenized matrix has a non-finite entry"):
+            HomogenizedResult(matrix, False, (), (), alpha, beta, extension_constant=C)
 
 
 @pytest.mark.parametrize("values", [(0.1, 0.4), (2.0, 8.0)])

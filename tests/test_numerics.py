@@ -56,23 +56,30 @@ def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
     interior node ids."""
     ops = element_ops(grid)
     interior = ops.interior_nodes
-    pattern = ops.restricted_pattern(interior)
     b = np.zeros(grid.n_nodes) if rhs_full is None else rhs_full.copy()
     b = b - ops.assemble_stiffness(coeff) @ boundary_values
-    system = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
-                          symmetric=True, pattern=pattern)
-    return system, b[interior], interior
+    return block_system(ops, coeff), b[interior], interior
+
+
+def block_system(ops, coeff, unknowns=None, shift=None, symmetric=True):
+    """The system of ``coeff`` (and ``shift``) on the grid block, every node
+    of a torus or the interior of a box, whose unknowns are the sorted node
+    ids ``unknowns`` (the whole block if None), as ``solve_corrector``
+    builds it."""
+    pattern, positions = ops.block_pattern, numerics._block_positions(ops.grid, unknowns)
+    return SparseSystem(ops.assemble_stiffness(coeff, shift, pattern, positions),
+                        symmetric=symmetric, pattern=pattern, positions=positions)
 
 
 def system_on_pattern(dense, symmetric=True, topology=BOX):
     """``dense``, which must vanish off the stencil, as a system on the
     pattern of a 1D box's interior (or every node of a 1D torus) with as
-    many unknowns as ``dense`` has rows; absent entries are stored zeros."""
+    many unknowns as ``dense`` has rows; the slots beyond the box's faces
+    hold zeros."""
     dense = np.asarray(dense, dtype=float)
     g = build_grid(1, len(dense) + (topology == BOX), (0.0,), 1.0, topology)
-    ops = element_ops(g)
-    pattern = ops.pattern if topology == TORUS else ops.restricted_pattern(ops.interior_nodes)
-    mat = pattern.matrix(dense[_pairs(pattern)])
+    pattern = element_ops(g).block_pattern
+    mat = pattern.matrix(np.where(_beyond_faces(pattern), 0.0, dense[_pairs(pattern)]))
     assert np.array_equal(mat.toarray(), dense, equal_nan=True)
     return SparseSystem(mat, symmetric=symmetric, pattern=pattern)
 
@@ -88,14 +95,15 @@ def random_assembled_system(rng, n, skew=0.0):
     s = rng.uniform(-skew, skew, g.n_elements)
     coeff = c[:, None, None] * (np.eye(2) + s[:, None, None] * np.array([[0.0, 1.0],
                                                                         [-1.0, 0.0]]))
-    pattern = ops.restricted_pattern(ops.interior_nodes)
-    K = ops.assemble_stiffness(coeff if skew else c, pattern=pattern)
-    return SparseSystem(K, symmetric=not skew, pattern=pattern), K.toarray()
+    system = block_system(ops, coeff if skew else c, symmetric=not skew)
+    return system, system.matrix.toarray()
 
 
 def jacobi(system):
-    """Diagonal (Jacobi) preconditioner of a system, for direct cg_solve calls."""
-    inv_diag = 1.0 / system.matrix.diagonal()
+    """Diagonal (Jacobi) preconditioner of a system's unknowns, for direct
+    cg_solve calls."""
+    diag = system.matrix.diagonal()
+    inv_diag = 1.0 / (diag if system.positions is None else diag[system.positions])
     return lambda r: inv_diag * r
 
 
@@ -297,8 +305,7 @@ class TestSparseSystem:
             with pytest.raises(TypeError, match="pattern"):
                 SparseSystem(K, symmetric=symmetric)
             with pytest.raises(ValueError, match="entries for a pattern of"):
-                SparseSystem(K, symmetric=symmetric,
-                             pattern=ops.restricted_pattern(np.arange(1, g.n_nodes)))
+                SparseSystem(K, symmetric=symmetric, pattern=numerics._csr_pattern(2, 5, TORUS))
 
     def test_unsorted_pattern_matrix_is_checked_as_given(self):
         """A torus pattern matrix, whose wrapped rows list their columns
@@ -424,15 +431,15 @@ def test_cg_projects_exactly_on_torus_patterns(case):
         touched[ops.elem_nodes[coeff > 0]] = True
         free &= touched
     assert (free.sum() < n_lattice) == case.endswith("masked")
-    pattern = ops.restricted_pattern(np.flatnonzero(free))
+    system = block_system(ops, coeff, np.flatnonzero(free))
+    pattern = system.pattern
     assert pattern.torus == (g.topology == TORUS)
-    system = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
-                          symmetric=True, pattern=pattern)
+    assert system.n == free.sum()
     rhs = np.random.default_rng(4).standard_normal(system.n) + 1.0
     x, stats = cg_solve(system, rhs, preconditioner=jacobi(system))
     want = rhs - rhs.mean() if pattern.torus else rhs
     assert stats.iterations > 0
-    assert np.linalg.norm(want - system.matrix @ x) <= 1e-9 * np.linalg.norm(want)
+    assert np.linalg.norm(want - system.apply(x)) <= 1e-9 * np.linalg.norm(want)
     assert (abs(x.mean()) <= 1e-12 * np.abs(x).max()) == pattern.torus
 
 
@@ -446,7 +453,7 @@ def _reference_cg(system, rhs, preconditioner):
     if mean_zero:
         b -= b.mean()
     tol = numerics._REL_TOLERANCE * np.linalg.norm(b)
-    A = system.matrix
+    A = system.apply
     x = np.zeros_like(b)
     r = b.copy()
     z = preconditioner(r)
@@ -454,7 +461,7 @@ def _reference_cg(system, rhs, preconditioner):
     rz = float(r @ z)
     it = 0
     while float(np.linalg.norm(r)) > tol:
-        Ap = A @ p
+        Ap = A(p)
         alpha = rz / float(p @ Ap)
         x += alpha * p
         r -= alpha * Ap
@@ -465,7 +472,7 @@ def _reference_cg(system, rhs, preconditioner):
         it += 1
     if mean_zero:
         x -= x.mean()
-    return x, it, float(np.linalg.norm(b - A @ x))
+    return x, it, float(np.linalg.norm(b - A(x)))
 
 
 @pytest.mark.parametrize("case", ["torus-direction", "box-shifted-source",
@@ -504,10 +511,7 @@ def test_cg_matches_the_reference_loop_to_the_bit(monkeypatch, case):
         active = np.linalg.norm(g.element_centers() - 0.5, axis=1) > 0.2
         solve_corrector(g, coeff * active, [np.array([0.6, -0.8])])
     else:
-        ops = element_ops(g)
-        pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
-        system = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
-                              symmetric=True, pattern=pattern)
+        system = block_system(element_ops(g), coeff)
         recorded(system, rng.standard_normal(system.n), preconditioner=identity)
     [(x, stats, (x_ref, it_ref, res_ref))] = solves
     assert stats.iterations == it_ref > 2
@@ -522,11 +526,7 @@ def test_cg_never_writes_the_right_hand_side(torus, zero):
     or not, comes back unchanged, and x is a new vector."""
     topology = TORUS if torus else BOX
     g = build_grid(2, 16, (0.0, 0.0), 1.0, topology)
-    ops = element_ops(g)
-    pattern = (ops.pattern if torus
-               else ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask())))
-    system = SparseSystem(ops.assemble_stiffness(two_phase_coeff(g), pattern=pattern),
-                          symmetric=True, pattern=pattern)
+    system = block_system(element_ops(g), two_phase_coeff(g))
     rhs = np.zeros(system.n) if zero else np.random.default_rng(2).standard_normal(system.n)
     before = rhs.copy()
     rhs.setflags(write=False)
@@ -564,21 +564,44 @@ def _pairs(mat):
     return row, mat.indices.astype(np.int64)
 
 
-def _assert_same_csr(got, want):
-    """The same CSR structure (explicit zeros included) and index dtype, and
-    the same entries to 1e-15 of the largest: the stencil table adds the
-    same <= 2^dim element terms per entry as a scatter, in another order.
-    ``want`` is canonical; ``got`` lists a row's columns in offset-class
-    order, unsorted where a torus row wraps, so its (row, column) pairs are
-    compared in sorted order: the same pairs, each once."""
+def _beyond_faces(pattern):
+    """Per slot of ``pattern``: whether its stencil offset leaves the block
+    through a box face, that is a slot in the row's own column other than
+    the centre class (the middle one of a box's 3^dim)."""
+    row, col = _pairs(pattern)
+    width = pattern.indptr[1]
+    centre = np.arange(len(col)) % width == width // 2
+    return (not pattern.torus) & (row == col) & ~centre
+
+
+def _assert_same_csr(got, want, pattern, positions=None):
+    """``got``, a matrix on the block of ``pattern`` whose unknowns are the
+    block nodes at ``positions`` (every block node if None), against the
+    canonical ``want`` on the unknowns: the same index dtype, every row has
+    the pattern's classes**dim slots, the slots inside the block between
+    two unknowns hold the (row, column) pairs of ``want`` (explicit zeros
+    included), each once, with the same entries to 1e-15 of the largest
+    (the stencil table adds the same <= 2^dim element terms per entry as a
+    scatter, in another order), and every other slot holds 0. ``got`` lists
+    a row's columns in offset-class order, unsorted where a torus row wraps,
+    so its pairs are compared in sorted order."""
     assert got.indices.dtype == want.indices.dtype
-    assert np.array_equal(got.indptr, want.indptr)
-    row, col = _pairs(got)
-    key = row * got.shape[1] + col
+    assert np.shares_memory(got.indices, pattern.indices)
+    assert np.array_equal(got.indptr, pattern.indptr)
+    assert np.all(np.diff(got.indptr) == got.indptr[1])
+    rank = np.arange(got.shape[0])
+    if positions is not None:
+        rank = np.full(got.shape[0], -1)
+        rank[positions] = np.arange(len(positions))
+    row, col = (rank[a] for a in _pairs(got))
+    kept = ~_beyond_faces(pattern) & (row >= 0) & (col >= 0)
+    assert np.all(got.data[~kept] == 0.0)
+    key = row[kept] * want.shape[1] + col[kept]
     order = np.argsort(key)
     want_row, want_col = _pairs(want)
     assert np.array_equal(key[order], want_row * want.shape[1] + want_col)
-    assert np.abs(got.data[order] - want.data).max() <= 1e-15 * np.abs(want.data).max()
+    assert (np.abs(got.data[kept][order] - want.data).max()
+            <= 1e-15 * np.abs(want.data).max())
 
 
 def _assert_table_check(pattern, data, rng):
@@ -601,8 +624,9 @@ def _classes(g):
 
 
 def _table_entries(g, pattern, nodes):
-    """The stencil-table entry each slot of ``pattern`` should read, from its
-    row and column node (the node ids ``nodes`` of its rows and columns):
+    """The stencil-table entry each slot of ``pattern`` inside the block
+    should read, from its row and column node (the node ids ``nodes`` of
+    its rows and columns):
     the row node's place in the table block, times the classes per row,
     plus the offset class of the column, per axis offset + 1, x fastest (on
     the 2-node torus the wrapped offsets -1 and +1 share class 0)."""
@@ -620,12 +644,15 @@ def _table_entries(g, pattern, nodes):
 
 
 def _assert_table_order(g, pattern, nodes):
-    """``gather`` is a boolean mask over the stencil table whose present
-    entries are the slots' table entries in slot order: the rows in order,
-    each row's slots its present offset classes in class order."""
-    assert pattern.gather.dtype == bool
-    assert pattern.gather.shape == ((pattern.side * _classes(g)) ** g.dim,)
-    assert np.array_equal(np.flatnonzero(pattern.gather), _table_entries(g, pattern, nodes))
+    """The slots are the whole stencil table in table order: the rows in
+    order, each with one slot per offset class in class order, so a slot
+    inside the block is its own table entry; a slot beyond a box face reads
+    the row's own column."""
+    width = _classes(g) ** g.dim
+    assert np.array_equal(pattern.indptr, np.arange(0, len(pattern.indices) + 1, width))
+    assert len(pattern.indices) == (pattern.side * _classes(g)) ** g.dim
+    inside = ~_beyond_faces(pattern)
+    assert np.array_equal(np.flatnonzero(inside), _table_entries(g, pattern, nodes)[inside])
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -646,17 +673,18 @@ def test_assembly_matches_coo_reference(dim, topology, n):
     assert dim == 1 or not np.allclose(matrix, matrix.transpose(0, 2, 1))
     lap = np.einsum("kkab->ab", ops.stiff_blocks)
     _assert_same_csr(ops.assemble_stiffness(scalar),
-                     _coo_reference(ops, scalar[:, None, None] * lap[None]))
+                     _coo_reference(ops, scalar[:, None, None] * lap[None]), ops.pattern)
     n_loc = 2 ** dim
     matrix_data = matrix.reshape(g.n_elements, -1) @ ops.stiff_blocks.reshape(-1, n_loc ** 2)
     _assert_same_csr(ops.assemble_stiffness(matrix),
-                     _coo_reference(ops, matrix_data.reshape(-1, n_loc, n_loc)))
+                     _coo_reference(ops, matrix_data.reshape(-1, n_loc, n_loc)), ops.pattern)
     # the left half of the elements: the nodes right of it (none on the
     # 2-node torus) get all-zero rows, which stay as explicit zeros
     mask = g.element_centers()[:, 0] < 0.5
     mass = ops.assemble_mass(mask)
     scale = g.h ** dim * mask
-    _assert_same_csr(mass, _coo_reference(ops, scale[:, None, None] * ops.mass_ref[None]))
+    _assert_same_csr(mass, _coo_reference(ops, scale[:, None, None] * ops.mass_ref[None]),
+                     ops.pattern)
     row_max = np.maximum.reduceat(np.abs(mass.data), mass.indptr[:-1])
     assert np.any(row_max == 0.0) == (topology == BOX or n > 2)
 
@@ -665,13 +693,14 @@ def test_assembly_matches_coo_reference(dim, topology, n):
 @pytest.mark.parametrize("topology, n", [(TORUS, 2), (TORUS, 3), (TORUS, 7),
                                          (BOX, 2), (BOX, 3), (BOX, 7)])
 def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
-    """The slots of the pattern hold the distinct (row, column) pairs of the
-    element entries, each once, rows in order; ``gather`` is a boolean mask
-    over the stencil table (3 offset classes per axis, x fastest; on the
-    2-node torus the wrapped offsets -1 and +1 share a slot and class 0)
-    whose present entries are the slots in table order, so a row's slots
-    are its present offset classes in class order; the symmetry check read
-    from that table matches scipy's max|K - K^T| bit for bit."""
+    """The slots of the pattern inside the block hold the distinct (row,
+    column) pairs of the element entries, each once, rows in order; the
+    slots are the whole stencil table (3 offset classes per axis, x
+    fastest; on the 2-node torus the wrapped offsets -1 and +1 share a slot
+    and class 0) in table order, so every row lists all its offset classes
+    in class order, a slot beyond a box face in the row's own column; the
+    symmetry check read from that table matches scipy's max|K - K^T| bit
+    for bit."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     nodes = g.element_nodes()
     n_loc = nodes.shape[1]
@@ -679,14 +708,15 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     cols = np.tile(nodes, n_loc).ravel()
     pairs = np.unique(rows.astype(np.int64) * g.n_nodes + cols)
     pattern = numerics._csr_pattern(dim, n, topology)
+    inside = ~_beyond_faces(pattern)
+    row, col = (a[inside] for a in _pairs(pattern))
     row_len = np.bincount(pairs // g.n_nodes, minlength=g.n_nodes)
-    assert np.array_equal(pattern.indptr, np.concatenate([[0], np.cumsum(row_len)]))
-    row, col = _pairs(pattern)
+    assert np.array_equal(np.bincount(row, minlength=g.n_nodes), row_len)
     assert np.array_equal(np.sort(row * g.n_nodes + col), pairs)
     assert pattern.first == 0 and pattern.side == g.nodes_per_axis
     _assert_table_order(g, pattern, np.arange(g.n_nodes))
-    # a box lists each row's columns in increasing order; a torus row that
-    # wraps lists its wrapped neighbours first
+    # a box lists each row's columns inside the block in increasing order;
+    # a torus row that wraps lists its wrapped neighbours first
     key = row * g.n_nodes + col
     assert np.all(np.diff(key) > 0) == (topology == BOX)
     assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
@@ -698,33 +728,33 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
 
 def test_assembly_pattern_is_shared_and_read_only():
     """The pattern of every node and, on a box, that of the interior nodes
-    are built once per grid shape: every matrix restricted to the interior
-    shares the interior pattern's index arrays, on any grid of that shape,
-    and the symmetry check read from each pattern's table matches scipy's
-    max|K - K^T| bit for bit."""
+    are built once per grid shape: every matrix on the interior, with or
+    without a set of unknowns, shares the interior pattern's index arrays,
+    on any grid of that shape, and the symmetry check read from each
+    pattern's table matches scipy's max|K - K^T| bit for bit."""
     g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)
     interior = np.flatnonzero(~g.boundary_node_mask())
-    inner = ops.restricted_pattern(interior)
+    inner = ops.block_pattern
     K = ops.assemble_stiffness(np.full(g.n_elements, 2.0), pattern=inner)
     M = ops.assemble_mass(pattern=inner)
-    assert K.shape == M.shape == (len(interior),) * 2
+    masked = ops.assemble_mass(pattern=inner, positions=np.arange(3))
+    assert K.shape == M.shape == masked.shape == (len(interior),) * 2
     # a grid of the same shape elsewhere, like the next window, shares them
     window = element_ops(build_grid(2, 6, (-1.5, 2.0), 3.0, BOX))
     assert window.pattern is ops.pattern
-    assert window.restricted_pattern(interior) is inner
-    for mat in (K, M, window.assemble_mass(pattern=inner)):
+    assert window.block_pattern is inner
+    for mat in (K, M, masked, window.assemble_mass(pattern=inner)):
         assert np.shares_memory(mat.indices, inner.indices)
         assert np.shares_memory(mat.indptr, inner.indptr)
     rng = np.random.default_rng(5)
-    for pattern in (ops.pattern, inner, inner.restricted(np.arange(3))):
-        for arr in (pattern.indptr, pattern.indices, pattern.gather, pattern.incidence):
+    for pattern in (ops.pattern, inner):
+        for arr in (pattern.indptr, pattern.indices, pattern.incidence):
             with pytest.raises(ValueError):
                 arr[0] = 1
         _assert_table_check(pattern, ops.assemble_mass(pattern=pattern).data, rng)
     _assert_table_check(inner, K.data, rng)
-    with pytest.raises(ValueError, match="interior nodes"):
-        ops.restricted_pattern(np.arange(g.n_nodes))
+    _assert_table_check(inner, masked.data, rng)
 
 
 def _restricted_set(g, case):
@@ -749,9 +779,10 @@ _RESTRICTED_CASES = [(BOX, 7, "interior"), (BOX, 8, "masked"), (TORUS, 7, "maske
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("topology, n, case", _RESTRICTED_CASES)
 def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
-    """``assemble_stiffness`` on ``restricted_pattern(unknowns)`` is the slice
-    [unknowns][:, unknowns] of the COO reference, explicit zeros included,
-    and the symmetry check read from the pattern's table matches scipy's
+    """``assemble_stiffness`` on the grid block with the block positions of
+    ``unknowns`` holds the slice [unknowns][:, unknowns] of the COO
+    reference, explicit zeros included, and zeros everywhere else, and the
+    symmetry check read from the pattern's table matches scipy's
     max|K - K^T| bit for bit."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
@@ -765,10 +796,11 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
             ).reshape(-1, n_loc, n_loc) + (g.h ** dim * shift)[:, None, None] * ops.mass_ref
     want = _coo_reference(ops, data)[unknowns][:, unknowns]
     want.sort_indices()
-    pattern = ops.restricted_pattern(unknowns)
-    got = ops.assemble_stiffness(coeff, shift, pattern)
-    _assert_same_csr(got, want)
-    _assert_table_order(g, pattern, unknowns)
+    pattern, positions = ops.block_pattern, numerics._block_positions(g, unknowns)
+    got = ops.assemble_stiffness(coeff, shift, pattern, positions)
+    _assert_same_csr(got, want, pattern, positions)
+    _assert_table_order(g, pattern, np.arange(g.n_nodes) if topology == TORUS
+                        else ops.interior_nodes)
     _assert_table_check(pattern, got.data, rng)
 
 
@@ -780,21 +812,24 @@ def test_slab_size_leaves_the_data_unchanged(monkeypatch, dim, topology, n, case
     fewest a slab holds), two lines per slab (a short last slab on odd
     sides) or as one slab gives the same CSR data to the bit as the default
     slab size, for scalar and matrix coefficients with and without a shift
-    and for the mass, and the symmetry check, which reads a box's table
-    slab by slab, gives the same scale and worst defect; at 70 cells the
-    default takes one slab in 1D and several in 2D."""
+    and for the mass, and the symmetry check gives the same scale and worst
+    defect; at 70 cells the default takes one slab in 1D and several in
+    2D."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern = ops.pattern if case == "all" else ops.restricted_pattern(_restricted_set(g, case))
+    pattern, positions = ops.pattern, None
+    if case != "all":
+        pattern = ops.block_pattern
+        positions = numerics._block_positions(g, _restricted_set(g, case))
     rng = np.random.default_rng(dim + n)
     scalar = rng.uniform(0.5, 4.0, g.n_elements)
     matrix = rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim))
     shift = rng.uniform(0.5, 3.0, g.n_elements)
 
     def data():
-        mats = [ops.assemble_stiffness(c, s, pattern)
+        mats = [ops.assemble_stiffness(c, s, pattern, positions)
                 for c in (scalar, matrix) for s in (None, shift)]
-        mats.append(ops.assemble_mass(shift, pattern))
+        mats.append(ops.assemble_mass(shift, pattern, positions))
         return [(m.data.tobytes(), pattern.symmetry_defect(m.data)) for m in mats]
 
     want = data()
@@ -837,7 +872,7 @@ def test_symmetry_guard_through_the_stencil_table(restricted):
     pattern the matrix was not assembled on is refused."""
     g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
     ops = element_ops(g)
-    inner = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+    inner = ops.block_pattern
     pattern, other = (inner, ops.pattern) if restricted else (ops.pattern, inner)
     rng = np.random.default_rng(6)
     sym = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2))
@@ -1001,10 +1036,11 @@ class _Recorded(Exception):
 @pytest.mark.parametrize("case", ["box-interior", "torus-masked", "box-masked"])
 def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
     """The system ``solve_corrector`` builds (on boxes the stiffness plus
-    the shift-weighted mass, assembled as one matrix straight onto the
-    unknowns) has the structure of the slice [unknowns][:, unknowns] of that
-    matrix assembled on every node, the same entries to rounding, and
-    agrees with scipy's (K + M_shift) to rounding."""
+    the shift-weighted mass, assembled as one matrix on the grid block with
+    zeros off the unknowns) holds the structure of the slice
+    [unknowns][:, unknowns] of that matrix assembled on every node, the
+    same entries to rounding, and agrees with scipy's (K + M_shift) to
+    rounding."""
     from homlab import numerics
 
     systems = []
@@ -1013,7 +1049,7 @@ def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
         # record the system and stop before the solve
         def __post_init__(self):
             super().__post_init__()
-            systems.append(self.matrix)
+            systems.append(self)
             raise _Recorded
 
     monkeypatch.setattr(numerics, "SparseSystem", Recorded)
@@ -1038,13 +1074,17 @@ def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
         else:
             shift = np.random.default_rng(4).uniform(1.0, 3.0, g.n_elements)
             solve_corrector(g, coeff, shift=shift, source=np.ones(g.n_elements))
-    [got] = systems
+    [system] = systems
+    assert system.n == len(unknowns)
     want = ops.assemble_stiffness(coeff, shift)[unknowns][:, unknowns]
     want.sort_indices()
-    _assert_same_csr(got, want)
+    _assert_same_csr(system.matrix, want, system.pattern, system.positions)
     if shift is not None:
         summed = (K + ops.assemble_mass(shift)).tocsr()[unknowns][:, unknowns]
-        assert np.allclose(got.toarray(), summed.toarray(), rtol=1e-14, atol=0.0)
+        got = system.matrix.toarray()
+        if system.positions is not None:
+            got = got[np.ix_(system.positions, system.positions)]
+        assert np.allclose(got, summed.toarray(), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("variant", ["torus", "torus-masked", "box-affine",
@@ -1174,13 +1214,20 @@ def test_holes_are_read_off_the_coefficient():
 def test_coefficient_without_a_zero_takes_the_unmasked_path(monkeypatch, topology):
     """A coefficient with no zero element, scalar or a matrix with zero
     off-diagonal entries, solves on the cached pattern of every node of a
-    torus or of a box interior: no derived pattern and no connectivity
-    check."""
+    torus or of a box interior with every block node unknown: no positions
+    and no connectivity check."""
     def refuse(*args, **kwargs):
         raise AssertionError("the solve took the path with holes")
 
+    def whole_block(grid, unknowns):
+        positions = block_positions(grid, unknowns)
+        if positions is not None:
+            refuse()
+        return positions
+
+    block_positions = numerics._block_positions
     monkeypatch.setattr(numerics, "_active_nodes_checked", refuse)
-    monkeypatch.setattr(numerics.ElementOps, "restricted_pattern", refuse)
+    monkeypatch.setattr(numerics, "_block_positions", whole_block)
     g = build_grid(2, 12, (0.0, 0.0), 1.0, topology)
     coeff = np.random.default_rng(6).uniform(1.0, 4.0, g.n_elements)
     diagonal = np.zeros((g.n_elements, 2, 2))
@@ -1353,13 +1400,10 @@ class TestNonsymmetricKrylov:
             ops = element_ops(g)
             A_e = checkerboard_coeff(g)[:, None, None] * np.array([[2.0, 1.0], [-1.0, 2.0]])
             b = -ops.load_from_element_vectors(A_e[:, :, 0])
-            pattern = ops.pattern
             if topology == BOX:
                 # the window corrector: the torus load, zero boundary values
-                pattern = ops.restricted_pattern(ops.interior_nodes)
                 b = b[ops.interior_nodes]
-            system = SparseSystem(ops.assemble_stiffness(A_e, pattern=pattern),
-                                  symmetric=False, pattern=pattern)
+            system = block_system(ops, A_e, symmetric=False)
             a_ref = np.trace(A_e, axis1=1, axis2=2).mean() / 2
             x, stats = krylov_solve_nonsymmetric(
                 system, b, preconditioner=spectral_preconditioner(g, a_ref))
@@ -1504,10 +1548,8 @@ class TestPEnergy:
         free = prob.free
         u_min, _ = minimize_p_energy(prob)
         ops = element_ops(g)
-        pattern = ops.restricted_pattern(free)
         load = ops.load_from_element_vectors(coeff[:, None] * xi[None, :])
-        A = SparseSystem(ops.assemble_stiffness(coeff, pattern=pattern),
-                         symmetric=True, pattern=pattern)
+        A = block_system(ops, coeff, free)
         u_i, _ = cg_solve(A, -load[free], preconditioner=jacobi(A))
         u_cg = np.zeros(g.n_nodes)
         u_cg[free] = u_i

@@ -218,6 +218,26 @@ class TestCounterexamples:
         assert rep.discrepancy <= 1e-3
         assert rep.discrepancy < 1e-10
 
+    def test_swapped_layered_statistic_reads_one_point_per_lattice_cell(self, monkeypatch):
+        """The swapped-layered pair is constant on the cells of side 1/2,
+        so its statistic on the largest window (R = 64 at the default 16
+        midpoints per unit, 1024^2 midpoints) evaluates each field at one
+        point per cell, 128^2, and still reads |a - b| = 3 exactly."""
+        bounds = FieldBounds(1.0, 4.0)
+        a = EnergyDensity(PeriodicStep(2, (1.0, 4.0, 1.0, 4.0), bounds, dim=2))
+        b = EnergyDensity(PeriodicStep(2, (4.0, 1.0, 4.0, 1.0), bounds, dim=2))
+        counts = []
+        values_impl = PeriodicStep.values_impl
+
+        def counted(self, pts):
+            counts.append(len(pts))
+            return values_impl(self, pts)
+
+        monkeypatch.setattr(PeriodicStep, "values_impl", counted)
+        assert a.coeff.cell_side == b.coeff.cell_side == 0.5
+        assert mean_abs_statistic(a, b, 1.0, 64.0) == 3.0
+        assert counts == [128 ** 2, 128 ** 2]
+
     def test_swapped_layered_matrices(self, suite):
         rep = suite["swapped-layered"]
         expected = np.diag([1.6, 2.5])

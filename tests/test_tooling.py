@@ -9,8 +9,9 @@ layout from one helper pair and the Q1 reference element is one tensor
 product with no branch on the dimension, and result records hold only fields
 that something reads, and the solve path takes no solver options: symmetry is
 read from the coefficients, and every term of the equation reaches the solve
-kernel per element and is assembled straight onto the solve's unknowns, and
-``validate`` calls the runs' own rules instead of borrowing private helpers
+kernel per element and is assembled on the solve's grid block as its whole
+stencil table, one layout for every system, and ``validate`` calls the
+runs' own rules instead of borrowing private helpers
 or copying them, and every soundness guard reads its tolerance from one table
 in ``numerics``, and an L-BFGS gradient reuses the point rows its line search
 built, and an assembled matrix takes its slot order from the stencil
@@ -547,7 +548,7 @@ def test_box_assembly_holds_no_whole_table():
 
     g = numerics.build_grid(2, 160, (0.0, 0.0), 1.0, numerics.BOX)
     ops = numerics.element_ops(g)
-    pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+    pattern = ops.block_pattern
     rng = np.random.default_rng(0)
     coeff = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2)) + 3.0 * np.eye(2)
     shift = rng.uniform(0.5, 2.0, g.n_elements)
@@ -666,13 +667,37 @@ def test_symmetry_check_keeps_no_transpose_map():
         is inspect.Parameter.empty
     g = numerics.build_grid(2, 320, (0.0, 0.0), 2.0, numerics.BOX)
     ops = numerics.element_ops(g)
-    pattern = ops.restricted_pattern(np.flatnonzero(~g.boundary_node_mask()))
+    pattern = ops.block_pattern
     assert pattern is numerics._csr_pattern(2, 320, numerics.BOX, interior=True)
-    lengths = {len(pattern.indices), len(pattern.gather)}
+    lengths = {len(pattern.indices)}
     for f in dataclasses.fields(pattern):
         value = getattr(pattern, f.name)
         if isinstance(value, np.ndarray):
             assert not (value.dtype == np.intp and len(value) in lengths), f.name
+
+
+def test_one_stencil_layout_for_every_system():
+    # every matrix is the whole stencil table of its grid block, so no
+    # pattern keeps a mask of present entries or derives a renumbered
+    # pattern for a set of unknowns, and the symmetry check reads every
+    # table, torus or box, with or without unknowns, on one code path of
+    # shifted views
+    import ast
+    import dataclasses
+    import textwrap
+
+    from homlab import numerics
+
+    assert {f.name for f in dataclasses.fields(numerics.CsrPattern)} == {
+        "indptr", "indices", "first", "side", "torus", "incidence"}
+    assert not hasattr(numerics.CsrPattern, "gather")
+    assert not hasattr(numerics.CsrPattern, "restricted")
+    assert not hasattr(numerics.ElementOps, "restricted_pattern")
+    for name in ("_flat_views", "_wrapped_views", "_max_difference"):
+        assert not hasattr(numerics, name), name
+    source = textwrap.dedent(inspect.getsource(numerics.CsrPattern.symmetry_defect))
+    assert not any(isinstance(node, ast.If) for node in ast.walk(ast.parse(source)))
+    assert "np.zeros" not in source
 
 
 def test_solve_corrector_takes_a_broadcast_coefficient():
@@ -806,11 +831,13 @@ def test_lambda_box_builds_no_element_nodes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("tree", [TINY_PERFORATION, TINY_STOCHASTIC],
                          ids=["perforation", "stochastic"])
 def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
-    # every system is assembled straight onto its solve's unknowns: no
-    # matrix on a box grid spans the boundary nodes, each SparseSystem has
-    # as many rows as its solve has unknowns (the nodes of the elements
-    # where the recorded coefficient is not zero, off a box's boundary),
-    # and solve_corrector slices no CSR matrix
+    # every system is assembled on its grid block and solves for its
+    # unknowns there: no matrix on a box grid spans the boundary nodes,
+    # every assembled matrix has the full classes**dim slots per row, each
+    # SparseSystem has as many unknowns as its solve (the nodes of the
+    # elements where the recorded coefficient is not zero, off a box's
+    # boundary) on a matrix of the block's rows, and solve_corrector slices
+    # no CSR matrix
     import homlab
     import numpy as np
     import scipy.sparse as sp
@@ -835,7 +862,7 @@ def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
     def system_recording(self):
         post_init(self)
         if running:
-            running[-1].append(self.n)
+            running[-1].append((self.n, self.matrix.shape[0]))
 
     getitem = sp.csr_matrix.__getitem__
 
@@ -847,6 +874,7 @@ def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
     def assembling(method):
         def wrapped(self, *args, **kwargs):
             mat = method(self, *args, **kwargs)
+            assert set(np.diff(mat.indptr)) == {3 ** self.grid.dim}
             if self.grid.topology == numerics.BOX:
                 box_matrices.append((self.grid.n_nodes, mat.shape[0]))
             return mat
@@ -872,8 +900,10 @@ def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
     for grid, active, systems in solves:
         free = np.zeros(grid.n_nodes, dtype=bool)
         free[grid.element_nodes()[active]] = True
+        block = grid.n_nodes
         if grid.topology == numerics.BOX:
             free &= ~grid.boundary_node_mask()
-        assert systems == [int(free.sum())]
+            block = (grid.cells_per_axis - 1) ** grid.dim
+        assert systems == [(int(free.sum()), block)]
     assert all(rows < n_nodes for n_nodes, rows in box_matrices)
     assert (tree is TINY_STOCHASTIC) == (box_matrices == [])
