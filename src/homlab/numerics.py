@@ -493,11 +493,10 @@ class ElementOps:
     table is built one slab of lines along the slowest node axis at a time,
     straight into the CSR data: no element entry is scattered, no slot
     reordered or compacted and no other array over the whole table held.
-    Slots that leave a box block are then set to 0 by slicing, and the rows
-    and columns of block nodes outside a solve's unknowns by their node
-    mask. The patterns of every node and of a box's interior are built on
-    first use and kept per grid shape (grids that never assemble, like the
-    p-energy ones, never build them).
+    Slots that leave a box block are then set to 0 by slicing. The
+    patterns of every node and of a box's interior are built on first use
+    and kept per grid shape (grids that never assemble, like the p-energy
+    ones, never build them).
 
     Every per-element contraction is a 2-D matrix product on rows gathered
     once by ``v[elem_nodes]``, against small read-only matrices precomputed
@@ -558,14 +557,11 @@ class ElementOps:
         return v[self.elem_nodes] @ self.mean_grad_matrix
 
     def assemble_stiffness(self, coeff: np.ndarray, shift: np.ndarray | None = None,
-                           pattern: CsrPattern | None = None,
-                           positions: np.ndarray | None = None) -> sp.csr_matrix:
+                           pattern: CsrPattern | None = None) -> sp.csr_matrix:
         """Stiffness for per-element coefficients, plus the mass weighted by
         the per-element ``shift`` when given (the matrix of
         -div(coeff grad u) + shift u), on the block of ``pattern`` (every
-        node if None), in one table. With ``positions`` (sorted block
-        positions of a solve's unknowns) the rows and columns of the other
-        block nodes are 0.
+        node if None), in one table.
 
         ``coeff`` is (n_e,) for scalar coefficients or (n_e, dim, dim) for
         matrix ones; rows are test functions, so nonsymmetric coefficient
@@ -581,19 +577,17 @@ class ElementOps:
         if shift is not None:
             params.append(self.h ** self.grid.dim * shift)
             blocks = np.concatenate([blocks, self.mass_ref[None]])
-        return self._assemble(params, blocks, pattern, positions)
+        return self._assemble(params, blocks, pattern)
 
     def assemble_mass(self, weights: np.ndarray | None = None,
-                      pattern: CsrPattern | None = None,
-                      positions: np.ndarray | None = None) -> sp.csr_matrix:
+                      pattern: CsrPattern | None = None) -> sp.csr_matrix:
         """Mass matrix with per-element ``weights`` (1 on every element if
-        None) on the block of ``pattern`` (every node if None) and
-        ``positions`` as in ``assemble_stiffness``; a boolean mask restricts
-        it to the masked elements."""
+        None) on the block of ``pattern`` (every node if None); a boolean
+        mask restricts it to the masked elements."""
         scale = np.full(self.grid.n_elements, self.h ** self.grid.dim)
         if weights is not None:
             scale = scale * weights
-        return self._assemble([scale], self.mass_ref[None], pattern, positions)
+        return self._assemble([scale], self.mass_ref[None], pattern)
 
     def _padded(self, params: list[np.ndarray]) -> np.ndarray:
         """The parameter columns of ``params`` ((n_e,) or (n_e, m) each) per
@@ -617,10 +611,9 @@ class ElementOps:
         return padded
 
     def _assemble(self, params: list[np.ndarray], blocks: np.ndarray,
-                  pattern: CsrPattern | None, positions: np.ndarray | None) -> sp.csr_matrix:
+                  pattern: CsrPattern | None) -> sp.csr_matrix:
         """The matrix whose element matrices are sum_p param_p blocks[p] over
-        the parameter columns of ``params`` ((n_e,) or (n_e, m) each), with
-        the rows and columns of block nodes outside ``positions`` 0.
+        the parameter columns of ``params`` ((n_e,) or (n_e, m) each).
 
         The stencil table is filled one slab at a time: a block of whole
         lines along the slowest node axis, ``_SLAB_ROWS`` table rows or one
@@ -643,10 +636,6 @@ class ElementOps:
         if len(bounds) > 2 and (side - bounds[-2]) * line == 1:
             del bounds[-2]
         most = max(b - a for a, b in zip(bounds, bounds[1:])) * line
-        keep = None
-        if positions is not None:
-            keep = np.zeros(side ** d, dtype=bool)
-            keep[positions] = True
         data = np.empty(len(pattern.indices))
         # one slab's corner copies, reused by every slab
         corner_buf = np.empty(len(weights) * most)
@@ -670,9 +659,6 @@ class ElementOps:
                             at = [slice(None)] * (2 * d)
                             at[k], at[d + k] = node, c
                             faces[tuple(at)] = 0.0
-            if keep is not None:
-                columns = pattern.indices[start * width:end * width].reshape(-1, width)
-                table[~(keep[start:end, None] & keep[columns])] = 0.0
         return pattern.matrix(data)
 
     def load_from_element_vectors(self, flux: np.ndarray) -> np.ndarray:
@@ -747,17 +733,19 @@ class SparseSystem:
     with a symmetry declaration checked at construction.
 
     The matrix must hold one entry per slot of ``pattern``. Its unknowns are
-    the block nodes at ``positions`` (sorted), or every block node if None;
-    the rows and columns of the other block nodes hold zeros, and ``n``
-    counts the unknowns. ``apply`` multiplies a vector of the unknowns, the
-    one product the solvers make. A system declared symmetric compares each
-    entry with its transposed entry, relative to ``SYMMETRY_RTOL``, read in
-    the pattern's stencil table (``CsrPattern.symmetry_defect``) without a
-    transposed copy; a matrix with an entry that is not finite fails the
-    check. The matrix is kept as given, never sorted: it shares the
-    pattern's read-only index arrays, and a torus row may list its columns
-    unsorted. On a torus pattern (``CsrPattern.torus``) the solvers remove
-    the constant kernel.
+    the block nodes at ``positions`` (sorted), or every block node if None,
+    and ``n`` counts them. ``apply`` multiplies a vector of the unknowns, the
+    one product the solvers make. The rows and columns of the other block
+    nodes are set to 0 in place (each row and the mirror slots of its
+    entries, which hold its column), so the symmetry check reads the
+    operator on the unknowns alone, whatever a hole carries. A system
+    declared symmetric compares each entry with its transposed entry,
+    relative to ``SYMMETRY_RTOL``, read in the pattern's stencil table
+    (``CsrPattern.symmetry_defect``) without a transposed copy; a matrix with
+    an entry that is not finite fails the check. The matrix is otherwise
+    kept as given, never sorted: it shares the pattern's read-only index
+    arrays, and a torus row may list its columns unsorted. On a torus
+    pattern (``CsrPattern.torus``) the solvers remove the constant kernel.
     """
 
     matrix: sp.csr_matrix
@@ -770,6 +758,20 @@ class SparseSystem:
         if len(data) != len(self.pattern.indices):
             raise ValueError(f"matrix has {len(data)} entries for a pattern "
                              f"of {len(self.pattern.indices)}")
+        if self.positions is not None:
+            keep = np.zeros(self.matrix.shape[0], dtype=bool)
+            keep[self.positions] = True
+            table = data.reshape(len(keep), -1)
+            dropped = np.flatnonzero(~keep)
+            columns = self.pattern.indices.reshape(table.shape)[dropped]
+            table[dropped] = 0.0
+            # the mirror of class c is the opposite offset on every axis: the
+            # reversed class order, or c itself on 2-node torus axes
+            width = table.shape[1]
+            mirror = np.arange(width)
+            if width != len(self.pattern.incidence):
+                mirror = mirror[::-1]
+            data[columns * width + mirror] = 0.0
         if not self.symmetric or not data.size:
             return
         scale, worst = self.pattern.symmetry_defect(data)
@@ -1146,10 +1148,10 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     unknowns are then the nodes touching another element, which must form
     one connected component. K + M_c is assembled on the grid block
     (``ElementOps.block_pattern``, every node of a torus or the interior of
-    a box, kept per grid shape), with the rows and columns of block nodes
-    that are not unknowns set to 0, and ``SparseSystem`` checks its symmetry
-    on the pattern's stencil table and applies it to the unknowns (a
-    scatter into the block, a product and a gather); no CSR matrix is
+    a box, kept per grid shape), and ``SparseSystem`` sets the rows and
+    columns of the block nodes that are not unknowns to 0, checks its
+    symmetry on the pattern's stencil table and applies it to the unknowns
+    (a scatter into the block, a product and a gather); no CSR matrix is
     sliced or renumbered.
 
     Symmetric coefficients (``is_symmetric``) are solved by CG, nonsymmetric
@@ -1186,7 +1188,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
         unknowns = (ops.interior_nodes if unknowns is None
                     else unknowns[~grid.boundary_node_mask()[unknowns]])
     pattern, positions = ops.block_pattern, _block_positions(grid, unknowns)
-    system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern, positions),
+    system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
                           symmetric=symmetric, pattern=pattern, positions=positions)
     # the trace of a matrix coefficient is the trace of its symmetric part
     c = coeff if active is None else coeff[active]

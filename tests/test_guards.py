@@ -88,10 +88,16 @@ def _message(K):
             f"{numerics.SYMMETRY_RTOL * scale:.3e}")
 
 
-def _checked(K, pattern):
+def _checked(K, pattern, positions=None):
     """``SparseSystem`` declared symmetric, on the stencil table of
-    ``pattern``."""
-    return SparseSystem(K, symmetric=True, pattern=pattern)
+    ``pattern``, with its unknowns at ``positions``."""
+    return SparseSystem(K, symmetric=True, pattern=pattern, positions=positions)
+
+
+def _held(K, pattern, positions):
+    """``K`` as a system with its unknowns at ``positions`` holds it: the
+    rows and columns of the other block nodes set to 0."""
+    return SparseSystem(K, symmetric=False, pattern=pattern, positions=positions).matrix
 
 
 _CASES = [(2, TORUS, 8, "all"), (2, TORUS, 2, "all"), (2, BOX, 8, "interior"),
@@ -120,7 +126,7 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
     rng = np.random.default_rng(10 * dim + n)
     m = rng.uniform(-1.0, 1.0, (g.n_elements, dim, dim))
     sym = m + m.transpose(0, 2, 1) + 3.0 * np.eye(dim)
-    K = ops.assemble_stiffness(sym, pattern=pattern, positions=positions)
+    K = _held(ops.assemble_stiffness(sym, pattern=pattern), pattern, positions)
     allowed = numerics.SYMMETRY_RTOL * np.abs(K.data).max()
     if dim == 2:
         nodes = g.element_nodes()
@@ -130,13 +136,13 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         unit = np.zeros_like(sym)
         unit[element] = skew
-        unit = ops.assemble_stiffness(unit, pattern=pattern, positions=positions)
+        unit = _held(ops.assemble_stiffness(unit, pattern=pattern), pattern, positions)
         unit = abs(unit - unit.T).max()       # the defect of a unit skew
 
         def defective(factor):
             coeff = sym.copy()
             coeff[element] += factor * allowed / unit * skew
-            return ops.assemble_stiffness(coeff, pattern=pattern, positions=positions)
+            return _held(ops.assemble_stiffness(coeff, pattern=pattern), pattern, positions)
     else:
         slot = np.flatnonzero(_between_unknowns(pattern, positions))[0]
         first_row = 0 if positions is None else positions[0]
@@ -153,12 +159,12 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
         placed = abs(mat - mat.T).max() / (numerics.SYMMETRY_RTOL * np.abs(mat.data).max())
         assert lo <= placed <= hi
     nan = defective(np.nan)
-    _checked(near, pattern)
+    _checked(near, pattern, positions)
     with pytest.raises(ValueError) as raised:
-        _checked(far, pattern)
+        _checked(far, pattern, positions)
     assert str(raised.value) == _message(far)
     with pytest.raises(ValueError, match="declared symmetric"):
-        _checked(nan, pattern)
+        _checked(nan, pattern, positions)
 
 
 @pytest.mark.parametrize("dim, topology, n, case", _CASES)
@@ -170,11 +176,11 @@ def test_symmetry_guard_fires_on_a_non_finite_diagonal(dim, topology, n, case, v
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     pattern, positions = _block(ops, case, _unknowns(g, case))
-    data = ops.assemble_mass(pattern=pattern, positions=positions).data.copy()
+    data = ops.assemble_mass(pattern=pattern).data.copy()
     data[_centre_slots(pattern)[-1 if positions is None else positions[-1]]] = value
     K = pattern.matrix(data)
     with pytest.raises(ValueError) as raised, np.errstate(invalid="ignore"):
-        _checked(K, pattern)
+        _checked(K, pattern, positions)
     assert str(raised.value) == (
         f"matrix declared symmetric but |M - M^T|_max = nan exceeds "
         f"{numerics.SYMMETRY_RTOL:.0e} * |M|_max = {numerics.SYMMETRY_RTOL * value:.3e}")
@@ -194,14 +200,14 @@ def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     pattern, positions = _block(ops, case, _unknowns(g, case))
-    data = ops.assemble_mass(pattern=pattern, positions=positions).data.copy()
+    data = ops.assemble_mass(pattern=pattern).data.copy()
     data[np.flatnonzero(_between_unknowns(pattern, positions))[0]] = value
     K = pattern.matrix(data)
     dense = K.toarray()
     [(r, c)] = np.argwhere(np.isinf(dense))
     assert r != c and np.isfinite(dense[c, r])
     with pytest.raises(ValueError) as raised:
-        _checked(K, pattern)
+        _checked(K, pattern, positions)
     assert str(raised.value) == _INF_MESSAGE
 
 
@@ -219,6 +225,41 @@ def test_symmetry_guard_fires_on_an_infinite_entry_on_either_side():
         with pytest.raises(ValueError) as raised:
             _checked(K, pattern)
         assert str(raised.value) == _INF_MESSAGE
+
+
+def test_symmetry_guard_reads_only_the_unknowns():
+    """A system with holes is checked on its unknowns alone: a shift mass of
+    1e8 on a hole element whose corners are all outside the unknowns is set
+    to 0 with the rows and columns of those nodes, so it neither raises the
+    scale nor hides a defect of 2x SYMMETRY_RTOL * max|M| between two
+    unknowns, which raises with the message of the matrix on the unknowns;
+    the entries between unknowns are kept as assembled."""
+    g = build_grid(2, 9, (0.0, 0.0), 1.0, BOX)
+    ops = element_ops(g)
+    hole = np.zeros((9, 9), dtype=bool)
+    hole[3:6, 3:6] = True
+    hole = hole.ravel()
+    shift = np.ones(g.n_elements)
+    shift[4 * 9 + 4] = 1e8       # the centre element, whose corners touch holes only
+    unknowns = numerics._active_nodes_checked(g, ~hole)
+    unknowns = unknowns[~g.boundary_node_mask()[unknowns]]
+    pattern, positions = _block(ops, "masked", unknowns)
+    K = ops.assemble_stiffness(np.where(hole, 0.0, 1.0), shift, pattern)
+    dense = K.toarray()
+    held = _held(K.copy(), pattern, positions).toarray()
+    on = np.zeros(len(dense), dtype=bool)
+    on[positions] = True
+    assert np.count_nonzero(~on) == 4
+    assert np.array_equal(held[np.ix_(on, on)], dense[np.ix_(on, on)])
+    assert not held[~on].any() and not held[:, ~on].any()
+    assert np.abs(dense).max() > 1e4 * np.abs(held).max()
+    allowed = numerics.SYMMETRY_RTOL * np.abs(held).max()
+    slot = np.flatnonzero(_between_unknowns(pattern, positions))[0]
+    data = K.data.copy()
+    data[slot] += 2.0 * allowed
+    with pytest.raises(ValueError) as raised:
+        _checked(pattern.matrix(data), pattern, positions)
+    assert str(raised.value) == _message(_held(pattern.matrix(data), pattern, positions))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1e-310])

@@ -67,7 +67,7 @@ def block_system(ops, coeff, unknowns=None, shift=None, symmetric=True):
     ids ``unknowns`` (the whole block if None), as ``solve_corrector``
     builds it."""
     pattern, positions = ops.block_pattern, numerics._block_positions(ops.grid, unknowns)
-    return SparseSystem(ops.assemble_stiffness(coeff, shift, pattern, positions),
+    return SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
                         symmetric=symmetric, pattern=pattern, positions=positions)
 
 
@@ -728,8 +728,9 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
 
 def test_assembly_pattern_is_shared_and_read_only():
     """The pattern of every node and, on a box, that of the interior nodes
-    are built once per grid shape: every matrix on the interior, with or
-    without a set of unknowns, shares the interior pattern's index arrays,
+    are built once per grid shape: every matrix on the interior, also as
+    held by a system with a set of unknowns, shares the interior pattern's
+    index arrays,
     on any grid of that shape, and the symmetry check read from each
     pattern's table matches scipy's max|K - K^T| bit for bit."""
     g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
@@ -738,7 +739,8 @@ def test_assembly_pattern_is_shared_and_read_only():
     inner = ops.block_pattern
     K = ops.assemble_stiffness(np.full(g.n_elements, 2.0), pattern=inner)
     M = ops.assemble_mass(pattern=inner)
-    masked = ops.assemble_mass(pattern=inner, positions=np.arange(3))
+    masked = SparseSystem(ops.assemble_mass(pattern=inner), symmetric=True, pattern=inner,
+                          positions=np.arange(3)).matrix
     assert K.shape == M.shape == masked.shape == (len(interior),) * 2
     # a grid of the same shape elsewhere, like the next window, shares them
     window = element_ops(build_grid(2, 6, (-1.5, 2.0), 3.0, BOX))
@@ -779,11 +781,11 @@ _RESTRICTED_CASES = [(BOX, 7, "interior"), (BOX, 8, "masked"), (TORUS, 7, "maske
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("topology, n, case", _RESTRICTED_CASES)
 def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
-    """``assemble_stiffness`` on the grid block with the block positions of
-    ``unknowns`` holds the slice [unknowns][:, unknowns] of the COO
-    reference, explicit zeros included, and zeros everywhere else, and the
-    symmetry check read from the pattern's table matches scipy's
-    max|K - K^T| bit for bit."""
+    """``assemble_stiffness`` on the grid block, held by a system whose
+    unknowns are the block positions of ``unknowns``, holds the slice
+    [unknowns][:, unknowns] of the COO reference, explicit zeros included,
+    and zeros everywhere else, and the symmetry check read from the
+    pattern's table matches scipy's max|K - K^T| bit for bit."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     unknowns = _restricted_set(g, case)
@@ -797,7 +799,8 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
     want = _coo_reference(ops, data)[unknowns][:, unknowns]
     want.sort_indices()
     pattern, positions = ops.block_pattern, numerics._block_positions(g, unknowns)
-    got = ops.assemble_stiffness(coeff, shift, pattern, positions)
+    got = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern), symmetric=False,
+                       pattern=pattern, positions=positions).matrix
     _assert_same_csr(got, want, pattern, positions)
     _assert_table_order(g, pattern, np.arange(g.n_nodes) if topology == TORUS
                         else ops.interior_nodes)
@@ -812,24 +815,21 @@ def test_slab_size_leaves_the_data_unchanged(monkeypatch, dim, topology, n, case
     fewest a slab holds), two lines per slab (a short last slab on odd
     sides) or as one slab gives the same CSR data to the bit as the default
     slab size, for scalar and matrix coefficients with and without a shift
-    and for the mass, and the symmetry check gives the same scale and worst
-    defect; at 70 cells the default takes one slab in 1D and several in
-    2D."""
+    and for the mass, on every node (case "all") or on the grid block, and
+    the symmetry check gives the same scale and worst defect; at 70 cells
+    the default takes one slab in 1D and several in 2D."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern, positions = ops.pattern, None
-    if case != "all":
-        pattern = ops.block_pattern
-        positions = numerics._block_positions(g, _restricted_set(g, case))
+    pattern = ops.pattern if case == "all" else ops.block_pattern
     rng = np.random.default_rng(dim + n)
     scalar = rng.uniform(0.5, 4.0, g.n_elements)
     matrix = rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim))
     shift = rng.uniform(0.5, 3.0, g.n_elements)
 
     def data():
-        mats = [ops.assemble_stiffness(c, s, pattern, positions)
+        mats = [ops.assemble_stiffness(c, s, pattern)
                 for c in (scalar, matrix) for s in (None, shift)]
-        mats.append(ops.assemble_mass(shift, pattern, positions))
+        mats.append(ops.assemble_mass(shift, pattern))
         return [(m.data.tobytes(), pattern.symmetry_defect(m.data)) for m in mats]
 
     want = data()

@@ -29,6 +29,7 @@ import inspect
 import json
 import os
 import pkgutil
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -102,6 +103,33 @@ def test_cli_import_leaves_csgraph_unloaded(tmp_path):
     unwanted = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
     assert [m for m in loaded if m.startswith(unwanted)] == []
     assert (tmp_path / "out" / "lambda.csv").is_file()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+@pytest.mark.parametrize("run", [False, True])
+def test_cli_keeps_freed_arrays_in_the_heap(tmp_path, run):
+    """Once ``cli.main`` has started, arrays of a repeated step are served
+    from the heap they were freed to: after a 1 MB array is freed, rounds
+    of three 880 KB arrays take no minor page fault. Without the fixed
+    thresholds glibc's dynamic ones follow that freed 1 MB block, and each
+    round's three frees give the heap top back to the system, so every
+    round faults its pages in again (~600 faults a round)."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(P_ENERGY_CELL), encoding="utf-8")
+    argv = ["validate", "--spec", str(spec)]
+    code = ("import resource, numpy as np\n"
+            + ("from homlab import cli\n"
+               f"assert cli.main({argv!r}) == 0\n" if run else "")
+            + "faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "np.ones(1 << 17)\n"
+            "step = lambda: [np.ones(110_000) for _ in range(3)]\n"
+            "step()\n"
+            "before = faults()\n"
+            "for _ in range(5):\n"
+            "    step()\n"
+            "print(faults() - before)")
+    faults = _fresh_python(code)
+    assert (faults < 50) if run else (faults > 5 * 300)
 
 
 P_ENERGY_CELL = {"kind": "cell", "p": 3.0, "xi": [1.0],
