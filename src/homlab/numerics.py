@@ -57,8 +57,10 @@ The p-power energies are minimized by L-BFGS (``minimize_p_energy``),
 started from w = 0 on both topologies. Its initial inverse Hessian is the
 same reference inverse for a_ref = 1, applied in float64 on the box as on
 the torus and scaled per iteration: a preconditioned two-loop recursion
-whose iteration count, like CG's, does not grow with the mesh. It stops on
-a Euclidean gradient norm of 1e-8, under the same iteration cap. An energy
+whose iteration count, like CG's, does not grow with the mesh. It stops
+when the decrement of its direction, sqrt(-g^T d), falls to 1e-6 of its
+value at w = 0, a measure that does not depend on the mesh either, under
+the same iteration cap. An energy
 and a gradient at one point share one pass over the quadrature points,
 keyed on the point's values (``PEnergyProblem``): the gradient at an
 accepted step reuses the rows its line search built.
@@ -111,7 +113,7 @@ MAX_DIM = 2  # grids are 1D or 2D
 
 # the solver policy; read at call time
 _REL_TOLERANCE = 1e-10          # Krylov: residual relative to the rhs
-_GRAD_TOLERANCE = 1e-8          # L-BFGS: Euclidean gradient norm
+_DECREMENT_RTOL = 1e-6          # L-BFGS: decrement relative to its first value
 _ITERATIONS_PER_UNKNOWN = 20    # every solver's iteration cap
 # every tolerance test below is written so that a NaN value fails it
 
@@ -1083,7 +1085,9 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     a proper subset of the lattice (every node of a torus, the interior of
     a box), their positions on it: ``unknowns`` itself on a torus, and on a
     box their ranks among ``ElementOps.interior_nodes``. With every lattice
-    node as unknowns it keeps no node list.
+    node as unknowns it keeps no node list. On a torus it also keeps one
+    complex spectrum buffer, which each apply transforms into and scales in
+    place, so the closure is not reentrant.
     """
     torus = grid.topology == TORUS
     n, h, dim = grid.cells_per_axis, grid.h, grid.dim
@@ -1103,7 +1107,9 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     shape = (n if torus else n - 1,) * dim
     size = math.prod(shape)
     pos = _block_positions(grid, unknowns)
-    if not torus:
+    if torus:
+        spec = np.empty(inv_symbol.shape, np.result_type(dtype, np.complex64))
+    else:
         from scipy.fft import dstn     # only box solves pay for loading scipy.fft
 
     def apply(r: np.ndarray) -> np.ndarray:
@@ -1115,7 +1121,9 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
             f[pos] = r
         f = f.reshape(shape)
         if torus:
-            z = np.fft.irfftn(np.fft.rfftn(f) * inv_symbol, s=shape, axes=range(dim))
+            np.fft.rfftn(f, out=spec)
+            np.multiply(spec, inv_symbol, out=spec)
+            z = np.fft.irfftn(spec, s=shape, axes=range(dim))
         else:
             z = dstn(f, type=1, norm="ortho", overwrite_x=True)
             z *= inv_symbol
@@ -1338,13 +1346,23 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     unit-coefficient stiffness on the unknowns (FFT on the torus, whose
     constant mode it zeroes, DST-I on the interior nodes of a box) and
     gamma = s^T y / y^T P y from the newest curvature pair (Nocedal-Wright,
-    Numerical Optimization, 7.2). P stays float64 on a box too: a float32
-    apply, as the box Krylov solves use, takes a p = 3 window of side 8 on
-    the 2x2 checkerboard (63^2 free unknowns) from 19 to 23 iterations.
-    Before any pair is stored, gamma is 1 / (p (p - 1) mean a), the
-    reference Hessian scale at |xi + grad v| = 1, and the first trial step
-    is the unit step. The iteration count then does not grow with the mesh.
-    The stopping rule stays on the Euclidean gradient norm.
+    Numerical Optimization, 7.2). P is applied in float64 on a box too,
+    although a float32 apply, as the box Krylov solves use, takes a p = 3
+    window of side 8 on the 2x2 checkerboard (63^2 free unknowns) to the
+    decrement target below in the same 14 iterations. Before any pair is
+    stored, gamma is 1 / (p (p - 1) mean a), the reference Hessian scale at
+    |xi + grad v| = 1, and the first trial step is the unit step. The
+    iteration count then does not grow with the mesh.
+
+    The descent stops on the decrement of its own direction d = -H g,
+    lambda = sqrt(-g^T d), the L-BFGS estimate of the Newton decrement
+    (Boyd-Vandenberghe, Convex Optimization, 9.5.1): lambda^2 / 2 estimates
+    the energy still to be gained, in the H^-1 norm of the gradient, which
+    does not depend on the mesh. It stops once lambda falls to
+    ``_DECREMENT_RTOL`` times its value at v = 0, and reports that ratio as
+    the residual. A start whose lambda^2 / 2 is below the rounding of its
+    energy (a constant coefficient, whose gradient vanishes to rounding) is
+    the minimum and returns after 0 iterations with residual 0.
 
     The descent starts from v = 0 on both topologies, which on a box is the
     affine data itself. Returns the full nodal vector of the corrector:
@@ -1354,11 +1372,11 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     u = np.zeros(n)
     energy = problem.value(u)
     grad = problem.gradient(u)
-    tol = _GRAD_TOLERANCE
+    tol = _DECREMENT_RTOL
     # Energy comparisons bottom out at machine epsilon, after which Armijo
-    # decisions are noise; a descent that stalls there with the gradient
-    # within three decades of the target is at the float64 minimum and is
-    # accepted. Anything coarser stays a hard failure.
+    # decisions are noise; a descent that stalls there with the decrement
+    # ratio within three decades of the target is at the float64 minimum
+    # and is accepted. Anything coarser stays a hard failure.
     stall_ceiling = 1e3 * tol
     stall_drop = 8.0 * np.finfo(float).eps
     cap = _ITERATIONS_PER_UNKNOWN * n
@@ -1369,13 +1387,18 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     it = 0
     stalled = 0
     floor_hit = False
-    g_norm = float(np.linalg.norm(grad))
-    while g_norm > tol and it < cap:
-        d = _lbfgs_direction(grad, memory, precond, gamma0)
-        slope = float(grad @ d)
+    d = _lbfgs_direction(grad, memory, precond, gamma0)
+    slope = float(grad @ d)
+    decrement0 = math.sqrt(-slope) if slope <= 0 else math.nan
+    # lambda^2 / 2 estimates the gain still to come: below the rounding of
+    # the energy, v = 0 is the minimum (a NaN or an ascent start goes on)
+    if 0.5 * decrement0 ** 2 <= stall_drop * max(1.0, abs(energy)):
+        return problem.full_vector(u), SolveStats(0, 0.0)
+    ratio = decrement0 / decrement0     # 1, or NaN for a NaN gradient
+    while not ratio <= tol and it < cap:
         if slope >= 0:
             d = -grad
-            slope = -g_norm ** 2
+            slope = -float(grad @ grad)
         step = 1.0
         accepted = False
         for _ in range(60):
@@ -1387,15 +1410,15 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
             step *= 0.5
             # near the floor, halving further only asks for a decrease the
             # energy comparison cannot resolve
-            if (g_norm <= stall_ceiling
+            if (ratio <= stall_ceiling
                     and -step * slope <= stall_drop * max(1.0, abs(energy))):
                 break
         if not accepted:
-            if g_norm <= stall_ceiling:
+            if ratio <= stall_ceiling:
                 floor_hit = True
                 break
             raise SolverError(f"minimize_p_energy: line search stalled at iteration {it} "
-                              f"(grad norm {g_norm:.3e})")
+                              f"(decrement ratio {ratio:.3e})")
         if e_try > energy + 1e-12 * (1.0 + abs(energy)):
             raise SolverError("minimize_p_energy: energy increased along accepted step")
         grad_new = problem.gradient(u_try)
@@ -1408,19 +1431,21 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
                 memory.pop(0)
         drop = energy - e_try
         u, energy, grad = u_try, e_try, grad_new
-        g_norm = float(np.linalg.norm(grad))
+        d = _lbfgs_direction(grad, memory, precond, gamma0)
+        slope = float(grad @ d)
+        ratio = math.sqrt(-slope) / decrement0 if slope <= 0 else math.nan
         it += 1
         if drop <= stall_drop * max(1.0, abs(energy)):
             stalled += 1
-            if stalled >= 50 and g_norm <= stall_ceiling:
+            if stalled >= 50 and ratio <= stall_ceiling:
                 floor_hit = True
                 break
         else:
             stalled = 0
-    if not g_norm <= tol and not floor_hit:
+    if not ratio <= tol and not floor_hit:
         raise SolverError(f"minimize_p_energy: no convergence in {it} iterations "
-                          f"(grad norm {g_norm:.3e}, target {tol:.3e})")
-    return problem.full_vector(u), SolveStats(it, g_norm)
+                          f"(decrement ratio {ratio:.3e}, target {tol:.3e})")
+    return problem.full_vector(u), SolveStats(it, ratio)
 
 
 def _lbfgs_direction(grad: np.ndarray, memory, precond, gamma0: float) -> np.ndarray:
