@@ -9,7 +9,8 @@ artifact exempt from the byte-identical reproducibility rule, since it
 carries timings.  A failed run keeps the files written before the failure.
 
 Exit codes: 0 success, 1 any other runtime error, 2 invalid spec or
-parameters, 3 a soundness guard fired (``GuardError``), 4 solver failure
+parameters, or an output directory that cannot be written (checked before
+any solve), 3 a soundness guard fired (``GuardError``), 4 solver failure
 (``SolverError``).
 
 BLAS runs on one thread unless the environment sets its thread count, as
@@ -280,7 +281,14 @@ def run_experiment(spec: ExperimentSpec, out_dir=None,
                    plots: bool = True) -> int:
     """Run one validated spec; returns the process exit code."""
     out = Path(out_dir if out_dir is not None else spec.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        unwritable = None if os.access(out, os.W_OK | os.X_OK) else "permission denied"
+    except OSError as e:
+        unwritable = e.strerror or str(e)
+    if unwritable:
+        print(f"cannot write output directory {out}: {unwritable}", file=sys.stderr)
+        return EXIT_INVALID
     log = _StageLog(out / "run.log")
     seed = spec.params.get("seed")   # stochastic specs only
     log.stage("spec", f"kind {spec.kind}"

@@ -47,16 +47,17 @@ coefficient contrast and does not grow with the resolution; nonsymmetric
 systems use BiCGStab right-preconditioned with the same inverse for their
 symmetric part. Both stop on the unpreconditioned residual at 1e-10 of the
 right-hand side, check the true residual at the end and fail after 20
-iterations per unknown. The inverse is applied in float64 on the torus and
-in float32 on the box, where it halves the transform's cost; the solvers
-themselves run in float64, so the rounding of a float32 apply can cost an
-iteration but not accuracy (the mixed-precision split of Higham and Mary,
-Acta Numerica 31, 2022).
+iterations per unknown. The grid sets the precision of the inverse's
+transforms (``spectral_preconditioner``): float64 on the torus and float32
+on the box, where it halves the transform's cost; the solvers themselves
+run in float64, so the rounding of a float32 apply can cost an iteration
+but not accuracy (the mixed-precision split of Higham and Mary, Acta
+Numerica 31, 2022).
 
 The p-power energies are minimized by L-BFGS (``minimize_p_energy``),
 started from w = 0 on both topologies. Its initial inverse Hessian is the
-same reference inverse for a_ref = 1, applied in float64 on the box as on
-the torus and scaled per iteration: a preconditioned two-loop recursion
+same reference inverse for a_ref = 1, in the same precision as for the
+Krylov solves and scaled per iteration: a preconditioned two-loop recursion
 whose iteration count, like CG's, does not grow with the mesh. It stops
 when the decrement of its direction, sqrt(-g^T d), falls to 1e-6 of its
 value at w = 0, a measure that does not depend on the mesh either, under
@@ -334,11 +335,11 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True)
 class CsrPattern:
-    """Sparsity of the matrices assembled on one grid block, and where their
-    entries come from.
+    """Sparsity of the matrices assembled on the solve block of a grid, and
+    where their entries come from.
 
     The block is ``side`` nodes per axis from node ``first`` on every axis:
-    every node of a grid (``first`` 0) or the interior nodes of a box
+    every node of a torus (``first`` 0) or the interior nodes of a box
     (``first`` 1). It wraps on every axis when ``torus`` is set and ends at
     its faces otherwise. A matrix on the pattern is the block's whole
     stencil table, with one row per block node and one column per stencil
@@ -437,9 +438,9 @@ def _mirror_views(dim: int, classes: int, side: int, torus: bool, centre: bool) 
 
 
 @lru_cache(maxsize=8)
-def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) -> CsrPattern:
-    """The ``CsrPattern`` of every node of a grid shape, or with ``interior``
-    of the interior nodes of a box: a block of ``side`` nodes per axis.
+def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
+    """The ``CsrPattern`` of the solve block of a grid shape, every node of
+    a torus or the interior nodes of a box: ``side`` nodes per axis.
 
     The column table is a tensor combination of per-axis [node, class]
     arrays: a slot's column sums the per-axis neighbours (a torus wraps),
@@ -447,8 +448,8 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
     own column. Grids of one shape share the pattern.
     """
     torus = topology == TORUS
-    first = int(interior)
-    side = cells + (not torus) - 2 * first
+    first = int(not torus)
+    side = cells - first
     classes = 2 if torus and side == 2 else 3
     width = classes ** dim
     # per axis [node x, class c]: the neighbour at offset c - 1, if any
@@ -485,8 +486,9 @@ def _csr_pattern(dim: int, cells: int, topology: str, interior: bool = False) ->
 class ElementOps:
     """Per-grid cached arrays for assembly and energy evaluation.
 
-    Every matrix is assembled on a ``CsrPattern``: every node, or the grid
-    block of a solve (``block_pattern``). Row node x of the pattern's
+    Every matrix is assembled on the grid's one ``CsrPattern``
+    (``pattern``), the block of every solve: every node of a torus, the
+    interior nodes of a box. Row node x of the pattern's
     stencil table reads the P parameters of its 2^dim elements x - a, one
     per corner a, as shifted views of the per-element grid padded by one
     layer (zeros beyond a box, the wrapped layer on a torus). A GEMM against
@@ -496,9 +498,8 @@ class ElementOps:
     straight into the CSR data: no element entry is scattered, no slot
     reordered or compacted and no other array over the whole table held.
     Slots that leave a box block are then set to 0 by slicing. The
-    patterns of every node and of a box's interior are built on first use
-    and kept per grid shape (grids that never assemble, like the p-energy
-    ones, never build them).
+    pattern is built on first use and kept per grid shape (grids that
+    never assemble, like the p-energy ones, never build it).
 
     Every per-element contraction is a 2-D matrix product on rows gathered
     once by ``v[elem_nodes]``, against small read-only matrices precomputed
@@ -540,15 +541,9 @@ class ElementOps:
 
     @property
     def pattern(self) -> CsrPattern:
-        """The ``CsrPattern`` of every node."""
-        return _csr_pattern(self.grid.dim, self.grid.cells_per_axis, self.grid.topology)
-
-    @property
-    def block_pattern(self) -> CsrPattern:
-        """The ``CsrPattern`` of the grid block every solve is assembled on:
+        """The ``CsrPattern`` of the grid block every matrix is assembled on:
         every node of a torus, the interior nodes of a box."""
-        g = self.grid
-        return _csr_pattern(g.dim, g.cells_per_axis, g.topology, interior=g.topology == BOX)
+        return _csr_pattern(self.grid.dim, self.grid.cells_per_axis, self.grid.topology)
 
     @property
     def h(self) -> float:
@@ -558,12 +553,11 @@ class ElementOps:
         """Quadrature average of grad v per element, (n_e, dim)."""
         return v[self.elem_nodes] @ self.mean_grad_matrix
 
-    def assemble_stiffness(self, coeff: np.ndarray, shift: np.ndarray | None = None,
-                           pattern: CsrPattern | None = None) -> sp.csr_matrix:
+    def assemble_stiffness(self, coeff: np.ndarray,
+                           shift: np.ndarray | None = None) -> sp.csr_matrix:
         """Stiffness for per-element coefficients, plus the mass weighted by
         the per-element ``shift`` when given (the matrix of
-        -div(coeff grad u) + shift u), on the block of ``pattern`` (every
-        node if None), in one table.
+        -div(coeff grad u) + shift u), on the grid block, in one table.
 
         ``coeff`` is (n_e,) for scalar coefficients or (n_e, dim, dim) for
         matrix ones; rows are test functions, so nonsymmetric coefficient
@@ -579,17 +573,16 @@ class ElementOps:
         if shift is not None:
             params.append(self.h ** self.grid.dim * shift)
             blocks = np.concatenate([blocks, self.mass_ref[None]])
-        return self._assemble(params, blocks, pattern)
+        return self._assemble(params, blocks)
 
-    def assemble_mass(self, weights: np.ndarray | None = None,
-                      pattern: CsrPattern | None = None) -> sp.csr_matrix:
+    def assemble_mass(self, weights: np.ndarray | None = None) -> sp.csr_matrix:
         """Mass matrix with per-element ``weights`` (1 on every element if
-        None) on the block of ``pattern`` (every node if None); a boolean
-        mask restricts it to the masked elements."""
+        None) on the grid block; a boolean mask restricts it to the masked
+        elements."""
         scale = np.full(self.grid.n_elements, self.h ** self.grid.dim)
         if weights is not None:
             scale = scale * weights
-        return self._assemble([scale], self.mass_ref[None], pattern)
+        return self._assemble([scale], self.mass_ref[None])
 
     def _padded(self, params: list[np.ndarray]) -> np.ndarray:
         """The parameter columns of ``params`` ((n_e,) or (n_e, m) each) per
@@ -612,8 +605,7 @@ class ElementOps:
                 padded[(slice(None),) * j + (n + 1,)] = padded[(slice(None),) * j + (1,)]
         return padded
 
-    def _assemble(self, params: list[np.ndarray], blocks: np.ndarray,
-                  pattern: CsrPattern | None) -> sp.csr_matrix:
+    def _assemble(self, params: list[np.ndarray], blocks: np.ndarray) -> sp.csr_matrix:
         """The matrix whose element matrices are sum_p param_p blocks[p] over
         the parameter columns of ``params`` ((n_e,) or (n_e, m) each).
 
@@ -623,7 +615,7 @@ class ElementOps:
         padded parameters and runs one GEMM against the weights into its
         rows of the CSR data, so no other array over the whole table is
         ever built."""
-        pattern = self.pattern if pattern is None else pattern
+        pattern = self.pattern
         d, side = self.grid.dim, pattern.side
         weights = blocks.transpose(1, 0, 2) @ pattern.incidence    # [a, p, c]
         weights = weights.reshape(-1, weights.shape[2])
@@ -1057,10 +1049,10 @@ def _block_positions(grid: Grid, unknowns: np.ndarray | None) -> np.ndarray | No
 
 def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
                             unknowns: np.ndarray | None = None, *,
-                            dtype=np.float64) -> Callable[[np.ndarray], np.ndarray]:
+                            dtype=None) -> Callable[[np.ndarray], np.ndarray]:
     """Inverse of the constant-coefficient reference operator a_ref K + c_ref M
     on ``grid``, as a preconditioner (CG, BiCGStab and L-BFGS's initial
-    inverse Hessian), exact up to the rounding of ``dtype``.
+    inverse Hessian), exact up to the rounding of its transforms.
 
     On a uniform grid the Q1 stiffness and mass matrices are tensor products
     of the 1D stencils with symbols k(t) = (2 - 2 cos t) / h and
@@ -1072,25 +1064,29 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     node ids, sorted) restricts it to a subset of those nodes: zero-extend,
     apply, restrict, which keeps it symmetric positive definite.
 
-    ``dtype`` is the precision of the transforms: the symbol is computed in
-    float64 and stored once in ``dtype``, and each apply casts its input
-    into a buffer of that type, which the box transforms overwrite in place
-    (the caller's vector is never written). The result is always a new
-    float64 vector. ``solve_corrector`` passes float32 on box grids, where
-    it halves the transform's cost; a Krylov solver's stopping test and
-    true-residual check stay float64, so only the iteration count can feel
-    the rounding.
+    The grid sets the precision of the transforms: float32 on a box, where
+    it halves the DST-I's cost, and float64 on the torus, where numpy's
+    float32 FFT is no faster. ``dtype`` overrides it, only for the float64
+    reference that the precision tests compare against. The symbol is
+    computed in float64 and stored once in that precision, and each apply
+    casts its input into a buffer of that type, which the box transforms
+    overwrite in place (the caller's vector is never written). The result
+    is always a new float64 vector. The solvers' stopping tests and the
+    Krylov true-residual check stay float64, so only an iteration count
+    can feel the rounding.
 
     The returned closure keeps the inverse symbol and, when ``unknowns`` is
     a proper subset of the lattice (every node of a torus, the interior of
     a box), their positions on it: ``unknowns`` itself on a torus, and on a
     box their ranks among ``ElementOps.interior_nodes``. With every lattice
-    node as unknowns it keeps no node list. On a torus it also keeps one
-    complex spectrum buffer, which each apply transforms into and scales in
-    place, so the closure is not reentrant.
+    node as unknowns it keeps no node list. Each torus apply makes its own
+    spectrum, and the closure keeps no buffer between applies, so one
+    closure may serve concurrent solves.
     """
     torus = grid.topology == TORUS
     n, h, dim = grid.cells_per_axis, grid.h, grid.dim
+    if dtype is None:
+        dtype = np.float64 if torus else np.float32
     if torus:
         # x is the fastest array axis, the one rfftn halves
         axes = [2.0 * np.pi * np.arange(n // 2 + 1) / n]
@@ -1107,9 +1103,7 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
     shape = (n if torus else n - 1,) * dim
     size = math.prod(shape)
     pos = _block_positions(grid, unknowns)
-    if torus:
-        spec = np.empty(inv_symbol.shape, np.result_type(dtype, np.complex64))
-    else:
+    if not torus:
         from scipy.fft import dstn     # only box solves pay for loading scipy.fft
 
     def apply(r: np.ndarray) -> np.ndarray:
@@ -1121,8 +1115,9 @@ def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
             f[pos] = r
         f = f.reshape(shape)
         if torus:
-            np.fft.rfftn(f, out=spec)
-            np.multiply(spec, inv_symbol, out=spec)
+            # without out= rfftn allocates per pass: 4% slower at 120^2
+            spec = np.fft.rfftn(f, out=np.empty(inv_symbol.shape, complex))
+            spec *= inv_symbol
             z = np.fft.irfftn(spec, s=shape, axes=range(dim))
         else:
             z = dstn(f, type=1, norm="ortho", overwrite_x=True)
@@ -1155,8 +1150,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     elements where ``coeff`` is zero are holes (``_active_elements``): the
     unknowns are then the nodes touching another element, which must form
     one connected component. K + M_c is assembled on the grid block
-    (``ElementOps.block_pattern``, every node of a torus or the interior of
-    a box, kept per grid shape), and ``SparseSystem`` sets the rows and
+    (``ElementOps.pattern``, every node of a torus or the interior of a
+    box, kept per grid shape), and ``SparseSystem`` sets the rows and
     columns of the block nodes that are not unknowns to 0, checks its
     symmetry on the pattern's stencil table and applies it to the unknowns
     (a scatter into the block, a product and a gather); no CSR matrix is
@@ -1195,9 +1190,8 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     if not torus:
         unknowns = (ops.interior_nodes if unknowns is None
                     else unknowns[~grid.boundary_node_mask()[unknowns]])
-    pattern, positions = ops.block_pattern, _block_positions(grid, unknowns)
-    system = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
-                          symmetric=symmetric, pattern=pattern, positions=positions)
+    system = SparseSystem(ops.assemble_stiffness(coeff, shift), symmetric=symmetric,
+                          pattern=ops.pattern, positions=_block_positions(grid, unknowns))
     # the trace of a matrix coefficient is the trace of its symmetric part
     c = coeff if active is None else coeff[active]
     a_ref = float(c.mean() if c.ndim == 1
@@ -1206,10 +1200,7 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
     if shift is not None:
         c_ref = (float(ops.load_from_element_scalars(shift)[unknowns].mean())
                  / grid.h ** grid.dim)
-    # float32 transforms on the box (half the cost of float64); numpy's
-    # float32 FFT is no faster on the torus, which keeps float64
-    precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns,
-                                      dtype=np.float64 if torus else np.float32)
+    precond = spectral_preconditioner(grid, a_ref, c_ref, unknowns)
     out = []
     for xi in ([None] if xis is None else xis):
         if xi is None:
@@ -1346,10 +1337,10 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     unit-coefficient stiffness on the unknowns (FFT on the torus, whose
     constant mode it zeroes, DST-I on the interior nodes of a box) and
     gamma = s^T y / y^T P y from the newest curvature pair (Nocedal-Wright,
-    Numerical Optimization, 7.2). P is applied in float64 on a box too,
-    although a float32 apply, as the box Krylov solves use, takes a p = 3
-    window of side 8 on the 2x2 checkerboard (63^2 free unknowns) to the
-    decrement target below in the same 14 iterations. Before any pair is
+    Numerical Optimization, 7.2). P is applied in the precision of the
+    Krylov solves, float32 on a box: a p = 3 window of side 8 on the 2x2
+    checkerboard (63^2 free unknowns) reaches the decrement target below in
+    14 iterations with it, as with a float64 apply. Before any pair is
     stored, gamma is 1 / (p (p - 1) mean a), the reference Hessian scale at
     |xi + grad v| = 1, and the first trial step is the unit step. The
     iteration count then does not grow with the mesh.

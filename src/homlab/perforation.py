@@ -380,6 +380,6 @@ def lambda_problem_experiment(E: PerforationSet, lam: float, source,
                                        source=np.where(inside, 0.0, f_el))
         diffs.append(u_eps[interior] - u_hom)
         del u_eps
-    mass = ops.assemble_mass(pattern=ops.block_pattern)
+    mass = ops.assemble_mass()
     distances = [float(np.sqrt(diff @ (mass @ diff))) for diff in diffs]
     return LambdaReport(epsilons, tuple(distances), hom.matrix, theta)

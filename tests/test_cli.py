@@ -180,6 +180,34 @@ class TestRunCommand:
         assert "soundness guard" not in err
         assert "unexpected state" in (out / "run.log").read_text()
 
+    @pytest.mark.parametrize("case", ["under a file", "read-only"])
+    def test_unwritable_out_exits_2_before_any_solve(self, tmp_path, capsys,
+                                                      monkeypatch, case):
+        # an --out under a regular file cannot be created, and a read-only
+        # one cannot be written (reported as such by os.access, which a root
+        # user's directory never is): exit 2 with one line naming the path,
+        # and no runner starts
+        from homlab import cli
+
+        def refused(spec, log):
+            raise AssertionError("the run started")
+
+        monkeypatch.setitem(cli._RUNNERS, "cell", refused)
+        if case == "under a file":
+            blocker = tmp_path / "file"
+            blocker.write_text("", encoding="utf-8")
+            out = blocker / "out"
+        else:
+            out = tmp_path / "read-only"
+            monkeypatch.setattr(cli.os, "access", lambda path, mode: Path(path) != out)
+        path = spec_file(tmp_path, {"kind": "cell", "field": STEP_1D,
+                                    "resolutions": [8]})
+        assert main(["cell", "--spec", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot write output directory {out}: ")
+        assert not (out / "run.log").exists()
+
     def test_field_escaping_bounds_exits_3(self, tmp_path, capsys, monkeypatch):
         def escaping(self, pts):
             return np.full(len(pts), 9.0)

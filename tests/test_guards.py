@@ -53,12 +53,11 @@ def _unknowns(g, case):
     return np.flatnonzero(free)
 
 
-def _block(ops, case, unknowns):
-    """The pattern of every node for ``case`` "all", else the grid block
-    and the block positions of ``unknowns`` (None when they fill it)."""
-    if case == "all":
-        return ops.pattern, None
-    return ops.block_pattern, numerics._block_positions(ops.grid, unknowns)
+def _block(ops, unknowns):
+    """The pattern of the grid block, every node of a torus or the
+    interior of a box, and the block positions of ``unknowns`` (None when
+    they fill it, as every node of a torus does for ``case`` "all")."""
+    return ops.pattern, numerics._block_positions(ops.grid, unknowns)
 
 
 def _between_unknowns(pattern, positions):
@@ -118,7 +117,7 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     unknowns = _unknowns(g, case)
-    pattern, positions = _block(ops, case, unknowns)
+    pattern, positions = _block(ops, unknowns)
     line = pattern.side ** (dim - 1)
     rows = {"default": numerics._SLAB_ROWS, "one row": 1, "two lines": 2 * line,
             "whole table": pattern.side ** dim}[slab]
@@ -126,7 +125,7 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
     rng = np.random.default_rng(10 * dim + n)
     m = rng.uniform(-1.0, 1.0, (g.n_elements, dim, dim))
     sym = m + m.transpose(0, 2, 1) + 3.0 * np.eye(dim)
-    K = _held(ops.assemble_stiffness(sym, pattern=pattern), pattern, positions)
+    K = _held(ops.assemble_stiffness(sym), pattern, positions)
     allowed = numerics.SYMMETRY_RTOL * np.abs(K.data).max()
     if dim == 2:
         nodes = g.element_nodes()
@@ -136,13 +135,13 @@ def test_symmetry_guard_fires_at_its_bound(monkeypatch, slab, dim, topology, n, 
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         unit = np.zeros_like(sym)
         unit[element] = skew
-        unit = _held(ops.assemble_stiffness(unit, pattern=pattern), pattern, positions)
+        unit = _held(ops.assemble_stiffness(unit), pattern, positions)
         unit = abs(unit - unit.T).max()       # the defect of a unit skew
 
         def defective(factor):
             coeff = sym.copy()
             coeff[element] += factor * allowed / unit * skew
-            return _held(ops.assemble_stiffness(coeff, pattern=pattern), pattern, positions)
+            return _held(ops.assemble_stiffness(coeff), pattern, positions)
     else:
         slot = np.flatnonzero(_between_unknowns(pattern, positions))[0]
         first_row = 0 if positions is None else positions[0]
@@ -175,8 +174,8 @@ def test_symmetry_guard_fires_on_a_non_finite_diagonal(dim, topology, n, case, v
     reads the centre class whenever an entry is not finite."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern, positions = _block(ops, case, _unknowns(g, case))
-    data = ops.assemble_mass(pattern=pattern).data.copy()
+    pattern, positions = _block(ops, _unknowns(g, case))
+    data = ops.assemble_mass().data.copy()
     data[_centre_slots(pattern)[-1 if positions is None else positions[-1]]] = value
     K = pattern.matrix(data)
     with pytest.raises(ValueError) as raised, np.errstate(invalid="ignore"):
@@ -199,8 +198,8 @@ def test_symmetry_guard_fires_on_an_infinite_off_diagonal(dim, topology, n, case
     fails the check by itself."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern, positions = _block(ops, case, _unknowns(g, case))
-    data = ops.assemble_mass(pattern=pattern).data.copy()
+    pattern, positions = _block(ops, _unknowns(g, case))
+    data = ops.assemble_mass().data.copy()
     data[np.flatnonzero(_between_unknowns(pattern, positions))[0]] = value
     K = pattern.matrix(data)
     dense = K.toarray()
@@ -215,7 +214,7 @@ def test_symmetry_guard_fires_on_an_infinite_entry_on_either_side():
     """The same for a 2 x 2 matrix on the pattern of a 3-cell box's
     interior, with the infinite entry above or below the diagonal; its
     slots beyond the box's faces hold 0."""
-    pattern = element_ops(build_grid(1, 3, (0.0,), 1.0, BOX)).block_pattern
+    pattern = element_ops(build_grid(1, 3, (0.0,), 1.0, BOX)).pattern
     row = np.repeat(np.arange(2), np.diff(pattern.indptr))
     for entries in ([[2.0, np.inf], [1.0, 2.0]], [[2.0, 1.0], [-np.inf, 2.0]]):
         values = np.where(row == pattern.indices, 0.0, np.array(entries)[row, pattern.indices])
@@ -243,8 +242,8 @@ def test_symmetry_guard_reads_only_the_unknowns():
     shift[4 * 9 + 4] = 1e8       # the centre element, whose corners touch holes only
     unknowns = numerics._active_nodes_checked(g, ~hole)
     unknowns = unknowns[~g.boundary_node_mask()[unknowns]]
-    pattern, positions = _block(ops, "masked", unknowns)
-    K = ops.assemble_stiffness(np.where(hole, 0.0, 1.0), shift, pattern)
+    pattern, positions = _block(ops, unknowns)
+    K = ops.assemble_stiffness(np.where(hole, 0.0, 1.0), shift)
     dense = K.toarray()
     held = _held(K.copy(), pattern, positions).toarray()
     on = np.zeros(len(dense), dtype=bool)
@@ -269,8 +268,8 @@ def test_symmetry_guard_scale_has_its_floor(scale):
     off-diagonal defect of 0.5x SYMMETRY_RTOL * max(max|M|, 1e-300)
     passes and 2x raises with the exact message."""
     ops = element_ops(build_grid(2, 8, (0.0, 0.0), 1.0, BOX))
-    pattern = ops.block_pattern
-    data = ops.assemble_mass(pattern=pattern).data
+    pattern = ops.pattern
+    data = ops.assemble_mass().data
     data = data * (scale / np.abs(data).max())
     allowed = numerics.SYMMETRY_RTOL * max(np.abs(data).max(), 1e-300)
     row = np.repeat(np.arange(len(pattern.indptr) - 1), np.diff(pattern.indptr))

@@ -53,11 +53,12 @@ def checkerboard_coeff(grid, low=1.0, high=4.0):
 def dirichlet_system(grid, coeff, boundary_values, rhs_full=None):
     """Reduce an assembled problem to the interior nodes: the symmetric
     system on the box-interior pattern, its right-hand side and the
-    interior node ids."""
+    interior node ids. The boundary values enter through the stiffness on
+    every node, from the COO reference."""
     ops = element_ops(grid)
     interior = ops.interior_nodes
     b = np.zeros(grid.n_nodes) if rhs_full is None else rhs_full.copy()
-    b = b - ops.assemble_stiffness(coeff) @ boundary_values
+    b = b - _full_matrix(ops, coeff) @ boundary_values
     return block_system(ops, coeff), b[interior], interior
 
 
@@ -66,9 +67,9 @@ def block_system(ops, coeff, unknowns=None, shift=None, symmetric=True):
     of a torus or the interior of a box, whose unknowns are the sorted node
     ids ``unknowns`` (the whole block if None), as ``solve_corrector``
     builds it."""
-    pattern, positions = ops.block_pattern, numerics._block_positions(ops.grid, unknowns)
-    return SparseSystem(ops.assemble_stiffness(coeff, shift, pattern),
-                        symmetric=symmetric, pattern=pattern, positions=positions)
+    return SparseSystem(ops.assemble_stiffness(coeff, shift), symmetric=symmetric,
+                        pattern=ops.pattern,
+                        positions=numerics._block_positions(ops.grid, unknowns))
 
 
 def system_on_pattern(dense, symmetric=True, topology=BOX):
@@ -78,7 +79,7 @@ def system_on_pattern(dense, symmetric=True, topology=BOX):
     hold zeros."""
     dense = np.asarray(dense, dtype=float)
     g = build_grid(1, len(dense) + (topology == BOX), (0.0,), 1.0, topology)
-    pattern = element_ops(g).block_pattern
+    pattern = element_ops(g).pattern
     mat = pattern.matrix(np.where(_beyond_faces(pattern), 0.0, dense[_pairs(pattern)]))
     assert np.array_equal(mat.toarray(), dense, equal_nan=True)
     return SparseSystem(mat, symmetric=symmetric, pattern=pattern)
@@ -557,6 +558,33 @@ def _coo_reference(ops, data):
     return mat
 
 
+def _full_matrix(ops, coeff, shift=None):
+    """The stiffness of scalar or matrix ``coeff``, plus the mass weighted
+    by ``shift`` when given, on every node of the grid, by
+    ``_coo_reference``: the matrix the block assembly holds a slice of, and
+    on a box the operator that couples its boundary nodes."""
+    n_loc = 2 ** ops.grid.dim
+    coeff = np.asarray(coeff, dtype=float)
+    if coeff.ndim == 1:
+        coeff = coeff[:, None, None] * np.eye(ops.grid.dim)
+    data = (coeff.reshape(len(coeff), -1) @ ops.stiff_blocks.reshape(-1, n_loc ** 2)
+            ).reshape(-1, n_loc, n_loc)
+    if shift is not None:
+        data = data + (ops.h ** ops.grid.dim * shift)[:, None, None] * ops.mass_ref
+    return _coo_reference(ops, data)
+
+
+def _on_block(g, full):
+    """The rows and columns of a matrix on every node that lie in the
+    grid's block: every node of a torus, the interior of a box."""
+    if g.topology == TORUS:
+        return full
+    interior = np.flatnonzero(~g.boundary_node_mask())
+    block = full[interior][:, interior]
+    block.sort_indices()
+    return block
+
+
 def _pairs(mat):
     """The row and the column of each stored entry of a CSR matrix or each
     slot of a ``CsrPattern``."""
@@ -660,11 +688,12 @@ def _assert_table_order(g, pattern, nodes):
                                          (BOX, 2), (BOX, 4)])
 def test_assembly_matches_coo_reference(dim, topology, n):
     """The stencil-table assembly matches COO -> CSR of the element
-    matrices: the same structure and, to rounding, the same entries, wrapped
-    duplicate stencil offsets of the 2-node torus included. The reference
-    element matrices are formed with one matrix product for matrix
-    coefficients; the element contraction itself is checked against einsum
-    in ``test_element_kernels_match_einsum``."""
+    matrices on the grid block, every node of a torus and the interior rows
+    and columns of a box: the same structure and, to rounding, the same
+    entries, wrapped duplicate stencil offsets of the 2-node torus included.
+    The reference element matrices are formed with one matrix product for
+    matrix coefficients; the element contraction itself is checked against
+    einsum in ``test_element_kernels_match_einsum``."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
     rng = np.random.default_rng(10 * dim + n)
@@ -673,28 +702,33 @@ def test_assembly_matches_coo_reference(dim, topology, n):
     assert dim == 1 or not np.allclose(matrix, matrix.transpose(0, 2, 1))
     lap = np.einsum("kkab->ab", ops.stiff_blocks)
     _assert_same_csr(ops.assemble_stiffness(scalar),
-                     _coo_reference(ops, scalar[:, None, None] * lap[None]), ops.pattern)
+                     _on_block(g, _coo_reference(ops, scalar[:, None, None] * lap[None])),
+                     ops.pattern)
     n_loc = 2 ** dim
     matrix_data = matrix.reshape(g.n_elements, -1) @ ops.stiff_blocks.reshape(-1, n_loc ** 2)
     _assert_same_csr(ops.assemble_stiffness(matrix),
-                     _coo_reference(ops, matrix_data.reshape(-1, n_loc, n_loc)), ops.pattern)
-    # the left half of the elements: the nodes right of it (none on the
-    # 2-node torus) get all-zero rows, which stay as explicit zeros
+                     _on_block(g, _coo_reference(ops, matrix_data.reshape(-1, n_loc, n_loc))),
+                     ops.pattern)
+    # the left half of the elements: the block nodes right of it (none on
+    # the 2-node torus or the 2-cell box, whose one interior node touches
+    # every element) get all-zero rows, which stay as explicit zeros
     mask = g.element_centers()[:, 0] < 0.5
     mass = ops.assemble_mass(mask)
     scale = g.h ** dim * mask
-    _assert_same_csr(mass, _coo_reference(ops, scale[:, None, None] * ops.mass_ref[None]),
+    _assert_same_csr(mass,
+                     _on_block(g, _coo_reference(ops, scale[:, None, None] * ops.mass_ref[None])),
                      ops.pattern)
     row_max = np.maximum.reduceat(np.abs(mass.data), mass.indptr[:-1])
-    assert np.any(row_max == 0.0) == (topology == BOX or n > 2)
+    assert np.any(row_max == 0.0) == (n > 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("topology, n", [(TORUS, 2), (TORUS, 3), (TORUS, 7),
                                          (BOX, 2), (BOX, 3), (BOX, 7)])
 def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
-    """The slots of the pattern inside the block hold the distinct (row,
-    column) pairs of the element entries, each once, rows in order; the
+    """The slots of the pattern inside the block, every node of a torus or
+    the interior of a box, hold the distinct (row, column) pairs of the
+    element entries between block nodes, each once, rows in order; the
     slots are the whole stencil table (3 offset classes per axis, x
     fastest; on the 2-node torus the wrapped offsets -1 and +1 share a slot
     and class 0) in table order, so every row lists all its offset classes
@@ -702,22 +736,29 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     symmetry check read from that table matches scipy's max|K - K^T| bit
     for bit."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
-    nodes = g.element_nodes()
+    block = (np.arange(g.n_nodes) if topology == TORUS
+             else np.flatnonzero(~g.boundary_node_mask()))
+    size = len(block)
+    rank = np.full(g.n_nodes, -1)
+    rank[block] = np.arange(size)
+    nodes = rank[g.element_nodes()]
     n_loc = nodes.shape[1]
     rows = np.repeat(nodes, n_loc, axis=1).ravel()   # (e, a, b) raveled
     cols = np.tile(nodes, n_loc).ravel()
-    pairs = np.unique(rows.astype(np.int64) * g.n_nodes + cols)
+    on_block = (rows >= 0) & (cols >= 0)
+    pairs = np.unique(rows[on_block].astype(np.int64) * size + cols[on_block])
     pattern = numerics._csr_pattern(dim, n, topology)
     inside = ~_beyond_faces(pattern)
     row, col = (a[inside] for a in _pairs(pattern))
-    row_len = np.bincount(pairs // g.n_nodes, minlength=g.n_nodes)
-    assert np.array_equal(np.bincount(row, minlength=g.n_nodes), row_len)
-    assert np.array_equal(np.sort(row * g.n_nodes + col), pairs)
-    assert pattern.first == 0 and pattern.side == g.nodes_per_axis
-    _assert_table_order(g, pattern, np.arange(g.n_nodes))
+    row_len = np.bincount(pairs // size, minlength=size)
+    assert np.array_equal(np.bincount(row, minlength=size), row_len)
+    assert np.array_equal(np.sort(row * size + col), pairs)
+    first = int(topology == BOX)
+    assert pattern.first == first and pattern.side == g.nodes_per_axis - 2 * first
+    _assert_table_order(g, pattern, block)
     # a box lists each row's columns inside the block in increasing order;
     # a torus row that wraps lists its wrapped neighbours first
-    key = row * g.n_nodes + col
+    key = row * size + col
     assert np.all(np.diff(key) > 0) == (topology == BOX)
     assert pattern.indptr.dtype == pattern.indices.dtype == np.int32
     ops = element_ops(g)
@@ -726,35 +767,33 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     _assert_table_check(pattern, K.data, rng)
 
 
-def test_assembly_pattern_is_shared_and_read_only():
-    """The pattern of every node and, on a box, that of the interior nodes
-    are built once per grid shape: every matrix on the interior, also as
-    held by a system with a set of unknowns, shares the interior pattern's
-    index arrays,
-    on any grid of that shape, and the symmetry check read from each
-    pattern's table matches scipy's max|K - K^T| bit for bit."""
-    g = build_grid(2, 6, (0.0, 0.0), 1.0, BOX)
+@pytest.mark.parametrize("topology", [BOX, TORUS])
+def test_assembly_pattern_is_shared_and_read_only(topology):
+    """The pattern of the grid block, the interior nodes of a box or every
+    node of a torus, is built once per grid shape: every matrix, also as
+    held by a system with a set of unknowns, shares its index arrays, on
+    any grid of that shape, and the symmetry check read from the pattern's
+    table matches scipy's max|K - K^T| bit for bit."""
+    g = build_grid(2, 6, (0.0, 0.0), 1.0, topology)
     ops = element_ops(g)
-    interior = np.flatnonzero(~g.boundary_node_mask())
-    inner = ops.block_pattern
-    K = ops.assemble_stiffness(np.full(g.n_elements, 2.0), pattern=inner)
-    M = ops.assemble_mass(pattern=inner)
-    masked = SparseSystem(ops.assemble_mass(pattern=inner), symmetric=True, pattern=inner,
+    block = g.n_nodes if topology == TORUS else np.count_nonzero(~g.boundary_node_mask())
+    inner = ops.pattern
+    K = ops.assemble_stiffness(np.full(g.n_elements, 2.0))
+    M = ops.assemble_mass()
+    masked = SparseSystem(ops.assemble_mass(), symmetric=True, pattern=inner,
                           positions=np.arange(3)).matrix
-    assert K.shape == M.shape == masked.shape == (len(interior),) * 2
-    # a grid of the same shape elsewhere, like the next window, shares them
-    window = element_ops(build_grid(2, 6, (-1.5, 2.0), 3.0, BOX))
-    assert window.pattern is ops.pattern
-    assert window.block_pattern is inner
-    for mat in (K, M, masked, window.assemble_mass(pattern=inner)):
+    assert K.shape == M.shape == masked.shape == (block,) * 2
+    # a grid of the same shape elsewhere, like the next window, shares it
+    window = element_ops(build_grid(2, 6, (-1.5, 2.0), 3.0, topology))
+    assert window.pattern is inner
+    for mat in (K, M, masked, window.assemble_mass()):
         assert np.shares_memory(mat.indices, inner.indices)
         assert np.shares_memory(mat.indptr, inner.indptr)
     rng = np.random.default_rng(5)
-    for pattern in (ops.pattern, inner):
-        for arr in (pattern.indptr, pattern.indices, pattern.incidence):
-            with pytest.raises(ValueError):
-                arr[0] = 1
-        _assert_table_check(pattern, ops.assemble_mass(pattern=pattern).data, rng)
+    for arr in (inner.indptr, inner.indices, inner.incidence):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    _assert_table_check(inner, M.data, rng)
     _assert_table_check(inner, K.data, rng)
     _assert_table_check(inner, masked.data, rng)
 
@@ -798,8 +837,8 @@ def test_restricted_assembly_matches_coo_slice(dim, topology, n, case):
             ).reshape(-1, n_loc, n_loc) + (g.h ** dim * shift)[:, None, None] * ops.mass_ref
     want = _coo_reference(ops, data)[unknowns][:, unknowns]
     want.sort_indices()
-    pattern, positions = ops.block_pattern, numerics._block_positions(g, unknowns)
-    got = SparseSystem(ops.assemble_stiffness(coeff, shift, pattern), symmetric=False,
+    pattern, positions = ops.pattern, numerics._block_positions(g, unknowns)
+    got = SparseSystem(ops.assemble_stiffness(coeff, shift), symmetric=False,
                        pattern=pattern, positions=positions).matrix
     _assert_same_csr(got, want, pattern, positions)
     _assert_table_order(g, pattern, np.arange(g.n_nodes) if topology == TORUS
@@ -815,21 +854,21 @@ def test_slab_size_leaves_the_data_unchanged(monkeypatch, dim, topology, n, case
     fewest a slab holds), two lines per slab (a short last slab on odd
     sides) or as one slab gives the same CSR data to the bit as the default
     slab size, for scalar and matrix coefficients with and without a shift
-    and for the mass, on every node (case "all") or on the grid block, and
+    and for the mass, on the grid block (every node of a torus for case
+    "all"), and
     the symmetry check gives the same scale and worst defect; at 70 cells
     the default takes one slab in 1D and several in 2D."""
     g = build_grid(dim, n, (0.0,) * dim, 1.0, topology)
     ops = element_ops(g)
-    pattern = ops.pattern if case == "all" else ops.block_pattern
+    pattern = ops.pattern
     rng = np.random.default_rng(dim + n)
     scalar = rng.uniform(0.5, 4.0, g.n_elements)
     matrix = rng.uniform(-1.0, 4.0, (g.n_elements, dim, dim))
     shift = rng.uniform(0.5, 3.0, g.n_elements)
 
     def data():
-        mats = [ops.assemble_stiffness(c, s, pattern)
-                for c in (scalar, matrix) for s in (None, shift)]
-        mats.append(ops.assemble_mass(shift, pattern))
+        mats = [ops.assemble_stiffness(c, s) for c in (scalar, matrix) for s in (None, shift)]
+        mats.append(ops.assemble_mass(shift))
         return [(m.data.tobytes(), pattern.symmetry_defect(m.data)) for m in mats]
 
     want = data()
@@ -864,16 +903,17 @@ def test_scalar_load_matches_a_scatter(dim, n, topology):
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 
-@pytest.mark.parametrize("restricted", [False, True])
-def test_symmetry_guard_through_the_stencil_table(restricted):
-    """``SparseSystem`` on the matrix's pattern passes and fails as the
-    max|M - M^T| test does, with the same message: a nonsymmetric matrix
-    coefficient, a NaN coefficient and a defect at rounding level; a
-    pattern the matrix was not assembled on is refused."""
-    g = build_grid(2, 8, (0.0, 0.0), 1.0, BOX)
+@pytest.mark.parametrize("topology", [BOX, TORUS])
+def test_symmetry_guard_through_the_stencil_table(topology):
+    """``SparseSystem`` on the matrix's pattern, the interior of a box or
+    every node of a torus, passes and fails as the max|M - M^T| test does,
+    with the same message: a nonsymmetric matrix coefficient, a NaN
+    coefficient and a defect at rounding level; a pattern the matrix was
+    not assembled on, that of the other topology, is refused."""
+    g = build_grid(2, 8, (0.0, 0.0), 1.0, topology)
     ops = element_ops(g)
-    inner = ops.block_pattern
-    pattern, other = (inner, ops.pattern) if restricted else (ops.pattern, inner)
+    pattern = ops.pattern
+    other = numerics._csr_pattern(2, 8, BOX if topology == TORUS else TORUS)
     rng = np.random.default_rng(6)
     sym = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2))
     sym = sym + sym.transpose(0, 2, 1) + 4.0 * np.eye(2)
@@ -882,7 +922,7 @@ def test_symmetry_guard_through_the_stencil_table(restricted):
     nan = sym.copy()
     nan[9, 1, 1] = np.nan
     for coeff in (skew, nan):
-        K = ops.assemble_stiffness(coeff, pattern=pattern)
+        K = ops.assemble_stiffness(coeff)
         scale = np.abs(K.data).max()
         worst = np.abs((K - K.T).data).max()
         message = (f"matrix declared symmetric but |M - M^T|_max = {worst:.3e} "
@@ -892,7 +932,7 @@ def test_symmetry_guard_through_the_stencil_table(restricted):
             SparseSystem(K, symmetric=True, pattern=pattern)
         assert str(raised.value) == message
         SparseSystem(K, symmetric=False, pattern=pattern)
-    K = ops.assemble_stiffness(sym, pattern=pattern)
+    K = ops.assemble_stiffness(sym)
     K.data[7] *= 1.0 + 1e-13     # within 1e-12 of max|M|
     SparseSystem(K, symmetric=True, pattern=pattern)
     with pytest.raises(ValueError, match="entries for a pattern of"):
@@ -966,8 +1006,8 @@ def test_element_kernels_match_einsum(dim, topology):
     """Every per-element matrix product of ``ElementOps`` and
     ``PEnergyProblem`` agrees with the einsum contraction over the reference
     gradients, to 1e-13 relative: scalar, symmetric-matrix and
-    nonsymmetric-matrix coefficients; the box p-energy on the interior nodes,
-    with zero boundary values."""
+    nonsymmetric-matrix coefficients, the stiffness on the grid block; the
+    box p-energy on the interior nodes, with zero boundary values."""
     from homlab.numerics import _reference_element
 
     g = build_grid(dim, 5, (0.3,) * dim, 2.0, topology)
@@ -1009,7 +1049,7 @@ def test_element_kernels_match_einsum(dim, topology):
         _assert_rel(ops.flux_average(v, c, xi),
                     np.einsum("ekl,el->ek", c_mat, mean + xi).mean(axis=0))
         _assert_rel(ops.assemble_stiffness(c).toarray(),
-                    _coo_reference(ops, blocks).toarray())
+                    _on_block(g, _coo_reference(ops, blocks)).toarray())
 
     coeff = coeffs["scalar"]
     u = v
@@ -1038,8 +1078,9 @@ def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
     """The system ``solve_corrector`` builds (on boxes the stiffness plus
     the shift-weighted mass, assembled as one matrix on the grid block with
     zeros off the unknowns) holds the structure of the slice
-    [unknowns][:, unknowns] of that matrix assembled on every node, the
-    same entries to rounding, and agrees with scipy's (K + M_shift) to
+    [unknowns][:, unknowns] of that matrix on every node, by the COO
+    reference, the same entries to rounding, and agrees with scipy's
+    (K + M_shift) of the block stiffness and mass, assembled apart, to
     rounding."""
     from homlab import numerics
 
@@ -1076,21 +1117,23 @@ def test_corrector_system_matches_sum_then_slice(monkeypatch, case):
             solve_corrector(g, coeff, shift=shift, source=np.ones(g.n_elements))
     [system] = systems
     assert system.n == len(unknowns)
-    want = ops.assemble_stiffness(coeff, shift)[unknowns][:, unknowns]
+    want = _full_matrix(ops, coeff, shift)[unknowns][:, unknowns]
     want.sort_indices()
     _assert_same_csr(system.matrix, want, system.pattern, system.positions)
     if shift is not None:
-        summed = (K + ops.assemble_mass(shift)).tocsr()[unknowns][:, unknowns]
+        summed = (K + ops.assemble_mass(shift)).toarray()
         got = system.matrix.toarray()
         if system.positions is not None:
-            got = got[np.ix_(system.positions, system.positions)]
-        assert np.allclose(got, summed.toarray(), rtol=1e-14, atol=0.0)
+            on = np.ix_(system.positions, system.positions)
+            got, summed = got[on], summed[on]
+        assert np.allclose(got, summed, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("variant", ["torus", "torus-masked", "box-affine",
                                      "box-masked", "box-shifted"])
 def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
-    """The kernel against spsolve on the system restricted by hand."""
+    """The kernel against spsolve on the system restricted by hand from
+    the matrix on every node (the COO reference)."""
     topology = TORUS if variant.startswith("torus") else BOX
     side = 1.0 if topology == TORUS else 2.0
     g = build_grid(2, 16, (0.0, 0.0), side, topology)
@@ -1103,7 +1146,7 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
         local = np.mod(centers, 1.0) - 0.5
         active = np.max(np.abs(local), axis=1) > 0.2
         coeff = coeff * active
-    K = ops.assemble_stiffness(coeff)
+    K = _full_matrix(ops, coeff)
     monkeypatch.setattr(numerics, "_REL_TOLERANCE", 1e-13)
     kwargs = {}
     expected = np.zeros(g.n_nodes)
@@ -1124,7 +1167,7 @@ def test_solve_corrector_matches_direct_solve(variant, monkeypatch):
             shift = 3.0 * (1.0 + 0.5 * np.sin(centers[:, 1]))
             source = np.cos(centers[:, 0]) + centers[:, 1]
             load = ops.load_from_element_scalars(source)
-            A = (K + ops.assemble_mass(shift)).tocsr()
+            A = _full_matrix(ops, coeff, shift)
             expected[free] = scipy.sparse.linalg.spsolve(A[free][:, free].tocsc(),
                                                          load[free])
             kwargs = {"shift": shift, "source": source}
@@ -1159,19 +1202,50 @@ def test_spectral_preconditioner_inverts_reference_torus(dim):
 
 @pytest.mark.parametrize("masked", [False, True])
 @pytest.mark.parametrize("dim", [1, 2])
-def test_torus_apply_reuses_its_spectrum_buffer(dim, masked):
-    # each apply transforms into the closure's one spectrum buffer: an
-    # apply leaves no trace in the next, and no result shares the buffer
+def test_torus_apply_is_reentrant(dim, masked):
+    # the closure keeps no buffer between applies (no complex array, no
+    # array beside the inverse symbol and a subset's positions), so
+    # interleaved applies, and threads applying one closure at once (more
+    # threads than cores), give the sequential applies of a fresh closure
+    # bit for bit, and no result shares memory with another
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
     g = build_grid(dim, 16, (0.0,) * dim, 1.0, TORUS)
     rng = np.random.default_rng(3)
     unknowns = np.flatnonzero(rng.random(g.n_nodes) < 0.7) if masked else None
     apply = spectral_preconditioner(g, 2.5, 0.5, unknowns)
-    r1, r2 = rng.standard_normal((2, g.n_nodes if unknowns is None else len(unknowns)))
-    z1 = apply(r1)
+    arrays = []
+    for cell in apply.__closure__:
+        try:
+            arrays.append(cell.cell_contents)
+        except ValueError:      # scipy's dstn, bound on a box only
+            pass
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert not any(np.iscomplexobj(a) for a in arrays)
+    assert len(arrays) == 1 + masked    # the inverse symbol, the positions
+    rs = rng.standard_normal((6, g.n_nodes if unknowns is None else len(unknowns)))
+    fresh = spectral_preconditioner(g, 2.5, 0.5, unknowns)
+    want = [fresh(r).tobytes() for r in rs]
+    z1 = apply(rs[0])
     first = z1.copy()
-    z2 = apply(r2)
-    assert np.array_equal(z1, first) and np.array_equal(apply(r1), first)
-    assert np.array_equal(z2, spectral_preconditioner(g, 2.5, 0.5, unknowns)(r2))
+    z2 = apply(rs[1])
+    assert np.array_equal(z1, first) and np.array_equal(apply(rs[0]), first)
+    assert z2.tobytes() == want[1] and not np.shares_memory(z1, z2)
+
+    def run(order):
+        return [apply(rs[i]).tobytes() for i in order for _ in range(40)]
+
+    orders = [np.roll(np.arange(len(rs)), k) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads between the applies' steps
+    try:
+        with ThreadPoolExecutor(max_workers=len(orders)) as pool:
+            got = list(pool.map(run, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for order, results in zip(orders, got):
+        assert results == [want[i] for i in order for _ in range(40)]
 
 
 def test_solve_corrector_rejects_terms_outside_their_solves():
@@ -1311,17 +1385,19 @@ def test_solve_corrector_exact_on_reference_box(dim, lam):
     assert stats.iterations <= 2
     assert stats.residual <= 1e-10 * np.linalg.norm(load)
     interior = np.flatnonzero(~g.boundary_node_mask())
-    A = element_ops(g).assemble_stiffness(coeff, shift)[interior][:, interior]
+    A = element_ops(g).assemble_stiffness(coeff, shift)     # on the interior block
+    assert A.shape == (len(interior),) * 2
     x = np.random.default_rng(5).standard_normal(len(interior))
-    apply = spectral_preconditioner(g, 2.5, lam, interior, dtype=np.float32)
+    apply = spectral_preconditioner(g, 2.5, lam, interior)  # float32 on a box
     assert np.linalg.norm(apply(A @ x) - x) <= 1e-5 * np.linalg.norm(x)
 
 
 @pytest.mark.parametrize("masked", [False, True])
 def test_float32_box_apply_matches_float64(monkeypatch, masked):
     """The kernel's float32 DST-I apply on a perforated box (1/256 in the
-    holes, or 0, which makes them Neumann holes; shift lambda on the rest):
-    CG takes as many iterations as with the float64 apply and reaches the
+    holes, or 0, which makes them Neumann holes; shift lambda on the rest),
+    which the grid sets and the kernel does not pass: CG takes as many
+    iterations as with the float64 reference apply and reaches the
     same solution to 1e-9; each apply returns float64 and leaves its input
     bit-unchanged."""
     real = numerics.spectral_preconditioner
@@ -1336,7 +1412,7 @@ def test_float32_box_apply_matches_float64(monkeypatch, masked):
         asked = []
 
         def build(*args, **kwargs):
-            asked.append(kwargs["dtype"])
+            asked.append(kwargs.get("dtype"))
             apply = real(*args, **{**kwargs, "dtype": dtype})
 
             def checked(r):
@@ -1350,10 +1426,10 @@ def test_float32_box_apply_matches_float64(monkeypatch, masked):
 
         monkeypatch.setattr(numerics, "spectral_preconditioner", build)
         [(u, stats)] = solve_corrector(g, coeff, shift=7.0 * mask, source=source)
-        assert asked == [np.float32]
+        assert asked == [None]      # the kernel leaves the precision to the grid
         return u, stats.iterations
 
-    u32, it32 = solve(np.float32)
+    u32, it32 = solve(None)         # the box rule: float32
     u64, it64 = solve(np.float64)
     assert it32 == it64
     assert np.linalg.norm(u32 - u64) <= 1e-9 * np.linalg.norm(u64)
@@ -1362,15 +1438,18 @@ def test_float32_box_apply_matches_float64(monkeypatch, masked):
 @pytest.mark.parametrize("topology", [TORUS, BOX])
 def test_masked_spectral_preconditioner_is_spd(topology):
     """Zero-extend, apply, restrict keeps the preconditioner symmetric
-    positive definite on a masked node subset."""
+    positive definite on a masked node subset: to rounding in float64 (the
+    reference precision), and to float32 rounding in the box's own
+    precision."""
     g = build_grid(2, 8, (0.0, 0.0), 1.0, topology)
     lattice = (np.arange(g.n_nodes) if topology == TORUS
                else np.flatnonzero(~g.boundary_node_mask()))
     unknowns = lattice[np.random.default_rng(6).random(len(lattice)) < 0.7]
-    apply = spectral_preconditioner(g, 1.5, 0.0, unknowns)
-    P = np.column_stack([apply(e) for e in np.eye(len(unknowns))])
-    assert np.max(np.abs(P - P.T)) <= 1e-12 * np.max(np.abs(P))
-    assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0
+    for dtype, rtol in ((np.float64, 1e-12), (None, 1e-12 if topology == TORUS else 1e-6)):
+        apply = spectral_preconditioner(g, 1.5, 0.0, unknowns, dtype=dtype)
+        P = np.column_stack([apply(e) for e in np.eye(len(unknowns))])
+        assert np.max(np.abs(P - P.T)) <= rtol * np.max(np.abs(P))
+        assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0
 
 
 class TestNonsymmetricKrylov:

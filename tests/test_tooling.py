@@ -21,7 +21,8 @@ kernel as a read-only broadcast view, read in place by ``is_symmetric``,
 and every energy and flux read off a corrector comes from
 ``numerics.corrector_response``, and the symmetry check reads the stencil
 table with no transpose map, and the lambda problem's box never builds the
-element-to-node map."""
+element-to-node map, and no module-level private name or import of the
+package is left unread."""
 
 import importlib
 import importlib.util
@@ -546,6 +547,20 @@ def test_solve_path_takes_no_knobs():
     assert not hasattr(numerics.Grid, "node_coords")
     # every p-energy solve starts from w = 0: no warm start to pass in
     assert list(inspect.signature(numerics.minimize_p_energy).parameters) == ["problem"]
+    # the grid sets the assembly block and the transform precision: no
+    # call in the package passes a pattern, an interior flag or a dtype
+    import ast
+
+    choosers = {"spectral_preconditioner", "assemble_stiffness", "assemble_mass",
+                "_csr_pattern"}
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in choosers:
+                    assert not {k.arg for k in node.keywords} & {"pattern", "interior", "dtype"}, \
+                        (module, name)
 
 
 def test_stencil_table_order_is_csr_order():
@@ -576,18 +591,17 @@ def test_box_assembly_holds_no_whole_table():
 
     g = numerics.build_grid(2, 160, (0.0, 0.0), 1.0, numerics.BOX)
     ops = numerics.element_ops(g)
-    pattern = ops.block_pattern
     rng = np.random.default_rng(0)
     coeff = rng.uniform(-1.0, 1.0, (g.n_elements, 2, 2)) + 3.0 * np.eye(2)
     shift = rng.uniform(0.5, 2.0, g.n_elements)
-    ops.assemble_stiffness(coeff, shift, pattern)    # loads scipy.sparse if not yet
+    ops.assemble_stiffness(coeff, shift)    # loads scipy.sparse if not yet
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        mat = ops.assemble_stiffness(coeff, shift, pattern)
+        mat = ops.assemble_stiffness(coeff, shift)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
@@ -618,7 +632,7 @@ def test_box_solve_holds_each_vector_once(monkeypatch):
     shift = rng.uniform(0.5, 2.0, g.n_elements)
     source = rng.uniform(-1.0, 1.0, g.n_elements)
     numerics.solve_corrector(g, coeff, shift=shift, source=source)
-    pattern = numerics._csr_pattern(2, 160, numerics.BOX, interior=True)
+    pattern = numerics._csr_pattern(2, 160, numerics.BOX)
     n, data = len(pattern.indptr) - 1, len(pattern.indices) * 8
     seen = []       # (the solve's peak before CG, CG's own peak)
     cg_solve = numerics.cg_solve
@@ -695,8 +709,8 @@ def test_symmetry_check_keeps_no_transpose_map():
         is inspect.Parameter.empty
     g = numerics.build_grid(2, 320, (0.0, 0.0), 2.0, numerics.BOX)
     ops = numerics.element_ops(g)
-    pattern = ops.block_pattern
-    assert pattern is numerics._csr_pattern(2, 320, numerics.BOX, interior=True)
+    pattern = ops.pattern
+    assert pattern is numerics._csr_pattern(2, 320, numerics.BOX)
     lengths = {len(pattern.indices)}
     for f in dataclasses.fields(pattern):
         value = getattr(pattern, f.name)
@@ -721,6 +735,14 @@ def test_one_stencil_layout_for_every_system():
     assert not hasattr(numerics.CsrPattern, "gather")
     assert not hasattr(numerics.CsrPattern, "restricted")
     assert not hasattr(numerics.ElementOps, "restricted_pattern")
+    # one pattern per grid, its solve block: no every-node box pattern and
+    # no assembly that takes a pattern
+    assert not hasattr(numerics.ElementOps, "block_pattern")
+    assert list(inspect.signature(numerics._csr_pattern).parameters) == [
+        "dim", "cells", "topology"]
+    for name in ("assemble_stiffness", "assemble_mass"):
+        params = inspect.signature(getattr(numerics.ElementOps, name)).parameters
+        assert "pattern" not in params, name
     for name in ("_flat_views", "_wrapped_views", "_max_difference"):
         assert not hasattr(numerics, name), name
     source = textwrap.dedent(inspect.getsource(numerics.CsrPattern.symmetry_defect))
@@ -935,3 +957,63 @@ def test_solves_assemble_only_their_unknowns(tmp_path, monkeypatch, tree):
         assert systems == [(int(free.sum()), block)]
     assert all(rows < n_nodes for n_nodes, rows in box_matrices)
     assert (tree is TINY_STOCHASTIC) == (box_matrices == [])
+
+
+def _module_trees():
+    """The parsed source of every module of ``src/homlab``, by name."""
+    import ast
+
+    src = Path(__file__).resolve().parents[1] / "src" / "homlab"
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(src.glob("*.py"))}
+
+
+def _read_names(tree):
+    """Every name a tree reads: loaded names, attribute names and the
+    names it imports from another module."""
+    import ast
+
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_no_unused_private_names_or_imports():
+    # a deletion that leaves a private helper or an import behind fails
+    # here: every module-level private name of the package (a function, a
+    # class or an assigned name starting with one underscore) is read
+    # somewhere in it, and every name a module imports is read in that
+    # module
+    import ast
+
+    trees = _module_trees()
+    read = set().union(*map(_read_names, trees.values()))
+    unused = []
+    for module, tree in trees.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            unused += [f"{module}.{name}" for name in defined
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{module}: import {alias.name}")
+    assert unused == []
