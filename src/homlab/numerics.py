@@ -56,15 +56,18 @@ Numerica 31, 2022).
 
 The p-power energies are minimized by L-BFGS (``minimize_p_energy``),
 started from w = 0 on both topologies. Its initial inverse Hessian is the
-same reference inverse for a_ref = 1, in the same precision as for the
+same reference inverse P for a_ref = 1, in the same precision as for the
 Krylov solves and scaled per iteration: a preconditioned two-loop recursion
-whose iteration count, like CG's, does not grow with the mesh. It stops
-when the decrement of its direction, sqrt(-g^T d), falls to 1e-6 of its
-value at w = 0, a measure that does not depend on the mesh either, under
-the same iteration cap. An energy
-and a gradient at one point share one pass over the quadrature points,
+whose iteration count, like CG's, does not grow with the mesh. P is linear,
+so it is applied once per accepted step, to the new gradient: each
+curvature pair keeps P y as the difference of the P g of its ends, and the
+recursion combines those (``_lbfgs_direction``). It stops when the
+decrement of its direction, sqrt(-g^T d), falls to 1e-6 of its value at
+w = 0, a measure that does not depend on the mesh either, under the same
+iteration cap. An energy and a gradient at one point share one pass over
+the quadrature points and one power per point, |xi + grad v|^(p-2),
 keyed on the point's values (``PEnergyProblem``): the gradient at an
-accepted step reuses the rows its line search built.
+accepted step reuses the rows and the scale its line search built.
 
 Every quantity read off a corrector, the energy of xi + grad w per unit
 volume and the mean flux a (xi + grad w), comes from one function,
@@ -338,25 +341,24 @@ class CsrPattern:
     """Sparsity of the matrices assembled on the solve block of a grid, and
     where their entries come from.
 
-    The block is ``side`` nodes per axis from node ``first`` on every axis:
-    every node of a torus (``first`` 0) or the interior nodes of a box
-    (``first`` 1). It wraps on every axis when ``torus`` is set and ends at
-    its faces otherwise. A matrix on the pattern is the block's whole
-    stencil table, with one row per block node and one column per stencil
-    offset class, x fastest: 3 classes per axis (offsets -1, 0, +1), or 2 on
-    a 2-node torus axis, whose offsets -1 and +1 are one node. Its CSR data
-    *is* that table, so every row has the same ``classes**dim`` slots,
-    ``indptr`` is uniform and ``indices`` lists each slot's column, with
-    scipy's index dtype. A slot whose neighbour lies beyond a box face holds
-    0 in the row's own column; a torus row that wraps lists its columns
-    unsorted (node 0 reads node side - 1 first), as scipy's CSR kernels
-    allow. ``incidence[a, b, c]`` is 1 when element-local node b sits in
-    class c of local node a. Every array is read-only.
+    The block is ``side`` nodes per axis: every node of a torus, from node
+    0, or the interior nodes of a box, from node 1 on every axis. It wraps
+    on every axis when ``torus`` is set and ends at its faces otherwise. A
+    matrix on the pattern is the block's whole stencil table, with one row
+    per block node and one column per stencil offset class, x fastest: 3
+    classes per axis (offsets -1, 0, +1), or 2 on a 2-node torus axis, whose
+    offsets -1 and +1 are one node. Its CSR data *is* that table, so every
+    row has the same ``classes**dim`` slots, ``indptr`` is uniform and
+    ``indices`` lists each slot's column, with scipy's index dtype. A slot
+    whose neighbour lies beyond a box face holds 0 in the row's own column;
+    a torus row that wraps lists its columns unsorted (node 0 reads node
+    side - 1 first), as scipy's CSR kernels allow. ``incidence[a, b, c]`` is
+    1 when element-local node b sits in class c of local node a. Every array
+    is read-only.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
-    first: int
     side: int
     torus: bool
     incidence: np.ndarray
@@ -448,8 +450,7 @@ def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
     own column. Grids of one shape share the pattern.
     """
     torus = topology == TORUS
-    first = int(not torus)
-    side = cells - first
+    side = cells - (not torus)
     classes = 2 if torus and side == 2 else 3
     width = classes ** dim
     # per axis [node x, class c]: the neighbour at offset c - 1, if any
@@ -478,7 +479,7 @@ def _csr_pattern(dim: int, cells: int, topology: str) -> CsrPattern:
     # tensor product puts x fastest
     axis = np.eye(classes)[(np.arange(2) - np.arange(2)[:, None] + 1) % classes]
     incidence = reduce(np.kron, [axis] * dim)
-    return CsrPattern(*_frozen(indptr, indices.ravel()), first, side, torus,
+    return CsrPattern(*_frozen(indptr, indices.ravel()), side, torus,
                       *_frozen(incidence))
 
 
@@ -617,6 +618,7 @@ class ElementOps:
         ever built."""
         pattern = self.pattern
         d, side = self.grid.dim, pattern.side
+        first = int(not pattern.torus)      # the block's first node per axis
         weights = blocks.transpose(1, 0, 2) @ pattern.incidence    # [a, p, c]
         weights = weights.reshape(-1, weights.shape[2])
         width = weights.shape[1]
@@ -639,7 +641,7 @@ class ElementOps:
                 (2 ** d, len(padded), stop - y) + (side,) * (d - 1))     # [a, p, node]
             # table node first + i reads element first + i - a, padded index + 1
             for a, corner in enumerate(np.ndindex((2,) * d)):
-                lo = [pattern.first + 1 - c for c in corner]
+                lo = [first + 1 - c for c in corner]
                 corners[a] = padded[(slice(None), slice(lo[0] + y, lo[0] + stop))
                                     + tuple(slice(k, k + side) for k in lo[1:])]
             table = data[start * width:end * width].reshape(-1, width)
@@ -1041,10 +1043,10 @@ def _block_positions(grid: Grid, unknowns: np.ndarray | None) -> np.ndarray | No
     every node of a torus or the interior of a box: the node ids themselves
     on a torus, their ranks among ``ElementOps.interior_nodes`` on a box.
     None when ``unknowns`` is None or fills the block."""
-    torus = grid.topology == TORUS
-    if unknowns is None or len(unknowns) == (grid.cells_per_axis - (not torus)) ** grid.dim:
+    ops = element_ops(grid)
+    if unknowns is None or len(unknowns) == ops.pattern.side ** grid.dim:
         return None
-    return unknowns if torus else np.searchsorted(element_ops(grid).interior_nodes, unknowns)
+    return unknowns if ops.pattern.torus else np.searchsorted(ops.interior_nodes, unknowns)
 
 
 def spectral_preconditioner(grid: Grid, a_ref: float, c_ref: float = 0.0,
@@ -1224,13 +1226,13 @@ def solve_corrector(grid: Grid, coeff: np.ndarray, xis=None, *,
 
 @dataclass
 class _PointEvaluation:
-    """One point of a ``PEnergyProblem`` (a private copy), its point rows
-    and squared lengths, and its energy once asked for."""
+    """One point of a ``PEnergyProblem`` (a private copy), its point rows,
+    its scale |xi + grad v|^(p-2) per point and its energy."""
 
     u: np.ndarray
     rows: np.ndarray
-    mag_sq: np.ndarray
-    energy: float | None = None
+    scale: np.ndarray
+    energy: float
 
 
 @dataclass
@@ -1246,11 +1248,16 @@ class PEnergyProblem:
     as one product of the gathered nodal rows with the grid's precomputed
     gradient matrix (``ElementOps.grad_matrix``); the gradient maps the
     weighted point values back through its transpose
-    (``ElementOps.grad_matrix_t``). An energy and a gradient at one point
-    share one pass over the quadrature points: the problem keeps a copy of
-    the last point it evaluated with that point's rows, squared lengths and
-    energy, and reuses them while the argument's values equal the copy's
-    (``np.array_equal``), so a vector changed in place is evaluated afresh.
+    (``ElementOps.grad_matrix_t``). A point takes one power: the scale
+    |xi + grad v|^(p-2) (0 where xi + grad v vanishes), so the energy
+    density is |xi + grad v|^2 times the scale and the gradient's point
+    factor p |xi + grad v|^(p-2) is p times it; at p = 3 the power is a
+    square root (numpy's fast path for ``** 0.5``). An energy and a gradient
+    at one point share that pass over the quadrature points: the problem
+    keeps a copy of the last point it evaluated with that point's rows,
+    scale and energy, and reuses them while the argument's values equal the
+    copy's (``np.array_equal``), so a vector changed in place is evaluated
+    afresh.
     """
 
     grid: Grid
@@ -1290,13 +1297,21 @@ class PEnergyProblem:
         full[self.free] = u_free
         return full
 
-    def _point_rows(self, u_free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _point_rows(self, u_free: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """xi + grad v at the quadrature points as flat rows (n_e, n_q dim),
-        and its squared length per point (n_e, n_q)."""
+        its scale |xi + grad v|^(p-2) per point (n_e, n_q) and the energy."""
         v = self.full_vector(u_free)
         g = v[self.ops.elem_nodes] @ self.ops.grad_matrix
         g += self._xi_rows
-        return g, (g * g) @ self.ops.point_sum
+        mag_sq = (g * g) @ self.ops.point_sum
+        with np.errstate(divide="ignore"):
+            scale = mag_sq ** (self.p / 2.0 - 1.0)
+        if self.p <= 2.0:
+            # 0 ** (p/2 - 1) is inf below p = 2 and 1 at it; above, it is 0
+            scale[mag_sq == 0.0] = 0.0
+        mag_sq *= scale             # the energy density |xi + grad v|^p
+        energy = self.grid.h ** self.grid.dim * (self.coeff @ (mag_sq @ self.ops.quad_weights))
+        return g, scale, float(energy)
 
     def _evaluated(self, u_free: np.ndarray) -> _PointEvaluation:
         """The evaluation at u_free: the last one while the values match."""
@@ -1307,20 +1322,13 @@ class PEnergyProblem:
         return last
 
     def value(self, u_free: np.ndarray) -> float:
-        point = self._evaluated(u_free)
-        if point.energy is None:
-            dens = point.mag_sq ** (self.p / 2.0) @ self.ops.quad_weights
-            point.energy = float(self.grid.h ** self.grid.dim * (self.coeff @ dens))
-        return point.energy
+        return self._evaluated(u_free).energy
 
     def gradient(self, u_free: np.ndarray) -> np.ndarray:
         point = self._evaluated(u_free)
-        g, mag_sq = point.rows, point.mag_sq
         # p |g|^(p-2) g, with the p=2 case reducing to 2 g exactly.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(mag_sq > 0, mag_sq ** (self.p / 2.0 - 1.0), 0.0)
-        w = self._point_weights * scale
-        contrib = ((w @ self.ops.point_spread) * g) @ self.ops.grad_matrix_t
+        w = self._point_weights * point.scale
+        contrib = ((w @ self.ops.point_spread) * point.rows) @ self.ops.grad_matrix_t
         full_grad = np.bincount(self.ops.elem_nodes.ravel(), weights=contrib.ravel(),
                                 minlength=self.grid.n_nodes)
         if self.free is None:
@@ -1333,17 +1341,25 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     non-increasing.
 
     The initial inverse Hessian of the two-loop recursion is gamma P, with
-    P = ``spectral_preconditioner(grid, 1, 0, free)`` the inverse of the
-    unit-coefficient stiffness on the unknowns (FFT on the torus, whose
-    constant mode it zeroes, DST-I on the interior nodes of a box) and
+    P = ``spectral_preconditioner(grid, 1, 0)`` the inverse of the
+    unit-coefficient stiffness on the grid block, which the unknowns fill
+    (FFT on the torus, whose constant mode it zeroes, DST-I on the interior
+    nodes of a box; no assembly pattern is built), and
     gamma = s^T y / y^T P y from the newest curvature pair (Nocedal-Wright,
-    Numerical Optimization, 7.2). P is applied in the precision of the
-    Krylov solves, float32 on a box: a p = 3 window of side 8 on the 2x2
-    checkerboard (63^2 free unknowns) reaches the decrement target below in
-    14 iterations with it, as with a float64 apply. Before any pair is
-    stored, gamma is 1 / (p (p - 1) mean a), the reference Hessian scale at
-    |xi + grad v| = 1, and the first trial step is the unit step. The
-    iteration count then does not grow with the mesh.
+    Numerical Optimization, 7.2). P is linear, so it is applied once per
+    accepted step, to the new gradient: the loop keeps P g of the current
+    point, each stored pair keeps P y as the difference of the P g of its
+    two ends, and the recursion builds P q from those (``_lbfgs_direction``).
+    A solve of k iterations makes k + 1 applies. A pair is stored when
+    s^T y passes its positivity test and y^T P y is positive; P g advances
+    either way. Each evaluated point takes one power (``PEnergyProblem``),
+    shared by its energy and its gradient. P is applied in the precision
+    of the Krylov solves, float32 on a box: a p = 3 window of side 8 on the
+    2x2 checkerboard (63^2 free unknowns) reaches the decrement target
+    below in 14 iterations with it, as with a float64 apply. Before any
+    pair is stored, gamma is 1 / (p (p - 1) mean a), the reference Hessian
+    scale at |xi + grad v| = 1, and the first trial step is the unit step.
+    The iteration count then does not grow with the mesh.
 
     The descent stops on the decrement of its own direction d = -H g,
     lambda = sqrt(-g^T d), the L-BFGS estimate of the Newton decrement
@@ -1371,14 +1387,15 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     stall_ceiling = 1e3 * tol
     stall_drop = 8.0 * np.finfo(float).eps
     cap = _ITERATIONS_PER_UNKNOWN * n
-    precond = spectral_preconditioner(problem.grid, 1.0, 0.0, problem.free)
+    precond = spectral_preconditioner(problem.grid, 1.0, 0.0)
     gamma0 = 1.0 / (problem.p * (problem.p - 1.0) * float(problem.coeff.mean()))
-    memory: list[tuple[np.ndarray, np.ndarray]] = []
+    memory: list[tuple[np.ndarray, np.ndarray, float, np.ndarray]] = []
     m_max = 10
     it = 0
     stalled = 0
     floor_hit = False
-    d = _lbfgs_direction(grad, memory, precond, gamma0)
+    pgrad = precond(grad)
+    d = _lbfgs_direction(grad, pgrad, memory, gamma0)
     slope = float(grad @ d)
     decrement0 = math.sqrt(-slope) if slope <= 0 else math.nan
     # lambda^2 / 2 estimates the gain still to come: below the rounding of
@@ -1413,16 +1430,19 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
         if e_try > energy + 1e-12 * (1.0 + abs(energy)):
             raise SolverError("minimize_p_energy: energy increased along accepted step")
         grad_new = problem.gradient(u_try)
+        pgrad_new = precond(grad_new)
         s = u_try - u
         y = grad_new - grad
+        py = pgrad_new - pgrad
         sy = float(s @ y)
-        if sy > 1e-12 * np.linalg.norm(s) * max(np.linalg.norm(y), 1e-300):
-            memory.append((s, y))
+        if (sy > 1e-12 * np.linalg.norm(s) * max(np.linalg.norm(y), 1e-300)
+                and float(y @ py) > 0):
+            memory.append((s, y, 1.0 / sy, py))
             if len(memory) > m_max:
                 memory.pop(0)
         drop = energy - e_try
-        u, energy, grad = u_try, e_try, grad_new
-        d = _lbfgs_direction(grad, memory, precond, gamma0)
+        u, energy, grad, pgrad = u_try, e_try, grad_new, pgrad_new
+        d = _lbfgs_direction(grad, pgrad, memory, gamma0)
         slope = float(grad @ d)
         ratio = math.sqrt(-slope) / decrement0 if slope <= 0 else math.nan
         it += 1
@@ -1439,24 +1459,31 @@ def minimize_p_energy(problem: PEnergyProblem) -> tuple[np.ndarray, SolveStats]:
     return problem.full_vector(u), SolveStats(it, ratio)
 
 
-def _lbfgs_direction(grad: np.ndarray, memory, precond, gamma0: float) -> np.ndarray:
-    """-H grad by the two-loop recursion with initial inverse Hessian gamma P."""
+def _lbfgs_direction(grad: np.ndarray, pgrad: np.ndarray, memory, gamma0: float
+                     ) -> np.ndarray:
+    """-H grad by the two-loop recursion with initial inverse Hessian gamma P,
+    applying no P: ``pgrad`` is P grad and each pair (s, y, rho, P y) of
+    ``memory``, oldest first, holds rho = 1 / s^T y and P y. The first loop
+    updates q = grad - sum a_i y_i and P q = P grad - sum a_i P y_i side by
+    side, so H0 q = gamma P q with gamma = s^T y / y^T P y of the newest
+    pair (``gamma0`` without pairs)."""
     q = grad.copy()
+    pq = pgrad.copy()
     alphas = []
-    for s, y in reversed(memory):
-        rho = 1.0 / float(s @ y)
+    for s, y, rho, py in reversed(memory):
         a = rho * float(s @ q)
-        alphas.append((a, rho, s, y))
+        alphas.append(a)
         q -= a * y
+        pq -= a * py
     gamma = gamma0
     if memory:
-        s, y = memory[-1]
-        gamma = float(s @ y) / float(y @ precond(y))
-    q = gamma * precond(q)
-    for a, rho, s, y in reversed(alphas):
-        b = rho * float(y @ q)
-        q += (a - b) * s
-    return -q
+        _, y, rho, py = memory[-1]
+        gamma = 1.0 / (rho * float(y @ py))
+    pq *= gamma
+    for (s, y, rho, _), a in zip(memory, reversed(alphas)):
+        b = rho * float(y @ pq)
+        pq += (a - b) * s
+    return -pq
 
 
 def corrector_response(grid: Grid, coeff: np.ndarray, xis, p: float = 2.0

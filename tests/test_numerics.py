@@ -659,6 +659,7 @@ def _table_entries(g, pattern, nodes):
     plus the offset class of the column, per axis offset + 1, x fastest (on
     the 2-node torus the wrapped offsets -1 and +1 share class 0)."""
     nn, classes = g.nodes_per_axis, _classes(g)
+    first = int(g.topology == BOX)      # the block's first node per axis
     row, col = (nodes[a] for a in _pairs(pattern))
     place = offset_class = 0
     for k in range(g.dim):
@@ -666,7 +667,7 @@ def _table_entries(g, pattern, nodes):
         step = c - r
         if g.topology == TORUS:
             step = (step + 1) % nn - 1
-        place = place + (r - pattern.first) * pattern.side ** k
+        place = place + (r - first) * pattern.side ** k
         offset_class = offset_class + (step + 1) % classes * classes ** k
     return place * classes ** g.dim + offset_class
 
@@ -753,8 +754,11 @@ def test_csr_pattern_lists_each_element_pair_once(dim, topology, n):
     row_len = np.bincount(pairs // size, minlength=size)
     assert np.array_equal(np.bincount(row, minlength=size), row_len)
     assert np.array_equal(np.sort(row * size + col), pairs)
+    # the block's first node is 0 on a torus and 1 on a box on every axis,
+    # the offset the table-order check below reads from the topology
     first = int(topology == BOX)
-    assert pattern.first == first and pattern.side == g.nodes_per_axis - 2 * first
+    assert pattern.torus == (topology == TORUS)
+    assert pattern.side == g.nodes_per_axis - 2 * first
     _assert_table_order(g, pattern, block)
     # a box lists each row's columns inside the block in increasing order;
     # a torus row that wraps lists its wrapped neighbours first
@@ -1579,10 +1583,11 @@ class TestPEnergy:
 
     def test_float_floor_stops_backtracking(self, monkeypatch):
         # with the decrement target moved below what this descent reaches
-        # (it stops at 33 iterations with ratio 6.7e-7 at the real target),
-        # it meets the float64 energy floor first; the line search must stop
-        # halving there instead of spending tens of evaluations per stalled
-        # iteration on noise-level Armijo tests
+        # (it stops at 33 iterations with ratio 6.7e-7 at the real target,
+        # and reaches 1e-12 by the rule in 69), it meets the float64 energy
+        # floor first (72 iterations, ratio 2.7e-13); the line search must
+        # stop halving there instead of spending tens of evaluations per
+        # stalled iteration on noise-level Armijo tests
         g = build_grid(2, 32, (0.0, 0.0), 1.0, TORUS)
         coeff = checkerboard_coeff(g)
         xi = np.array([0.3, 0.7])
@@ -1593,7 +1598,7 @@ class TestPEnergy:
                 calls.append(1)
                 return super().value(u_free)
 
-        tol = 1e-8
+        tol = 1e-13
         monkeypatch.setattr(numerics, "_DECREMENT_RTOL", tol)
         prob = Counted(g, coeff, 1.5, xi)
         _, stats = minimize_p_energy(prob)
@@ -1704,6 +1709,134 @@ class TestPEnergy:
             u, _ = minimize_p_energy(prob)
             runs.append(u.tobytes())
         assert runs[0] == runs[1]
+
+
+def reference_direction(grad, pairs, precond, gamma0):
+    """-H grad by the textbook two-loop recursion over the (s, y) ``pairs``,
+    oldest first, with initial inverse Hessian gamma P: it applies P to the
+    newest y for gamma = s^T y / y^T P y and to the first loop's q."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        rho = 1.0 / float(s @ y)
+        a = rho * float(s @ q)
+        alphas.append((a, rho, s, y))
+        q -= a * y
+    gamma = gamma0
+    if pairs:
+        s, y = pairs[-1]
+        gamma = float(s @ y) / float(y @ precond(y))
+    q = gamma * precond(q)
+    for a, rho, s, y in reversed(alphas):
+        q += (a - rho * float(y @ q)) * s
+    return -q
+
+
+def reference_value_gradient(prob, u):
+    """The energy and gradient of ``prob`` at ``u`` with two powers per
+    point: mag_sq ** (p/2) for the energy, mag_sq ** (p/2 - 1), 0 where
+    mag_sq is 0, for the gradient."""
+    ops, p, g = prob.ops, prob.p, prob.grid
+    v = prob.full_vector(u)
+    rows = v[ops.elem_nodes] @ ops.grad_matrix + np.tile(prob.xi, len(ops.quad_weights))
+    mag_sq = (rows * rows) @ ops.point_sum
+    energy = g.h ** g.dim * (prob.coeff @ (mag_sq ** (p / 2.0) @ ops.quad_weights))
+    with np.errstate(divide="ignore"):
+        scale = np.where(mag_sq > 0, mag_sq ** (p / 2.0 - 1.0), 0.0)
+    weights = p * g.h ** g.dim * prob.coeff[:, None] * ops.quad_weights[None, :] * scale
+    contrib = ((weights @ ops.point_spread) * rows) @ ops.grad_matrix_t
+    full = np.bincount(ops.elem_nodes.ravel(), weights=contrib.ravel(), minlength=g.n_nodes)
+    return float(energy), (full - full.mean() if prob.free is None else full[prob.free])
+
+
+class TestOneTransformPerStep:
+    """L-BFGS applies P once per accepted step, and a point takes one power."""
+
+    CASES = {
+        # topology -> (grid, p, xi, relative bound of the direction): the
+        # float64 torus of penergy-cell at 32^2 and a float32 p = 3 box
+        TORUS: ((2, 32, (0.0, 0.0), 1.0, TORUS), 3.0, (1.0, 0.0), 1e-12),
+        BOX: ((2, 64, (-1.0, -1.0), 2.0, BOX), 3.0, (1.0, 0.5), 1e-5),
+    }
+
+    @pytest.mark.parametrize("topology", [TORUS, BOX])
+    def test_applies_per_solve_are_iterations_plus_one(self, monkeypatch, topology):
+        # one apply to the gradient at w = 0, then one per accepted step,
+        # to its new gradient; every other P-product comes from those
+        grid_args, p, xi, _ = self.CASES[topology]
+        real = numerics.spectral_preconditioner
+        applies = []
+
+        def counted(*args, **kwargs):
+            apply = real(*args, **kwargs)
+
+            def one(r):
+                applies.append(1)
+                return apply(r)
+
+            return one
+
+        monkeypatch.setattr(numerics, "spectral_preconditioner", counted)
+        g = build_grid(*grid_args)
+        _, stats = minimize_p_energy(PEnergyProblem(g, checkerboard_coeff(g), p,
+                                                    np.array(xi)))
+        assert stats.iterations > 10
+        assert len(applies) == stats.iterations + 1
+
+    @pytest.mark.parametrize("topology", [TORUS, BOX])
+    def test_direction_matches_the_reference_two_loop(self, monkeypatch, topology):
+        # with a full memory of 10 pairs, P y by difference of the P g of its
+        # ends gives the direction of the two-loop that applies P to y and q
+        grid_args, p, xi, bound = self.CASES[topology]
+        g = build_grid(*grid_args)
+        precond = spectral_preconditioner(g, 1.0, 0.0)   # float32 on a box
+        real = numerics._lbfgs_direction
+        gaps = []
+
+        def compared(grad, pgrad, memory, gamma0):
+            d = real(grad, pgrad, memory, gamma0)
+            if len(memory) == 10:
+                want = reference_direction(grad, [(s, y) for s, y, *_ in memory],
+                                           precond, gamma0)
+                gaps.append(np.linalg.norm(d - want) / np.linalg.norm(want))
+            return d
+
+        monkeypatch.setattr(numerics, "_lbfgs_direction", compared)
+        minimize_p_energy(PEnergyProblem(g, checkerboard_coeff(g), p, np.array(xi)))
+        assert gaps and max(gaps) <= bound
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+    @pytest.mark.parametrize("topology", [TORUS, BOX])
+    def test_shared_scale_matches_two_powers(self, p, topology):
+        g = build_grid(2, 8, (0.0, 0.0), 1.0, topology)
+        prob = PEnergyProblem(g, checkerboard_coeff(g), p, np.array([1.0, 0.5]))
+        u = 0.1 * np.random.default_rng(int(10 * p)).standard_normal(prob.n_free)
+        energy, grad = reference_value_gradient(prob, u)
+        assert abs(prob.value(u) - energy) <= 1e-14 * abs(energy)
+        assert np.abs(prob.gradient(u) - grad).max() <= 1e-14 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_vanishing_point_contributes_zero(self, p):
+        # on a 1D torus with xi = 1, v' = -1 on element 0 makes xi + grad v
+        # vanish at both of its points; at p = 1.5 the power 0 ** (p/2 - 1)
+        # is inf, and the scale is 0 there: energy and gradient stay finite
+        # and do not depend on that element's coefficient
+        g = build_grid(1, 8, (0.0,), 1.0, TORUS)
+        u = np.zeros(g.n_nodes)
+        u[1] = -g.h
+        coeff = two_phase_coeff(g)
+        results = []
+        for a0 in (coeff[0], 1e3):
+            prob = PEnergyProblem(g, np.concatenate([[a0], coeff[1:]]), p, np.array([1.0]))
+            with np.errstate(all="raise"):
+                energy, grad = prob.value(u), prob.gradient(u)
+            assert np.isfinite(energy) and np.isfinite(grad).all()
+            want_energy, want_grad = reference_value_gradient(prob, u)
+            assert abs(energy - want_energy) <= 1e-14 * abs(want_energy)
+            assert np.abs(grad - want_grad).max() <= 1e-14 * np.abs(want_grad).max()
+            results.append((energy, grad))
+        assert results[0][0] == results[1][0]
+        assert np.array_equal(results[0][1], results[1][1])
 
 
 class TestPreconditionedLBFGS:

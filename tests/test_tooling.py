@@ -731,7 +731,7 @@ def test_one_stencil_layout_for_every_system():
     from homlab import numerics
 
     assert {f.name for f in dataclasses.fields(numerics.CsrPattern)} == {
-        "indptr", "indices", "first", "side", "torus", "incidence"}
+        "indptr", "indices", "side", "torus", "incidence"}
     assert not hasattr(numerics.CsrPattern, "gather")
     assert not hasattr(numerics.CsrPattern, "restricted")
     assert not hasattr(numerics.ElementOps, "restricted_pattern")
